@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .simplex import FiniteSemiSimplicialSet, MonoMap, compose_mono, enumerate_homs
+from .solver import solve
 
 
 class CategoryError(ValueError):
@@ -70,13 +71,16 @@ class FinCat:
             i = self.identity.get(x)
             if i is None or i not in self.hom(x, x):
                 raise CategoryError(f"missing identity for object {x!r}")
-        for f in self.arrows():
-            for g in self.arrows():
-                if self.dst[f] != self.src[g]:
-                    if (g, f) in self.compose:
-                        raise CategoryError(
-                            f"compose defined for non-composable ({g!r}, {f!r})")
-                    continue
+        for (g, f) in self.compose:
+            if g in seen and f in seen and self.dst[f] != self.src[g]:
+                raise CategoryError(
+                    f"compose defined for non-composable ({g!r}, {f!r})")
+        arrows = self.arrows()
+        out_of: dict = {}       # object -> arrows with that source
+        for a in arrows:
+            out_of.setdefault(self.src[a], []).append(a)
+        for f in arrows:
+            for g in out_of.get(self.dst[f], ()):
                 h = self.compose.get((g, f))
                 if h is None:
                     raise CategoryError(f"compose missing for ({g!r}, {f!r})")
@@ -84,21 +88,17 @@ class FinCat:
                     raise CategoryError(
                         f"compose ({g!r}, {f!r}) = {h!r} lands outside "
                         f"hom({self.src[f]!r}, {self.dst[g]!r})")
-        for f in self.arrows():
+        for f in arrows:
             if self.compose[(self.identity[self.dst[f]], f)] != f:
                 raise CategoryError(f"left unit law fails at {f!r}")
             if self.compose[(f, self.identity[self.src[f]])] != f:
                 raise CategoryError(f"right unit law fails at {f!r}")
-        for f in self.arrows():
-            for g in self.arrows():
-                if self.dst[f] != self.src[g]:
-                    continue
-                for h in self.arrows():
-                    if self.dst[g] != self.src[h]:
-                        continue
-                    lhs = self.compose[(h, self.compose[(g, f)])]
-                    rhs = self.compose[(self.compose[(h, g)], f)]
-                    if lhs != rhs:
+        for f in arrows:
+            for g in out_of.get(self.dst[f], ()):
+                gf = self.compose[(g, f)]
+                for h in out_of.get(self.dst[g], ()):
+                    if (self.compose[(h, gf)]
+                            != self.compose[(self.compose[(h, g)], f)]):
                         raise CategoryError(
                             f"associativity fails on ({h!r}, {g!r}, {f!r})")
 
@@ -256,33 +256,15 @@ def _object_order(c: FinCat) -> list:
 
 
 def limit_direct(x: SetDiagram) -> list[dict]:
-    """All natural families (c_y) with X(f)(c_y) = c_y' for every arrow."""
+    """All natural families (c_y) with X(f)(c_y) = c_y' for every arrow.
+
+    Objects are searched by decreasing rank, so each arrow fixes the value
+    at its target from the value at its source (see ``solver.solve``).
+    """
     c = x.cat
     order = _object_order(c)
-    results: list[dict] = []
-    assign: dict = {}
-
-    def ok(o) -> bool:
-        for a in c.arrows():
-            s, d = c.src[a], c.dst[a]
-            if s in assign and d in assign:
-                if x.action[a][assign[s]] != assign[d]:
-                    return False
-        return True
-
-    def backtrack(i: int):
-        if i == len(order):
-            results.append(dict(assign))
-            return
-        o = order[i]
-        for v in x.values[o]:
-            assign[o] = v
-            if ok(o):
-                backtrack(i + 1)
-            del assign[o]
-
-    backtrack(0)
-    return results
+    return solve(order, [x.values[o] for o in order],
+                 [(c.src[a], c.dst[a], x.action[a]) for a in c.arrows()])
 
 
 def family_key(fam: dict):
@@ -346,39 +328,19 @@ def limit_recursive(x: SetDiagram) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def diagram_nat_transforms(f: SetDiagram, g: SetDiagram) -> list[dict]:
-    """All natural transformations f -> g over the same base, brute force.
+    """All natural transformations f -> g over the same base.
 
     A transformation is represented as a dict (object, element) -> element.
+    Cells (o, u) are searched by decreasing rank of o, so the naturality
+    square of each arrow a fixes the cell (dst a, F(a)(u)) from (src a, u)
+    (see ``solver.solve``).
     """
     c = f.cat
     order = _object_order(c)
     cells = [(o, u) for o in order for u in f.values[o]]
-    results: list[dict] = []
-    assign: dict = {}
-
-    def consistent() -> bool:
-        for a in c.arrows():
-            s, d = c.src[a], c.dst[a]
-            for u in f.values[s]:
-                ks, kd = (s, u), (d, f.action[a][u])
-                if ks in assign and kd in assign:
-                    if g.action[a][assign[ks]] != assign[kd]:
-                        return False
-        return True
-
-    def backtrack(i: int):
-        if i == len(cells):
-            results.append(dict(assign))
-            return
-        o, u = cells[i]
-        for v in g.values[o]:
-            assign[(o, u)] = v
-            if consistent():
-                backtrack(i + 1)
-            del assign[(o, u)]
-
-    backtrack(0)
-    return results
+    constraints = [((c.src[a], u), (c.dst[a], f.action[a][u]), g.action[a])
+                   for a in c.arrows() for u in f.values[c.src[a]]]
+    return solve(cells, [g.values[o] for o, _ in cells], constraints)
 
 
 def nat_key(t: dict):

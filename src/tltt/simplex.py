@@ -12,9 +12,10 @@ with ``S\\{h}`` from the current sieve.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from math import comb
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
+
+from .solver import solve
 
 MAX_DIM = 12     # sieves are stored extensionally; guard the exponent
 
@@ -458,40 +459,22 @@ def _freeze(x):
 
 
 def nat_transforms(f: SimplicialSubset, x: FiniteSemiSimplicialSet) -> list[dict]:
-    """All natural transformations from the subfunctor into X, brute force.
+    """All natural transformations from the subfunctor into X.
 
     A transformation assigns to every map g in level k of F an element of
-    X_k, commuting with the elementary cofaces.
+    X_k, commuting with the elementary cofaces.  Cells are searched level
+    by level; each face condition is checked when its level-k cell is
+    assigned (see ``solver.solve``).
     """
     if x.truncation < f.n:
         raise ValueError(
             f"semi-simplicial set truncated at {x.truncation} cannot receive "
             f"a subfunctor of dimension {f.n}")
     cells = [(k, g) for k in range(f.n + 1) for g in sorted(f.levels[k])]
-    results: list[dict] = []
-    assign: dict = {}
-
-    def backtrack(i: int):
-        if i == len(cells):
-            results.append(dict(assign))
-            return
-        k, g = cells[i]
-        for val in x.levels[k]:
-            ok = True
-            for j in range(k + 1):
-                if k == 0:
-                    break
-                face = compose_mono(g, coface(k, j))
-                if assign[(k - 1, face)] != x.faces[(k, j)][val]:
-                    ok = False
-                    break
-            if ok:
-                assign[(k, g)] = val
-                backtrack(i + 1)
-                del assign[(k, g)]
-
-    backtrack(0)
-    return results
+    constraints = [((k, g), (k - 1, compose_mono(g, coface(k, j))),
+                    x.faces[(k, j)])
+                   for k, g in cells if k > 0 for j in range(k + 1)]
+    return solve(cells, [x.levels[k] for k, _ in cells], constraints)
 
 
 def yoneda_bijection(n: int, x: FiniteSemiSimplicialSet

@@ -32,6 +32,39 @@ class TestValidation:
         with pytest.raises(CategoryError):
             cat.validate()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"homs": {("a", "a"): ("id", "e"), ("a", "z"): ("k",)}},
+         r"hom set over unknown objects \(a, z\)"),
+        ({"homs": {("a", "a"): ("id", "e", "e")}}, "duplicate arrow id 'e'"),
+        ({"identity": {}}, "missing identity for object 'a'"),
+        ({"objects": ("a", "b"),
+          "homs": {("a", "a"): ("id", "e"), ("b", "b"): ("idb",)},
+          "identity": {"a": "id", "b": "idb"},
+          "compose": {("idb", "idb"): "idb", ("idb", "e"): "e"}},
+         r"compose defined for non-composable \('idb', 'e'\)"),
+        ({"compose": {("e", "e"): None}}, r"compose missing for \('e', 'e'\)"),
+        ({"compose": {("e", "e"): "k"}},
+         r"compose \('e', 'e'\) = 'k' lands outside hom\('a', 'a'\)"),
+        ({"compose": {("id", "e"): "id"}}, "left unit law fails at 'e'"),
+        ({"compose": {("e", "id"): "id"}}, "right unit law fails at 'e'"),
+        # e.e = t, e.t = e, t.e = t, t.t = e: unital, but (e.e).e != e.(e.e)
+        ({"homs": {("a", "a"): ("id", "e", "t")},
+          "compose": {("id", "t"): "t", ("t", "id"): "t", ("e", "e"): "t",
+                      ("e", "t"): "e", ("t", "e"): "t", ("t", "t"): "e"}},
+         "associativity fails on"),
+    ])
+    def test_each_category_law_is_checked(self, change, message):
+        """One broken law per case on the idempotent monoid {id, e}."""
+        compose = {("id", "id"): "id", ("id", "e"): "e", ("e", "id"): "e",
+                   ("e", "e"): "e"}
+        compose.update(change.get("compose", {}))
+        cat = FinCat(change.get("objects", ("a",)),
+                     change.get("homs", {("a", "a"): ("id", "e")}),
+                     {k: v for k, v in compose.items() if v is not None},
+                     change.get("identity", {"a": "id"}))
+        with pytest.raises(CategoryError, match=message):
+            cat.validate()
+
     def test_rank_violation_detected(self, cospan):
         cat, _ = cospan
         bad = FinInvCat(cat.objects, cat.homs, cat.compose, cat.identity,

@@ -353,7 +353,7 @@ def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
     values = {}
     for d in c.objects:
         nats = diagram_nat_transforms(product_diagram(f, representable(c, d)), g)
-        values[d] = tuple(sorted((nat_key(t) for t in nats), key=str))
+        values[d] = tuple(nat_key(t) for t in nats)
     action = {}
     for a in c.arrows():
         d, d2 = c.src[a], c.dst[a]

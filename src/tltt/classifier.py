@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .categories import (
     CategoryError, DiagramMap, FinInvCat, SetDiagram, family_key,
-    matching_object, reduced_coslice,
+    matching_object,
 )
 
 
@@ -48,37 +49,58 @@ def _push_family(fam: dict, components: dict, c: FinInvCat) -> dict:
     return {f: components[c.dst[f]][v] for f, v in fam.items()}
 
 
-def classifier_elements(c: FinInvCat, n: int, base: SetDiagram,
-                        universe: list[tuple]) -> list[ClassifierElement]:
-    """All classifier elements at stage n over the given base diagram.
+def _stage_keys(c: FinInvCat, x: ClassifierElement, base: SetDiagram,
+                r: int) -> list[tuple]:
+    """The keys (i, b, canonical matching family) that extend x at rank r:
+    every rank-r object i, every b in B_i, and every matching family of the
+    interpretation of x at i whose boundary agrees with that of b."""
+    diagram, p = interpret(c, x, base)
+    keys = []
+    for i in base.cat.objects:
+        if c.rank[i] != r:
+            continue
+        families, _ = matching_object(diagram, i, ambient=c)
+        for b in base.values[i]:
+            b_key = family_key(_boundary(base, c, i, b))
+            for m in families:
+                if family_key(_push_family(m, p.components, c)) == b_key:
+                    keys.append((i, b, family_key(m)))
+    return keys
 
-    ``base`` must live over the rank < n part of c; ``universe`` is the
-    declared finite collection of allowed fibre sets.
+
+def _extend(c: FinInvCat, base: SetDiagram, universe: list[tuple], r: int,
+            elements: Iterator[ClassifierElement]
+            ) -> Iterator[ClassifierElement]:
+    """Stage r+1 streamed from a stream of stage-r elements."""
+    for x in elements:
+        keys = _stage_keys(c, x, base, r)
+        for assignment in itertools.product(universe, repeat=len(keys)):
+            yield ClassifierElement(
+                x.n + 1, x.choices + (frozenset(zip(keys, assignment)),))
+
+
+def iter_classifier_elements(c: FinInvCat, n: int, base: SetDiagram,
+                             universe: list[tuple]
+                             ) -> Iterator[ClassifierElement]:
+    """The classifier elements at stage n over the given base diagram, one
+    at a time, in the order of ``classifier_elements``.
+
+    ``base`` must live over the rank < n part of c (checked before the
+    first element is drawn); ``universe`` is the declared finite
+    collection of allowed fibre sets.
     """
     if any(c.rank[o] >= n for o in base.cat.objects):
         raise CategoryError("base diagram has objects of rank >= stage")
-    elements = [ClassifierElement(0, ())]
+    elements: Iterator[ClassifierElement] = iter([ClassifierElement(0, ())])
     for r in range(n):
-        extended = []
-        for x in elements:
-            diagram, p = interpret(c, x, base)
-            keys = []
-            for i in base.cat.objects:
-                if c.rank[i] != r:
-                    continue
-                families, _ = matching_object(diagram, i, ambient=c)
-                for b in base.values[i]:
-                    b_boundary = _boundary(base, c, i, b)
-                    for m in families:
-                        pushed = _push_family(m, p.components, c)
-                        if family_key(pushed) == family_key(b_boundary):
-                            keys.append((i, b, family_key(m)))
-            for assignment in itertools.product(universe, repeat=len(keys)):
-                stage = frozenset(zip(keys, assignment))
-                extended.append(
-                    ClassifierElement(x.n + 1, x.choices + (stage,)))
-        elements = extended
+        elements = _extend(c, base, universe, r, elements)
     return elements
+
+
+def classifier_elements(c: FinInvCat, n: int, base: SetDiagram,
+                        universe: list[tuple]) -> list[ClassifierElement]:
+    """All classifier elements at stage n over the given base diagram."""
+    return list(iter_classifier_elements(c, n, base, universe))
 
 
 def interpret(c: FinInvCat, x: ClassifierElement, base: SetDiagram

@@ -8,6 +8,7 @@ printed on standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -21,7 +22,7 @@ from .categories import (
     random_diagram, random_inverse_category, semisimplex_category,
     sset_to_diagram,
 )
-from .classifier import classifier_elements, round_trip
+from .classifier import iter_classifier_elements, round_trip
 from .corpus import run_corpus
 from .fixtures import load_fixture
 from .nerve import nerve, segal_report
@@ -204,6 +205,8 @@ def cmd_segal(args) -> int:
 
 
 _LABELS = "abcdefgh"
+# Most classifier elements a run enumerates; the count stops one past it.
+CLASSIFIER_CAP = 100000
 
 
 def _universe(max_card: int) -> list[tuple]:
@@ -218,20 +221,25 @@ def cmd_classifier(args) -> int:
     ambient = semisimplex_category(max(n, 1))
     base = constant_diagram(ambient.truncate_below(n), ("*",))
     universe = _universe(args.max_card)
-    elements = classifier_elements(ambient, n, base, universe)
-    if len(elements) > 100000:
-        print("enumeration size cap exceeded", file=sys.stderr)
+    count = sum(1 for _ in itertools.islice(
+        iter_classifier_elements(ambient, n, base, universe),
+        CLASSIFIER_CAP + 1))
+    if count > CLASSIFIER_CAP:
+        message = "enumeration size cap exceeded"
+        print(message, file=sys.stderr)
+        if args.json:
+            print(json.dumps({"status": "error", "error": message}))
         return 2
     ok = True
     failures = []
-    for x in elements:
+    for x in iter_classifier_elements(ambient, n, base, universe):
         rt = round_trip(ambient, x, base)
         if not rt.ok:
             ok = False
             failures.append(rt.to_json())
     _emit(args, {"status": "pass" if ok else "fail", "n": n,
-                 "count": len(elements), "round_trip_failures": failures},
-          [f"stage {n}: {len(elements)} elements",
+                 "count": count, "round_trip_failures": failures},
+          [f"stage {n}: {count} elements",
            f"round trips: {'pass' if ok else 'fail'}"])
     return 0 if ok else 1
 

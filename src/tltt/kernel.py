@@ -14,7 +14,7 @@ judgmental eta for Pi and Sigma.  Errors carry the name of the violated rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .categories import FinCat
-from .simplex import FiniteSemiSimplicialSet, MonoMap, coface, compose_mono
+from .simplex import FiniteSemiSimplicialSet, MonoMap
 
 
 def nerve(c: FinCat, depth: int) -> FiniteSemiSimplicialSet:
@@ -128,7 +128,6 @@ def pointed_nerve_level(universe: list[tuple], n: int) -> list[tuple]:
     """
     cells = []
     for sets in itertools.product(range(len(universe)), repeat=n + 1):
-        point_space = itertools.product(*(universe[s] for s in sets))
         map_space = itertools.product(*(
             _functions(universe[sets[i]], universe[sets[i + 1]])
             for i in range(n)))

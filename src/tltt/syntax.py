@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class SyntaxError_(Exception):

@@ -1,8 +1,14 @@
 """Inverse categories, diagrams, limits two ways, exponentials, pullbacks."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+
+import tltt
 
 from tltt.categories import (
     CategoryError, DiagramMap, FinCat, FinInvCat, SetDiagram,
@@ -210,6 +216,36 @@ class TestNatAndExponential:
             image.add(nat_key(out))
         assert image == {nat_key(t) for t in nats}
         assert len(image) == len(lim)
+
+    def test_exponential_order_ignores_hash_seed(self):
+        # Each nat is printed with its items sorted, so the dump shows only
+        # the order of the exponential's values and of its limit's families.
+        script = """
+import random
+from tltt.categories import (exponential_diagram, limit_direct,
+                             random_diagram, random_inverse_category)
+
+def show(alpha):
+    return sorted(repr(item) for item in alpha)
+
+for seed in range(30):
+    rng = random.Random(1000 + seed)
+    cat = random_inverse_category(rng, max_objects=3)
+    exp = exponential_diagram(random_diagram(rng, cat, max_card=2),
+                              random_diagram(rng, cat, max_card=2))
+    for d in cat.objects:
+        print(d, [show(alpha) for alpha in exp.values[d]])
+    for fam in limit_direct(exp):
+        print([exp.values[d].index(fam[d]) for d in cat.objects])
+"""
+        src = str(pathlib.Path(tltt.__file__).resolve().parents[1])
+        dumps = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            dumps.append(done.stdout)
+        assert dumps[0] and dumps[0] == dumps[1]
 
 
 class TestPullback:

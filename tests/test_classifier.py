@@ -5,11 +5,12 @@ import random
 import pytest
 
 from tltt.categories import (
-    constant_diagram, random_diagram, random_inverse_category,
+    CategoryError, constant_diagram, random_diagram, random_inverse_category,
     semisimplex_category,
 )
 from tltt.classifier import (
-    ClassifierElement, classifier_elements, interpret, round_trip,
+    ClassifierElement, classifier_elements, interpret,
+    iter_classifier_elements, round_trip,
 )
 
 UNIVERSE = [(), ("*",)]
@@ -48,6 +49,34 @@ class TestEnumeration:
                      if all(not fib for _, fib in e.choices[0]))
         d, p = interpret(ambient, empty, base)
         assert all(len(v) == 0 for v in d.values.values())
+
+
+class TestStream:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("universe", [UNIVERSE, [(), ("*",), ("a", "b")]])
+    def test_stream_is_the_list_in_order(self, n, universe):
+        ambient, base, els = _setup(n, universe)
+        assert list(iter_classifier_elements(ambient, n, base, universe)) \
+            == els
+
+    @pytest.mark.parametrize("max_card, want", [(1, 3), (2, 85), (3, 262405)])
+    def test_streamed_count_at_stage_two(self, max_card, want):
+        # one key at rank 0; at rank 1 one key per ordered pair of points
+        # of the rank-0 fibre S, so sum over S in U of |U| ** (|S| ** 2)
+        universe = [tuple("abc"[:k]) for k in range(max_card + 1)]
+        assert sum(len(universe) ** (len(s) ** 2) for s in universe) == want
+        ambient = semisimplex_category(2)
+        base = constant_diagram(ambient.truncate_below(2), ("*",))
+        stream = iter_classifier_elements(ambient, 2, base, universe)
+        assert sum(1 for _ in stream) == want
+
+    def test_rank_guard_before_the_first_draw(self):
+        ambient = semisimplex_category(2)
+        base = constant_diagram(ambient.truncate_below(2), ("*",))
+        with pytest.raises(CategoryError):
+            iter_classifier_elements(ambient, 1, base, UNIVERSE)
+        with pytest.raises(CategoryError):
+            classifier_elements(ambient, 1, base, UNIVERSE)
 
 
 class TestInterpretation:

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from tltt import cli
 from tltt.cli import main
 from tltt.corpus import CORPUS_ROOT
 
@@ -112,6 +113,44 @@ class TestLabs:
                            "--n", "1", "--max-card", "1", "--json")
         doc = json.loads(out)
         assert code == 0 and doc["count"] == 2
+
+    @pytest.mark.parametrize("n, max_card", [("2", "3"), ("3", "2")])
+    def test_classifier_cap_is_exit_two(self, capsys, n, max_card):
+        code, out, err = run(capsys, "lab", "classifier",
+                             "--n", n, "--max-card", max_card)
+        assert code == 2 and out == ""
+        assert err == "enumeration size cap exceeded\n"
+
+    def test_classifier_cap_json_is_one_document(self, capsys):
+        code, out, err = run(capsys, "lab", "classifier",
+                             "--n", "2", "--max-card", "3", "--json")
+        assert code == 2 and "enumeration size cap exceeded" in err
+        assert json.loads(out) == {"status": "error",
+                                   "error": "enumeration size cap exceeded"}
+
+    def test_classifier_cap_stops_the_enumeration(self, capsys, monkeypatch):
+        stream = cli.iter_classifier_elements
+        drawn = [0]
+
+        def counting(*args):
+            for x in stream(*args):
+                drawn[0] += 1
+                yield x
+
+        monkeypatch.setattr(cli, "iter_classifier_elements", counting)
+        # 262405 elements in all, so a count past the cap shows in seconds
+        code, _, _ = run(capsys, "lab", "classifier",
+                         "--n", "2", "--max-card", "3")
+        assert code == 2 and drawn[0] == cli.CLASSIFIER_CAP + 1
+
+    @pytest.mark.parametrize("cap, want", [(85, 0), (84, 2)])
+    def test_classifier_cap_boundary(self, capsys, monkeypatch, cap, want):
+        # stage 2 over cardinalities up to 2 has exactly 85 elements
+        monkeypatch.setattr(cli, "CLASSIFIER_CAP", cap)
+        code, out, _ = run(capsys, "lab", "classifier",
+                           "--n", "2", "--max-card", "2", "--json")
+        assert code == want
+        assert json.loads(out)["status"] == ("pass" if want == 0 else "error")
 
     def test_usage_error_is_exit_two(self, capsys):
         assert main(["lab", "nonsense"]) == 2

@@ -59,19 +59,6 @@ def prelude_definitions() -> Module:
     return mod
 
 
-def fibrant_replacement_refutation() -> Module:
-    """The checked fibrant-replacement module (needs the base prelude)."""
-    base = prelude_definitions()
-    ck = Checker()
-    check_module(ck, base)
-    path = CORPUS_ROOT / "prelude" / "02_fibrant_replacement.tltt"
-    mod = load_module(path, set(ck.env))
-    rep = check_module(ck, mod)
-    if not rep.ok:
-        raise RuntimeError(rep.error)
-    return mod
-
-
 @dataclass
 class CorpusReport:
     reports: list[Report] = field(default_factory=list)

@@ -15,15 +15,9 @@ import pathlib
 from typing import Optional, Union
 
 from .categories import FinCat, FinInvCat, SetDiagram
-from .simplex import FiniteSemiSimplicialSet
+from .simplex import FiniteSemiSimplicialSet, _freeze
 
 FIXTURE_ROOT = pathlib.Path(__file__).parent / "fixture_data"
-
-
-def _freeze(x):
-    if isinstance(x, list):
-        return tuple(_freeze(y) for y in x)
-    return x
 
 
 def fincat_from_json(doc: dict) -> Union[FinCat, FinInvCat]:
@@ -70,10 +64,6 @@ def diagram_from_json(doc: dict, cat: FinCat) -> SetDiagram:
     return diagram
 
 
-def sset_from_json(doc: dict) -> FiniteSemiSimplicialSet:
-    return FiniteSemiSimplicialSet.from_json(doc)
-
-
 class Fixture:
     """A loaded fixture document; sections are optional."""
 
@@ -86,7 +76,7 @@ class Fixture:
             for name, d in doc.get("diagrams", {}).items():
                 self.diagrams[name] = diagram_from_json(d, self.category)
         if "sset" in doc:
-            self.sset = sset_from_json(doc["sset"])
+            self.sset = FiniteSemiSimplicialSet.from_json(doc["sset"])
 
 
 def load_fixture(path: Union[str, pathlib.Path]) -> Fixture:
@@ -97,20 +87,3 @@ def load_fixture(path: Union[str, pathlib.Path]) -> Fixture:
             p = candidate
     return Fixture(json.loads(p.read_text()))
 
-
-def fincat_to_json(cat: FinCat) -> dict:
-    rank = cat.rank if isinstance(cat, FinInvCat) else {}
-    return {
-        "objects": [[o, rank.get(o)] for o in cat.objects],
-        "homs": [[s, d, list(arrows)] for (s, d), arrows in cat.homs.items()],
-        "compose": [[g, f, h] for (g, f), h in cat.compose.items()],
-        "identities": [[o, a] for o, a in cat.identity.items()],
-    }
-
-
-def diagram_to_json(diagram: SetDiagram) -> dict:
-    return {
-        "values": [[o, list(vs)] for o, vs in diagram.values.items()],
-        "functions": [[a, [[x, y] for x, y in fn.items()]]
-                      for a, fn in diagram.action.items()],
-    }

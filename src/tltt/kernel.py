@@ -93,34 +93,30 @@ _SPINE_ARITY = {
 _CHECK_ONLY = {"pair", "inl", "inr", "inlS", "inrS"}
 
 
-def _pi(name: str, dom: Term, cod: Term) -> Term:
-    return Pi(name, dom, cod)
-
-
 def _closed_const_types() -> dict[str, Term]:
     nat, nats = Const("Nat"), Const("NatS")
     u0, us0 = Univ(True, 0), Univ(False, 0)
     a = Var  # index helper for readability below
-    uip_ty = _pi("A", us0,
-                 _pi("a", a(0),
-                     _pi("b", a(1),
-                         _pi("p", Eq(True, a(1), a(0)),
-                             _pi("q", Eq(True, a(2), a(1)),
-                                 Eq(True, a(1), a(0)))))))
-    funext_ty = _pi(
+    uip_ty = Pi("A", us0,
+                Pi("a", a(0),
+                   Pi("b", a(1),
+                      Pi("p", Eq(True, a(1), a(0)),
+                         Pi("q", Eq(True, a(2), a(1)),
+                            Eq(True, a(1), a(0)))))))
+    funext_ty = Pi(
         "A", us0,
-        _pi("B", _pi("_", a(0), us0),
-            _pi("f", _pi("x", a(1), App(a(1), a(0))),
-                _pi("g", _pi("x", a(2), App(a(2), a(0))),
-                    _pi("h", _pi("x", a(3),
-                                 Eq(True, App(a(2), a(0)), App(a(1), a(0)))),
-                        Eq(True, a(2), a(1)))))))
+        Pi("B", Pi("_", a(0), us0),
+           Pi("f", Pi("x", a(1), App(a(1), a(0))),
+              Pi("g", Pi("x", a(2), App(a(2), a(0))),
+                 Pi("h", Pi("x", a(3),
+                            Eq(True, App(a(2), a(0)), App(a(1), a(0)))),
+                    Eq(True, a(2), a(1)))))))
     return {
         "Unit": u0, "star": Const("Unit"),
         "Empty": u0, "EmptyS": us0,
         "Nat": u0, "NatS": us0,
-        "zero": nat, "succ": _pi("_", nat, nat),
-        "zeroS": nats, "succS": _pi("_", nats, nats),
+        "zero": nat, "succ": Pi("_", nat, nat),
+        "zeroS": nats, "succS": Pi("_", nats, nats),
         "uip": uip_ty, "funextS": funext_ty,
     }
 
@@ -165,12 +161,13 @@ class Checker:
                     if isinstance(fw, Lam):
                         t = subst(fw.body, a)
                         continue
-                    head, args = spine(App(fw, a))
-                    red = self._iota(head, args)
+                    if fw is not f:
+                        t = App(fw, a)
+                    red = self._iota(*spine(t))
                     if red is not None:
                         t = red
                         continue
-                    return App(fw, a)
+                    return t
                 case _:
                     return t
 
@@ -223,7 +220,12 @@ class Checker:
     # -- conversion --------------------------------------------------------
 
     def convert(self, t: Term, u: Term) -> bool:
+        # `==` ignores binder names, so it is alpha-equivalence
+        if t is u or t == u:
+            return True
         t, u = self.whnf(t), self.whnf(u)
+        if t is u or t == u:
+            return True
         if isinstance(t, Lam) or isinstance(u, Lam):
             # eta for Pi
             tb = t.body if isinstance(t, Lam) else App(shift(t, 1), Var(0))
@@ -664,13 +666,13 @@ def check_module(checker: Checker, mod: Module) -> Report:
     for d in mod.decls:
         try:
             rec = checker.check_decl(d)
-        except TypeError_ as e:
-            records.append({
-                "kind": d.kind, "name": d.name, "line": d.line, "col": d.col,
-                "status": "fail", "rule": e.rule, "message": e.msg,
-            })
-            return Report(mod.path, records,
-                          error=f"{mod.path}:{d.line}:{d.col}: [{e.rule}] {e.msg}")
+        except (TypeError_, RecursionError) as e:
+            # a RecursionError is never an expected rejection: `fail`
+            # declarations catch only TypeError_
+            rule, msg = ((e.rule, e.msg) if isinstance(e, TypeError_)
+                         else ("DEPTH", "terms nest too deeply to check"))
+            rec = {"kind": d.kind, "name": d.name, "line": d.line,
+                   "col": d.col, "status": "fail", "rule": rule, "message": msg}
         records.append(rec)
         if rec["status"] == "fail":
             return Report(mod.path, records,

@@ -131,6 +131,8 @@ def mk_app(head: Term, *args: Term) -> Term:
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    if by == 0:
+        return t
     match t:
         case Var(i):
             return Var(i + by) if i >= cutoff else t
@@ -173,32 +175,6 @@ def subst(t: Term, sub: Term, idx: int = 0) -> Term:
         case Ann(tm, ty):
             return Ann(subst(tm, sub, idx), subst(ty, sub, idx))
     raise AssertionError(t)
-
-
-def check_scope(t: Term, depth: int = 0) -> None:
-    """Raise ValueError if any index escapes `depth`."""
-    match t:
-        case Var(i):
-            if not 0 <= i < depth:
-                raise ValueError(f"index {i} out of scope at depth {depth}")
-        case Ref() | Const() | Univ():
-            pass
-        case Pi(_, a, b) | Sig(_, a, b):
-            check_scope(a, depth)
-            check_scope(b, depth + 1)
-        case Lam(_, b):
-            check_scope(b, depth + 1)
-        case App(f, a):
-            check_scope(f, depth)
-            check_scope(a, depth)
-        case Eq(_, l, r):
-            check_scope(l, depth)
-            check_scope(r, depth)
-        case Ann(tm, ty):
-            check_scope(tm, depth)
-            check_scope(ty, depth)
-        case _:
-            raise AssertionError(t)
 
 
 def uses_var(t: Term, idx: int = 0) -> bool:
@@ -381,7 +357,7 @@ class Parser:
             self.expect(",")
             body = self.term()
             ctor = Pi if t.text == "Pi" else Sig
-            for name, ty, depth in reversed(binders):
+            for name, ty in reversed(binders):
                 body = ctor(name, ty, body)
             return body
         if t.text == "fun":
@@ -398,14 +374,14 @@ class Parser:
             return body
         return self.arrow()
 
-    def binders(self) -> list[tuple[str, Term, int]]:
-        """Parse `(x y : T)+`, returning (name, type, shift-amount) triples.
+    def binders(self) -> list[tuple[str, Term]]:
+        """Parse `(x y : T)+`, returning (name, type) pairs.
 
         The type of a later binder in the same group mentions earlier names;
         since names are unresolved here we simply repeat the type term and
         leave index adjustment to resolve().
         """
-        out: list[tuple[str, Term, int]] = []
+        out: list[tuple[str, Term]] = []
         saw = False
         while self.peek().text == "(":
             save = self.pos
@@ -420,7 +396,7 @@ class Parser:
             ty = self.term()
             self.expect(")")
             for name in names:
-                out.append((name, ty, 0))
+                out.append((name, ty))
             saw = True
         if not saw:
             self.err("expected a binder '(name : type)'")
@@ -517,7 +493,13 @@ class Parser:
 
 
 def parse(src: str, path: str = "<input>") -> Module:
-    return Parser(tokenize(src, path), path).module()
+    p = Parser(tokenize(src, path), path)
+    try:
+        return p.module()
+    except RecursionError:
+        tok = p.peek()
+        raise SyntaxError_("[DEPTH] terms nest too deeply to parse",
+                           tok.line, tok.col, path) from None
 
 
 def parse_term(src: str, path: str = "<input>") -> Term:
@@ -588,8 +570,13 @@ def resolve(mod: Module, globals_: Optional[set[str]] = None) -> Module:
             if d.name in BUILTIN_CONSTS or d.name in KEYWORDS:
                 raise ResolveError(f"{d.name!r} shadows a built-in",
                                    d.line, d.col, mod.path)
-        ty = resolve_term(d.ty, [], known, mod.path)
-        body = None if d.body is None else resolve_term(d.body, [], known, mod.path)
+        try:
+            ty = resolve_term(d.ty, [], known, mod.path)
+            body = (None if d.body is None
+                    else resolve_term(d.body, [], known, mod.path))
+        except RecursionError:
+            raise ResolveError("[DEPTH] terms nest too deeply to resolve",
+                               d.line, d.col, mod.path) from None
         if d.name is not None:
             known.add(d.name)
         out.append(replace(d, ty=ty, body=body))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from tltt.categories import (
-    CategoryError, constant_diagram, random_diagram, random_inverse_category,
-    semisimplex_category,
+    CategoryError, SetDiagram, constant_diagram, random_diagram,
+    random_inverse_category, semisimplex_category,
 )
 from tltt.classifier import (
     ClassifierElement, classifier_elements, interpret,
@@ -114,10 +114,16 @@ class TestRoundTrip:
             assert round_trip(ambient, x, base).ok
 
     def test_round_trip_nonconstant_base(self):
+        # one edge e from vertex a to vertex b: two values at 0, one at 1
         ambient = semisimplex_category(2)
         sub = ambient.truncate_below(2)
-        rng = random.Random(3)
-        base = random_diagram(rng, sub, max_card=2)
+        values = {0: ("a", "b"), 1: ("e",)}
+        faces = {("m", 1, (0,)): {"e": "a"}, ("m", 1, (1,)): {"e": "b"}}
+        action = {a: faces.get(a) or {v: v for v in values[sub.src[a]]}
+                  for a in sub.arrows()}
+        base = SetDiagram(sub, values, action)
+        base.validate()
+        assert all(base.values.values()) and len(set(base.values.values())) > 1
         els = classifier_elements(ambient, 2, base, UNIVERSE)
         assert els
         for x in els:

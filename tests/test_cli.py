@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +41,51 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--json", PRELUDE[0])
         doc = json.loads(out)
         assert code == 0 and doc["status"] == "pass"
+
+
+def numeral(d):
+    return "succ (" * d + "zero" + ")" * d
+
+
+class TestDepth:
+    """Terms too deep for the interpreter's stack fail with [DEPTH], exit 1,
+    in a fresh interpreter whose stack holds nothing else."""
+
+    @pytest.fixture(params=[190, 400])
+    def deep_file(self, request, tmp_path):
+        # depth 190 overflows the checker's conversion, depth 400 the parser
+        d = request.param
+        path = tmp_path / f"deep{d}.tltt"
+        path.write_text(
+            "def add : Nat -> Nat -> Nat\n"
+            "  := fun m n => indNat (fun k => Nat) n (fun k r => succ r) m\n"
+            f"def N : Nat := {numeral(d)}\n"
+            f"def M : Nat := {numeral(d)}\n"
+            "check refl (add N M) : add N M = add M N\n")
+        return path
+
+    @staticmethod
+    def tltt(*argv):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "tltt.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_depth_error_without_traceback(self, deep_file):
+        proc = self.tltt("check", str(deep_file))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{deep_file}:" in proc.stderr and "[DEPTH]" in proc.stderr
+
+    def test_depth_error_json_is_one_document(self, deep_file):
+        proc = self.tltt("check", "--json", str(deep_file))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "[DEPTH]" in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "fail"
+        assert "[DEPTH]" in json.dumps(doc["files"])
 
 
 class TestCorpus:

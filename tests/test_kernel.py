@@ -1,14 +1,19 @@
 """Typechecking: sorts, conversion, eliminators, and restrictions."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from tltt import kernel, syntax
 from tltt.kernel import (
-    Checker, KernelOptions, RESTRICTED_RULES, RULES, Sort, TypeError_,
+    Checker, EnvEntry, KernelOptions, RESTRICTED_RULES, RULES, Sort, TypeError_,
     check_module, sort_leq, sort_lub,
 )
 from tltt.corpus import prelude_checker
-from tltt.syntax import parse, parse_term, resolve, resolve_term
+from tltt.syntax import (
+    App, Const, Decl, Module, Ref, parse, parse_term, resolve, resolve_term,
+)
 
 
 def term(src, scope=(), globals_=()):
@@ -210,6 +215,81 @@ class TestSubjectReduction:
         assert checked >= 15
 
 
+def numeral(d, zero="zero", succ="succ"):
+    return f"{succ} (" * d + zero + ")" * d
+
+
+ADD = ("def add : Nat -> Nat -> Nat\n"
+       "  := fun m n => indNat (fun k => Nat) n (fun k r => succ r) m\n")
+
+
+def numeral_module(kind, d):
+    if kind == "toNat":
+        stated = f"toNat ({numeral(d, 'zeroS', 'succS')})"
+        return f"check refl ({numeral(d)}) : {stated} = {numeral(d)}\n"
+    half = numeral(d // 2)
+    return f"{ADD}check refl ({numeral(d)}) : add ({half}) ({half}) = {numeral(d)}\n"
+
+
+class TestSharing:
+    """Reduction reuses the terms it is given instead of rebuilding them."""
+
+    @pytest.mark.parametrize("src, scope", [
+        ("Nat -> Nat", ()),
+        ("succ x", ("x",)),
+        ("f x", ("f", "x")),
+        ("indNat (fun k => Nat) zero (fun k r => r) n", ("n",)),
+    ])
+    def test_whnf_returns_a_normal_term_itself(self, ck, src, scope):
+        t = term(src, scope, set(ck.env))
+        assert ck.whnf(t) is t
+
+    def test_convert_compares_syntactically_around_whnf(self, ck):
+        checker = Checker(env=ck.env)
+        calls = Counter()
+        for name in ("whnf", "convert"):
+            def counted(*args, name=name, method=getattr(checker, name)):
+                calls[name] += 1
+                return method(*args)
+            setattr(checker, name, counted)
+        big = term(numeral(50))
+        assert checker.convert(big, term(numeral(50)))
+        assert calls == {"convert": 1}
+        # a definition unfolds to an equal term: no descent into the spines
+        checker.env["N"] = EnvEntry(Const("Nat"), big)
+        calls.clear()
+        assert checker.convert(Ref("N"), term(numeral(50)))
+        assert calls["convert"] == 1 and calls["whnf"] > 0
+
+    @pytest.mark.parametrize("kind", ["add", "toNat"])
+    def test_substitution_work_grows_linearly_in_numeral_depth(
+            self, ck, monkeypatch, kind):
+        """shift/subst visits, recursion included, at most 2.2x when the
+        depth doubles (quadratic work would give about 4x)."""
+        visits = [0]
+
+        def counting(fn):
+            def counted(*args):
+                visits[0] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("shift", "subst"):
+            wrapped = counting(getattr(syntax, name))
+            monkeypatch.setattr(syntax, name, wrapped)
+            monkeypatch.setattr(kernel, name, wrapped)
+
+        def work(d):
+            checker = Checker(env=ck.env)
+            mod = resolve(parse(numeral_module(kind, d)), set(checker.env))
+            visits[0] = 0
+            assert check_module(checker, mod).ok
+            return visits[0]
+
+        small, large = work(60), work(120)
+        assert 0 < large <= 2.2 * small
+
+
 class TestDiagnostics:
     def test_error_carries_rule_name(self, ck):
         with pytest.raises(TypeError_) as e:
@@ -233,6 +313,19 @@ class TestDiagnostics:
         mod = resolve(parse("--! expect: ELIM-NAT\nfail zero : Nat\n"))
         rep = check_module(Checker(), mod)
         assert not rep.ok
+
+
+    @pytest.mark.parametrize("kind", ["check", "fail"])
+    def test_recursion_overflow_is_a_depth_failure(self, kind):
+        deep = Const("zero")
+        for _ in range(5000):
+            deep = App(Const("succ"), deep)
+        mod = Module([Decl(kind, None, Const("Nat"), deep, 3, 1)], "m.tltt")
+        rep = check_module(Checker(), mod)
+        assert not rep.ok
+        assert rep.records[-1]["status"] == "fail"
+        assert rep.records[-1]["rule"] == "DEPTH"
+        assert rep.error.startswith("m.tltt:3:1: [DEPTH]")
 
 
 class TestOptions:

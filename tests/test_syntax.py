@@ -60,6 +60,24 @@ class TestParser:
         assert mod.decls[0].expect_rule == "ELIM-NAT"
 
 
+class TestDepth:
+    def test_deep_nesting_is_a_depth_error_at_a_token(self):
+        src = "def n : Nat := " + "succ (" * 400 + "zero" + ")" * 400 + "\n"
+        with pytest.raises(SyntaxError_) as e:
+            parse(src, "deep.tltt")
+        assert e.value.msg.startswith("[DEPTH]")
+        assert e.value.path == "deep.tltt" and e.value.line == 1
+        assert e.value.col > len("def n : Nat := ")
+
+    def test_deep_binder_group_is_a_depth_error_at_the_declaration(self):
+        names = " ".join(f"x{i}" for i in range(2000))
+        mod = parse(f"def f : Pi ({names} : Nat), Nat := fun {names} => zero\n",
+                    "wide.tltt")
+        with pytest.raises(ResolveError) as e:
+            resolve(mod)
+        assert str(e.value).startswith("wide.tltt:1:1: [DEPTH]")
+
+
 class TestResolver:
     def test_unbound_identifier(self):
         with pytest.raises(ResolveError):
@@ -90,6 +108,15 @@ class TestSubstitution:
     def test_beta_shape(self):
         lam = rt("fun x => succ x")
         assert subst(lam.body, rt("zero")) == rt("succ zero")
+
+    def test_shift_by_zero_is_the_term_itself(self):
+        t = App(Var(3), rt("fun x => succ x"))
+        assert shift(t, 0) is t
+        assert shift(t, 0, 2) is t
+
+    def test_subst_for_the_variable_shares_the_argument(self):
+        big = rt("fun f x => f (f (succ x))")
+        assert subst(Var(0), big) is big
 
     def test_spine_roundtrip(self):
         t = rt("J (fun a b p => Nat) (fun a => zero)")

@@ -544,7 +544,18 @@ def _concat(f, g, x, z, identity):
 def random_diagram(rng: random.Random, c: FinInvCat,
                    max_card: int = 4) -> SetDiagram:
     """A random diagram: values per object, generator actions random, and
-    the action on paths forced by functoriality."""
+    the action on paths forced by functoriality.
+
+    Only the free categories of ``random_inverse_category`` are understood:
+    every arrow must be ``("id", x)`` or ``("p", path)``.
+    """
+    for a in c.arrows():
+        if not (isinstance(a, tuple) and len(a) == 2
+                and (a[0] == "id"
+                     or (a[0] == "p" and isinstance(a[1], tuple)))):
+            raise CategoryError(
+                f"random_diagram cannot act along arrow {a!r}: expected "
+                f"('id', x) or ('p', path)")
     values = {o: tuple(range(rng.randint(0, max_card))) for o in c.objects}
     # an arrow into an empty value set forces the source empty
     changed = True

@@ -32,11 +32,14 @@ class ClassifierElement:
     """One element of the classifier at stage n.
 
     ``choices[r]`` maps keys (object i of rank r, b in B_i, canonical
-    matching family) to the chosen value set (a tuple).
+    matching family) to the chosen value set (a tuple).  It is a tuple of
+    (key, value set) pairs in the order the keys were found: the order of a
+    frozenset would follow the string hash seed and, through ``interpret``,
+    reorder the values and the next stage's keys.
     """
 
     n: int
-    choices: tuple   # tuple of frozensets of (key, value-set) pairs
+    choices: tuple   # tuple of tuples of (key, value-set) pairs
 
 
 def _boundary(diagram: SetDiagram, c: FinInvCat, i, x) -> dict:
@@ -76,7 +79,7 @@ def _extend(c: FinInvCat, base: SetDiagram, universe: list[tuple], r: int,
         keys = _stage_keys(c, x, base, r)
         for assignment in itertools.product(universe, repeat=len(keys)):
             yield ClassifierElement(
-                x.n + 1, x.choices + (frozenset(zip(keys, assignment)),))
+                x.n + 1, x.choices + (tuple(zip(keys, assignment)),))
 
 
 def iter_classifier_elements(c: FinInvCat, n: int, base: SetDiagram,
@@ -115,7 +118,7 @@ def interpret(c: FinInvCat, x: ClassifierElement, base: SetDiagram
     values: dict = {}
     components: dict = {}
     stage_of = {}
-    for r, stage in enumerate(x.choices):
+    for stage in x.choices:
         for (i, b, mkey), fibre in stage:
             stage_of.setdefault(i, {})[(b, mkey)] = fibre
     for i in sorted(sub.objects, key=lambda o: (c.rank[o], str(o))):
@@ -166,8 +169,7 @@ def extract(c: FinInvCat, n: int, diagram: SetDiagram, p: DiagramMap,
             for (b, mkey), fibre in grouped.items():
                 pairs.append(((i, b, mkey),
                               tuple(eta[i][v][2] for v in fibre)))
-        stages.append(frozenset(
-            ((i, b, mkey), tuple(vs)) for (i, b, mkey), vs in pairs))
+        stages.append(tuple(pairs))
     return ClassifierElement(n, tuple(stages)), eta
 
 

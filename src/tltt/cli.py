@@ -107,7 +107,6 @@ def cmd_horn_factor(args) -> int:
         return 2
     try:
         fac = simplex.factor_spine_to_horn(n, k)
-        fac.sieves()
     except simplex.UnsupportedHorn as e:
         print(str(e), file=sys.stderr)
         return 1

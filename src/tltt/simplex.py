@@ -187,9 +187,14 @@ class Sieve:
                         f"not downward closed: {sorted(s)} present but "
                         f"{sorted(s - {x})} missing")
 
-    def maximal(self) -> set:
-        return {s for s in self.members
-                if not any(s < t for t in self.members)}
+    @classmethod
+    def _closed(cls, n: int, members: frozenset) -> "Sieve":
+        """Skip ``__post_init__``'s full re-check: the caller has shown that
+        the members are subsets of {0..n} and downward closed."""
+        sv = object.__new__(cls)
+        object.__setattr__(sv, "n", n)
+        object.__setattr__(sv, "members", members)
+        return sv
 
     def realize(self) -> SimplicialSubset:
         levels = []
@@ -241,20 +246,27 @@ def horn_sieve(n: int, k: int) -> Sieve:
 
 
 def horn_remove(x: Sieve, s: Iterable[int], h: int) -> Sieve:
-    """Remove S and S\\{h} from the sieve; a pushout of a horn inclusion."""
+    """Remove S and S\\{h} from the sieve; a pushout of a horn inclusion.
+
+    x is downward closed, so a member above S or S\\{h} shows as one set
+    with a single element y outside S added: O(n) lookups per check."""
     s = frozenset(s)
-    if s not in x.members:
+    members = x.members
+    if s not in members:
         raise ValueError(f"{sorted(s)} is not a member of the sieve")
-    if any(s < t for t in x.members):
+    outside = [y for y in range(x.n + 1) if y not in s]
+    if any(s | {y} in members for y in outside):
         raise ValueError(f"{sorted(s)} is not maximal in the sieve")
     if h not in s:
         raise ValueError(f"{h} is not an element of {sorted(s)}")
-    remaining = x.members - {s, s - {h}}
-    if any(s - {h} < t for t in remaining):
+    face = s - {h}
+    if any(face | {y} in members for y in outside):
         raise ValueError(
             f"removing {sorted(s)} at {h} breaks downward closure: "
-            f"{sorted(s - {h})} still below another member")
-    return Sieve(x.n, remaining)
+            f"{sorted(face)} still below another member")
+    # Neither S nor S\{h} lies below a remaining member, so the rest stays
+    # downward closed.
+    return Sieve._closed(x.n, members - {s, face})
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +334,6 @@ class UnsupportedHorn(ValueError):
         self.witness = witness
 
 
-def _cosieve_order(n: int, j: int, exclude: set) -> list[frozenset]:
-    """Members of {S : j internal to S} by decreasing cardinality, then lex."""
-    out = [frozenset(c)
-           for r in range(n + 1, 2, -1)
-           for c in itertools.combinations(range(n + 1), r)
-           if _internal(j, frozenset(c))]
-    return [s for s in sorted(out, key=lambda s: (-len(s), tuple(sorted(s))))
-            if s not in exclude]
-
-
 def _interval_steps(a: int, b: int) -> list[HornStep]:
     """Steps reducing the principal sieve on [a,b] to its zigzag part."""
     if b - a <= 1:
@@ -343,6 +345,7 @@ def _interval_steps(a: int, b: int) -> list[HornStep]:
 
 
 def _cosieve_order_interval(a: int, b: int, j: int) -> list[frozenset]:
+    """Subsets S of [a,b] with j internal to S, largest first, then lex."""
     out = [frozenset(c)
            for r in range(b - a + 1, 2, -1)
            for c in itertools.combinations(range(a, b + 1), r)
@@ -369,20 +372,14 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
         raise UnsupportedHorn(n, k, witness)
     full = frozenset(range(n + 1))
     if 0 < k < n:
-        steps = [HornStep(s, k) for s in _cosieve_order(n, k, {full})]
-        steps += _interval_steps(0, k) + _interval_steps(k, n)
-    elif k == 0:
-        j = n - 1
-        steps = [HornStep(full - {j}, 0)]
-        steps += [HornStep(s, j)
-                  for s in _cosieve_order(n, j, {full, full - {0}})]
-        steps += _interval_steps(0, j) + _interval_steps(j, n)
-    else:   # k == n
-        j = 1
-        steps = [HornStep(full - {j}, n)]
-        steps += [HornStep(s, j)
-                  for s in _cosieve_order(n, j, {full, full - {n}})]
-        steps += _interval_steps(0, j) + _interval_steps(j, n)
+        j, steps = k, []
+    else:
+        j = n - 1 if k == 0 else 1
+        steps = [HornStep(full - {j}, k)]
+    # full - {k} never has k internal, so this drops only `full` when inner
+    steps += [HornStep(s, j) for s in _cosieve_order_interval(0, n, j)
+              if s not in (full, full - {k})]
+    steps += _interval_steps(0, j) + _interval_steps(j, n)
     fact = Factorization(n, k, start, end, steps)
     chain = fact.sieves()        # validates each step
     if chain[-1].members != end.members:

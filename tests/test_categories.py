@@ -87,6 +87,13 @@ class TestValidation:
         with pytest.raises(CategoryError):
             SetDiagram(cat, x.values, broken).validate()
 
+    def test_random_diagram_rejects_arrows_it_cannot_act_along(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(CategoryError, match=r"\('m', 0, \(0,\)\)"):
+            random_diagram(rng, semisimplex_category(2).truncate_below(2))
+        assert rng.getstate() == state     # refused before any draw
+
     def test_random_instances_validate(self):
         for seed in range(20):
             rng = random.Random(seed)

@@ -1,8 +1,14 @@
 """The truncated diagram classifier and its interpretation round trip."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+
+import tltt
 
 from tltt.categories import (
     CategoryError, SetDiagram, constant_diagram, random_diagram,
@@ -77,6 +83,40 @@ class TestStream:
             iter_classifier_elements(ambient, 1, base, UNIVERSE)
         with pytest.raises(CategoryError):
             classifier_elements(ambient, 1, base, UNIVERSE)
+
+    def test_order_ignores_hash_seed(self):
+        # Frozensets are printed sorted, so the dump shows only the order of
+        # the elements and of the values of each interpretation.  At n = 3
+        # the element order itself followed the hash seed.
+        script = """
+import itertools
+from tltt.categories import constant_diagram, semisimplex_category
+from tltt.classifier import interpret, iter_classifier_elements
+
+def show(v):
+    if isinstance(v, frozenset):
+        return sorted(repr(show(e)) for e in v)
+    if isinstance(v, tuple):
+        return tuple(show(e) for e in v)
+    return v
+
+for n in (2, 3):
+    ambient = semisimplex_category(n)
+    base = constant_diagram(ambient.truncate_below(n), ("*",))
+    stream = iter_classifier_elements(ambient, n, base, [(), ("a", "b")])
+    for x in itertools.islice(stream, 40):
+        d, _ = interpret(ambient, x, base)
+        print(show(x.choices), [show(d.values[o]) for o in sorted(d.values)])
+"""
+        src = str(pathlib.Path(tltt.__file__).resolve().parents[1])
+        dumps = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            dumps.append(done.stdout)
+        same = dumps[0] == dumps[1]     # no pytest diff of two long dumps
+        assert dumps[0] and same
 
 
 class TestInterpretation:

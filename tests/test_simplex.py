@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tltt.simplex import (
-    DimensionError, FiniteSemiSimplicialSet, MonoMap, SimplicialSubset,
+    DimensionError, FiniteSemiSimplicialSet, MonoMap, Sieve, SimplicialSubset,
     UnsupportedHorn, boundary_subfunctor, coface, compose_mono,
     enumerate_homs, factor_spine_to_horn, full_subfunctor, generated_sieve,
     horn_remove, horn_sieve, horn_subfunctor, identity_map, nat_transforms,
@@ -108,15 +108,84 @@ class TestSieves:
         out = horn_remove(x, frozenset({0, 1, 2}), 1)
         assert out.realize() == horn_subfunctor(2, 1)
 
+    def test_horn_remove_requires_membership(self):
+        x = generated_sieve(2, [{0, 1}])
+        with pytest.raises(ValueError) as e:
+            horn_remove(x, frozenset({0, 2}), 0)
+        assert str(e.value) == "[0, 2] is not a member of the sieve"
+
     def test_horn_remove_requires_maximal(self):
         x = powerset_sieve(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             horn_remove(x, frozenset({0, 1}), 1)
+        assert str(e.value) == "[0, 1] is not maximal in the sieve"
 
     def test_horn_remove_requires_membership_of_pivot(self):
         x = powerset_sieve(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             horn_remove(x, frozenset({0, 1, 2}), 5)
+        assert str(e.value) == "5 is not an element of [0, 1, 2]"
+
+    def test_horn_remove_keeps_downward_closure(self):
+        # {1} is also a face of the other maximal member {1, 2}
+        x = generated_sieve(2, [{0, 1}, {1, 2}])
+        with pytest.raises(ValueError) as e:
+            horn_remove(x, frozenset({0, 1}), 0)
+        assert str(e.value) == ("removing [0, 1] at 0 breaks downward "
+                                "closure: [1] still below another member")
+
+    @settings(deadline=None)
+    @given(st.integers(0, 5), st.data())
+    def test_horn_remove_matches_brute_force(self, n, data):
+        gens = data.draw(st.lists(st.frozensets(st.integers(0, n)),
+                                  max_size=4))
+        x = generated_sieve(n, gens)
+        # maximal members and pivots in S make the successful removals and
+        # the closure error common; arbitrary (S, h) cover the rest
+        members = sorted(x.members, key=lambda m: (len(m), sorted(m)))
+        tops = [m for m in members if not any(m < t for t in members)]
+        subsets = st.frozensets(st.integers(0, n + 1))
+        if members:
+            subsets = st.one_of(st.sampled_from(tops),
+                                st.sampled_from(members), subsets)
+        s = data.draw(subsets)
+        pivots = st.integers(-1, n + 1)
+        if s:
+            pivots = st.one_of(st.sampled_from(sorted(s)), pivots)
+        h = data.draw(pivots)
+        assert _outcome(horn_remove, x, s, h) \
+            == _outcome(_horn_remove_by_scans, x, s, h)
+
+    def test_sieve_rejects_a_family_that_is_not_downward_closed(self):
+        with pytest.raises(ValueError, match="not downward closed"):
+            Sieve(2, frozenset({frozenset({0, 1}), frozenset({0}),
+                                frozenset()}))
+
+
+def _horn_remove_by_scans(x, s, h):
+    """The reference: linear scans over all members, and the result
+    validated in full by the public ``Sieve`` constructor."""
+    s = frozenset(s)
+    if s not in x.members:
+        raise ValueError(f"{sorted(s)} is not a member of the sieve")
+    if any(s < t for t in x.members):
+        raise ValueError(f"{sorted(s)} is not maximal in the sieve")
+    if h not in s:
+        raise ValueError(f"{h} is not an element of {sorted(s)}")
+    remaining = x.members - {s, s - {h}}
+    if any(s - {h} < t for t in remaining):
+        raise ValueError(
+            f"removing {sorted(s)} at {h} breaks downward closure: "
+            f"{sorted(s - {h})} still below another member")
+    return Sieve(x.n, remaining)
+
+
+def _outcome(remove, x, s, h):
+    try:
+        out = remove(x, s, h)
+    except ValueError as e:
+        return "error", str(e)
+    return "sieve", out.n, out.members
 
 
 class TestFactorization:

@@ -203,8 +203,12 @@ class SetDiagram:
             for x in self.values[o]:
                 if self.action[i][x] != x:
                     raise CategoryError(f"identity at {o!r} acts nontrivially")
+        src = self.cat.src
         for (g, f), h in self.cat.compose.items():
-            for x in self.values[self.cat.src[f]]:
+            if g not in src or f not in src or h not in src:
+                raise CategoryError(
+                    f"compose ({g!r}, {f!r}) = {h!r} names an unknown arrow")
+            for x in self.values[src[f]]:
                 if self.action[g][self.action[f][x]] != self.action[h][x]:
                     raise CategoryError(
                         f"functoriality fails: {g!r} . {f!r} != {h!r} on {x!r}")

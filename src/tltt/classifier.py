@@ -161,11 +161,8 @@ def extract(c: FinInvCat, n: int, diagram: SetDiagram, p: DiagramMap,
                 moved = family_key(_push_family(fam, eta, c))
                 grouped.setdefault((b, moved), []).append(v)
             for (b, mkey), fibre in grouped.items():
-                encoded = []
                 for v in fibre:
-                    e = (b, mkey, v)
-                    eta[i][v] = e
-                    encoded.append(e)
+                    eta[i][v] = (b, mkey, v)
             for (b, mkey), fibre in grouped.items():
                 pairs.append(((i, b, mkey),
                               tuple(eta[i][v][2] for v in fibre)))

@@ -1,13 +1,17 @@
 """Command line interface.
 
-Exit codes: 0 all checks pass, 1 a check or verification failed, 2 usage,
-dimension, or I/O errors.  With ``--json`` exactly one JSON document is
-printed on standard output; diagnostics go to standard error.
+Exit codes: 0 pass, 1 a check failed or the horn is unsupported, 2 usage,
+range, dimension, fixture, or I/O errors.  Commands raise; ``main`` alone
+maps an error to its code and, under ``--json``, prints it as the one JSON
+document on stdout, ``{"status": "error", "error": message}``.  Fixture
+errors name the JSON path that failed.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -18,13 +22,13 @@ import sys
 from . import kernel, simplex
 from .categories import (
     constant_diagram, diagram_nat_transforms, exponential_diagram,
-    family_key, limit_direct, limit_recursive, nat_key,
+    family_key, limit_direct, limit_recursive, matching_object, nat_key,
     random_diagram, random_inverse_category, semisimplex_category,
     sset_to_diagram,
 )
 from .classifier import iter_classifier_elements, round_trip
 from .corpus import run_corpus
-from .fixtures import load_fixture
+from .fixtures import FixtureError, load_fixture
 from .nerve import nerve, segal_report
 from .syntax import ResolveError, SyntaxError_, parse, resolve
 
@@ -37,60 +41,55 @@ def _emit(args, doc: dict, human_lines: list[str]) -> None:
             print(line)
 
 
+def _at_least(low: int, name: str, value: int) -> int:
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def _max_dim(args) -> int:
     if args.max_dim is not None:
-        return args.max_dim
-    env = os.environ.get("TLTT_MAX_DIM")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return simplex.MAX_DIM
+        return _at_least(0, "--max-dim", args.max_dim)
+    env = os.environ.get("TLTT_MAX_DIM", str(simplex.MAX_DIM))
+    if not env.strip().isdecimal():
+        raise ValueError(
+            f"TLTT_MAX_DIM must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def cmd_check(args) -> int:
     ck = kernel.Checker()
     reports = []
-    status = 0
     for name in args.files:
         path = pathlib.Path(name)
         try:
             mod = resolve(parse(path.read_text(), str(path)), set(ck.env))
-        except OSError as e:
-            print(str(e), file=sys.stderr)
-            return 2
         except (SyntaxError_, ResolveError) as e:
             print(str(e), file=sys.stderr)
             reports.append({"path": str(path), "status": "fail",
                             "error": str(e)})
-            status = 1
             continue
         rep = kernel.check_module(ck, mod)
         reports.append(rep.to_json())
-        if not rep.ok:
-            if rep.error:
-                print(rep.error, file=sys.stderr)
-            status = 1
-    _emit(args, {"status": "pass" if status == 0 else "fail",
-                 "files": reports},
+        if rep.error:
+            print(rep.error, file=sys.stderr)
+    ok = all(r["status"] == "pass" for r in reports)
+    _emit(args, {"status": "pass" if ok else "fail", "files": reports},
           [f"{r['path']}: {r['status']}" for r in reports])
-    return status
+    return 0 if ok else 1
 
 
 def cmd_corpus_run(args) -> int:
     root = pathlib.Path(args.dir) if args.dir else None
     if root is not None and not root.is_dir():
-        print(f"not a directory: {root}", file=sys.stderr)
-        return 2
+        raise NotADirectoryError(f"not a directory: {root}")
     report = run_corpus(root=root)
     ok = report.ok and not report.coverage_gaps()
     lines = [f"{r.path}: {'pass' if r.ok else 'fail'}"
              for r in report.reports]
     for err in report.errors:
         print(err, file=sys.stderr)
-    for gap in report.coverage_gaps():
-        lines.append(f"coverage gap: {gap}")
+    lines += [f"coverage gap: {gap}" for gap in report.coverage_gaps()]
     lines.append(f"corpus: {'pass' if ok else 'fail'}")
     _emit(args, report.to_json(), lines)
     return 0 if ok else 1
@@ -98,21 +97,10 @@ def cmd_corpus_run(args) -> int:
 
 def cmd_horn_factor(args) -> int:
     n, k = args.n, args.k
-    if n < 1 or not 0 <= k <= n:
-        print(f"horn index {k} out of range for [{n}]", file=sys.stderr)
-        return 2
-    if n > _max_dim(args):
-        print(f"dimension {n} exceeds the cap {_max_dim(args)}",
-              file=sys.stderr)
-        return 2
-    try:
-        fac = simplex.factor_spine_to_horn(n, k)
-    except simplex.UnsupportedHorn as e:
-        print(str(e), file=sys.stderr)
-        return 1
-    except simplex.DimensionError as e:
-        print(str(e), file=sys.stderr)
-        return 2
+    cap = _max_dim(args)
+    if n > cap:
+        raise simplex.DimensionError(f"dimension {n} exceeds the cap {cap}")
+    fac = simplex.factor_spine_to_horn(n, k)
     doc = fac.to_json()
     _emit(args, doc,
           [f"spine({n}) -> horn({n},{k}): {doc['length']} removed cells, "
@@ -128,35 +116,28 @@ def _fixture_sset(args, depth: int):
         return fx.sset
     if fx.category is not None:
         return nerve(fx.category, depth)
-    raise SystemExit(2)
+    raise FixtureError("top level", "needs an 'sset' or a 'category'")
 
 
 def cmd_yoneda(args) -> int:
     depth = min(3, _max_dim(args))
-    try:
-        x = _fixture_sset(args, depth)
-    except (OSError, ValueError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
+    x = _fixture_sset(args, depth)
     checks = []
     ok = True
     top = min(x.truncation, depth)
     c = semisimplex_category(x.truncation)
     diagram = sset_to_diagram(x, c)
-    from .categories import matching_object
     for n in range(top + 1):
         nats, mapping = simplex.yoneda_bijection(n, x)
         bij = sorted(map(str, mapping.values())) == sorted(
             map(str, x.levels[n]))
         ok = ok and bij and len(nats) == len(x.levels[n])
-        entry = {"n": n, "nat_full": len(nats), "cells": len(x.levels[n]),
-                 "yoneda_bijective": bij}
         bnats = simplex.nat_transforms(simplex.boundary_subfunctor(n), x)
         families, _ = matching_object(diagram, n, ambient=c)
-        entry["nat_boundary"] = len(bnats)
-        entry["matching"] = len(families)
         ok = ok and len(bnats) == len(families)
-        checks.append(entry)
+        checks.append({"n": n, "nat_full": len(nats),
+                       "cells": len(x.levels[n]), "yoneda_bijective": bij,
+                       "nat_boundary": len(bnats), "matching": len(families)})
     _emit(args, {"status": "pass" if ok else "fail", "checks": checks},
           [f"n={c_['n']}: Nat(full)={c_['nat_full']} cells={c_['cells']} "
            f"Nat(boundary)={c_['nat_boundary']} matching={c_['matching']}"
@@ -165,8 +146,8 @@ def cmd_yoneda(args) -> int:
 
 
 def cmd_limits(args) -> int:
+    _at_least(1, "--seeds", args.seeds)
     base_seed = args.seed or 0
-    ok = True
     results = []
     for i in range(args.seeds):
         rng = random.Random(base_seed + i)
@@ -174,10 +155,9 @@ def cmd_limits(args) -> int:
         diagram = random_diagram(rng, cat)
         direct = {family_key(f) for f in limit_direct(diagram)}
         recursive = {family_key(f) for f in limit_recursive(diagram)}
-        same = direct == recursive
-        ok = ok and same
         results.append({"seed": base_seed + i, "size": len(direct),
-                        "agree": same})
+                        "agree": direct == recursive})
+    ok = all(r["agree"] for r in results)
     _emit(args, {"status": "pass" if ok else "fail", "runs": results},
           [f"seed {r['seed']}: limit size {r['size']} "
            f"{'agree' if r['agree'] else 'DISAGREE'}" for r in results]
@@ -186,12 +166,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_segal(args) -> int:
-    depth = min(args.levels, _max_dim(args))
-    try:
-        x = _fixture_sset(args, depth)
-    except (OSError, ValueError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
+    depth = min(_at_least(0, "--levels", args.levels), _max_dim(args))
+    x = _fixture_sset(args, depth)
     top = min(depth, x.truncation)
     verdicts = segal_report(x, top)
     ok = all(v.bijective for v in verdicts)
@@ -209,14 +185,16 @@ CLASSIFIER_CAP = 100000
 
 
 def _universe(max_card: int) -> list[tuple]:
+    if not 0 <= max_card <= len(_LABELS):
+        raise ValueError(
+            f"--max-card must be in 0..{len(_LABELS)}, got {max_card}")
     return [tuple(_LABELS[:c]) for c in range(max_card + 1)]
 
 
 def cmd_classifier(args) -> int:
     n = args.n
     if n < 0 or n > _max_dim(args):
-        print(f"stage {n} out of range", file=sys.stderr)
-        return 2
+        raise ValueError(f"stage {n} out of range")
     ambient = semisimplex_category(max(n, 1))
     base = constant_diagram(ambient.truncate_below(n), ("*",))
     universe = _universe(args.max_card)
@@ -224,18 +202,11 @@ def cmd_classifier(args) -> int:
         iter_classifier_elements(ambient, n, base, universe),
         CLASSIFIER_CAP + 1))
     if count > CLASSIFIER_CAP:
-        message = "enumeration size cap exceeded"
-        print(message, file=sys.stderr)
-        if args.json:
-            print(json.dumps({"status": "error", "error": message}))
-        return 2
-    ok = True
-    failures = []
-    for x in iter_classifier_elements(ambient, n, base, universe):
-        rt = round_trip(ambient, x, base)
-        if not rt.ok:
-            ok = False
-            failures.append(rt.to_json())
+        raise ValueError("enumeration size cap exceeded")
+    trips = (round_trip(ambient, x, base)
+             for x in iter_classifier_elements(ambient, n, base, universe))
+    failures = [rt.to_json() for rt in trips if not rt.ok]
+    ok = not failures
     _emit(args, {"status": "pass" if ok else "fail", "n": n,
                  "count": count, "round_trip_failures": failures},
           [f"stage {n}: {count} elements",
@@ -244,14 +215,9 @@ def cmd_classifier(args) -> int:
 
 
 def cmd_exponential(args) -> int:
-    try:
-        fx = load_fixture(args.fixture)
-    except (OSError, ValueError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
+    fx = load_fixture(args.fixture)
     if "F" not in fx.diagrams or "G" not in fx.diagrams:
-        print("fixture must define diagrams F and G", file=sys.stderr)
-        return 2
+        raise FixtureError("diagrams", "must define diagrams F and G")
     f, g = fx.diagrams["F"], fx.diagrams["G"]
     exp = exponential_diagram(f, g)
     lim = limit_direct(exp)
@@ -276,10 +242,9 @@ def cmd_exponential(args) -> int:
     return 0 if ok else 1
 
 
-_GLOBAL_DEFAULTS = {"json": False, "seed": None, "max_dim": None}
-
-
-def _common_flags() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    # the global flags are accepted before and after the subcommand; main
+    # supplies their defaults
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
@@ -288,11 +253,6 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="base seed for randomized labs")
     common.add_argument("--max-dim", type=int, default=argparse.SUPPRESS,
                         help="dimension cap (default: TLTT_MAX_DIM or 12)")
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     p = argparse.ArgumentParser(
         prog="tltt", parents=[common],
         description="Two-level type theory reference checker and labs")
@@ -349,22 +309,32 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _fail(as_json: bool, message: str, code: int) -> int:
+    print(message, file=sys.stderr)
+    if as_json:
+        print(json.dumps({"status": "error", "error": message}))
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = argparse.Namespace(json=False, seed=None, max_dim=None)
+    usage = io.StringIO()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(usage):
+            build_parser().parse_args(argv, namespace=args)
     except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    for attr, default in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, attr):
-            setattr(args, attr, default)
+        if not e.code:
+            return 0
+        # argparse printed its usage, then "tltt: error: MESSAGE"
+        head, _, message = usage.getvalue().rstrip().rpartition("\n")
+        print(head, file=sys.stderr)
+        return _fail("--json" in argv, message, 2)
     try:
         return args.func(args)
-    except simplex.DimensionError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
+    except (OSError, ValueError) as e:
+        return _fail(args.json, str(e),
+                     1 if isinstance(e, simplex.UnsupportedHorn) else 2)
 
 
 if __name__ == "__main__":

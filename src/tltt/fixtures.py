@@ -6,43 +6,120 @@ over it (values per object, functions per arrow, as arrays of pairs so ids
 need not be strings), and/or an ``sset`` (levels plus face maps keyed
 "m,i").  Identities may be listed explicitly; otherwise they are generated
 as ``("id", object)`` and the unit compositions are filled in.
+
+The document's shape is checked before any table is built: a malformed
+fixture raises ``FixtureError`` naming the JSON path that failed, such as
+``category.homs[0][1]``.  The category, diagram and face-map laws are then
+checked by the validators of ``categories`` and ``simplex``.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import re
 from typing import Optional, Union
 
 from .categories import FinCat, FinInvCat, SetDiagram
-from .simplex import FiniteSemiSimplicialSet, _freeze
+from .simplex import FiniteSemiSimplicialSet
 
 FIXTURE_ROOT = pathlib.Path(__file__).parent / "fixture_data"
 
 
-def fincat_from_json(doc: dict) -> Union[FinCat, FinInvCat]:
-    objects = tuple(_freeze(o) for o, _ in doc["objects"])
-    rank = {_freeze(o): r for o, r in doc["objects"] if r is not None}
+class FixtureError(ValueError):
+    """A fixture document of the wrong shape; ``path`` names the JSON value
+    that failed, e.g. ``category.homs[0][1]``."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"fixture {path}: {message}")
+        self.path = path
+
+
+def _check(ok: bool, path: str, message: str) -> None:
+    if not ok:
+        raise FixtureError(path, message)
+
+
+def _section(doc, path: str, *keys: str) -> dict:
+    """doc as a JSON object that has every key in keys."""
+    _check(isinstance(doc, dict), path, "expected an object")
+    for key in keys:
+        _check(key in doc, path, f"missing key {key!r}")
+    return doc
+
+
+def _rows(doc, path: str, width: Optional[int] = None) -> list:
+    """doc as a JSON array, each row an array of width entries if given."""
+    _check(isinstance(doc, list), path, "expected an array")
+    if width is not None:
+        for i, row in enumerate(doc):
+            _check(isinstance(row, list) and len(row) == width,
+                   f"{path}[{i}]", f"expected an array of {width} entries")
+    return doc
+
+
+def _id(x, path: str):
+    """An object, arrow or element id: arrays become tuples, JSON objects
+    are refused because they cannot serve as ids."""
+    _check(not isinstance(x, dict), path, "an id cannot be a JSON object")
+    if isinstance(x, list):
+        return tuple(_id(y, f"{path}[{i}]") for i, y in enumerate(x))
+    return x
+
+
+def _declared(x, path: str, known, what: str):
+    x = _id(x, path)
+    _check(x in known, path, f"undeclared {what} {x!r}")
+    return x
+
+
+def _ids(doc, path: str) -> tuple:
+    return tuple(_id(x, f"{path}[{i}]") for i, x in enumerate(_rows(doc, path)))
+
+
+def _pairs(doc, path: str) -> dict:
+    return {_id(x, f"{path}[{i}][0]"): _id(y, f"{path}[{i}][1]")
+            for i, (x, y) in enumerate(_rows(doc, path, 2))}
+
+
+def fincat_from_json(doc, path: str = "category") -> Union[FinCat, FinInvCat]:
+    _section(doc, path, "objects", "homs", "compose")
+    objects = []
+    rank = {}
+    for i, (o, r) in enumerate(_rows(doc["objects"], f"{path}.objects", 2)):
+        o = _id(o, f"{path}.objects[{i}][0]")
+        _check(r is None or type(r) is int, f"{path}.objects[{i}][1]",
+               "a rank is an integer or null")
+        objects.append(o)
+        if r is not None:
+            rank[o] = r
+    objects = tuple(objects)
     homs = {}
-    for s, d, arrows in doc["homs"]:
-        homs[(_freeze(s), _freeze(d))] = tuple(_freeze(a) for a in arrows)
-    compose = {(_freeze(g), _freeze(f)): _freeze(h)
-               for g, f, h in doc["compose"]}
+    for i, (s, d, arrows) in enumerate(_rows(doc["homs"], f"{path}.homs", 3)):
+        p = f"{path}.homs[{i}]"
+        key = (_declared(s, f"{p}[0]", objects, "object"),
+               _declared(d, f"{p}[1]", objects, "object"))
+        homs[key] = _ids(arrows, f"{p}[2]")
     if "identities" in doc:
-        identity = {_freeze(o): _freeze(a) for o, a in doc["identities"]}
+        p = f"{path}.identities"
+        identity = {_declared(o, f"{p}[{i}][0]", objects, "object"):
+                    _id(a, f"{p}[{i}][1]")
+                    for i, (o, a) in enumerate(_rows(doc["identities"], p, 2))}
     else:
         identity = {o: ("id", o) for o in objects}
         for o in objects:
             homs[(o, o)] = (identity[o],) + homs.get((o, o), ())
-        src = {}
-        dst = {}
-        for (x, y), arrows in homs.items():
-            for a in arrows:
-                src[a], dst[a] = x, y
-        for arrows in list(homs.values()):
-            for a in arrows:
-                compose[(identity[dst[a]], a)] = a
-                compose[(a, identity[src[a]])] = a
+    arrows = {a: hom for hom, arrow_ids in homs.items() for a in arrow_ids}
+    compose = {}
+    p = f"{path}.compose"
+    for i, row in enumerate(_rows(doc["compose"], p, 3)):
+        g, f, h = (_declared(a, f"{p}[{i}][{j}]", arrows, "arrow")
+                   for j, a in enumerate(row))
+        compose[(g, f)] = h
+    if "identities" not in doc:
+        for a, (x, y) in arrows.items():
+            compose[(identity[y], a)] = a
+            compose[(a, identity[x])] = a
     if len(rank) == len(objects):
         cat: FinCat = FinInvCat(objects, homs, compose, identity, rank=rank)
     else:
@@ -51,32 +128,66 @@ def fincat_from_json(doc: dict) -> Union[FinCat, FinInvCat]:
     return cat
 
 
-def diagram_from_json(doc: dict, cat: FinCat) -> SetDiagram:
-    values = {_freeze(o): tuple(_freeze(v) for v in vals)
-              for o, vals in doc["values"]}
+def diagram_from_json(doc, cat: FinCat, path: str) -> SetDiagram:
+    _section(doc, path, "values", "functions")
+    values = {}
+    for i, (o, vals) in enumerate(_rows(doc["values"], f"{path}.values", 2)):
+        p = f"{path}.values[{i}]"
+        values[_declared(o, f"{p}[0]", cat.objects, "object")] = _ids(
+            vals, f"{p}[1]")
+    for o in cat.objects:
+        _check(o in values, f"{path}.values", f"no values for object {o!r}")
     action = {}
-    for a, pairs in doc["functions"]:
-        action[_freeze(a)] = {_freeze(x): _freeze(y) for x, y in pairs}
+    p = f"{path}.functions"
+    for i, (a, pairs) in enumerate(_rows(doc["functions"], p, 2)):
+        action[_declared(a, f"{p}[{i}][0]", cat.src, "arrow")] = _pairs(
+            pairs, f"{p}[{i}][1]")
     for o, i in cat.identity.items():
         action.setdefault(i, {v: v for v in values[o]})
+    for a in cat.arrows():
+        _check(a in action, p, f"no function for arrow {a!r}")
     diagram = SetDiagram(cat, values, action)
     diagram.validate()
     return diagram
 
 
+def sset_from_json(doc, path: str = "sset") -> FiniteSemiSimplicialSet:
+    _section(doc, path, "levels", "faces")
+    levels = [list(_ids(lvl, f"{path}.levels[{m}]"))
+              for m, lvl in enumerate(_rows(doc["levels"], f"{path}.levels"))]
+    _check(bool(levels), f"{path}.levels", "expected at least level 0")
+    faces = {}
+    for key, fn in _section(doc["faces"], f"{path}.faces").items():
+        p = f"{path}.faces.{key}"
+        mi = re.fullmatch(r"(\d+),(\d+)", key)
+        _check(mi is not None, p, "a face key is \"m,i\" with integers m, i")
+        m, i = int(mi[1]), int(mi[2])
+        _check(1 <= m < len(levels) and i <= m, p,
+               f"no face ({m},{i}) on levels 0..{len(levels) - 1}")
+        faces[(m, i)] = _pairs(fn, p)
+        for x in levels[m]:
+            _check(x in faces[(m, i)], p, f"face undefined on {x!r}")
+    out = FiniteSemiSimplicialSet(levels, faces)
+    out.validate()
+    return out
+
+
 class Fixture:
     """A loaded fixture document; sections are optional."""
 
-    def __init__(self, doc: dict):
+    def __init__(self, doc):
+        _section(doc, "top level")
         self.category: Optional[FinCat] = None
         self.diagrams: dict[str, SetDiagram] = {}
         self.sset: Optional[FiniteSemiSimplicialSet] = None
         if "category" in doc:
             self.category = fincat_from_json(doc["category"])
-            for name, d in doc.get("diagrams", {}).items():
-                self.diagrams[name] = diagram_from_json(d, self.category)
+            diagrams = _section(doc.get("diagrams", {}), "diagrams")
+            for name, d in diagrams.items():
+                self.diagrams[name] = diagram_from_json(
+                    d, self.category, f"diagrams.{name}")
         if "sset" in doc:
-            self.sset = FiniteSemiSimplicialSet.from_json(doc["sset"])
+            self.sset = sset_from_json(doc["sset"])
 
 
 def load_fixture(path: Union[str, pathlib.Path]) -> Fixture:
@@ -86,4 +197,3 @@ def load_fixture(path: Union[str, pathlib.Path]) -> Fixture:
         if candidate.exists():
             p = candidate
     return Fixture(json.loads(p.read_text()))
-

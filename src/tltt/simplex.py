@@ -413,6 +413,8 @@ class FiniteSemiSimplicialSet:
                 if fm is None:
                     raise ValueError(f"missing face map ({m}, {i})")
                 for x in self.levels[m]:
+                    if x not in fm:
+                        raise ValueError(f"face ({m},{i}) undefined on {x!r}")
                     if fm[x] not in self.levels[m - 1]:
                         raise ValueError(f"face ({m},{i}) leaves level {m - 1}")
         # d_i . d_j = d_{j-1} . d_i  for i < j
@@ -435,24 +437,6 @@ class FiniteSemiSimplicialSet:
             x = self.faces[(m, j)][x]
             m -= 1
         return x
-
-    @staticmethod
-    def from_json(doc: dict) -> "FiniteSemiSimplicialSet":
-        levels = [[_freeze(x) for x in lvl] for lvl in doc["levels"]]
-        faces = {}
-        for key, fn in doc["faces"].items():
-            m_s, i_s = key.split(",")
-            faces[(int(m_s), int(i_s))] = {
-                _freeze(a): _freeze(b) for a, b in fn}
-        out = FiniteSemiSimplicialSet(levels, faces)
-        out.validate()
-        return out
-
-
-def _freeze(x):
-    if isinstance(x, list):
-        return tuple(_freeze(y) for y in x)
-    return x
 
 
 def nat_transforms(f: SimplicialSubset, x: FiniteSemiSimplicialSet) -> list[dict]:

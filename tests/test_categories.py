@@ -32,6 +32,16 @@ class TestValidation:
     def test_fixture_categories_validate(self, cospan):
         cospan[0].validate()
 
+    def test_diagram_over_compose_with_unknown_arrow_is_rejected(self):
+        # FinCat.validate ignores compose entries outside the category
+        cat = FinCat(("a",), {("a", "a"): (("id", "a"),)},
+                     {(("id", "a"), ("id", "a")): ("id", "a"),
+                      (("id", "a"), "ghost"): "ghost"}, {"a": ("id", "a")})
+        cat.validate()
+        diagram = constant_diagram(cat, (0,))
+        with pytest.raises(CategoryError, match="unknown arrow"):
+            diagram.validate()
+
     def test_missing_compose_detected(self):
         cat = FinCat(("a",), {("a", "a"): (("id", "a"), "e")},
                      {}, {"a": ("id", "a")})
@@ -252,7 +262,8 @@ for seed in range(30):
             done = subprocess.run([sys.executable, "-c", script], env=env,
                                   capture_output=True, text=True, check=True)
             dumps.append(done.stdout)
-        assert dumps[0] and dumps[0] == dumps[1]
+        same = dumps[0] == dumps[1]     # no pytest diff of two long dumps
+        assert dumps[0] and same
 
 
 class TestPullback:

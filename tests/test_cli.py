@@ -1,24 +1,41 @@
 """Exit codes, JSON schemas, and flag handling of the command line tool."""
 
+import contextlib
+import functools
+import io
 import json
+import operator
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tltt import cli
 from tltt.cli import main
 from tltt.corpus import CORPUS_ROOT
+from tltt.fixtures import FIXTURE_ROOT
 
 PRELUDE = sorted(str(p) for p in (CORPUS_ROOT / "prelude").glob("*.tltt"))
+FIXTURES = sorted(p.name for p in FIXTURE_ROOT.glob("*.json"))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def tltt(*argv):
+    """Run the command line tool in a fresh interpreter."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "tltt.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 class TestCheck:
@@ -64,23 +81,14 @@ class TestDepth:
             "check refl (add N M) : add N M = add M N\n")
         return path
 
-    @staticmethod
-    def tltt(*argv):
-        src = str(pathlib.Path(cli.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "tltt.cli", *argv],
-                              capture_output=True, text=True, env=env)
-
     def test_depth_error_without_traceback(self, deep_file):
-        proc = self.tltt("check", str(deep_file))
+        proc = tltt("check", str(deep_file))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert f"{deep_file}:" in proc.stderr and "[DEPTH]" in proc.stderr
 
     def test_depth_error_json_is_one_document(self, deep_file):
-        proc = self.tltt("check", "--json", str(deep_file))
+        proc = tltt("check", "--json", str(deep_file))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr and "[DEPTH]" in proc.stderr
         doc = json.loads(proc.stdout)
@@ -202,3 +210,157 @@ class TestLabs:
     def test_usage_error_is_exit_two(self, capsys):
         assert main(["lab", "nonsense"]) == 2
         assert main([]) == 2
+
+    def test_usage_error_json_is_one_document(self, capsys):
+        code, out, err = run(capsys, "lab", "nonsense", "--json")
+        assert code == 2 and "invalid choice" in err
+        doc = json.loads(out)
+        assert doc["status"] == "error" and "invalid choice" in doc["error"]
+
+
+class TestRanges:
+    """Counts that would make a lab pass vacuously, or repeat a label, are
+    usage errors."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lab", "yoneda", "--max-dim", "-1"], "--max-dim"),
+        (["lab", "segal", "--levels", "-5"], "--levels"),
+        (["lab", "limits", "--seeds", "-1"], "--seeds"),
+        (["lab", "limits", "--seeds", "0"], "--seeds"),
+        (["lab", "classifier", "--max-card", "9"], "--max-card"),
+        (["lab", "classifier", "--max-card", "-1"], "--max-card"),
+    ])
+    def test_out_of_range_count_is_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2 and message in err
+        assert json.loads(out) == {"status": "error", "error": err.strip()}
+
+    @pytest.mark.parametrize("value", ["-1", "x", ""])
+    def test_bad_max_dim_env_names_the_variable(self, capsys, monkeypatch,
+                                                value):
+        monkeypatch.setenv("TLTT_MAX_DIM", value)
+        code, _, err = run(capsys, "lab", "yoneda")
+        assert code == 2 and "TLTT_MAX_DIM" in err
+
+    def test_largest_universe_has_distinct_labels(self, capsys):
+        code, out, _ = run(capsys, "lab", "classifier", "--n", "0",
+                           "--max-card", str(len(cli._LABELS)), "--json")
+        assert code == 0
+        universe = cli._universe(len(cli._LABELS))
+        assert len(set(universe)) == len(universe)
+
+
+class TestExitCodes:
+    """The exit codes and the --json error document of a real process."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "latin1.tltt").write_bytes(b"def caf\xe9 : Nat := zero\n")
+        (tmp_path / "bad.json").write_text(
+            '{"category": {"objects": [["a", null]],'
+            ' "homs": [["a", "b", ["f"]]], "compose": []}}')
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "no/such/file.tltt"], 2),
+        (["check", "{dir}/latin1.tltt"], 2),
+        (["lab", "horn-factor", "--n", "2", "--k", "0"], 1),
+        (["lab", "yoneda", "--fixture", "{dir}/bad.json"], 2),
+    ])
+    def test_exit_code_and_error_document(self, inputs, argv, code):
+        proc = tltt(*(a.format(dir=inputs) for a in argv), "--json")
+        assert proc.returncode == code
+        assert proc.stderr and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout) == {"status": "error",
+                                           "error": proc.stderr.strip()}
+
+
+def _key_paths(x, path=()):
+    """The path to every key of every JSON object inside x."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield path + (k,)
+            yield from _key_paths(v, path + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _key_paths(v, path + (i,))
+
+
+def _mutations(name: str) -> st.SearchStrategy:
+    """Malformed copies of a shipped fixture, as JSON text: a key dropped,
+    an object renamed where it is declared, the text truncated, or a top
+    level that is not an object."""
+    text = (FIXTURE_ROOT / name).read_text()
+
+    def drop(path):
+        doc = json.loads(text)
+        *head, key = path
+        del functools.reduce(operator.getitem, head, doc)[key]
+        return json.dumps(doc)
+
+    def rename(i):
+        doc = json.loads(text)
+        if "category" in doc:
+            objects = doc["category"]["objects"]
+            objects[i % len(objects)][0] = "renamed"
+        else:
+            vertices = doc["sset"]["levels"][0]
+            vertices[i % len(vertices)] = "renamed"
+        return json.dumps(doc)
+
+    return st.one_of(
+        st.sampled_from(list(_key_paths(json.loads(text)))).map(drop),
+        st.integers(0, 100).map(rename),
+        st.integers(0, len(text) - 1).map(lambda n: text[:n]),
+        st.sampled_from(["0", "-3.5", "[]", "[1, 2]", "null", '"sset"']))
+
+
+FIXTURE_TEXTS = st.sampled_from(FIXTURES).flatmap(_mutations)
+NUMBERS = st.sampled_from(["-5", "-1", "0", "1", "2", "13", "x", "1.5", ""])
+FLAG_RUNS = st.one_of(
+    st.tuples(NUMBERS, NUMBERS).map(
+        lambda v: ["lab", "horn-factor", "--n", v[0], "--k", v[1]]),
+    st.tuples(NUMBERS, NUMBERS).map(
+        lambda v: ["lab", "classifier", "--n", v[0], "--max-card", v[1]]),
+    NUMBERS.map(lambda v: ["lab", "segal", "--levels", v]),
+    NUMBERS.map(lambda v: ["lab", "limits", "--seeds", v]),
+    NUMBERS.map(lambda v: ["lab", "yoneda", "--max-dim", v]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "corpus" / "prelude").mkdir(parents=True)
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.sampled_from(["check", "corpus"]),
+              st.binary(max_size=80) | st.text(max_size=80).map(str.encode)),
+    st.tuples(st.sampled_from(["yoneda", "segal", "exponential"]),
+              FIXTURE_TEXTS.map(str.encode)),
+    st.tuples(st.just("flags"), FLAG_RUNS)),
+    as_json=st.booleans())
+def test_contract_holds_on_any_input(fuzz_dir, case, as_json):
+    """Exit code 0, 1 or 2, no traceback, one JSON document under --json."""
+    kind, data = case
+    source = fuzz_dir / "corpus" / "prelude" / "input.tltt"
+    fixture = fuzz_dir / "input.json"
+    if kind == "flags":
+        argv = data
+    elif kind in ("check", "corpus"):
+        source.write_bytes(data)
+        argv = (["check", str(source)] if kind == "check"
+                else ["corpus", "run", str(fuzz_dir / "corpus")])
+    else:
+        fixture.write_bytes(data)
+        # dimension 2 keeps the valid mutations of spine_nerve.json fast
+        argv = ["lab", kind, "--fixture", str(fixture), "--max-dim", "2"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"] * as_json)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if as_json:
+        json.loads(out.getvalue())

@@ -270,6 +270,12 @@ class TestNatTransforms:
         with pytest.raises(ValueError):
             nat_transforms(full_subfunctor(3), x)
 
+    def test_partial_face_map_is_rejected(self):
+        levels = [["a", "b"], ["e", "f"]]
+        faces = {(1, 0): {"e": "a"}, (1, 1): {"e": "b", "f": "b"}}
+        with pytest.raises(ValueError, match=r"face \(1,0\) undefined"):
+            FiniteSemiSimplicialSet(levels, faces).validate()
+
     def test_simplicial_identity_violation_detected(self):
         levels = [["a", "b"], ["e"], ["t"]]
         faces = {(1, 0): {"e": "a"}, (1, 1): {"e": "b"},

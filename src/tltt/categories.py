@@ -190,7 +190,12 @@ class SetDiagram:
         for o in self.cat.objects:
             if o not in self.values:
                 raise CategoryError(f"missing value set at {o!r}")
+        objects = set(self.cat.objects)
         for a in self.cat.arrows():
+            x, y = self.cat.src[a], self.cat.dst[a]
+            if x not in objects or y not in objects:
+                raise CategoryError(
+                    f"arrow {a!r} from {x!r} to {y!r} names an undeclared object")
             fn = self.action.get(a)
             if fn is None:
                 raise CategoryError(f"missing function for arrow {a!r}")

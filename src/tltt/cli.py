@@ -319,12 +319,20 @@ def _fail(as_json: bool, message: str, code: int) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = argparse.Namespace(json=False, seed=None, max_dim=None)
-    usage = io.StringIO()
+    usage, help_text = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stderr(usage):
+        with (contextlib.redirect_stderr(usage),
+              contextlib.redirect_stdout(help_text)):
             build_parser().parse_args(argv, namespace=args)
     except SystemExit as e:
         if not e.code:
+            # `--help` printed its text; under --json it goes to stderr
+            text = help_text.getvalue()
+            if "--json" in argv:
+                sys.stderr.write(text)
+                print(json.dumps({"status": "pass", "help": text}))
+            else:
+                sys.stdout.write(text)
             return 0
         # argparse printed its usage, then "tltt: error: MESSAGE"
         head, _, message = usage.getvalue().rstrip().rpartition("\n")

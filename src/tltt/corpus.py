@@ -146,40 +146,9 @@ def run_corpus(paths: Optional[list[pathlib.Path]] = None,
 
 
 def module_dependencies(mod: Module) -> dict[str, set[str]]:
-    """Name -> referenced global names, for the dependency scan."""
-    from .syntax import Ann, App, Const, Eq, Lam, Pi, Ref, Sig, Term
-
-    def refs(t: Term, acc: set[str]):
-        match t:
-            case Ref(name) | Const(name):
-                acc.add(name)
-            case Pi(_, a, b) | Sig(_, a, b):
-                refs(a, acc)
-                refs(b, acc)
-            case Lam(_, b):
-                refs(b, acc)
-            case App(f, a):
-                refs(f, acc)
-                refs(a, acc)
-            case Eq(_, l, r):
-                refs(l, acc)
-                refs(r, acc)
-            case Ann(tm, ty):
-                refs(tm, acc)
-                refs(ty, acc)
-            case _:
-                pass
-
-    out: dict[str, set[str]] = {}
-    for d in mod.decls:
-        if d.name is None:
-            continue
-        acc: set[str] = set()
-        refs(d.ty, acc)
-        if d.body is not None:
-            refs(d.body, acc)
-        out[d.name] = acc
-    return out
+    """Name -> referenced global and built-in names, for the dependency scan."""
+    return {d.name: {name for name, _, _ in d.refs}
+            for d in mod.decls if d.name is not None}
 
 
 def transitive_deps(deps: dict[str, set[str]], start: str) -> set[str]:

@@ -380,11 +380,12 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
     steps += [HornStep(s, j) for s in _cosieve_order_interval(0, n, j)
               if s not in (full, full - {k})]
     steps += _interval_steps(0, j) + _interval_steps(j, n)
-    fact = Factorization(n, k, start, end, steps)
-    chain = fact.sieves()        # validates each step
-    if chain[-1].members != end.members:
+    sieve = start
+    for st in steps:             # validates each step, one sieve at a time
+        sieve = horn_remove(sieve, st.s, st.h)
+    if sieve.members != end.members:
         raise AssertionError("factorization did not land on the zigzag sieve")
-    return fact
+    return Factorization(n, k, start, end, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ equality of core terms is alpha-equivalence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 
@@ -209,6 +210,9 @@ class Decl:
     line: int
     col: int
     expect_rule: Optional[str] = None   # from a preceding `--! expect:` comment
+    # names not bound by a binder, with positions, type before body
+    refs: list[tuple[str, int, int]] = field(
+        default_factory=list, repr=False, compare=False)
 
 
 @dataclass
@@ -218,116 +222,67 @@ class Module:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer: one master regex, matched token by token
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Token:
-    kind: str      # NAME NAT PUNCT KW EOF
+    kind: str      # NAME NAT PUNCT KW EXPECT EOF
     text: str
     line: int
     col: int
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_NAT_RE = re.compile(r"[0-9]+")
+# Unnamed alternatives (blanks, comments) produce no token; `=s` followed by
+# a word character is `=` and a name; BAD is any other character.
+_TOKEN_RE = re.compile(r"""
+    (?P<NL>\n)
+  | [ \t\r]+
+  | --![^\S\n]*expect:[^\S\n]*(?P<EXPECT>\S+)[^\n]*
+  | --[^\n]*
+  | (?P<PUNCT>:=|=>|->|=s(?!\w)|[=(),:])
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<NAT>[0-9]+)
+  | (?P<BAD>.)
+""", re.VERBOSE)
 
 
 def tokenize(src: str, path: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    expect_comments: list[tuple[int, str]] = []
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        pos = m.start()
+        if kind == "NL":
+            line, line_start = line + 1, pos + 1
             continue
-        if src.startswith("--", i):
-            j = src.find("\n", i)
-            j = n if j < 0 else j
-            comment = src[i:j]
-            m = re.match(r"--!\s*expect:\s*(\S+)", comment)
-            if m:
-                toks.append(Token("EXPECT", m.group(1), line, col))
-            col += j - i
-            i = j
-            continue
-        if src.startswith(":=", i):
-            toks.append(Token("PUNCT", ":=", line, col))
-            i += 2
-            col += 2
-            continue
-        if src.startswith("=>", i):
-            toks.append(Token("PUNCT", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if src.startswith("->", i):
-            toks.append(Token("PUNCT", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c == "=":
-            if src.startswith("=s", i) and not (i + 2 < n and (src[i + 2].isalnum() or src[i + 2] == "_")):
-                toks.append(Token("PUNCT", "=s", line, col))
-                i += 2
-                col += 2
-            else:
-                toks.append(Token("PUNCT", "=", line, col))
-                i += 1
-                col += 1
-            continue
-        if c in "(),:":
-            toks.append(Token("PUNCT", c, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NAME_RE.match(src, i)
-        if m:
-            text = m.group(0)
-            kind = "KW" if text in KEYWORDS else "NAME"
-            toks.append(Token(kind, text, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        m = _NAT_RE.match(src, i)
-        if m:
-            toks.append(Token("NAT", m.group(0), line, col))
-            i = m.end()
-            col += len(m.group(0))
-            continue
-        raise SyntaxError_(f"unexpected character {c!r}", line, col, path)
-    toks.append(Token("EOF", "", line, col))
+        if kind == "BAD":
+            raise SyntaxError_(f"unexpected character {src[pos]!r}",
+                               line, pos - line_start + 1, path)
+        text = m.group(kind)
+        if kind == "NAME" and text in KEYWORDS:
+            kind = "KW"
+        toks.append(Token(kind, text, line, pos - line_start + 1))
+    toks.append(Token("EOF", "", line, len(src) - line_start + 1))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Parser: surface terms are built directly as core terms over a name stack,
-# which keeps parse and resolve as one traversal for terms.  Module-level
-# `parse` keeps names unresolved; `resolve` walks the module.
+# Parser: one recursive descent from tokens to core terms.  A name is looked
+# up in the bound names (innermost first), then among the built-ins; any
+# other name becomes a `Ref`.  Every name not bound by a binder is recorded
+# with its position, for `resolve` to check against the declared globals.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SName:
-    """Unresolved surface name; eliminated by resolve()."""
-
-    name: str = field(compare=True)
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
-
-
 class Parser:
-    def __init__(self, toks: list[Token], path: str):
+    def __init__(self, toks: list[Token], path: str, scope=()):
         self.toks = toks
         self.pos = 0
         self.path = path
+        self.scope = list(scope)    # bound names, outermost first
+        self.refs: list[tuple[str, int, int]] = []
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -356,6 +311,7 @@ class Parser:
             binders = self.binders()
             self.expect(",")
             body = self.term()
+            del self.scope[len(self.scope) - len(binders):]
             ctor = Pi if t.text == "Pi" else Sig
             for name, ty in reversed(binders):
                 body = ctor(name, ty, body)
@@ -368,21 +324,22 @@ class Parser:
             if not names:
                 self.err("expected at least one binder name after 'fun'")
             self.expect("=>")
+            self.scope += names
             body = self.term()
+            del self.scope[len(self.scope) - len(names):]
             for name in reversed(names):
                 body = Lam(name, body)
             return body
         return self.arrow()
 
     def binders(self) -> list[tuple[str, Term]]:
-        """Parse `(x y : T)+`, returning (name, type) pairs.
+        """Parse `(x y : T)+`, returning (name, type) pairs, and bind the names.
 
-        The type of a later binder in the same group mentions earlier names;
-        since names are unresolved here we simply repeat the type term and
-        leave index adjustment to resolve().
+        A group's type is read once, before any of the group's names is
+        bound; its i-th name gets the type shifted past the i names before
+        it.  The caller unbinds the names.
         """
         out: list[tuple[str, Term]] = []
-        saw = False
         while self.peek().text == "(":
             save = self.pos
             self.next()
@@ -395,10 +352,10 @@ class Parser:
             self.next()
             ty = self.term()
             self.expect(")")
-            for name in names:
-                out.append((name, ty))
-            saw = True
-        if not saw:
+            for i, name in enumerate(names):
+                out.append((name, shift(ty, i)))
+            self.scope += names
+        if not out:
             self.err("expected a binder '(name : type)'")
         return out
 
@@ -406,7 +363,9 @@ class Parser:
         lhs = self.eq()
         if self.peek().text == "->":
             self.next()
+            self.scope.append("_")
             rhs = self.term()
+            self.scope.pop()
             return Pi("_", lhs, rhs)
         return lhs
 
@@ -435,7 +394,14 @@ class Parser:
         t = self.peek()
         if t.kind == "NAME":
             self.next()
-            return SName(t.text, t.line, t.col)
+            name, scope = t.text, self.scope
+            if name in scope:
+                i = len(scope) - 1
+                while scope[i] != name:
+                    i -= 1
+                return Var(len(scope) - 1 - i)
+            self.refs.append((name, t.line, t.col))
+            return Const(name) if name in BUILTIN_CONSTS else Ref(name)
         if t.text in ("U", "Us"):
             self.next()
             lvl = self.peek()
@@ -469,6 +435,7 @@ class Parser:
             if t.text not in ("def", "axiom", "check", "fail"):
                 self.err("expected a declaration (def/axiom/check/fail)")
             self.next()
+            self.refs = []
             if t.text in ("def", "axiom"):
                 name_tok = self.peek()
                 if name_tok.kind != "NAME":
@@ -481,37 +448,50 @@ class Parser:
                     self.expect(":=")
                     body = self.term()
                 decls.append(Decl(t.text, name_tok.text, ty, body, t.line, t.col,
-                                  pending_expect))
+                                  pending_expect, self.refs))
             else:
                 subject = self.term()
+                subject_refs, self.refs = self.refs, []
                 self.expect(":")
                 ty = self.term()
                 decls.append(Decl(t.text, None, ty, subject, t.line, t.col,
-                                  pending_expect))
+                                  pending_expect, self.refs + subject_refs))
             pending_expect = None
         return Module(decls, self.path)
 
 
-def parse(src: str, path: str = "<input>") -> Module:
-    p = Parser(tokenize(src, path), path)
+@contextmanager
+def _depth_guard(p: Parser):
+    """Running out of Python stack while parsing is a [DEPTH] error at the
+    token being read.  A `with` block adds no frame to the parse."""
     try:
-        return p.module()
+        yield
     except RecursionError:
         tok = p.peek()
         raise SyntaxError_("[DEPTH] terms nest too deeply to parse",
-                           tok.line, tok.col, path) from None
+                           tok.line, tok.col, p.path) from None
 
 
-def parse_term(src: str, path: str = "<input>") -> Term:
+def parse(src: str, path: str = "<input>") -> Module:
     p = Parser(tokenize(src, path), path)
-    t = p.term()
+    with _depth_guard(p):
+        return p.module()
+
+
+def parse_term(src: str, path: str = "<input>", scope=(), globals_=()) -> Term:
+    """Parse one term under the bound names `scope` (outermost first); its
+    other names must be built-ins or in `globals_`."""
+    p = Parser(tokenize(src, path), path, scope)
+    with _depth_guard(p):
+        t = p.term()
     if p.peek().kind != "EOF":
         p.err("trailing input after term")
+    _check_refs(p.refs, set(globals_), path)
     return t
 
 
 # ---------------------------------------------------------------------------
-# Resolver
+# Resolver: links a parsed module against the names declared before it
 # ---------------------------------------------------------------------------
 
 class ResolveError(Exception):
@@ -520,48 +500,15 @@ class ResolveError(Exception):
         self.msg = msg
 
 
-def resolve_term(t: Term, scope: list[str], globals_: set[str],
-                 path: str = "<input>") -> Term:
-    """Replace SName leaves with Var/Const/Ref.
-
-    Lookup order: innermost binder, then built-in constants, then globals.
-    """
-    match t:
-        case SName(name, line, col):
-            for i, s in enumerate(reversed(scope)):
-                if s == name:
-                    return Var(i)
-            if name in BUILTIN_CONSTS:
-                return Const(name)
-            if name in globals_:
-                return Ref(name)
+def _check_refs(refs: list[tuple[str, int, int]], known: set[str], path: str):
+    for name, line, col in refs:
+        if name not in known and name not in BUILTIN_CONSTS:
             raise ResolveError(f"unbound identifier {name!r}", line, col, path)
-        case Var() | Ref() | Const() | Univ():
-            return t
-        case Pi(x, a, b):
-            return Pi(x, resolve_term(a, scope, globals_, path),
-                      resolve_term(b, scope + [x], globals_, path))
-        case Sig(x, a, b):
-            return Sig(x, resolve_term(a, scope, globals_, path),
-                       resolve_term(b, scope + [x], globals_, path))
-        case Lam(x, b):
-            return Lam(x, resolve_term(b, scope + [x], globals_, path))
-        case App(f, a):
-            return App(resolve_term(f, scope, globals_, path),
-                       resolve_term(a, scope, globals_, path))
-        case Eq(s, l, r):
-            return Eq(s, resolve_term(l, scope, globals_, path),
-                      resolve_term(r, scope, globals_, path))
-        case Ann(tm, ty):
-            return Ann(resolve_term(tm, scope, globals_, path),
-                       resolve_term(ty, scope, globals_, path))
-    raise AssertionError(t)
 
 
 def resolve(mod: Module, globals_: Optional[set[str]] = None) -> Module:
-    """Resolve every declaration; names must be declared before use."""
+    """Check that every declaration's names are declared before use."""
     known = set(globals_ or ())
-    out: list[Decl] = []
     for d in mod.decls:
         if d.name is not None:
             if d.name in known:
@@ -570,17 +517,10 @@ def resolve(mod: Module, globals_: Optional[set[str]] = None) -> Module:
             if d.name in BUILTIN_CONSTS or d.name in KEYWORDS:
                 raise ResolveError(f"{d.name!r} shadows a built-in",
                                    d.line, d.col, mod.path)
-        try:
-            ty = resolve_term(d.ty, [], known, mod.path)
-            body = (None if d.body is None
-                    else resolve_term(d.body, [], known, mod.path))
-        except RecursionError:
-            raise ResolveError("[DEPTH] terms nest too deeply to resolve",
-                               d.line, d.col, mod.path) from None
+        _check_refs(d.refs, known, mod.path)
         if d.name is not None:
             known.add(d.name)
-        out.append(replace(d, ty=ty, body=body))
-    return Module(out, mod.path)
+    return mod
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ class TestValidation:
         with pytest.raises(CategoryError, match="unknown arrow"):
             diagram.validate()
 
+    def test_diagram_over_undeclared_object_is_rejected(self):
+        # FinCat.validate would reject the hom-set into 'ghost'; unrun, the
+        # diagram's own check names the arrow
+        cat = FinCat(("a",), {("a", "a"): (("id", "a"),), ("a", "ghost"): ("f",)},
+                     {(("id", "a"), ("id", "a")): ("id", "a")}, {"a": ("id", "a")})
+        diagram = constant_diagram(cat, (0,))
+        with pytest.raises(CategoryError, match="arrow 'f' from 'a' to 'ghost'"):
+            diagram.validate()
+
     def test_missing_compose_detected(self):
         cat = FinCat(("a",), {("a", "a"): (("id", "a"), "e")},
                      {}, {"a": ("id", "a")})

@@ -217,6 +217,13 @@ class TestLabs:
         doc = json.loads(out)
         assert doc["status"] == "error" and "invalid choice" in doc["error"]
 
+    def test_help_under_json_is_one_document(self, capsys):
+        code, out, err = run(capsys, "lab", "--help")
+        assert code == 0 and out.startswith("usage:") and err == ""
+        code, doc, text = run(capsys, "--json", "lab", "--help")
+        assert code == 0 and text == out
+        assert json.loads(doc) == {"status": "pass", "help": out}
+
 
 class TestRanges:
     """Counts that would make a lab pass vacuously, or repeat a label, are
@@ -324,7 +331,10 @@ FLAG_RUNS = st.one_of(
         lambda v: ["lab", "classifier", "--n", v[0], "--max-card", v[1]]),
     NUMBERS.map(lambda v: ["lab", "segal", "--levels", v]),
     NUMBERS.map(lambda v: ["lab", "limits", "--seeds", v]),
-    NUMBERS.map(lambda v: ["lab", "yoneda", "--max-dim", v]))
+    NUMBERS.map(lambda v: ["lab", "yoneda", "--max-dim", v]),
+    st.tuples(st.sampled_from([[], ["lab"], ["lab", "segal"], ["check"]]),
+              st.sampled_from(["-h", "--help"])).map(
+        lambda v: v[0] + [v[1]]))
 
 
 @pytest.fixture(scope="module")

@@ -12,12 +12,12 @@ from tltt.kernel import (
 )
 from tltt.corpus import prelude_checker
 from tltt.syntax import (
-    App, Const, Decl, Module, Ref, parse, parse_term, resolve, resolve_term,
+    App, Const, Decl, Module, Ref, parse, parse_term, resolve,
 )
 
 
 def term(src, scope=(), globals_=()):
-    return resolve_term(parse_term(src), list(scope), set(globals_), "<test>")
+    return parse_term(src, "<test>", scope, globals_)
 
 
 @pytest.fixture(scope="module")

@@ -1,17 +1,19 @@
 """Semi-simplex combinatorics: monos, subfunctors, sieves, horn factoring."""
 
+import hashlib
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tltt.simplex import (
-    DimensionError, FiniteSemiSimplicialSet, MonoMap, Sieve, SimplicialSubset,
-    UnsupportedHorn, boundary_subfunctor, coface, compose_mono,
-    enumerate_homs, factor_spine_to_horn, full_subfunctor, generated_sieve,
-    horn_remove, horn_sieve, horn_subfunctor, identity_map, nat_transforms,
-    powerset_sieve, principal_sieve, spine_subfunctor, yoneda_bijection,
-    zigzag_sieve,
+    DimensionError, Factorization, FiniteSemiSimplicialSet, MonoMap, Sieve,
+    SimplicialSubset, UnsupportedHorn, boundary_subfunctor, coface,
+    compose_mono, enumerate_homs, factor_spine_to_horn, full_subfunctor,
+    generated_sieve, horn_remove, horn_sieve, horn_subfunctor, identity_map,
+    nat_transforms, powerset_sieve, principal_sieve, spine_subfunctor,
+    yoneda_bijection, zigzag_sieve,
 )
 
 DEGENERATE = {(1, 0), (1, 1), (2, 0), (2, 2)}
@@ -222,6 +224,18 @@ class TestFactorization:
             witness = e.value.witness
             assert witness in zigzag_sieve(n).members
             assert witness not in horn_sieve(n, k).members
+
+    def test_steps_are_validated_without_the_chain(self, monkeypatch):
+        """Each step is checked on one sieve at a time, not on the chain
+        that `sieves()` keeps; the steps for n <= 7 hash to a pinned value."""
+        def no_chain(fac):
+            raise AssertionError("the whole chain of sieves was built")
+        monkeypatch.setattr(Factorization, "sieves", no_chain)
+        docs = [factor_spine_to_horn(n, k).to_json()
+                for n in range(1, 8) for k in range(n + 1)
+                if (n, k) not in DEGENERATE]
+        assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == (
+            "648968a045450fde93aff0e071c7dc7861de8cf463d44e9b8b5460b08d17ccd2")
 
     def test_monotone_chain_of_realizations(self):
         fac = factor_spine_to_horn(4, 2)

@@ -5,23 +5,29 @@ import pathlib
 import pytest
 from hypothesis import given, strategies as st
 
-from tltt.corpus import CORPUS_ROOT, corpus_files
+from tltt.corpus import corpus_files
+from tltt.kernel import Checker, check_module
 from tltt.syntax import (
     Ann, App, Const, Eq, Lam, Pi, Ref, ResolveError, Sig, SyntaxError_, Univ,
     Var, mk_app, parse, parse_term, print_module, print_term, resolve,
-    resolve_term, shift, spine, subst,
+    shift, spine, subst, tokenize,
 )
 
 
 def rt(src: str):
     """Parse a closed term, resolve it, and return it."""
-    return resolve_term(parse_term(src), [], set(), "<test>")
+    return parse_term(src, "<test>")
 
 
 class TestParser:
     def test_pi_binder_groups(self):
         t = rt("Pi (A B : U 0) (x : A), B")
         assert isinstance(t, Pi) and isinstance(t.cod, Pi)
+
+    def test_binder_group_type_is_read_before_its_names(self):
+        t = rt("Pi (A : U 0) (A B : A), U 0")
+        assert t.cod.dom == Var(0) and t.cod.cod.dom == Var(1)
+        Checker().check([], rt("fun X a b => Nat"), t)
 
     def test_arrow_right_associative(self):
         assert rt("Nat -> Nat -> Nat") == rt("Nat -> (Nat -> Nat)")
@@ -73,9 +79,15 @@ class TestDepth:
         names = " ".join(f"x{i}" for i in range(2000))
         mod = parse(f"def f : Pi ({names} : Nat), Nat := fun {names} => zero\n",
                     "wide.tltt")
-        with pytest.raises(ResolveError) as e:
-            resolve(mod)
-        assert str(e.value).startswith("wide.tltt:1:1: [DEPTH]")
+        rep = check_module(Checker(), resolve(mod))
+        assert rep.records[-1]["rule"] == "DEPTH"
+        assert rep.error.startswith("wide.tltt:1:1: [DEPTH]")
+
+    def test_deep_term_is_a_depth_error_at_a_token(self):
+        with pytest.raises(SyntaxError_) as e:
+            parse_term("(" * 400 + "zero" + ")" * 400, "deep.tltt")
+        assert e.value.msg.startswith("[DEPTH]") and e.value.path == "deep.tltt"
+        assert e.value.line == 1 and e.value.col > 1
 
 
 class TestResolver:
@@ -182,3 +194,24 @@ def closed_terms(draw, depth=0):
 def test_printer_roundtrip_property(src):
     t = rt(src)
     assert rt(print_term(t)) == t
+
+
+_FRAGMENTS = st.sampled_from([
+    "--!", "--", "expect:", "=s", "=", "s1", ":=", "->", "(", ")", "12", "_",
+    " ", "\n", "\t", "\r", "\x0b", "é"])
+
+
+@given(st.lists(_FRAGMENTS, max_size=24).map("".join))
+def test_tokens_sit_at_their_positions(src):
+    """Every token's text is at its (line, col); an error points at the
+    character it names.  Only `\\n` ends a line."""
+    lines = src.split("\n")
+    try:
+        toks = tokenize(src)
+    except SyntaxError_ as e:
+        c = lines[e.line - 1][e.col - 1]
+        assert c in "\x0bé" and e.msg == f"unexpected character {c!r}"
+        return
+    for t in toks:
+        if t.kind in ("NAME", "KW", "NAT", "PUNCT"):
+            assert lines[t.line - 1][t.col - 1:].startswith(t.text), t

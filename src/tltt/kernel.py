@@ -2,24 +2,29 @@
 
 Universes come in two kinds: ``U i`` (fibrant) and ``Us i`` (strict).  Every
 fibrant type is also a pretype (subsumption ``U i <= Us j`` for ``i <= j``,
-rule FIB-PRE), never the other way around.  Fibrant equality ``=`` may only
-be formed over fibrant carriers (INTRO-=) and eliminated into fibrant motives
-(ELIM-=); the corresponding restrictions apply to the fibrant eliminators of
-``Nat``, ``Empty`` and ``Sum``.  Strict equality ``=s`` is governed by the
-axioms ``uip`` and ``funextS`` and has no reflection rule.
+rule FIB-PRE), never the other way around.  Most built-ins come in a family
+of a fibrant and a strict member, whose name adds ``S`` (``J``'s is ``Js``);
+one table gives each spine constant its family and level, and each rule is
+written once per family.  Fibrant equality and sums need fibrant carriers
+(INTRO-=, FORM-+) and fibrant eliminators fibrant motives (ELIM-=, ELIM-NAT,
+ELIM-0, ELIM-+).  Strict equality ``=s`` is governed by the axioms ``uip``
+and ``funextS`` and has no reflection rule.
 
 Conversion is weak-head normalization plus structural comparison with
-judgmental eta for Pi and Sigma.  Errors carry the name of the violated rule.
+judgmental eta for Pi and Sigma.  Iota is level-exact: an eliminator reduces
+only on constructors of its own level.  A type is checked before it is
+reduced, so arguments that reduction drops are checked too.  Errors carry the
+name of the violated rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref, Sig, Term, Univ, Var,
-    mk_app, shift, spine, subst,
+    mk_app, print_term, shift, spine, subst,
 )
 
 
@@ -82,15 +87,47 @@ class KernelOptions:
     omit_consts: frozenset = frozenset()       # pretend these builtins absent
 
 
-# Arities of the spine-checked constants.
-_SPINE_ARITY = {
-    "Sum": 2, "SumS": 2, "fst": 1, "snd": 1, "refl": 1, "reflS": 1,
-    "J": 3, "Js": 3, "indNat": 4, "indNatS": 4, "indEmpty": 2,
-    "indEmptyS": 2, "indSum": 4, "indSumS": 4,
-    "pair": 2, "inl": 1, "inr": 1, "inlS": 1, "inrS": 1,
+class _Family(NamedTuple):
+    """A family of spine-checked constants, named by its fibrant member."""
+
+    arity: int
+    rules: tuple = (None, None)     # the rule each member cites, fibrant first
+    major: Optional[int] = None     # the argument iota inspects
+    strict: bool = True             # has a strict member
+    check_only: bool = False        # typed only against a known type
+
+
+_FAMILIES = {
+    "Sum": _Family(2),
+    "inl": _Family(1, check_only=True),
+    "inr": _Family(1, check_only=True),
+    "refl": _Family(1, ("INTRO-=", "INTRO-=s")),
+    "J": _Family(3, ("ELIM-=", "ELIM-=s"), major=2),
+    "indNat": _Family(4, ("ELIM-NAT", "ELIM-NATS"), major=3),
+    "indEmpty": _Family(2, ("ELIM-0", "ELIM-0S")),
+    "indSum": _Family(4, ("ELIM-+", "ELIM-+S"), major=3),
+    "pair": _Family(2, strict=False, check_only=True),
+    "fst": _Family(1, major=0, strict=False),
+    "snd": _Family(1, major=0, strict=False),
 }
-# Constants that can only be checked against a known type.
-_CHECK_ONLY = {"pair", "inl", "inr", "inlS", "inrS"}
+
+
+def _at_level(family: str, strict: bool) -> str:
+    """The name of a family's member: the strict one adds `S`, `J`'s `s`."""
+    if not strict:
+        return family
+    return "Js" if family == "J" else family + "S"
+
+
+# spine constant -> (family, strict)
+_SPINE = {_at_level(f, s): (f, s) for f, fam in _FAMILIES.items()
+          for s in ((False, True) if fam.strict else (False,))}
+_CHECK_ONLY = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].check_only}
+
+
+def _show(ctx: list[Term], t: Term) -> str:
+    """Print `t` with a name for each variable of `ctx`."""
+    return print_term(t, [f"x{j}" for j in range(len(ctx))])
 
 
 def _closed_const_types() -> dict[str, Term]:
@@ -173,49 +210,39 @@ class Checker:
 
     def _iota(self, head: Term, args: list[Term]) -> Optional[Term]:
         """Computation rules for eliminator spines; None if stuck."""
-        if not isinstance(head, Const):
+        if not isinstance(head, Const) or head.name not in _SPINE:
             return None
-        name = head.name
-        arity = _SPINE_ARITY.get(name)
-        if arity is None or len(args) < arity:
+        family, strict = _SPINE[head.name]
+        fam = _FAMILIES[family]
+        if fam.major is None or len(args) < fam.arity:
             return None
-        extra = args[arity:]
-
-        def done(t: Term) -> Term:
-            return mk_app(t, *extra)
-
-        if name in ("fst", "snd"):
-            p_head, p_args = spine(self.whnf(args[0]))
-            if isinstance(p_head, Const) and p_head.name == "pair" and len(p_args) == 2:
-                return done(p_args[0 if name == "fst" else 1])
+        if family == "J" and strict and not self.options.js_beta:
             return None
-        if name in ("J", "Js"):
-            if name == "Js" and not self.options.js_beta:
-                return None
-            want = "refl" if name == "J" else "reflS"
-            p_head, p_args = spine(self.whnf(args[2]))
-            if isinstance(p_head, Const) and p_head.name == want and len(p_args) == 1:
-                return done(args[1])
-            return None
-        if name in ("indNat", "indNatS"):
-            n_head, n_args = spine(self.whnf(args[3]))
-            if isinstance(n_head, Const):
-                if n_head.name in ("zero", "zeroS") and not n_args:
-                    return done(args[1])
-                if n_head.name in ("succ", "succS") and len(n_args) == 1:
-                    m = n_args[0]
-                    rec = mk_app(head, args[0], args[1], args[2], m)
-                    return done(mk_app(args[2], m, rec))
-            return None
-        if name in ("indSum", "indSumS"):
-            x_head, x_args = spine(self.whnf(args[3]))
-            if isinstance(x_head, Const) and len(x_args) == 1:
-                if x_head.name in ("inl", "inlS"):
-                    return done(App(args[1], x_args[0]))
-                if x_head.name in ("inr", "inrS"):
-                    return done(App(args[2], x_args[0]))
-            return None
-        return None
+        c, c_args = spine(self.whnf(args[fam.major]))
+        c = c.name if isinstance(c, Const) else None
+        match family:
+            case "fst" | "snd":
+                if c != "pair" or len(c_args) != 2:
+                    return None
+                red = c_args[family == "snd"]
+            case "J":
+                if c != _at_level("refl", strict) or len(c_args) != 1:
+                    return None
+                red = args[1]
+            case "indNat":
+                if c == _at_level("zero", strict) and not c_args:
+                    red = args[1]
+                elif c == _at_level("succ", strict) and len(c_args) == 1:
+                    m = c_args[0]
+                    red = mk_app(args[2], m, mk_app(head, *args[:3], m))
+                else:
+                    return None
+            case "indSum":
+                sides = (_at_level("inl", strict), _at_level("inr", strict))
+                if c not in sides or len(c_args) != 1:
+                    return None
+                red = App(args[1 + sides.index(c)], c_args[0])
+        return mk_app(red, *args[fam.arity:])
 
     # -- conversion --------------------------------------------------------
 
@@ -265,13 +292,11 @@ class Checker:
     def infer_sort(self, ctx: list[Term], ty: Term) -> Sort:
         """Least sort at which `ty` is a universe element."""
         t = self.whnf(ty)
+        if t is not ty:
+            self.infer(ctx, ty)     # the reduction may drop unchecked parts
         match t:
             case Univ(fib, lvl):
                 return Sort(lvl + 1, fib)
-            case Const("Unit" | "Nat" | "Empty"):
-                return Sort(0, True)
-            case Const("NatS" | "EmptyS"):
-                return Sort(0, False)
             case Pi(_, a, b) | Sig(_, a, b):
                 sa = self.infer_sort(ctx, a)
                 sb = self.infer_sort([a] + ctx, b)
@@ -295,8 +320,9 @@ class Checker:
                 return Sort(sc.level, True)
             case _:
                 head, args = spine(t)
-                if isinstance(head, Const) and head.name in ("Sum", "SumS") and len(args) == 2:
-                    strict = head.name == "SumS"
+                family, strict = (_SPINE.get(head.name, (None, False))
+                                  if isinstance(head, Const) else (None, False))
+                if family == "Sum" and len(args) == 2:
                     sl = self.infer_sort(ctx, args[0])
                     sr = self.infer_sort(ctx, args[1])
                     if strict:
@@ -320,6 +346,8 @@ class Checker:
     def subsumes(self, got: Term, want: Term) -> bool:
         """Structural cumulativity: universes by sort order, Pi/Sig covariant
         in the codomain/second component, everything else by conversion."""
+        if got is want:
+            return True
         g, w = self.whnf(got), self.whnf(want)
         match (g, w):
             case (Univ(f1, l1), Univ(f2, l2)):
@@ -337,13 +365,10 @@ class Checker:
     def _subsume_or_fail(self, ctx: list[Term], term: Term, got: Term, want: Term):
         if self.subsumes(got, want):
             return
-        rule = self._mismatch_rule(term, got, want)
-        from .syntax import print_term
-        names = [f"x{j}" for j in range(len(ctx))]
         raise TypeError_(
-            rule,
-            f"type mismatch: inferred `{print_term(got, names)}` does not "
-            f"subsume expected `{print_term(want, names)}`")
+            self._mismatch_rule(term, got, want),
+            f"type mismatch: inferred `{_show(ctx, got)}` does not "
+            f"subsume expected `{_show(ctx, want)}`")
 
     def _mismatch_rule(self, term: Term, got: Term, want: Term) -> str:
         """Choose the rule name to cite for a subsumption failure."""
@@ -382,7 +407,7 @@ class Checker:
                 raise TypeError_(
                     "ARITY",
                     f"constant {name!r} must be applied to "
-                    f"{_SPINE_ARITY.get(name, '?')} arguments")
+                    f"{_FAMILIES[_SPINE[name][0]].arity} arguments")
             case Univ(fib, lvl):
                 return Univ(fib, lvl + 1)
             case Pi() | Sig() | Eq():
@@ -397,30 +422,34 @@ class Checker:
                 return ty
             case App():
                 head, args = spine(t)
-                if isinstance(head, Const) and head.name in _SPINE_ARITY:
+                if isinstance(head, Const) and head.name in _SPINE:
                     self._const_ok(head.name)
                     return self._infer_spine(ctx, head.name, args)
-                if isinstance(head, (Lam, Ann)):
-                    return self.infer(ctx, self.whnf(t))
-                fty = self.infer(ctx, head)
-                for a in args:
-                    fw = self.whnf(fty)
-                    if not isinstance(fw, Pi):
-                        raise TypeError_("APP", "applied a non-function")
-                    self.check(ctx, a, fw.dom)
-                    fty = subst(fw.cod, a)
-                return fty
+                if isinstance(head, Lam):
+                    # a redex: type the argument, then the body at it
+                    self.infer(ctx, args[0])
+                    return self.infer(ctx, mk_app(subst(head.body, args[0]), *args[1:]))
+                return self._apply(ctx, self.infer(ctx, head), args)
         raise AssertionError(t)
 
-    def _motive_universe(self, ctx: list[Term], motive: Term,
-                         doms: list[Term]) -> tuple[Sort, Term]:
-        """Type a fully-applied eliminator motive.
+    def _apply(self, ctx: list[Term], fty: Term, args: list[Term]) -> Term:
+        """The type of a function of type `fty` applied to `args`."""
+        for a in args:
+            fw = self.whnf(fty)
+            if not isinstance(fw, Pi):
+                raise TypeError_("APP", "applied a non-function")
+            self.check(ctx, a, fw.dom)
+            fty = subst(fw.cod, a)
+        return fty
 
-        `doms` is the telescope of the motive's arguments.  Returns the sort
-        of the motive's target universe, and checks the motive against
-        `Pi doms -> U/Us level` once that universe is known (which also
-        covers lambda motives, whose type cannot be inferred directly).
-        """
+    def _elim_motive(self, ctx: list[Term], name: str, motive: Term,
+                     doms: list[Term]):
+        """Type the motive of the eliminator `name` over the telescope `doms`
+        against `Pi doms -> U/Us level` once its target universe is known (a
+        lambda motive's type cannot be inferred), and record `name`'s rule.
+        A fibrant eliminator needs a fibrant target."""
+        family, strict = _SPINE[name]
+        rule = _FAMILIES[family].rules[strict]
         ctx2 = list(ctx)
         for d in doms:
             ctx2 = [d] + ctx2
@@ -430,140 +459,101 @@ class Checker:
         uni = self.whnf(self.infer(ctx2, self.whnf(applied)))
         if not isinstance(uni, Univ):
             raise TypeError_("MOTIVE", "eliminator motive must target a universe")
-        expected = Univ(uni.fib, uni.level)
+        expected = uni
         for d in reversed(doms):
             expected = Pi("_", d, expected)
         self.check(ctx, motive, expected)
-        return Sort(uni.level, uni.fib), uni
+        if not strict and not uni.fib:
+            hint = "for strict motives" if family == "J" else "instead"
+            raise TypeError_(
+                rule,
+                f"{name} requires a fibrant motive; this motive lands in sort "
+                f"{Sort(uni.level, uni.fib)} (use {_at_level(family, True)} {hint})")
+        self._use(rule)
 
     def _infer_spine(self, ctx: list[Term], name: str, args: list[Term]) -> Term:
-        arity = _SPINE_ARITY[name]
-        if name in _CHECK_ONLY:
+        """Type an application of the spine constant `name`."""
+        family, strict = _SPINE[name]
+        fam = _FAMILIES[family]
+        arity, rules = fam.arity, fam.rules
+        if fam.check_only:
             raise TypeError_("INFER", f"cannot infer the type of {name!r}; "
                                       "it must appear in a checked position")
         if len(args) < arity:
             raise TypeError_("ARITY", f"{name!r} expects {arity} arguments, "
                                       f"got {len(args)}")
-        head_args, extra = args[:arity], args[arity:]
-        result = self._infer_spine_exact(ctx, name, head_args)
-        for a in extra:
-            fw = self.whnf(result)
-            if not isinstance(fw, Pi):
-                raise TypeError_("APP", "applied a non-function")
-            self.check(ctx, a, fw.dom)
-            result = subst(fw.cod, a)
-        return result
+        args, extra = args[:arity], args[arity:]
 
-    def _infer_spine_exact(self, ctx: list[Term], name: str,
-                           args: list[Term]) -> Term:
-        match name:
-            case "Sum" | "SumS":
-                t = mk_app(Const(name), *args)
-                s = self.infer_sort(ctx, t)
-                return Univ(s.fib, s.level)
+        def at_level(base: str) -> Const:
+            return Const(_at_level(base, strict))
+
+        match family:
+            case "Sum":
+                s = self.infer_sort(ctx, mk_app(Const(name), *args))
+                ty = Univ(s.fib, s.level)
             case "fst" | "snd":
                 pty = self.whnf(self.infer(ctx, args[0]))
                 if not isinstance(pty, Sig):
                     raise TypeError_("PROJ", "projection from a non-pair")
-                if name == "fst":
-                    return pty.dom
-                return subst(pty.cod, App(Const("fst"), args[0]))
-            case "refl" | "reflS":
-                strict = name == "reflS"
+                ty = (pty.dom if family == "fst"
+                      else subst(pty.cod, App(Const("fst"), args[0])))
+            case "refl":
                 a = args[0]
-                carrier = self.infer(ctx, a)
-                sc = self.infer_sort(ctx, carrier)
+                sc = self.infer_sort(ctx, self.infer(ctx, a))
                 if not strict and not sc.fib:
                     raise TypeError_(
                         "INTRO-=",
                         "refl needs a fibrant carrier, got sort "
                         f"{sc}; use reflS for pretypes")
-                self._use("INTRO-=s" if strict else "INTRO-=")
-                return Eq(strict, a, a)
-            case "J" | "Js":
-                strict = name == "Js"
-                rule = "ELIM-=s" if strict else "ELIM-="
+                self._use(rules[strict])
+                ty = Eq(strict, a, a)
+            case "J":
                 motive, base, prf = args
                 ety = self.whnf(self.infer(ctx, prf))
                 if not isinstance(ety, Eq) or ety.strict != strict:
                     raise TypeError_(
-                        rule,
+                        rules[strict],
                         f"{name} eliminates a "
                         f"{'strict' if strict else 'fibrant'} equality; "
                         "the scrutinee has a different type")
                 lhs, rhs = ety.lhs, ety.rhs
                 carrier = self.infer(ctx, lhs)
-                doms = [carrier, Eq(strict, shift(lhs, 1), Var(0))]
-                s, _ = self._motive_universe(ctx, motive, doms)
-                if not strict and not s.fib:
-                    raise TypeError_(
-                        rule,
-                        "J requires a fibrant motive; this motive lands in "
-                        f"sort {s} (use Js for strict motives)")
-                self._use(rule)
-                refl_c = Const("reflS" if strict else "refl")
-                self.check(ctx, base, mk_app(motive, lhs, App(refl_c, lhs)))
-                return mk_app(motive, rhs, prf)
-            case "indNat" | "indNatS":
-                strict = name == "indNatS"
-                rule = "ELIM-NATS" if strict else "ELIM-NAT"
-                nat = Const("NatS" if strict else "Nat")
-                sucf = Const("succS" if strict else "succ")
-                zeroc = Const("zeroS" if strict else "zero")
+                self._elim_motive(ctx, name, motive,
+                                  [carrier, Eq(strict, shift(lhs, 1), Var(0))])
+                self.check(ctx, base, mk_app(motive, lhs, App(at_level("refl"), lhs)))
+                ty = mk_app(motive, rhs, prf)
+            case "indNat":
+                nat = at_level("Nat")
                 motive, z, s_arg, n = args
-                srt, _ = self._motive_universe(ctx, motive, [nat])
-                if not strict and not srt.fib:
-                    raise TypeError_(
-                        rule,
-                        "indNat requires a fibrant motive; this motive lands "
-                        f"in sort {srt} (use indNatS instead)")
-                self._use(rule)
-                self.check(ctx, z, App(motive, zeroc))
+                self._elim_motive(ctx, name, motive, [nat])
+                self.check(ctx, z, App(motive, at_level("zero")))
                 step_ty = Pi("m", nat,
                              Pi("_", App(shift(motive, 1), Var(0)),
-                                App(shift(motive, 2), App(sucf, Var(1)))))
+                                App(shift(motive, 2), App(at_level("succ"), Var(1)))))
                 self.check(ctx, s_arg, step_ty)
                 self.check(ctx, n, nat)
-                return App(motive, n)
-            case "indEmpty" | "indEmptyS":
-                strict = name == "indEmptyS"
-                rule = "ELIM-0S" if strict else "ELIM-0"
-                empty = Const("EmptyS" if strict else "Empty")
+                ty = App(motive, n)
+            case "indEmpty":
+                empty = at_level("Empty")
                 motive, e = args
-                srt, _ = self._motive_universe(ctx, motive, [empty])
-                if not strict and not srt.fib:
-                    raise TypeError_(
-                        rule,
-                        "indEmpty requires a fibrant motive; this motive "
-                        f"lands in sort {srt} (use indEmptyS instead)")
-                self._use(rule)
+                self._elim_motive(ctx, name, motive, [empty])
                 self.check(ctx, e, empty)
-                return App(motive, e)
-            case "indSum" | "indSumS":
-                strict = name == "indSumS"
-                rule = "ELIM-+S" if strict else "ELIM-+"
-                sumc = "SumS" if strict else "Sum"
-                inlc = Const("inlS" if strict else "inl")
-                inrc = Const("inrS" if strict else "inr")
+                ty = App(motive, e)
+            case "indSum":
                 motive, f, g, x = args
                 xty = self.whnf(self.infer(ctx, x))
                 xh, xa = spine(xty)
+                sumc = _at_level("Sum", strict)
                 if not (isinstance(xh, Const) and xh.name == sumc and len(xa) == 2):
-                    raise TypeError_(rule, f"{name} eliminates a {sumc} value")
+                    raise TypeError_(rules[strict], f"{name} eliminates a {sumc} value")
+                self._elim_motive(ctx, name, motive, [xty])
                 a_ty, b_ty = xa
-                srt, _ = self._motive_universe(ctx, motive, [xty])
-                if not strict and not srt.fib:
-                    raise TypeError_(
-                        rule,
-                        "indSum requires a fibrant motive; this motive lands "
-                        f"in sort {srt} (use indSumS instead)")
-                self._use(rule)
-                f_ty = Pi("a", a_ty, App(shift(motive, 1), App(inlc, Var(0))))
-                g_ty = Pi("b", b_ty, App(shift(motive, 1), App(inrc, Var(0))))
-                self.check(ctx, f, f_ty)
-                self.check(ctx, g, g_ty)
-                return App(motive, x)
-        raise AssertionError(name)
+                self.check(ctx, f, Pi("a", a_ty, App(shift(motive, 1),
+                                                     App(at_level("inl"), Var(0)))))
+                self.check(ctx, g, Pi("b", b_ty, App(shift(motive, 1),
+                                                     App(at_level("inr"), Var(0)))))
+                ty = App(motive, x)
+        return self._apply(ctx, ty, extra)
 
     # -- checking ----------------------------------------------------------
 
@@ -572,41 +562,34 @@ class Checker:
         match t:
             case Lam(_, body):
                 if not isinstance(tyw, Pi):
-                    from .syntax import print_term
                     raise TypeError_(
                         "CONV", f"lambda checked against non-function type "
-                                f"`{print_term(tyw)}`")
+                                f"`{_show(ctx, tyw)}`")
                 self.check([tyw.dom] + ctx, body, tyw.cod)
-                return
-            case Ann(tm, ann_ty):
-                self.infer_sort(ctx, ann_ty)
-                self.check(ctx, tm, ann_ty)
-                self._subsume_or_fail(ctx, t, ann_ty, tyw)
                 return
             case App() | Const():
                 head, args = spine(t)
                 if isinstance(head, Const) and head.name in _CHECK_ONLY:
                     self._const_ok(head.name)
-                    if self._check_intro(ctx, head.name, args, tyw):
-                        return
+                    return self._check_intro(ctx, head.name, args, tyw)
         got = self.infer(ctx, t)
         self._subsume_or_fail(ctx, t, got, tyw)
 
     def _check_intro(self, ctx: list[Term], name: str, args: list[Term],
-                     tyw: Term) -> bool:
-        """Check-mode rules for pair/inl/inr; returns False to fall back."""
-        if name == "pair" and len(args) == 2 and isinstance(tyw, Sig):
+                     tyw: Term) -> None:
+        """Check-mode rules for pair, inl and inr."""
+        family, strict = _SPINE[name]
+        if family == "pair" and len(args) == 2 and isinstance(tyw, Sig):
             self.check(ctx, args[0], tyw.dom)
             self.check(ctx, args[1], subst(tyw.cod, args[0]))
-            return True
-        if name in ("inl", "inr", "inlS", "inrS") and len(args) == 1:
-            want = "SumS" if name.endswith("S") else "Sum"
+            return
+        if family in ("inl", "inr") and len(args) == 1:
             h, a = spine(tyw)
-            if isinstance(h, Const) and h.name == want and len(a) == 2:
+            if (isinstance(h, Const) and h.name == _at_level("Sum", strict)
+                    and len(a) == 2):
                 self.infer_sort(ctx, tyw)   # records/enforces FORM-+
-                side = a[0] if name.startswith("inl") else a[1]
-                self.check(ctx, args[0], side)
-                return True
+                self.check(ctx, args[0], a[family == "inr"])
+                return
         raise TypeError_(
             "CONV", f"{name!r} checked against an incompatible type")
 

@@ -97,20 +97,14 @@ class Ann:
 
 Term = Union[Var, Ref, Const, Univ, Pi, Sig, Lam, App, Eq, Ann]
 
-# Constants with ordinary closed types (the kernel assigns these directly).
-SIMPLE_CONSTS = {
-    "Unit", "star", "Empty", "EmptyS", "Nat", "NatS",
-    "zero", "succ", "zeroS", "succS", "uip", "funextS",
-}
-
-# Constants checked by dedicated spine rules (fixed arity, or check-mode only).
-SPINE_CONSTS = {
-    "Sum", "SumS", "inl", "inr", "inlS", "inrS", "pair", "fst", "snd",
-    "refl", "reflS", "J", "Js",
+# Built-in constants; the kernel gives each a closed type or a spine rule.
+# A strict member of a two-level family adds `S` to the fibrant name (`Js`).
+BUILTIN_CONSTS = {
+    "Unit", "star", "pair", "fst", "snd", "uip", "funextS",
+    "Empty", "EmptyS", "Nat", "NatS", "zero", "zeroS", "succ", "succS",
+    "Sum", "SumS", "inl", "inlS", "inr", "inrS", "refl", "reflS", "J", "Js",
     "indNat", "indNatS", "indEmpty", "indEmptyS", "indSum", "indSumS",
 }
-
-BUILTIN_CONSTS = SIMPLE_CONSTS | SPINE_CONSTS
 
 KEYWORDS = {"def", "axiom", "check", "fail", "Pi", "Sig", "fun", "U", "Us"}
 
@@ -293,31 +287,30 @@ class Parser:
         return t
 
     def err(self, msg: str, tok: Optional[Token] = None):
+        """Raise a syntax error at `tok`; at an annotation, a misplaced one."""
         tok = tok or self.peek()
+        if tok.kind == "EXPECT":
+            msg = "`--! expect:` must directly precede a `fail` declaration"
         raise SyntaxError_(msg, tok.line, tok.col, self.path)
 
+    def at(self, *texts: str) -> bool:
+        """Is the next token the keyword or punctuation of one of `texts`?"""
+        t = self.toks[self.pos]
+        return t.text in texts and t.kind in ("KW", "PUNCT")
+
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "EOF":
-            self.err(f"expected {text!r}, found {t.text!r}")
+        if not self.at(text):
+            self.err(f"expected {text!r}, found {self.peek().text!r}")
         return self.next()
 
     # -- terms ------------------------------------------------------------
 
     def term(self) -> Term:
         t = self.peek()
-        if t.text == "Pi" or t.text == "Sig":
-            self.next()
-            binders = self.binders()
-            self.expect(",")
-            body = self.term()
-            del self.scope[len(self.scope) - len(binders):]
-            ctor = Pi if t.text == "Pi" else Sig
-            for name, ty in reversed(binders):
-                body = ctor(name, ty, body)
-            return body
+        if not self.at("Pi", "Sig", "fun"):
+            return self.arrow()
+        self.next()
         if t.text == "fun":
-            self.next()
             names = []
             while self.peek().kind == "NAME":
                 names.append(self.next().text)
@@ -330,7 +323,14 @@ class Parser:
             for name in reversed(names):
                 body = Lam(name, body)
             return body
-        return self.arrow()
+        binders = self.binders()
+        self.expect(",")
+        body = self.term()
+        del self.scope[len(self.scope) - len(binders):]
+        ctor = Pi if t.text == "Pi" else Sig
+        for name, ty in reversed(binders):
+            body = ctor(name, ty, body)
+        return body
 
     def binders(self) -> list[tuple[str, Term]]:
         """Parse `(x y : T)+`, returning (name, type) pairs, and bind the names.
@@ -340,13 +340,13 @@ class Parser:
         it.  The caller unbinds the names.
         """
         out: list[tuple[str, Term]] = []
-        while self.peek().text == "(":
+        while self.at("("):
             save = self.pos
             self.next()
             names = []
             while self.peek().kind == "NAME":
                 names.append(self.next().text)
-            if not names or self.peek().text != ":":
+            if not names or not self.at(":"):
                 self.pos = save
                 break
             self.next()
@@ -361,7 +361,7 @@ class Parser:
 
     def arrow(self) -> Term:
         lhs = self.eq()
-        if self.peek().text == "->":
+        if self.at("->"):
             self.next()
             self.scope.append("_")
             rhs = self.term()
@@ -372,7 +372,7 @@ class Parser:
     def eq(self) -> Term:
         lhs = self.app()
         t = self.peek()
-        if t.text in ("=", "=s"):
+        if self.at("=", "=s"):
             self.next()
             rhs = self.app()
             return Eq(t.text == "=s", lhs, rhs)
@@ -402,24 +402,23 @@ class Parser:
                 return Var(len(scope) - 1 - i)
             self.refs.append((name, t.line, t.col))
             return Const(name) if name in BUILTIN_CONSTS else Ref(name)
-        if t.text in ("U", "Us"):
-            self.next()
+        if not self.at("(", "U", "Us"):
+            return None
+        self.next()
+        if t.text != "(":
             lvl = self.peek()
             if lvl.kind != "NAT":
                 self.err("expected a universe level")
             self.next()
             return Univ(t.text == "U", int(lvl.text))
-        if t.text == "(":
+        inner = self.term()
+        if self.at(":"):
             self.next()
-            inner = self.term()
-            if self.peek().text == ":":
-                self.next()
-                ty = self.term()
-                self.expect(")")
-                return Ann(inner, ty)
+            ty = self.term()
             self.expect(")")
-            return inner
-        return None
+            return Ann(inner, ty)
+        self.expect(")")
+        return inner
 
     # -- declarations -----------------------------------------------------
 
@@ -431,8 +430,10 @@ class Parser:
             if t.kind == "EXPECT":
                 pending_expect = t.text
                 self.next()
+                if not self.at("fail"):
+                    self.err("", t)     # `err` names the misplaced annotation
                 continue
-            if t.text not in ("def", "axiom", "check", "fail"):
+            if not self.at("def", "axiom", "check", "fail"):
                 self.err("expected a declaration (def/axiom/check/fail)")
             self.next()
             self.refs = []

@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tltt import cli
 from tltt.cli import main
@@ -53,6 +53,14 @@ class TestCheck:
     def test_missing_file_is_exit_two(self, capsys):
         code, _, _ = run(capsys, "check", "no/such/file.tltt")
         assert code == 2
+
+    def test_lambda_against_a_variable_type_is_a_diagnostic(self, tmp_path):
+        bad = tmp_path / "bad.tltt"
+        bad.write_text("check (fun A => fun y => y) : Pi (A : U 0), A\n")
+        proc = tltt("check", str(bad))
+        assert proc.returncode == 1
+        assert f"{bad}:1:1: [CONV]" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_json_single_document(self, capsys):
         code, out, _ = run(capsys, "check", "--json", PRELUDE[0])
@@ -352,6 +360,13 @@ def fuzz_dir(tmp_path_factory):
               FIXTURE_TEXTS.map(str.encode)),
     st.tuples(st.just("flags"), FLAG_RUNS)),
     as_json=st.booleans())
+@example(case=("check", b"def K : U 0 -> U 0 := fun X => Nat\n"
+                        b"def k : K NatS := zero\n"), as_json=True)
+@example(case=("check", b"check zero : (Nat : NatS)\n"), as_json=True)
+@example(case=("check", b"check (fun x => zero : Nat -> Nat) Nat : Nat\n"),
+         as_json=True)
+@example(case=("check", b"check (fun A => fun y => y) : Pi (A : U 0), A\n"),
+         as_json=True)
 def test_contract_holds_on_any_input(fuzz_dir, case, as_json):
     """Exit code 0, 1 or 2, no traceback, one JSON document under --json."""
     kind, data = case

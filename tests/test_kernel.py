@@ -103,7 +103,41 @@ class TestConversion:
             ck.check([], p, ty)
 
     def test_defined_constant_unfolds(self, ck):
-        check(ck, "refl (succ zero)", "(toNat (succ zero)) = (succ zero)")
+        check(ck, "refl (succ zero)", "(toNat (succS zeroS)) = (succ zero)")
+
+    @pytest.mark.parametrize("src", [
+        "indNat (fun n => Nat) zero (fun n r => r) zeroS",
+        "indNatS (fun n => NatS) zeroS (fun n r => r) zero",
+        "J (fun b q => Nat) zero (reflS zero)",
+    ])
+    def test_iota_matches_only_constructors_of_its_own_level(self, ck, src):
+        t = term(src)
+        assert ck.whnf(t) is t
+
+
+class TestBuiltins:
+    def test_each_builtin_has_exactly_one_kernel_rule(self):
+        closed, spines = set(kernel._CONST_TYPES), set(kernel._SPINE)
+        assert not closed & spines
+        assert closed | spines == syntax.BUILTIN_CONSTS
+
+
+class TestCheckedBeforeReduced:
+    @pytest.mark.parametrize("src, rule", [
+        # a pretype passed where `U 0` is required, dropped by K's body
+        ("def K : U 0 -> U 0 := fun X => Nat\ndef k : K NatS := zero\n",
+         "FIB-PRE"),
+        # an annotation dropped by weak-head normalization
+        ("check zero : (Nat : NatS)\n", "CONV"),
+        # an annotated function applied to an argument of the wrong type
+        ("check (fun x => zero : Nat -> Nat) Nat : Nat\n", "CONV"),
+        # a redex whose argument is dropped
+        ("check (fun x => zero) (Nat : NatS) : Nat\n", "CONV"),
+    ])
+    def test_reduction_drops_nothing_unchecked(self, src, rule):
+        rep = check_module(Checker(), resolve(parse(src, "m.tltt")))
+        assert not rep.ok
+        assert rep.records[-1]["rule"] == rule
 
 
 class TestRestrictions:

@@ -65,6 +65,20 @@ class TestParser:
         mod = parse("--! expect: ELIM-NAT\nfail bad : Nat\n")
         assert mod.decls[0].expect_rule == "ELIM-NAT"
 
+    @pytest.mark.parametrize("src, line, col", [
+        # inside a declaration, in place of the word the annotation names
+        ("def f : Nat -> Nat := --! expect: fun\n  x => x\n", 1, 23),
+        ("def z --! expect: :\n  Nat := zero\n", 1, 7),
+        # before a declaration other than `fail`, and at the end of the file
+        ("--! expect: CONV\ndef z : Nat := zero\n", 1, 1),
+        ("def z : Nat := zero\n--! expect: CONV\n", 2, 1),
+    ])
+    def test_misplaced_expect_annotation_is_an_error_at_it(self, src, line, col):
+        with pytest.raises(SyntaxError_) as e:
+            parse(src)
+        assert (e.value.line, e.value.col) == (line, col)
+        assert "--! expect:" in e.value.msg
+
 
 class TestDepth:
     def test_deep_nesting_is_a_depth_error_at_a_token(self):

@@ -13,8 +13,8 @@ and ``funextS`` and has no reflection rule.
 Conversion is weak-head normalization plus structural comparison with
 judgmental eta for Pi and Sigma.  Iota is level-exact: an eliminator reduces
 only on constructors of its own level.  A type is checked before it is
-reduced, so arguments that reduction drops are checked too.  Errors carry the
-name of the violated rule.
+reduced, so arguments that reduction drops are checked, but not a second
+time.  Errors carry the name of the violated rule.
 """
 
 from __future__ import annotations
@@ -125,6 +125,14 @@ _SPINE = {_at_level(f, s): (f, s) for f, fam in _FAMILIES.items()
 _CHECK_ONLY = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].check_only}
 
 
+def _motive_at(motive: Term, *args: Term) -> Term:
+    """`motive` applied to `args`, each redex of a lambda motive reduced: the
+    motive and the arguments were checked before, against the domains."""
+    while args and isinstance(motive, Lam):
+        motive, args = subst(motive.body, args[0]), args[1:]
+    return mk_app(motive, *args)
+
+
 def _show(ctx: list[Term], t: Term) -> str:
     """Print `t` with a name for each variable of `ctx`."""
     return print_term(t, [f"x{j}" for j in range(len(ctx))])
@@ -170,6 +178,17 @@ class Checker:
         self.options = options or KernelOptions()
         self.rules_used: set[str] = set()
         self.decl_rules: set[str] = set()
+        self._checked = False     # re-typing terms the kernel has checked
+
+    def _on_checked(self, fn, *args):
+        """`fn(*args)` on terms the kernel has already checked.  A lambda
+        redex among them reduces without typing its argument: the argument
+        was checked before it was substituted there."""
+        outer, self._checked = self._checked, True
+        try:
+            return fn(*args)
+        finally:
+            self._checked = outer
 
     def _use(self, rule: str):
         self.rules_used.add(rule)
@@ -290,10 +309,13 @@ class Checker:
     # -- sorts -------------------------------------------------------------
 
     def infer_sort(self, ctx: list[Term], ty: Term) -> Sort:
-        """Least sort at which `ty` is a universe element."""
+        """Least sort at which `ty` is a universe element.  A type the kernel
+        has not checked is checked before it is reduced, since the reduction
+        may drop parts of it."""
         t = self.whnf(ty)
-        if t is not ty:
-            self.infer(ctx, ty)     # the reduction may drop unchecked parts
+        if t is not ty and not self._checked:
+            self.infer(ctx, ty)
+            return self._on_checked(self.infer_sort, ctx, t)
         match t:
             case Univ(fib, lvl):
                 return Sort(lvl + 1, fib)
@@ -306,7 +328,7 @@ class Checker:
                 return s
             case Eq(strict, lhs, rhs):
                 carrier = self.infer(ctx, lhs)
-                sc = self.infer_sort(ctx, carrier)
+                sc = self._on_checked(self.infer_sort, ctx, carrier)
                 self.check(ctx, rhs, carrier)
                 if strict:
                     self._use("FORM-=s")
@@ -424,23 +446,22 @@ class Checker:
                 head, args = spine(t)
                 if isinstance(head, Const) and head.name in _SPINE:
                     self._const_ok(head.name)
-                    return self._infer_spine(ctx, head.name, args)
-                if isinstance(head, Lam):
-                    # a redex: type the argument, then the body at it
-                    self.infer(ctx, args[0])
+                    fty, args = self._infer_spine(ctx, head.name, args)
+                elif isinstance(head, Lam):
+                    # a redex: type the argument it may drop, then the body
+                    if not self._checked:
+                        self.infer(ctx, args[0])
                     return self.infer(ctx, mk_app(subst(head.body, args[0]), *args[1:]))
-                return self._apply(ctx, self.infer(ctx, head), args)
+                else:
+                    fty = self.infer(ctx, head)
+                for a in args:
+                    fw = self.whnf(fty)
+                    if not isinstance(fw, Pi):
+                        raise TypeError_("APP", "applied a non-function")
+                    self.check(ctx, a, fw.dom)
+                    fty = subst(fw.cod, a)
+                return fty
         raise AssertionError(t)
-
-    def _apply(self, ctx: list[Term], fty: Term, args: list[Term]) -> Term:
-        """The type of a function of type `fty` applied to `args`."""
-        for a in args:
-            fw = self.whnf(fty)
-            if not isinstance(fw, Pi):
-                raise TypeError_("APP", "applied a non-function")
-            self.check(ctx, a, fw.dom)
-            fty = subst(fw.cod, a)
-        return fty
 
     def _elim_motive(self, ctx: list[Term], name: str, motive: Term,
                      doms: list[Term]):
@@ -450,13 +471,9 @@ class Checker:
         A fibrant eliminator needs a fibrant target."""
         family, strict = _SPINE[name]
         rule = _FAMILIES[family].rules[strict]
-        ctx2 = list(ctx)
-        for d in doms:
-            ctx2 = [d] + ctx2
-        applied = shift(motive, len(doms))
-        for i in range(len(doms)):
-            applied = App(applied, Var(len(doms) - 1 - i))
-        uni = self.whnf(self.infer(ctx2, self.whnf(applied)))
+        n = len(doms)
+        applied = mk_app(shift(motive, n), *(Var(n - 1 - i) for i in range(n)))
+        uni = self.whnf(self.infer(doms[::-1] + ctx, self.whnf(applied)))
         if not isinstance(uni, Univ):
             raise TypeError_("MOTIVE", "eliminator motive must target a universe")
         expected = uni
@@ -471,8 +488,10 @@ class Checker:
                 f"{Sort(uni.level, uni.fib)} (use {_at_level(family, True)} {hint})")
         self._use(rule)
 
-    def _infer_spine(self, ctx: list[Term], name: str, args: list[Term]) -> Term:
-        """Type an application of the spine constant `name`."""
+    def _infer_spine(self, ctx: list[Term], name: str,
+                     args: list[Term]) -> tuple[Term, list[Term]]:
+        """Type `name` applied to its first `arity` arguments; also return the
+        arguments left over."""
         family, strict = _SPINE[name]
         fam = _FAMILIES[family]
         arity, rules = fam.arity, fam.rules
@@ -499,7 +518,7 @@ class Checker:
                       else subst(pty.cod, App(Const("fst"), args[0])))
             case "refl":
                 a = args[0]
-                sc = self.infer_sort(ctx, self.infer(ctx, a))
+                sc = self._on_checked(self.infer_sort, ctx, self.infer(ctx, a))
                 if not strict and not sc.fib:
                     raise TypeError_(
                         "INTRO-=",
@@ -517,28 +536,29 @@ class Checker:
                         f"{'strict' if strict else 'fibrant'} equality; "
                         "the scrutinee has a different type")
                 lhs, rhs = ety.lhs, ety.rhs
-                carrier = self.infer(ctx, lhs)
+                carrier = self._on_checked(self.infer, ctx, lhs)
                 self._elim_motive(ctx, name, motive,
                                   [carrier, Eq(strict, shift(lhs, 1), Var(0))])
-                self.check(ctx, base, mk_app(motive, lhs, App(at_level("refl"), lhs)))
-                ty = mk_app(motive, rhs, prf)
+                self.check(ctx, base,
+                           _motive_at(motive, lhs, App(at_level("refl"), lhs)))
+                ty = _motive_at(motive, rhs, prf)
             case "indNat":
                 nat = at_level("Nat")
                 motive, z, s_arg, n = args
                 self._elim_motive(ctx, name, motive, [nat])
-                self.check(ctx, z, App(motive, at_level("zero")))
-                step_ty = Pi("m", nat,
-                             Pi("_", App(shift(motive, 1), Var(0)),
-                                App(shift(motive, 2), App(at_level("succ"), Var(1)))))
+                self.check(ctx, z, _motive_at(motive, at_level("zero")))
+                step_ty = Pi("m", nat, Pi("_", _motive_at(shift(motive, 1), Var(0)),
+                                          _motive_at(shift(motive, 2),
+                                                     App(at_level("succ"), Var(1)))))
                 self.check(ctx, s_arg, step_ty)
                 self.check(ctx, n, nat)
-                ty = App(motive, n)
+                ty = _motive_at(motive, n)
             case "indEmpty":
                 empty = at_level("Empty")
                 motive, e = args
                 self._elim_motive(ctx, name, motive, [empty])
                 self.check(ctx, e, empty)
-                ty = App(motive, e)
+                ty = _motive_at(motive, e)
             case "indSum":
                 motive, f, g, x = args
                 xty = self.whnf(self.infer(ctx, x))
@@ -547,13 +567,11 @@ class Checker:
                 if not (isinstance(xh, Const) and xh.name == sumc and len(xa) == 2):
                     raise TypeError_(rules[strict], f"{name} eliminates a {sumc} value")
                 self._elim_motive(ctx, name, motive, [xty])
-                a_ty, b_ty = xa
-                self.check(ctx, f, Pi("a", a_ty, App(shift(motive, 1),
-                                                     App(at_level("inl"), Var(0)))))
-                self.check(ctx, g, Pi("b", b_ty, App(shift(motive, 1),
-                                                     App(at_level("inr"), Var(0)))))
-                ty = App(motive, x)
-        return self._apply(ctx, ty, extra)
+                for arm, side, x, dom in zip((f, g), ("inl", "inr"), "ab", xa):
+                    self.check(ctx, arm, Pi(x, dom, _motive_at(
+                        shift(motive, 1), App(at_level(side), Var(0)))))
+                ty = _motive_at(motive, x)
+        return ty, extra
 
     # -- checking ----------------------------------------------------------
 
@@ -587,7 +605,7 @@ class Checker:
             h, a = spine(tyw)
             if (isinstance(h, Const) and h.name == _at_level("Sum", strict)
                     and len(a) == 2):
-                self.infer_sort(ctx, tyw)   # records/enforces FORM-+
+                self._on_checked(self.infer_sort, ctx, tyw)   # records FORM-+
                 self.check(ctx, args[0], a[family == "inr"])
                 return
         raise TypeError_(

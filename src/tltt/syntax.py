@@ -228,11 +228,12 @@ class Token:
 
 
 # Unnamed alternatives (blanks, comments) produce no token; `=s` followed by
-# a word character is `=` and a name; BAD is any other character.
+# a word character is `=` and a name; BAD is any other character.  An EXPECT
+# token's text is its whole comment, so it never reads as the word it names.
 _TOKEN_RE = re.compile(r"""
     (?P<NL>\n)
   | [ \t\r]+
-  | --![^\S\n]*expect:[^\S\n]*(?P<EXPECT>\S+)[^\n]*
+  | (?P<EXPECT>--![^\S\n]*expect:[^\S\n]*\S+[^\n]*)
   | --[^\n]*
   | (?P<PUNCT>:=|=>|->|=s(?!\w)|[=(),:])
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
@@ -287,30 +288,31 @@ class Parser:
         return t
 
     def err(self, msg: str, tok: Optional[Token] = None):
-        """Raise a syntax error at `tok`; at an annotation, a misplaced one."""
         tok = tok or self.peek()
-        if tok.kind == "EXPECT":
-            msg = "`--! expect:` must directly precede a `fail` declaration"
         raise SyntaxError_(msg, tok.line, tok.col, self.path)
 
-    def at(self, *texts: str) -> bool:
-        """Is the next token the keyword or punctuation of one of `texts`?"""
-        t = self.toks[self.pos]
-        return t.text in texts and t.kind in ("KW", "PUNCT")
-
     def expect(self, text: str) -> Token:
-        if not self.at(text):
-            self.err(f"expected {text!r}, found {self.peek().text!r}")
+        t = self.peek()
+        if t.text != text or t.kind == "EOF":
+            self.err(f"expected {text!r}, found {t.text!r}")
         return self.next()
 
     # -- terms ------------------------------------------------------------
 
     def term(self) -> Term:
         t = self.peek()
-        if not self.at("Pi", "Sig", "fun"):
-            return self.arrow()
-        self.next()
+        if t.text == "Pi" or t.text == "Sig":
+            self.next()
+            binders = self.binders()
+            self.expect(",")
+            body = self.term()
+            del self.scope[len(self.scope) - len(binders):]
+            ctor = Pi if t.text == "Pi" else Sig
+            for name, ty in reversed(binders):
+                body = ctor(name, ty, body)
+            return body
         if t.text == "fun":
+            self.next()
             names = []
             while self.peek().kind == "NAME":
                 names.append(self.next().text)
@@ -323,14 +325,7 @@ class Parser:
             for name in reversed(names):
                 body = Lam(name, body)
             return body
-        binders = self.binders()
-        self.expect(",")
-        body = self.term()
-        del self.scope[len(self.scope) - len(binders):]
-        ctor = Pi if t.text == "Pi" else Sig
-        for name, ty in reversed(binders):
-            body = ctor(name, ty, body)
-        return body
+        return self.arrow()
 
     def binders(self) -> list[tuple[str, Term]]:
         """Parse `(x y : T)+`, returning (name, type) pairs, and bind the names.
@@ -340,13 +335,13 @@ class Parser:
         it.  The caller unbinds the names.
         """
         out: list[tuple[str, Term]] = []
-        while self.at("("):
+        while self.peek().text == "(":
             save = self.pos
             self.next()
             names = []
             while self.peek().kind == "NAME":
                 names.append(self.next().text)
-            if not names or not self.at(":"):
+            if not names or self.peek().text != ":":
                 self.pos = save
                 break
             self.next()
@@ -361,7 +356,7 @@ class Parser:
 
     def arrow(self) -> Term:
         lhs = self.eq()
-        if self.at("->"):
+        if self.peek().text == "->":
             self.next()
             self.scope.append("_")
             rhs = self.term()
@@ -372,7 +367,7 @@ class Parser:
     def eq(self) -> Term:
         lhs = self.app()
         t = self.peek()
-        if self.at("=", "=s"):
+        if t.text in ("=", "=s"):
             self.next()
             rhs = self.app()
             return Eq(t.text == "=s", lhs, rhs)
@@ -381,7 +376,7 @@ class Parser:
     def app(self) -> Term:
         head = self.atom()
         if head is None:
-            self.err("expected a term")
+            self.err(f"expected a term, found {self.peek().text!r}")
         while True:
             save = self.pos
             arg = self.atom()
@@ -402,23 +397,24 @@ class Parser:
                 return Var(len(scope) - 1 - i)
             self.refs.append((name, t.line, t.col))
             return Const(name) if name in BUILTIN_CONSTS else Ref(name)
-        if not self.at("(", "U", "Us"):
-            return None
-        self.next()
-        if t.text != "(":
+        if t.text in ("U", "Us"):
+            self.next()
             lvl = self.peek()
             if lvl.kind != "NAT":
                 self.err("expected a universe level")
             self.next()
             return Univ(t.text == "U", int(lvl.text))
-        inner = self.term()
-        if self.at(":"):
+        if t.text == "(":
             self.next()
-            ty = self.term()
+            inner = self.term()
+            if self.peek().text == ":":
+                self.next()
+                ty = self.term()
+                self.expect(")")
+                return Ann(inner, ty)
             self.expect(")")
-            return Ann(inner, ty)
-        self.expect(")")
-        return inner
+            return inner
+        return None
 
     # -- declarations -----------------------------------------------------
 
@@ -428,12 +424,13 @@ class Parser:
         while self.peek().kind != "EOF":
             t = self.peek()
             if t.kind == "EXPECT":
-                pending_expect = t.text
+                pending_expect = t.text.split("expect:", 1)[1].split()[0]
                 self.next()
-                if not self.at("fail"):
-                    self.err("", t)     # `err` names the misplaced annotation
+                if self.peek().text != "fail":
+                    self.err("`--! expect:` must directly precede a `fail` "
+                             "declaration", t)
                 continue
-            if not self.at("def", "axiom", "check", "fail"):
+            if t.text not in ("def", "axiom", "check", "fail"):
                 self.err("expected a declaration (def/axiom/check/fail)")
             self.next()
             self.refs = []

@@ -133,11 +133,43 @@ class TestCheckedBeforeReduced:
         ("check (fun x => zero : Nat -> Nat) Nat : Nat\n", "CONV"),
         # a redex whose argument is dropped
         ("check (fun x => zero) (Nat : NatS) : Nat\n", "CONV"),
+        # ... and whose argument can only be checked, so it cannot be typed
+        ("check (fun x => zero) (pair zero zero) : Nat\n", "INFER"),
     ])
     def test_reduction_drops_nothing_unchecked(self, src, rule):
         rep = check_module(Checker(), resolve(parse(src, "m.tltt")))
         assert not rep.ok
         assert rep.records[-1]["rule"] == rule
+
+    P = "(Sig (n : Nat), Nat)"
+    G = (f"def g : Pi (h : {P} -> Nat) (x : {P}), h x = h x "
+         ":= fun h x => refl (h x)\n")
+    GP = "g (fun p => zero) (pair zero zero)"
+
+    @pytest.mark.parametrize("src", [
+        # J's result type at a pair, under a constant lambda motive
+        "check (fun x q => refl (J (fun y r => Nat) zero q)) : "
+        f"Pi (x : {P}) (q : x = pair zero zero), "
+        "J (fun y r => Nat) zero q = J (fun y r => Nat) zero q\n",
+        # types that substitution makes lambda redexes at a pair: the type
+        # of a term, the left side of an equation, J's scrutinee, and the
+        # argument of a neutral type
+        f"def f : Pi (B : {P} -> U 0) (x : {P}), B x -> B x := fun B x y => y\n"
+        "check refl (f (fun p => Nat) (pair zero zero) zero) : "
+        "f (fun p => Nat) (pair zero zero) zero = "
+        "f (fun p => Nat) (pair zero zero) zero\n",
+        f"{G}check refl ({GP}) : {GP} = {GP}\n",
+        f"{G}check J (fun y r => Nat) zero ({GP}) : Nat\n",
+        f"def G : Pi (B : Nat -> U 0) (h : {P} -> Nat) (x : {P}), "
+        "B (h x) -> B (h x) := fun B h x y => y\n"
+        "check fun B b => refl (G B (fun p => zero) (pair zero zero) b) : "
+        "Pi (B : Nat -> U 0) (b : B zero), "
+        "G B (fun p => zero) (pair zero zero) b = "
+        "G B (fun p => zero) (pair zero zero) b\n",
+    ])
+    def test_checked_terms_are_not_typed_again(self, src):
+        rep = check_module(Checker(), resolve(parse(src, "m.tltt")))
+        assert rep.ok, rep.error
 
 
 class TestRestrictions:

@@ -352,8 +352,7 @@ def diagram_nat_transforms(f: SetDiagram, g: SetDiagram) -> list[dict]:
     return solve(cells, [g.values[o] for o, _ in cells], constraints)
 
 
-def nat_key(t: dict):
-    return frozenset(t.items())
+nat_key = family_key
 
 
 def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
@@ -598,7 +597,7 @@ def random_diagram(rng: random.Random, c: FinInvCat,
 
 
 def _gen_target(c: FinInvCat, pos, gid):
-    for (x, y), arrows in c.homs.items():
-        if x == pos and ("p", (gid,)) in arrows:
-            return y
-    raise CategoryError(f"generator {gid!r} not found at {pos!r}")
+    g = ("p", (gid,))
+    if c.src.get(g) != pos:
+        raise CategoryError(f"generator {gid!r} not found at {pos!r}")
+    return c.dst[g]

@@ -1,10 +1,15 @@
 """Command line interface.
 
-Exit codes: 0 pass, 1 a check failed or the horn is unsupported, 2 usage,
-range, dimension, fixture, or I/O errors.  Commands raise; ``main`` alone
-maps an error to its code and, under ``--json``, prints it as the one JSON
-document on stdout, ``{"status": "error", "error": message}``.  Fixture
-errors name the JSON path that failed.  Diagnostics go to stderr.
+Each command returns a verdict ``(ok, doc, lines)`` or raises; ``main`` alone
+turns either into output and an exit code.  For a verdict it prints, under
+``--json``, ``doc`` as the one JSON document on stdout with ``"status"``
+(``"pass"`` or ``"fail"``) as its first key, and otherwise the human
+``lines`` followed by one ``COMMAND: pass|fail`` line; it exits 0 exactly
+when ``ok``.  Exit codes: 0 pass, 1 a check failed or the horn is
+unsupported, 2 usage, range, dimension, fixture, or I/O errors.  An error is
+printed on stderr and, under ``--json``, as the one JSON document
+``{"status": "error", "error": message}``.  Fixture errors name the JSON path
+that failed.  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -27,18 +32,12 @@ from .categories import (
     sset_to_diagram,
 )
 from .classifier import iter_classifier_elements, round_trip
-from .corpus import run_corpus
+from .corpus import check_file, run_corpus
 from .fixtures import FixtureError, load_fixture
 from .nerve import nerve, segal_report
-from .syntax import ResolveError, SyntaxError_, parse, resolve
 
-
-def _emit(args, doc: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2, default=str))
-    else:
-        for line in human_lines:
-            print(line)
+# (ok, the JSON document without its status, the human lines)
+Verdict = tuple[bool, dict, list[str]]
 
 
 def _at_least(low: int, name: str, value: int) -> int:
@@ -57,57 +56,44 @@ def _max_dim(args) -> int:
     return int(env)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Verdict:
     ck = kernel.Checker()
     reports = []
     for name in args.files:
-        path = pathlib.Path(name)
-        try:
-            mod = resolve(parse(path.read_text(), str(path)), set(ck.env))
-        except (SyntaxError_, ResolveError) as e:
-            print(str(e), file=sys.stderr)
-            reports.append({"path": str(path), "status": "fail",
-                            "error": str(e)})
-            continue
-        rep = kernel.check_module(ck, mod)
-        reports.append(rep.to_json())
-        if rep.error:
-            print(rep.error, file=sys.stderr)
-    ok = all(r["status"] == "pass" for r in reports)
-    _emit(args, {"status": "pass" if ok else "fail", "files": reports},
-          [f"{r['path']}: {r['status']}" for r in reports])
-    return 0 if ok else 1
+        reports.append(check_file(ck, pathlib.Path(name)))
+        if reports[-1].error:
+            print(reports[-1].error, file=sys.stderr)
+    files = [r.to_json() for r in reports]
+    return (all(r.ok for r in reports), {"files": files},
+            [f"{f['path']}: {f['status']}" for f in files])
 
 
-def cmd_corpus_run(args) -> int:
+def cmd_corpus_run(args) -> Verdict:
     root = pathlib.Path(args.dir) if args.dir else None
     if root is not None and not root.is_dir():
         raise NotADirectoryError(f"not a directory: {root}")
     report = run_corpus(root=root)
-    ok = report.ok and not report.coverage_gaps()
-    lines = [f"{r.path}: {'pass' if r.ok else 'fail'}"
-             for r in report.reports]
     for err in report.errors:
         print(err, file=sys.stderr)
-    lines += [f"coverage gap: {gap}" for gap in report.coverage_gaps()]
-    lines.append(f"corpus: {'pass' if ok else 'fail'}")
-    _emit(args, report.to_json(), lines)
-    return 0 if ok else 1
+    doc = report.to_json()
+    # the verdict also fails on coverage gaps; main states it
+    del doc["status"]
+    return (report.ok and not doc["coverage_gaps"], doc,
+            [f"{r.path}: {'pass' if r.ok else 'fail'}" for r in report.reports]
+            + [f"coverage gap: {gap}" for gap in doc["coverage_gaps"]])
 
 
-def cmd_horn_factor(args) -> int:
+def cmd_horn_factor(args) -> Verdict:
     n, k = args.n, args.k
     cap = _max_dim(args)
     if n > cap:
         raise simplex.DimensionError(f"dimension {n} exceeds the cap {cap}")
-    fac = simplex.factor_spine_to_horn(n, k)
-    doc = fac.to_json()
-    _emit(args, doc,
-          [f"spine({n}) -> horn({n},{k}): {doc['length']} removed cells, "
-           f"{len(doc['steps'])} pushout steps"]
-          + [f"  S={st['S']} h={st['h']} inner={st['inner']}"
-             for st in doc["steps"]])
-    return 0
+    doc = simplex.factor_spine_to_horn(n, k).to_json()
+    return (True, doc,
+            [f"spine({n}) -> horn({n},{k}): {doc['length']} removed cells, "
+             f"{len(doc['steps'])} pushout steps"]
+            + [f"  S={st['S']} h={st['h']} inner={st['inner']}"
+               for st in doc["steps"]])
 
 
 def _fixture_sset(args, depth: int):
@@ -119,7 +105,7 @@ def _fixture_sset(args, depth: int):
     raise FixtureError("top level", "needs an 'sset' or a 'category'")
 
 
-def cmd_yoneda(args) -> int:
+def cmd_yoneda(args) -> Verdict:
     depth = min(3, _max_dim(args))
     x = _fixture_sset(args, depth)
     checks = []
@@ -138,14 +124,13 @@ def cmd_yoneda(args) -> int:
         checks.append({"n": n, "nat_full": len(nats),
                        "cells": len(x.levels[n]), "yoneda_bijective": bij,
                        "nat_boundary": len(bnats), "matching": len(families)})
-    _emit(args, {"status": "pass" if ok else "fail", "checks": checks},
-          [f"n={c_['n']}: Nat(full)={c_['nat_full']} cells={c_['cells']} "
-           f"Nat(boundary)={c_['nat_boundary']} matching={c_['matching']}"
-           for c_ in checks] + [f"yoneda: {'pass' if ok else 'fail'}"])
-    return 0 if ok else 1
+    return (ok, {"checks": checks},
+            [f"n={c_['n']}: Nat(full)={c_['nat_full']} cells={c_['cells']} "
+             f"Nat(boundary)={c_['nat_boundary']} matching={c_['matching']}"
+             for c_ in checks])
 
 
-def cmd_limits(args) -> int:
+def cmd_limits(args) -> Verdict:
     _at_least(1, "--seeds", args.seeds)
     base_seed = args.seed or 0
     results = []
@@ -157,26 +142,20 @@ def cmd_limits(args) -> int:
         recursive = {family_key(f) for f in limit_recursive(diagram)}
         results.append({"seed": base_seed + i, "size": len(direct),
                         "agree": direct == recursive})
-    ok = all(r["agree"] for r in results)
-    _emit(args, {"status": "pass" if ok else "fail", "runs": results},
-          [f"seed {r['seed']}: limit size {r['size']} "
-           f"{'agree' if r['agree'] else 'DISAGREE'}" for r in results]
-          + [f"limits: {'pass' if ok else 'fail'}"])
-    return 0 if ok else 1
+    return (all(r["agree"] for r in results), {"runs": results},
+            [f"seed {r['seed']}: limit size {r['size']} "
+             f"{'agree' if r['agree'] else 'DISAGREE'}" for r in results])
 
 
-def cmd_segal(args) -> int:
+def cmd_segal(args) -> Verdict:
     depth = min(_at_least(0, "--levels", args.levels), _max_dim(args))
     x = _fixture_sset(args, depth)
     top = min(depth, x.truncation)
     verdicts = segal_report(x, top)
-    ok = all(v.bijective for v in verdicts)
-    _emit(args, {"status": "pass" if ok else "fail",
-                 "levels": [v.to_json() for v in verdicts]},
-          [f"n={v.n}: cells={v.cells} spines={v.spines} "
-           f"bijective={v.bijective}" for v in verdicts]
-          + [f"segal: {'pass' if ok else 'fail'}"])
-    return 0 if ok else 1
+    return (all(v.bijective for v in verdicts),
+            {"levels": [v.to_json() for v in verdicts]},
+            [f"n={v.n}: cells={v.cells} spines={v.spines} "
+             f"bijective={v.bijective}" for v in verdicts])
 
 
 _LABELS = "abcdefgh"
@@ -191,7 +170,7 @@ def _universe(max_card: int) -> list[tuple]:
     return [tuple(_LABELS[:c]) for c in range(max_card + 1)]
 
 
-def cmd_classifier(args) -> int:
+def cmd_classifier(args) -> Verdict:
     n = args.n
     if n < 0 or n > _max_dim(args):
         raise ValueError(f"stage {n} out of range")
@@ -206,15 +185,13 @@ def cmd_classifier(args) -> int:
     trips = (round_trip(ambient, x, base)
              for x in iter_classifier_elements(ambient, n, base, universe))
     failures = [rt.to_json() for rt in trips if not rt.ok]
-    ok = not failures
-    _emit(args, {"status": "pass" if ok else "fail", "n": n,
-                 "count": count, "round_trip_failures": failures},
-          [f"stage {n}: {count} elements",
-           f"round trips: {'pass' if ok else 'fail'}"])
-    return 0 if ok else 1
+    return (not failures,
+            {"n": n, "count": count, "round_trip_failures": failures},
+            [f"stage {n}: {count} elements, "
+             f"{len(failures)} round-trip failures"])
 
 
-def cmd_exponential(args) -> int:
+def cmd_exponential(args) -> Verdict:
     fx = load_fixture(args.fixture)
     if "F" not in fx.diagrams or "G" not in fx.diagrams:
         raise FixtureError("diagrams", "must define diagrams F and G")
@@ -231,15 +208,12 @@ def cmd_exponential(args) -> int:
             for u in f.values[d]:
                 out[(d, u)] = table[(d, (u, cat.identity[d]))]
         image.add(nat_key(out))
-    ok = (len(lim) == len(nats) == len(image)
-          and image == {nat_key(t) for t in nats})
-    _emit(args, {"status": "pass" if ok else "fail",
-                 "limit": len(lim), "nat": len(nats),
-                 "exponential_sizes": {str(d): len(v)
-                                       for d, v in exp.values.items()}},
-          [f"lim [F,G] = {len(lim)}, Nat(F,G) = {len(nats)}",
-           f"exponential: {'pass' if ok else 'fail'}"])
-    return 0 if ok else 1
+    return (len(lim) == len(nats) == len(image)
+            and image == {nat_key(t) for t in nats},
+            {"limit": len(lim), "nat": len(nats),
+             "exponential_sizes": {str(d): len(v)
+                                   for d, v in exp.values.items()}},
+            [f"lim [F,G] = {len(lim)}, Nat(F,G) = {len(nats)}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,10 +313,17 @@ def main(argv=None) -> int:
         print(head, file=sys.stderr)
         return _fail("--json" in argv, message, 2)
     try:
-        return args.func(args)
+        ok, doc, lines = args.func(args)
+        status = "pass" if ok else "fail"
+        if args.json:
+            print(json.dumps({"status": status, **doc}, indent=2, default=str))
+        else:
+            command = getattr(args, "lab_command", args.command)
+            print(*lines, f"{command}: {status}", sep="\n")
     except (OSError, ValueError) as e:
         return _fail(args.json, str(e),
                      1 if isinstance(e, simplex.UnsupportedHorn) else 2)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

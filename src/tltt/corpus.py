@@ -2,9 +2,11 @@
 
 Layout: ``corpus/prelude/*.tltt`` (checked in filename order into one shared
 environment), ``corpus/tests/pass/*.tltt`` and ``corpus/tests/fail/*.tltt``
-(each checked on top of a copy of the prelude environment).  ``fail`` files
-annotate each expected rejection with ``--! expect: RULE`` and the runner
-matches the fired rule against the annotation.
+(each checked on top of a copy of the prelude environment); a prelude file
+that fails stops the run.  ``fail`` files annotate each expected rejection
+with ``--! expect: RULE`` and the runner matches the fired rule against the
+annotation.  ``check_file`` parses, links and checks every file, here and
+for ``tltt check``; a syntax or name error becomes the file's report error.
 """
 
 from __future__ import annotations
@@ -28,35 +30,25 @@ def corpus_files(root: Optional[pathlib.Path] = None) -> list[pathlib.Path]:
             + sorted((root / "tests" / "fail").glob("*.tltt")))
 
 
-def load_module(path: pathlib.Path, known: set[str]) -> Module:
-    return resolve(parse(path.read_text(), str(path)), known)
+def check_file(checker: Checker, path: pathlib.Path) -> Report:
+    """Parse, link and check one file into `checker`'s environment.  A
+    syntax or name error becomes the report's `error`."""
+    try:
+        mod = resolve(parse(path.read_text(), str(path)), set(checker.env))
+    except (SyntaxError_, ResolveError) as e:
+        return Report(str(path), [], error=str(e))
+    return check_module(checker, mod)
 
 
-def prelude_checker(options: Optional[KernelOptions] = None,
-                    root: Optional[pathlib.Path] = None
-                    ) -> tuple[Checker, list[Report]]:
+def prelude_checker() -> tuple[Checker, list[Report]]:
     """Check all prelude files into a fresh environment."""
-    root = root or CORPUS_ROOT
-    ck = Checker(options=options)
+    ck = Checker()
     reports = []
-    for p in sorted((root / "prelude").glob("*.tltt")):
-        mod = load_module(p, set(ck.env))
-        rep = check_module(ck, mod)
-        reports.append(rep)
-        if not rep.ok:
+    for p in sorted((CORPUS_ROOT / "prelude").glob("*.tltt")):
+        reports.append(check_file(ck, p))
+        if not reports[-1].ok:
             break
     return ck, reports
-
-
-def prelude_definitions() -> Module:
-    """The checked base-library module."""
-    path = CORPUS_ROOT / "prelude" / "01_base.tltt"
-    mod = load_module(path, set())
-    ck = Checker()
-    rep = check_module(ck, mod)
-    if not rep.ok:
-        raise RuntimeError(rep.error)
-    return mod
 
 
 @dataclass
@@ -109,39 +101,21 @@ class CorpusReport:
 def run_corpus(paths: Optional[list[pathlib.Path]] = None,
                options: Optional[KernelOptions] = None,
                root: Optional[pathlib.Path] = None) -> CorpusReport:
-    """Check prelude files into a shared environment, then every other file
-    on a copy of it.  `paths` defaults to the shipped corpus."""
-    root = root or CORPUS_ROOT
+    """Check prelude files into a shared environment, stopping at the first
+    that fails, then every other file on a copy of it.  `paths` defaults to
+    the corpus under `root`, the shipped one by default."""
     out = CorpusReport()
-    if paths is None:
-        paths = corpus_files(root)
-    if not paths:
-        return out
-    prelude_paths = [p for p in paths if p.parent.name == "prelude"]
-    other_paths = [p for p in paths if p.parent.name != "prelude"]
     base = Checker(options=options)
-    for p in sorted(prelude_paths):
-        try:
-            mod = load_module(p, set(base.env))
-        except (SyntaxError_, ResolveError) as e:
-            out.errors.append(str(e))
-            return out
-        rep = check_module(base, mod)
-        out.reports.append(rep)
-        if not rep.ok:
-            out.errors.append(rep.error or f"{p}: failed")
-            return out
-    for p in sorted(other_paths):
-        ck = Checker(env=base.env, options=options)
-        try:
-            mod = load_module(p, set(ck.env))
-        except (SyntaxError_, ResolveError) as e:
-            out.errors.append(str(e))
-            continue
-        rep = check_module(ck, mod)
+    for p in sorted(corpus_files(root) if paths is None else paths,
+                    key=lambda p: (p.parent.name != "prelude", p)):
+        ck = (base if p.parent.name == "prelude"
+              else Checker(env=base.env, options=options))
+        rep = check_file(ck, p)
         out.reports.append(rep)
         if rep.error:
             out.errors.append(rep.error)
+            if ck is base:
+                break
     return out
 
 

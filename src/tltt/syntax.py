@@ -554,6 +554,10 @@ def print_term(t: Term, names: Optional[list[str]] = None,
 
         match t:
             case Var(i):
+                if i >= len(ctx):
+                    raise ValueError(
+                        f"variable {i} has no name in a context of "
+                        f"{len(ctx)}")
                 return ctx[len(ctx) - 1 - i]
             case Ref(n) | Const(n):
                 return n
@@ -561,7 +565,8 @@ def print_term(t: Term, names: Optional[list[str]] = None,
                 return wrap(f"{'U' if fib else 'Us'} {lvl}", _PREC_ATOM)
             case Pi(x, a, b):
                 if not uses_var(b):
-                    s = f"{go(a, ctx, _PREC_EQ)} -> {go(shift(b, -1, 1), ctx, _PREC_ARROW)}"
+                    # Var 0 is unused in b and `_fresh` never picks "_"
+                    s = f"{go(a, ctx, _PREC_EQ)} -> {go(b, ctx + ['_'], _PREC_ARROW)}"
                     return wrap(s, _PREC_ARROW)
                 x = _fresh(x, set(ctx) | avoid)
                 s = f"Pi ({x} : {go(a, ctx, _PREC_TERM)}), {go(b, ctx + [x], _PREC_TERM)}"
@@ -593,7 +598,6 @@ def print_term(t: Term, names: Optional[list[str]] = None,
                 return f"({go(tm, ctx, _PREC_TERM)} : {go(ty, ctx, _PREC_TERM)})"
         raise AssertionError(t)
 
-    # a Pi printed as an arrow drops the binder; guard against a used Var 0
     return go(t, names, _PREC_TERM)
 
 

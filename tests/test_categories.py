@@ -113,6 +113,22 @@ class TestValidation:
             random_diagram(rng, semisimplex_category(2).truncate_below(2))
         assert rng.getstate() == state     # refused before any draw
 
+    def test_random_diagram_needs_generators_to_be_arrows(self):
+        # ("p", ("g", "h")) is a path whose generators are not arrows
+        ids = {"x": ("id", "x"), "y": ("id", "y")}
+        path = ("p", ("g", "h"))
+        cat = FinInvCat(
+            ("x", "y"),
+            {("x", "x"): (ids["x"],), ("y", "y"): (ids["y"],),
+             ("x", "y"): (path,)},
+            {(ids["x"], ids["x"]): ids["x"], (ids["y"], ids["y"]): ids["y"],
+             (path, ids["x"]): path, (ids["y"], path): path},
+            ids, rank={"x": 1, "y": 0})
+        cat.validate()
+        # seed 0 gives both objects values, so the path is walked
+        with pytest.raises(CategoryError, match="generator 'g' not found"):
+            random_diagram(random.Random(0), cat)
+
     def test_random_instances_validate(self):
         for seed in range(20):
             rng = random.Random(seed)

@@ -367,8 +367,10 @@ def fuzz_dir(tmp_path_factory):
          as_json=True)
 @example(case=("check", b"check (fun A => fun y => y) : Pi (A : U 0), A\n"),
          as_json=True)
+@example(case=("corpus", b""), as_json=True)
 def test_contract_holds_on_any_input(fuzz_dir, case, as_json):
-    """Exit code 0, 1 or 2, no traceback, one JSON document under --json."""
+    """Exit code 0, 1 or 2, no traceback, one JSON document under --json
+    whose status is "pass" exactly when the exit code is 0."""
     kind, data = case
     source = fuzz_dir / "corpus" / "prelude" / "input.tltt"
     fixture = fuzz_dir / "input.json"
@@ -388,4 +390,4 @@ def test_contract_holds_on_any_input(fuzz_dir, case, as_json):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if as_json:
-        json.loads(out.getvalue())
+        assert (json.loads(out.getvalue())["status"] == "pass") == (code == 0)

@@ -6,7 +6,7 @@ import pytest
 
 from tltt.corpus import (
     CORPUS_ROOT, CorpusReport, corpus_files, module_dependencies,
-    prelude_definitions, run_corpus, transitive_deps,
+    prelude_checker, run_corpus, transitive_deps,
 )
 from tltt.kernel import KernelOptions, RESTRICTED_RULES, RULES
 from tltt.syntax import parse, resolve
@@ -87,6 +87,6 @@ class TestTheorem:
 
 class TestPrelude:
     def test_prelude_definitions_load(self):
-        mod = prelude_definitions()
-        names = {d.name for d in mod.decls if d.name}
-        assert {"transport", "ap", "isSet", "isContr"} <= names
+        ck, reports = prelude_checker()
+        assert reports and all(r.ok for r in reports)
+        assert {"transport", "ap", "isSet", "isContr"} <= set(ck.env)

@@ -171,6 +171,19 @@ class TestPrinter:
     def test_nondependent_pi_prints_as_arrow(self):
         assert print_term(rt("Nat -> Nat")) == "Nat -> Nat"
 
+    @pytest.mark.parametrize("term, names, index", [
+        (App(Var(0), Var(1)), ["a"], 1),
+        (Var(3), ["a"], 3),
+        (Pi("x", Const("Nat"), Var(1)), [], 1),
+    ])
+    def test_unnamed_variable_is_an_error(self, term, names, index):
+        with pytest.raises(ValueError, match=f"variable {index} has no name"):
+            print_term(term, names)
+
+    def test_free_variables_print_by_their_names(self):
+        term = Pi("x", App(Var(0), Var(1)), Var(2))
+        assert print_term(term, ["b", "a"]) == "a b -> b"
+
     def test_corpus_roundtrip(self):
         """Printing any shipped module and reparsing is the identity."""
         known: set = set()

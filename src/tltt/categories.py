@@ -31,29 +31,36 @@ class FinCat:
     """A finite category given by explicit tables.
 
     ``homs[(x, y)]`` lists arrow ids from x to y (identities included);
-    ``compose[(g, f)]`` is g after f.
+    ``compose[(g, f)]`` is g after f.  ``src``, ``dst`` and the
+    ``out_of`` index are derived from ``homs`` once, when it is built.
     """
 
     objects: tuple
     homs: dict
     compose: dict
     identity: dict
-    src: dict = field(default_factory=dict)
-    dst: dict = field(default_factory=dict)
+    src: dict = field(init=False)
+    dst: dict = field(init=False)
+    outgoing: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.src:
-            for (x, y), arrows in self.homs.items():
-                for a in arrows:
-                    self.src[a] = x
-                    self.dst[a] = y
+        self.src, self.dst, self.outgoing = {}, {}, {}
+        ids = set(self.identity.values())
+        for (x, y), arrows in self.homs.items():
+            for a in arrows:
+                self.src[a] = x
+                self.dst[a] = y
+                if a not in ids:
+                    self.outgoing.setdefault(x, []).append(a)
+        for x, arrows in self.outgoing.items():
+            self.outgoing[x] = tuple(sorted(arrows, key=str))
 
     def arrows(self) -> list:
         return [a for hom in self.homs.values() for a in hom]
 
-    def non_identity_arrows(self) -> list:
-        ids = set(self.identity.values())
-        return [a for a in self.arrows() if a not in ids]
+    def out_of(self, x) -> tuple:
+        """The non-identity arrows out of x, in ``str`` order."""
+        return self.outgoing.get(x, ())
 
     def hom(self, x, y) -> tuple:
         return self.homs.get((x, y), ())
@@ -76,11 +83,10 @@ class FinCat:
                 raise CategoryError(
                     f"compose defined for non-composable ({g!r}, {f!r})")
         arrows = self.arrows()
-        out_of: dict = {}       # object -> arrows with that source
-        for a in arrows:
-            out_of.setdefault(self.src[a], []).append(a)
+        all_out = {x: (self.identity[x],) + self.out_of(x)
+                   for x in self.objects}
         for f in arrows:
-            for g in out_of.get(self.dst[f], ()):
+            for g in all_out.get(self.dst[f], ()):
                 h = self.compose.get((g, f))
                 if h is None:
                     raise CategoryError(f"compose missing for ({g!r}, {f!r})")
@@ -94,9 +100,9 @@ class FinCat:
             if self.compose[(f, self.identity[self.src[f]])] != f:
                 raise CategoryError(f"right unit law fails at {f!r}")
         for f in arrows:
-            for g in out_of.get(self.dst[f], ()):
+            for g in all_out.get(self.dst[f], ()):
                 gf = self.compose[(g, f)]
-                for h in out_of.get(self.dst[g], ()):
+                for h in all_out.get(self.dst[g], ()):
                     if (self.compose[(h, gf)]
                             != self.compose[(self.compose[(h, g)], f)]):
                         raise CategoryError(
@@ -116,14 +122,12 @@ class FinInvCat(FinCat):
                 raise CategoryError(f"missing rank for object {x!r}")
             if self.rank[x] < 0:
                 raise CategoryError(f"negative rank at {x!r}")
-        ids = set(self.identity.values())
-        for a in self.arrows():
-            if a in ids:
-                continue
-            if self.rank[self.dst[a]] >= self.rank[self.src[a]]:
-                raise CategoryError(
-                    f"arrow {a!r}: {self.src[a]!r} -> {self.dst[a]!r} does "
-                    f"not strictly decrease rank")
+        for x in self.objects:
+            for a in self.out_of(x):
+                if self.rank[self.dst[a]] >= self.rank[x]:
+                    raise CategoryError(
+                        f"arrow {a!r}: {x!r} -> {self.dst[a]!r} does "
+                        f"not strictly decrease rank")
 
     def without_object(self, z) -> "FinInvCat":
         objs = tuple(o for o in self.objects if o != z)
@@ -145,6 +149,16 @@ class FinInvCat(FinCat):
         return out
 
 
+def _compose_all(homs: dict, comp) -> dict:
+    """The composition table: ``comp(g, f)`` for every composable pair,
+    ordered by f's hom-set, then f, then g's hom-set and g."""
+    out_of: dict = {}
+    for (x, _), arrows in homs.items():
+        out_of.setdefault(x, []).extend(arrows)
+    return {(g, f): comp(g, f) for (_, y), arrows in homs.items()
+            for f in arrows for g in out_of.get(y, ())}
+
+
 def reduced_coslice(c: FinInvCat, x) -> FinInvCat:
     """Non-identity arrows out of x, as an inverse category.
 
@@ -153,10 +167,8 @@ def reduced_coslice(c: FinInvCat, x) -> FinInvCat:
     The base object and base arrow are recoverable as ``c.dst[f]`` and the
     second component.
     """
-    objs = tuple(sorted((a for a in c.non_identity_arrows()
-                         if c.src[a] == x), key=str))
+    objs = c.out_of(x)
     homs: dict = {}
-    compose: dict = {}
     identity: dict = {}
     rank = {f: c.rank[c.dst[f]] for f in objs}
     for f in objs:
@@ -166,11 +178,8 @@ def reduced_coslice(c: FinInvCat, x) -> FinInvCat:
             if arrows:
                 homs[(f, g)] = arrows
         identity[f] = (f, c.identity[c.dst[f]])
-    for (f, g), arrows in homs.items():
-        for (_, h1) in arrows:
-            for g2 in objs:
-                for (_, h2) in homs.get((g, g2), ()):
-                    compose[((g, h2), (f, h1))] = (f, c.compose[(h2, h1)])
+    compose = _compose_all(
+        homs, lambda gh, fh: (fh[0], c.compose[(gh[1], fh[1])]))
     return FinInvCat(objs, homs, compose, identity, rank=rank)
 
 
@@ -280,14 +289,19 @@ def family_key(fam: dict):
     return frozenset(fam.items())
 
 
+def boundary(x: SetDiagram, z, v) -> dict:
+    """The matching family of v in X_z: X(f)(v) for each f out of z."""
+    return {f: x.action[f][v] for f in x.cat.out_of(z)}
+
+
 def matching_object(x: SetDiagram, z, ambient: Optional[FinInvCat] = None
                     ) -> tuple[list[dict], dict]:
     """Matching object at z: the limit of X over the reduced coslice of z.
 
     Returns the matching families (dicts keyed by coslice objects, i.e.
     non-identity arrows out of z) and the canonical projection from X_z
-    (as a dict X_z-element -> family); when ``ambient`` is given the coslice
-    is taken there (used when z itself lies outside X's base).
+    (as a dict X_z-element -> its ``boundary``); when ``ambient`` is given
+    the coslice is taken there (used when z itself lies outside X's base).
     """
     c = ambient or x.cat
     cos = reduced_coslice(c, z)
@@ -296,18 +310,17 @@ def matching_object(x: SetDiagram, z, ambient: Optional[FinInvCat] = None
     for (f, h) in cos.arrows():
         action[(f, h)] = x.action[h] if h not in c.identity.values() \
             else {v: v for v in values[f]}
-    diagram = SetDiagram(cos, values, action)
-    families = limit_direct(diagram)
-    projection = {}
-    if z in x.values:
-        for v in x.values[z]:
-            projection[v] = {f: x.action[f][v] for f in cos.objects}
-    return families, projection
+    families = limit_direct(SetDiagram(cos, values, action))
+    return families, {v: boundary(x, z, v) for v in x.values.get(z, ())}
 
 
 def limit_recursive(x: SetDiagram) -> list[dict]:
     """Limit by recursion on rank: remove a maximal-rank object z and pull
-    back the remaining limit against X_z over the matching object at z."""
+    back the remaining limit against X_z over the matching object at z.
+
+    The pullback keeps a family of the rest together with v in X_z when the
+    boundary of v equals the family the rest induces on the arrows out of
+    z; the matching object itself is never enumerated."""
     c = x.cat
     if not isinstance(c, FinInvCat):
         raise CategoryError("recursive limits need an inverse category")
@@ -315,20 +328,12 @@ def limit_recursive(x: SetDiagram) -> list[dict]:
         return [{}]
     top = max(c.rank[o] for o in c.objects)
     z = min((o for o in c.objects if c.rank[o] == top), key=str)
-    rest = c.without_object(z)
-    sub = limit_recursive(x.restrict(rest))
-    families, projection = matching_object(x, z)
-    cos_objects = sorted((a for a in c.non_identity_arrows()
-                          if c.src[a] == z), key=str)
+    sub = limit_recursive(x.restrict(c.without_object(z)))
+    bounds = [(v, boundary(x, z, v)) for v in x.values[z]]
     out = []
     for fam in sub:
-        induced = {f: fam[c.dst[f]] for f in cos_objects}
-        key = family_key(induced)
-        for v in x.values[z]:
-            if family_key(projection[v]) == key:
-                full = dict(fam)
-                full[z] = v
-                out.append(full)
+        induced = {f: fam[c.dst[f]] for f in c.out_of(z)}
+        out.extend({**fam, z: v} for v, b in bounds if b == induced)
     return out
 
 
@@ -452,17 +457,8 @@ def semisimplex_category(n: int) -> FinInvCat:
             if arrows:
                 homs[(k, j)] = arrows
         identity[k] = ("m", k, tuple(range(k + 1)))
-    compose = {}
-    for (k, j), arrows in homs.items():
-        for a in arrows:
-            fa = MonoMap(k, a[2])
-            for (j2, i), arrows2 in homs.items():
-                if j2 != j:
-                    continue
-                for b in arrows2:
-                    fb = MonoMap(j, b[2])
-                    comp = compose_mono(fa, fb)
-                    compose[(b, a)] = ("m", k, comp.image)
+    compose = _compose_all(homs, lambda b, a: ("m", a[1], compose_mono(
+        MonoMap(a[1], a[2]), MonoMap(b[1], b[2])).image))
     rank = {k: k for k in objects}
     return FinInvCat(objects, homs, compose, identity, rank=rank)
 
@@ -529,24 +525,14 @@ def _free_category(objects, rank, gens) -> Optional[FinInvCat]:
                 arrows = (identity[x],) + arrows
             if arrows:
                 homs[(x, y)] = arrows
-    compose = {}
-    for (x, y), arrows in homs.items():
-        for f in arrows:
-            for (y2, z), arrows2 in homs.items():
-                if y2 != y:
-                    continue
-                for g in arrows2:
-                    compose[(g, f)] = _concat(f, g, x, z, identity)
-    return FinInvCat(tuple(objects), homs, compose, identity, rank=dict(rank))
+    return FinInvCat(tuple(objects), homs, _compose_all(homs, _concat),
+                     identity, rank=dict(rank))
 
 
-def _concat(f, g, x, z, identity):
-    fp = f[1] if f[0] == "p" else ()
-    gp = g[1] if g[0] == "p" else ()
-    path = fp + gp
-    if not path:
-        return identity[x]
-    return ("p", path)
+def _concat(g, f):
+    """g after f on paths: f's generators, then g's."""
+    path = (f[1] if f[0] == "p" else ()) + (g[1] if g[0] == "p" else ())
+    return ("p", path) if path else f
 
 
 def random_diagram(rng: random.Random, c: FinInvCat,
@@ -569,10 +555,11 @@ def random_diagram(rng: random.Random, c: FinInvCat,
     changed = True
     while changed:
         changed = False
-        for a in c.non_identity_arrows():
-            if not values[c.dst[a]] and values[c.src[a]]:
-                values[c.src[a]] = ()
-                changed = True
+        for x in c.objects:
+            for a in c.out_of(x):
+                if not values[c.dst[a]] and values[x]:
+                    values[x] = ()
+                    changed = True
     gen_action: dict = {}
     action: dict = {}
     for a in c.arrows():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .categories import (
-    CategoryError, DiagramMap, FinInvCat, SetDiagram, family_key,
+    CategoryError, DiagramMap, FinInvCat, SetDiagram, boundary, family_key,
     matching_object,
 )
 
@@ -42,12 +42,6 @@ class ClassifierElement:
     choices: tuple   # tuple of tuples of (key, value-set) pairs
 
 
-def _boundary(diagram: SetDiagram, c: FinInvCat, i, x) -> dict:
-    """The matching family of x in diagram at i (all arrows out of i)."""
-    cos_objects = [a for a in c.non_identity_arrows() if c.src[a] == i]
-    return {f: diagram.action[f][x] for f in cos_objects}
-
-
 def _push_family(fam: dict, components: dict, c: FinInvCat) -> dict:
     return {f: components[c.dst[f]][v] for f, v in fam.items()}
 
@@ -64,9 +58,9 @@ def _stage_keys(c: FinInvCat, x: ClassifierElement, base: SetDiagram,
             continue
         families, _ = matching_object(diagram, i, ambient=c)
         for b in base.values[i]:
-            b_key = family_key(_boundary(base, c, i, b))
+            b_family = boundary(base, i, b)
             for m in families:
-                if family_key(_push_family(m, p.components, c)) == b_key:
+                if _push_family(m, p.components, c) == b_family:
                     keys.append((i, b, family_key(m)))
     return keys
 
@@ -157,7 +151,7 @@ def extract(c: FinInvCat, n: int, diagram: SetDiagram, p: DiagramMap,
             grouped: dict = {}
             for v in diagram.values[i]:
                 b = p.components[i][v]
-                fam = _boundary(diagram, c, i, v)
+                fam = boundary(diagram, i, v)
                 moved = family_key(_push_family(fam, eta, c))
                 grouped.setdefault((b, moved), []).append(v)
             for (b, mkey), fibre in grouped.items():

@@ -9,7 +9,8 @@ when ``ok``.  Exit codes: 0 pass, 1 a check failed or the horn is
 unsupported, 2 usage, range, dimension, fixture, or I/O errors.  An error is
 printed on stderr and, under ``--json``, as the one JSON document
 ``{"status": "error", "error": message}``.  Fixture errors name the JSON path
-that failed.  Diagnostics go to stderr.
+that failed.  Diagnostics go to stderr.  When stdout is closed early, only
+the error line is printed, on stderr, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -76,9 +77,7 @@ def cmd_corpus_run(args) -> Verdict:
     for err in report.errors:
         print(err, file=sys.stderr)
     doc = report.to_json()
-    # the verdict also fails on coverage gaps; main states it
-    del doc["status"]
-    return (report.ok and not doc["coverage_gaps"], doc,
+    return (doc["status"] == "pass", doc,
             [f"{r.path}: {'pass' if r.ok else 'fail'}" for r in report.reports]
             + [f"coverage gap: {gap}" for gap in doc["coverage_gaps"]])
 
@@ -283,10 +282,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _print(text: str, code: int) -> int:
+    """Print text on stdout and return code, or, when stdout is closed, say
+    so on stderr and return 2."""
+    try:
+        # print writes the newline on its own: when stdout is unbuffered, a
+        # write that a closed pipe cuts short returns quietly, the next fails
+        print(text, flush=True)
+    except OSError as e:
+        # what is still buffered goes to the null device at exit, quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(e, file=sys.stderr)
+        return 2
+    return code
+
+
 def _fail(as_json: bool, message: str, code: int) -> int:
     print(message, file=sys.stderr)
     if as_json:
-        print(json.dumps({"status": "error", "error": message}))
+        return _print(json.dumps({"status": "error", "error": message}), code)
     return code
 
 
@@ -304,10 +320,10 @@ def main(argv=None) -> int:
             text = help_text.getvalue()
             if "--json" in argv:
                 sys.stderr.write(text)
-                print(json.dumps({"status": "pass", "help": text}))
+                text = json.dumps({"status": "pass", "help": text})
             else:
-                sys.stdout.write(text)
-            return 0
+                text = text.removesuffix("\n")     # print adds it back
+            return _print(text, 0)
         # argparse printed its usage, then "tltt: error: MESSAGE"
         head, _, message = usage.getvalue().rstrip().rpartition("\n")
         print(head, file=sys.stderr)
@@ -316,14 +332,14 @@ def main(argv=None) -> int:
         ok, doc, lines = args.func(args)
         status = "pass" if ok else "fail"
         if args.json:
-            print(json.dumps({"status": status, **doc}, indent=2, default=str))
+            text = json.dumps({"status": status, **doc}, indent=2, default=str)
         else:
             command = getattr(args, "lab_command", args.command)
-            print(*lines, f"{command}: {status}", sep="\n")
+            text = "\n".join([*lines, f"{command}: {status}"])
     except (OSError, ValueError) as e:
         return _fail(args.json, str(e),
                      1 if isinstance(e, simplex.UnsupportedHorn) else 2)
-    return 0 if ok else 1
+    return _print(text, 0 if ok else 1)
 
 
 if __name__ == "__main__":

@@ -58,6 +58,8 @@ class CorpusReport:
 
     @property
     def ok(self) -> bool:
+        """No file failed.  Coverage gaps do not count here (an empty path
+        list is ok); they do fail ``to_json()["status"]``."""
         return not self.errors and all(r.ok for r in self.reports)
 
     def coverage(self) -> dict[str, dict[str, list[str]]]:
@@ -89,12 +91,13 @@ class CorpusReport:
         return gaps
 
     def to_json(self) -> dict:
+        gaps = self.coverage_gaps()
         return {
-            "status": "pass" if self.ok else "fail",
+            "status": "pass" if self.ok and not gaps else "fail",
             "files": [r.to_json() for r in self.reports],
             "errors": self.errors,
             "coverage": self.coverage(),
-            "coverage_gaps": self.coverage_gaps(),
+            "coverage_gaps": gaps,
         }
 
 

@@ -161,6 +161,17 @@ class TestCoslice:
             assert h == c.compose[(h2, h1)]
 
 
+class TestOutgoingArrows:
+    @pytest.mark.parametrize("seed", [None, *range(30)])
+    def test_out_of_is_the_scan_of_the_hom_sets(self, seed):
+        c = (semisimplex_category(3) if seed is None
+             else random_inverse_category(random.Random(seed)))
+        for x in c.objects:
+            scan = [a for (s, _), hom in c.homs.items() if s == x
+                    for a in hom if a != c.identity[x]]
+            assert c.out_of(x) == tuple(sorted(scan, key=str))
+
+
 class TestLimits:
     def test_cospan_limit_is_the_pullback(self, cospan):
         _, x = cospan
@@ -192,6 +203,25 @@ class TestLimits:
         d = random_diagram(rng, cat)
         assert {family_key(f) for f in limit_direct(d)} == \
             {family_key(f) for f in limit_recursive(d)}
+
+
+    def test_recursive_oracle_runs_without_the_solver(self, monkeypatch):
+        """On criterion 5's seeds limit_recursive still agrees with
+        limit_direct when neither the solver nor limit_direct can run."""
+        diagrams = []
+        for seed in range(200):
+            rng = random.Random(seed)
+            cat = random_inverse_category(rng, max_objects=5, max_hom=3)
+            diagrams.append(random_diagram(rng, cat, max_card=4))
+        direct = [{family_key(f) for f in limit_direct(d)} for d in diagrams]
+
+        def refuse(*args):
+            raise AssertionError("limit_recursive reached the solver")
+
+        monkeypatch.setattr(tltt.categories, "solve", refuse)
+        monkeypatch.setattr(tltt.categories, "limit_direct", refuse)
+        for d, want in zip(diagrams, direct):
+            assert {family_key(f) for f in limit_recursive(d)} == want
 
 
 class TestMatchingObject:

@@ -290,6 +290,26 @@ class TestExitCodes:
                                            "error": proc.stderr.strip()}
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_closed_stdout_is_exit_two_without_traceback(mode, unbuffered):
+    """The reader of stdout goes away after 10 bytes of a long output."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tltt.cli", *mode,
+         "lab", "horn-factor", "--n", "11", "--k", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 2
+    assert "Broken pipe" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def _key_paths(x, path=()):
     """The path to every key of every JSON object inside x."""
     if isinstance(x, dict):

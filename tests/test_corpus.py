@@ -27,6 +27,14 @@ class TestCorpusRun:
     def test_empty_path_list(self):
         assert run_corpus(paths=[]).ok
 
+    def test_coverage_gaps_fail_the_status(self, tmp_path):
+        (tmp_path / "prelude").mkdir()
+        (tmp_path / "prelude" / "01_base.tltt").write_text(
+            (CORPUS_ROOT / "prelude" / "01_base.tltt").read_text())
+        report = run_corpus(root=tmp_path)
+        assert report.ok and report.coverage_gaps()
+        assert report.to_json()["status"] == "fail"
+
     def test_coverage_no_gaps(self, report):
         assert report.coverage_gaps() == []
 

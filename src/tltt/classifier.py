@@ -76,6 +76,19 @@ def _extend(c: FinInvCat, base: SetDiagram, universe: list[tuple], r: int,
                 x.n + 1, x.choices + (tuple(zip(keys, assignment)),))
 
 
+def _stream(c: FinInvCat, n: int, base: SetDiagram, universe: list[tuple],
+            stages: int) -> Iterator[ClassifierElement]:
+    """Stage ``stages`` (at most n) of the classifier built for stage n, one
+    element at a time; ``base`` is checked to live over the rank < n part
+    of c before the first element is drawn."""
+    if any(c.rank[o] >= n for o in base.cat.objects):
+        raise CategoryError("base diagram has objects of rank >= stage")
+    elements: Iterator[ClassifierElement] = iter([ClassifierElement(0, ())])
+    for r in range(stages):
+        elements = _extend(c, base, universe, r, elements)
+    return elements
+
+
 def iter_classifier_elements(c: FinInvCat, n: int, base: SetDiagram,
                              universe: list[tuple]
                              ) -> Iterator[ClassifierElement]:
@@ -86,12 +99,25 @@ def iter_classifier_elements(c: FinInvCat, n: int, base: SetDiagram,
     first element is drawn); ``universe`` is the declared finite
     collection of allowed fibre sets.
     """
-    if any(c.rank[o] >= n for o in base.cat.objects):
-        raise CategoryError("base diagram has objects of rank >= stage")
-    elements: Iterator[ClassifierElement] = iter([ClassifierElement(0, ())])
-    for r in range(n):
-        elements = _extend(c, base, universe, r, elements)
-    return elements
+    return _stream(c, n, base, universe, n)
+
+
+def count_classifier_elements(c: FinInvCat, n: int, base: SetDiagram,
+                              universe: list[tuple], stop_above: int) -> int:
+    """The number of classifier elements at stage n, counted without drawing
+    any of them: a stage-(n-1) element x extends in |universe| ** #keys(x)
+    ways.  The sum returns as soon as it passes ``stop_above``; each term is
+    at least 1, so at most ``stop_above + 1`` elements of stage n-1 are
+    drawn."""
+    previous = _stream(c, n, base, universe, max(n - 1, 0))
+    if n == 0:
+        return 1
+    total = 0
+    for x in previous:
+        total += len(universe) ** len(_stage_keys(c, x, base, n - 1))
+        if total > stop_above:
+            break
+    return total
 
 
 def classifier_elements(c: FinInvCat, n: int, base: SetDiagram,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import itertools
 import json
 import os
 import pathlib
@@ -32,7 +31,8 @@ from .categories import (
     random_diagram, random_inverse_category, semisimplex_category,
     sset_to_diagram,
 )
-from .classifier import iter_classifier_elements, round_trip
+from .classifier import (count_classifier_elements, iter_classifier_elements,
+                         round_trip)
 from .corpus import check_file, run_corpus
 from .fixtures import FixtureError, load_fixture
 from .nerve import nerve, segal_report
@@ -158,7 +158,7 @@ def cmd_segal(args) -> Verdict:
 
 
 _LABELS = "abcdefgh"
-# Most classifier elements a run enumerates; the count stops one past it.
+# Most elements a classifier stage may have; a larger one is refused.
 CLASSIFIER_CAP = 100000
 
 
@@ -176,9 +176,8 @@ def cmd_classifier(args) -> Verdict:
     ambient = semisimplex_category(max(n, 1))
     base = constant_diagram(ambient.truncate_below(n), ("*",))
     universe = _universe(args.max_card)
-    count = sum(1 for _ in itertools.islice(
-        iter_classifier_elements(ambient, n, base, universe),
-        CLASSIFIER_CAP + 1))
+    count = count_classifier_elements(ambient, n, base, universe,
+                                      CLASSIFIER_CAP)
     if count > CLASSIFIER_CAP:
         raise ValueError("enumeration size cap exceeded")
     trips = (round_trip(ambient, x, base)

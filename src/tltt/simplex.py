@@ -2,11 +2,12 @@
 
 Objects are ``[n] = {0..n}``; morphisms ``[k] -> [n]`` are strictly
 increasing functions, stored as their image, a (k+1)-subset of ``{0..n}``.
-Subfunctors of the representable on ``[n]`` are given levelwise; sieves are
-downward-closed subset families of the powerset of ``{0..n}`` and realize to
-subfunctors.  The central algorithm factors the spine-into-horn inclusion as
-a chain of horn pushout steps, each removing a maximal set ``S`` together
-with ``S\\{h}`` from the current sieve.
+A subfunctor of the representable on ``[n]`` is a sieve: a downward-closed
+family of subsets of ``{0..n}``, holding the maps whose images are its
+members; ``Sieve.cells`` lists them level by level.  The central algorithm
+factors the spine-into-horn inclusion as a chain of horn pushout steps, each
+removing a maximal set ``S`` together with ``S\\{h}`` from the current
+sieve.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class MonoMap:
     def k(self) -> int:
         return len(self.image) - 1
 
-    @property
-    def is_identity(self) -> bool:
-        return self.image == tuple(range(self.n + 1))
-
     def __call__(self, i: int) -> int:
         return self.image[i]
 
@@ -87,86 +84,17 @@ def compose_mono(g: MonoMap, f: MonoMap) -> MonoMap:
 
 
 # ---------------------------------------------------------------------------
-# Simplicial subsets of the representable on [n]
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplicialSubset:
-    """A subfunctor of the representable on [n], given levelwise."""
-
-    n: int
-    levels: tuple[frozenset, ...]      # index k holds maps [k] -> [n]
-
-    def __post_init__(self):
-        _check_dim(self.n)
-        if len(self.levels) != self.n + 1:
-            raise ValueError("levels must cover 0..n")
-        for k, lvl in enumerate(self.levels):
-            for g in lvl:
-                if g.k != k or g.n != self.n:
-                    raise ValueError(f"map {g} misplaced at level {k}")
-        # closure under the elementary cofaces generates all precompositions
-        for k in range(1, self.n + 1):
-            for g in self.levels[k]:
-                for j in range(k + 1):
-                    if compose_mono(g, coface(k, j)) not in self.levels[k - 1]:
-                        raise ValueError(
-                            f"not closed under precomposition at level {k}: "
-                            f"{g} missing face {j}")
-
-    def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(l) for l in self.levels)
-
-    def __le__(self, other: "SimplicialSubset") -> bool:
-        return (self.n == other.n
-                and all(a <= b for a, b in zip(self.levels, other.levels)))
-
-    def contains(self, g: MonoMap) -> bool:
-        return g in self.levels[g.k]
-
-
-def full_subfunctor(n: int) -> SimplicialSubset:
-    _check_dim(n)
-    return SimplicialSubset(
-        n, tuple(frozenset(enumerate_homs(n, k)) for k in range(n + 1)))
-
-
-def spine_subfunctor(n: int) -> SimplicialSubset:
-    """Vertices plus the adjacent edges (i, i+1); nothing above level 1."""
-    _check_dim(n)
-    levels = [frozenset(enumerate_homs(n, 0))]
-    if n >= 1:
-        levels.append(frozenset(MonoMap(n, (i, i + 1)) for i in range(n)))
-    levels.extend(frozenset() for _ in range(n - 1))
-    return SimplicialSubset(n, tuple(levels))
-
-
-def horn_subfunctor(n: int, j: int) -> SimplicialSubset:
-    """All faces except the identity and the j-th face."""
-    _check_dim(n)
-    if n < 1 or not 0 <= j <= n:
-        raise ValueError(f"horn index {j} out of range for [{n}]")
-    omit = {identity_map(n), coface(n, j)}
-    return SimplicialSubset(
-        n, tuple(frozenset(g for g in enumerate_homs(n, k) if g not in omit)
-                 for k in range(n + 1)))
-
-
-def boundary_subfunctor(n: int) -> SimplicialSubset:
-    _check_dim(n)
-    return SimplicialSubset(
-        n, tuple(frozenset(g for g in enumerate_homs(n, k)
-                           if not g.is_identity)
-                 for k in range(n + 1)))
-
-
-# ---------------------------------------------------------------------------
-# Sieves
+# Sieves: the subfunctors of the representable on [n]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Sieve:
-    """A downward-closed family of subsets of {0..n}."""
+    """A subfunctor of the representable on [n], as a downward-closed family
+    of subsets of {0..n}.
+
+    A map [k] -> [n] is determined by its image, so the subfunctor holds
+    exactly the maps whose image is a non-empty member; ``cells`` lists them.
+    """
 
     n: int
     members: frozenset    # of frozenset[int]
@@ -196,53 +124,50 @@ class Sieve:
         object.__setattr__(sv, "members", members)
         return sv
 
-    def realize(self) -> SimplicialSubset:
-        levels = []
-        for k in range(self.n + 1):
-            levels.append(frozenset(
-                g for g in enumerate_homs(self.n, k)
-                if any(set(g.image) <= s for s in self.members)))
-        return SimplicialSubset(self.n, tuple(levels))
+    def cells(self) -> list[tuple[int, MonoMap]]:
+        """The subfunctor level by level: ``(k, g)`` for each map
+        g : [k] -> [n] whose image is a member, sorted by ``(k, image)``."""
+        images = sorted((tuple(sorted(s)) for s in self.members if s),
+                        key=lambda im: (len(im), im))
+        return [(len(im) - 1, MonoMap(self.n, im)) for im in images]
 
     def __le__(self, other: "Sieve") -> bool:
         return self.n == other.n and self.members <= other.members
 
 
-def _downward_close(n: int, gens: Iterable[frozenset]) -> Sieve:
+def generated_sieve(n: int, gens: Iterable[Iterable[int]]) -> Sieve:
+    """The smallest sieve containing every generator."""
     members = set()
     for g in gens:
+        g = sorted(g)
         for r in range(len(g) + 1):
-            members.update(frozenset(c) for c in itertools.combinations(sorted(g), r))
+            members.update(frozenset(c) for c in itertools.combinations(g, r))
     return Sieve(n, frozenset(members))
 
 
-def powerset_sieve(n: int) -> Sieve:
+def full_subfunctor(n: int) -> Sieve:
+    """The representable on [n]: every subset of {0..n}."""
     _check_dim(n)
-    return _downward_close(n, [frozenset(range(n + 1))])
+    return generated_sieve(n, [range(n + 1)])
 
 
-def principal_sieve(n: int, s: Iterable[int]) -> Sieve:
-    return _downward_close(n, [frozenset(s)])
-
-
-def generated_sieve(n: int, gens: Iterable[Iterable[int]]) -> Sieve:
-    return _downward_close(n, [frozenset(g) for g in gens])
+def boundary_subfunctor(n: int) -> Sieve:
+    """Every map into [n] but the identity."""
+    return Sieve._closed(n, full_subfunctor(n).members
+                         - {frozenset(range(n + 1))})
 
 
 def zigzag_sieve(n: int) -> Sieve:
-    """The smallest sieve containing every {i, i+1}; realizes the spine."""
+    """The spine: the vertices and the edges {i, i+1}."""
     _check_dim(n)
-    gens = [frozenset({i, i + 1}) for i in range(n)] or [frozenset()]
-    sv = _downward_close(n, gens)
-    if n == 0:
-        sv = Sieve(n, sv.members | {frozenset({0})})
-    return sv
+    return generated_sieve(n, [{i, i + 1} for i in range(n)] or [{0}])
 
 
 def horn_sieve(n: int, k: int) -> Sieve:
+    """Every map into [n] but the identity and the k-th face."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"horn index {k} out of range for [{n}]")
-    return horn_remove(powerset_sieve(n), frozenset(range(n + 1)), k)
+    return horn_remove(full_subfunctor(n), frozenset(range(n + 1)), k)
 
 
 def horn_remove(x: Sieve, s: Iterable[int], h: int) -> Sieve:
@@ -346,11 +271,10 @@ def _interval_steps(a: int, b: int) -> list[HornStep]:
 
 def _cosieve_order_interval(a: int, b: int, j: int) -> list[frozenset]:
     """Subsets S of [a,b] with j internal to S, largest first, then lex."""
-    out = [frozenset(c)
-           for r in range(b - a + 1, 2, -1)
-           for c in itertools.combinations(range(a, b + 1), r)
-           if _internal(j, frozenset(c))]
-    return sorted(out, key=lambda s: (-len(s), tuple(sorted(s))))
+    return [frozenset(c)
+            for r in range(b - a + 1, 2, -1)
+            for c in itertools.combinations(range(a, b + 1), r)
+            if _internal(j, frozenset(c))]
 
 
 def factor_spine_to_horn(n: int, k: int) -> Factorization:
@@ -362,8 +286,6 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
     outer horn.  For n = 1 and for the outer horns of n = 2 the spine is
     not contained in the horn at all and UnsupportedHorn is raised.
     """
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"horn index {k} out of range for [{n}]")
     start = horn_sieve(n, k)
     end = zigzag_sieve(n)
     if not end <= start:
@@ -440,10 +362,10 @@ class FiniteSemiSimplicialSet:
         return x
 
 
-def nat_transforms(f: SimplicialSubset, x: FiniteSemiSimplicialSet) -> list[dict]:
+def nat_transforms(f: Sieve, x: FiniteSemiSimplicialSet) -> list[dict]:
     """All natural transformations from the subfunctor into X.
 
-    A transformation assigns to every map g in level k of F an element of
+    A transformation assigns to every cell (k, g) of F an element of
     X_k, commuting with the elementary cofaces.  Cells are searched level
     by level; each face condition is checked when its level-k cell is
     assigned (see ``solver.solve``).
@@ -452,7 +374,7 @@ def nat_transforms(f: SimplicialSubset, x: FiniteSemiSimplicialSet) -> list[dict
         raise ValueError(
             f"semi-simplicial set truncated at {x.truncation} cannot receive "
             f"a subfunctor of dimension {f.n}")
-    cells = [(k, g) for k in range(f.n + 1) for g in sorted(f.levels[k])]
+    cells = f.cells()
     constraints = [((k, g), (k - 1, compose_mono(g, coface(k, j))),
                     x.faces[(k, j)])
                    for k, g in cells if k > 0 for j in range(k + 1)]

@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tltt import cli
+from tltt import classifier, cli
 from tltt.cli import main
 from tltt.corpus import CORPUS_ROOT
 from tltt.fixtures import FIXTURE_ROOT
@@ -192,19 +192,19 @@ class TestLabs:
                                    "error": "enumeration size cap exceeded"}
 
     def test_classifier_cap_stops_the_enumeration(self, capsys, monkeypatch):
-        stream = cli.iter_classifier_elements
-        drawn = [0]
+        element = classifier.ClassifierElement
+        stages = []
 
-        def counting(*args):
-            for x in stream(*args):
-                drawn[0] += 1
-                yield x
+        def recording(n, choices):
+            stages.append(n)
+            return element(n, choices)
 
-        monkeypatch.setattr(cli, "iter_classifier_elements", counting)
-        # 262405 elements in all, so a count past the cap shows in seconds
+        monkeypatch.setattr(classifier, "ClassifierElement", recording)
+        # 262405 elements in all: the stage is refused by its count over
+        # the 4 elements of stage 1, and no stage-2 element is made
         code, _, _ = run(capsys, "lab", "classifier",
                          "--n", "2", "--max-card", "3")
-        assert code == 2 and drawn[0] == cli.CLASSIFIER_CAP + 1
+        assert code == 2 and stages == [0, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("cap, want", [(85, 0), (84, 2)])
     def test_classifier_cap_boundary(self, capsys, monkeypatch, cap, want):

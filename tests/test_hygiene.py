@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private function or class is left that no module reads."""
+no private function or class is left that no module reads, and no public
+function, class or method is left that neither the package, its tests nor
+its benchmark reads."""
 
 import ast
 import pathlib
@@ -9,6 +11,10 @@ import pytest
 import tltt
 
 MODULES = sorted(pathlib.Path(tltt.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+READERS = MODULES + sorted((ROOT / "tests").glob("*.py")) \
+    + sorted((ROOT / "perfbench").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,3 +77,53 @@ def test_the_check_sees_an_unused_private_definition():
                "b.py": "from a import _used, _left\n_used()\n"}
     assert unused_private_definitions(sources) == [
         "a.py line 2: _left", "a.py line 3: _Gone"]
+
+
+def unused_public_definitions(sources: dict[str, str],
+                              readers: dict[str, str]) -> list[str]:
+    """Module-level functions and classes, and methods, whose names do not
+    start with `_` and that no module of `readers` reads: by name, as an
+    attribute, or in a string naming it (as `"Class.method"`), the way the
+    benchmark's tracer looks functions up."""
+    read = set()
+    for source in readers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and all(part.isidentifier()
+                          for part in node.value.split("."))):
+                read.update(node.value.split("."))
+    unused = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                defs = [node] + [m for m in node.body
+                                 if isinstance(m, FUNCTIONS)]
+            elif isinstance(node, FUNCTIONS):
+                defs = [node]
+            else:
+                continue
+            unused += [f"{module} line {d.lineno}: {d.name}" for d in defs
+                       if not d.name.startswith("_") and d.name not in read]
+    return unused
+
+
+def test_no_unused_public_definitions():
+    assert unused_public_definitions(
+        {path.name: path.read_text() for path in MODULES},
+        {str(path): path.read_text() for path in READERS}) == []
+
+
+def test_the_check_sees_an_unused_public_definition():
+    sources = {"a.py": "def used(): pass\ndef left(): pass\n"
+                       "class Gone:\n    def kept(self): pass\n"
+                       "class Kept:\n    def traced(self): pass\n"
+                       "    def gone(self): pass\n    def _own(self): pass\n"}
+    readers = {**sources,
+               "b.py": "from a import used, left\nused()\nx.kept()\n",
+               "c.py": "SPANNED = (('a', 'Kept.traced'),)\n"}
+    assert unused_public_definitions(sources, readers) == [
+        "a.py line 2: left", "a.py line 3: Gone", "a.py line 7: gone"]

@@ -1,19 +1,21 @@
 """Semi-simplex combinatorics: monos, subfunctors, sieves, horn factoring."""
 
 import hashlib
+import inspect
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tltt import simplex
 from tltt.simplex import (
     DimensionError, Factorization, FiniteSemiSimplicialSet, MonoMap, Sieve,
-    SimplicialSubset, UnsupportedHorn, boundary_subfunctor, coface,
-    compose_mono, enumerate_homs, factor_spine_to_horn, full_subfunctor,
-    generated_sieve, horn_remove, horn_sieve, horn_subfunctor, identity_map,
-    nat_transforms, powerset_sieve, principal_sieve, spine_subfunctor,
-    yoneda_bijection, zigzag_sieve,
+    UnsupportedHorn, boundary_subfunctor, coface, compose_mono,
+    enumerate_homs, factor_spine_to_horn, full_subfunctor, generated_sieve,
+    horn_remove, horn_sieve, identity_map, nat_transforms, yoneda_bijection,
+    zigzag_sieve,
 )
 
 DEGENERATE = {(1, 0), (1, 1), (2, 0), (2, 2)}
@@ -55,60 +57,108 @@ class TestMonoMaps:
             full_subfunctor(13)
 
 
+def _level_sizes(sv):
+    sizes = [0] * (sv.n + 1)
+    for k, _ in sv.cells():
+        sizes[k] += 1
+    return sizes
+
+
+def _cells_by_scan(sv):
+    """The reference level view: a scan of every map [k] -> [n], keeping
+    those whose image lies inside some member."""
+    return [(k, g) for k in range(sv.n + 1) for g in enumerate_homs(sv.n, k)
+            if any(set(g.image) <= s for s in sv.members)]
+
+
+def _all_cells(n):
+    return [(k, g) for k in range(n + 1) for g in enumerate_homs(n, k)]
+
+
+def _horn_cells(n, k):
+    omit = {identity_map(n), coface(n, k)}
+    return [c for c in _all_cells(n) if c[1] not in omit]
+
+
 class TestSubfunctors:
     @given(st.integers(1, 5))
     def test_spine_level_sizes(self, n):
-        sizes = spine_subfunctor(n).level_sizes()
+        sizes = _level_sizes(zigzag_sieve(n))
         assert sizes[0] == n + 1 and sizes[1] == n
         assert all(s == 0 for s in sizes[2:])
 
     @given(st.integers(1, 5), st.data())
     def test_horn_omits_one_face(self, n, data):
         k = data.draw(st.integers(0, n))
-        h = horn_subfunctor(n, k)
-        sizes = h.level_sizes()
+        sizes = _level_sizes(horn_sieve(n, k))
         assert sizes[n] == 0
         assert sizes[n - 1] == n  # all faces except the k-th
 
     @given(st.integers(1, 5))
     def test_boundary_below_full(self, n):
         assert boundary_subfunctor(n) <= full_subfunctor(n)
-        assert boundary_subfunctor(n).level_sizes()[n] == 0
+        assert _level_sizes(boundary_subfunctor(n))[n] == 0
 
     @given(st.integers(1, 4), st.data())
     def test_closure_under_restriction(self, n, data):
         """Every constructor output is closed under composing with cofaces."""
         k = data.draw(st.integers(0, n))
-        for sub in (full_subfunctor(n), spine_subfunctor(n),
-                    horn_subfunctor(n, k), boundary_subfunctor(n)):
-            for lvl, members in enumerate(sub.levels):
-                if lvl == 0:
-                    continue
-                for g in members:
-                    for j in range(lvl + 1):
-                        face = compose_mono(g, coface(lvl, j))
-                        assert sub.contains(face)
+        for sub in (full_subfunctor(n), zigzag_sieve(n), horn_sieve(n, k),
+                    boundary_subfunctor(n)):
+            cells = set(sub.cells())
+            assert {(lvl - 1, compose_mono(g, coface(lvl, j)))
+                    for lvl, g in cells if lvl
+                    for j in range(lvl + 1)} <= cells
+
+    def test_sieve_is_the_only_subfunctor_type(self):
+        assert re.findall(
+            r"\b(?:SimplicialSubset|realize|spine_subfunctor|horn_subfunctor"
+            r"|powerset_sieve|principal_sieve|is_identity)\b",
+            inspect.getsource(simplex)) == []
 
 
 class TestSieves:
-    @given(st.integers(1, 5))
-    def test_principal_full_realizes_representable(self, n):
-        s = principal_sieve(n, frozenset(range(n + 1)))
-        assert s.realize() == full_subfunctor(n)
+    @given(st.integers(0, 5), st.data())
+    def test_builders_cells_match_a_scan(self, n, data):
+        sieves = [full_subfunctor(n), boundary_subfunctor(n), zigzag_sieve(n)]
+        if n >= 1:
+            sieves.append(horn_sieve(n, data.draw(st.integers(0, n))))
+        for sv in sieves:
+            assert sv.cells() == _cells_by_scan(sv)
 
-    @given(st.integers(1, 5))
+    @settings(deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_generated_cells_match_a_scan(self, n, data):
+        gens = data.draw(st.lists(st.frozensets(st.integers(0, n)),
+                                  max_size=4))
+        sv = generated_sieve(n, gens)
+        assert sv.cells() == _cells_by_scan(sv)
+
+    @given(st.integers(0, 5))
+    def test_principal_full_realizes_representable(self, n):
+        s = generated_sieve(n, [range(n + 1)])
+        assert s.cells() == _all_cells(n)
+        assert s == full_subfunctor(n)
+
+    @given(st.integers(0, 5))
+    def test_boundary_omits_the_identity(self, n):
+        assert boundary_subfunctor(n).cells() == [
+            c for c in _all_cells(n) if c[1] != identity_map(n)]
+
+    @given(st.integers(0, 5))
     def test_zigzag_realizes_spine(self, n):
-        assert zigzag_sieve(n).realize() == spine_subfunctor(n)
+        assert zigzag_sieve(n).cells() == [
+            (k, g) for k, g in _all_cells(n)
+            if k == 0 or (k == 1 and g(1) == g(0) + 1)]
 
     @given(st.integers(1, 5), st.data())
     def test_horn_sieve_realizes_horn(self, n, data):
         k = data.draw(st.integers(0, n))
-        assert horn_sieve(n, k).realize() == horn_subfunctor(n, k)
+        assert horn_sieve(n, k).cells() == _horn_cells(n, k)
 
     def test_horn_remove_realizes_inner_horn(self):
-        x = powerset_sieve(2)
-        out = horn_remove(x, frozenset({0, 1, 2}), 1)
-        assert out.realize() == horn_subfunctor(2, 1)
+        out = horn_remove(full_subfunctor(2), frozenset({0, 1, 2}), 1)
+        assert out.cells() == _horn_cells(2, 1)
 
     def test_horn_remove_requires_membership(self):
         x = generated_sieve(2, [{0, 1}])
@@ -117,13 +167,13 @@ class TestSieves:
         assert str(e.value) == "[0, 2] is not a member of the sieve"
 
     def test_horn_remove_requires_maximal(self):
-        x = powerset_sieve(2)
+        x = full_subfunctor(2)
         with pytest.raises(ValueError) as e:
             horn_remove(x, frozenset({0, 1}), 1)
         assert str(e.value) == "[0, 1] is not maximal in the sieve"
 
     def test_horn_remove_requires_membership_of_pivot(self):
-        x = powerset_sieve(2)
+        x = full_subfunctor(2)
         with pytest.raises(ValueError) as e:
             horn_remove(x, frozenset({0, 1, 2}), 5)
         assert str(e.value) == "5 is not an element of [0, 1, 2]"
@@ -242,7 +292,7 @@ class TestFactorization:
         chain = fac.sieves()
         for a, b in zip(chain[1:], chain):
             assert a <= b
-            assert a.realize() <= b.realize()
+            assert set(a.cells()) < set(b.cells())
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -275,7 +325,7 @@ class TestNatTransforms:
 
     def test_spine_one_is_full_one(self):
         x = _two_simplex_sset()
-        assert (len(nat_transforms(spine_subfunctor(1), x))
+        assert (len(nat_transforms(zigzag_sieve(1), x))
                 == len(nat_transforms(full_subfunctor(1), x))
                 == len(x.levels[1]))
 

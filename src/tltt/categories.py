@@ -3,8 +3,8 @@
 Everything is table-driven and validated exhaustively: category laws,
 rank discipline (non-identity arrows strictly decrease rank), functoriality
 of diagrams.  Limits are computed two independent ways: directly as natural
-families, and recursively by peeling off a maximal-rank object and pulling
-back along its matching object.
+families, and recursively by adding the objects by increasing rank, each a
+pullback along its matching object, with no subcategory built.
 """
 
 from __future__ import annotations
@@ -129,24 +129,19 @@ class FinInvCat(FinCat):
                         f"arrow {a!r}: {x!r} -> {self.dst[a]!r} does "
                         f"not strictly decrease rank")
 
-    def without_object(self, z) -> "FinInvCat":
-        objs = tuple(o for o in self.objects if o != z)
-        homs = {(x, y): arrows for (x, y), arrows in self.homs.items()
-                if x != z and y != z}
-        arrows = {a for hom in homs.values() for a in hom}
-        compose = {k: v for k, v in self.compose.items()
-                   if k[0] in arrows and k[1] in arrows}
-        identity = {o: i for o, i in self.identity.items() if o != z}
-        rank = {o: r for o, r in self.rank.items() if o != z}
-        return FinInvCat(objs, homs, compose, identity, rank=rank)
-
     def truncate_below(self, n: int) -> "FinInvCat":
-        """Full subcategory of objects of rank < n."""
-        out = self
-        for o in self.objects:
-            if self.rank[o] >= n:
-                out = out.without_object(o)
-        return out
+        """Full subcategory of objects of rank < n, in one pass over the
+        tables (their order kept)."""
+        drop = {o for o in self.objects if self.rank[o] >= n}
+        homs = {(x, y): arrows for (x, y), arrows in self.homs.items()
+                if x not in drop and y not in drop}
+        arrows = {a for hom in homs.values() for a in hom}
+        return FinInvCat(
+            tuple(o for o in self.objects if o not in drop), homs,
+            {(g, f): h for (g, f), h in self.compose.items()
+             if g in arrows and f in arrows},
+            {o: i for o, i in self.identity.items() if o not in drop},
+            rank={o: r for o, r in self.rank.items() if o not in drop})
 
 
 def _compose_all(homs: dict, comp) -> dict:
@@ -306,35 +301,34 @@ def matching_object(x: SetDiagram, z, ambient: Optional[FinInvCat] = None
     c = ambient or x.cat
     cos = reduced_coslice(c, z)
     values = {f: x.values[c.dst[f]] for f in cos.objects}
-    action = {}
-    for (f, h) in cos.arrows():
-        action[(f, h)] = x.action[h] if h not in c.identity.values() \
-            else {v: v for v in values[f]}
+    action = {(f, h): x.action[h] for (f, h) in cos.arrows()}
     families = limit_direct(SetDiagram(cos, values, action))
     return families, {v: boundary(x, z, v) for v in x.values.get(z, ())}
 
 
 def limit_recursive(x: SetDiagram) -> list[dict]:
-    """Limit by recursion on rank: remove a maximal-rank object z and pull
-    back the remaining limit against X_z over the matching object at z.
+    """Limit by recursion on rank, walked as one loop: objects are added by
+    increasing rank, and each is a pullback against X_z over the matching
+    object at z.
 
-    The pullback keeps a family of the rest together with v in X_z when the
-    boundary of v equals the family the rest induces on the arrows out of
-    z; the matching object itself is never enumerated."""
+    Every arrow out of z lands in a lower rank, whose objects are already
+    in the families; so a family extends by v in X_z exactly when the
+    boundary of v equals the family it induces on the arrows out of z.
+    No subcategory is built and the matching object itself is never
+    enumerated."""
     c = x.cat
     if not isinstance(c, FinInvCat):
         raise CategoryError("recursive limits need an inverse category")
-    if not c.objects:
-        return [{}]
-    top = max(c.rank[o] for o in c.objects)
-    z = min((o for o in c.objects if c.rank[o] == top), key=str)
-    sub = limit_recursive(x.restrict(c.without_object(z)))
-    bounds = [(v, boundary(x, z, v)) for v in x.values[z]]
-    out = []
-    for fam in sub:
-        induced = {f: fam[c.dst[f]] for f in c.out_of(z)}
-        out.extend({**fam, z: v} for v, b in bounds if b == induced)
-    return out
+    fams: list[dict] = [{}]
+    for z in reversed(sorted(c.objects, key=lambda o: (-c.rank[o], str(o)))):
+        bounds = [(v, boundary(x, z, v)) for v in x.values[z]]
+        arrows = c.out_of(z)
+        extended = []
+        for fam in fams:
+            induced = {f: fam[c.dst[f]] for f in arrows}
+            extended.extend({**fam, z: v} for v, b in bounds if b == induced)
+        fams = extended
+    return fams
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +545,11 @@ def random_diagram(rng: random.Random, c: FinInvCat,
                 f"random_diagram cannot act along arrow {a!r}: expected "
                 f"('id', x) or ('p', path)")
     values = {o: tuple(range(rng.randint(0, max_card))) for o in c.objects}
-    # an arrow into an empty value set forces the source empty
-    changed = True
-    while changed:
-        changed = False
-        for x in c.objects:
-            for a in c.out_of(x):
-                if not values[c.dst[a]] and values[x]:
-                    values[x] = ()
-                    changed = True
+    # an arrow into an empty value set forces the source empty; arrows
+    # lower the rank, so one pass by increasing rank settles every object
+    for x in sorted(c.objects, key=lambda o: c.rank[o]):
+        if any(not values[c.dst[a]] for a in c.out_of(x)):
+            values[x] = ()
     gen_action: dict = {}
     action: dict = {}
     for a in c.arrows():

@@ -153,7 +153,7 @@ def interpret(c: FinInvCat, x: ClassifierElement, base: SetDiagram
         components[i] = comp
     action: dict = {}
     for a in sub.arrows():
-        if a in sub.identity.values():
+        if sub.identity[sub.src[a]] == a:
             action[a] = {e: e for e in values[sub.src[a]]}
         else:
             action[a] = {e: dict(e[1])[a] for e in values[sub.src[a]]}

@@ -147,9 +147,13 @@ def cmd_limits(args) -> Verdict:
 
 
 def cmd_segal(args) -> Verdict:
-    depth = min(_at_least(0, "--levels", args.levels), _max_dim(args))
+    depth = min(_at_least(1, "--levels", args.levels), _max_dim(args))
     x = _fixture_sset(args, depth)
     top = min(depth, x.truncation)
+    if top < 1:
+        raise ValueError(
+            f"no level to check: the Segal condition starts at level 1, "
+            f"and the levels stop at {top}")
     verdicts = segal_report(x, top)
     return (all(v.bijective for v in verdicts),
             {"levels": [v.to_json() for v in verdicts]},

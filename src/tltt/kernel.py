@@ -176,7 +176,6 @@ class Checker:
                  options: Optional[KernelOptions] = None):
         self.env: dict[str, EnvEntry] = dict(env or {})
         self.options = options or KernelOptions()
-        self.rules_used: set[str] = set()
         self.decl_rules: set[str] = set()
         self._checked = False     # re-typing terms the kernel has checked
 
@@ -191,7 +190,6 @@ class Checker:
             self._checked = outer
 
     def _use(self, rule: str):
-        self.rules_used.add(rule)
         self.decl_rules.add(rule)
 
     def _const_ok(self, name: str):

@@ -171,15 +171,21 @@ def horn_sieve(n: int, k: int) -> Sieve:
 
 
 def horn_remove(x: Sieve, s: Iterable[int], h: int) -> Sieve:
-    """Remove S and S\\{h} from the sieve; a pushout of a horn inclusion.
+    """Remove S and S\\{h} from the sieve; a pushout of a horn inclusion."""
+    members = set(x.members)
+    _remove_step(members, x.n, frozenset(s), h)
+    return Sieve._closed(x.n, frozenset(members))
 
-    x is downward closed, so a member above S or S\\{h} shows as one set
-    with a single element y outside S added: O(n) lookups per check."""
-    s = frozenset(s)
-    members = x.members
+
+def _remove_step(members: set, n: int, s: frozenset, h: int) -> None:
+    """``horn_remove`` in place on the members of a sieve on [n].
+
+    The family is downward closed, so a member above S or S\\{h} shows as
+    one set with a single element y outside S added: O(n) lookups per
+    check."""
     if s not in members:
         raise ValueError(f"{sorted(s)} is not a member of the sieve")
-    outside = [y for y in range(x.n + 1) if y not in s]
+    outside = [y for y in range(n + 1) if y not in s]
     if any(s | {y} in members for y in outside):
         raise ValueError(f"{sorted(s)} is not maximal in the sieve")
     if h not in s:
@@ -191,7 +197,7 @@ def horn_remove(x: Sieve, s: Iterable[int], h: int) -> Sieve:
             f"{sorted(face)} still below another member")
     # Neither S nor S\{h} lies below a remaining member, so the rest stays
     # downward closed.
-    return Sieve._closed(x.n, members - {s, face})
+    members.difference_update((s, face))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +244,10 @@ class Factorization:
     def sieves(self) -> list[Sieve]:
         """The chain of sieves, validating every step along the way."""
         chain = [self.start]
+        members = set(self.start.members)
         for st in self.steps:
-            chain.append(horn_remove(chain[-1], st.s, st.h))
+            _remove_step(members, self.n, st.s, st.h)
+            chain.append(Sieve._closed(self.n, frozenset(members)))
         return chain
 
     def to_json(self) -> dict:
@@ -302,10 +310,10 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
     steps += [HornStep(s, j) for s in _cosieve_order_interval(0, n, j)
               if s not in (full, full - {k})]
     steps += _interval_steps(0, j) + _interval_steps(j, n)
-    sieve = start
-    for st in steps:             # validates each step, one sieve at a time
-        sieve = horn_remove(sieve, st.s, st.h)
-    if sieve.members != end.members:
+    members = set(start.members)
+    for st in steps:             # validates each step on one member set
+        _remove_step(members, n, st.s, st.h)
+    if members != end.members:
         raise AssertionError("factorization did not land on the zigzag sieve")
     return Factorization(n, k, start, end, steps)
 

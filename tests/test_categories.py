@@ -172,6 +172,38 @@ class TestOutgoingArrows:
             assert c.out_of(x) == tuple(sorted(scan, key=str))
 
 
+class TestTruncation:
+    @pytest.mark.parametrize("c", [
+        *(semisimplex_category(n) for n in range(5)),
+        *(random_inverse_category(random.Random(seed)) for seed in range(100)),
+    ])
+    def test_truncation_is_the_restriction_of_every_table(self, c):
+        """truncate_below(n) keeps each table's entries over objects of
+        rank < n, in the parent's order; arrows out of a kept object land
+        in lower ranks, so its ``out_of`` is the parent's."""
+        for n in range(max(c.rank.values()) + 2):
+            t = c.truncate_below(n)
+            t.validate()
+            kept = [o for o in c.objects if c.rank[o] < n]
+
+            def below(table, objects_of):
+                return [(k, v) for k, v in table.items()
+                        if all(c.rank[o] < n for o in objects_of(k, v))]
+
+            assert t.objects == tuple(kept)
+            assert list(t.homs.items()) == below(c.homs, lambda xy, _: xy)
+            assert list(t.compose.items()) == below(
+                c.compose, lambda gf, _: [c.src[gf[1]], c.dst[gf[1]],
+                                          c.src[gf[0]], c.dst[gf[0]]])
+            assert list(t.identity.items()) == below(
+                c.identity, lambda o, _: [o])
+            assert list(t.rank.items()) == below(c.rank, lambda o, _: [o])
+            ends = lambda a, _: [c.src[a], c.dst[a]]  # noqa: E731
+            assert list(t.src.items()) == below(c.src, ends)
+            assert list(t.dst.items()) == below(c.dst, ends)
+            assert [t.out_of(o) for o in kept] == [c.out_of(o) for o in kept]
+
+
 class TestLimits:
     def test_cospan_limit_is_the_pullback(self, cospan):
         _, x = cospan
@@ -196,6 +228,12 @@ class TestLimits:
         d = SetDiagram(cat, values, action)
         assert limit_direct(d) == [] == limit_recursive(d)
 
+    def test_recursive_limit_needs_an_inverse_category(self):
+        c = FinCat(("a",), {("a", "a"): ("i",)}, {("i", "i"): "i"},
+                   {"a": "i"})
+        with pytest.raises(CategoryError, match="inverse category"):
+            limit_recursive(SetDiagram(c, {"a": (0,)}, {"i": {0: 0}}))
+
     @pytest.mark.parametrize("seed", range(40))
     def test_two_oracles_agree(self, seed):
         rng = random.Random(seed)
@@ -207,7 +245,8 @@ class TestLimits:
 
     def test_recursive_oracle_runs_without_the_solver(self, monkeypatch):
         """On criterion 5's seeds limit_recursive still agrees with
-        limit_direct when neither the solver nor limit_direct can run."""
+        limit_direct when neither the solver nor limit_direct can run, nor
+        the direct limit's object order, and when it builds no category."""
         diagrams = []
         for seed in range(200):
             rng = random.Random(seed)
@@ -220,6 +259,8 @@ class TestLimits:
 
         monkeypatch.setattr(tltt.categories, "solve", refuse)
         monkeypatch.setattr(tltt.categories, "limit_direct", refuse)
+        monkeypatch.setattr(tltt.categories, "_object_order", refuse)
+        monkeypatch.setattr(FinCat, "__post_init__", refuse)
         for d, want in zip(diagrams, direct):
             assert {family_key(f) for f in limit_recursive(d)} == want
 

@@ -240,6 +240,8 @@ class TestRanges:
     @pytest.mark.parametrize("argv, message", [
         (["lab", "yoneda", "--max-dim", "-1"], "--max-dim"),
         (["lab", "segal", "--levels", "-5"], "--levels"),
+        (["lab", "segal", "--levels", "0"], "--levels"),
+        (["lab", "segal", "--max-dim", "0"], "no level to check"),
         (["lab", "limits", "--seeds", "-1"], "--seeds"),
         (["lab", "limits", "--seeds", "0"], "--seeds"),
         (["lab", "classifier", "--max-card", "9"], "--max-card"),
@@ -248,6 +250,15 @@ class TestRanges:
     def test_out_of_range_count_is_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "--json")
         assert code == 2 and message in err
+        assert json.loads(out) == {"status": "error", "error": err.strip()}
+
+    def test_segal_on_a_fixture_without_edges_is_exit_two(self, capsys,
+                                                           tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text('{"sset": {"levels": [["a", "b"]], "faces": {}}}')
+        code, out, err = run(capsys, "lab", "segal", "--fixture", str(path),
+                             "--json")
+        assert code == 2 and "no level to check" in err
         assert json.loads(out) == {"status": "error", "error": err.strip()}
 
     @pytest.mark.parametrize("value", ["-1", "x", ""])

@@ -240,12 +240,12 @@ class TestRanges:
     @pytest.mark.parametrize("argv, message", [
         (["lab", "yoneda", "--max-dim", "-1"], "--max-dim"),
         (["lab", "segal", "--levels", "-5"], "--levels"),
-        (["lab", "segal", "--levels", "0"], "--levels"),
-        (["lab", "segal", "--max-dim", "0"], "no level to check"),
         (["lab", "limits", "--seeds", "-1"], "--seeds"),
         (["lab", "limits", "--seeds", "0"], "--seeds"),
         (["lab", "classifier", "--max-card", "9"], "--max-card"),
         (["lab", "classifier", "--max-card", "-1"], "--max-card"),
+        (["lab", "segal", "--levels", "0"], "--levels"),
+        (["lab", "segal", "--max-dim", "0"], "no level to check"),
     ])
     def test_out_of_range_count_is_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "--json")

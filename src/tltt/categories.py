@@ -222,9 +222,6 @@ class SetDiagram:
                     raise CategoryError(
                         f"functoriality fails: {g!r} . {f!r} != {h!r} on {x!r}")
 
-    def map(self, arrow, x):
-        return self.action[arrow][x]
-
     def restrict(self, sub: FinCat) -> "SetDiagram":
         return SetDiagram(
             sub,
@@ -297,12 +294,16 @@ def matching_object(x: SetDiagram, z, ambient: Optional[FinInvCat] = None
     non-identity arrows out of z) and the canonical projection from X_z
     (as a dict X_z-element -> its ``boundary``); when ``ambient`` is given
     the coslice is taken there (used when z itself lies outside X's base).
+    The limit is solved over the arrows out of z directly, ordered as
+    ``limit_direct`` orders the objects of ``reduced_coslice(c, z)``: each
+    h out of the target of f asks that the value at h . f be X(h) of the
+    value at f (identities ask nothing), and no coslice category is built.
     """
     c = ambient or x.cat
-    cos = reduced_coslice(c, z)
-    values = {f: x.values[c.dst[f]] for f in cos.objects}
-    action = {(f, h): x.action[h] for (f, h) in cos.arrows()}
-    families = limit_direct(SetDiagram(cos, values, action))
+    cells = sorted(c.out_of(z), key=lambda f: (-c.rank[c.dst[f]], str(f)))
+    families = solve(cells, [x.values[c.dst[f]] for f in cells],
+                     [(f, c.compose[(h, f)], x.action[h])
+                      for f in cells for h in c.out_of(c.dst[f])])
     return families, {v: boundary(x, z, v) for v in x.values.get(z, ())}
 
 

@@ -48,13 +48,20 @@ def _at_least(low: int, name: str, value: int) -> int:
 
 
 def _max_dim(args) -> int:
-    if args.max_dim is not None:
-        return _at_least(0, "--max-dim", args.max_dim)
-    env = os.environ.get("TLTT_MAX_DIM", str(simplex.MAX_DIM))
-    if not env.strip().isdecimal():
-        raise ValueError(
-            f"TLTT_MAX_DIM must be a non-negative integer, got {env!r}")
-    return int(env)
+    """The dimension cap: `--max-dim`, else `TLTT_MAX_DIM`, else
+    `simplex.MAX_DIM`, which no cap may exceed."""
+    name, value = "--max-dim", args.max_dim
+    if value is None:
+        name, env = "TLTT_MAX_DIM", os.environ.get("TLTT_MAX_DIM",
+                                                   str(simplex.MAX_DIM))
+        if not env.strip().isdecimal():
+            raise ValueError(
+                f"TLTT_MAX_DIM must be a non-negative integer, got {env!r}")
+        value = int(env)
+    if not 0 <= value <= simplex.MAX_DIM:
+        raise ValueError(f"{name} must be between 0 and {simplex.MAX_DIM}, "
+                         f"got {value}")
+    return value
 
 
 def cmd_check(args) -> Verdict:

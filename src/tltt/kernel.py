@@ -1,20 +1,26 @@
 """Bidirectional type checker for the two-level core language.
 
-Universes come in two kinds: ``U i`` (fibrant) and ``Us i`` (strict).  Every
-fibrant type is also a pretype (subsumption ``U i <= Us j`` for ``i <= j``,
-rule FIB-PRE), never the other way around.  Most built-ins come in a family
-of a fibrant and a strict member, whose name adds ``S`` (``J``'s is ``Js``);
-one table gives each spine constant its family and level, and each rule is
-written once per family.  Fibrant equality and sums need fibrant carriers
-(INTRO-=, FORM-+) and fibrant eliminators fibrant motives (ELIM-=, ELIM-NAT,
-ELIM-0, ELIM-+).  Strict equality ``=s`` is governed by the axioms ``uip``
-and ``funextS`` and has no reflection rule.
+Universes come in two kinds: ``U i`` (fibrant) and ``Us i`` (strict).  The
+sort of a type is the universe it lives in: ``infer`` types every type
+former, and sorts are compared and joined as universes (``sort_leq``,
+``sort_lub``).  Every fibrant type is also a pretype (``U i <= Us j`` for
+``i <= j``, rule FIB-PRE), never the other way around.  Most built-ins come
+in a family of a fibrant and a strict member, whose name adds ``S`` (``J``'s
+is ``Js``); one table gives each spine constant its family and level, and
+each rule is written once per family.  Fibrant equality and sums need
+fibrant carriers (INTRO-=, FORM-+) and fibrant eliminators fibrant motives
+(ELIM-=, ELIM-NAT, ELIM-0, ELIM-+).  Strict equality ``=s`` is governed by
+the axioms ``uip`` and ``funextS``, whose types are stated in the surface
+syntax, and has no reflection rule.
 
 Conversion is weak-head normalization plus structural comparison with
-judgmental eta for Pi and Sigma.  Iota is level-exact: an eliminator reduces
-only on constructors of its own level.  A type is checked before it is
-reduced, so arguments that reduction drops are checked, but not a second
-time.  Errors carry the name of the violated rule.
+judgmental eta for Pi and Sigma.  The same comparison decides cumulativity,
+``convert(t, u, leq=True)``: universes by ``sort_leq``, covariantly in the
+codomain of Pi and the second component of Sigma only, and by conversion
+everywhere else.  Iota is level-exact: an eliminator reduces only on
+constructors of its own level.  A type is checked before it is reduced, so
+arguments that reduction drops are checked, but not a second time.  Errors
+carry the name of the violated rule.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from .syntax import (
     Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref, Sig, Term, Univ, Var,
-    mk_app, print_term, shift, spine, subst,
+    mk_app, parse_term, print_term, shift, spine, subst,
 )
 
 
@@ -43,25 +49,18 @@ RESTRICTED_RULES = frozenset({
 })
 
 
-@dataclass(frozen=True, order=True)
-class Sort:
-    """Universe sort: kind (fibrant or strict) plus level."""
-
-    level: int
-    fib: bool
-
-    def __repr__(self):
-        return f"{'Fib' if self.fib else 'Strict'}({self.level})"
+def sort_leq(a: Univ, b: Univ) -> bool:
+    """`a <= b`: the level does not drop, and a fibrant type may be used as a
+    pretype but never the other way (FIB-PRE)."""
+    return a.level <= b.level and (a.fib or not b.fib)
 
 
-def sort_leq(a: Sort, b: Sort) -> bool:
-    if a.level > b.level:
-        return False
-    return a.fib or not b.fib
+def sort_lub(a: Univ, b: Univ) -> Univ:
+    return Univ(a.fib and b.fib, max(a.level, b.level))
 
 
-def sort_lub(a: Sort, b: Sort) -> Sort:
-    return Sort(max(a.level, b.level), a.fib and b.fib)
+def _sort(u: Univ) -> str:
+    return f"{'Fib' if u.fib else 'Strict'}({u.level})"
 
 
 class TypeError_(Exception):
@@ -138,35 +137,17 @@ def _show(ctx: list[Term], t: Term) -> str:
     return print_term(t, [f"x{j}" for j in range(len(ctx))])
 
 
-def _closed_const_types() -> dict[str, Term]:
-    nat, nats = Const("Nat"), Const("NatS")
-    u0, us0 = Univ(True, 0), Univ(False, 0)
-    a = Var  # index helper for readability below
-    uip_ty = Pi("A", us0,
-                Pi("a", a(0),
-                   Pi("b", a(1),
-                      Pi("p", Eq(True, a(1), a(0)),
-                         Pi("q", Eq(True, a(2), a(1)),
-                            Eq(True, a(1), a(0)))))))
-    funext_ty = Pi(
-        "A", us0,
-        Pi("B", Pi("_", a(0), us0),
-           Pi("f", Pi("x", a(1), App(a(1), a(0))),
-              Pi("g", Pi("x", a(2), App(a(2), a(0))),
-                 Pi("h", Pi("x", a(3),
-                            Eq(True, App(a(2), a(0)), App(a(1), a(0)))),
-                    Eq(True, a(2), a(1)))))))
-    return {
-        "Unit": u0, "star": Const("Unit"),
-        "Empty": u0, "EmptyS": us0,
-        "Nat": u0, "NatS": us0,
-        "zero": nat, "succ": Pi("_", nat, nat),
-        "zeroS": nats, "succS": Pi("_", nats, nats),
-        "uip": uip_ty, "funextS": funext_ty,
-    }
-
-
-_CONST_TYPES = _closed_const_types()
+# The type of each built-in that is not a spine constant, in surface syntax.
+_CONST_TYPES = {name: parse_term(ty, "<kernel>") for name, ty in {
+    "Unit": "U 0", "star": "Unit",
+    "Empty": "U 0", "EmptyS": "Us 0",
+    "Nat": "U 0", "NatS": "Us 0",
+    "zero": "Nat", "succ": "Nat -> Nat",
+    "zeroS": "NatS", "succS": "NatS -> NatS",
+    "uip": "Pi (A : Us 0) (a b : A) (p q : a =s b), p =s q",
+    "funextS": "Pi (A : Us 0) (B : A -> Us 0) (f g : Pi (x : A), B x) "
+               "(h : Pi (x : A), f x =s g x), f =s g",
+}.items()}
 
 
 class Checker:
@@ -263,7 +244,10 @@ class Checker:
 
     # -- conversion --------------------------------------------------------
 
-    def convert(self, t: Term, u: Term) -> bool:
+    def convert(self, t: Term, u: Term, leq: bool = False) -> bool:
+        """`t` and `u` are convertible, or under `leq` `t` is a subtype of
+        `u`: universes by `sort_leq`, covariantly in the codomain of Pi and
+        the second component of Sigma, everything else by conversion."""
         # `==` ignores binder names, so it is alpha-equivalence
         if t is u or t == u:
             return True
@@ -291,10 +275,14 @@ class Checker:
                 return a == b
             case (Const(a), Const(b)):
                 return a == b
-            case (Univ(f1, l1), Univ(f2, l2)):
-                return f1 == f2 and l1 == l2
+            case (Univ(), Univ()):
+                ok = leq and sort_leq(t, u)
+                if ok and t.fib and not u.fib:
+                    self._use("FIB-PRE")
+                return ok
             case (Pi(_, a1, b1), Pi(_, a2, b2)) | (Sig(_, a1, b1), Sig(_, a2, b2)):
-                return type(t) is type(u) and self.convert(a1, a2) and self.convert(b1, b2)
+                return (type(t) is type(u) and self.convert(a1, a2)
+                        and self.convert(b1, b2, leq))
             case (Eq(s1, l1, r1), Eq(s2, l2, r2)):
                 return s1 == s2 and self.convert(l1, l2) and self.convert(r1, r2)
             case (App(), App()):
@@ -306,92 +294,21 @@ class Checker:
 
     # -- sorts -------------------------------------------------------------
 
-    def infer_sort(self, ctx: list[Term], ty: Term) -> Sort:
-        """Least sort at which `ty` is a universe element.  A type the kernel
-        has not checked is checked before it is reduced, since the reduction
-        may drop parts of it."""
+    def infer_sort(self, ctx: list[Term], ty: Term) -> Univ:
+        """The universe `ty` lives in.  A type the kernel has not checked is
+        checked before it is reduced, since the reduction may drop parts of
+        it."""
         t = self.whnf(ty)
         if t is not ty and not self._checked:
             self.infer(ctx, ty)
             return self._on_checked(self.infer_sort, ctx, t)
-        match t:
-            case Univ(fib, lvl):
-                return Sort(lvl + 1, fib)
-            case Pi(_, a, b) | Sig(_, a, b):
-                sa = self.infer_sort(ctx, a)
-                sb = self.infer_sort([a] + ctx, b)
-                s = sort_lub(sa, sb)
-                if s.fib:
-                    self._use("PI-FIB" if isinstance(t, Pi) else "SIGMA-FIB")
-                return s
-            case Eq(strict, lhs, rhs):
-                carrier = self.infer(ctx, lhs)
-                sc = self._on_checked(self.infer_sort, ctx, carrier)
-                self.check(ctx, rhs, carrier)
-                if strict:
-                    self._use("FORM-=s")
-                    return Sort(sc.level, False)
-                if not sc.fib:
-                    raise TypeError_(
-                        "INTRO-=",
-                        "fibrant equality requires a fibrant carrier, "
-                        f"but the carrier has sort {sc}")
-                self._use("INTRO-=")
-                return Sort(sc.level, True)
-            case _:
-                head, args = spine(t)
-                family, strict = (_SPINE.get(head.name, (None, False))
-                                  if isinstance(head, Const) else (None, False))
-                if family == "Sum" and len(args) == 2:
-                    sl = self.infer_sort(ctx, args[0])
-                    sr = self.infer_sort(ctx, args[1])
-                    if strict:
-                        return Sort(max(sl.level, sr.level), False)
-                    for s, side in ((sl, "left"), (sr, "right")):
-                        if not s.fib:
-                            raise TypeError_(
-                                "FORM-+",
-                                f"fibrant sum requires fibrant summands; {side} "
-                                f"summand has sort {s}")
-                    self._use("FORM-+")
-                    return Sort(max(sl.level, sr.level), True)
-                # neutral type: read the sort off its inferred universe
-                uni = self.whnf(self.infer(ctx, t))
-                if not isinstance(uni, Univ):
-                    raise TypeError_("SORT", "not a type (its type is not a universe)")
-                return Sort(uni.level, uni.fib)
-
-    # -- subsumption -------------------------------------------------------
-
-    def subsumes(self, got: Term, want: Term) -> bool:
-        """Structural cumulativity: universes by sort order, Pi/Sig covariant
-        in the codomain/second component, everything else by conversion."""
-        if got is want:
-            return True
-        g, w = self.whnf(got), self.whnf(want)
-        match (g, w):
-            case (Univ(f1, l1), Univ(f2, l2)):
-                ok = sort_leq(Sort(l1, f1), Sort(l2, f2))
-                if ok and f1 and not f2:
-                    self._use("FIB-PRE")
-                return ok
-            case (Pi(_, a1, b1), Pi(_, a2, b2)):
-                return self.convert(a1, a2) and self.subsumes(b1, b2)
-            case (Sig(_, a1, b1), Sig(_, a2, b2)):
-                return self.convert(a1, a2) and self.subsumes(b1, b2)
-            case _:
-                return self.convert(g, w)
-
-    def _subsume_or_fail(self, ctx: list[Term], term: Term, got: Term, want: Term):
-        if self.subsumes(got, want):
-            return
-        raise TypeError_(
-            self._mismatch_rule(term, got, want),
-            f"type mismatch: inferred `{_show(ctx, got)}` does not "
-            f"subsume expected `{_show(ctx, want)}`")
+        uni = self.whnf(self.infer(ctx, t))
+        if not isinstance(uni, Univ):
+            raise TypeError_("SORT", "not a type (its type is not a universe)")
+        return uni
 
     def _mismatch_rule(self, term: Term, got: Term, want: Term) -> str:
-        """Choose the rule name to cite for a subsumption failure."""
+        """Choose the rule name to cite when `got <= want` fails."""
         g, w = self.whnf(got), self.whnf(want)
         if isinstance(g, Univ) and isinstance(w, Univ) and not g.fib and w.fib:
             # a pretype was asserted fibrant: blame the relevant type former
@@ -430,9 +347,26 @@ class Checker:
                     f"{_FAMILIES[_SPINE[name][0]].arity} arguments")
             case Univ(fib, lvl):
                 return Univ(fib, lvl + 1)
-            case Pi() | Sig() | Eq():
-                s = self.infer_sort(ctx, t)
-                return Univ(s.fib, s.level)
+            case Pi(_, a, b) | Sig(_, a, b):
+                sa = self.infer_sort(ctx, a)
+                s = sort_lub(sa, self.infer_sort([a] + ctx, b))
+                if s.fib:
+                    self._use("PI-FIB" if isinstance(t, Pi) else "SIGMA-FIB")
+                return s
+            case Eq(strict, lhs, rhs):
+                carrier = self.infer(ctx, lhs)
+                sc = self._on_checked(self.infer_sort, ctx, carrier)
+                self.check(ctx, rhs, carrier)
+                if strict:
+                    self._use("FORM-=s")
+                    return Univ(False, sc.level)
+                if not sc.fib:
+                    raise TypeError_(
+                        "INTRO-=",
+                        "fibrant equality requires a fibrant carrier, "
+                        f"but the carrier has sort {_sort(sc)}")
+                self._use("INTRO-=")
+                return sc
             case Lam():
                 raise TypeError_("INFER", "cannot infer the type of a bare lambda; "
                                           "annotate it with `(t : T)`")
@@ -483,7 +417,7 @@ class Checker:
             raise TypeError_(
                 rule,
                 f"{name} requires a fibrant motive; this motive lands in sort "
-                f"{Sort(uni.level, uni.fib)} (use {_at_level(family, True)} {hint})")
+                f"{_sort(uni)} (use {_at_level(family, True)} {hint})")
         self._use(rule)
 
     def _infer_spine(self, ctx: list[Term], name: str,
@@ -506,8 +440,16 @@ class Checker:
 
         match family:
             case "Sum":
-                s = self.infer_sort(ctx, mk_app(Const(name), *args))
-                ty = Univ(s.fib, s.level)
+                sl, sr = (self.infer_sort(ctx, a) for a in args)
+                for s, side in ((sl, "left"), (sr, "right")):
+                    if not (strict or s.fib):
+                        raise TypeError_(
+                            "FORM-+",
+                            f"fibrant sum requires fibrant summands; {side} "
+                            f"summand has sort {_sort(s)}")
+                if not strict:
+                    self._use("FORM-+")
+                ty = Univ(not strict, max(sl.level, sr.level))
             case "fst" | "snd":
                 pty = self.whnf(self.infer(ctx, args[0]))
                 if not isinstance(pty, Sig):
@@ -521,7 +463,7 @@ class Checker:
                     raise TypeError_(
                         "INTRO-=",
                         "refl needs a fibrant carrier, got sort "
-                        f"{sc}; use reflS for pretypes")
+                        f"{_sort(sc)}; use reflS for pretypes")
                 self._use(rules[strict])
                 ty = Eq(strict, a, a)
             case "J":
@@ -589,7 +531,11 @@ class Checker:
                     self._const_ok(head.name)
                     return self._check_intro(ctx, head.name, args, tyw)
         got = self.infer(ctx, t)
-        self._subsume_or_fail(ctx, t, got, tyw)
+        if not self.convert(got, tyw, True):
+            raise TypeError_(
+                self._mismatch_rule(t, got, tyw),
+                f"type mismatch: inferred `{_show(ctx, got)}` does not "
+                f"subsume expected `{_show(ctx, tyw)}`")
 
     def _check_intro(self, ctx: list[Term], name: str, args: list[Term],
                      tyw: Term) -> None:
@@ -612,33 +558,34 @@ class Checker:
     # -- declarations ------------------------------------------------------
 
     def check_decl(self, d: Decl) -> dict:
-        """Check one declaration, extending the environment for def/axiom."""
+        """Check one declaration, extending the environment for def/axiom,
+        and return its record.  A `fail` declaration passes when a rule
+        rejects it, the rule it expects if it names one; running out of stack
+        is never an expected rejection."""
         record = {"kind": d.kind, "name": d.name, "line": d.line, "col": d.col}
         self.decl_rules = set()
-        if d.kind == "fail":
-            try:
-                self.infer_sort([], d.ty)
+        try:
+            self.infer_sort([], d.ty)
+            if d.kind != "axiom":
                 self.check([], d.body, d.ty)
-            except TypeError_ as e:
-                record["status"] = "pass"
-                record["rule"] = e.rule
-                record["message"] = e.msg
-                if d.expect_rule and d.expect_rule != e.rule:
-                    record["status"] = "fail"
-                    record["message"] = (f"expected rule {d.expect_rule}, "
-                                         f"but {e.rule} fired: {e.msg}")
-                return record
-            record["status"] = "fail"
-            record["message"] = "declaration was expected to be rejected but checked"
-            return record
-        self.infer_sort([], d.ty)
-        if d.kind != "axiom":
-            self.check([], d.body, d.ty)
+        except RecursionError:
+            return record | {"status": "fail", "rule": "DEPTH",
+                             "message": "terms nest too deeply to check"}
+        except TypeError_ as e:
+            if d.kind != "fail":
+                return record | {"status": "fail", "rule": e.rule,
+                                 "message": e.msg}
+            if d.expect_rule and d.expect_rule != e.rule:
+                return record | {"status": "fail", "rule": e.rule,
+                                 "message": f"expected rule {d.expect_rule}, "
+                                            f"but {e.rule} fired: {e.msg}"}
+            return record | {"status": "pass", "rule": e.rule, "message": e.msg}
+        if d.kind == "fail":
+            return record | {"status": "fail", "message":
+                             "declaration was expected to be rejected but checked"}
         if d.kind in ("def", "axiom"):
             self.env[d.name] = EnvEntry(d.ty, d.body)
-        record["status"] = "pass"
-        record["rules"] = sorted(self.decl_rules)
-        return record
+        return record | {"status": "pass", "rules": sorted(self.decl_rules)}
 
 
 @dataclass
@@ -660,18 +607,10 @@ class Report:
 
 
 def check_module(checker: Checker, mod: Module) -> Report:
-    """Check declarations in order; abort on the first hard failure."""
+    """Check declarations in order; stop at the first that fails."""
     records = []
     for d in mod.decls:
-        try:
-            rec = checker.check_decl(d)
-        except (TypeError_, RecursionError) as e:
-            # a RecursionError is never an expected rejection: `fail`
-            # declarations catch only TypeError_
-            rule, msg = ((e.rule, e.msg) if isinstance(e, TypeError_)
-                         else ("DEPTH", "terms nest too deeply to check"))
-            rec = {"kind": d.kind, "name": d.name, "line": d.line,
-                   "col": d.col, "status": "fail", "rule": rule, "message": msg}
+        rec = checker.check_decl(d)
         records.append(rec)
         if rec["status"] == "fail":
             return Report(mod.path, records,

@@ -246,6 +246,10 @@ class TestRanges:
         (["lab", "classifier", "--max-card", "-1"], "--max-card"),
         (["lab", "segal", "--levels", "0"], "--levels"),
         (["lab", "segal", "--max-dim", "0"], "no level to check"),
+        (["lab", "yoneda", "--max-dim", "13"], "--max-dim"),
+        (["lab", "horn-factor", "--n", "13", "--k", "0", "--max-dim", "20"],
+         "--max-dim"),
+        (["lab", "classifier", "--n", "13", "--max-dim", "13"], "--max-dim"),
     ])
     def test_out_of_range_count_is_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv, "--json")
@@ -261,7 +265,7 @@ class TestRanges:
         assert code == 2 and "no level to check" in err
         assert json.loads(out) == {"status": "error", "error": err.strip()}
 
-    @pytest.mark.parametrize("value", ["-1", "x", ""])
+    @pytest.mark.parametrize("value", ["-1", "x", "", "13"])
     def test_bad_max_dim_env_names_the_variable(self, capsys, monkeypatch,
                                                 value):
         monkeypatch.setenv("TLTT_MAX_DIM", value)

@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from tltt import kernel, syntax
 from tltt.kernel import (
-    Checker, EnvEntry, KernelOptions, RESTRICTED_RULES, RULES, Sort, TypeError_,
+    Checker, EnvEntry, KernelOptions, RESTRICTED_RULES, RULES, TypeError_,
     check_module, sort_leq, sort_lub,
 )
 from tltt.corpus import prelude_checker
 from tltt.syntax import (
-    App, Const, Decl, Module, Ref, parse, parse_term, resolve,
+    App, Const, Decl, Module, Ref, Univ, parse, parse_term, resolve,
 )
 
 
@@ -35,7 +35,7 @@ def infer(ck, src):
     return ck.infer([], term(src, globals_=set(ck.env)))
 
 
-sorts = st.builds(Sort, st.integers(0, 4), st.booleans())
+sorts = st.builds(Univ, st.booleans(), st.integers(0, 4))
 
 
 class TestSortLattice:
@@ -60,11 +60,11 @@ class TestSortLattice:
 
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_strict_never_below_fibrant(self, i, j):
-        assert not sort_leq(Sort(i, False), Sort(j, True))
+        assert not sort_leq(Univ(False, i), Univ(True, j))
 
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_fibrant_below_strict_iff_level(self, i, j):
-        assert sort_leq(Sort(i, True), Sort(j, False)) == (i <= j)
+        assert sort_leq(Univ(True, i), Univ(False, j)) == (i <= j)
 
 
 class TestConversion:
@@ -231,6 +231,40 @@ class TestRestrictions:
         check(ck, "NatS", "Us 1")
         with pytest.raises(TypeError_):
             check(ck, "U 1", "U 1")
+
+
+class TestCumulativity:
+    """`convert(t, u, leq=True)` orders types covariantly in the codomain
+    of Pi and the second component of Sigma, and by equality elsewhere."""
+
+    DEFS = ("axiom idU : U 0 -> U 0\n"
+            "axiom idUs : Us 0 -> Us 0\n"
+            "axiom sigU : Sig (X : U 0), U 0\n")
+
+    def last_record(self, stated):
+        mod = resolve(parse(self.DEFS + f"check {stated}\n", "m.tltt"))
+        return check_module(Checker(), mod).records[-1]
+
+    @pytest.mark.parametrize("stated", [
+        "idU : U 0 -> Us 0",
+        "sigU : Sig (X : U 0), Us 0",
+    ])
+    def test_fibrant_codomain_is_a_pretype(self, stated):
+        rec = self.last_record(stated)
+        assert rec["status"] == "pass" and "FIB-PRE" in rec["rules"]
+
+    def test_codomain_level_rises(self):
+        rec = self.last_record("idU : U 0 -> U 1")
+        assert rec["status"] == "pass" and "FIB-PRE" not in rec["rules"]
+
+    @pytest.mark.parametrize("stated", [
+        "idU : Us 0 -> U 0",        # domains are compared by equality
+        "idU : U 1 -> U 1",
+        "idUs : Us 0 -> U 0",       # a pretype is never fibrant
+    ])
+    def test_no_other_direction(self, stated):
+        rec = self.last_record(stated)
+        assert rec["status"] == "fail" and rec["rule"] == "CONV"
 
 
 class TestEliminatorAsymmetry:

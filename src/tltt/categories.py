@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .simplex import FiniteSemiSimplicialSet, MonoMap, compose_mono, enumerate_homs
+from .simplex import FiniteSemiSimplicialSet, MonoMap
 from .solver import solve
 
 
@@ -436,26 +436,23 @@ def pullback_diagram(p: DiagramMap, q: DiagramMap
 # ---------------------------------------------------------------------------
 
 def semisimplex_category(n: int) -> FinInvCat:
-    """The opposite semi-simplex category, truncated at rank <= n.
+    """The opposite semi-simplex category, truncated at rank <= n (empty
+    for n = -1).
 
     Objects are 0..n (object k standing for [k]); an arrow k -> j is a
-    strictly increasing map [j] -> [k], so ranks strictly decrease.
+    strictly increasing map [j] -> [k], stored as ``("m", k, image)``, so
+    ranks strictly decrease.  Composing is indexing: a : k -> j followed by
+    b : j -> l has the image of a read at the image of b.
     """
     objects = tuple(range(n + 1))
-    homs: dict = {}
-    identity = {}
-    for k in objects:
-        for j in objects:
-            if j > k:
-                continue
-            arrows = tuple(("m", k, m.image) for m in enumerate_homs(k, j))
-            if arrows:
-                homs[(k, j)] = arrows
-        identity[k] = ("m", k, tuple(range(k + 1)))
-    compose = _compose_all(homs, lambda b, a: ("m", a[1], compose_mono(
-        MonoMap(a[1], a[2]), MonoMap(b[1], b[2])).image))
-    rank = {k: k for k in objects}
-    return FinInvCat(objects, homs, compose, identity, rank=rank)
+    homs = {(k, j): tuple(("m", k, im) for im in
+                          itertools.combinations(range(k + 1), j + 1))
+            for k in objects for j in range(k + 1)}
+    identity = {k: ("m", k, tuple(range(k + 1))) for k in objects}
+    compose = _compose_all(homs, lambda b, a: (
+        "m", a[1], tuple(a[2][t] for t in b[2])))
+    return FinInvCat(objects, homs, compose, identity,
+                     rank={k: k for k in objects})
 
 
 def sset_to_diagram(x: FiniteSemiSimplicialSet,

@@ -56,7 +56,7 @@ def _stage_keys(c: FinInvCat, x: ClassifierElement, base: SetDiagram,
     for i in base.cat.objects:
         if c.rank[i] != r:
             continue
-        families, _ = matching_object(diagram, i, ambient=c)
+        families, _ = matching_object(diagram, i)
         for b in base.values[i]:
             b_family = boundary(base, i, b)
             for m in families:

@@ -117,15 +117,14 @@ def cmd_yoneda(args) -> Verdict:
     checks = []
     ok = True
     top = min(x.truncation, depth)
-    c = semisimplex_category(x.truncation)
-    diagram = sset_to_diagram(x, c)
+    diagram = sset_to_diagram(x)
     for n in range(top + 1):
         nats, mapping = simplex.yoneda_bijection(n, x)
         bij = sorted(map(str, mapping.values())) == sorted(
             map(str, x.levels[n]))
         ok = ok and bij and len(nats) == len(x.levels[n])
         bnats = simplex.nat_transforms(simplex.boundary_subfunctor(n), x)
-        families, _ = matching_object(diagram, n, ambient=c)
+        families, _ = matching_object(diagram, n)
         ok = ok and len(bnats) == len(families)
         checks.append({"n": n, "nat_full": len(nats),
                        "cells": len(x.levels[n]), "yoneda_bijective": bij,
@@ -184,15 +183,15 @@ def cmd_classifier(args) -> Verdict:
     n = args.n
     if n < 0 or n > _max_dim(args):
         raise ValueError(f"stage {n} out of range")
-    ambient = semisimplex_category(max(n, 1))
-    base = constant_diagram(ambient.truncate_below(n), ("*",))
+    # stage n reads only the ranks below n
+    c = semisimplex_category(n - 1)
+    base = constant_diagram(c, ("*",))
     universe = _universe(args.max_card)
-    count = count_classifier_elements(ambient, n, base, universe,
-                                      CLASSIFIER_CAP)
+    count = count_classifier_elements(c, n, base, universe, CLASSIFIER_CAP)
     if count > CLASSIFIER_CAP:
         raise ValueError("enumeration size cap exceeded")
-    trips = (round_trip(ambient, x, base)
-             for x in iter_classifier_elements(ambient, n, base, universe))
+    trips = (round_trip(c, x, base)
+             for x in iter_classifier_elements(c, n, base, universe))
     failures = [rt.to_json() for rt in trips if not rt.ok]
     return (not failures,
             {"n": n, "count": count, "round_trip_failures": failures},

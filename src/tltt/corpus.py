@@ -54,13 +54,17 @@ def prelude_checker() -> tuple[Checker, list[Report]]:
 @dataclass
 class CorpusReport:
     reports: list[Report] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+
+    @property
+    def errors(self) -> list[str]:
+        """The error of each file that has one, in run order."""
+        return [r.error for r in self.reports if r.error]
 
     @property
     def ok(self) -> bool:
-        """No file failed.  Coverage gaps do not count here (an empty path
-        list is ok); they do fail ``to_json()["status"]``."""
-        return not self.errors and all(r.ok for r in self.reports)
+        """No file failed.  Coverage gaps do not count here (an empty
+        corpus is ok); they do fail ``to_json()["status"]``."""
+        return all(r.ok for r in self.reports)
 
     def coverage(self) -> dict[str, dict[str, list[str]]]:
         """Rule name -> {positive: [file:line], negative: [file:line]}."""
@@ -101,24 +105,21 @@ class CorpusReport:
         }
 
 
-def run_corpus(paths: Optional[list[pathlib.Path]] = None,
-               options: Optional[KernelOptions] = None,
+def run_corpus(options: Optional[KernelOptions] = None,
                root: Optional[pathlib.Path] = None) -> CorpusReport:
     """Check prelude files into a shared environment, stopping at the first
-    that fails, then every other file on a copy of it.  `paths` defaults to
-    the corpus under `root`, the shipped one by default."""
+    that fails, then every other file on a copy of it: the corpus under
+    `root`, the shipped one by default."""
     out = CorpusReport()
     base = Checker(options=options)
-    for p in sorted(corpus_files(root) if paths is None else paths,
+    for p in sorted(corpus_files(root),
                     key=lambda p: (p.parent.name != "prelude", p)):
         ck = (base if p.parent.name == "prelude"
               else Checker(env=base.env, options=options))
         rep = check_file(ck, p)
         out.reports.append(rep)
-        if rep.error:
-            out.errors.append(rep.error)
-            if ck is base:
-                break
+        if rep.error and ck is base:
+            break
     return out
 
 

@@ -214,15 +214,6 @@ class PointedNerveComparison:
     bijective: bool
     natural: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "pointed_counts": self.pointed_counts,
-            "based_counts": self.based_counts,
-            "bijective": self.bijective,
-            "natural": self.natural,
-        }
-
 
 def compare_pointed_nerves(universe: list[tuple],
                            up_to: int) -> PointedNerveComparison:

@@ -1,10 +1,12 @@
 """Exact combinatorics of the semi-simplex category and Yoneda subfunctors.
 
 Objects are ``[n] = {0..n}``; morphisms ``[k] -> [n]`` are strictly
-increasing functions, stored as their image, a (k+1)-subset of ``{0..n}``.
-A subfunctor of the representable on ``[n]`` is a sieve: a downward-closed
-family of subsets of ``{0..n}``, holding the maps whose images are its
-members; ``Sieve.cells`` lists them level by level.  The central algorithm
+increasing functions, and a map is its image, a (k+1)-subset of ``{0..n}``:
+the j-th face of a map is its image with the j-th entry deleted, and
+composing is indexing (``categories.semisimplex_category``).  A subfunctor
+of the representable on ``[n]`` is a sieve: a downward-closed family of
+subsets of ``{0..n}``, holding the maps whose images are its members;
+``Sieve.cells`` lists them level by level.  The central algorithm
 factors the spine-into-horn inclusion as a chain of horn pushout steps, each
 removing a maximal set ``S`` together with ``S\\{h}`` from the current
 sieve.
@@ -36,7 +38,7 @@ def _check_dim(n: int):
 # Monotone maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class MonoMap:
     """A strictly increasing map [k] -> [n], stored as its image."""
 
@@ -49,38 +51,9 @@ class MonoMap:
         if self.image and not (0 <= self.image[0] and self.image[-1] <= self.n):
             raise ValueError(f"image {self.image} out of range for [{self.n}]")
 
-    @property
-    def k(self) -> int:
-        return len(self.image) - 1
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
 
 def identity_map(n: int) -> MonoMap:
     return MonoMap(n, tuple(range(n + 1)))
-
-
-def coface(n: int, j: int) -> MonoMap:
-    """The elementary coface [n-1] -> [n] skipping j."""
-    if not 0 <= j <= n:
-        raise ValueError(f"coface index {j} out of range for [{n}]")
-    return MonoMap(n, tuple(i for i in range(n + 1) if i != j))
-
-
-def enumerate_homs(n: int, k: int) -> list[MonoMap]:
-    """All maps [k] -> [n] in lexicographic order; count C(n+1, k+1)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return [MonoMap(n, c) for c in itertools.combinations(range(n + 1), k + 1)]
-
-
-def compose_mono(g: MonoMap, f: MonoMap) -> MonoMap:
-    """g after f, for g : [m] -> [n] and f : [k] -> [m]."""
-    if f.n != g.k:
-        raise ValueError(f"arity mismatch: composing [{f.n}] target "
-                         f"with [{g.k}] source")
-    return MonoMap(g.n, tuple(g(f(i)) for i in range(f.k + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +347,8 @@ def nat_transforms(f: Sieve, x: FiniteSemiSimplicialSet) -> list[dict]:
     """All natural transformations from the subfunctor into X.
 
     A transformation assigns to every cell (k, g) of F an element of
-    X_k, commuting with the elementary cofaces.  Cells are searched level
+    X_k, commuting with the elementary cofaces: the j-th face of g is g
+    with the j-th entry of its image deleted.  Cells are searched level
     by level; each face condition is checked when its level-k cell is
     assigned (see ``solver.solve``).
     """
@@ -383,7 +357,8 @@ def nat_transforms(f: Sieve, x: FiniteSemiSimplicialSet) -> list[dict]:
             f"semi-simplicial set truncated at {x.truncation} cannot receive "
             f"a subfunctor of dimension {f.n}")
     cells = f.cells()
-    constraints = [((k, g), (k - 1, compose_mono(g, coface(k, j))),
+    constraints = [((k, g),
+                    (k - 1, MonoMap(f.n, g.image[:j] + g.image[j + 1:])),
                     x.faces[(k, j)])
                    for k, g in cells if k > 0 for j in range(k + 1)]
     return solve(cells, [x.levels[k] for k, _ in cells], constraints)

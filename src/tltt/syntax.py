@@ -378,10 +378,8 @@ class Parser:
         if head is None:
             self.err(f"expected a term, found {self.peek().text!r}")
         while True:
-            save = self.pos
-            arg = self.atom()
+            arg = self.atom()     # None only before consuming a token
             if arg is None:
-                self.pos = save
                 return head
             head = App(head, arg)
 

@@ -1,5 +1,6 @@
 """Inverse categories, diagrams, limits two ways, exponentials, pullbacks."""
 
+import math
 import os
 import pathlib
 import random
@@ -159,6 +160,40 @@ class TestCoslice:
             assert c.compose[(h, f)] in cos.objects or c.src[h] == c.dst[f]
         for ((g2, h2), (f1, h1)), (f, h) in cos.compose.items():
             assert h == c.compose[(h2, h1)]
+
+
+class TestSemiSimplexCategory:
+    """The opposite of Δ₊ below rank 6 against maps taken as functions."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_hom_sets_are_binomial(self, n):
+        c = semisimplex_category(n)
+        for k in range(n + 1):
+            for j in range(n + 1):
+                want = math.comb(k + 1, j + 1) if j <= k else 0
+                assert len(c.hom(k, j)) == want
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_composites_are_composed_functions(self, n):
+        """``compose[(b, a)]`` is the map [l] -> [k] that sends i to
+        a(b(i)), for a : [j] -> [k] and b : [l] -> [j] as functions."""
+        c = semisimplex_category(n)
+        pairs = 0
+        for a in c.arrows():
+            for b in c.arrows():
+                if c.src[b] != c.dst[a]:
+                    continue
+                fa, fb = dict(enumerate(a[2])), dict(enumerate(b[2]))
+                composite = c.compose[(b, a)]
+                assert composite[1] == a[1]
+                assert dict(enumerate(composite[2])) == {
+                    i: fa[fb[i]] for i in fb}
+                pairs += 1
+        assert pairs == len(c.compose)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_laws_hold(self, n):
+        semisimplex_category(n).validate()
 
 
 class TestOutgoingArrows:

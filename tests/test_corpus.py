@@ -24,8 +24,9 @@ class TestCorpusRun:
     def test_every_file_reported(self, report):
         assert len(report.reports) == len(corpus_files())
 
-    def test_empty_path_list(self):
-        assert run_corpus(paths=[]).ok
+    def test_empty_path_list(self, tmp_path):
+        report = run_corpus(root=tmp_path)
+        assert report.reports == [] and report.ok
 
     def test_coverage_gaps_fail_the_status(self, tmp_path):
         (tmp_path / "prelude").mkdir()

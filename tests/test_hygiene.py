@@ -4,6 +4,7 @@ function, class or method is left that neither the package, its tests nor
 its benchmark reads."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -127,3 +128,30 @@ def test_the_check_sees_an_unused_public_definition():
                "c.py": "SPANNED = (('a', 'Kept.traced'),)\n"}
     assert unused_public_definitions(sources, readers) == [
         "a.py line 2: left", "a.py line 3: Gone", "a.py line 7: gone"]
+
+
+def _tracer():
+    """The benchmark's tracer module, loaded from its file."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    """Each name the tracer wraps resolves on its `tltt` module, a
+    `"Class.method"` in the class's own `__dict__`, as the tracer looks it
+    up; a refactor that deletes one otherwise fails only a traced run."""
+    tracer = _tracer()
+    missing = []
+    for module, attr, _ in tracer.SPANNED + tracer.COUNTED:
+        owner = importlib.import_module(f"tltt.{module}")
+        cls_name, _, meth = attr.rpartition(".")
+        if cls_name:
+            found = meth in vars(getattr(owner, cls_name, object))
+        else:
+            found = hasattr(owner, attr)
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -2,8 +2,8 @@
 
 import hashlib
 import inspect
+import itertools
 import json
-import math
 import re
 
 import pytest
@@ -12,46 +12,15 @@ from hypothesis import given, settings, strategies as st
 from tltt import simplex
 from tltt.simplex import (
     DimensionError, Factorization, FiniteSemiSimplicialSet, MonoMap, Sieve,
-    UnsupportedHorn, boundary_subfunctor, coface, compose_mono,
-    enumerate_homs, factor_spine_to_horn, full_subfunctor, generated_sieve,
-    horn_remove, horn_sieve, identity_map, nat_transforms, yoneda_bijection,
-    zigzag_sieve,
+    UnsupportedHorn, boundary_subfunctor, factor_spine_to_horn,
+    full_subfunctor, generated_sieve, horn_remove, horn_sieve, identity_map,
+    nat_transforms, yoneda_bijection, zigzag_sieve,
 )
 
 DEGENERATE = {(1, 0), (1, 1), (2, 0), (2, 2)}
 
 
-small_n = st.integers(0, 8)
-
-
 class TestMonoMaps:
-    @given(small_n, st.integers(0, 8))
-    def test_hom_count_is_binomial(self, n, k):
-        assert len(enumerate_homs(n, k)) == math.comb(n + 1, k + 1)
-
-    @given(st.integers(1, 6), st.data())
-    def test_compose_associative(self, n, data):
-        f = data.draw(st.sampled_from(enumerate_homs(n, data.draw(
-            st.integers(0, n)))))
-        m = f.k
-        g = data.draw(st.sampled_from(enumerate_homs(m, data.draw(
-            st.integers(0, m)))))
-        l = g.k
-        h = data.draw(st.sampled_from(enumerate_homs(l, data.draw(
-            st.integers(0, l)))))
-        assert compose_mono(compose_mono(f, g), h) == \
-            compose_mono(f, compose_mono(g, h))
-
-    @given(st.integers(0, 6), st.data())
-    def test_identity_unit(self, n, data):
-        f = data.draw(st.sampled_from(enumerate_homs(n, data.draw(
-            st.integers(0, n)))))
-        assert compose_mono(identity_map(n), f) == f
-        assert compose_mono(f, identity_map(f.k)) == f
-
-    def test_coface_missing_vertex(self):
-        assert coface(3, 1).image == (0, 2, 3)
-
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
             full_subfunctor(13)
@@ -67,16 +36,23 @@ def _level_sizes(sv):
 def _cells_by_scan(sv):
     """The reference level view: a scan of every map [k] -> [n], keeping
     those whose image lies inside some member."""
-    return [(k, g) for k in range(sv.n + 1) for g in enumerate_homs(sv.n, k)
-            if any(set(g.image) <= s for s in sv.members)]
+    return [c for c in _all_cells(sv.n)
+            if any(set(c[1].image) <= s for s in sv.members)]
 
 
 def _all_cells(n):
-    return [(k, g) for k in range(n + 1) for g in enumerate_homs(n, k)]
+    """Every map [k] -> [n], level by level, each level in lex order."""
+    return [(k, MonoMap(n, im)) for k in range(n + 1)
+            for im in itertools.combinations(range(n + 1), k + 1)]
+
+
+def _face(g, j):
+    """The j-th face of g: g with the j-th entry of its image deleted."""
+    return MonoMap(g.n, g.image[:j] + g.image[j + 1:])
 
 
 def _horn_cells(n, k):
-    omit = {identity_map(n), coface(n, k)}
+    omit = {identity_map(n), _face(identity_map(n), k)}
     return [c for c in _all_cells(n) if c[1] not in omit]
 
 
@@ -106,7 +82,7 @@ class TestSubfunctors:
         for sub in (full_subfunctor(n), zigzag_sieve(n), horn_sieve(n, k),
                     boundary_subfunctor(n)):
             cells = set(sub.cells())
-            assert {(lvl - 1, compose_mono(g, coface(lvl, j)))
+            assert {(lvl - 1, _face(g, j))
                     for lvl, g in cells if lvl
                     for j in range(lvl + 1)} <= cells
 
@@ -149,7 +125,7 @@ class TestSieves:
     def test_zigzag_realizes_spine(self, n):
         assert zigzag_sieve(n).cells() == [
             (k, g) for k, g in _all_cells(n)
-            if k == 0 or (k == 1 and g(1) == g(0) + 1)]
+            if k == 0 or (k == 1 and g.image[1] == g.image[0] + 1)]
 
     @given(st.integers(1, 5), st.data())
     def test_horn_sieve_realizes_horn(self, n, data):
@@ -300,16 +276,11 @@ class TestFactorization:
 
 
 def _two_simplex_sset():
-    levels = [[(i,) for i in range(3)],
-              [m.image for m in enumerate_homs(2, 1)],
-              [(0, 1, 2)]]
-    levels[0] = [m.image for m in enumerate_homs(2, 0)]
+    levels = [list(itertools.combinations(range(3), m + 1)) for m in range(3)]
     faces = {}
     for m in (1, 2):
         for i in range(m + 1):
-            faces[(m, i)] = {
-                im: compose_mono(MonoMap(2, im), coface(m, i)).image
-                for im in levels[m]}
+            faces[(m, i)] = {im: im[:i] + im[i + 1:] for im in levels[m]}
     x = FiniteSemiSimplicialSet(levels, faces)
     x.validate()
     return x

@@ -24,10 +24,12 @@ CORPUS_ROOT = pathlib.Path(__file__).parent / "corpus"
 
 
 def corpus_files(root: Optional[pathlib.Path] = None) -> list[pathlib.Path]:
+    """The corpus under `root` (the shipped one by default) in check order:
+    the prelude, then `tests/fail`, then `tests/pass`, each sorted."""
     root = root or CORPUS_ROOT
     return (sorted((root / "prelude").glob("*.tltt"))
-            + sorted((root / "tests" / "pass").glob("*.tltt"))
-            + sorted((root / "tests" / "fail").glob("*.tltt")))
+            + sorted((root / "tests" / "fail").glob("*.tltt"))
+            + sorted((root / "tests" / "pass").glob("*.tltt")))
 
 
 def check_file(checker: Checker, path: pathlib.Path) -> Report:
@@ -44,7 +46,7 @@ def prelude_checker() -> tuple[Checker, list[Report]]:
     """Check all prelude files into a fresh environment."""
     ck = Checker()
     reports = []
-    for p in sorted((CORPUS_ROOT / "prelude").glob("*.tltt")):
+    for p in [p for p in corpus_files() if p.parent.name == "prelude"]:
         reports.append(check_file(ck, p))
         if not reports[-1].ok:
             break
@@ -112,8 +114,7 @@ def run_corpus(options: Optional[KernelOptions] = None,
     `root`, the shipped one by default."""
     out = CorpusReport()
     base = Checker(options=options)
-    for p in sorted(corpus_files(root),
-                    key=lambda p: (p.parent.name != "prelude", p)):
+    for p in corpus_files(root):
         ck = (base if p.parent.name == "prelude"
               else Checker(env=base.env, options=options))
         rep = check_file(ck, p)

@@ -6,10 +6,11 @@ the j-th face of a map is its image with the j-th entry deleted, and
 composing is indexing (``categories.semisimplex_category``).  A subfunctor
 of the representable on ``[n]`` is a sieve: a downward-closed family of
 subsets of ``{0..n}``, holding the maps whose images are its members;
-``Sieve.cells`` lists them level by level.  The central algorithm
+``Sieve.cells`` lists them level by level.  A sieve is stored as one
+integer with a bit for each of the 2^(n+1) subsets.  The central algorithm
 factors the spine-into-horn inclusion as a chain of horn pushout steps, each
 removing a maximal set ``S`` together with ``S\\{h}`` from the current
-sieve.
+sieve: O(n) bit tests and one new integer per step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 from .solver import solve
 
-MAX_DIM = 12     # sieves are stored extensionally; guard the exponent
+MAX_DIM = 12     # a sieve is an int of 2^(n+1) bits; guard the exponent
 
 
 class DimensionError(ValueError):
@@ -60,52 +61,81 @@ def identity_map(n: int) -> MonoMap:
 # Sieves: the subfunctors of the representable on [n]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _mask(s: Iterable[int]) -> int:
+    """The bitmask of a subset of {0..n}: bit i is set when i is in it."""
+    m = 0
+    for i in s:
+        m |= 1 << i
+    return m
+
+
+def _subset(n: int, m: int) -> tuple[int, ...]:
+    """The subset of {0..n} with mask m, in increasing order."""
+    return tuple(i for i in range(n + 1) if m >> i & 1)
+
+
+def _masks(bits: int) -> list[int]:
+    """The masks whose bit is set in ``bits``, in increasing order."""
+    return [m for m, b in enumerate(reversed(bin(bits)[2:])) if b == "1"]
+
+
+@dataclass(frozen=True, init=False)
 class Sieve:
     """A subfunctor of the representable on [n], as a downward-closed family
     of subsets of {0..n}.
 
     A map [k] -> [n] is determined by its image, so the subfunctor holds
     exactly the maps whose image is a non-empty member; ``cells`` lists them.
+    The family is one integer: bit ``m`` is set exactly when the subset with
+    mask ``m`` is a member, so equality, order and horn removal are integer
+    arithmetic and a copy is one int.
     """
 
     n: int
-    members: frozenset    # of frozenset[int]
+    bits: int
 
-    def __post_init__(self):
-        _check_dim(self.n)
-        universe = frozenset(range(self.n + 1))
-        for s in self.members:
+    def __init__(self, n: int, members: Iterable[frozenset]):
+        _check_dim(n)
+        universe = frozenset(range(n + 1))
+        bits = 0
+        for s in members:
             if not s <= universe:
-                raise ValueError(f"member {sorted(s)} not a subset of [0,{self.n}]")
-        self._check_closed()
-
-    def _check_closed(self):
-        for s in self.members:
+                raise ValueError(f"member {sorted(s)} not a subset of [0,{n}]")
+            bits |= 1 << _mask(s)
+        for s in members:
+            m = _mask(s)
             for x in s:
-                if s - {x} not in self.members:
+                if not bits >> (m & ~(1 << x)) & 1:
                     raise ValueError(
                         f"not downward closed: {sorted(s)} present but "
                         f"{sorted(s - {x})} missing")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
-    def _closed(cls, n: int, members: frozenset) -> "Sieve":
-        """Skip ``__post_init__``'s full re-check: the caller has shown that
-        the members are subsets of {0..n} and downward closed."""
+    def _closed(cls, n: int, bits: int) -> "Sieve":
+        """Skip ``__init__``'s full check: the caller has shown that the
+        family is downward closed."""
         sv = object.__new__(cls)
         object.__setattr__(sv, "n", n)
-        object.__setattr__(sv, "members", members)
+        object.__setattr__(sv, "bits", bits)
         return sv
+
+    @property
+    def members(self) -> frozenset:
+        """The family as a frozenset of frozensets, built on each read."""
+        return frozenset(frozenset(_subset(self.n, m))
+                         for m in _masks(self.bits))
 
     def cells(self) -> list[tuple[int, MonoMap]]:
         """The subfunctor level by level: ``(k, g)`` for each map
         g : [k] -> [n] whose image is a member, sorted by ``(k, image)``."""
-        images = sorted((tuple(sorted(s)) for s in self.members if s),
+        images = sorted((_subset(self.n, m) for m in _masks(self.bits) if m),
                         key=lambda im: (len(im), im))
         return [(len(im) - 1, MonoMap(self.n, im)) for im in images]
 
     def __le__(self, other: "Sieve") -> bool:
-        return self.n == other.n and self.members <= other.members
+        return self.n == other.n and not self.bits & ~other.bits
 
 
 def generated_sieve(n: int, gens: Iterable[Iterable[int]]) -> Sieve:
@@ -121,13 +151,14 @@ def generated_sieve(n: int, gens: Iterable[Iterable[int]]) -> Sieve:
 def full_subfunctor(n: int) -> Sieve:
     """The representable on [n]: every subset of {0..n}."""
     _check_dim(n)
-    return generated_sieve(n, [range(n + 1)])
+    return Sieve._closed(n, (1 << 2 ** (n + 1)) - 1)
 
 
 def boundary_subfunctor(n: int) -> Sieve:
-    """Every map into [n] but the identity."""
-    return Sieve._closed(n, full_subfunctor(n).members
-                         - {frozenset(range(n + 1))})
+    """Every map into [n] but the identity, whose image {0..n} has the
+    largest mask."""
+    _check_dim(n)
+    return Sieve._closed(n, (1 << 2 ** (n + 1) - 1) - 1)
 
 
 def zigzag_sieve(n: int) -> Sieve:
@@ -145,32 +176,35 @@ def horn_sieve(n: int, k: int) -> Sieve:
 
 def horn_remove(x: Sieve, s: Iterable[int], h: int) -> Sieve:
     """Remove S and S\\{h} from the sieve; a pushout of a horn inclusion."""
-    members = set(x.members)
-    _remove_step(members, x.n, frozenset(s), h)
-    return Sieve._closed(x.n, frozenset(members))
+    return Sieve._closed(x.n, _remove_step(x.bits, x.n, frozenset(s), h))
 
 
-def _remove_step(members: set, n: int, s: frozenset, h: int) -> None:
-    """``horn_remove`` in place on the members of a sieve on [n].
+def _remove_step(bits: int, n: int, s: frozenset, h: int) -> int:
+    """``horn_remove`` on the bits of a sieve on [n]; returns the new bits.
 
     The family is downward closed, so a member above S or S\\{h} shows as
-    one set with a single element y outside S added: O(n) lookups per
+    one set with a single element y outside S added: O(n) bit tests per
     check."""
-    if s not in members:
+    # a set with an element outside {0..n} has no bit (and 1 << -1 would
+    # raise its own error)
+    m = _mask(s) if s <= frozenset(range(n + 1)) else None
+    if m is None or not bits >> m & 1:
         raise ValueError(f"{sorted(s)} is not a member of the sieve")
-    outside = [y for y in range(n + 1) if y not in s]
-    if any(s | {y} in members for y in outside):
-        raise ValueError(f"{sorted(s)} is not maximal in the sieve")
+    outside = [1 << y for y in range(n + 1) if y not in s]
+    for b in outside:
+        if bits >> (m | b) & 1:
+            raise ValueError(f"{sorted(s)} is not maximal in the sieve")
     if h not in s:
         raise ValueError(f"{h} is not an element of {sorted(s)}")
-    face = s - {h}
-    if any(face | {y} in members for y in outside):
-        raise ValueError(
-            f"removing {sorted(s)} at {h} breaks downward closure: "
-            f"{sorted(face)} still below another member")
+    face = m & ~(1 << h)
+    for b in outside:
+        if bits >> (face | b) & 1:
+            raise ValueError(
+                f"removing {sorted(s)} at {h} breaks downward closure: "
+                f"{sorted(s - {h})} still below another member")
     # Neither S nor S\{h} lies below a remaining member, so the rest stays
     # downward closed.
-    members.difference_update((s, face))
+    return bits & ~(1 << m | 1 << face)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +251,10 @@ class Factorization:
     def sieves(self) -> list[Sieve]:
         """The chain of sieves, validating every step along the way."""
         chain = [self.start]
-        members = set(self.start.members)
+        bits = self.start.bits
         for st in self.steps:
-            _remove_step(members, self.n, st.s, st.h)
-            chain.append(Sieve._closed(self.n, frozenset(members)))
+            bits = _remove_step(bits, self.n, st.s, st.h)
+            chain.append(Sieve._closed(self.n, bits))
         return chain
 
     def to_json(self) -> dict:
@@ -283,10 +317,10 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
     steps += [HornStep(s, j) for s in _cosieve_order_interval(0, n, j)
               if s not in (full, full - {k})]
     steps += _interval_steps(0, j) + _interval_steps(j, n)
-    members = set(start.members)
-    for st in steps:             # validates each step on one member set
-        _remove_step(members, n, st.s, st.h)
-    if members != end.members:
+    bits = start.bits
+    for st in steps:             # validates each step on one int
+        bits = _remove_step(bits, n, st.s, st.h)
+    if bits != end.bits:
         raise AssertionError("factorization did not land on the zigzag sieve")
     return Factorization(n, k, start, end, steps)
 

@@ -189,6 +189,76 @@ class TestSieves:
             Sieve(2, frozenset({frozenset({0, 1}), frozenset({0}),
                                 frozenset()}))
 
+    @settings(deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_bitset_agrees_with_a_set_model(self, n, data):
+        gens = st.lists(st.frozensets(st.integers(0, n)), max_size=4)
+        fa, fb = _closure(data.draw(gens)), _closure(data.draw(gens))
+        a, b = Sieve(n, fa), Sieve(n, fb)
+        assert a.members == fa and b.members == fb
+        assert a.cells() == _cells_of_model(n, fa)
+        assert (a == b) == (fa == fb)
+        assert (a <= b) == (fa <= fb) and (b <= a) == (fb <= fa)
+        assert a == generated_sieve(n, fa)
+        assert hash(a) == hash(generated_sieve(n, fa))
+        if fa == fb:
+            assert hash(a) == hash(b)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_constructor_accepts_and_rejects_like_a_set_model(self, n, data):
+        family = set(_closure(data.draw(
+            st.lists(st.frozensets(st.integers(0, n)), max_size=3))))
+        # one member added (possibly out of range) or one dropped makes the
+        # rejections common; the untouched closure covers acceptance
+        extra = data.draw(st.one_of(st.none(),
+                                    st.frozensets(st.integers(-1, n + 1))))
+        if extra is not None:
+            family.add(extra)
+        if family and data.draw(st.booleans()):
+            family.discard(data.draw(st.sampled_from(
+                sorted(family, key=sorted))))
+        family = frozenset(family)
+        assert _outcome_of(lambda: Sieve(n, family).members) \
+            == _outcome_of(lambda: _model_sieve(n, family))
+
+
+def _closure(gens):
+    """Every subset of every generator, as a set model of a sieve."""
+    return frozenset(frozenset(c) for g in gens
+                     for r in range(len(g) + 1)
+                     for c in itertools.combinations(sorted(g), r))
+
+
+def _model_sieve(n, members):
+    """The reference constructor: a frozenset of frozensets, checked by
+    scans over the members in their own order."""
+    universe = frozenset(range(n + 1))
+    for s in members:
+        if not s <= universe:
+            raise ValueError(f"member {sorted(s)} not a subset of [0,{n}]")
+    for s in members:
+        for x in s:
+            if s - {x} not in members:
+                raise ValueError(
+                    f"not downward closed: {sorted(s)} present but "
+                    f"{sorted(s - {x})} missing")
+    return members
+
+
+def _cells_of_model(n, members):
+    """The non-empty members as cells, sorted by size, then image."""
+    images = sorted((tuple(sorted(s)) for s in members if s),
+                    key=lambda im: (len(im), im))
+    return [(len(im) - 1, MonoMap(n, im)) for im in images]
+
+
+def _outcome_of(build):
+    try:
+        return "sieve", build()
+    except ValueError as e:
+        return "error", str(e)
+
 
 def _horn_remove_by_scans(x, s, h):
     """The reference: linear scans over all members, and the result
@@ -262,6 +332,26 @@ class TestFactorization:
                 if (n, k) not in DEGENERATE]
         assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == (
             "648968a045450fde93aff0e071c7dc7861de8cf463d44e9b8b5460b08d17ccd2")
+
+    def test_chains_of_sieves_hash_to_a_pinned_value(self):
+        """The sorted members of every sieve of every chain for n <= 7 hash
+        to a pinned value."""
+        docs = [[sorted(sorted(m) for m in sv.members)
+                 for sv in factor_spine_to_horn(n, k).sieves()]
+                for n in range(1, 8) for k in range(n + 1)
+                if (n, k) not in DEGENERATE]
+        assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == (
+            "954f5865e045197e4d899aff9e152f4527b0d5bcb5820e2c045ad2a17d419ce9")
+
+    def test_the_chain_never_builds_member_sets(self, monkeypatch):
+        """Steps and the chain work on the integer of each sieve alone."""
+        def no_members(sv):
+            raise AssertionError("a member set was built")
+        monkeypatch.setattr(Sieve, "members", property(no_members))
+        fac = factor_spine_to_horn(9, 4)
+        chain = fac.sieves()
+        assert len(chain) == len(fac.steps) + 1
+        assert chain[-1] == zigzag_sieve(9)
 
     def test_monotone_chain_of_realizations(self):
         fac = factor_spine_to_horn(4, 2)

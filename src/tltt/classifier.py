@@ -183,9 +183,7 @@ def extract(c: FinInvCat, n: int, diagram: SetDiagram, p: DiagramMap,
             for (b, mkey), fibre in grouped.items():
                 for v in fibre:
                     eta[i][v] = (b, mkey, v)
-            for (b, mkey), fibre in grouped.items():
-                pairs.append(((i, b, mkey),
-                              tuple(eta[i][v][2] for v in fibre)))
+                pairs.append(((i, b, mkey), tuple(fibre)))
         stages.append(tuple(pairs))
     return ClassifierElement(n, tuple(stages)), eta
 

@@ -16,7 +16,7 @@ sieve: O(n) bit tests and one new integer per step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .solver import solve
@@ -211,10 +211,6 @@ def _remove_step(bits: int, n: int, s: frozenset, h: int) -> int:
 # The spine-through-horn factorization
 # ---------------------------------------------------------------------------
 
-def _internal(h: int, s: frozenset) -> bool:
-    return h in s and min(s) < h < max(s)
-
-
 @dataclass(frozen=True)
 class HornStep:
     """One horn pushout: remove S and S\\{h}."""
@@ -224,7 +220,7 @@ class HornStep:
 
     @property
     def inner(self) -> bool:
-        return _internal(self.h, self.s)
+        return self.h in self.s and min(self.s) < self.h < max(self.s)
 
     def to_json(self) -> dict:
         return {"S": sorted(self.s), "h": self.h, "inner": self.inner}
@@ -236,6 +232,8 @@ class Factorization:
 
     ``length`` is the number of removed subsets (simplices), which is twice
     the number of pushout steps: every step removes exactly two sets.
+    ``bits`` holds the integer of every sieve of the chain, ``start`` first,
+    as ``factor_spine_to_horn`` computed them while validating the steps.
     """
 
     n: int
@@ -243,19 +241,16 @@ class Factorization:
     start: Sieve
     end: Sieve
     steps: list[HornStep]
+    bits: list[int] = field(repr=False)
 
     @property
     def length(self) -> int:
         return 2 * len(self.steps)
 
     def sieves(self) -> list[Sieve]:
-        """The chain of sieves, validating every step along the way."""
-        chain = [self.start]
-        bits = self.start.bits
-        for st in self.steps:
-            bits = _remove_step(bits, self.n, st.s, st.h)
-            chain.append(Sieve._closed(self.n, bits))
-        return chain
+        """The chain of sieves that ``factor_spine_to_horn`` validated, one
+        per step after ``start``; no step is run again."""
+        return [Sieve._closed(self.n, b) for b in self.bits]
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "length": self.length,
@@ -275,13 +270,10 @@ class UnsupportedHorn(ValueError):
 
 
 def _interval_steps(a: int, b: int) -> list[HornStep]:
-    """Steps reducing the principal sieve on [a,b] to its zigzag part."""
-    if b - a <= 1:
-        return []
-    j = a + 1
-    steps = [HornStep(s, j)
-             for s in _cosieve_order_interval(a, b, j)]
-    return steps + _interval_steps(a, j) + _interval_steps(j, b)
+    """Steps reducing the principal sieve on [a,b] to its zigzag part: for
+    each pivot j from a+1 to b-1, the sets of [j-1,b] with j internal."""
+    return [HornStep(s, j) for j in range(a + 1, b)
+            for s in _cosieve_order_interval(j - 1, b, j)]
 
 
 def _cosieve_order_interval(a: int, b: int, j: int) -> list[frozenset]:
@@ -289,7 +281,7 @@ def _cosieve_order_interval(a: int, b: int, j: int) -> list[frozenset]:
     return [frozenset(c)
             for r in range(b - a + 1, 2, -1)
             for c in itertools.combinations(range(a, b + 1), r)
-            if _internal(j, frozenset(c))]
+            if c[0] < j < c[-1] and j in c]
 
 
 def factor_spine_to_horn(n: int, k: int) -> Factorization:
@@ -317,12 +309,12 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
     steps += [HornStep(s, j) for s in _cosieve_order_interval(0, n, j)
               if s not in (full, full - {k})]
     steps += _interval_steps(0, j) + _interval_steps(j, n)
-    bits = start.bits
+    bits = [start.bits]
     for st in steps:             # validates each step on one int
-        bits = _remove_step(bits, n, st.s, st.h)
-    if bits != end.bits:
+        bits.append(_remove_step(bits[-1], n, st.s, st.h))
+    if bits[-1] != end.bits:
         raise AssertionError("factorization did not land on the zigzag sieve")
-    return Factorization(n, k, start, end, steps)
+    return Factorization(n, k, start, end, steps, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +338,7 @@ class FiniteSemiSimplicialSet:
 
     def validate(self) -> None:
         for m in range(1, self.truncation + 1):
+            below = set(self.levels[m - 1])
             for i in range(m + 1):
                 fm = self.faces.get((m, i))
                 if fm is None:
@@ -353,7 +346,7 @@ class FiniteSemiSimplicialSet:
                 for x in self.levels[m]:
                     if x not in fm:
                         raise ValueError(f"face ({m},{i}) undefined on {x!r}")
-                    if fm[x] not in self.levels[m - 1]:
+                    if fm[x] not in below:
                         raise ValueError(f"face ({m},{i}) leaves level {m - 1}")
         # d_i . d_j = d_{j-1} . d_i  for i < j
         for m in range(2, self.truncation + 1):

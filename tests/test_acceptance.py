@@ -88,7 +88,7 @@ def test_criterion_3_horn_factorization():
                                  and e.witness not in horn_sieve(n, k).members)
                 continue
             fac = factor_spine_to_horn(n, k)
-            chain = fac.sieves()   # validates each pushout step
+            chain = fac.sieves()   # the chain factor_spine_to_horn validated
             ok = ok and fac.length == 2 ** (n + 1) - 2 * n - 4
             ok = ok and chain[-1] == zigzag_sieve(n)
             if 0 < k < n:

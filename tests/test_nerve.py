@@ -10,6 +10,7 @@ from tltt.nerve import (
     nerve, pointed_face, pointed_nerve_level, pointed_to_based, segal_check,
     segal_report, spine_restriction, weak_spines,
 )
+from tltt.simplex import FiniteSemiSimplicialSet
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,46 @@ class TestNerve:
         assert n.faces[(2, 1)][cell] == ("p0", ("le02",))
         assert n.faces[(2, 0)][cell] == ("p1", ("le12",))
         assert n.faces[(2, 2)][cell] == ("p0", ("le01",))
+
+
+CELL = ("p0", ("le01", "le12"))
+
+
+def _drop_map(faces):
+    del faces[(2, 1)]
+
+
+def _drop_cell(faces):
+    del faces[(2, 1)][CELL]
+
+
+def _leave_level(faces):
+    faces[(2, 1)][CELL] = ("ghost", ())
+
+
+def _wrong_face(faces):
+    faces[(2, 0)][CELL] = ("p0", ("le01",))   # a level-1 cell, not d_0
+
+
+class TestValidate:
+    """Each rejection of `FiniteSemiSimplicialSet.validate`, on a copy of
+    the poset's nerve with one entry broken."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_map, r"missing face map \(2, 1\)"),
+        (_drop_cell, r"face \(2,1\) undefined on "
+                     r"\('p0', \('le01', 'le12'\)\)"),
+        (_leave_level, r"face \(2,1\) leaves level 1"),
+        (_wrong_face, r"simplicial identity fails at level 2: "
+                      r"d_0 d_1 != d_0 d_0 on \('p0', \('le01', 'le12'\)\)"),
+    ], ids=["missing", "undefined", "leaves", "identity"])
+    def test_broken_entry_is_rejected(self, poset_nerve, edit, message):
+        faces = {key: dict(fn) for key, fn in poset_nerve.faces.items()}
+        edit(faces)
+        broken = FiniteSemiSimplicialSet(
+            [list(level) for level in poset_nerve.levels], faces)
+        with pytest.raises(ValueError, match=message):
+            broken.validate()
 
 
 class TestSegal:

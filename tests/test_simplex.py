@@ -301,7 +301,7 @@ class TestFactorization:
             if (n, k) in DEGENERATE:
                 continue
             fac = factor_spine_to_horn(n, k)
-            chain = fac.sieves()   # validates every removal
+            chain = fac.sieves()   # the chain factor_spine_to_horn validated
             assert chain[0] == fac.start
             assert chain[-1] == fac.end
             assert fac.end == zigzag_sieve(n)
@@ -363,6 +363,52 @@ class TestFactorization:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             factor_spine_to_horn(2, 3)
+
+    def test_interval_steps_match_the_recursive_reference(self):
+        for a in range(13):
+            for b in range(a, 13):
+                assert (simplex._interval_steps(a, b)
+                        == _interval_steps_by_recursion(a, b)), (a, b)
+        for n in range(11):
+            for j in range(n + 1):
+                assert (simplex._cosieve_order_interval(0, n, j)
+                        == _cosieve_order_by_filtering(0, n, j)), (n, j)
+
+    def test_sieves_returns_the_validated_chain(self, monkeypatch):
+        """`sieves()` wraps the integers `factor_spine_to_horn` computed
+        while validating; it runs no step again."""
+        fac = factor_spine_to_horn(9, 4)
+        start, end = horn_sieve(9, 4), zigzag_sieve(9)
+
+        def no_step(*args):
+            raise AssertionError("a horn step was run again")
+        monkeypatch.setattr(simplex, "_remove_step", no_step)
+        chain = fac.sieves()
+        assert len(chain) == len(fac.steps) + 1
+        assert chain[0] == start
+        assert chain[-1] == end
+
+
+def _interval_steps_by_recursion(a, b):
+    """The reference: split [a,b] at j = a+1, recurse into both halves."""
+    if b - a <= 1:
+        return []
+    j = a + 1
+    steps = [simplex.HornStep(s, j)
+             for s in _cosieve_order_by_filtering(a, b, j)]
+    return (steps + _interval_steps_by_recursion(a, j)
+            + _interval_steps_by_recursion(j, b))
+
+
+def _cosieve_order_by_filtering(a, b, j):
+    """The reference: every combination of size >= 3 as a set, kept when
+    j is internal to it."""
+    def internal(h, s):
+        return h in s and min(s) < h < max(s)
+    return [frozenset(c)
+            for r in range(b - a + 1, 2, -1)
+            for c in itertools.combinations(range(a, b + 1), r)
+            if internal(j, frozenset(c))]
 
 
 def _two_simplex_sset():

@@ -181,30 +181,29 @@ class Checker:
 
     def whnf(self, t: Term) -> Term:
         while True:
-            match t:
-                case Ann(tm, _):
-                    t = tm
+            k = type(t)
+            if k is App:
+                fw = self.whnf(t.fn)
+                if isinstance(fw, Lam):
+                    t = subst(fw.body, t.arg)
                     continue
-                case Ref(name):
-                    entry = self.env.get(name)
-                    if entry is not None and entry.value is not None:
-                        t = entry.value
-                        continue
-                    return t
-                case App(f, a):
-                    fw = self.whnf(f)
-                    if isinstance(fw, Lam):
-                        t = subst(fw.body, a)
-                        continue
-                    if fw is not f:
-                        t = App(fw, a)
-                    red = self._iota(*spine(t))
-                    if red is not None:
-                        t = red
-                        continue
-                    return t
-                case _:
-                    return t
+                if fw is not t.fn:
+                    t = App(fw, t.arg)
+                red = self._iota(*spine(t))
+                if red is not None:
+                    t = red
+                    continue
+                return t
+            if k is Ref:
+                entry = self.env.get(t.name)
+                if entry is not None and entry.value is not None:
+                    t = entry.value
+                    continue
+                return t
+            if k is Ann:
+                t = t.tm
+                continue
+            return t
 
     def _iota(self, head: Term, args: list[Term]) -> Optional[Term]:
         """Computation rules for eliminator spines; None if stuck."""
@@ -268,29 +267,28 @@ class Checker:
         if isinstance(uh, Const) and uh.name == "pair" and len(ua) == 2:
             return (self.convert(App(Const("fst"), t), ua[0])
                     and self.convert(App(Const("snd"), t), ua[1]))
-        match (t, u):
-            case (Var(i), Var(j)):
-                return i == j
-            case (Ref(a), Ref(b)):
-                return a == b
-            case (Const(a), Const(b)):
-                return a == b
-            case (Univ(), Univ()):
-                ok = leq and sort_leq(t, u)
-                if ok and t.fib and not u.fib:
-                    self._use("FIB-PRE")
-                return ok
-            case (Pi(_, a1, b1), Pi(_, a2, b2)) | (Sig(_, a1, b1), Sig(_, a2, b2)):
-                return (type(t) is type(u) and self.convert(a1, a2)
-                        and self.convert(b1, b2, leq))
-            case (Eq(s1, l1, r1), Eq(s2, l2, r2)):
-                return s1 == s2 and self.convert(l1, l2) and self.convert(r1, r2)
-            case (App(), App()):
-                return (self.convert(th, uh)
-                        and len(ta) == len(ua)
-                        and all(self.convert(x, y) for x, y in zip(ta, ua)))
-            case _:
-                return False
+        k = type(t)
+        if k is not type(u):
+            return False
+        if k is App:
+            return (self.convert(th, uh)
+                    and len(ta) == len(ua)
+                    and all(self.convert(x, y) for x, y in zip(ta, ua)))
+        if k is Eq:
+            return (t.strict == u.strict and self.convert(t.lhs, u.lhs)
+                    and self.convert(t.rhs, u.rhs))
+        if k is Univ:
+            ok = leq and sort_leq(t, u)
+            if ok and t.fib and not u.fib:
+                self._use("FIB-PRE")
+            return ok
+        if k is Pi or k is Sig:
+            return self.convert(t.dom, u.dom) and self.convert(t.cod, u.cod, leq)
+        if k is Var:
+            return t.idx == u.idx
+        if k is Const or k is Ref:
+            return t.name == u.name
+        return False
 
     # -- sorts -------------------------------------------------------------
 
@@ -325,74 +323,75 @@ class Checker:
     # -- inference ---------------------------------------------------------
 
     def infer(self, ctx: list[Term], t: Term) -> Term:
-        match t:
-            case Var(i):
-                return shift(ctx[i], i + 1)
-            case Ref(name):
-                entry = self.env.get(name)
-                if entry is None:
-                    raise TypeError_("SCOPE", f"unknown global {name!r}")
-                return entry.ty
-            case Const(name):
-                self._const_ok(name)
-                if name in _CONST_TYPES:
-                    if name == "uip":
-                        self._use("UIP")
-                    if name == "funextS":
-                        self._use("FUNEXT")
-                    return _CONST_TYPES[name]
+        k = type(t)
+        if k is Var:
+            return shift(ctx[t.idx], t.idx + 1)
+        if k is App:
+            head, args = spine(t)
+            if isinstance(head, Const) and head.name in _SPINE:
+                self._const_ok(head.name)
+                fty, args = self._infer_spine(ctx, head.name, args)
+            elif isinstance(head, Lam):
+                # a redex: type the argument it may drop, then the body
+                if not self._checked:
+                    self.infer(ctx, args[0])
+                return self.infer(ctx, mk_app(subst(head.body, args[0]), *args[1:]))
+            else:
+                fty = self.infer(ctx, head)
+            for a in args:
+                fw = self.whnf(fty)
+                if not isinstance(fw, Pi):
+                    raise TypeError_("APP", "applied a non-function")
+                self.check(ctx, a, fw.dom)
+                fty = subst(fw.cod, a)
+            return fty
+        if k is Pi or k is Sig:
+            sa = self.infer_sort(ctx, t.dom)
+            s = sort_lub(sa, self.infer_sort([t.dom] + ctx, t.cod))
+            if s.fib:
+                self._use("PI-FIB" if k is Pi else "SIGMA-FIB")
+            return s
+        if k is Const:
+            name = t.name
+            self._const_ok(name)
+            if name in _CONST_TYPES:
+                if name == "uip":
+                    self._use("UIP")
+                if name == "funextS":
+                    self._use("FUNEXT")
+                return _CONST_TYPES[name]
+            raise TypeError_(
+                "ARITY",
+                f"constant {name!r} must be applied to "
+                f"{_FAMILIES[_SPINE[name][0]].arity} arguments")
+        if k is Eq:
+            carrier = self.infer(ctx, t.lhs)
+            sc = self._on_checked(self.infer_sort, ctx, carrier)
+            self.check(ctx, t.rhs, carrier)
+            if t.strict:
+                self._use("FORM-=s")
+                return Univ(False, sc.level)
+            if not sc.fib:
                 raise TypeError_(
-                    "ARITY",
-                    f"constant {name!r} must be applied to "
-                    f"{_FAMILIES[_SPINE[name][0]].arity} arguments")
-            case Univ(fib, lvl):
-                return Univ(fib, lvl + 1)
-            case Pi(_, a, b) | Sig(_, a, b):
-                sa = self.infer_sort(ctx, a)
-                s = sort_lub(sa, self.infer_sort([a] + ctx, b))
-                if s.fib:
-                    self._use("PI-FIB" if isinstance(t, Pi) else "SIGMA-FIB")
-                return s
-            case Eq(strict, lhs, rhs):
-                carrier = self.infer(ctx, lhs)
-                sc = self._on_checked(self.infer_sort, ctx, carrier)
-                self.check(ctx, rhs, carrier)
-                if strict:
-                    self._use("FORM-=s")
-                    return Univ(False, sc.level)
-                if not sc.fib:
-                    raise TypeError_(
-                        "INTRO-=",
-                        "fibrant equality requires a fibrant carrier, "
-                        f"but the carrier has sort {_sort(sc)}")
-                self._use("INTRO-=")
-                return sc
-            case Lam():
-                raise TypeError_("INFER", "cannot infer the type of a bare lambda; "
-                                          "annotate it with `(t : T)`")
-            case Ann(tm, ty):
-                self.infer_sort(ctx, ty)     # ty must be a type
-                self.check(ctx, tm, ty)
-                return ty
-            case App():
-                head, args = spine(t)
-                if isinstance(head, Const) and head.name in _SPINE:
-                    self._const_ok(head.name)
-                    fty, args = self._infer_spine(ctx, head.name, args)
-                elif isinstance(head, Lam):
-                    # a redex: type the argument it may drop, then the body
-                    if not self._checked:
-                        self.infer(ctx, args[0])
-                    return self.infer(ctx, mk_app(subst(head.body, args[0]), *args[1:]))
-                else:
-                    fty = self.infer(ctx, head)
-                for a in args:
-                    fw = self.whnf(fty)
-                    if not isinstance(fw, Pi):
-                        raise TypeError_("APP", "applied a non-function")
-                    self.check(ctx, a, fw.dom)
-                    fty = subst(fw.cod, a)
-                return fty
+                    "INTRO-=",
+                    "fibrant equality requires a fibrant carrier, "
+                    f"but the carrier has sort {_sort(sc)}")
+            self._use("INTRO-=")
+            return sc
+        if k is Univ:
+            return Univ(t.fib, t.level + 1)
+        if k is Ref:
+            entry = self.env.get(t.name)
+            if entry is None:
+                raise TypeError_("SCOPE", f"unknown global {t.name!r}")
+            return entry.ty
+        if k is Ann:
+            self.infer_sort(ctx, t.ty)     # ty must be a type
+            self.check(ctx, t.tm, t.ty)
+            return t.ty
+        if k is Lam:
+            raise TypeError_("INFER", "cannot infer the type of a bare lambda; "
+                                      "annotate it with `(t : T)`")
         raise AssertionError(t)
 
     def _elim_motive(self, ctx: list[Term], name: str, motive: Term,
@@ -517,19 +516,19 @@ class Checker:
 
     def check(self, ctx: list[Term], t: Term, ty: Term) -> None:
         tyw = self.whnf(ty)
-        match t:
-            case Lam(_, body):
-                if not isinstance(tyw, Pi):
-                    raise TypeError_(
-                        "CONV", f"lambda checked against non-function type "
-                                f"`{_show(ctx, tyw)}`")
-                self.check([tyw.dom] + ctx, body, tyw.cod)
-                return
-            case App() | Const():
-                head, args = spine(t)
-                if isinstance(head, Const) and head.name in _CHECK_ONLY:
-                    self._const_ok(head.name)
-                    return self._check_intro(ctx, head.name, args, tyw)
+        k = type(t)
+        if k is App or k is Const:
+            head, args = spine(t)
+            if isinstance(head, Const) and head.name in _CHECK_ONLY:
+                self._const_ok(head.name)
+                return self._check_intro(ctx, head.name, args, tyw)
+        elif k is Lam:
+            if not isinstance(tyw, Pi):
+                raise TypeError_(
+                    "CONV", f"lambda checked against non-function type "
+                            f"`{_show(ctx, tyw)}`")
+            self.check([tyw.dom] + ctx, t.body, tyw.cod)
+            return
         got = self.infer(ctx, t)
         if not self.convert(got, tyw, True):
             raise TypeError_(

@@ -125,50 +125,51 @@ def mk_app(head: Term, *args: Term) -> Term:
     return head
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    if by == 0:
+# Walkers test `type(t)`, commonest first: a `match` tests each earlier case's class.
+def subst(t: Term, sub: Term, idx: int = 0) -> Term:
+    """Substitute `sub` for Var(idx) in t, adjusting indices."""
+    k = type(t)
+    if k is Var:
+        if t.idx == idx:
+            return shift(sub, idx)
+        return Var(t.idx - 1) if t.idx > idx else t
+    if k is App:
+        return App(subst(t.fn, sub, idx), subst(t.arg, sub, idx))
+    if k is Const or k is Ref or k is Univ:
         return t
-    match t:
-        case Var(i):
-            return Var(i + by) if i >= cutoff else t
-        case Ref() | Const() | Univ():
-            return t
-        case Pi(x, a, b):
-            return Pi(x, shift(a, by, cutoff), shift(b, by, cutoff + 1))
-        case Sig(x, a, b):
-            return Sig(x, shift(a, by, cutoff), shift(b, by, cutoff + 1))
-        case Lam(x, b):
-            return Lam(x, shift(b, by, cutoff + 1))
-        case App(f, a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Eq(s, l, r):
-            return Eq(s, shift(l, by, cutoff), shift(r, by, cutoff))
-        case Ann(tm, ty):
-            return Ann(shift(tm, by, cutoff), shift(ty, by, cutoff))
+    if k is Pi:
+        return Pi(t.name, subst(t.dom, sub, idx), subst(t.cod, sub, idx + 1))
+    if k is Sig:
+        return Sig(t.name, subst(t.dom, sub, idx), subst(t.cod, sub, idx + 1))
+    if k is Eq:
+        return Eq(t.strict, subst(t.lhs, sub, idx), subst(t.rhs, sub, idx))
+    if k is Lam:
+        return Lam(t.name, subst(t.body, sub, idx + 1))
+    if k is Ann:
+        return Ann(subst(t.tm, sub, idx), subst(t.ty, sub, idx))
     raise AssertionError(t)
 
 
-def subst(t: Term, sub: Term, idx: int = 0) -> Term:
-    """Substitute `sub` for Var(idx) in t, adjusting indices."""
-    match t:
-        case Var(i):
-            if i == idx:
-                return shift(sub, idx)
-            return Var(i - 1) if i > idx else t
-        case Ref() | Const() | Univ():
-            return t
-        case Pi(x, a, b):
-            return Pi(x, subst(a, sub, idx), subst(b, sub, idx + 1))
-        case Sig(x, a, b):
-            return Sig(x, subst(a, sub, idx), subst(b, sub, idx + 1))
-        case Lam(x, b):
-            return Lam(x, subst(b, sub, idx + 1))
-        case App(f, a):
-            return App(subst(f, sub, idx), subst(a, sub, idx))
-        case Eq(s, l, r):
-            return Eq(s, subst(l, sub, idx), subst(r, sub, idx))
-        case Ann(tm, ty):
-            return Ann(subst(tm, sub, idx), subst(ty, sub, idx))
+def shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    if by == 0:
+        return t
+    k = type(t)
+    if k is Var:
+        return Var(t.idx + by) if t.idx >= cutoff else t
+    if k is App:
+        return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
+    if k is Univ or k is Const or k is Ref:
+        return t
+    if k is Pi:
+        return Pi(t.name, shift(t.dom, by, cutoff), shift(t.cod, by, cutoff + 1))
+    if k is Eq:
+        return Eq(t.strict, shift(t.lhs, by, cutoff), shift(t.rhs, by, cutoff))
+    if k is Lam:
+        return Lam(t.name, shift(t.body, by, cutoff + 1))
+    if k is Sig:
+        return Sig(t.name, shift(t.dom, by, cutoff), shift(t.cod, by, cutoff + 1))
+    if k is Ann:
+        return Ann(shift(t.tm, by, cutoff), shift(t.ty, by, cutoff))
     raise AssertionError(t)
 
 

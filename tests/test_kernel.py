@@ -1,5 +1,6 @@
 """Typechecking: sorts, conversion, eliminators, and restrictions."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from tltt.kernel import (
 )
 from tltt.corpus import prelude_checker
 from tltt.syntax import (
-    App, Const, Decl, Module, Ref, Univ, parse, parse_term, resolve,
+    App, Const, Decl, Module, Pi, Ref, Univ, parse, parse_term, resolve,
 )
 
 
@@ -426,6 +427,28 @@ class TestDiagnostics:
         assert rep.records[-1]["status"] == "fail"
         assert rep.records[-1]["rule"] == "DEPTH"
         assert rep.error.startswith("m.tltt:3:1: [DEPTH]")
+
+
+class TestRecursionWall:
+    """The checker's Python frames per nesting level, pinned below the wall
+    at CPython's default recursion limit (under pytest the walls sit near
+    477 levels for both terms): a helper frame per level lowers it."""
+
+    DEPTH = 440
+
+    def test_succ_tower_checks(self):
+        assert sys.getrecursionlimit() == 1000
+        tower = Const("zero")
+        for _ in range(self.DEPTH):
+            tower = App(Const("succ"), tower)
+        Checker().check([], tower, Const("Nat"))
+
+    def test_pi_chain_checks(self):
+        assert sys.getrecursionlimit() == 1000
+        chain = Const("Nat")
+        for _ in range(self.DEPTH):
+            chain = Pi("x", Const("Nat"), chain)
+        Checker().check([], chain, Univ(True, 0))
 
 
 class TestOptions:

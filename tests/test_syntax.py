@@ -3,7 +3,7 @@
 import pathlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tltt.corpus import corpus_files
 from tltt.kernel import Checker, check_module
@@ -148,6 +148,86 @@ class TestSubstitution:
         t = rt("J (fun a b p => Nat) (fun a => zero)")
         head, args = spine(t)
         assert head == Const("J") and mk_app(head, *args) == t
+
+
+def match_subst(t, sub, idx=0):
+    """`subst` as written with `match`, the oracle for the dispatch on
+    `type(t)`."""
+    match t:
+        case Var(i):
+            if i == idx:
+                return match_shift(sub, idx)
+            return Var(i - 1) if i > idx else t
+        case Ref() | Const() | Univ():
+            return t
+        case Pi(x, a, b):
+            return Pi(x, match_subst(a, sub, idx), match_subst(b, sub, idx + 1))
+        case Sig(x, a, b):
+            return Sig(x, match_subst(a, sub, idx), match_subst(b, sub, idx + 1))
+        case Lam(x, b):
+            return Lam(x, match_subst(b, sub, idx + 1))
+        case App(f, a):
+            return App(match_subst(f, sub, idx), match_subst(a, sub, idx))
+        case Eq(s, l, r):
+            return Eq(s, match_subst(l, sub, idx), match_subst(r, sub, idx))
+        case Ann(tm, ty):
+            return Ann(match_subst(tm, sub, idx), match_subst(ty, sub, idx))
+    raise AssertionError(t)
+
+
+def match_shift(t, by, cutoff=0):
+    """`shift` as written with `match`."""
+    if by == 0:
+        return t
+    match t:
+        case Var(i):
+            return Var(i + by) if i >= cutoff else t
+        case Ref() | Const() | Univ():
+            return t
+        case Pi(x, a, b):
+            return Pi(x, match_shift(a, by, cutoff), match_shift(b, by, cutoff + 1))
+        case Sig(x, a, b):
+            return Sig(x, match_shift(a, by, cutoff), match_shift(b, by, cutoff + 1))
+        case Lam(x, b):
+            return Lam(x, match_shift(b, by, cutoff + 1))
+        case App(f, a):
+            return App(match_shift(f, by, cutoff), match_shift(a, by, cutoff))
+        case Eq(s, l, r):
+            return Eq(s, match_shift(l, by, cutoff), match_shift(r, by, cutoff))
+        case Ann(tm, ty):
+            return Ann(match_shift(tm, by, cutoff), match_shift(ty, by, cutoff))
+    raise AssertionError(t)
+
+
+# Open terms of every kind: free variables up to 5, named binders.
+_names = st.sampled_from(["x", "y", "_"])
+open_terms = st.recursive(
+    st.one_of(st.builds(Var, st.integers(0, 5)),
+              st.builds(Ref, st.sampled_from(["f", "g"])),
+              st.builds(Const, st.sampled_from(["zero", "succ", "Nat"])),
+              st.builds(Univ, st.booleans(), st.integers(0, 2))),
+    lambda sub: st.one_of(
+        st.builds(Pi, _names, sub, sub), st.builds(Sig, _names, sub, sub),
+        st.builds(Lam, _names, sub), st.builds(App, sub, sub),
+        st.builds(Eq, st.booleans(), sub, sub), st.builds(Ann, sub, sub)),
+    max_leaves=12)
+
+
+class TestSubstitutionOracle:
+    """`subst` and `shift` build the terms the `match` versions build,
+    binder names included (`==` ignores them, so `repr` compares)."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(open_terms, open_terms, st.integers(0, 3))
+    def test_subst_agrees(self, t, s, idx):
+        assert repr(subst(t, s, idx)) == repr(match_subst(t, s, idx))
+        assert subst(Var(0), s) is s
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(open_terms, st.integers(1, 2), st.integers(0, 3))
+    def test_shift_agrees(self, t, by, cutoff):
+        assert repr(shift(t, by, cutoff)) == repr(match_shift(t, by, cutoff))
+        assert shift(t, 0) is t and shift(t, 0, cutoff) is t
 
 
 class TestPrinter:

@@ -300,9 +300,11 @@ class Checker:
         if t is not ty and not self._checked:
             self.infer(ctx, ty)
             return self._on_checked(self.infer_sort, ctx, t)
-        uni = self.whnf(self.infer(ctx, t))
-        if not isinstance(uni, Univ):
-            raise TypeError_("SORT", "not a type (its type is not a universe)")
+        uni = self.infer(ctx, t)
+        if not isinstance(uni, Univ):   # a type former's sort is a Univ already
+            uni = self.whnf(uni)
+            if not isinstance(uni, Univ):
+                raise TypeError_("SORT", "not a type (its type is not a universe)")
         return uni
 
     def _mismatch_rule(self, term: Term, got: Term, want: Term) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 
@@ -29,66 +29,97 @@ class SyntaxError_(Exception):
 # Core terms (de Bruijn indices; name fields are printing hints only)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Base of the core terms: no `__dict__`, and no field is assigned or
+    deleted after `__init__`, so reduction may share subterms."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the node through `__init__`
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _term(cls):
+    """Make `cls` a slotted dataclass node.  Its `__init__` stores each field
+    with the slot descriptor's `__set__`, past `_Node.__setattr__`: one
+    store per field, where a frozen dataclass calls `object.__setattr__`.
+    `==` and `hash` ignore the fields declared with `compare=False`."""
+    cls = dataclass(slots=True, unsafe_hash=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    ns = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f"    _set_{n}(self, {n})\n" for n in names), ns)
+    cls.__init__ = ns["__init__"]
+    return cls
+
+
+@_term
+class Var(_Node):
     idx: int
 
 
-@dataclass(frozen=True)
-class Ref:
+@_term
+class Ref(_Node):
     """Reference to a module-level def or axiom."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+@_term
+class Const(_Node):
     """Built-in constant (type, constructor, or eliminator head)."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Univ:
+@_term
+class Univ(_Node):
     fib: bool
     level: int
 
 
-@dataclass(frozen=True)
-class Pi:
+@_term
+class Pi(_Node):
     name: str = field(compare=False)
     dom: "Term"
     cod: "Term"
 
 
-@dataclass(frozen=True)
-class Sig:
+@_term
+class Sig(_Node):
     name: str = field(compare=False)
     dom: "Term"
     cod: "Term"
 
 
-@dataclass(frozen=True)
-class Lam:
+@_term
+class Lam(_Node):
     name: str = field(compare=False)
     body: "Term"
 
 
-@dataclass(frozen=True)
-class App:
+@_term
+class App(_Node):
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Eq:
+@_term
+class Eq(_Node):
     strict: bool
     lhs: "Term"
     rhs: "Term"
 
 
-@dataclass(frozen=True)
-class Ann:
+@_term
+class Ann(_Node):
     """Type annotation; the checked-position residue of surface `(t : T)`."""
 
     tm: "Term"
@@ -220,7 +251,7 @@ class Module:
 # Lexer: one master regex, matched token by token
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str      # NAME NAT PUNCT KW EXPECT EOF
     text: str

@@ -6,10 +6,12 @@ its benchmark reads."""
 import ast
 import importlib.util
 import pathlib
+import typing
 
 import pytest
 
 import tltt
+from tltt import syntax
 
 MODULES = sorted(pathlib.Path(tltt.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).parents[1]
@@ -181,3 +183,12 @@ def test_term_walkers_dispatch_without_match():
         for name in names:
             fn = found[module, name]
             assert not any(isinstance(n, ast.Match) for n in ast.walk(fn)), name
+
+
+def test_every_term_kind_is_a_slotted_node():
+    """A term kind declared as a plain or frozen dataclass would silently
+    give its nodes a `__dict__`, and a frozen one a store per field through
+    `object.__setattr__`."""
+    for kind in typing.get_args(syntax.Term):
+        assert issubclass(kind, syntax._Node), kind.__name__
+        assert kind.__slots__, kind.__name__

@@ -1,6 +1,10 @@
 """Parsing, resolution, and printing."""
 
+import copy
+import dataclasses
 import pathlib
+import pickle
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from tltt.corpus import corpus_files
 from tltt.kernel import Checker, check_module
 from tltt.syntax import (
-    Ann, App, Const, Eq, Lam, Pi, Ref, ResolveError, Sig, SyntaxError_, Univ,
-    Var, mk_app, parse, parse_term, print_module, print_term, resolve,
+    Ann, App, Const, Eq, Lam, Pi, Ref, ResolveError, Sig, SyntaxError_, Term,
+    Univ, Var, mk_app, parse, parse_term, print_module, print_term, resolve,
     shift, spine, subst, tokenize,
 )
 
@@ -228,6 +232,79 @@ class TestSubstitutionOracle:
     def test_shift_agrees(self, t, by, cutoff):
         assert repr(shift(t, by, cutoff)) == repr(match_shift(t, by, cutoff))
         assert shift(t, 0) is t and shift(t, 0, cutoff) is t
+
+
+# One node of each kind, binder names set, and each kind's match arguments
+# written out, so that a reordered or renamed field shows.
+EVERY_KIND = [
+    Var(1), Ref("f"), Const("zero"), Univ(False, 2),
+    Pi("x", Const("Nat"), Var(0)), Sig("y", Univ(True, 0), Var(0)),
+    Lam("z", Lam("w", Var(1))), App(Const("succ"), Var(0)),
+    Eq(True, Var(0), Const("zero")), Ann(Lam("v", Var(0)), Ref("g")),
+]
+MATCH_ARGS = {
+    Var: ("idx",), Ref: ("name",), Const: ("name",), Univ: ("fib", "level"),
+    Pi: ("name", "dom", "cod"), Sig: ("name", "dom", "cod"),
+    Lam: ("name", "body"), App: ("fn", "arg"), Eq: ("strict", "lhs", "rhs"),
+    Ann: ("tm", "ty"),
+}
+kinds = pytest.mark.parametrize("t", EVERY_KIND, ids=lambda t: type(t).__name__)
+
+
+def renamed(t):
+    """`t` with a prime added to every binder name."""
+    match t:
+        case Pi(x, a, b) | Sig(x, a, b):
+            return type(t)(x + "'", renamed(a), renamed(b))
+        case Lam(x, b):
+            return Lam(x + "'", renamed(b))
+        case App(f, a):
+            return App(renamed(f), renamed(a))
+        case Eq(s, l, r):
+            return Eq(s, renamed(l), renamed(r))
+        case Ann(tm, ty):
+            return Ann(renamed(tm), renamed(ty))
+    return t
+
+
+class TestNodes:
+    """Terms are immutable slotted nodes that copy, pickle and compare up to
+    binder names."""
+
+    def test_every_kind_is_listed(self):
+        assert {type(t) for t in EVERY_KIND} == set(typing.get_args(Term))
+        assert set(MATCH_ARGS) == set(typing.get_args(Term))
+
+    @kinds
+    def test_fields_are_neither_assigned_nor_deleted(self, t):
+        t = dataclasses.replace(t)     # a node no other test reads
+        before = repr(t)
+        for name in type(t).__match_args__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(t, name, Var(7))
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+        assert repr(t) == before
+        assert not hasattr(t, "__dict__")
+
+    @kinds
+    def test_copy_deepcopy_and_pickle_give_the_same_term(self, t):
+        for twin in (copy.copy(t), copy.deepcopy(t),
+                     pickle.loads(pickle.dumps(t))):
+            assert type(twin) is type(t)
+            assert twin == t and repr(twin) == repr(t)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(open_terms)
+    def test_equality_and_hash_ignore_binder_names(self, t):
+        other = renamed(t)
+        assert other == t and hash(other) == hash(t)
+        binders = any(n in repr(t) for n in ("Pi(", "Sig(", "Lam("))
+        assert (repr(other) != repr(t)) == binders
+
+    @kinds
+    def test_match_args_are_the_fields_in_order(self, t):
+        assert type(t).__match_args__ == MATCH_ARGS[type(t)]
 
 
 class TestPrinter:

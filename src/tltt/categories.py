@@ -293,7 +293,7 @@ def matching_object(x: SetDiagram, z, ambient: Optional[FinInvCat] = None
     Returns the matching families (dicts keyed by coslice objects, i.e.
     non-identity arrows out of z) and the canonical projection from X_z
     (as a dict X_z-element -> its ``boundary``); when ``ambient`` is given
-    the coslice is taken there (used when z itself lies outside X's base).
+    the coslice is taken there.
     The limit is solved over the arrows out of z directly, ordered as
     ``limit_direct`` orders the objects of ``reduced_coslice(c, z)``: each
     h out of the target of f asks that the value at h . f be X(h) of the

@@ -18,7 +18,7 @@ from typing import Optional
 from .kernel import (
     Checker, KernelOptions, Report, RESTRICTED_RULES, RULES, check_module,
 )
-from .syntax import Module, ResolveError, SyntaxError_, parse, resolve
+from .syntax import Module, SyntaxError_, parse, resolve
 
 CORPUS_ROOT = pathlib.Path(__file__).parent / "corpus"
 
@@ -37,7 +37,7 @@ def check_file(checker: Checker, path: pathlib.Path) -> Report:
     syntax or name error becomes the report's `error`."""
     try:
         mod = resolve(parse(path.read_text(), str(path)), set(checker.env))
-    except (SyntaxError_, ResolveError) as e:
+    except SyntaxError_ as e:
         return Report(str(path), [], error=str(e))
     return check_module(checker, mod)
 

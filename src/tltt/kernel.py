@@ -273,7 +273,7 @@ class Checker:
         if k is App:
             return (self.convert(th, uh)
                     and len(ta) == len(ua)
-                    and all(self.convert(x, y) for x, y in zip(ta, ua)))
+                    and all(map(self.convert, ta, ua)))
         if k is Eq:
             return (t.strict == u.strict and self.convert(t.lhs, u.lhs)
                     and self.convert(t.rhs, u.rhs))

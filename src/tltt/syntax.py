@@ -168,10 +168,8 @@ def subst(t: Term, sub: Term, idx: int = 0) -> Term:
         return App(subst(t.fn, sub, idx), subst(t.arg, sub, idx))
     if k is Const or k is Ref or k is Univ:
         return t
-    if k is Pi:
-        return Pi(t.name, subst(t.dom, sub, idx), subst(t.cod, sub, idx + 1))
-    if k is Sig:
-        return Sig(t.name, subst(t.dom, sub, idx), subst(t.cod, sub, idx + 1))
+    if k is Pi or k is Sig:
+        return k(t.name, subst(t.dom, sub, idx), subst(t.cod, sub, idx + 1))
     if k is Eq:
         return Eq(t.strict, subst(t.lhs, sub, idx), subst(t.rhs, sub, idx))
     if k is Lam:
@@ -191,14 +189,12 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
         return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
     if k is Univ or k is Const or k is Ref:
         return t
-    if k is Pi:
-        return Pi(t.name, shift(t.dom, by, cutoff), shift(t.cod, by, cutoff + 1))
+    if k is Pi or k is Sig:
+        return k(t.name, shift(t.dom, by, cutoff), shift(t.cod, by, cutoff + 1))
     if k is Eq:
         return Eq(t.strict, shift(t.lhs, by, cutoff), shift(t.rhs, by, cutoff))
     if k is Lam:
         return Lam(t.name, shift(t.body, by, cutoff + 1))
-    if k is Sig:
-        return Sig(t.name, shift(t.dom, by, cutoff), shift(t.cod, by, cutoff + 1))
     if k is Ann:
         return Ann(shift(t.tm, by, cutoff), shift(t.ty, by, cutoff))
     raise AssertionError(t)
@@ -325,39 +321,40 @@ class Parser:
 
     def expect(self, text: str) -> Token:
         t = self.peek()
-        if t.text != text or t.kind == "EOF":
+        if t.text != text:
             self.err(f"expected {text!r}, found {t.text!r}")
         return self.next()
 
     # -- terms ------------------------------------------------------------
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.text == "Pi" or t.text == "Sig":
-            self.next()
-            binders = self.binders()
-            self.expect(",")
-            body = self.term()
-            del self.scope[len(self.scope) - len(binders):]
-            ctor = Pi if t.text == "Pi" else Sig
-            for name, ty in reversed(binders):
-                body = ctor(name, ty, body)
-            return body
-        if t.text == "fun":
-            self.next()
-            names = []
-            while self.peek().kind == "NAME":
-                names.append(self.next().text)
+        """`(Pi | Sig) binders , term`, `fun names => term`, or `infix`."""
+        form = self.peek().text
+        if form not in ("Pi", "Sig", "fun"):
+            return self.infix()
+        self.next()
+        if form == "fun":
+            names = self.names()
             if not names:
                 self.err("expected at least one binder name after 'fun'")
-            self.expect("=>")
+            binders = [(name, None) for name in names]
             self.scope += names
-            body = self.term()
-            del self.scope[len(self.scope) - len(names):]
-            for name in reversed(names):
-                body = Lam(name, body)
-            return body
-        return self.arrow()
+        else:
+            binders = self.binders()
+        self.expect("=>" if form == "fun" else ",")
+        body = self.term()
+        del self.scope[len(self.scope) - len(binders):]
+        ctor = Sig if form == "Sig" else Pi
+        for name, ty in reversed(binders):     # innermost first
+            body = Lam(name, body) if ty is None else ctor(name, ty, body)
+        return body
+
+    def names(self) -> list[str]:
+        """Read bare names while there are any; the list may be empty."""
+        names = []
+        while self.peek().kind == "NAME":
+            names.append(self.next().text)
+        return names
 
     def binders(self) -> list[tuple[str, Term]]:
         """Parse `(x y : T)+`, returning (name, type) pairs, and bind the names.
@@ -370,9 +367,7 @@ class Parser:
         while self.peek().text == "(":
             save = self.pos
             self.next()
-            names = []
-            while self.peek().kind == "NAME":
-                names.append(self.next().text)
+            names = self.names()
             if not names or self.peek().text != ":":
                 self.pos = save
                 break
@@ -386,23 +381,19 @@ class Parser:
             self.err("expected a binder '(name : type)'")
         return out
 
-    def arrow(self) -> Term:
-        lhs = self.eq()
+    def infix(self) -> Term:
+        """`app [("=" | "=s") app] ["->" term]`: `->` nests to the right."""
+        lhs = self.app()
+        op = self.peek().text
+        if op == "=" or op == "=s":
+            self.next()
+            lhs = Eq(op == "=s", lhs, self.app())
         if self.peek().text == "->":
             self.next()
             self.scope.append("_")
             rhs = self.term()
             self.scope.pop()
             return Pi("_", lhs, rhs)
-        return lhs
-
-    def eq(self) -> Term:
-        lhs = self.app()
-        t = self.peek()
-        if t.text in ("=", "=s"):
-            self.next()
-            rhs = self.app()
-            return Eq(t.text == "=s", lhs, rhs)
         return lhs
 
     def app(self) -> Term:
@@ -464,26 +455,24 @@ class Parser:
                 self.err("expected a declaration (def/axiom/check/fail)")
             self.next()
             self.refs = []
+            name = body = None
             if t.text in ("def", "axiom"):
-                name_tok = self.peek()
-                if name_tok.kind != "NAME":
+                if self.peek().kind != "NAME":
                     self.err("expected a name")
-                self.next()
+                name = self.next().text
                 self.expect(":")
                 ty = self.term()
-                body = None
                 if t.text == "def":
                     self.expect(":=")
                     body = self.term()
-                decls.append(Decl(t.text, name_tok.text, ty, body, t.line, t.col,
-                                  pending_expect, self.refs))
             else:
-                subject = self.term()
+                body = self.term()
                 subject_refs, self.refs = self.refs, []
                 self.expect(":")
                 ty = self.term()
-                decls.append(Decl(t.text, None, ty, subject, t.line, t.col,
-                                  pending_expect, self.refs + subject_refs))
+                self.refs += subject_refs     # the type's refs come first
+            decls.append(Decl(t.text, name, ty, body, t.line, t.col,
+                              pending_expect, self.refs))
             pending_expect = None
         return Module(decls, self.path)
 
@@ -522,10 +511,9 @@ def parse_term(src: str, path: str = "<input>", scope=(), globals_=()) -> Term:
 # Resolver: links a parsed module against the names declared before it
 # ---------------------------------------------------------------------------
 
-class ResolveError(Exception):
-    def __init__(self, msg: str, line: int = 0, col: int = 0, path: str = "<input>"):
-        super().__init__(f"{path}:{line}:{col}: {msg}")
-        self.msg = msg
+class ResolveError(SyntaxError_):
+    """A name used before its declaration, declared twice, or shadowing a
+    built-in."""
 
 
 def _check_refs(refs: list[tuple[str, int, int]], known: set[str], path: str):
@@ -593,17 +581,14 @@ def print_term(t: Term, names: Optional[list[str]] = None,
                 return n
             case Univ(fib, lvl):
                 return wrap(f"{'U' if fib else 'Us'} {lvl}", _PREC_ATOM)
-            case Pi(x, a, b):
-                if not uses_var(b):
+            case Pi(x, a, b) | Sig(x, a, b):
+                if type(t) is Pi and not uses_var(b):
                     # Var 0 is unused in b and `_fresh` never picks "_"
                     s = f"{go(a, ctx, _PREC_EQ)} -> {go(b, ctx + ['_'], _PREC_ARROW)}"
                     return wrap(s, _PREC_ARROW)
                 x = _fresh(x, set(ctx) | avoid)
-                s = f"Pi ({x} : {go(a, ctx, _PREC_TERM)}), {go(b, ctx + [x], _PREC_TERM)}"
-                return wrap(s, _PREC_TERM)
-            case Sig(x, a, b):
-                x = _fresh(x, set(ctx) | avoid)
-                s = f"Sig ({x} : {go(a, ctx, _PREC_TERM)}), {go(b, ctx + [x], _PREC_TERM)}"
+                s = (f"{type(t).__name__} ({x} : {go(a, ctx, _PREC_TERM)}), "
+                     f"{go(b, ctx + [x], _PREC_TERM)}")
                 return wrap(s, _PREC_TERM)
             case Lam():
                 hints, body = [], t

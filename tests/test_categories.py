@@ -1,5 +1,6 @@
 """Inverse categories, diagrams, limits two ways, exponentials, pullbacks."""
 
+import itertools
 import math
 import os
 import pathlib
@@ -298,6 +299,75 @@ class TestLimits:
         monkeypatch.setattr(FinCat, "__post_init__", refuse)
         for d, want in zip(diagrams, direct):
             assert {family_key(f) for f in limit_recursive(d)} == want
+
+
+def cyclic_group_3() -> FinCat:
+    """The cyclic group of order 3 as a one-object category: not inverse,
+    and every arrow is a composite of non-identity arrows."""
+    arrows = ("e", "r", "r2")
+    compose = {(g, f): arrows[(arrows.index(g) + arrows.index(f)) % 3]
+               for g in arrows for f in arrows}
+    return FinCat(("*",), {("*", "*"): arrows}, compose, {"*": "e"})
+
+
+def c3_set(turn: int) -> SetDiagram:
+    """The group acting on {0, 1, 2}: `r` adds `turn`, `r2` twice that."""
+    c = cyclic_group_3()
+    return SetDiagram(c, {"*": (0, 1, 2)},
+                      {a: {v: (v + k * turn) % 3 for v in range(3)}
+                       for k, a in enumerate(("e", "r", "r2"))})
+
+
+def filtered_product(cells, domains, holds) -> list[dict]:
+    """Every assignment of the cells from their domains, in product order,
+    that `holds`."""
+    out = [dict(zip(cells, vs)) for vs in itertools.product(*domains)]
+    return [fam for fam in out if holds(fam)]
+
+
+class TestNonInverseCategory:
+    """On a category that is not inverse, `limit_direct` and
+    `diagram_nat_transforms` constrain along every arrow and order the
+    objects as given: brute force over the product is the oracle."""
+
+    ACTIONS = {"rotation": 1, "trivial": 0}
+
+    def test_the_group_is_a_plain_category(self):
+        c = cyclic_group_3()
+        c.validate()
+        assert not isinstance(c, FinInvCat)
+        for turn in self.ACTIONS.values():
+            c3_set(turn).validate()
+
+    @pytest.mark.parametrize("action, size", [("rotation", 0), ("trivial", 3)])
+    def test_limit_is_the_filtered_product(self, action, size):
+        x = c3_set(self.ACTIONS[action])
+        c = x.cat
+        want = filtered_product(
+            c.objects, [x.values[o] for o in c.objects],
+            lambda fam: all(x.action[a][fam[c.src[a]]] == fam[c.dst[a]]
+                            for a in c.arrows()))
+        assert len(want) == size and limit_direct(x) == want
+
+    @pytest.mark.parametrize("source, target, size", [
+        ("rotation", "rotation", 3), ("rotation", "trivial", 3),
+        ("trivial", "rotation", 0), ("trivial", "trivial", 27)])
+    def test_nat_transforms_are_the_filtered_product(self, source, target,
+                                                     size):
+        f, g = c3_set(self.ACTIONS[source]), c3_set(self.ACTIONS[target])
+        c = f.cat
+        cells = [(o, u) for o in c.objects for u in f.values[o]]
+        want = filtered_product(
+            cells, [g.values[o] for o, _ in cells],
+            lambda t: all(t[(c.dst[a], f.action[a][u])]
+                          == g.action[a][t[(c.src[a], u)]]
+                          for a in c.arrows() for u in f.values[c.src[a]]))
+        assert len(want) == size and diagram_nat_transforms(f, g) == want
+
+    @pytest.mark.parametrize("action", ["rotation", "trivial"])
+    def test_recursive_limit_refuses(self, action):
+        with pytest.raises(CategoryError, match="inverse category"):
+            limit_recursive(c3_set(self.ACTIONS[action]))
 
 
 class TestMatchingObject:

@@ -10,6 +10,7 @@ import pytest
 
 import tltt
 
+from tltt import classifier
 from tltt.categories import (
     CategoryError, SetDiagram, constant_diagram, random_diagram,
     random_inverse_category, semisimplex_category,
@@ -180,3 +181,68 @@ class TestRoundTrip:
                 continue
             for x in els:
                 assert round_trip(cat, x, base).ok
+
+
+class TestRoundTripCanFail:
+    """Each failure verdict of `round_trip` is reachable: `extract` is broken
+    one way at a time, so a check that always passed would fail here."""
+
+    @staticmethod
+    def break_extract(monkeypatch, corrupt):
+        """Make `round_trip` re-extract through `corrupt(element, eta)`."""
+        real = classifier.extract
+        monkeypatch.setattr(classifier, "extract",
+                            lambda *args: corrupt(*real(*args)))
+
+    def test_merged_elements_are_not_a_bijection(self, monkeypatch):
+        ambient, base, els = _setup(2, universe=[(), ("*",), ("a", "b")])
+        levels = [interpret(ambient, x, base)[0].values for x in els]
+        x, values = next((x, values) for x, values in zip(els, levels)
+                         if any(len(v) > 1 for v in values.values()))
+        o = next(o for o in base.cat.objects if len(values[o]) > 1)
+        first, second = values[o][:2]
+
+        def merge(element, eta):
+            eta[o][second] = eta[o][first]
+            return element, eta
+
+        self.break_extract(monkeypatch, merge)
+        rt = round_trip(ambient, x, base)
+        assert (rt.ok, rt.detail) == (False, f"not a bijection at {o!r}")
+
+    def test_moved_base_points_are_a_projection_mismatch(self, monkeypatch):
+        # stage 1 over two base points: every element moves to the other one
+        ambient = semisimplex_category(1)
+        base = constant_diagram(ambient.truncate_below(1), ("a", "b"))
+        x = next(x for x in classifier_elements(ambient, 1, base, UNIVERSE)
+                 if any(fibre for _, fibre in x.choices[0]))
+        other = {"a": "b", "b": "a"}
+
+        def move(element, eta):
+            stages = tuple(tuple(((i, other[b], m), fibre)
+                                 for (i, b, m), fibre in stage)
+                           for stage in element.choices)
+            eta = {o: {v: (other[b], m, y) for v, (b, m, y) in level.items()}
+                   for o, level in eta.items()}
+            return ClassifierElement(element.n, stages), eta
+
+        self.break_extract(monkeypatch, move)
+        rt = round_trip(ambient, x, base)
+        assert (rt.ok, rt.detail) == (False, "projection mismatch at 0")
+
+    def test_swapped_vertices_are_not_natural(self, monkeypatch):
+        # two vertices and an edge between them: swapping the vertices'
+        # images keeps a bijection over the one base point, but the edge's
+        # faces no longer follow
+        ambient, base, els = _setup(2, universe=[(), ("a", "b")])
+        x = next(x for x in els
+                 if interpret(ambient, x, base)[0].values[1])
+        u, v = interpret(ambient, x, base)[0].values[0]
+
+        def swap(element, eta):
+            eta[0][u], eta[0][v] = eta[0][v], eta[0][u]
+            return element, eta
+
+        self.break_extract(monkeypatch, swap)
+        rt = round_trip(ambient, x, base)
+        assert not rt.ok and rt.detail.startswith("naturality fails at ")

@@ -416,6 +416,35 @@ class TestDiagnostics:
         assert not rep.ok
 
 
+    @pytest.mark.parametrize("src, omit, rule, fragment", [
+        ("check zero : zero", (), "SORT", "not a type"),
+        ("check zero zero : Nat", (), "APP", "applied a non-function"),
+        # `parse` leaves names unresolved, so the checker meets `nope`
+        ("check nope : Nat", (), "SCOPE", "unknown global 'nope'"),
+        ("check indNat (fun n => zero) zero (fun m r => r) zero : Nat", (),
+         "MOTIVE", "must target a universe"),
+        ("check J : Nat", (), "ARITY", "'J' must be applied to 3 arguments"),
+        ("check indNat (fun n => Nat) zero : Nat", (),
+         "ARITY", "'indNat' expects 4 arguments, got 2"),
+        ("check fst zero : Nat", (), "PROJ", "projection from a non-pair"),
+        ("check uip : Unit", ("uip",), "CONST", "'uip' is not available"),
+        ("check (zero =s zero) : U 0", (), "FORM-=s", "inferred `Us 0`"),
+        # whnf unfolds the head `f` to the axiom `g` and rebuilds `g zero`
+        ("axiom g : Nat -> U 0\ndef f : Nat -> U 0 := g\ncheck zero : f zero",
+         (), "CONV", "expected `g zero`"),
+    ], ids=["SORT", "APP", "SCOPE", "MOTIVE", "ARITY-bare", "ARITY-count",
+            "PROJ", "CONST", "FORM-=s", "whnf-rebuild"])
+    def test_structural_rule_is_cited(self, ck, src, omit, rule, fragment):
+        """The last declaration fails with `rule`, and its message names
+        what went wrong; the ones before it check."""
+        checker = Checker(env=ck.env,
+                          options=KernelOptions(omit_consts=frozenset(omit)))
+        *before, last = parse(src, "<test>").decls
+        assert all(checker.check_decl(d)["status"] == "pass" for d in before)
+        record = checker.check_decl(last)
+        assert (record["status"], record["rule"]) == ("fail", rule)
+        assert fragment in record["message"]
+
     @pytest.mark.parametrize("kind", ["check", "fail"])
     def test_recursion_overflow_is_a_depth_failure(self, kind):
         deep = Const("zero")

@@ -168,3 +168,32 @@ class TestPointedNerve:
                     rhs = based_face(universe,
                                      based_face(universe, cell, i), j - 1)
                     assert lhs == rhs
+
+
+class TestPointedComparisonCanFail:
+    """Each verdict of `compare_pointed_nerves` can come out false: one side
+    of the comparison is broken at a time."""
+
+    UNIVERSE = [("*",), ("a", "b")]
+
+    def test_a_face_that_forgets_to_push_the_point_is_not_natural(
+            self, monkeypatch):
+        def face(universe, cell, i):
+            sets, point, maps = cell
+            if i == 0:
+                return (sets[1:], point, maps[1:])
+            return based_face(universe, cell, i)
+
+        monkeypatch.setattr("tltt.nerve.based_face", face)
+        cmp = compare_pointed_nerves(self.UNIVERSE, 2)
+        assert (cmp.bijective, cmp.natural) == (True, False)
+
+    def test_sending_two_base_points_to_one_is_not_a_bijection(
+            self, monkeypatch):
+        def forget(cell):
+            sets, point, maps = pointed_to_based(cell)
+            return sets, "a" if point == "b" else point, maps
+
+        monkeypatch.setattr("tltt.nerve.pointed_to_based", forget)
+        cmp = compare_pointed_nerves(self.UNIVERSE, 2)
+        assert not cmp.bijective

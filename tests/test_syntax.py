@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pathlib
 import pickle
+import sys
 import typing
 
 import pytest
@@ -100,6 +101,13 @@ class TestDepth:
         rep = check_module(Checker(), resolve(mod))
         assert rep.records[-1]["rule"] == "DEPTH"
         assert rep.error.startswith("wide.tltt:1:1: [DEPTH]")
+
+    def test_parser_takes_220_nested_parentheses(self):
+        """Each nesting level costs the parser four frames (`term`, `infix`,
+        `app`, `atom`), which puts the wall near 238 levels under pytest at
+        the default recursion limit: a frame added per level fails this."""
+        assert sys.getrecursionlimit() == 1000
+        assert parse_term("(" * 220 + "zero" + ")" * 220) == Const("zero")
 
     def test_deep_term_is_a_depth_error_at_a_token(self):
         with pytest.raises(SyntaxError_) as e:

@@ -124,11 +124,21 @@ _SPINE = {_at_level(f, s): (f, s) for f, fam in _FAMILIES.items()
 _CHECK_ONLY = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].check_only}
 
 
+def _peel(lam: Lam, n: int) -> tuple[Term, int]:
+    """The body under `lam`'s leading lambdas, at most `n` of them, and how
+    many were peeled."""
+    body, k = lam.body, 1
+    while k < n and type(body) is Lam:
+        body, k = body.body, k + 1
+    return body, k
+
+
 def _motive_at(motive: Term, *args: Term) -> Term:
     """`motive` applied to `args`, each redex of a lambda motive reduced: the
     motive and the arguments were checked before, against the domains."""
-    while args and isinstance(motive, Lam):
-        motive, args = subst(motive.body, args[0]), args[1:]
+    while args and type(motive) is Lam:
+        body, k = _peel(motive, len(args))
+        motive, args = subst(body, args[:k]), args[k:]
     return mk_app(motive, *args)
 
 
@@ -180,16 +190,22 @@ class Checker:
     # -- weak head normalization ------------------------------------------
 
     def whnf(self, t: Term) -> Term:
+        """Weak head normal form.  An application is reduced as a whole
+        spine: its head once, a β step substitutes every argument its
+        leading lambdas take in one walk, and ι sees every argument."""
         while True:
             k = type(t)
             if k is App:
-                fw = self.whnf(t.fn)
-                if isinstance(fw, Lam):
-                    t = subst(fw.body, t.arg)
+                head, args = spine(t)
+                fw = self.whnf(head)
+                if type(fw) is Lam:
+                    body, n = _peel(fw, len(args))
+                    t = mk_app(subst(body, args[:n]), *args[n:])
                     continue
-                if fw is not t.fn:
-                    t = App(fw, t.arg)
-                red = self._iota(*spine(t))
+                if fw is not head:  # an unfolded head may be a spine itself
+                    t = mk_app(fw, *args)
+                    head, args = spine(t)
+                red = self._iota(head, args)
                 if red is not None:
                     t = red
                     continue
@@ -337,16 +353,25 @@ class Checker:
                 # a redex: type the argument it may drop, then the body
                 if not self._checked:
                     self.infer(ctx, args[0])
-                return self.infer(ctx, mk_app(subst(head.body, args[0]), *args[1:]))
+                return self.infer(
+                    ctx, mk_app(subst(head.body, (args[0],)), *args[1:]))
             else:
                 fty = self.infer(ctx, head)
-            for a in args:
-                fw = self.whnf(fty)
-                if not isinstance(fw, Pi):
-                    raise TypeError_("APP", "applied a non-function")
-                self.check(ctx, a, fw.dom)
-                fty = subst(fw.cod, a)
-            return fty
+            # the telescope is instantiated lazily, as Lean 4's `infer_app`:
+            # `fty` sits under the binders of the pending `args[j:i]`, which
+            # are substituted into each domain, before a `whnf`, and once
+            # into the last codomain
+            j = 0
+            for i, a in enumerate(args):
+                if type(fty) is not Pi:
+                    if i > j:
+                        fty, j = subst(fty, args[j:i]), i
+                    fty = self.whnf(fty)
+                    if type(fty) is not Pi:
+                        raise TypeError_("APP", "applied a non-function")
+                self.check(ctx, a, subst(fty.dom, args[j:i]) if i > j else fty.dom)
+                fty = fty.cod
+            return subst(fty, args[j:]) if j < len(args) else fty
         if k is Pi or k is Sig:
             sa = self.infer_sort(ctx, t.dom)
             s = sort_lub(sa, self.infer_sort([t.dom] + ctx, t.cod))
@@ -456,7 +481,7 @@ class Checker:
                 if not isinstance(pty, Sig):
                     raise TypeError_("PROJ", "projection from a non-pair")
                 ty = (pty.dom if family == "fst"
-                      else subst(pty.cod, App(Const("fst"), args[0])))
+                      else subst(pty.cod, (App(Const("fst"), args[0]),)))
             case "refl":
                 a = args[0]
                 sc = self._on_checked(self.infer_sort, ctx, self.infer(ctx, a))
@@ -544,7 +569,7 @@ class Checker:
         family, strict = _SPINE[name]
         if family == "pair" and len(args) == 2 and isinstance(tyw, Sig):
             self.check(ctx, args[0], tyw.dom)
-            self.check(ctx, args[1], subst(tyw.cod, args[0]))
+            self.check(ctx, args[1], subst(tyw.cod, (args[0],)))
             return
         if family in ("inl", "inr") and len(args) == 1:
             h, a = spine(tyw)

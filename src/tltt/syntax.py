@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 
 class SyntaxError_(Exception):
@@ -157,25 +157,31 @@ def mk_app(head: Term, *args: Term) -> Term:
 
 
 # Walkers test `type(t)`, commonest first: a `match` tests each earlier case's class.
-def subst(t: Term, sub: Term, idx: int = 0) -> Term:
-    """Substitute `sub` for Var(idx) in t, adjusting indices."""
+def subst(t: Term, subs: Sequence[Term], idx: int = 0) -> Term:
+    """Substitute `subs`, in application order (the outermost binder's
+    argument first), for the variables bound just outside `idx` binders:
+    Var(idx + j) becomes `subs[-1 - j]` shifted by `idx` for j < len(subs),
+    and the variables above drop by len(subs).  β on a whole spine is one
+    walk."""
     k = type(t)
     if k is Var:
-        if t.idx == idx:
-            return shift(sub, idx)
-        return Var(t.idx - 1) if t.idx > idx else t
+        j = t.idx - idx
+        if j < 0:
+            return t
+        n = len(subs)
+        return shift(subs[-1 - j], idx) if j < n else Var(t.idx - n)
     if k is App:
-        return App(subst(t.fn, sub, idx), subst(t.arg, sub, idx))
+        return App(subst(t.fn, subs, idx), subst(t.arg, subs, idx))
     if k is Const or k is Ref or k is Univ:
         return t
     if k is Pi or k is Sig:
-        return k(t.name, subst(t.dom, sub, idx), subst(t.cod, sub, idx + 1))
+        return k(t.name, subst(t.dom, subs, idx), subst(t.cod, subs, idx + 1))
     if k is Eq:
-        return Eq(t.strict, subst(t.lhs, sub, idx), subst(t.rhs, sub, idx))
+        return Eq(t.strict, subst(t.lhs, subs, idx), subst(t.rhs, subs, idx))
     if k is Lam:
-        return Lam(t.name, subst(t.body, sub, idx + 1))
+        return Lam(t.name, subst(t.body, subs, idx + 1))
     if k is Ann:
-        return Ann(subst(t.tm, sub, idx), subst(t.ty, sub, idx))
+        return Ann(subst(t.tm, subs, idx), subst(t.ty, subs, idx))
     raise AssertionError(t)
 
 

@@ -76,11 +76,13 @@ class TestDepth:
     """Terms too deep for the interpreter's stack fail with [DEPTH], exit 1,
     in a fresh interpreter whose stack holds nothing else."""
 
-    @pytest.fixture(params=[220, 400])
+    @pytest.fixture(params=[(220, "check"), (400, "parse")],
+                    ids=["220", "400"])
     def deep_file(self, request, tmp_path):
-        # depth 220 overflows the checker's conversion (above about 196),
-        # which the parser passes (up to about 246); depth 400 the parser
-        d = request.param
+        """The file and the `[DEPTH]` message of the stage that overflows:
+        depth 220 overflows the checker's conversion (above about 196),
+        which the parser passes (up to about 246); depth 400 the parser."""
+        d, stage = request.param
         path = tmp_path / f"deep{d}.tltt"
         path.write_text(
             "def add : Nat -> Nat -> Nat\n"
@@ -88,21 +90,23 @@ class TestDepth:
             f"def N : Nat := {numeral(d)}\n"
             f"def M : Nat := {numeral(d)}\n"
             "check refl (add N M) : add N M = add M N\n")
-        return path
+        return path, f"[DEPTH] terms nest too deeply to {stage}"
 
     def test_depth_error_without_traceback(self, deep_file):
-        proc = tltt("check", str(deep_file))
+        path, message = deep_file
+        proc = tltt("check", str(path))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert f"{deep_file}:" in proc.stderr and "[DEPTH]" in proc.stderr
+        assert f"{path}:" in proc.stderr and message in proc.stderr
 
     def test_depth_error_json_is_one_document(self, deep_file):
-        proc = tltt("check", "--json", str(deep_file))
+        path, message = deep_file
+        proc = tltt("check", "--json", str(path))
         assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr and "[DEPTH]" in proc.stderr
+        assert "Traceback" not in proc.stderr and message in proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["status"] == "fail"
-        assert "[DEPTH]" in json.dumps(doc["files"])
+        assert message in json.dumps(doc["files"])
 
 
 class TestCorpus:

@@ -1,6 +1,7 @@
 """Typechecking: sorts, conversion, eliminators, and restrictions."""
 
 import sys
+import typing
 from collections import Counter
 
 import pytest
@@ -11,9 +12,10 @@ from tltt.kernel import (
     Checker, EnvEntry, KernelOptions, RESTRICTED_RULES, RULES, TypeError_,
     check_module, sort_leq, sort_lub,
 )
-from tltt.corpus import prelude_checker
+from tltt.corpus import corpus_files, prelude_checker
 from tltt.syntax import (
-    App, Const, Decl, Module, Pi, Ref, Univ, parse, parse_term, resolve,
+    Ann, App, Const, Decl, Lam, Module, Pi, Ref, Univ, mk_app, parse,
+    parse_term, resolve, spine, subst,
 )
 
 
@@ -478,6 +480,194 @@ class TestRecursionWall:
         for _ in range(self.DEPTH):
             chain = Pi("x", Const("Nat"), chain)
         Checker().check([], chain, Univ(True, 0))
+
+
+# The paths of whole-spine reduction and of the lazily instantiated
+# telescope that the corpus never reaches: a `whnf` in the middle of a Pi
+# telescope (`g`, `f`, and `k`, whose type after it still names a variable
+# of the context), a β step whose substituted body is a lambda with
+# arguments left (`idf`), and an over-applied ι step (`indNat`).
+EDGE = """\
+def G : Pi (n : Nat), U 0 := fun n => n = n -> Nat
+axiom g : Pi (n : Nat), G n
+check g zero (refl zero) : Nat
+def F : U 0 := Nat -> Nat -> Nat
+axiom f : Nat -> F
+check f zero zero zero : Nat
+def K : Nat -> U 0 := fun n => Pi (m : Nat), m = n
+axiom k : Pi (n : Nat), K n
+check fun y => k (succ y) zero : Pi (y : Nat), zero = succ y
+def idf : (Nat -> Nat) -> Nat -> Nat := fun h => h
+check refl zero : idf (fun x => x) zero = zero
+check refl zero : indNat (fun n => Nat -> Nat) (fun x => x) (fun m r => r) (succ zero) zero = zero
+--! expect: CONV
+fail g zero (refl (succ zero)) : Nat
+--! expect: APP
+fail f zero zero zero zero : Nat
+--! expect: CONV
+fail fun y => k (succ y) zero : Pi (y : Nat), zero = y
+--! expect: CONV
+fail refl zero : idf (fun x => x) zero = succ zero
+--! expect: CONV
+fail refl zero : indNat (fun n => Nat -> Nat) (fun x => x) (fun m r => r) (succ zero) zero = succ zero
+"""
+# EDGE's records under each kernel, as the kernel that reduced one
+# application level at a time gave them.
+EDGE_RECORDS = [
+    {"kind": "def", "name": "G", "line": 1, "col": 1, "status": "pass",
+     "rules": ["INTRO-=", "PI-FIB"]},
+    {"kind": "axiom", "name": "g", "line": 2, "col": 1, "status": "pass",
+     "rules": ["INTRO-=", "PI-FIB"]},
+    {"kind": "check", "name": None, "line": 3, "col": 1, "status": "pass",
+     "rules": ["INTRO-="]},
+    {"kind": "def", "name": "F", "line": 4, "col": 1, "status": "pass",
+     "rules": ["PI-FIB"]},
+    {"kind": "axiom", "name": "f", "line": 5, "col": 1, "status": "pass",
+     "rules": ["PI-FIB"]},
+    {"kind": "check", "name": None, "line": 6, "col": 1, "status": "pass",
+     "rules": []},
+    {"kind": "def", "name": "K", "line": 7, "col": 1, "status": "pass",
+     "rules": ["INTRO-=", "PI-FIB"]},
+    {"kind": "axiom", "name": "k", "line": 8, "col": 1, "status": "pass",
+     "rules": ["INTRO-=", "PI-FIB"]},
+    {"kind": "check", "name": None, "line": 9, "col": 1, "status": "pass",
+     "rules": ["INTRO-=", "PI-FIB"]},
+    {"kind": "def", "name": "idf", "line": 10, "col": 1, "status": "pass",
+     "rules": ["PI-FIB"]},
+    {"kind": "check", "name": None, "line": 11, "col": 1, "status": "pass",
+     "rules": ["INTRO-="]},
+    {"kind": "check", "name": None, "line": 12, "col": 1, "status": "pass",
+     "rules": ["ELIM-NAT", "INTRO-=", "PI-FIB"]},
+    {"kind": "fail", "name": None, "line": 14, "col": 1, "status": "pass",
+     "rule": "CONV", "message": "type mismatch: inferred `succ zero = succ "
+                                "zero` does not subsume expected `zero = zero`"},
+    {"kind": "fail", "name": None, "line": 16, "col": 1, "status": "pass",
+     "rule": "APP", "message": "applied a non-function"},
+    {"kind": "fail", "name": None, "line": 18, "col": 1, "status": "pass",
+     "rule": "CONV", "message": "type mismatch: inferred `zero = succ x0` "
+                                "does not subsume expected `zero = x0`"},
+    {"kind": "fail", "name": None, "line": 20, "col": 1, "status": "pass",
+     "rule": "CONV", "message": "type mismatch: inferred `zero = zero` does "
+                                "not subsume expected `idf (fun x => x) zero "
+                                "= succ zero`"},
+    {"kind": "fail", "name": None, "line": 22, "col": 1, "status": "pass",
+     "rule": "CONV", "message": "type mismatch: inferred `zero = zero` does "
+                                "not subsume expected `indNat (fun n => Nat "
+                                "-> Nat) (fun x => x) (fun m r => r) (succ "
+                                "zero) zero = succ zero`"},
+]
+KERNELS = {
+    "default": KernelOptions(),
+    "no_js_beta": KernelOptions(js_beta=False),
+    "no_uip": KernelOptions(omit_consts=frozenset({"uip"})),
+}
+TERM_KINDS = typing.get_args(syntax.Term)
+
+
+class NestedWhnf(Checker):
+    """The reference `whnf`: one frame and one β step per application
+    level, and ι tried on every partial spine."""
+
+    def whnf(self, t):
+        while True:
+            k = type(t)
+            if k is App:
+                fw = self.whnf(t.fn)
+                if isinstance(fw, Lam):
+                    t = subst(fw.body, (t.arg,))
+                    continue
+                if fw is not t.fn:
+                    t = App(fw, t.arg)
+                red = self._iota(*spine(t))
+                if red is not None:
+                    t = red
+                    continue
+                return t
+            if k is Ref:
+                entry = self.env.get(t.name)
+                if entry is not None and entry.value is not None:
+                    t = entry.value
+                    continue
+                return t
+            if k is Ann:
+                t = t.tm
+                continue
+            return t
+
+
+def motive_one_at_a_time(motive, *args):
+    """The reference `_motive_at`: one β step per argument."""
+    while args and isinstance(motive, Lam):
+        motive, args = subst(motive.body, (args[0],)), args[1:]
+    return mk_app(motive, *args)
+
+
+def subterms(t):
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        for name in type(t).__match_args__:
+            child = getattr(t, name)
+            if isinstance(child, TERM_KINDS):
+                stack.append(child)
+
+
+def checked_modules():
+    """The corpus modules, then EDGE, each with the environment it was
+    checked into (its own definitions included)."""
+    prelude = Checker()
+    for path in corpus_files():
+        ck = prelude if path.parent.name == "prelude" else Checker(env=prelude.env)
+        mod = resolve(parse(path.read_text(), str(path)), set(ck.env))
+        check_module(ck, mod)
+        yield ck.env, mod
+    ck = Checker()
+    mod = resolve(parse(EDGE, "edge.tltt"))
+    check_module(ck, mod)
+    yield ck.env, mod
+
+
+class TestWholeSpines:
+    """`whnf` reduces an application as one spine, the application rule
+    instantiates a Pi telescope once, and `_motive_at` substitutes all the
+    arguments its leading lambdas take at once."""
+
+    @pytest.mark.parametrize("kernel_", KERNELS)
+    def test_edge_records(self, kernel_):
+        mod = resolve(parse(EDGE, "edge.tltt"))
+        rep = check_module(Checker(options=KERNELS[kernel_]), mod)
+        assert rep.records == EDGE_RECORDS
+
+    def test_whnf_agrees_with_one_level_at_a_time(self):
+        """On every application inside the corpus and EDGE; about 140 of
+        them reduce."""
+        reduced = 0
+        for env, mod in checked_modules():
+            new, ref = Checker(env=env), NestedWhnf(env=env)
+            for d in mod.decls:
+                for t in subterms(Ann(d.body, d.ty) if d.body else d.ty):
+                    if type(t) is App:
+                        got = new.whnf(t)
+                        assert repr(got) == repr(ref.whnf(t)), d.line
+                        reduced += got is not t
+        assert reduced > 100
+
+    @pytest.mark.parametrize("motive, args", [
+        ("fun f => f", ["fun y => succ y", "zero"]),
+        ("fun f => f", ["fun y => y", "zero", "succ"]),
+        ("fun a f => f", ["zero", "fun y z => y", "zero", "Nat"]),
+        ("fun a f => f a", ["zero", "fun y => y"]),
+    ])
+    def test_motive_at_agrees_with_one_argument_at_a_time(self, motive, args):
+        motive, args = term(motive), [term(a) for a in args]
+        assert (repr(kernel._motive_at(motive, *args))
+                == repr(motive_one_at_a_time(motive, *args)))
+
+    def test_whnf_spends_no_frame_per_application_level(self):
+        assert sys.getrecursionlimit() == 1000
+        t = mk_app(Const("zero"), *[Const("zero")] * 1500)
+        assert Checker().whnf(t) is t
 
 
 class TestOptions:

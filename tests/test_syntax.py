@@ -141,11 +141,11 @@ class TestSubstitution:
 
     def test_subst_closed_noop(self):
         t = rt("succ zero")
-        assert subst(t, rt("zero")) == t
+        assert subst(t, (rt("zero"),)) == t
 
     def test_beta_shape(self):
         lam = rt("fun x => succ x")
-        assert subst(lam.body, rt("zero")) == rt("succ zero")
+        assert subst(lam.body, (rt("zero"),)) == rt("succ zero")
 
     def test_shift_by_zero_is_the_term_itself(self):
         t = App(Var(3), rt("fun x => succ x"))
@@ -154,7 +154,7 @@ class TestSubstitution:
 
     def test_subst_for_the_variable_shares_the_argument(self):
         big = rt("fun f x => f (f (succ x))")
-        assert subst(Var(0), big) is big
+        assert subst(Var(0), (big,)) is big
 
     def test_spine_roundtrip(self):
         t = rt("J (fun a b p => Nat) (fun a => zero)")
@@ -232,8 +232,23 @@ class TestSubstitutionOracle:
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(open_terms, open_terms, st.integers(0, 3))
     def test_subst_agrees(self, t, s, idx):
-        assert repr(subst(t, s, idx)) == repr(match_subst(t, s, idx))
-        assert subst(Var(0), s) is s
+        assert repr(subst(t, (s,), idx)) == repr(match_subst(t, s, idx))
+        assert subst(Var(0), (s,)) is s
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(open_terms, st.lists(open_terms, min_size=1, max_size=3),
+           st.integers(0, 3))
+    def test_subst_of_a_sequence_is_one_term_at_a_time(self, t, subs, idx):
+        """The j-th of n terms, outermost binder first, replaces the
+        variable `idx + n - 1 - j` of a one-term substitution."""
+        n = len(subs)
+        want = t
+        for j, s in enumerate(subs):
+            want = match_subst(want, s, idx + n - 1 - j)
+        assert repr(subst(t, subs, idx)) == repr(want)
+        s = subs[-1]
+        assert repr(subst(Var(idx), (s,), idx)) == repr(shift(s, idx))
+        assert subst(Var(0), (s,)) is s
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(open_terms, st.integers(1, 2), st.integers(0, 3))

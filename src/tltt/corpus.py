@@ -18,7 +18,7 @@ from typing import Optional
 from .kernel import (
     Checker, KernelOptions, Report, RESTRICTED_RULES, RULES, check_module,
 )
-from .syntax import Module, SyntaxError_, parse, resolve
+from .syntax import SyntaxError_, parse, resolve
 
 CORPUS_ROOT = pathlib.Path(__file__).parent / "corpus"
 
@@ -123,20 +123,3 @@ def run_corpus(options: Optional[KernelOptions] = None,
             break
     return out
 
-
-def module_dependencies(mod: Module) -> dict[str, set[str]]:
-    """Name -> referenced global and built-in names, for the dependency scan."""
-    return {d.name: {name for name, _, _ in d.refs}
-            for d in mod.decls if d.name is not None}
-
-
-def transitive_deps(deps: dict[str, set[str]], start: str) -> set[str]:
-    seen: set[str] = set()
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        for m in deps.get(n, ()):
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen

@@ -334,10 +334,22 @@ class Parser:
     # -- terms ------------------------------------------------------------
 
     def term(self) -> Term:
-        """`(Pi | Sig) binders , term`, `fun names => term`, or `infix`."""
+        """`(Pi | Sig) binders , term`, `fun names => term`, or
+        `app [("=" | "=s") app] ["->" term]`: `->` nests to the right."""
         form = self.peek().text
         if form not in ("Pi", "Sig", "fun"):
-            return self.infix()
+            lhs = self.app()
+            op = self.peek().text
+            if op == "=" or op == "=s":
+                self.next()
+                lhs = Eq(op == "=s", lhs, self.app())
+            if self.peek().text == "->":
+                self.next()
+                self.scope.append("_")
+                rhs = self.term()
+                self.scope.pop()
+                return Pi("_", lhs, rhs)
+            return lhs
         self.next()
         if form == "fun":
             names = self.names()
@@ -387,61 +399,42 @@ class Parser:
             self.err("expected a binder '(name : type)'")
         return out
 
-    def infix(self) -> Term:
-        """`app [("=" | "=s") app] ["->" term]`: `->` nests to the right."""
-        lhs = self.app()
-        op = self.peek().text
-        if op == "=" or op == "=s":
-            self.next()
-            lhs = Eq(op == "=s", lhs, self.app())
-        if self.peek().text == "->":
-            self.next()
-            self.scope.append("_")
-            rhs = self.term()
-            self.scope.pop()
-            return Pi("_", lhs, rhs)
-        return lhs
-
     def app(self) -> Term:
-        head = self.atom()
-        if head is None:
-            self.err(f"expected a term, found {self.peek().text!r}")
+        """Atoms folded left into `App`: a name, `U n` or `Us n`, `( term )`
+        or `( term : term )`.  The first token that starts no atom ends it."""
+        head = None
         while True:
-            arg = self.atom()     # None only before consuming a token
-            if arg is None:
-                return head
-            head = App(head, arg)
-
-    def atom(self) -> Optional[Term]:
-        t = self.peek()
-        if t.kind == "NAME":
-            self.next()
-            name, scope = t.text, self.scope
-            if name in scope:
-                i = len(scope) - 1
-                while scope[i] != name:
-                    i -= 1
-                return Var(len(scope) - 1 - i)
-            self.refs.append((name, t.line, t.col))
-            return Const(name) if name in BUILTIN_CONSTS else Ref(name)
-        if t.text in ("U", "Us"):
-            self.next()
-            lvl = self.peek()
-            if lvl.kind != "NAT":
-                self.err("expected a universe level")
-            self.next()
-            return Univ(t.text == "U", int(lvl.text))
-        if t.text == "(":
-            self.next()
-            inner = self.term()
-            if self.peek().text == ":":
+            t = self.peek()
+            if t.kind == "NAME":
                 self.next()
-                ty = self.term()
+                name, scope = t.text, self.scope
+                if name in scope:
+                    i = len(scope) - 1
+                    while scope[i] != name:
+                        i -= 1
+                    arg = Var(len(scope) - 1 - i)
+                else:
+                    self.refs.append((name, t.line, t.col))
+                    arg = Const(name) if name in BUILTIN_CONSTS else Ref(name)
+            elif t.text in ("U", "Us"):
+                self.next()
+                lvl = self.peek()
+                if lvl.kind != "NAT":
+                    self.err("expected a universe level")
+                self.next()
+                arg = Univ(t.text == "U", int(lvl.text))
+            elif t.text == "(":
+                self.next()
+                arg = self.term()
+                if self.peek().text == ":":
+                    self.next()
+                    arg = Ann(arg, self.term())
                 self.expect(")")
-                return Ann(inner, ty)
-            self.expect(")")
-            return inner
-        return None
+            elif head is None:
+                self.err(f"expected a term, found {t.text!r}")
+            else:
+                return head
+            head = arg if head is None else App(head, arg)
 
     # -- declarations -----------------------------------------------------
 
@@ -562,15 +555,37 @@ def _fresh(hint: str, taken: set[str]) -> str:
     return f"{base}{i}"
 
 
+def _ref_names(t: Term) -> set[str]:
+    """The names of the globals (`Ref`s) that occur in `t`."""
+    found, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        k = type(t)
+        if k is App:
+            todo += (t.fn, t.arg)
+        elif k is Ref:
+            found.add(t.name)
+        elif k is Pi or k is Sig:
+            todo += (t.dom, t.cod)
+        elif k is Lam:
+            todo.append(t.body)
+        elif k is Eq:
+            todo += (t.lhs, t.rhs)
+        elif k is Ann:
+            todo += (t.tm, t.ty)
+    return found
+
+
 def print_term(t: Term, names: Optional[list[str]] = None,
                avoid: Optional[set[str]] = None) -> str:
     """Render a core term as parseable surface text.
 
     `names` is the naming context (outermost first); `avoid` holds global
-    names that binders must not capture.
+    names that binders must not capture, to which the globals of `t` are
+    added.
     """
     names = list(names or [])
-    avoid = set(avoid or ()) | BUILTIN_CONSTS
+    avoid = set(avoid or ()) | BUILTIN_CONSTS | _ref_names(t)
 
     def go(t: Term, ctx: list[str], prec: int) -> str:
         def wrap(s: str, p: int) -> str:

@@ -76,12 +76,12 @@ class TestDepth:
     """Terms too deep for the interpreter's stack fail with [DEPTH], exit 1,
     in a fresh interpreter whose stack holds nothing else."""
 
-    @pytest.fixture(params=[(220, "check"), (400, "parse")],
-                    ids=["220", "400"])
+    @pytest.fixture(params=[(220, "check"), (600, "parse")],
+                    ids=["220", "600"])
     def deep_file(self, request, tmp_path):
         """The file and the `[DEPTH]` message of the stage that overflows:
         depth 220 overflows the checker's conversion (above about 196),
-        which the parser passes (up to about 246); depth 400 the parser."""
+        which the parser passes (up to about 495); depth 600 the parser."""
         d, stage = request.param
         path = tmp_path / f"deep{d}.tltt"
         path.write_text(

@@ -5,11 +5,28 @@ import pathlib
 import pytest
 
 from tltt.corpus import (
-    CORPUS_ROOT, CorpusReport, corpus_files, module_dependencies,
-    prelude_checker, run_corpus, transitive_deps,
+    CORPUS_ROOT, CorpusReport, corpus_files, prelude_checker, run_corpus,
 )
 from tltt.kernel import KernelOptions, RESTRICTED_RULES, RULES
-from tltt.syntax import parse, resolve
+from tltt.syntax import Module, parse, resolve
+
+
+def module_dependencies(mod: Module) -> dict[str, set[str]]:
+    """Name -> referenced global and built-in names, for the dependency scan."""
+    return {d.name: {name for name, _, _ in d.refs}
+            for d in mod.decls if d.name is not None}
+
+
+def transitive_deps(deps: dict[str, set[str]], start: str) -> set[str]:
+    seen: set[str] = set()
+    stack = [start]
+    while stack:
+        n = stack.pop()
+        for m in deps.get(n, ()):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
 
 
 @pytest.fixture(scope="module")

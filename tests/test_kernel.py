@@ -434,8 +434,11 @@ class TestDiagnostics:
         # whnf unfolds the head `f` to the axiom `g` and rebuilds `g zero`
         ("axiom g : Nat -> U 0\ndef f : Nat -> U 0 := g\ncheck zero : f zero",
          (), "CONV", "expected `g zero`"),
+        # unfolding `F P` puts the axiom `P` under a binder hinted `P`
+        ("axiom P : U 0\ndef F : U 0 -> U 0 := fun X => Sig (P : Nat), X\n"
+         "check zero : F P", (), "CONV", "expected `Sig (P1 : Nat), P`"),
     ], ids=["SORT", "APP", "SCOPE", "MOTIVE", "ARITY-bare", "ARITY-count",
-            "PROJ", "CONST", "FORM-=s", "whnf-rebuild"])
+            "PROJ", "CONST", "FORM-=s", "whnf-rebuild", "no-capture"])
     def test_structural_rule_is_cited(self, ck, src, omit, rule, fragment):
         """The last declaration fails with `rule`, and its message names
         what went wrong; the ones before it check."""

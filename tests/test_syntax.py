@@ -8,7 +8,7 @@ import sys
 import typing
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tltt.corpus import corpus_files
 from tltt.kernel import Checker, check_module
@@ -87,7 +87,7 @@ class TestParser:
 
 class TestDepth:
     def test_deep_nesting_is_a_depth_error_at_a_token(self):
-        src = "def n : Nat := " + "succ (" * 400 + "zero" + ")" * 400 + "\n"
+        src = "def n : Nat := " + "succ (" * 600 + "zero" + ")" * 600 + "\n"
         with pytest.raises(SyntaxError_) as e:
             parse(src, "deep.tltt")
         assert e.value.msg.startswith("[DEPTH]")
@@ -102,16 +102,16 @@ class TestDepth:
         assert rep.records[-1]["rule"] == "DEPTH"
         assert rep.error.startswith("wide.tltt:1:1: [DEPTH]")
 
-    def test_parser_takes_220_nested_parentheses(self):
-        """Each nesting level costs the parser four frames (`term`, `infix`,
-        `app`, `atom`), which puts the wall near 238 levels under pytest at
-        the default recursion limit: a frame added per level fails this."""
+    def test_parser_takes_450_nested_parentheses(self):
+        """Each nesting level costs the parser two frames (`term`, `app`),
+        which puts the wall near 480 levels under pytest at the default
+        recursion limit: a frame added per level fails this."""
         assert sys.getrecursionlimit() == 1000
-        assert parse_term("(" * 220 + "zero" + ")" * 220) == Const("zero")
+        assert parse_term("(" * 450 + "zero" + ")" * 450) == Const("zero")
 
     def test_deep_term_is_a_depth_error_at_a_token(self):
         with pytest.raises(SyntaxError_) as e:
-            parse_term("(" * 400 + "zero" + ")" * 400, "deep.tltt")
+            parse_term("(" * 600 + "zero" + ")" * 600, "deep.tltt")
         assert e.value.msg.startswith("[DEPTH]") and e.value.path == "deep.tltt"
         assert e.value.line == 1 and e.value.col > 1
 
@@ -401,6 +401,40 @@ def closed_terms(draw, depth=0):
 def test_printer_roundtrip_property(src):
     t = rt(src)
     assert rt(print_term(t)) == t
+
+
+@st.composite
+def hinted_sources(draw, depth=0):
+    """Sources over `f` and `P`, bound or global, and the free names `g`
+    and `Q`, whose binders may be named `f` or `P`."""
+    if depth > 3 or draw(st.booleans()):
+        return draw(st.sampled_from(["zero", "Nat", "f", "P", "g", "Q"]))
+    which = draw(st.integers(0, 3))
+    x = draw(st.sampled_from(["f", "P"]))
+    a = draw(hinted_sources(depth + 1))
+    b = draw(hinted_sources(depth + 1))
+    if which == 0:
+        return f"fun {x} => {a}"
+    if which == 1:
+        return f"({a}) -> ({b})"
+    if which == 2:
+        return f"({a}) ({b})"
+    return f"Sig ({x} : {a}), {b}"
+
+
+# `g` and `Q` become the globals `f` and `P`, which substitution may put
+# under a binder hinted like them, as source cannot.
+terms_under_global_hints = hinted_sources().map(lambda src: subst(
+    parse_term(src, "<test>", scope=["g", "Q"], globals_={"f", "P"}),
+    (Ref("f"), Ref("P"))))
+
+
+@given(terms_under_global_hints)
+@example(Lam("f", Ref("f")))
+@example(Sig("P", Const("Nat"), Ref("P")))
+def test_printer_roundtrip_keeps_globals_free(t):
+    """A binder is renamed away from the globals of the term it prints."""
+    assert parse_term(print_term(t), "<test>", globals_={"f", "P"}) == t
 
 
 _FRAGMENTS = st.sampled_from([

@@ -26,7 +26,7 @@ carry the name of the violated rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .syntax import (
     Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref, Sig, Term, Univ, Var,
@@ -124,21 +124,21 @@ _SPINE = {_at_level(f, s): (f, s) for f, fam in _FAMILIES.items()
 _CHECK_ONLY = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].check_only}
 
 
-def _peel(lam: Lam, n: int) -> tuple[Term, int]:
-    """The body under `lam`'s leading lambdas, at most `n` of them, and how
-    many were peeled."""
-    body, k = lam.body, 1
-    while k < n and type(body) is Lam:
-        body, k = body.body, k + 1
-    return body, k
+def _beta(lam: Lam, args: Sequence[Term]) -> tuple[Term, Sequence[Term]]:
+    """One β step on a whole spine: the body under `lam`'s leading lambdas,
+    one per argument as far as they go, with those arguments substituted in
+    one walk, and the arguments left over."""
+    body, n = lam.body, 1
+    while n < len(args) and type(body) is Lam:
+        body, n = body.body, n + 1
+    return subst(body, args[:n]), args[n:]
 
 
 def _motive_at(motive: Term, *args: Term) -> Term:
     """`motive` applied to `args`, each redex of a lambda motive reduced: the
     motive and the arguments were checked before, against the domains."""
     while args and type(motive) is Lam:
-        body, k = _peel(motive, len(args))
-        motive, args = subst(body, args[:k]), args[k:]
+        motive, args = _beta(motive, args)
     return mk_app(motive, *args)
 
 
@@ -199,8 +199,8 @@ class Checker:
                 head, args = spine(t)
                 fw = self.whnf(head)
                 if type(fw) is Lam:
-                    body, n = _peel(fw, len(args))
-                    t = mk_app(subst(body, args[:n]), *args[n:])
+                    red, args = _beta(fw, args)
+                    t = mk_app(red, *args)
                     continue
                 if fw is not head:  # an unfolded head may be a spine itself
                     t = mk_app(fw, *args)
@@ -350,11 +350,12 @@ class Checker:
                 self._const_ok(head.name)
                 fty, args = self._infer_spine(ctx, head.name, args)
             elif isinstance(head, Lam):
-                # a redex: type the argument it may drop, then the body
+                # a redex: type the arguments β takes, then its reduct once
+                red, rest = _beta(head, args)
                 if not self._checked:
-                    self.infer(ctx, args[0])
-                return self.infer(
-                    ctx, mk_app(subst(head.body, (args[0],)), *args[1:]))
+                    for a in args[:len(args) - len(rest)]:
+                        self.infer(ctx, a)
+                return self.infer(ctx, mk_app(red, *rest))
             else:
                 fty = self.infer(ctx, head)
             # the telescope is instantiated lazily, as Lean 4's `infer_app`:

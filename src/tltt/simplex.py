@@ -232,14 +232,13 @@ class Factorization:
 
     ``length`` is the number of removed subsets (simplices), which is twice
     the number of pushout steps: every step removes exactly two sets.
-    ``bits`` holds the integer of every sieve of the chain, ``start`` first,
-    as ``factor_spine_to_horn`` computed them while validating the steps.
+    ``bits`` holds the integer of every sieve of the chain, the horn first
+    and the zigzag last, as ``factor_spine_to_horn`` computed them while
+    validating the steps.
     """
 
     n: int
     k: int
-    start: Sieve
-    end: Sieve
     steps: list[HornStep]
     bits: list[int] = field(repr=False)
 
@@ -249,7 +248,7 @@ class Factorization:
 
     def sieves(self) -> list[Sieve]:
         """The chain of sieves that ``factor_spine_to_horn`` validated, one
-        per step after ``start``; no step is run again."""
+        per step after the horn; no step is run again."""
         return [Sieve._closed(self.n, b) for b in self.bits]
 
     def to_json(self) -> dict:
@@ -314,7 +313,7 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
         bits.append(_remove_step(bits[-1], n, st.s, st.h))
     if bits[-1] != end.bits:
         raise AssertionError("factorization did not land on the zigzag sieve")
-    return Factorization(n, k, start, end, steps, bits)
+    return Factorization(n, k, steps, bits)
 
 
 # ---------------------------------------------------------------------------

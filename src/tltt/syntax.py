@@ -206,25 +206,6 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     raise AssertionError(t)
 
 
-def uses_var(t: Term, idx: int = 0) -> bool:
-    match t:
-        case Var(i):
-            return i == idx
-        case Ref() | Const() | Univ():
-            return False
-        case Pi(_, a, b) | Sig(_, a, b):
-            return uses_var(a, idx) or uses_var(b, idx + 1)
-        case Lam(_, b):
-            return uses_var(b, idx + 1)
-        case App(f, a):
-            return uses_var(f, idx) or uses_var(a, idx)
-        case Eq(_, l, r):
-            return uses_var(l, idx) or uses_var(r, idx)
-        case Ann(tm, ty):
-            return uses_var(tm, idx) or uses_var(ty, idx)
-    raise AssertionError(t)
-
-
 # ---------------------------------------------------------------------------
 # Declarations and modules
 # ---------------------------------------------------------------------------
@@ -555,100 +536,90 @@ def _fresh(hint: str, taken: set[str]) -> str:
     return f"{base}{i}"
 
 
-def _ref_names(t: Term) -> set[str]:
-    """The names of the globals (`Ref`s) that occur in `t`."""
-    found, todo = set(), [t]
+def _nodes(t: Term):
+    """Each node of `t` with the number of binders above it."""
+    todo = [(t, 0)]
     while todo:
-        t = todo.pop()
+        t, d = todo.pop()
+        yield t, d
         k = type(t)
         if k is App:
-            todo += (t.fn, t.arg)
-        elif k is Ref:
-            found.add(t.name)
+            todo += ((t.fn, d), (t.arg, d))
         elif k is Pi or k is Sig:
-            todo += (t.dom, t.cod)
+            todo += ((t.dom, d), (t.cod, d + 1))
         elif k is Lam:
-            todo.append(t.body)
+            todo.append((t.body, d + 1))
         elif k is Eq:
-            todo += (t.lhs, t.rhs)
+            todo += ((t.lhs, d), (t.rhs, d))
         elif k is Ann:
-            todo += (t.tm, t.ty)
-    return found
+            todo += ((t.tm, d), (t.ty, d))
 
 
-def print_term(t: Term, names: Optional[list[str]] = None,
-               avoid: Optional[set[str]] = None) -> str:
-    """Render a core term as parseable surface text.
+def print_term(t: Term, names: Optional[list[str]] = None) -> str:
+    """Render a core term as parseable surface text under the naming
+    context `names` (outermost first).  Binders are named away from it, the
+    built-ins and the globals of `t`, the only globals they could capture."""
+    avoid = BUILTIN_CONSTS | {u.name for u, _ in _nodes(t) if type(u) is Ref}
+    return _print(t, list(names or []), avoid, _PREC_TERM)
 
-    `names` is the naming context (outermost first); `avoid` holds global
-    names that binders must not capture, to which the globals of `t` are
-    added.
-    """
-    names = list(names or [])
-    avoid = set(avoid or ()) | BUILTIN_CONSTS | _ref_names(t)
 
-    def go(t: Term, ctx: list[str], prec: int) -> str:
-        def wrap(s: str, p: int) -> str:
-            return f"({s})" if p < prec else s
-
-        match t:
-            case Var(i):
-                if i >= len(ctx):
-                    raise ValueError(
-                        f"variable {i} has no name in a context of "
-                        f"{len(ctx)}")
-                return ctx[len(ctx) - 1 - i]
-            case Ref(n) | Const(n):
-                return n
-            case Univ(fib, lvl):
-                return wrap(f"{'U' if fib else 'Us'} {lvl}", _PREC_ATOM)
-            case Pi(x, a, b) | Sig(x, a, b):
-                if type(t) is Pi and not uses_var(b):
-                    # Var 0 is unused in b and `_fresh` never picks "_"
-                    s = f"{go(a, ctx, _PREC_EQ)} -> {go(b, ctx + ['_'], _PREC_ARROW)}"
-                    return wrap(s, _PREC_ARROW)
-                x = _fresh(x, set(ctx) | avoid)
-                s = (f"{type(t).__name__} ({x} : {go(a, ctx, _PREC_TERM)}), "
-                     f"{go(b, ctx + [x], _PREC_TERM)}")
-                return wrap(s, _PREC_TERM)
-            case Lam():
-                hints, body = [], t
-                while isinstance(body, Lam):
-                    hints.append(body.name)
-                    body = body.body
-                ctx2, fresh = list(ctx), []
-                for h in hints:
-                    f = _fresh(h, set(ctx2) | avoid)
-                    fresh.append(f)
-                    ctx2.append(f)
-                s = f"fun {' '.join(fresh)} => {go(body, ctx2, _PREC_TERM)}"
-                return wrap(s, _PREC_TERM)
-            case App(f, a):
-                s = f"{go(f, ctx, _PREC_APP)} {go(a, ctx, _PREC_ATOM)}"
-                return wrap(s, _PREC_APP)
-            case Eq(strict, l, r):
-                op = "=s" if strict else "="
-                s = f"{go(l, ctx, _PREC_APP)} {op} {go(r, ctx, _PREC_APP)}"
-                return wrap(s, _PREC_EQ)
-            case Ann(tm, ty):
-                return f"({go(tm, ctx, _PREC_TERM)} : {go(ty, ctx, _PREC_TERM)})"
+def _print(t: Term, ctx: list[str], avoid: set[str], prec: int) -> str:
+    """`t` under the names `ctx`, parenthesised below precedence `prec`."""
+    k = type(t)
+    if k is App:
+        s = (f"{_print(t.fn, ctx, avoid, _PREC_APP)} "
+             f"{_print(t.arg, ctx, avoid, _PREC_ATOM)}")
+        p = _PREC_APP
+    elif k is Const or k is Ref:
+        return t.name
+    elif k is Var:
+        if t.idx >= len(ctx):
+            raise ValueError(
+                f"variable {t.idx} has no name in a context of {len(ctx)}")
+        return ctx[-1 - t.idx]
+    elif k is Pi and not any(type(u) is Var and u.idx == d
+                             for u, d in _nodes(t.cod)):
+        # Var 0 is unused in the codomain and `_fresh` never picks "_"
+        s = (f"{_print(t.dom, ctx, avoid, _PREC_EQ)} -> "
+             f"{_print(t.cod, ctx + ['_'], avoid, _PREC_ARROW)}")
+        p = _PREC_ARROW
+    elif k is Pi or k is Sig:
+        x = _fresh(t.name, set(ctx) | avoid)
+        s = (f"{k.__name__} ({x} : {_print(t.dom, ctx, avoid, _PREC_TERM)}), "
+             f"{_print(t.cod, ctx + [x], avoid, _PREC_TERM)}")
+        p = _PREC_TERM
+    elif k is Lam:
+        inner = list(ctx)
+        while type(t) is Lam:
+            inner.append(_fresh(t.name, set(inner) | avoid))
+            t = t.body
+        s = (f"fun {' '.join(inner[len(ctx):])} => "
+             f"{_print(t, inner, avoid, _PREC_TERM)}")
+        p = _PREC_TERM
+    elif k is Eq:
+        s = (f"{_print(t.lhs, ctx, avoid, _PREC_APP)} {'=s' if t.strict else '='} "
+             f"{_print(t.rhs, ctx, avoid, _PREC_APP)}")
+        p = _PREC_EQ
+    elif k is Univ:
+        return f"{'U' if t.fib else 'Us'} {t.level}"
+    elif k is Ann:
+        return (f"({_print(t.tm, ctx, avoid, _PREC_TERM)} : "
+                f"{_print(t.ty, ctx, avoid, _PREC_TERM)})")
+    else:
         raise AssertionError(t)
+    return f"({s})" if p < prec else s
 
-    return go(t, names, _PREC_TERM)
 
-
-def print_module(mod: Module, avoid: Optional[set[str]] = None) -> str:
+def print_module(mod: Module) -> str:
     lines = []
-    avoid = set(avoid or ())
     for d in mod.decls:
         if d.expect_rule:
             lines.append(f"--! expect: {d.expect_rule}")
-        avoid |= {d.name} if d.name else set()
-        ty = print_term(d.ty, avoid=avoid)
+        ty = print_term(d.ty)
         if d.kind == "def":
-            lines.append(f"def {d.name} : {ty} := {print_term(d.body, avoid=avoid)}")
+            lines.append(f"def {d.name} : {ty} := {print_term(d.body)}")
         elif d.kind == "axiom":
             lines.append(f"axiom {d.name} : {ty}")
         else:
-            lines.append(f"{d.kind} {print_term(d.body, avoid=avoid)} : {ty}")
+            lines.append(f"{d.kind} {print_term(d.body)} : {ty}")
     return "\n".join(lines) + "\n"

@@ -159,13 +159,13 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-WALKERS = {"syntax.py": ("subst", "shift"),
+WALKERS = {"syntax.py": ("subst", "shift", "_print", "_nodes"),
            "kernel.py": ("Checker.whnf", "Checker.infer", "Checker.check",
                          "Checker.convert")}
 
 
 def test_term_walkers_dispatch_without_match():
-    """The six walkers that run once per term node test `type(t)` by
+    """The eight walkers that run once per term node test `type(t)` by
     identity instead of matching class patterns.  A `match` tries its cases
     in turn, each failed `case Cls(...)` a class test, so the commonest
     node, tested late, paid for every case ahead of it; the identity tests

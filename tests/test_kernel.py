@@ -138,6 +138,8 @@ class TestCheckedBeforeReduced:
         ("check (fun x => zero) (Nat : NatS) : Nat\n", "CONV"),
         # ... and whose argument can only be checked, so it cannot be typed
         ("check (fun x => zero) (pair zero zero) : Nat\n", "INFER"),
+        # ... also when it is not the first argument one β step takes
+        ("check (fun x y => zero) zero (pair zero zero) : Nat\n", "INFER"),
     ])
     def test_reduction_drops_nothing_unchecked(self, src, rule):
         rep = check_module(Checker(), resolve(parse(src, "m.tltt")))
@@ -671,6 +673,17 @@ class TestWholeSpines:
         assert sys.getrecursionlimit() == 1000
         t = mk_app(Const("zero"), *[Const("zero")] * 1500)
         assert Checker().whnf(t) is t
+
+    def test_source_redex_spends_no_frame_per_argument(self):
+        """The application rule types a λ-headed spine's arguments in one
+        loop and its reduct once, so 1,200 arguments fit under CPython's
+        default recursion limit (one `infer` frame each overflowed)."""
+        assert sys.getrecursionlimit() == 1000
+        n = 1200
+        src = (f"check (fun {' '.join(f'x{i}' for i in range(n))} => zero) "
+               f"{' zero' * n} : Nat\n")
+        rep = check_module(Checker(), resolve(parse(src, "m.tltt")))
+        assert rep.ok, rep.error
 
 
 class TestOptions:

@@ -302,9 +302,8 @@ class TestFactorization:
                 continue
             fac = factor_spine_to_horn(n, k)
             chain = fac.sieves()   # the chain factor_spine_to_horn validated
-            assert chain[0] == fac.start
-            assert chain[-1] == fac.end
-            assert fac.end == zigzag_sieve(n)
+            assert chain[0] == horn_sieve(n, k)
+            assert chain[-1] == zigzag_sieve(n)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_inner_only_for_inner_horns(self, n):

@@ -223,36 +223,39 @@ class SetDiagram:
                         f"functoriality fails: {g!r} . {f!r} != {h!r} on {x!r}")
 
     def restrict(self, sub: FinCat) -> "SetDiagram":
-        return SetDiagram(
-            sub,
-            {o: self.values[o] for o in sub.objects},
-            {a: self.action[a] for a in sub.arrows()})
+        return tabulate(sub, {o: self.values[o] for o in sub.objects},
+                        lambda a, v: self.action[a][v])
+
+
+def tabulate(c: FinCat, values: dict, act) -> SetDiagram:
+    """The diagram over c with the given values whose action along a sends
+    v to ``act(a, v)``, tabulated for every arrow in ``c.arrows()`` order
+    and every v of ``values[c.src[a]]`` in order."""
+    src = c.src
+    return SetDiagram(c, values, {a: {v: act(a, v) for v in values[src[a]]}
+                                  for a in c.arrows()})
 
 
 def constant_diagram(c: FinCat, elements: tuple) -> SetDiagram:
-    ident = {x: x for x in elements}
-    return SetDiagram(c, {o: tuple(elements) for o in c.objects},
-                      {a: dict(ident) for a in c.arrows()})
+    return tabulate(c, {o: tuple(elements) for o in c.objects},
+                    lambda a, v: v)
+
+
+def _pairwise(f: SetDiagram, g: SetDiagram):
+    """The action on pairs: f's on the first component, g's on the second."""
+    return lambda a, uv: (f.action[a][uv[0]], g.action[a][uv[1]])
 
 
 def product_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
-    c = f.cat
     values = {o: tuple(itertools.product(f.values[o], g.values[o]))
-              for o in c.objects}
-    action = {}
-    for a in c.arrows():
-        action[a] = {(u, v): (f.action[a][u], g.action[a][v])
-                     for (u, v) in values[c.src[a]]}
-    return SetDiagram(c, values, action)
+              for o in f.cat.objects}
+    return tabulate(f.cat, values, _pairwise(f, g))
 
 
 def representable(c: FinCat, d) -> SetDiagram:
     """The covariant representable y_d = Hom(d, -)."""
-    values = {o: tuple(c.hom(d, o)) for o in c.objects}
-    action = {}
-    for a in c.arrows():
-        action[a] = {g: c.compose[(a, g)] for g in values[c.src[a]]}
-    return SetDiagram(c, values, action)
+    return tabulate(c, {o: tuple(c.hom(d, o)) for o in c.objects},
+                    lambda a, g: c.compose[(a, g)])
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +365,16 @@ def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
     for d in c.objects:
         nats = diagram_nat_transforms(product_diagram(f, representable(c, d)), g)
         values[d] = tuple(nat_key(t) for t in nats)
-    action = {}
-    for a in c.arrows():
-        d, d2 = c.src[a], c.dst[a]
-        fn = {}
-        for alpha in values[d]:
-            table = dict(alpha)
-            moved = {}
-            for o in c.objects:
-                for u in f.values[o]:
-                    for h in c.hom(d2, o):
-                        moved[(o, (u, h))] = table[(o, (u, c.compose[(h, a)]))]
-            fn[alpha] = nat_key(moved)
-        action[a] = fn
-    return SetDiagram(c, values, action)
+    # along a, every alpha takes at (o, (u, h)) its entry at (o, (u, h . a))
+    moves = {a: [((o, (u, h)), (o, (u, c.compose[(h, a)])))
+                 for o in c.objects for u in f.values[o]
+                 for h in c.hom(c.dst[a], o)]
+             for a in c.arrows() if values[c.src[a]]}
+
+    def act(a, alpha):
+        table = dict(alpha)
+        return frozenset([(k, table[s]) for k, s in moves[a]])
+    return tabulate(c, values, act)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +418,7 @@ def pullback_diagram(p: DiagramMap, q: DiagramMap
                        for u in x.values[o] for v in y.values[o]
                        if p.components[o][u] == q.components[o][v])
               for o in c.objects}
-    action = {}
-    for a in c.arrows():
-        action[a] = {(u, v): (x.action[a][u], y.action[a][v])
-                     for (u, v) in values[c.src[a]]}
-    w = SetDiagram(c, values, action)
+    w = tabulate(c, values, _pairwise(x, y))
     pr1 = DiagramMap(w, x, {o: {uv: uv[0] for uv in values[o]}
                             for o in c.objects})
     pr2 = DiagramMap(w, y, {o: {uv: uv[1] for uv in values[o]}
@@ -458,13 +453,9 @@ def semisimplex_category(n: int) -> FinInvCat:
 def sset_to_diagram(x: FiniteSemiSimplicialSet,
                     c: Optional[FinInvCat] = None) -> SetDiagram:
     c = c or semisimplex_category(x.truncation)
-    values = {k: tuple(x.levels[k]) for k in c.objects}
-    action = {}
-    for a in c.arrows():
-        _, k, image = a
-        m = MonoMap(k, image)
-        action[a] = {v: x.act(m, v) for v in values[k]}
-    return SetDiagram(c, values, action)
+    maps = {a: MonoMap(a[1], a[2]) for a in c.arrows()}
+    return tabulate(c, {k: tuple(x.levels[k]) for k in c.objects},
+                    lambda a, v: x.act(maps[a], v))
 
 
 # ---------------------------------------------------------------------------
@@ -548,27 +539,22 @@ def random_diagram(rng: random.Random, c: FinInvCat,
     for x in sorted(c.objects, key=lambda o: c.rank[o]):
         if any(not values[c.dst[a]] for a in c.out_of(x)):
             values[x] = ()
+    # a generator's value at an element is drawn the first time a path
+    # needs it, so the draws follow the order in which the arrows are tabulated
     gen_action: dict = {}
-    action: dict = {}
-    for a in c.arrows():
+
+    def act(a, v):
         if a[0] == "id":
-            action[a] = {v: v for v in values[c.src[a]]}
-            continue
-        path = a[1]
-        fn = {}
-        for v in values[c.src[a]]:
-            cur, pos = v, c.src[a]
-            for gid in path:
-                key = (gid, pos)
-                tbl = gen_action.setdefault(key, {})
-                nxt_obj = _gen_target(c, pos, gid)
-                if cur not in tbl:
-                    tbl[cur] = rng.choice(values[nxt_obj])
-                cur = tbl[cur]
-                pos = nxt_obj
-            fn[v] = cur
-        action[a] = fn
-    return SetDiagram(c, values, action)
+            return v
+        pos = c.src[a]
+        for gid in a[1]:
+            tbl = gen_action.setdefault(gid, {})
+            pos = _gen_target(c, pos, gid)
+            if v not in tbl:
+                tbl[v] = rng.choice(values[pos])
+            v = tbl[v]
+        return v
+    return tabulate(c, values, act)
 
 
 def _gen_target(c: FinInvCat, pos, gid):

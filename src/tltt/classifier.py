@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .categories import (
     CategoryError, DiagramMap, FinInvCat, SetDiagram, boundary, family_key,
-    matching_object,
+    matching_object, tabulate,
 )
 
 
@@ -151,15 +151,9 @@ def interpret(c: FinInvCat, x: ClassifierElement, base: SetDiagram
                 comp[e] = b
         values[i] = tuple(elems)
         components[i] = comp
-    action: dict = {}
-    for a in sub.arrows():
-        if sub.identity[sub.src[a]] == a:
-            action[a] = {e: e for e in values[sub.src[a]]}
-        else:
-            action[a] = {e: dict(e[1])[a] for e in values[sub.src[a]]}
-    diagram = SetDiagram(sub, values, action)
-    p = DiagramMap(diagram, base, components)
-    return diagram, p
+    diagram = tabulate(sub, values, lambda a, e: (
+        e if sub.identity[sub.src[a]] == a else dict(e[1])[a]))
+    return diagram, DiagramMap(diagram, base, components)
 
 
 def extract(c: FinInvCat, n: int, diagram: SetDiagram, p: DiagramMap,

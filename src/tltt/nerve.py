@@ -172,38 +172,36 @@ def based_to_pointed(universe: list[tuple], cell: tuple) -> tuple:
     return (sets, tuple(points), maps)
 
 
+def _chain_face(universe: list[tuple], sets: tuple, maps: tuple,
+                i: int) -> tuple:
+    """The i-th face of a chain of sets and maps, as (sets, maps): the end
+    sets drop with their maps, an inner set composes the maps around it."""
+    if i == 0:
+        return sets[1:], maps[1:]
+    if i == len(maps):
+        return sets[:-1], maps[:-1]
+    left, right = maps[i - 1], maps[i]
+    mid = universe[sets[i]]
+    composed = tuple(right[mid.index(left[j])]
+                     for j in range(len(universe[sets[i - 1]])))
+    return sets[:i] + sets[i + 1:], maps[:i - 1] + (composed,) + maps[i + 1:]
+
+
 def pointed_face(universe: list[tuple], cell: tuple, i: int) -> tuple:
     """The i-th face on the pointed-chain presentation."""
     sets, points, maps = cell
-    n = len(maps)
-    if i == 0:
-        return (sets[1:], points[1:], maps[1:])
-    if i == n:
-        return (sets[:-1], points[:-1], maps[:-1])
-    left, right = maps[i - 1], maps[i]
-    dom = universe[sets[i - 1]]
-    mid = universe[sets[i]]
-    composed = tuple(right[mid.index(left[j])] for j in range(len(dom)))
-    return (sets[:i] + sets[i + 1:], points[:i] + points[i + 1:],
-            maps[:i - 1] + (composed,) + maps[i + 1:])
+    faced_sets, faced_maps = _chain_face(universe, sets, maps, i)
+    return (faced_sets, points[:i] + points[i + 1:], faced_maps)
 
 
 def based_face(universe: list[tuple], cell: tuple, i: int) -> tuple:
     """The i-th face on the based presentation; dropping the first set
     pushes the point forward along the first map."""
     sets, point, maps = cell
-    n = len(maps)
     if i == 0:
-        new_point = maps[0][universe[sets[0]].index(point)]
-        return (sets[1:], new_point, maps[1:])
-    if i == n:
-        return (sets[:-1], point, maps[:-1])
-    left, right = maps[i - 1], maps[i]
-    dom = universe[sets[i - 1]]
-    mid = universe[sets[i]]
-    composed = tuple(right[mid.index(left[j])] for j in range(len(dom)))
-    return (sets[:i] + sets[i + 1:], point,
-            maps[:i - 1] + (composed,) + maps[i + 1:])
+        point = maps[0][universe[sets[0]].index(point)]
+    faced_sets, faced_maps = _chain_face(universe, sets, maps, i)
+    return (faced_sets, point, faced_maps)
 
 
 @dataclass

@@ -559,16 +559,28 @@ def print_term(t: Term, names: Optional[list[str]] = None) -> str:
     """Render a core term as parseable surface text under the naming
     context `names` (outermost first).  Binders are named away from it, the
     built-ins and the globals of `t`, the only globals they could capture."""
-    avoid = BUILTIN_CONSTS | {u.name for u, _ in _nodes(t) if type(u) is Ref}
-    return _print(t, list(names or []), avoid, _PREC_TERM)
+    # `_nodes` walks a binder's scope before anything else at its depth, so
+    # binders[e] is the binder at depth e of the Vars below it
+    avoid, used, binders = set(BUILTIN_CONSTS), set(), []
+    for u, d in _nodes(t):
+        k = type(u)
+        if k is Ref:
+            avoid.add(u.name)
+        elif k is Var and u.idx < d:
+            used.add(binders[d - 1 - u.idx])
+        elif k is Pi or k is Sig or k is Lam:
+            binders[d:] = [id(u)]
+    return _print(t, list(names or []), avoid, used, _PREC_TERM)
 
 
-def _print(t: Term, ctx: list[str], avoid: set[str], prec: int) -> str:
-    """`t` under the names `ctx`, parenthesised below precedence `prec`."""
+def _print(t: Term, ctx: list[str], avoid: set[str], used: set[int],
+           prec: int) -> str:
+    """`t` under the names `ctx`, parenthesised below precedence `prec`;
+    `used` holds the ids of the binders whose variable occurs."""
     k = type(t)
     if k is App:
-        s = (f"{_print(t.fn, ctx, avoid, _PREC_APP)} "
-             f"{_print(t.arg, ctx, avoid, _PREC_ATOM)}")
+        s = (f"{_print(t.fn, ctx, avoid, used, _PREC_APP)} "
+             f"{_print(t.arg, ctx, avoid, used, _PREC_ATOM)}")
         p = _PREC_APP
     elif k is Const or k is Ref:
         return t.name
@@ -577,16 +589,16 @@ def _print(t: Term, ctx: list[str], avoid: set[str], prec: int) -> str:
             raise ValueError(
                 f"variable {t.idx} has no name in a context of {len(ctx)}")
         return ctx[-1 - t.idx]
-    elif k is Pi and not any(type(u) is Var and u.idx == d
-                             for u, d in _nodes(t.cod)):
+    elif k is Pi and id(t) not in used:
         # Var 0 is unused in the codomain and `_fresh` never picks "_"
-        s = (f"{_print(t.dom, ctx, avoid, _PREC_EQ)} -> "
-             f"{_print(t.cod, ctx + ['_'], avoid, _PREC_ARROW)}")
+        s = (f"{_print(t.dom, ctx, avoid, used, _PREC_EQ)} -> "
+             f"{_print(t.cod, ctx + ['_'], avoid, used, _PREC_ARROW)}")
         p = _PREC_ARROW
     elif k is Pi or k is Sig:
         x = _fresh(t.name, set(ctx) | avoid)
-        s = (f"{k.__name__} ({x} : {_print(t.dom, ctx, avoid, _PREC_TERM)}), "
-             f"{_print(t.cod, ctx + [x], avoid, _PREC_TERM)}")
+        s = (f"{k.__name__} ({x} : "
+             f"{_print(t.dom, ctx, avoid, used, _PREC_TERM)}), "
+             f"{_print(t.cod, ctx + [x], avoid, used, _PREC_TERM)}")
         p = _PREC_TERM
     elif k is Lam:
         inner = list(ctx)
@@ -594,17 +606,18 @@ def _print(t: Term, ctx: list[str], avoid: set[str], prec: int) -> str:
             inner.append(_fresh(t.name, set(inner) | avoid))
             t = t.body
         s = (f"fun {' '.join(inner[len(ctx):])} => "
-             f"{_print(t, inner, avoid, _PREC_TERM)}")
+             f"{_print(t, inner, avoid, used, _PREC_TERM)}")
         p = _PREC_TERM
     elif k is Eq:
-        s = (f"{_print(t.lhs, ctx, avoid, _PREC_APP)} {'=s' if t.strict else '='} "
-             f"{_print(t.rhs, ctx, avoid, _PREC_APP)}")
+        s = (f"{_print(t.lhs, ctx, avoid, used, _PREC_APP)} "
+             f"{'=s' if t.strict else '='} "
+             f"{_print(t.rhs, ctx, avoid, used, _PREC_APP)}")
         p = _PREC_EQ
     elif k is Univ:
         return f"{'U' if t.fib else 'Us'} {t.level}"
     elif k is Ann:
-        return (f"({_print(t.tm, ctx, avoid, _PREC_TERM)} : "
-                f"{_print(t.ty, ctx, avoid, _PREC_TERM)})")
+        return (f"({_print(t.tm, ctx, avoid, used, _PREC_TERM)} : "
+                f"{_print(t.ty, ctx, avoid, used, _PREC_TERM)})")
     else:
         raise AssertionError(t)
     return f"({s})" if p < prec else s

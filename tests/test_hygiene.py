@@ -132,6 +132,41 @@ def test_the_check_sees_an_unused_public_definition():
         "a.py line 2: left", "a.py line 3: Gone", "a.py line 7: gone"]
 
 
+def callers(name: str, sources: dict[str, str]) -> set[str]:
+    """Where `sources` (module name -> source) call `name`, by name or as an
+    attribute: `module.function`, `module.Class.method`, or `module.<top>`
+    for a call outside any function."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            for fn in members:
+                where = fn.name if isinstance(fn, FUNCTIONS) else "<top>"
+                if any(isinstance(n, ast.Call)
+                       and name in (getattr(n.func, "id", None),
+                                    getattr(n.func, "attr", None))
+                       for n in ast.walk(fn)):
+                    found.add(f"{module}.{prefix}{where}")
+    return found
+
+
+def test_diagrams_are_tabulated_in_one_place():
+    """Every diagram the package builds gets its action tables from
+    `categories.tabulate`, so their order is decided once; only the fixture
+    loader, whose tables are input, builds a `SetDiagram` itself."""
+    assert callers("SetDiagram",
+                   {path.stem: path.read_text() for path in MODULES}) == {
+        "categories.tabulate", "fixtures.diagram_from_json"}
+
+
+def test_the_check_sees_every_caller():
+    sources = {"a": "D(1)\nclass K:\n    def m(self):\n        return x.D()\n"
+                    "def f():\n    def g():\n        D()\n    return E()\n",
+               "b": "def h(D):\n    return D\n"}
+    assert callers("D", sources) == {"a.<top>", "a.K.m", "a.f"}
+
+
 def _tracer():
     """The benchmark's tracer module, loaded from its file."""
     path = ROOT / "perfbench" / "tracer.py"

@@ -10,6 +10,7 @@ import typing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tltt import syntax
 from tltt.corpus import corpus_files
 from tltt.kernel import Checker, check_module
 from tltt.syntax import (
@@ -350,6 +351,22 @@ class TestPrinter:
 
     def test_nondependent_pi_prints_as_arrow(self):
         assert print_term(rt("Nat -> Nat")) == "Nat -> Nat"
+
+    def test_an_arrow_chain_is_walked_once(self, monkeypatch):
+        """Which Pis of `Nat -> ... -> Nat` print as arrows is decided in one
+        walk of the whole term; a walk of each codomain made printing a
+        chain of n arrows cost O(n^2)."""
+        real, calls = syntax._nodes, []
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+        monkeypatch.setattr(syntax, "_nodes", counted)
+        chain = Const("Nat")
+        for _ in range(50):
+            chain = Pi("x", Const("Nat"), chain)
+        assert print_term(chain) == " -> ".join(["Nat"] * 51)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("term, names, index", [
         (App(Var(0), Var(1)), ["a"], 1),

@@ -9,7 +9,7 @@ equality of core terms is alpha-equivalence.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Union
 
@@ -231,258 +231,258 @@ class Module:
 
 
 # ---------------------------------------------------------------------------
-# Lexer: one master regex, matched token by token
+# Lexer: one scan of one master regex
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class Token:
-    kind: str      # NAME NAT PUNCT KW EXPECT EOF
-    text: str
-    line: int
-    col: int
-
-
-# Unnamed alternatives (blanks, comments) produce no token; `=s` followed by
-# a word character is `=` and a name; BAD is any other character.  An EXPECT
-# token's text is its whole comment, so it never reads as the word it names.
-_TOKEN_RE = re.compile(r"""
-    (?P<NL>\n)
-  | [ \t\r]+
-  | (?P<EXPECT>--![^\S\n]*expect:[^\S\n]*\S+[^\n]*)
-  | --[^\n]*
-  | (?P<PUNCT>:=|=>|->|=s(?!\w)|[=(),:])
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<NAT>[0-9]+)
-  | (?P<BAD>.)
+# Each match skips blanks, newlines and ordinary `--` comments, then reads one
+# token, of the kind named by the group that matched.  `\Z` is the EOF token,
+# so no match fails after what it skipped.  `=s` followed by a word character
+# is `=` and a name; BAD is any other character.  An EXPECT token's text is
+# its whole comment, so it never reads as the word it names.
+_EXPECT = r"![^\S\n]*expect:[^\S\n]*\S"      # an EXPECT token after its `--`
+_TOKEN_RE = re.compile(rf"""
+    (?: [ \t\r\n]+ | --(?!{_EXPECT})[^\n]* )*
+    (?: (?P<EXPECT>--{_EXPECT}[^\n]*)
+      | (?P<PUNCT>:=|=>|->|=s(?!\w)|[=(),:])
+      | (?P<KW>(?:{"|".join(sorted(KEYWORDS))})(?![A-Za-z0-9_']))
+      | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<NAT>[0-9]+)
+      | (?P<EOF>\Z)
+      | (?P<BAD>.) )
 """, re.VERBOSE)
 
 
-def tokenize(src: str, path: str = "<input>") -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
+def tokenize(src: str, path: str = "<input>") -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) of each token of `src`, the last one EOF."""
+    toks = []
     for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        if kind is None:
-            continue
-        pos = m.start()
-        if kind == "NL":
-            line, line_start = line + 1, pos + 1
-            continue
-        if kind == "BAD":
-            raise SyntaxError_(f"unexpected character {src[pos]!r}",
-                               line, pos - line_start + 1, path)
-        text = m.group(kind)
-        if kind == "NAME" and text in KEYWORDS:
-            kind = "KW"
-        toks.append(Token(kind, text, line, pos - line_start + 1))
-    toks.append(Token("EOF", "", line, len(src) - line_start + 1))
+        toks.append((kind, m[kind], m.start(kind)))
+        if kind == "EOF" or kind == "BAD":
+            break
+    if kind == "BAD":     # its line and column, where only `\n` ends a line
+        off = toks[-1][2]
+        raise SyntaxError_(f"unexpected character {src[off]!r}",
+                           src.count("\n", 0, off) + 1,
+                           off - src.rfind("\n", 0, off), path)
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Parser: one recursive descent from tokens to core terms.  A name is looked
-# up in the bound names (innermost first), then among the built-ins; any
-# other name becomes a `Ref`.  Every name not bound by a binder is recorded
-# with its position, for `resolve` to check against the declared globals.
+# Parser: one loop from tokens to core terms.  A name is looked up in the
+# bound names (innermost first), then among the built-ins; any other name
+# becomes a `Ref`.  Every name not bound by a binder is recorded with its
+# position, for `resolve` to check against the declared globals.
 # ---------------------------------------------------------------------------
 
+# What `Parser.term` reads next (a term, the binder groups of a Pi or Sig, or
+# atoms), and the frames of its stack, one per construct left open:
+#   (_PAREN, head)            `(` after the atoms `head` (None if none)
+#   (_ANN, head, tm)          `( tm :` after the atoms `head`
+#   (_EQ, strict, lhs)        `lhs =` (`=s` if strict)
+#   (_ARROW, dom)             `dom ->`, with "_" bound
+#   (_GROUP, ctor, bs, names) `(names :` after the (name, type) pairs `bs`
+#   (_BODY, ctor, bs)         the pairs `bs`, or `fun` names if ctor is Lam
+_TERM, _GROUPS, _APP = range(3)
+_PAREN, _ANN, _EQ, _ARROW, _GROUP, _BODY = range(6)
+
+
 class Parser:
-    def __init__(self, toks: list[Token], path: str, scope=()):
-        self.toks = toks
-        self.pos = 0
+    """Terms and declarations off the tokens of `src`, nested on a stack of
+    frames rather than on Python's, so nesting costs no Python frame."""
+
+    def __init__(self, src: str, path: str = "<input>", scope=()):
+        self.kinds, self.texts, self.offs = zip(*tokenize(src, path))
+        self.starts = [0, *(m.end() for m in re.finditer("\n", src))]
         self.path = path
         self.scope = list(scope)    # bound names, outermost first
         self.refs: list[tuple[str, int, int]] = []
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def place(self, i: int) -> tuple[int, int]:
+        """The line and column of token `i`."""
+        off = self.offs[i]
+        line = bisect_right(self.starts, off)
+        return line, off - self.starts[line - 1] + 1
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    def err(self, msg: str, i: int):
+        raise SyntaxError_(msg, *self.place(i), self.path)
 
-    def err(self, msg: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise SyntaxError_(msg, tok.line, tok.col, self.path)
+    def expect(self, text: str, i: int) -> int:
+        """The token after token `i`, which must be `text`."""
+        if self.texts[i] != text:
+            self.err(f"expected {text!r}, found {self.texts[i]!r}", i)
+        return i + 1
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
-            self.err(f"expected {text!r}, found {t.text!r}")
-        return self.next()
+    def term(self, i: int) -> tuple[Term, int]:
+        """The term at token `i` and the token after it:
 
-    # -- terms ------------------------------------------------------------
+            term  := (Pi | Sig) group+ "," term  |  fun name+ "=>" term
+                   | app [("=" | "=s") app] ["->" term]
+            group := "(" name+ ":" term ")"
+            app   := atom+
+            atom  := name | (U | Us) nat | "(" term [":" term] ")"
 
-    def term(self) -> Term:
-        """`(Pi | Sig) binders , term`, `fun names => term`, or
-        `app [("=" | "=s") app] ["->" term]`: `->` nests to the right."""
-        form = self.peek().text
-        if form not in ("Pi", "Sig", "fun"):
-            lhs = self.app()
-            op = self.peek().text
-            if op == "=" or op == "=s":
-                self.next()
-                lhs = Eq(op == "=s", lhs, self.app())
-            if self.peek().text == "->":
-                self.next()
-                self.scope.append("_")
-                rhs = self.term()
-                self.scope.pop()
-                return Pi("_", lhs, rhs)
-            return lhs
-        self.next()
-        if form == "fun":
-            names = self.names()
-            if not names:
-                self.err("expected at least one binder name after 'fun'")
-            binders = [(name, None) for name in names]
-            self.scope += names
-        else:
-            binders = self.binders()
-        self.expect("=>" if form == "fun" else ",")
-        body = self.term()
-        del self.scope[len(self.scope) - len(binders):]
-        ctor = Sig if form == "Sig" else Pi
-        for name, ty in reversed(binders):     # innermost first
-            body = Lam(name, body) if ty is None else ctor(name, ty, body)
-        return body
-
-    def names(self) -> list[str]:
-        """Read bare names while there are any; the list may be empty."""
-        names = []
-        while self.peek().kind == "NAME":
-            names.append(self.next().text)
-        return names
-
-    def binders(self) -> list[tuple[str, Term]]:
-        """Parse `(x y : T)+`, returning (name, type) pairs, and bind the names.
-
-        A group's type is read once, before any of the group's names is
-        bound; its i-th name gets the type shifted past the i names before
-        it.  The caller unbinds the names.
-        """
-        out: list[tuple[str, Term]] = []
-        while self.peek().text == "(":
-            save = self.pos
-            self.next()
-            names = self.names()
-            if not names or self.peek().text != ":":
-                self.pos = save
-                break
-            self.next()
-            ty = self.term()
-            self.expect(")")
-            for i, name in enumerate(names):
-                out.append((name, shift(ty, i)))
-            self.scope += names
-        if not out:
-            self.err("expected a binder '(name : type)'")
-        return out
-
-    def app(self) -> Term:
-        """Atoms folded left into `App`: a name, `U n` or `Us n`, `( term )`
-        or `( term : term )`.  The first token that starts no atom ends it."""
-        head = None
+        `->` nests to the right and application to the left.  A group's type
+        is read before its names are bound; its i-th name gets the type
+        shifted past the i names before it."""
+        kinds, texts, offs = self.kinds, self.texts, self.offs
+        starts, scope, refs = self.starts, self.scope, self.refs
+        stack: list[tuple] = []
+        reading = _TERM
         while True:
-            t = self.peek()
-            if t.kind == "NAME":
-                self.next()
-                name, scope = t.text, self.scope
-                if name in scope:
-                    i = len(scope) - 1
-                    while scope[i] != name:
-                        i -= 1
-                    arg = Var(len(scope) - 1 - i)
+            if reading == _TERM:
+                text = texts[i]
+                if text == "fun":
+                    i = j = i + 1
+                    while kinds[i] == "NAME":
+                        i += 1
+                    if i == j:
+                        self.err("expected at least one binder name after "
+                                 "'fun'", i)
+                    i = self.expect("=>", i)
+                    scope += texts[j:i - 1]
+                    stack.append((_BODY, Lam, texts[j:i - 1]))
+                    continue
+                if text == "Pi" or text == "Sig":
+                    ctor, bs = (Sig if text == "Sig" else Pi), []
+                    i, reading = i + 1, _GROUPS
                 else:
-                    self.refs.append((name, t.line, t.col))
-                    arg = Const(name) if name in BUILTIN_CONSTS else Ref(name)
-            elif t.text in ("U", "Us"):
-                self.next()
-                lvl = self.peek()
-                if lvl.kind != "NAT":
-                    self.err("expected a universe level")
-                self.next()
-                arg = Univ(t.text == "U", int(lvl.text))
-            elif t.text == "(":
-                self.next()
-                arg = self.term()
-                if self.peek().text == ":":
-                    self.next()
-                    arg = Ann(arg, self.term())
-                self.expect(")")
-            elif head is None:
-                self.err(f"expected a term, found {t.text!r}")
+                    reading, t = _APP, None
+            if reading == _GROUPS:
+                j = i + 1
+                while texts[i] == "(" and kinds[j] == "NAME":
+                    j += 1
+                if j > i + 1 and texts[j] == ":":
+                    stack.append((_GROUP, ctor, bs, texts[i + 1:j]))
+                    i, reading = j + 1, _TERM
+                    continue
+                if not bs:
+                    self.err("expected a binder '(name : type)'", i)
+                i, reading = self.expect(",", i), _TERM
+                stack.append((_BODY, ctor, bs))
+                continue
+            while True:     # reading == _APP: atoms fold left into `t`
+                if kinds[i] == "NAME":
+                    name = texts[i]
+                    if name in scope:
+                        j = len(scope) - 1
+                        while scope[j] != name:
+                            j -= 1
+                        arg = Var(len(scope) - 1 - j)
+                    else:
+                        off = offs[i]
+                        line = bisect_right(starts, off)  # `place`, inline
+                        refs.append((name, line, off - starts[line - 1] + 1))
+                        arg = (Const if name in BUILTIN_CONSTS else Ref)(name)
+                    i += 1
+                elif texts[i] == "(":
+                    stack.append((_PAREN, t))
+                    i, reading = i + 1, _TERM
+                    break
+                elif texts[i] == "U" or texts[i] == "Us":
+                    if kinds[i + 1] != "NAT":
+                        self.err("expected a universe level", i + 1)
+                    try:
+                        arg = Univ(texts[i] == "U", int(texts[i + 1]))
+                    except ValueError:      # past Python's limit on digits
+                        self.err("universe level too large", i + 1)
+                    i += 2
+                elif t is None:
+                    self.err(f"expected a term, found {texts[i]!r}", i)
+                else:
+                    break
+                t = arg if t is None else App(t, arg)
+            if reading == _TERM:
+                continue
+            if stack and stack[-1][0] == _EQ:       # the application `t`
+                _, strict, lhs = stack.pop()
+                t = Eq(strict, lhs, t)
+            elif texts[i] == "=" or texts[i] == "=s":
+                stack.append((_EQ, texts[i] == "=s", t))
+                i, t = i + 1, None
+                continue
+            if texts[i] == "->":
+                stack.append((_ARROW, t))
+                scope.append("_")
+                i, reading = i + 1, _TERM
+                continue
+            while stack:    # the term `t`: close the frames it completes
+                frame = stack.pop()
+                tag = frame[0]
+                if tag == _PAREN and texts[i] == ":":
+                    stack.append((_ANN, frame[1], t))
+                    i, reading = i + 1, _TERM
+                    break
+                if tag == _PAREN or tag == _ANN:
+                    i = self.expect(")", i)
+                    arg = t if tag == _PAREN else Ann(frame[2], t)
+                    t = arg if frame[1] is None else App(frame[1], arg)
+                    break
+                if tag == _ARROW:
+                    scope.pop()
+                    t = Pi("_", frame[1], t)
+                elif tag == _BODY:
+                    _, ctor, bs = frame
+                    del scope[len(scope) - len(bs):]
+                    for b in reversed(bs):          # innermost first
+                        t = Lam(b, t) if ctor is Lam else ctor(b[0], b[1], t)
+                else:       # _GROUP, whose type `t` is
+                    _, ctor, bs, names = frame
+                    j = self.expect(")", i)
+                    try:        # the only recursion left
+                        bs += [(x, shift(t, k)) for k, x in enumerate(names)]
+                    except RecursionError:
+                        self.err("[DEPTH] terms nest too deeply to parse", i)
+                    scope += names
+                    i, reading = j, _GROUPS
+                    break
             else:
-                return head
-            head = arg if head is None else App(head, arg)
-
-    # -- declarations -----------------------------------------------------
+                return t, i
 
     def module(self) -> Module:
-        decls: list[Decl] = []
-        pending_expect: Optional[str] = None
-        while self.peek().kind != "EOF":
-            t = self.peek()
-            if t.kind == "EXPECT":
-                pending_expect = t.text.split("expect:", 1)[1].split()[0]
-                self.next()
-                if self.peek().text != "fail":
+        kinds, texts = self.kinds, self.texts
+        decls, i, expect_rule = [], 0, None
+        while kinds[i] != "EOF":
+            kind = texts[i]
+            if kinds[i] == "EXPECT":
+                expect_rule = kind.split("expect:", 1)[1].split()[0]
+                if texts[i + 1] != "fail":
                     self.err("`--! expect:` must directly precede a `fail` "
-                             "declaration", t)
+                             "declaration", i)
+                i += 1
                 continue
-            if t.text not in ("def", "axiom", "check", "fail"):
-                self.err("expected a declaration (def/axiom/check/fail)")
-            self.next()
-            self.refs = []
-            name = body = None
-            if t.text in ("def", "axiom"):
-                if self.peek().kind != "NAME":
-                    self.err("expected a name")
-                name = self.next().text
-                self.expect(":")
-                ty = self.term()
-                if t.text == "def":
-                    self.expect(":=")
-                    body = self.term()
-            else:
-                body = self.term()
+            if kind not in ("def", "axiom", "check", "fail"):
+                self.err("expected a declaration (def/axiom/check/fail)", i)
+            self.refs, name, body = [], None, None
+            if kind == "check" or kind == "fail":
+                body, j = self.term(i + 1)
                 subject_refs, self.refs = self.refs, []
-                self.expect(":")
-                ty = self.term()
+                ty, j = self.term(self.expect(":", j))
                 self.refs += subject_refs     # the type's refs come first
-            decls.append(Decl(t.text, name, ty, body, t.line, t.col,
-                              pending_expect, self.refs))
-            pending_expect = None
+            else:
+                if kinds[i + 1] != "NAME":
+                    self.err("expected a name", i + 1)
+                name = texts[i + 1]
+                ty, j = self.term(self.expect(":", i + 2))
+                if kind == "def":
+                    body, j = self.term(self.expect(":=", j))
+            decls.append(Decl(kind, name, ty, body, *self.place(i),
+                              expect_rule, self.refs))
+            i, expect_rule = j, None
         return Module(decls, self.path)
 
 
-@contextmanager
-def _depth_guard(p: Parser):
-    """Running out of Python stack while parsing is a [DEPTH] error at the
-    token being read.  A `with` block adds no frame to the parse."""
-    try:
-        yield
-    except RecursionError:
-        tok = p.peek()
-        raise SyntaxError_("[DEPTH] terms nest too deeply to parse",
-                           tok.line, tok.col, p.path) from None
-
-
 def parse(src: str, path: str = "<input>") -> Module:
-    p = Parser(tokenize(src, path), path)
-    with _depth_guard(p):
-        return p.module()
+    return Parser(src, path).module()
 
 
 def parse_term(src: str, path: str = "<input>", scope=(), globals_=()) -> Term:
     """Parse one term under the bound names `scope` (outermost first); its
     other names must be built-ins or in `globals_`."""
-    p = Parser(tokenize(src, path), path, scope)
-    with _depth_guard(p):
-        t = p.term()
-    if p.peek().kind != "EOF":
-        p.err("trailing input after term")
+    p = Parser(src, path, scope)
+    t, i = p.term(0)
+    if p.kinds[i] != "EOF":
+        p.err("trailing input after term", i)
     _check_refs(p.refs, set(globals_), path)
     return t
 

@@ -67,6 +67,24 @@ class TestCheck:
         doc = json.loads(out)
         assert code == 0 and doc["status"] == "pass"
 
+    def test_oversized_universe_level_is_a_diagnostic(self, capsys, tmp_path):
+        """A level past Python's limit on the digits of an `int` is a syntax
+        error of its file: `check` exits 1 at the level, and `corpus run`
+        reports that file and goes on."""
+        bad = tmp_path / "tests" / "pass" / "big.tltt"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("def x : U " + "1" * 5000 + " := Nat\n")
+        (tmp_path / "tests" / "pass" / "ok.tltt").write_text(
+            "def z : Nat := zero\n")
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 1
+        assert f"{bad}:1:11: universe level too large" in err
+        code, out, _ = run(capsys, "corpus", "run", "--json", str(tmp_path))
+        doc = json.loads(out)
+        assert code == 1 and [f["status"] for f in doc["files"]] == [
+            "fail", "pass"]
+        assert doc["errors"] == [f"{bad}:1:11: universe level too large"]
+
 
 def numeral(d):
     return "succ (" * d + "zero" + ")" * d
@@ -76,12 +94,13 @@ class TestDepth:
     """Terms too deep for the interpreter's stack fail with [DEPTH], exit 1,
     in a fresh interpreter whose stack holds nothing else."""
 
-    @pytest.fixture(params=[(220, "check"), (600, "parse")],
+    @pytest.fixture(params=[(220, "check"), (600, "check")],
                     ids=["220", "600"])
     def deep_file(self, request, tmp_path):
         """The file and the `[DEPTH]` message of the stage that overflows:
-        depth 220 overflows the checker's conversion (above about 196),
-        which the parser passes (up to about 495); depth 600 the parser."""
+        depth 220 overflows the checker's conversion (above about 196), and
+        depth 600 also its `succ` tower (from about 493); the parser, which
+        nests on a stack of its own, passes both."""
         d, stage = request.param
         path = tmp_path / f"deep{d}.tltt"
         path.write_text(

@@ -227,3 +227,44 @@ def test_every_term_kind_is_a_slotted_node():
     for kind in typing.get_args(syntax.Term):
         assert issubclass(kind, syntax._Node), kind.__name__
         assert kind.__slots__, kind.__name__
+
+
+def recursive_methods(source: str, cls: str) -> set[str]:
+    """The methods of class `cls` in `source` that reach themselves through
+    calls `self.<method>(...)`."""
+    tree = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    calls = {fn.name: {n.func.attr for n in ast.walk(fn)
+                       if isinstance(n, ast.Call)
+                       and isinstance(n.func, ast.Attribute)
+                       and isinstance(n.func.value, ast.Name)
+                       and n.func.value.id == "self"}
+             for fn in tree.body if isinstance(fn, FUNCTIONS)}
+
+    def reaches_itself(start):
+        seen, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            if name == start:
+                return True
+            if name in calls and name not in seen:
+                seen.add(name)
+                todo += calls[name]
+        return False
+    return {name for name in calls if reaches_itself(name)}
+
+
+def test_the_parser_does_not_recurse():
+    """`Parser.term` nests on a stack of its own, so no method of `Parser`
+    reaches itself through `self` calls, and a term nested past the
+    recursion limit still parses."""
+    assert recursive_methods(pathlib.Path(syntax.__file__).read_text(),
+                             "Parser") == set()
+
+
+def test_the_check_sees_recursion():
+    source = ("class P:\n    def term(self):\n        return self.app()\n"
+              "    def app(self):\n        return self.term() + self.y()\n"
+              "    def x(self):\n        return self.x()\n"
+              "    def leaf(self):\n        return self.app() + self.z()\n")
+    assert recursive_methods(source, "P") == {"term", "app", "x"}

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pathlib
 import pickle
+import re
 import sys
 import typing
 
@@ -62,6 +63,14 @@ class TestParser:
         assert rt("U 3") == Univ(True, 3)
         assert rt("Us 1") == Univ(False, 1)
 
+    def test_oversized_universe_level_is_an_error_at_it(self):
+        """A level past Python's limit on the digits of an `int` is a syntax
+        error at the level, not a bare ValueError."""
+        with pytest.raises(SyntaxError_) as e:
+            parse("def x : U " + "1" * 5000 + " := Nat\n", "big.tltt")
+        assert (e.value.msg, e.value.line, e.value.col) == (
+            "universe level too large", 1, 11)
+
     def test_syntax_error_has_location(self):
         with pytest.raises(SyntaxError_) as e:
             parse("def x : := zero", "f.tltt")
@@ -87,13 +96,14 @@ class TestParser:
 
 
 class TestDepth:
-    def test_deep_nesting_is_a_depth_error_at_a_token(self):
+    def test_deep_numeral_is_a_depth_error_of_the_checker(self):
+        """The parser takes a 600-deep `succ` tower; checking it overflows
+        (near 493 levels), at the declaration."""
         src = "def n : Nat := " + "succ (" * 600 + "zero" + ")" * 600 + "\n"
-        with pytest.raises(SyntaxError_) as e:
-            parse(src, "deep.tltt")
-        assert e.value.msg.startswith("[DEPTH]")
-        assert e.value.path == "deep.tltt" and e.value.line == 1
-        assert e.value.col > len("def n : Nat := ")
+        rep = check_module(Checker(), resolve(parse(src, "deep.tltt")))
+        assert rep.records[-1]["rule"] == "DEPTH"
+        assert rep.error == ("deep.tltt:1:1: [DEPTH] terms nest too deeply "
+                             "to check")
 
     def test_deep_binder_group_is_a_depth_error_at_the_declaration(self):
         names = " ".join(f"x{i}" for i in range(2000))
@@ -103,18 +113,34 @@ class TestDepth:
         assert rep.records[-1]["rule"] == "DEPTH"
         assert rep.error.startswith("wide.tltt:1:1: [DEPTH]")
 
-    def test_parser_takes_450_nested_parentheses(self):
-        """Each nesting level costs the parser two frames (`term`, `app`),
-        which puts the wall near 480 levels under pytest at the default
-        recursion limit: a frame added per level fails this."""
+    @pytest.mark.parametrize("src, depth, leaf", [
+        ("(" * 10_000 + "zero" + ")" * 10_000, 0, Const("zero")),
+        ("succ (" * 10_000 + "zero" + ")" * 10_000, 10_000, Const("zero")),
+        ("Nat -> " * 5_000 + "Nat", 5_000, Const("Nat")),
+        ("fun x => " * 5_000 + "x", 5_000, Var(0)),
+        ("Pi (x : Nat), " * 2_000 + "x", 2_000, Var(0)),
+    ], ids=["parentheses", "succ", "arrows", "fun", "Pi"])
+    def test_parser_has_no_depth_wall(self, src, depth, leaf):
+        """The parser nests on a stack of its own, not on Python's: at the
+        default recursion limit it takes terms far deeper than the checker
+        can (about 493 levels), each level one node on the spine."""
         assert sys.getrecursionlimit() == 1000
-        assert parse_term("(" * 450 + "zero" + ")" * 450) == Const("zero")
+        t = parse_term(src)
+        child = {App: "arg", Pi: "cod", Lam: "body"}
+        for _ in range(depth):      # walked by hand: `==` would recurse
+            t = getattr(t, child[type(t)])
+        assert t == leaf
 
     def test_deep_term_is_a_depth_error_at_a_token(self):
+        """Shifting a binder group's type past the group's names is the
+        parser's one recursion left: too deep, it is a [DEPTH] error at the
+        group's `)`."""
+        src = "Pi (x y : " + "succ (" * 2_000 + "zero" + ")" * 2_000 + "), Nat"
         with pytest.raises(SyntaxError_) as e:
-            parse_term("(" * 600 + "zero" + ")" * 600, "deep.tltt")
-        assert e.value.msg.startswith("[DEPTH]") and e.value.path == "deep.tltt"
-        assert e.value.line == 1 and e.value.col > 1
+            parse_term(src, "deep.tltt")
+        assert e.value.msg == "[DEPTH] terms nest too deeply to parse"
+        assert e.value.path == "deep.tltt" and e.value.line == 1
+        assert e.value.col == src.index("), Nat") + 1
 
 
 class TestResolver:
@@ -461,8 +487,9 @@ _FRAGMENTS = st.sampled_from([
 
 @given(st.lists(_FRAGMENTS, max_size=24).map("".join))
 def test_tokens_sit_at_their_positions(src):
-    """Every token's text is at its (line, col); an error points at the
-    character it names.  Only `\\n` ends a line."""
+    """Every token's text is at its offset and at the (line, col) the parser
+    gives it; an error points at the character it names.  Only `\\n` ends a
+    line."""
     lines = src.split("\n")
     try:
         toks = tokenize(src)
@@ -470,6 +497,51 @@ def test_tokens_sit_at_their_positions(src):
         c = lines[e.line - 1][e.col - 1]
         assert c in "\x0bé" and e.msg == f"unexpected character {c!r}"
         return
-    for t in toks:
-        if t.kind in ("NAME", "KW", "NAT", "PUNCT"):
-            assert lines[t.line - 1][t.col - 1:].startswith(t.text), t
+    assert toks[-1] == ("EOF", "", len(src))
+    p = syntax.Parser(src)
+    for i, (_, text, off) in enumerate(toks):
+        line, col = p.place(i)
+        assert src.startswith(text, off), toks[i]
+        assert lines[line - 1][col - 1:].startswith(text), toks[i]
+        assert sum(len(s) + 1 for s in lines[:line - 1]) + col - 1 == off
+
+
+_SPAN_RE = re.compile(r"--[^\n]*|:=|=>|->|=s(?!\w)|[A-Za-z_][A-Za-z0-9_']*"
+                      r"|[0-9]+|\S")
+
+
+def reference_tokens(src: str) -> list[tuple[str, str]]:
+    """(kind, text) of each token of `src`, by a second reading of the
+    lexical rules: spans of the source, each classified by its text."""
+    out = []
+    for text in _SPAN_RE.findall(src):
+        rest = text[3:].lstrip(" \t")
+        if text.startswith("--!") and rest.startswith("expect:") \
+                and rest[7:].strip():
+            out.append(("EXPECT", text))
+        elif text.startswith("--"):
+            continue
+        elif text in syntax.KEYWORDS:
+            out.append(("KW", text))
+        elif text[0].isalpha() or text[0] == "_":
+            out.append(("NAME", text))
+        elif text.isdigit():
+            out.append(("NAT", text))
+        else:
+            assert text in (":=", "=>", "->", "=s", "=", "(", ")", ",", ":")
+            out.append(("PUNCT", text))
+    return out + [("EOF", "")]
+
+
+def test_token_count_is_pinned():
+    """The tokens of the corpus, counted and classified independently: the
+    benchmark's `syntax.tokens` counter is `len` of `tokenize`'s result,
+    EOF included, and reads 2,595 per pass over the corpus."""
+    total = 0
+    for path in corpus_files():
+        src = path.read_text()
+        toks = tokenize(src, str(path))
+        assert [(kind, text) for kind, text, _ in toks] == \
+            reference_tokens(src), path.name
+        total += len(toks)
+    assert total == 2_595

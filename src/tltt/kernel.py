@@ -17,8 +17,10 @@ Conversion is weak-head normalization plus structural comparison with
 judgmental eta for Pi and Sigma.  The same comparison decides cumulativity,
 ``convert(t, u, leq=True)``: universes by ``sort_leq``, covariantly in the
 codomain of Pi and the second component of Sigma only, and by conversion
-everywhere else.  Iota is level-exact: an eliminator reduces only on
-constructors of its own level.  A type is checked before it is reduced, so
+everywhere else.  Conversion runs on a worklist and its alpha-equality
+on a stack of its own, and a numeral is typed in one loop, so none of them
+costs a Python frame per level.  Iota is level-exact: an eliminator reduces
+only on constructors of its own level.  A type is checked before it is reduced, so
 arguments that reduction drops are checked, but not a second time.  Errors
 carry the name of the violated rule.
 """
@@ -142,6 +144,70 @@ def _motive_at(motive: Term, *args: Term) -> Term:
     return mk_app(motive, *args)
 
 
+def _differ(t: Term, u: Term,
+            unequal: Optional[dict] = None) -> Optional[dict]:
+    """None if `t` and `u` are alpha-equal (equal up to binder names).
+    Else `unequal`, or a new dict, with each pair of subterms from `(t, u)`
+    down to the first pair whose roots differ, depth first and left to
+    right: `(t', u', parent)` under `id(t')`, which the value keeps alive.
+    The pairs still to compare wait on a linked stack, not on Python's."""
+    todo = above = None     # the stack and the path, as nested tuples
+    while True:
+        if t is not u:
+            k = type(t)
+            if k is not type(u):
+                break
+            if k is Var:
+                if t.idx != u.idx:
+                    break
+            elif k is App:
+                above = (t, u, above)
+                if t.arg is not u.arg:
+                    todo = (t.arg, u.arg, above, todo)
+                t, u = t.fn, u.fn
+                continue
+            elif k is Univ:
+                if t.fib != u.fib or t.level != u.level:
+                    break
+            elif k is Const or k is Ref:
+                if t.name != u.name:
+                    break
+            elif k is Pi or k is Sig:
+                above = (t, u, above)
+                if t.cod is not u.cod:
+                    todo = (t.cod, u.cod, above, todo)
+                t, u = t.dom, u.dom
+                continue
+            elif k is Eq:
+                if t.strict != u.strict:
+                    break
+                above = (t, u, above)
+                if t.rhs is not u.rhs:
+                    todo = (t.rhs, u.rhs, above, todo)
+                t, u = t.lhs, u.lhs
+                continue
+            elif k is Lam:
+                above = (t, u, above)
+                t, u = t.body, u.body
+                continue
+            elif k is Ann:
+                above = (t, u, above)
+                if t.ty is not u.ty:
+                    todo = (t.ty, u.ty, above, todo)
+                t, u = t.tm, u.tm
+                continue
+        if todo is None:
+            return None
+        t, u, above, todo = todo
+    if unequal is None:
+        unequal = {}
+    e = (t, u, above)
+    while e is not None:
+        unequal[id(e[0])] = e
+        e = e[2]
+    return unequal
+
+
 def _show(ctx: list[Term], t: Term) -> str:
     """Print `t` with a name for each variable of `ctx`."""
     return print_term(t, [f"x{j}" for j in range(len(ctx))])
@@ -158,6 +224,13 @@ _CONST_TYPES = {name: parse_term(ty, "<kernel>") for name, ty in {
     "funextS": "Pi (A : Us 0) (B : A -> Us 0) (f g : Pi (x : A), B x) "
                "(h : Pi (x : A), f x =s g x), f =s g",
 }.items()}
+
+
+# The unary constants `c : X -> X` over a built-in type `X` (`succ`, `succS`):
+# `infer` walks a tower of their applications, a numeral, in one loop.
+_TOWERS = {name for name, ty in _CONST_TYPES.items()
+           if type(ty) is Pi and type(ty.dom) is Const
+           and _differ(ty.dom, ty.cod) is None}
 
 
 class Checker:
@@ -262,49 +335,76 @@ class Checker:
     def convert(self, t: Term, u: Term, leq: bool = False) -> bool:
         """`t` and `u` are convertible, or under `leq` `t` is a subtype of
         `u`: universes by `sort_leq`, covariantly in the codomain of Pi and
-        the second component of Sigma, everything else by conversion."""
-        # `==` ignores binder names, so it is alpha-equivalence
-        if t is u or t == u:
+        the second component of Sigma, everything else by conversion.
+
+        The pairs that must convert wait on a stack and are taken depth
+        first, left to right.  A pair converts if it is alpha-equal before
+        or after weak-head normalization; a pair that `_differ` found
+        unequal on its way down is not walked again."""
+        unequal = None if t is u else _differ(t, u)
+        if unequal is None:
             return True
-        t, u = self.whnf(t), self.whnf(u)
-        if t is u or t == u:
-            return True
-        if isinstance(t, Lam) or isinstance(u, Lam):
-            # eta for Pi
-            tb = t.body if isinstance(t, Lam) else App(shift(t, 1), Var(0))
-            ub = u.body if isinstance(u, Lam) else App(shift(u, 1), Var(0))
-            return self.convert(tb, ub)
-        th, ta = spine(t)
-        uh, ua = spine(u)
-        # eta for Sigma
-        if isinstance(th, Const) and th.name == "pair" and len(ta) == 2:
-            return (self.convert(ta[0], App(Const("fst"), u))
-                    and self.convert(ta[1], App(Const("snd"), u)))
-        if isinstance(uh, Const) and uh.name == "pair" and len(ua) == 2:
-            return (self.convert(App(Const("fst"), t), ua[0])
-                    and self.convert(App(Const("snd"), t), ua[1]))
-        k = type(t)
-        if k is not type(u):
-            return False
-        if k is App:
-            return (self.convert(th, uh)
-                    and len(ta) == len(ua)
-                    and all(map(self.convert, ta, ua)))
-        if k is Eq:
-            return (t.strict == u.strict and self.convert(t.lhs, u.lhs)
-                    and self.convert(t.rhs, u.rhs))
-        if k is Univ:
-            ok = leq and sort_leq(t, u)
-            if ok and t.fib and not u.fib:
-                self._use("FIB-PRE")
-            return ok
-        if k is Pi or k is Sig:
-            return self.convert(t.dom, u.dom) and self.convert(t.cod, u.cod, leq)
-        if k is Var:
-            return t.idx == u.idx
-        if k is Const or k is Ref:
-            return t.name == u.name
-        return False
+        todo = [(t, u, leq)]
+        while todo:
+            t, u, leq = todo.pop()
+            if t is u:
+                continue
+            known = unequal.get(id(t))
+            if ((known is None or known[1] is not u)
+                    and _differ(t, u, unequal) is None):
+                continue
+            tw, uw = self.whnf(t), self.whnf(u)
+            if tw is not t or uw is not u:
+                t, u = tw, uw
+                if t is u or _differ(t, u, unequal) is None:
+                    continue
+            k = type(t)
+            if k is Lam or type(u) is Lam:
+                # eta for Pi
+                tb = t.body if k is Lam else App(shift(t, 1), Var(0))
+                ub = u.body if type(u) is Lam else App(shift(u, 1), Var(0))
+                todo.append((tb, ub, False))
+                continue
+            if k is App or type(u) is App:
+                th, ta = spine(t)
+                uh, ua = spine(u)
+                # eta for Sigma
+                if type(th) is Const and th.name == "pair" and len(ta) == 2:
+                    todo += ((ta[1], App(Const("snd"), u), False),
+                             (ta[0], App(Const("fst"), u), False))
+                    continue
+                if type(uh) is Const and uh.name == "pair" and len(ua) == 2:
+                    todo += ((App(Const("snd"), t), ua[1], False),
+                             (App(Const("fst"), t), ua[0], False))
+                    continue
+            if k is not type(u):
+                return False
+            if k is App:
+                if len(ta) != len(ua):
+                    return False
+                for i in range(len(ta) - 1, -1, -1):
+                    todo.append((ta[i], ua[i], False))
+                todo.append((th, uh, False))
+            elif k is Eq:
+                if t.strict != u.strict:
+                    return False
+                todo += ((t.rhs, u.rhs, False), (t.lhs, u.lhs, False))
+            elif k is Univ:
+                if not (leq and sort_leq(t, u)):
+                    return False
+                if t.fib and not u.fib:
+                    self._use("FIB-PRE")
+            elif k is Pi or k is Sig:
+                todo += ((t.cod, u.cod, leq), (t.dom, u.dom, False))
+            elif k is Var:
+                if t.idx != u.idx:
+                    return False
+            elif k is Const or k is Ref:
+                if t.name != u.name:
+                    return False
+            else:
+                return False
+        return True
 
     # -- sorts -------------------------------------------------------------
 
@@ -323,20 +423,25 @@ class Checker:
                 raise TypeError_("SORT", "not a type (its type is not a universe)")
         return uni
 
-    def _mismatch_rule(self, term: Term, got: Term, want: Term) -> str:
-        """Choose the rule name to cite when `got <= want` fails."""
+    def _mismatch(self, ctx: list[Term], term: Term, got: Term,
+                  want: Term) -> TypeError_:
+        """The error for `term`, whose type `got` is not `<= want`."""
+        rule = "CONV"
         g, w = self.whnf(got), self.whnf(want)
         if isinstance(g, Univ) and isinstance(w, Univ) and not g.fib and w.fib:
             # a pretype was asserted fibrant: blame the relevant type former
             tw = self.whnf(term) if not isinstance(term, (Var, Ref)) else term
             if isinstance(tw, Pi):
-                return "PI-FIB"
-            if isinstance(tw, Sig):
-                return "SIGMA-FIB"
-            if isinstance(tw, Eq) and tw.strict:
-                return "FORM-=s"
-            return "FIB-PRE"
-        return "CONV"
+                rule = "PI-FIB"
+            elif isinstance(tw, Sig):
+                rule = "SIGMA-FIB"
+            elif isinstance(tw, Eq) and tw.strict:
+                rule = "FORM-=s"
+            else:
+                rule = "FIB-PRE"
+        return TypeError_(
+            rule, f"type mismatch: inferred `{_show(ctx, got)}` does not "
+                  f"subsume expected `{_show(ctx, want)}`")
 
     # -- inference ---------------------------------------------------------
 
@@ -345,6 +450,8 @@ class Checker:
         if k is Var:
             return shift(ctx[t.idx], t.idx + 1)
         if k is App:
+            if type(t.fn) is Const and t.fn.name in _TOWERS:
+                return self._infer_tower(ctx, t)
             head, args = spine(t)
             if isinstance(head, Const) and head.name in _SPINE:
                 self._const_ok(head.name)
@@ -421,6 +528,27 @@ class Checker:
             raise TypeError_("INFER", "cannot infer the type of a bare lambda; "
                                       "annotate it with `(t : T)`")
         raise AssertionError(t)
+
+    def _infer_tower(self, ctx: list[Term], t: Term) -> Term:
+        """The type of a tower of applications of constants in `_TOWERS`,
+        in one loop.  The obligations come in the application rule's
+        order: each constant from the outside in, then the innermost
+        argument, then each level against the domain of the next one out."""
+        tower = []
+        while type(t) is App and type(t.fn) is Const and t.fn.name in _TOWERS:
+            self._const_ok(t.fn.name)
+            tower.append(t)
+            t = t.arg
+        ty = _CONST_TYPES[tower[-1].fn.name]
+        self.check(ctx, t, ty.dom)
+        for i in range(len(tower) - 1, 0, -1):
+            outer = _CONST_TYPES[tower[i - 1].fn.name]
+            if outer is not ty:     # a constant's codomain is its domain
+                want = self.whnf(outer.dom)
+                if not self.convert(ty.cod, want, True):
+                    raise self._mismatch(ctx, tower[i], ty.cod, want)
+            ty = outer
+        return ty.cod
 
     def _elim_motive(self, ctx: list[Term], name: str, motive: Term,
                      doms: list[Term]):
@@ -545,24 +673,24 @@ class Checker:
     def check(self, ctx: list[Term], t: Term, ty: Term) -> None:
         tyw = self.whnf(ty)
         k = type(t)
-        if k is App or k is Const:
-            head, args = spine(t)
-            if isinstance(head, Const) and head.name in _CHECK_ONLY:
-                self._const_ok(head.name)
-                return self._check_intro(ctx, head.name, args, tyw)
-        elif k is Lam:
-            if not isinstance(tyw, Pi):
-                raise TypeError_(
-                    "CONV", f"lambda checked against non-function type "
-                            f"`{_show(ctx, tyw)}`")
-            self.check([tyw.dom] + ctx, t.body, tyw.cod)
-            return
-        got = self.infer(ctx, t)
+        if k is App and type(t.fn) is Const and t.fn.name in _TOWERS:
+            got = self._infer_tower(ctx, t)
+        else:
+            if k is App or k is Const:
+                head, args = spine(t)
+                if isinstance(head, Const) and head.name in _CHECK_ONLY:
+                    self._const_ok(head.name)
+                    return self._check_intro(ctx, head.name, args, tyw)
+            elif k is Lam:
+                if not isinstance(tyw, Pi):
+                    raise TypeError_(
+                        "CONV", f"lambda checked against non-function type "
+                                f"`{_show(ctx, tyw)}`")
+                self.check([tyw.dom] + ctx, t.body, tyw.cod)
+                return
+            got = self.infer(ctx, t)
         if not self.convert(got, tyw, True):
-            raise TypeError_(
-                self._mismatch_rule(t, got, tyw),
-                f"type mismatch: inferred `{_show(ctx, got)}` does not "
-                f"subsume expected `{_show(ctx, tyw)}`")
+            raise self._mismatch(ctx, t, got, tyw)
 
     def _check_intro(self, ctx: list[Term], name: str, args: list[Term],
                      tyw: Term) -> None:

@@ -139,6 +139,10 @@ BUILTIN_CONSTS = {
 
 KEYWORDS = {"def", "axiom", "check", "fail", "Pi", "Sig", "fun", "U", "Us"}
 
+# The digits of a universe level.  The checker prints levels up to two above
+# a written one, and Python prints an `int` of at most 4,300 digits.
+MAX_LEVEL_DIGITS = 4299
+
 
 def spine(t: Term) -> tuple[Term, list[Term]]:
     """Split nested applications into (head, arguments)."""
@@ -382,10 +386,9 @@ class Parser:
                 elif texts[i] == "U" or texts[i] == "Us":
                     if kinds[i + 1] != "NAT":
                         self.err("expected a universe level", i + 1)
-                    try:
-                        arg = Univ(texts[i] == "U", int(texts[i + 1]))
-                    except ValueError:      # past Python's limit on digits
+                    if len(texts[i + 1]) > MAX_LEVEL_DIGITS:
                         self.err("universe level too large", i + 1)
+                    arg = Univ(texts[i] == "U", int(texts[i + 1]))
                     i += 2
                 elif t is None:
                     self.err(f"expected a term, found {texts[i]!r}", i)
@@ -579,8 +582,14 @@ def _print(t: Term, ctx: list[str], avoid: set[str], used: set[int],
     `used` holds the ids of the binders whose variable occurs."""
     k = type(t)
     if k is App:
-        s = (f"{_print(t.fn, ctx, avoid, used, _PREC_APP)} "
-             f"{_print(t.arg, ctx, avoid, used, _PREC_ATOM)}")
+        # a chain `f (g (h a))` of applications in argument position, such
+        # as a numeral, in one loop
+        fns = []
+        while type(t) is App:
+            fns.append(_print(t.fn, ctx, avoid, used, _PREC_APP))
+            t = t.arg
+        s = (f"{' ('.join(fns)} {_print(t, ctx, avoid, used, _PREC_ATOM)}"
+             + ")" * (len(fns) - 1))
         p = _PREC_APP
     elif k is Const or k is Ref:
         return t.name

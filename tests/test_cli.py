@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -85,31 +86,47 @@ class TestCheck:
             "fail", "pass"]
         assert doc["errors"] == [f"{bad}:1:11: universe level too large"]
 
+    @pytest.mark.parametrize("digits, message", [
+        (4300, "1:9: universe level too large"),
+        (4299, "1:1: [CONV] type mismatch: inferred `U 1000"),
+    ], ids=["too-large", "largest"])
+    def test_universe_level_past_the_cap_is_positioned(self, tmp_path,
+                                                       digits, message):
+        """A level of 4,300 digits is a syntax error at the level; the
+        largest level allowed checks, and its messages print levels one and
+        two above it, in a fresh interpreter with Python's default limit
+        on the digits of an `int`."""
+        path = tmp_path / "big.tltt"
+        path.write_text(f"check U {'9' * digits} : Nat\n")
+        proc = tltt("check", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{path}:{message}" in proc.stderr
+
 
 def numeral(d):
     return "succ (" * d + "zero" + ")" * d
+
+
+ADD = ("def add : Nat -> Nat -> Nat\n"
+       "  := fun m n => indNat (fun k => Nat) n (fun k r => succ r) m\n")
 
 
 class TestDepth:
     """Terms too deep for the interpreter's stack fail with [DEPTH], exit 1,
     in a fresh interpreter whose stack holds nothing else."""
 
-    @pytest.fixture(params=[(220, "check"), (600, "check")],
-                    ids=["220", "600"])
+    @pytest.fixture(params=[
+        "Nat -> " * 2000 + "Nat : U 0",
+        "(" * 2000 + "zero" + " : Nat)" * 2000 + " : Nat",
+    ], ids=["arrows", "annotations"])
     def deep_file(self, request, tmp_path):
-        """The file and the `[DEPTH]` message of the stage that overflows:
-        depth 220 overflows the checker's conversion (above about 196), and
-        depth 600 also its `succ` tower (from about 493); the parser, which
-        nests on a stack of its own, passes both."""
-        d, stage = request.param
-        path = tmp_path / f"deep{d}.tltt"
-        path.write_text(
-            "def add : Nat -> Nat -> Nat\n"
-            "  := fun m n => indNat (fun k => Nat) n (fun k r => succ r) m\n"
-            f"def N : Nat := {numeral(d)}\n"
-            f"def M : Nat := {numeral(d)}\n"
-            "check refl (add N M) : add N M = add M N\n")
-        return path, f"[DEPTH] terms nest too deeply to {stage}"
+        """The file and the checker's `[DEPTH]` message: the checker spends
+        frames per Π and per annotation; the parser, which nests on a stack
+        of its own, passes both."""
+        path = tmp_path / "deep.tltt"
+        path.write_text(f"check {request.param}\n")
+        return path, "[DEPTH] terms nest too deeply to check"
 
     def test_depth_error_without_traceback(self, deep_file):
         path, message = deep_file
@@ -126,6 +143,39 @@ class TestDepth:
         doc = json.loads(proc.stdout)
         assert doc["status"] == "fail"
         assert message in json.dumps(doc["files"])
+
+
+class TestDeepNumerals:
+    """Numerals check in loops: no depth wall, and time linear in depth."""
+
+    @pytest.mark.parametrize("kind", ["add", "toNat"])
+    def test_depth_2000_checks_in_under_a_second(self, tmp_path, kind):
+        d = 2000
+        if kind == "add":
+            src = (f"{ADD}check refl ({numeral(d)}) : "
+                   f"add ({numeral(d // 2)}) ({numeral(d // 2)}) = {numeral(d)}\n")
+        else:
+            strict = "succS (" * d + "zeroS" + ")" * d
+            src = f"check refl ({numeral(d)}) : toNat ({strict}) = {numeral(d)}\n"
+        path = tmp_path / f"{kind}.tltt"
+        path.write_text(src)
+        start = time.perf_counter()
+        proc = tltt("check", *PRELUDE, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_deep_refutation_reports_conv(self, tmp_path):
+        """The mismatch message prints the 2,000-deep numerals whole."""
+        d = 2000
+        path = tmp_path / "off_by_one.tltt"
+        path.write_text(f"{ADD}check refl ({numeral(d)}) : "
+                        f"add ({numeral(d // 2)}) ({numeral(d // 2 - 1)}) = "
+                        f"{numeral(d)}\n")
+        proc = tltt("check", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{path}:3:1: [CONV] type mismatch" in proc.stderr
+        assert "succ (" * (d - 1) + "succ zero" in proc.stderr
 
 
 class TestCorpus:

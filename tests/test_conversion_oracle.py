@@ -1,0 +1,232 @@
+"""Conversion against an independent oracle: the recursive descent that
+`Checker.convert` replaced, kept here as it was.  Both must give the same
+verdict and record the same rules, on every conversion the corpus's checks
+make under three kernels and on seeded numeral towers."""
+
+import random
+
+import pytest
+
+from tltt import corpus
+from tltt.kernel import Checker, KernelOptions, sort_leq
+from tltt.syntax import (
+    App, Const, Eq, Lam, Pi, Ref, Sig, Univ, Var, parse, resolve, shift,
+    spine,
+)
+
+
+class RecursiveChecker(Checker):
+    """`convert` as one recursive descent, with the dataclass `==` as its
+    alpha-equality before and after weak-head normalization."""
+
+    def convert(self, t, u, leq=False):
+        if t is u or t == u:
+            return True
+        t, u = self.whnf(t), self.whnf(u)
+        if t is u or t == u:
+            return True
+        if isinstance(t, Lam) or isinstance(u, Lam):
+            tb = t.body if isinstance(t, Lam) else App(shift(t, 1), Var(0))
+            ub = u.body if isinstance(u, Lam) else App(shift(u, 1), Var(0))
+            return self.convert(tb, ub)
+        th, ta = spine(t)
+        uh, ua = spine(u)
+        if isinstance(th, Const) and th.name == "pair" and len(ta) == 2:
+            return (self.convert(ta[0], App(Const("fst"), u))
+                    and self.convert(ta[1], App(Const("snd"), u)))
+        if isinstance(uh, Const) and uh.name == "pair" and len(ua) == 2:
+            return (self.convert(App(Const("fst"), t), ua[0])
+                    and self.convert(App(Const("snd"), t), ua[1]))
+        k = type(t)
+        if k is not type(u):
+            return False
+        if k is App:
+            return (self.convert(th, uh)
+                    and len(ta) == len(ua)
+                    and all(map(self.convert, ta, ua)))
+        if k is Eq:
+            return (t.strict == u.strict and self.convert(t.lhs, u.lhs)
+                    and self.convert(t.rhs, u.rhs))
+        if k is Univ:
+            ok = leq and sort_leq(t, u)
+            if ok and t.fib and not u.fib:
+                self._use("FIB-PRE")
+            return ok
+        if k is Pi or k is Sig:
+            return self.convert(t.dom, u.dom) and self.convert(t.cod, u.cod, leq)
+        if k is Var:
+            return t.idx == u.idx
+        if k is Const or k is Ref:
+            return t.name == u.name
+        return False
+
+
+def verdicts(env, options, t, u, leq):
+    """(result, rules) of the worklist and of the recursive conversion."""
+    out = []
+    for cls in (Checker, RecursiveChecker):
+        checker = cls(env=env, options=options)
+        out.append((checker.convert(t, u, leq), checker.decl_rules))
+    return out
+
+
+KERNELS = {
+    "default": None,
+    "js_beta=False": KernelOptions(js_beta=False),
+    "no-uip": KernelOptions(omit_consts=frozenset({"uip"})),
+}
+
+
+@pytest.mark.parametrize("options", KERNELS.values(), ids=KERNELS.keys())
+def test_agrees_on_every_corpus_conversion(monkeypatch, options):
+    """Every `(got, expected, leq)` the corpus run asks `convert`."""
+    asked = []
+    real = Checker.convert
+
+    def recording(self, t, u, leq=False):
+        asked.append((self.env, self.options, t, u, leq))
+        return real(self, t, u, leq)
+    monkeypatch.setattr(Checker, "convert", recording)
+    corpus.run_corpus(options=options)
+    monkeypatch.undo()
+    results = []
+    for env, opts, t, u, leq in asked:
+        new, old = verdicts(env, opts, t, u, leq)
+        assert new == old, (t, u, leq)
+        results.append(new)
+    assert len(asked) > 300
+    if options is None:     # its `fail` files refute and use subtyping
+        assert {ok for ok, _ in results} == {True, False}
+        assert any("FIB-PRE" in rules for _, rules in results)
+
+
+ADD = ("def add : Nat -> Nat -> Nat\n"
+       "  := fun m n => indNat (fun k => Nat) n (fun k r => succ r) m\n")
+
+
+def _add_env():
+    checker = Checker()
+    for d in resolve(parse(ADD)).decls:
+        assert checker.check_decl(d)["status"] == "pass"
+    return checker.env
+
+
+def _numeral(rng, depth, strict=None):
+    """A tower of `succ`/`succS` (each level drawn unless `strict` is set)
+    over `zero`, `zeroS` or a sum `add m n` of two fibrant numerals."""
+    base = rng.choice(["zero", "zeroS", "add"])
+    if base == "add":
+        m = rng.randrange(depth + 1)
+        t = App(App(Ref("add"), _numeral(rng, m, False)),
+                _numeral(rng, rng.randrange(depth + 1), False))
+    else:
+        t = Const(base)
+    for _ in range(depth):
+        level = rng.random() < 0.5 if strict is None else strict
+        t = App(Const("succS" if level else "succ"), t)
+    return t
+
+
+def _levels(t):
+    """The constants of `t`'s outer tower and what they are applied to."""
+    names = []
+    while type(t) is App and type(t.fn) is Const:
+        names.append(t.fn.name)
+        t = t.arg
+    return names, t
+
+
+def _rebuild(names, base):
+    for name in reversed(names):
+        base = App(Const(name), base)
+    return base
+
+
+def _variant(rng, t):
+    """An equal copy of `t`, or `t` with successors omitted, one level's
+    constant swapped, or its base replaced."""
+    names, base = _levels(t)
+    how = rng.choice(["copy", "omit", "swap", "base"])
+    if how == "omit" and names:
+        for _ in range(rng.randint(1, min(3, len(names)))):
+            del names[rng.randrange(len(names))]
+    elif how == "swap" and names:
+        i = rng.randrange(len(names))
+        names[i] = "succ" if names[i] == "succS" else "succS"
+    elif how == "base":
+        base = rng.choice([Const("zero"), Const("zeroS"),
+                           App(App(Ref("add"), Const("zero")), Const("zero"))])
+    return _rebuild(names, base)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_agrees_on_seeded_numeral_towers(seed):
+    rng = random.Random(f"towers:{seed}")
+    env = _add_env()
+    outcomes = set()
+    for _ in range(60):
+        t = _numeral(rng, rng.randrange(60), rng.choice([None, False, True]))
+        u = _variant(rng, t)
+        if rng.random() < 0.5:
+            t, u = u, t
+        omit = frozenset(rng.sample(["succ", "succS", "zero", "zeroS"],
+                                    rng.randrange(3)))
+        new, old = verdicts(env, KernelOptions(omit_consts=omit), t, u,
+                            rng.random() < 0.5)
+        assert new == old, (t, u)
+        outcomes.add(new[0])
+    assert outcomes == {True, False}
+
+
+def _type(rng, depth):
+    """A random term over universes, Π, Σ, `=`, variables, constants,
+    lambdas and pairs, with no redex."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([
+            lambda: Univ(rng.random() < 0.5, rng.randrange(2)),
+            lambda: Var(rng.randrange(2)),
+            lambda: Const(rng.choice(["Nat", "NatS", "zero"])),
+        ])()
+    d = depth - 1
+    return rng.choice([
+        lambda: rng.choice([Pi, Sig])("x", _type(rng, d), _type(rng, d)),
+        lambda: rng.choice([Pi, Sig])("x", _type(rng, d), Univ(True, 0)),
+        lambda: Eq(rng.random() < 0.5, _type(rng, d), _type(rng, d)),
+        lambda: Lam("x", _type(rng, d)),
+        lambda: App(Var(rng.randrange(2)), _type(rng, d)),
+        lambda: App(App(Const("pair"), _type(rng, d)), _type(rng, d)),
+    ])()
+
+
+def _perturb(rng, t):
+    """`t` rebuilt node by node, each node replaced with a small chance."""
+    if rng.random() < 0.08:
+        return _type(rng, 1)
+    k = type(t)
+    if k is Pi or k is Sig:
+        return k(t.name, _perturb(rng, t.dom), _perturb(rng, t.cod))
+    if k is Eq:
+        return Eq(t.strict, _perturb(rng, t.lhs), _perturb(rng, t.rhs))
+    if k is Lam:
+        return Lam(t.name, _perturb(rng, t.body))
+    if k is App:
+        return App(_perturb(rng, t.fn), _perturb(rng, t.arg))
+    if k is Univ and rng.random() < 0.3:    # a pretype universe above it
+        return Univ(False, t.level + rng.randrange(2))
+    return k(*(getattr(t, f) for f in t.__slots__))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_agrees_on_seeded_types(seed):
+    """Universes under `leq`, both etas and every structural case, on a
+    term against a copy of it with a few nodes replaced."""
+    rng = random.Random(f"types:{seed}")
+    outcomes, rules = set(), set()
+    for _ in range(150):
+        t = _type(rng, 4)
+        u = _perturb(rng, t)
+        new, old = verdicts({}, None, t, u, rng.random() < 0.7)
+        assert new == old, (t, u)
+        outcomes.add(new[0])
+        rules |= new[1]
+    assert outcomes == {True, False} and rules == {"FIB-PRE"}

@@ -11,7 +11,7 @@ import typing
 import pytest
 
 import tltt
-from tltt import syntax
+from tltt import kernel, syntax
 
 MODULES = sorted(pathlib.Path(tltt.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).parents[1]
@@ -196,11 +196,11 @@ def test_every_traced_name_exists():
 
 WALKERS = {"syntax.py": ("subst", "shift", "_print", "_nodes"),
            "kernel.py": ("Checker.whnf", "Checker.infer", "Checker.check",
-                         "Checker.convert")}
+                         "Checker.convert", "_differ")}
 
 
 def test_term_walkers_dispatch_without_match():
-    """The eight walkers that run once per term node test `type(t)` by
+    """The nine walkers that run once per term node test `type(t)` by
     identity instead of matching class patterns.  A `match` tries its cases
     in turn, each failed `case Cls(...)` a class test, so the commonest
     node, tested late, paid for every case ahead of it; the identity tests
@@ -268,3 +268,15 @@ def test_the_check_sees_recursion():
               "    def x(self):\n        return self.x()\n"
               "    def leaf(self):\n        return self.app() + self.z()\n")
     assert recursive_methods(source, "P") == {"term", "app", "x"}
+
+
+def test_conversion_does_not_recurse():
+    """`Checker.convert` runs on a worklist and `_differ`, its alpha-equality,
+    on a stack of its own: neither reaches itself, so comparing deep terms
+    costs no Python frame per level."""
+    source = pathlib.Path(kernel.__file__).read_text()
+    assert "convert" not in recursive_methods(source, "Checker")
+    differ = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_differ")
+    assert callers("_differ", {"kernel": ast.unparse(differ)}) == set()

@@ -395,6 +395,101 @@ class TestSharing:
         assert 0 < large <= 2.2 * small
 
 
+def tower(d, zero="zero", succ="succ"):
+    """A numeral built node by node, so that no two share a subterm."""
+    t = Const(zero)
+    for _ in range(d):
+        t = App(Const(succ), t)
+    return t
+
+
+class TestTowers:
+    """`infer` walks a `succ`/`succS` tower in one loop, with the
+    obligations in the order of the application rule: each constant from
+    the outside in, then the innermost argument, then each level against
+    the domain of the level above.  The records are those of the checker
+    that recursed once per level."""
+
+    @pytest.mark.parametrize("src, omit, rule, message", [
+        ("succ (succS zeroS) : Nat", (), "CONV",
+         "type mismatch: inferred `NatS` does not subsume expected `Nat`"),
+        ("succS (succ zero) : NatS", (), "CONV",
+         "type mismatch: inferred `Nat` does not subsume expected `NatS`"),
+        ("succ (succ (succ zeroS)) : Nat", (), "CONV",
+         "type mismatch: inferred `NatS` does not subsume expected `Nat`"),
+        ("succ (succ (succ zero)) : NatS", (), "CONV",
+         "type mismatch: inferred `Nat` does not subsume expected `NatS`"),
+        # the innermost level is compared first
+        ("succ (succS (succ zero)) : Nat", (), "CONV",
+         "type mismatch: inferred `Nat` does not subsume expected `NatS`"),
+        # the innermost argument before any level
+        ("succ (succS star) : Nat", (), "CONV",
+         "type mismatch: inferred `Unit` does not subsume expected `NatS`"),
+        # every constant before the innermost argument
+        ("succ (succS (succ zeroS)) : Nat", ("succS",), "CONST",
+         "constant 'succS' is not available"),
+        ("succS (succ (succS zero)) : NatS", ("succ",), "CONST",
+         "constant 'succ' is not available"),
+        ("succ (succ zero) : Nat", ("zero",), "CONST",
+         "constant 'zero' is not available"),
+        ("succ (succ zero zero) : Nat", (), "APP", "applied a non-function"),
+        ("succ succ : Nat", (), "CONV",
+         "type mismatch: inferred `Nat -> Nat` does not subsume expected "
+         "`Nat`"),
+    ])
+    def test_first_error_is_unchanged(self, src, omit, rule, message):
+        options = KernelOptions(omit_consts=frozenset(omit))
+        rep = check_module(Checker(options=options),
+                           resolve(parse(f"check {src}\n")))
+        record = rep.records[-1]
+        assert (record["status"], record["rule"], record["message"]) == (
+            "fail", rule, message)
+
+    def test_a_deep_tower_checks_past_the_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        Checker().check([], tower(20_000), Const("Nat"))
+        assert Checker().infer([], tower(20_000, "zeroS", "succS")) == Const("NatS")
+
+    def test_an_800_deep_off_by_one_sum_is_refuted(self, ck):
+        """`add+1` at the top rung of the benchmark's depth ladder."""
+        d = 800
+        src = (f"{ADD}--! expect: CONV\nfail refl ({numeral(d)}) : "
+               f"add ({numeral(300)}) ({numeral(d - 301)}) = {numeral(d)}\n")
+        checker = Checker(env=ck.env)
+        rep = check_module(checker, resolve(parse(src), set(checker.env)))
+        assert rep.ok
+        assert rep.records[-1]["kind"] == "fail"
+        assert rep.records[-1]["rule"] == "CONV"
+
+    def test_equality_work_grows_linearly_in_depth(self):
+        """Converting N against N+1 (no shared subterms) compares each pair
+        of nodes a bounded number of times: the lines `_differ` runs at most
+        2.2x when the depth doubles.  The `==` fast path walked the rest of
+        both towers again at each level, about 4x."""
+        code = kernel._differ.__code__
+
+        def work(d):
+            lines = [0]
+
+            def local(frame, event, arg):
+                lines[0] += event == "line"
+                return local
+
+            def calls(frame, event, arg):
+                return local if frame.f_code is code else None
+
+            before = sys.gettrace()
+            sys.settrace(calls)
+            try:
+                assert not Checker().convert(tower(d), tower(d + 1))
+            finally:
+                sys.settrace(before)
+            return lines[0]
+
+        w200, w400, w800 = work(200), work(400), work(800)
+        assert 0 < w400 <= 2.2 * w200 and w800 <= 2.2 * w400
+
+
 class TestDiagnostics:
     def test_error_carries_rule_name(self, ck):
         with pytest.raises(TypeError_) as e:
@@ -454,10 +549,12 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("kind", ["check", "fail"])
     def test_recursion_overflow_is_a_depth_failure(self, kind):
-        deep = Const("zero")
+        """A Π chain still costs the checker frames per level; a `succ`
+        tower no longer does."""
+        deep = Const("Nat")
         for _ in range(5000):
-            deep = App(Const("succ"), deep)
-        mod = Module([Decl(kind, None, Const("Nat"), deep, 3, 1)], "m.tltt")
+            deep = Pi("_", Const("Nat"), deep)
+        mod = Module([Decl(kind, None, Univ(True, 0), deep, 3, 1)], "m.tltt")
         rep = check_module(Checker(), mod)
         assert not rep.ok
         assert rep.records[-1]["status"] == "fail"

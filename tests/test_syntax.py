@@ -71,6 +71,21 @@ class TestParser:
         assert (e.value.msg, e.value.line, e.value.col) == (
             "universe level too large", 1, 11)
 
+    def test_universe_level_is_capped_so_every_printed_level_prints(self):
+        """A level has at most `MAX_LEVEL_DIGITS` digits, so the levels the
+        checker prints, up to two above it, stay within Python's limit on
+        the digits of an `int` it prints; one more digit is an error at the
+        level."""
+        top = "9" * syntax.MAX_LEVEL_DIGITS
+        level = rt(f"U {top}").level
+        assert level == 10 ** syntax.MAX_LEVEL_DIGITS - 1
+        two_above = f"U 1{'0' * (len(top) - 1)}1"
+        assert print_term(Univ(True, level + 2)) == two_above
+        with pytest.raises(SyntaxError_) as e:
+            parse(f"check U {top}9 : Nat\n", "big.tltt")
+        assert (e.value.msg, e.value.line, e.value.col) == (
+            "universe level too large", 1, 9)
+
     def test_syntax_error_has_location(self):
         with pytest.raises(SyntaxError_) as e:
             parse("def x : := zero", "f.tltt")
@@ -96,10 +111,10 @@ class TestParser:
 
 
 class TestDepth:
-    def test_deep_numeral_is_a_depth_error_of_the_checker(self):
-        """The parser takes a 600-deep `succ` tower; checking it overflows
-        (near 493 levels), at the declaration."""
-        src = "def n : Nat := " + "succ (" * 600 + "zero" + ")" * 600 + "\n"
+    def test_deep_arrow_chain_is_a_depth_error_of_the_checker(self):
+        """The parser takes a 2,000-arrow chain; checking it overflows (the
+        checker spends frames per Π), at the declaration."""
+        src = "check " + "Nat -> " * 2000 + "Nat : U 0\n"
         rep = check_module(Checker(), resolve(parse(src, "deep.tltt")))
         assert rep.records[-1]["rule"] == "DEPTH"
         assert rep.error == ("deep.tltt:1:1: [DEPTH] terms nest too deeply "
@@ -406,6 +421,15 @@ class TestPrinter:
     def test_free_variables_print_by_their_names(self):
         term = Pi("x", App(Var(0), Var(1)), Var(2))
         assert print_term(term, ["b", "a"]) == "a b -> b"
+
+    def test_a_numeral_prints_in_one_loop(self):
+        """A right-nested chain of applications costs the printer no frame
+        per level: a numeral far past the recursion limit prints."""
+        assert sys.getrecursionlimit() == 1000
+        src = "succ (" * 4999 + "succ zero" + ")" * 4999
+        assert print_term(parse_term(src)) == src
+        mixed = "fun f x => f (f (f x x) (f x)) (f (f x))"
+        assert print_term(rt(mixed)) == mixed
 
     def test_corpus_roundtrip(self):
         """Printing any shipped module and reparsing is the identity."""

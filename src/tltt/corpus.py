@@ -42,11 +42,14 @@ def check_file(checker: Checker, path: pathlib.Path) -> Report:
     return check_module(checker, mod)
 
 
-def prelude_checker() -> tuple[Checker, list[Report]]:
-    """Check all prelude files into a fresh environment."""
-    ck = Checker()
+def prelude_checker(options: Optional[KernelOptions] = None,
+                    root: Optional[pathlib.Path] = None
+                    ) -> tuple[Checker, list[Report]]:
+    """Check the prelude files under `root` (the shipped corpus by default)
+    into one fresh environment, stopping at the first that fails."""
+    ck = Checker(options=options)
     reports = []
-    for p in [p for p in corpus_files() if p.parent.name == "prelude"]:
+    for p in sorted(((root or CORPUS_ROOT) / "prelude").glob("*.tltt")):
         reports.append(check_file(ck, p))
         if not reports[-1].ok:
             break
@@ -88,23 +91,30 @@ class CorpusReport:
         return table
 
     def coverage_gaps(self) -> list[str]:
-        gaps = []
-        for rule, locs in self.coverage().items():
-            if not locs["positive"]:
-                gaps.append(f"{rule}: no positive case")
-            if rule in RESTRICTED_RULES and not locs["negative"]:
-                gaps.append(f"{rule}: no expected-rejection case")
-        return gaps
+        return _gaps(self.coverage())
 
     def to_json(self) -> dict:
-        gaps = self.coverage_gaps()
+        table = self.coverage()
+        gaps = _gaps(table)
         return {
             "status": "pass" if self.ok and not gaps else "fail",
             "files": [r.to_json() for r in self.reports],
             "errors": self.errors,
-            "coverage": self.coverage(),
+            "coverage": table,
             "coverage_gaps": gaps,
         }
+
+
+def _gaps(table: dict[str, dict[str, list[str]]]) -> list[str]:
+    """The rules of a coverage table with no positive case, and the
+    restricted ones with no expected-rejection case."""
+    gaps = []
+    for rule, locs in table.items():
+        if not locs["positive"]:
+            gaps.append(f"{rule}: no positive case")
+        if rule in RESTRICTED_RULES and not locs["negative"]:
+            gaps.append(f"{rule}: no expected-rejection case")
+    return gaps
 
 
 def run_corpus(options: Optional[KernelOptions] = None,
@@ -112,14 +122,10 @@ def run_corpus(options: Optional[KernelOptions] = None,
     """Check prelude files into a shared environment, stopping at the first
     that fails, then every other file on a copy of it: the corpus under
     `root`, the shipped one by default."""
-    out = CorpusReport()
-    base = Checker(options=options)
-    for p in corpus_files(root):
-        ck = (base if p.parent.name == "prelude"
-              else Checker(env=base.env, options=options))
-        rep = check_file(ck, p)
-        out.reports.append(rep)
-        if rep.error and ck is base:
-            break
+    base, reports = prelude_checker(options, root)
+    out = CorpusReport(reports)
+    if out.ok:
+        out.reports += [check_file(Checker(env=base.env, options=options), p)
+                        for p in corpus_files(root)
+                        if p.parent.name != "prelude"]
     return out
-

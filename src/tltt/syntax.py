@@ -161,53 +161,40 @@ def mk_app(head: Term, *args: Term) -> Term:
 
 
 # Walkers test `type(t)`, commonest first: a `match` tests each earlier case's class.
-def subst(t: Term, subs: Sequence[Term], idx: int = 0) -> Term:
-    """Substitute `subs`, in application order (the outermost binder's
-    argument first), for the variables bound just outside `idx` binders:
-    Var(idx + j) becomes `subs[-1 - j]` shifted by `idx` for j < len(subs),
-    and the variables above drop by len(subs).  β on a whole spine is one
-    walk."""
+def subst(t: Term, subs: Sequence[Term], idx: int = 0, by: int = 0) -> Term:
+    """The one substitution `subs · ↑by` under `idx` binders: variables
+    below `idx` stay, Var(idx + j) becomes `subs[-1 - j]` shifted by `idx`
+    for j < len(subs) (`subs` in application order, the outermost binder's
+    argument first), and Var(idx + j) above becomes
+    Var(idx + j - len(subs) + by).  β on a whole spine is one walk."""
     k = type(t)
     if k is Var:
         j = t.idx - idx
         if j < 0:
             return t
         n = len(subs)
-        return shift(subs[-1 - j], idx) if j < n else Var(t.idx - n)
+        return shift(subs[-1 - j], idx) if j < n else Var(t.idx - n + by)
     if k is App:
-        return App(subst(t.fn, subs, idx), subst(t.arg, subs, idx))
+        return App(subst(t.fn, subs, idx, by), subst(t.arg, subs, idx, by))
     if k is Const or k is Ref or k is Univ:
         return t
     if k is Pi or k is Sig:
-        return k(t.name, subst(t.dom, subs, idx), subst(t.cod, subs, idx + 1))
+        return k(t.name, subst(t.dom, subs, idx, by),
+                 subst(t.cod, subs, idx + 1, by))
     if k is Eq:
-        return Eq(t.strict, subst(t.lhs, subs, idx), subst(t.rhs, subs, idx))
+        return Eq(t.strict, subst(t.lhs, subs, idx, by),
+                  subst(t.rhs, subs, idx, by))
     if k is Lam:
-        return Lam(t.name, subst(t.body, subs, idx + 1))
+        return Lam(t.name, subst(t.body, subs, idx + 1, by))
     if k is Ann:
-        return Ann(subst(t.tm, subs, idx), subst(t.ty, subs, idx))
+        return Ann(subst(t.tm, subs, idx, by), subst(t.ty, subs, idx, by))
     raise AssertionError(t)
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    if by == 0:
-        return t
-    k = type(t)
-    if k is Var:
-        return Var(t.idx + by) if t.idx >= cutoff else t
-    if k is App:
-        return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
-    if k is Univ or k is Const or k is Ref:
-        return t
-    if k is Pi or k is Sig:
-        return k(t.name, shift(t.dom, by, cutoff), shift(t.cod, by, cutoff + 1))
-    if k is Eq:
-        return Eq(t.strict, shift(t.lhs, by, cutoff), shift(t.rhs, by, cutoff))
-    if k is Lam:
-        return Lam(t.name, shift(t.body, by, cutoff + 1))
-    if k is Ann:
-        return Ann(shift(t.tm, by, cutoff), shift(t.ty, by, cutoff))
-    raise AssertionError(t)
+    """Weakening: `subst` with no terms, the variables from `cutoff` up
+    moved by `by`."""
+    return subst(t, (), cutoff, by) if by else t
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,13 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-WALKERS = {"syntax.py": ("subst", "shift", "_print", "_nodes"),
+WALKERS = {"syntax.py": ("subst", "_print", "_nodes"),
            "kernel.py": ("Checker.whnf", "Checker.infer", "Checker.check",
                          "Checker.convert", "_differ")}
 
 
 def test_term_walkers_dispatch_without_match():
-    """The nine walkers that run once per term node test `type(t)` by
+    """The eight walkers that run once per term node test `type(t)` by
     identity instead of matching class patterns.  A `match` tries its cases
     in turn, each failed `case Cls(...)` a class test, so the commonest
     node, tested late, paid for every case ahead of it; the identity tests
@@ -218,6 +218,31 @@ def test_term_walkers_dispatch_without_match():
         for name in names:
             fn = found[module, name]
             assert not any(isinstance(n, ast.Match) for n in ast.walk(fn)), name
+
+
+def calls_in(source: str, name: str) -> set[str]:
+    """The callees of module-level function `name` in `source`, each as
+    written (`k`, `self.m`, `type(t)`)."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, FUNCTIONS) and node.name == name)
+    return {ast.unparse(n.func) for n in ast.walk(fn)
+            if isinstance(n, ast.Call)}
+
+
+def test_shift_is_subst_with_no_terms():
+    """`shift` calls `subst` and nothing else, so it builds no term node of
+    its own: substitution is one walker, and a second one that rebuilds
+    terms cannot come back unnoticed."""
+    assert calls_in(pathlib.Path(syntax.__file__).read_text(),
+                    "shift") == {"subst"}
+
+
+def test_the_check_sees_a_rebuild():
+    source = ("def shift(t, by):\n    k = type(t)\n    if k is Var:\n"
+              "        return Var(t.idx + by)\n"
+              "    return k(t.name, shift(t.body, by)) if by else subst(t)\n"
+              "def subst(t):\n    return App(t, t)\n")
+    assert calls_in(source, "shift") == {"type", "Var", "k", "shift", "subst"}
 
 
 def test_every_term_kind_is_a_slotted_node():

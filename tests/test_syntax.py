@@ -293,7 +293,21 @@ class TestSubstitutionOracle:
         assert subst(Var(0), (s,)) is s
 
     @settings(max_examples=120, derandomize=True, deadline=None)
-    @given(open_terms, st.integers(1, 2), st.integers(0, 3))
+    @given(open_terms, st.lists(open_terms, max_size=3), st.integers(0, 3),
+           st.integers(0, 2))
+    def test_subst_by_is_shift_then_one_term_at_a_time(
+            self, t, subs, idx, by):
+        """`subst(t, subs, idx, by)` moves the variables above the `n`
+        substituted ones by `by`: a shift from `idx + n` followed by the
+        one-term substitutions, and a pure shift when `subs` is empty."""
+        n = len(subs)
+        want = match_shift(t, by, idx + n)
+        for j, s in enumerate(subs):
+            want = match_subst(want, s, idx + n - 1 - j)
+        assert repr(subst(t, subs, idx, by)) == repr(want)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(open_terms, st.integers(-2, 2), st.integers(0, 3))
     def test_shift_agrees(self, t, by, cutoff):
         assert repr(shift(t, by, cutoff)) == repr(match_shift(t, by, cutoff))
         assert shift(t, 0) is t and shift(t, 0, cutoff) is t

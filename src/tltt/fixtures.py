@@ -8,9 +8,10 @@ need not be strings), and/or an ``sset`` (levels plus face maps keyed
 as ``("id", object)`` and the unit compositions are filled in.
 
 The document's shape is checked before any table is built: a malformed
-fixture raises ``FixtureError`` naming the JSON path that failed, such as
-``category.homs[0][1]``.  The category, diagram and face-map laws are then
-checked by the validators of ``categories`` and ``simplex``.
+fixture, or one that gives an entry twice, raises ``FixtureError`` naming
+the JSON path that failed, such as ``category.homs[0][1]``.  The category,
+diagram and face-map laws are then checked by the validators of
+``categories`` and ``simplex``.
 """
 
 from __future__ import annotations
@@ -67,19 +68,35 @@ def _id(x, path: str):
     return x
 
 
+def _once(key, seen, path: str, what: str):
+    """key, which seen (the keys read so far) must not hold."""
+    _check(key not in seen, path, f"{what} {key!r} given twice")
+    return key
+
+
 def _declared(x, path: str, known, what: str):
     x = _id(x, path)
     _check(x in known, path, f"undeclared {what} {x!r}")
     return x
 
 
-def _ids(doc, path: str) -> tuple:
-    return tuple(_id(x, f"{path}[{i}]") for i, x in enumerate(_rows(doc, path)))
+def _ids(doc, path: str, what: str, seen: Optional[set] = None) -> tuple:
+    """doc as distinct ids, none of them in seen, which gains them."""
+    seen = set() if seen is None else seen
+    ids = []
+    for i, x in enumerate(_rows(doc, path)):
+        ids.append(_once(_id(x, f"{path}[{i}]"), seen, f"{path}[{i}]", what))
+        seen.add(ids[-1])
+    return tuple(ids)
 
 
 def _pairs(doc, path: str) -> dict:
-    return {_id(x, f"{path}[{i}][0]"): _id(y, f"{path}[{i}][1]")
-            for i, (x, y) in enumerate(_rows(doc, path, 2))}
+    pairs = {}
+    for i, (x, y) in enumerate(_rows(doc, path, 2)):
+        x = _once(_id(x, f"{path}[{i}][0]"), pairs, f"{path}[{i}][0]",
+                  "image of")
+        pairs[x] = _id(y, f"{path}[{i}][1]")
+    return pairs
 
 
 def fincat_from_json(doc, path: str = "category") -> Union[FinCat, FinInvCat]:
@@ -87,39 +104,47 @@ def fincat_from_json(doc, path: str = "category") -> Union[FinCat, FinInvCat]:
     objects = []
     rank = {}
     for i, (o, r) in enumerate(_rows(doc["objects"], f"{path}.objects", 2)):
-        o = _id(o, f"{path}.objects[{i}][0]")
+        p = f"{path}.objects[{i}][0]"
+        o = _once(_id(o, p), objects, p, "object")
         _check(r is None or type(r) is int, f"{path}.objects[{i}][1]",
                "a rank is an integer or null")
         objects.append(o)
         if r is not None:
             rank[o] = r
     objects = tuple(objects)
-    homs = {}
+    homs, listed = {}, set()
     for i, (s, d, arrows) in enumerate(_rows(doc["homs"], f"{path}.homs", 3)):
         p = f"{path}.homs[{i}]"
-        key = (_declared(s, f"{p}[0]", objects, "object"),
-               _declared(d, f"{p}[1]", objects, "object"))
-        homs[key] = _ids(arrows, f"{p}[2]")
+        key = _once((_declared(s, f"{p}[0]", objects, "object"),
+                     _declared(d, f"{p}[1]", objects, "object")),
+                    homs, p, "hom-set")
+        homs[key] = _ids(arrows, f"{p}[2]", "arrow", listed)
     if "identities" in doc:
-        p = f"{path}.identities"
-        identity = {_declared(o, f"{p}[{i}][0]", objects, "object"):
-                    _id(a, f"{p}[{i}][1]")
-                    for i, (o, a) in enumerate(_rows(doc["identities"], p, 2))}
+        identity = {}
+        for i, (o, a) in enumerate(_rows(doc["identities"],
+                                         f"{path}.identities", 2)):
+            p = f"{path}.identities[{i}]"
+            o = _once(_declared(o, f"{p}[0]", objects, "object"), identity,
+                      f"{p}[0]", "identity of")
+            identity[o] = _id(a, f"{p}[1]")
     else:
         identity = {o: ("id", o) for o in objects}
         for o in objects:
             homs[(o, o)] = (identity[o],) + homs.get((o, o), ())
     arrows = {a: hom for hom, arrow_ids in homs.items() for a in arrow_ids}
+    units = {}      # the unit laws of generated identities, given by them
+    if "identities" not in doc:
+        for a, (x, y) in arrows.items():
+            units[(identity[y], a)] = a
+            units[(a, identity[x])] = a
     compose = {}
     p = f"{path}.compose"
     for i, row in enumerate(_rows(doc["compose"], p, 3)):
         g, f, h = (_declared(a, f"{p}[{i}][{j}]", arrows, "arrow")
                    for j, a in enumerate(row))
-        compose[(g, f)] = h
-    if "identities" not in doc:
-        for a, (x, y) in arrows.items():
-            compose[(identity[y], a)] = a
-            compose[(a, identity[x])] = a
+        _once((g, f), units, f"{p}[{i}]", "unit composite")
+        compose[_once((g, f), compose, f"{p}[{i}]", "composite of")] = h
+    compose.update(units)
     if len(rank) == len(objects):
         cat: FinCat = FinInvCat(objects, homs, compose, identity, rank=rank)
     else:
@@ -133,15 +158,17 @@ def diagram_from_json(doc, cat: FinCat, path: str) -> SetDiagram:
     values = {}
     for i, (o, vals) in enumerate(_rows(doc["values"], f"{path}.values", 2)):
         p = f"{path}.values[{i}]"
-        values[_declared(o, f"{p}[0]", cat.objects, "object")] = _ids(
-            vals, f"{p}[1]")
+        o = _once(_declared(o, f"{p}[0]", cat.objects, "object"), values,
+                  f"{p}[0]", "values of")
+        values[o] = _ids(vals, f"{p}[1]", "element")
     for o in cat.objects:
         _check(o in values, f"{path}.values", f"no values for object {o!r}")
     action = {}
     p = f"{path}.functions"
     for i, (a, pairs) in enumerate(_rows(doc["functions"], p, 2)):
-        action[_declared(a, f"{p}[{i}][0]", cat.src, "arrow")] = _pairs(
-            pairs, f"{p}[{i}][1]")
+        a = _once(_declared(a, f"{p}[{i}][0]", cat.src, "arrow"), action,
+                  f"{p}[{i}][0]", "function of")
+        action[a] = _pairs(pairs, f"{p}[{i}][1]")
     for o, i in cat.identity.items():
         action.setdefault(i, {v: v for v in values[o]})
     for a in cat.arrows():
@@ -153,7 +180,7 @@ def diagram_from_json(doc, cat: FinCat, path: str) -> SetDiagram:
 
 def sset_from_json(doc, path: str = "sset") -> FiniteSemiSimplicialSet:
     _section(doc, path, "levels", "faces")
-    levels = [list(_ids(lvl, f"{path}.levels[{m}]"))
+    levels = [list(_ids(lvl, f"{path}.levels[{m}]", "element"))
               for m, lvl in enumerate(_rows(doc["levels"], f"{path}.levels"))]
     _check(bool(levels), f"{path}.levels", "expected at least level 0")
     faces = {}
@@ -161,7 +188,7 @@ def sset_from_json(doc, path: str = "sset") -> FiniteSemiSimplicialSet:
         p = f"{path}.faces.{key}"
         mi = re.fullmatch(r"(\d+),(\d+)", key)
         _check(mi is not None, p, "a face key is \"m,i\" with integers m, i")
-        m, i = int(mi[1]), int(mi[2])
+        m, i = _once((int(mi[1]), int(mi[2])), faces, p, "face")
         _check(1 <= m < len(levels) and i <= m, p,
                f"no face ({m},{i}) on levels 0..{len(levels) - 1}")
         faces[(m, i)] = _pairs(fn, p)

@@ -17,12 +17,13 @@ Conversion is weak-head normalization plus structural comparison with
 judgmental eta for Pi and Sigma.  The same comparison decides cumulativity,
 ``convert(t, u, leq=True)``: universes by ``sort_leq``, covariantly in the
 codomain of Pi and the second component of Sigma only, and by conversion
-everywhere else.  Conversion runs on a worklist and its alpha-equality
-on a stack of its own, and a numeral is typed in one loop, so none of them
-costs a Python frame per level.  Iota is level-exact: an eliminator reduces
-only on constructors of its own level.  A type is checked before it is reduced, so
-arguments that reduction drops are checked, but not a second time.  Errors
-carry the name of the violated rule.
+everywhere else.  Conversion runs on a worklist and its alpha-equality,
+``syntax._differ`` (the ``==`` of terms), on a stack of its own, and a
+numeral is typed in one loop, so none of them costs a Python frame per
+level.  Iota is level-exact: an eliminator reduces only on constructors of
+its own level.  A type is checked before it is reduced, so arguments that
+reduction drops are checked, but not a second time.  Errors carry the name
+of the violated rule.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .syntax import (
     Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref, Sig, Term, Univ, Var,
-    mk_app, parse_term, print_term, shift, spine, subst,
+    _differ, mk_app, parse_term, print_term, shift, spine, subst,
 )
 
 
@@ -144,70 +145,6 @@ def _motive_at(motive: Term, *args: Term) -> Term:
     return mk_app(motive, *args)
 
 
-def _differ(t: Term, u: Term,
-            unequal: Optional[dict] = None) -> Optional[dict]:
-    """None if `t` and `u` are alpha-equal (equal up to binder names).
-    Else `unequal`, or a new dict, with each pair of subterms from `(t, u)`
-    down to the first pair whose roots differ, depth first and left to
-    right: `(t', u', parent)` under `id(t')`, which the value keeps alive.
-    The pairs still to compare wait on a linked stack, not on Python's."""
-    todo = above = None     # the stack and the path, as nested tuples
-    while True:
-        if t is not u:
-            k = type(t)
-            if k is not type(u):
-                break
-            if k is Var:
-                if t.idx != u.idx:
-                    break
-            elif k is App:
-                above = (t, u, above)
-                if t.arg is not u.arg:
-                    todo = (t.arg, u.arg, above, todo)
-                t, u = t.fn, u.fn
-                continue
-            elif k is Univ:
-                if t.fib != u.fib or t.level != u.level:
-                    break
-            elif k is Const or k is Ref:
-                if t.name != u.name:
-                    break
-            elif k is Pi or k is Sig:
-                above = (t, u, above)
-                if t.cod is not u.cod:
-                    todo = (t.cod, u.cod, above, todo)
-                t, u = t.dom, u.dom
-                continue
-            elif k is Eq:
-                if t.strict != u.strict:
-                    break
-                above = (t, u, above)
-                if t.rhs is not u.rhs:
-                    todo = (t.rhs, u.rhs, above, todo)
-                t, u = t.lhs, u.lhs
-                continue
-            elif k is Lam:
-                above = (t, u, above)
-                t, u = t.body, u.body
-                continue
-            elif k is Ann:
-                above = (t, u, above)
-                if t.ty is not u.ty:
-                    todo = (t.ty, u.ty, above, todo)
-                t, u = t.tm, u.tm
-                continue
-        if todo is None:
-            return None
-        t, u, above, todo = todo
-    if unequal is None:
-        unequal = {}
-    e = (t, u, above)
-    while e is not None:
-        unequal[id(e[0])] = e
-        e = e[2]
-    return unequal
-
-
 def _show(ctx: list[Term], t: Term) -> str:
     """Print `t` with a name for each variable of `ctx`."""
     return print_term(t, [f"x{j}" for j in range(len(ctx))])
@@ -230,7 +167,7 @@ _CONST_TYPES = {name: parse_term(ty, "<kernel>") for name, ty in {
 # `infer` walks a tower of their applications, a numeral, in one loop.
 _TOWERS = {name for name, ty in _CONST_TYPES.items()
            if type(ty) is Pi and type(ty.dom) is Const
-           and _differ(ty.dom, ty.cod) is None}
+           and ty.dom == ty.cod}
 
 
 class Checker:
@@ -673,22 +610,19 @@ class Checker:
     def check(self, ctx: list[Term], t: Term, ty: Term) -> None:
         tyw = self.whnf(ty)
         k = type(t)
-        if k is App and type(t.fn) is Const and t.fn.name in _TOWERS:
-            got = self._infer_tower(ctx, t)
-        else:
-            if k is App or k is Const:
-                head, args = spine(t)
-                if isinstance(head, Const) and head.name in _CHECK_ONLY:
-                    self._const_ok(head.name)
-                    return self._check_intro(ctx, head.name, args, tyw)
-            elif k is Lam:
-                if not isinstance(tyw, Pi):
-                    raise TypeError_(
-                        "CONV", f"lambda checked against non-function type "
-                                f"`{_show(ctx, tyw)}`")
-                self.check([tyw.dom] + ctx, t.body, tyw.cod)
-                return
-            got = self.infer(ctx, t)
+        if k is App or k is Const:
+            head, args = spine(t)
+            if isinstance(head, Const) and head.name in _CHECK_ONLY:
+                self._const_ok(head.name)
+                return self._check_intro(ctx, head.name, args, tyw)
+        elif k is Lam:
+            if not isinstance(tyw, Pi):
+                raise TypeError_(
+                    "CONV", f"lambda checked against non-function type "
+                            f"`{_show(ctx, tyw)}`")
+            self.check([tyw.dom] + ctx, t.body, tyw.cod)
+            return
+        got = self.infer(ctx, t)
         if not self.convert(got, tyw, True):
             raise self._mismatch(ctx, t, got, tyw)
 

@@ -97,6 +97,7 @@ class Sieve:
     def __init__(self, n: int, members: Iterable[frozenset]):
         _check_dim(n)
         universe = frozenset(range(n + 1))
+        members = tuple(members)    # read once: both loops see every member
         bits = 0
         for s in members:
             if not s <= universe:

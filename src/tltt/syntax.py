@@ -31,9 +31,17 @@ class SyntaxError_(Exception):
 
 class _Node:
     """Base of the core terms: no `__dict__`, and no field is assigned or
-    deleted after `__init__`, so reduction may share subterms."""
+    deleted after `__init__`, so reduction may share subterms.  `==` is
+    alpha-equality, `_differ`'s, which ignores binder names; terms are not
+    hashable."""
 
     __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return _differ(self, other) is None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -50,8 +58,8 @@ def _term(cls):
     """Make `cls` a slotted dataclass node.  Its `__init__` stores each field
     with the slot descriptor's `__set__`, past `_Node.__setattr__`: one
     store per field, where a frozen dataclass calls `object.__setattr__`.
-    `==` and `hash` ignore the fields declared with `compare=False`."""
-    cls = dataclass(slots=True, unsafe_hash=True, init=False)(cls)
+    `==` is `_Node`'s."""
+    cls = dataclass(slots=True, eq=False, init=False)(cls)
     names = [f.name for f in fields(cls)]
     ns = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
     exec(f"def __init__(self, {', '.join(names)}):\n"
@@ -87,21 +95,21 @@ class Univ(_Node):
 
 @_term
 class Pi(_Node):
-    name: str = field(compare=False)
+    name: str
     dom: "Term"
     cod: "Term"
 
 
 @_term
 class Sig(_Node):
-    name: str = field(compare=False)
+    name: str
     dom: "Term"
     cod: "Term"
 
 
 @_term
 class Lam(_Node):
-    name: str = field(compare=False)
+    name: str
     body: "Term"
 
 
@@ -195,6 +203,70 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Weakening: `subst` with no terms, the variables from `cutoff` up
     moved by `by`."""
     return subst(t, (), cutoff, by) if by else t
+
+
+def _differ(t: Term, u: Term,
+            unequal: Optional[dict] = None) -> Optional[dict]:
+    """None if `t` and `u` are alpha-equal (equal up to binder names).
+    Else `unequal`, or a new dict, with each pair of subterms from `(t, u)`
+    down to the first pair whose roots differ, depth first and left to
+    right: `(t', u', parent)` under `id(t')`, which the value keeps alive.
+    The pairs still to compare wait on a linked stack, not on Python's."""
+    todo = above = None     # the stack and the path, as nested tuples
+    while True:
+        if t is not u:
+            k = type(t)
+            if k is not type(u):
+                break
+            if k is Var:
+                if t.idx != u.idx:
+                    break
+            elif k is App:
+                above = (t, u, above)
+                if t.arg is not u.arg:
+                    todo = (t.arg, u.arg, above, todo)
+                t, u = t.fn, u.fn
+                continue
+            elif k is Univ:
+                if t.fib != u.fib or t.level != u.level:
+                    break
+            elif k is Const or k is Ref:
+                if t.name != u.name:
+                    break
+            elif k is Pi or k is Sig:
+                above = (t, u, above)
+                if t.cod is not u.cod:
+                    todo = (t.cod, u.cod, above, todo)
+                t, u = t.dom, u.dom
+                continue
+            elif k is Eq:
+                if t.strict != u.strict:
+                    break
+                above = (t, u, above)
+                if t.rhs is not u.rhs:
+                    todo = (t.rhs, u.rhs, above, todo)
+                t, u = t.lhs, u.lhs
+                continue
+            elif k is Lam:
+                above = (t, u, above)
+                t, u = t.body, u.body
+                continue
+            elif k is Ann:
+                above = (t, u, above)
+                if t.ty is not u.ty:
+                    todo = (t.ty, u.ty, above, todo)
+                t, u = t.tm, u.tm
+                continue
+        if todo is None:
+            return None
+        t, u, above, todo = todo
+    if unequal is None:
+        unequal = {}
+    e = (t, u, above)
+    while e is not None:
+        unequal[id(e[0])] = e
+        e = e[2]
+    return unequal
 
 
 # ---------------------------------------------------------------------------

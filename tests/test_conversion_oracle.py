@@ -1,29 +1,60 @@
 """Conversion against an independent oracle: the recursive descent that
-`Checker.convert` replaced, kept here as it was.  Both must give the same
+`Checker.convert` replaced, kept here as it was but for its alpha-equality,
+which is its own since `==` became the kernel's.  Both must give the same
 verdict and record the same rules, on every conversion the corpus's checks
-make under three kernels and on seeded numeral towers."""
+make under three kernels and on seeded numeral towers; and `==` must agree
+with the oracle's alpha-equality."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_syntax import open_terms, renamed
 from tltt import corpus
 from tltt.kernel import Checker, KernelOptions, sort_leq
 from tltt.syntax import (
-    App, Const, Eq, Lam, Pi, Ref, Sig, Univ, Var, parse, resolve, shift,
-    spine,
+    Ann, App, Const, Eq, Lam, Pi, Ref, Sig, Univ, Var, _Node, parse, resolve,
+    shift, spine,
 )
 
 
+def alpha_equal(t, u):
+    """Alpha-equality as one recursive descent: the same kinds with the
+    same fields, binder names aside.  It calls neither `_differ` nor `==`
+    on terms, so the `==` of terms is checked against it."""
+    k = type(t)
+    if k is not type(u):
+        return False
+    if k is Var:
+        return t.idx == u.idx
+    if k is Ref or k is Const:
+        return t.name == u.name
+    if k is Univ:
+        return t.fib == u.fib and t.level == u.level
+    if k is Pi or k is Sig:
+        return alpha_equal(t.dom, u.dom) and alpha_equal(t.cod, u.cod)
+    if k is Lam:
+        return alpha_equal(t.body, u.body)
+    if k is App:
+        return alpha_equal(t.fn, u.fn) and alpha_equal(t.arg, u.arg)
+    if k is Eq:
+        return (t.strict == u.strict and alpha_equal(t.lhs, u.lhs)
+                and alpha_equal(t.rhs, u.rhs))
+    if k is Ann:
+        return alpha_equal(t.tm, u.tm) and alpha_equal(t.ty, u.ty)
+    raise AssertionError(t)
+
+
 class RecursiveChecker(Checker):
-    """`convert` as one recursive descent, with the dataclass `==` as its
+    """`convert` as one recursive descent, with `alpha_equal` as its
     alpha-equality before and after weak-head normalization."""
 
     def convert(self, t, u, leq=False):
-        if t is u or t == u:
+        if t is u or alpha_equal(t, u):
             return True
         t, u = self.whnf(t), self.whnf(u)
-        if t is u or t == u:
+        if t is u or alpha_equal(t, u):
             return True
         if isinstance(t, Lam) or isinstance(u, Lam):
             tb = t.body if isinstance(t, Lam) else App(shift(t, 1), Var(0))
@@ -230,3 +261,67 @@ def test_agrees_on_seeded_types(seed):
         outcomes.add(new[0])
         rules |= new[1]
     assert outcomes == {True, False} and rules == {"FIB-PRE"}
+
+
+def size(t):
+    """The number of nodes of `t`."""
+    return 1 + sum(size(getattr(t, f)) for f in type(t).__match_args__
+                   if isinstance(getattr(t, f), _Node))
+
+
+def changed(t):
+    """`t`'s root node changed, its children kept: another index, name,
+    level or strictness, or another kind of node."""
+    k = type(t)
+    if k is Var:
+        return Var(t.idx + 1)
+    if k is Ref or k is Const:
+        return k(t.name + "'")
+    if k is Univ:
+        return Univ(t.fib, t.level + 1)
+    if k is Pi or k is Sig:
+        return (Sig if k is Pi else Pi)(t.name, t.dom, t.cod)
+    if k is Lam:
+        return Pi(t.name, t.body, t.body)
+    if k is App:
+        return Ann(t.fn, t.arg)
+    if k is Eq:
+        return Eq(not t.strict, t.lhs, t.rhs)
+    return App(t.tm, t.ty)
+
+
+def perturbed(t, at):
+    """`t` with its node number `at`, in preorder, `changed`."""
+    left = [at]
+
+    def walk(t):
+        left[0] -= 1
+        if left[0] == -1:
+            return changed(t)
+        k = type(t)
+        if k is Pi or k is Sig:
+            return k(t.name, walk(t.dom), walk(t.cod))
+        if k is Lam:
+            return Lam(t.name, walk(t.body))
+        if k is App:
+            return App(walk(t.fn), walk(t.arg))
+        if k is Eq:
+            return Eq(t.strict, walk(t.lhs), walk(t.rhs))
+        if k is Ann:
+            return Ann(walk(t.tm), walk(t.ty))
+        return t
+    return walk(t)
+
+
+class TestAlphaEquality:
+    """The `==` of terms, `syntax._differ`, is `alpha_equal`."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(open_terms, open_terms, st.data())
+    def test_equality_is_the_oracles(self, t, u, data):
+        p = perturbed(t, data.draw(st.integers(0, size(t) - 1)))
+        assert alpha_equal(t, renamed(t)) and not alpha_equal(t, p)
+        for other in (renamed(t), u, p, renamed(p)):
+            same = alpha_equal(t, other)
+            assert (t == other) is same and (t != other) is not same
+            assert (other == t) is same

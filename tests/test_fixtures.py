@@ -26,6 +26,14 @@ def _edited(name, *keys, value=DROP):
     return doc
 
 
+def _appended(name, *keys, row):
+    """The shipped fixture name.json with row appended to the array at
+    keys."""
+    doc = json.loads((FIXTURE_ROOT / f"{name}.json").read_text())
+    functools.reduce(operator.getitem, keys, doc).append(row)
+    return doc
+
+
 @pytest.mark.parametrize("doc, path", [
     ([1, 2], "top level"),
     (7, "top level"),
@@ -59,6 +67,34 @@ def _edited(name, *keys, value=DROP):
      "sset.faces.3,0"),
     (_edited("non_segal", "sset", "faces", "1,0", 2), "sset.faces.1,0"),
     (_edited("non_segal", "sset", "levels", value=[]), "sset.levels"),
+    # an entry given twice: the last one would silently win
+    (_appended("poset012", "category", "objects", row=["p1", None]),
+     "category.objects[3][0]"),
+    (_appended("poset012", "category", "homs", row=["p0", "p1", ["x"]]),
+     "category.homs[3]"),
+    (_edited("poset012", "category", "homs", 2, 2, value=["le01"]),
+     "category.homs[2][2][0]"),
+    (_appended("spine_nerve", "category", "identities",
+               row=[0, ["m", 0, [0]]]), "category.identities[3][0]"),
+    (_appended("poset012", "category", "compose",
+               row=["le12", "le01", "le02"]), "category.compose[1]"),
+    (_appended("cospan", "diagrams", "X", "values", row=["a", [0, 1]]),
+     "diagrams.X.values[3][0]"),
+    (_appended("cospan", "diagrams", "X", "functions",
+               row=["f", [[0, "*"], [1, "*"]]]), "diagrams.X.functions[2][0]"),
+    (_edited("cospan", "diagrams", "X", "values", 0, 1, value=[1, 1]),
+     "diagrams.X.values[0][1][1]"),
+    (_edited("non_segal", "sset", "levels", 0, value=["a", "b", "a"]),
+     "sset.levels[0][2]"),
+    (_appended("non_segal", "sset", "faces", "1,0", row=["f", "c"]),
+     "sset.faces.1,0[3][0]"),
+    (_appended("cospan", "diagrams", "X", "functions", 0, 1, row=[0, "*"]),
+     "diagrams.X.functions[0][1][2][0]"),
+    (_edited("non_segal", "sset", "faces", "01,0",
+             value=[["f", "b"], ["g", "c"], ["h", "c"]]), "sset.faces.01,0"),
+    # a unit law of a generated identity, which the identity already gives
+    (_appended("cospan", "category", "compose", row=[["id", "c"], "f", "g"]),
+     "category.compose[0]"),
 ])
 def test_malformed_fixture_names_its_path(doc, path):
     with pytest.raises(FixtureError) as info:

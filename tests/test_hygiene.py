@@ -4,6 +4,7 @@ function, class or method is left that neither the package, its tests nor
 its benchmark reads."""
 
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 import typing
@@ -194,9 +195,9 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-WALKERS = {"syntax.py": ("subst", "_print", "_nodes"),
+WALKERS = {"syntax.py": ("subst", "_differ", "_print", "_nodes"),
            "kernel.py": ("Checker.whnf", "Checker.infer", "Checker.check",
-                         "Checker.convert", "_differ")}
+                         "Checker.convert")}
 
 
 def test_term_walkers_dispatch_without_match():
@@ -243,6 +244,34 @@ def test_the_check_sees_a_rebuild():
               "    return k(t.name, shift(t.body, by)) if by else subst(t)\n"
               "def subst(t):\n    return App(t, t)\n")
     assert calls_in(source, "shift") == {"type", "Var", "k", "shift", "subst"}
+
+
+def own_equality(cls) -> set[str]:
+    """The equality and hashing methods that `cls` defines itself."""
+    return {"__eq__", "__hash__"} & set(vars(cls))
+
+
+def test_terms_have_one_equality():
+    """No term kind defines its own `__eq__` or `__hash__`: `==` is
+    `_Node`'s, the alpha-equality `_differ` that conversion uses, which no
+    depth of term takes past the recursion limit, and terms do not hash.
+    The generated `__eq__` of a dataclass would recurse once per level."""
+    for kind in typing.get_args(syntax.Term):
+        assert own_equality(kind) == set(), kind.__name__
+    assert own_equality(syntax._Node) == {"__eq__", "__hash__"}
+
+
+def test_the_check_sees_an_equality():
+    @dataclasses.dataclass(eq=True, frozen=True)
+    class Hashed:
+        x: int
+
+    class Equal(Hashed):     # defining `__eq__` sets `__hash__` to None
+        def __eq__(self, other):
+            return True
+    assert own_equality(Hashed) == {"__eq__", "__hash__"}
+    assert own_equality(Equal) == {"__eq__", "__hash__"}
+    assert own_equality(type("Plain", (Equal,), {})) == set()
 
 
 def test_every_term_kind_is_a_slotted_node():
@@ -296,12 +325,14 @@ def test_the_check_sees_recursion():
 
 
 def test_conversion_does_not_recurse():
-    """`Checker.convert` runs on a worklist and `_differ`, its alpha-equality,
-    on a stack of its own: neither reaches itself, so comparing deep terms
-    costs no Python frame per level."""
+    """`Checker.convert` runs on a worklist and `syntax._differ`, its
+    alpha-equality and the `==` of terms, on a stack of its own: neither
+    reaches itself, so comparing deep terms costs no Python frame per
+    level."""
     source = pathlib.Path(kernel.__file__).read_text()
     assert "convert" not in recursive_methods(source, "Checker")
-    differ = next(node for node in ast.parse(source).body
+    differ = next(node for node in ast.parse(
+                      pathlib.Path(syntax.__file__).read_text()).body
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_differ")
-    assert callers("_differ", {"kernel": ast.unparse(differ)}) == set()
+    assert callers("_differ", {"syntax": ast.unparse(differ)}) == set()

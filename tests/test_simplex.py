@@ -222,6 +222,15 @@ class TestSieves:
         assert _outcome_of(lambda: Sieve(n, family).members) \
             == _outcome_of(lambda: _model_sieve(n, family))
 
+    def test_constructor_checks_every_member_of_a_generator(self):
+        """A one-shot iterable is read once, so the downward-closure check
+        sees the members the range check consumed."""
+        with pytest.raises(ValueError, match="not downward closed"):
+            Sieve(1, (frozenset(s) for s in [{0, 1}]))
+        closed = [set(), {0}, {1}, {0, 1}]
+        assert Sieve(1, (frozenset(s) for s in closed)).members \
+            == frozenset(map(frozenset, closed))
+
 
 def _closure(gens):
     """Every subset of every generator, as a set model of a sieve."""

@@ -142,7 +142,7 @@ class TestDepth:
         assert sys.getrecursionlimit() == 1000
         t = parse_term(src)
         child = {App: "arg", Pi: "cod", Lam: "body"}
-        for _ in range(depth):      # walked by hand: `==` would recurse
+        for _ in range(depth):      # each level one node on the spine
             t = getattr(t, child[type(t)])
         assert t == leaf
 
@@ -348,7 +348,7 @@ def renamed(t):
 
 class TestNodes:
     """Terms are immutable slotted nodes that copy, pickle and compare up to
-    binder names."""
+    binder names, and do not hash."""
 
     def test_every_kind_is_listed(self):
         assert {type(t) for t in EVERY_KIND} == set(typing.get_args(Term))
@@ -375,11 +375,35 @@ class TestNodes:
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(open_terms)
-    def test_equality_and_hash_ignore_binder_names(self, t):
+    def test_equality_ignores_binder_names(self, t):
         other = renamed(t)
-        assert other == t and hash(other) == hash(t)
+        assert other == t and not other != t
         binders = any(n in repr(t) for n in ("Pi(", "Sig(", "Lam("))
         assert (repr(other) != repr(t)) == binders
+
+    @kinds
+    def test_terms_do_not_hash_and_equal_only_terms(self, t):
+        with pytest.raises(TypeError):
+            hash(t)
+        assert t.__eq__(0) is NotImplemented and t != 0 and t != "zero"
+
+    @pytest.mark.parametrize("build, depth", [
+        (lambda x, t: App(Const("succ"), t), 10_000),
+        (lambda x, t: Pi(x, Const("Nat"), t), 5_000),
+    ], ids=["tower", "Pi chain"])
+    def test_deep_terms_compare_at_the_default_recursion_limit(
+            self, build, depth):
+        """`==` and `!=` walk on a stack of their own, not on Python's."""
+        assert sys.getrecursionlimit() == 1000
+
+        def chain(x, leaf):
+            t = Const(leaf)
+            for _ in range(depth):
+                t = build(x, t)
+            return t
+        t = chain("x", "zero")
+        assert t == chain("y", "zero") and not t != chain("y", "zero")
+        assert t != chain("x", "zeroS") and not t == chain("x", "zeroS")
 
     @kinds
     def test_match_args_are_the_fields_in_order(self, t):

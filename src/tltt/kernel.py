@@ -17,13 +17,13 @@ Conversion is weak-head normalization plus structural comparison with
 judgmental eta for Pi and Sigma.  The same comparison decides cumulativity,
 ``convert(t, u, leq=True)``: universes by ``sort_leq``, covariantly in the
 codomain of Pi and the second component of Sigma only, and by conversion
-everywhere else.  Conversion runs on a worklist and its alpha-equality,
-``syntax._differ`` (the ``==`` of terms), on a stack of its own, and a
-numeral is typed in one loop, so none of them costs a Python frame per
-level.  Iota is level-exact: an eliminator reduces only on constructors of
-its own level.  A type is checked before it is reduced, so arguments that
-reduction drops are checked, but not a second time.  Errors carry the name
-of the violated rule.
+everywhere else.  ``whnf`` is one loop over a head and its arguments,
+conversion a worklist with its alpha-equality ``syntax._differ`` (the ``==``
+of terms) on a stack of its own, and a numeral is typed in one loop, so none
+costs a Python frame per level.  Iota is level-exact: an eliminator reduces
+only on constructors of its own level.  A type is reduced only where a rule
+reads its head, and checked first, so what reduction drops is checked once.
+Errors carry the name of the violated rule.
 """
 
 from __future__ import annotations
@@ -200,36 +200,36 @@ class Checker:
     # -- weak head normalization ------------------------------------------
 
     def whnf(self, t: Term) -> Term:
-        """Weak head normal form.  An application is reduced as a whole
-        spine: its head once, a β step substitutes every argument its
-        leading lambdas take in one walk, and ι sees every argument."""
+        """Weak head normal form, in one loop: an application head puts its
+        arguments in front, and δ, an annotation, β and ι replace the head.
+        `built` is `mk_app(head, *args)`, if at hand."""
+        head, args, built = t, (), t
         while True:
-            k = type(t)
+            k = type(head)
             if k is App:
-                head, args = spine(t)
-                fw = self.whnf(head)
-                if type(fw) is Lam:
-                    red, args = _beta(fw, args)
-                    t = mk_app(red, *args)
-                    continue
-                if fw is not head:  # an unfolded head may be a spine itself
-                    t = mk_app(fw, *args)
-                    head, args = spine(t)
-                red = self._iota(head, args)
-                if red is not None:
-                    t = red
-                    continue
-                return t
-            if k is Ref:
-                entry = self.env.get(t.name)
-                if entry is not None and entry.value is not None:
-                    t = entry.value
-                    continue
-                return t
-            if k is Ann:
-                t = t.tm
+                head, front = spine(head)
+                if args:
+                    front += args
+                args = front
                 continue
-            return t
+            if k is Const and args:
+                red = self._iota(head, args)
+                if red is None:
+                    break
+                head, args = red, ()
+            elif k is Lam and args:
+                head, args = _beta(head, args)
+            elif k is Ref:
+                entry = self.env.get(head.name)
+                if entry is None or entry.value is None:
+                    break
+                head = entry.value
+            elif k is Ann:
+                head = head.tm
+            else:
+                break
+            built = None if args else head
+        return mk_app(head, *args) if built is None else built
 
     def _iota(self, head: Term, args: list[Term]) -> Optional[Term]:
         """Computation rules for eliminator spines; None if stuck."""
@@ -352,8 +352,9 @@ class Checker:
         t = self.whnf(ty)
         if t is not ty and not self._checked:
             self.infer(ctx, ty)
-            return self._on_checked(self.infer_sort, ctx, t)
-        uni = self.infer(ctx, t)
+            uni = self._on_checked(self.infer, ctx, t)
+        else:
+            uni = self.infer(ctx, t)
         if not isinstance(uni, Univ):   # a type former's sort is a Univ already
             uni = self.whnf(uni)
             if not isinstance(uni, Univ):
@@ -378,7 +379,7 @@ class Checker:
                 rule = "FIB-PRE"
         return TypeError_(
             rule, f"type mismatch: inferred `{_show(ctx, got)}` does not "
-                  f"subsume expected `{_show(ctx, want)}`")
+                  f"subsume expected `{_show(ctx, w)}`")
 
     # -- inference ---------------------------------------------------------
 
@@ -481,9 +482,8 @@ class Checker:
         for i in range(len(tower) - 1, 0, -1):
             outer = _CONST_TYPES[tower[i - 1].fn.name]
             if outer is not ty:     # a constant's codomain is its domain
-                want = self.whnf(outer.dom)
-                if not self.convert(ty.cod, want, True):
-                    raise self._mismatch(ctx, tower[i], ty.cod, want)
+                if not self.convert(ty.cod, outer.dom, True):
+                    raise self._mismatch(ctx, tower[i], ty.cod, outer.dom)
             ty = outer
         return ty.cod
 
@@ -608,14 +608,14 @@ class Checker:
     # -- checking ----------------------------------------------------------
 
     def check(self, ctx: list[Term], t: Term, ty: Term) -> None:
-        tyw = self.whnf(ty)
         k = type(t)
         if k is App or k is Const:
             head, args = spine(t)
             if isinstance(head, Const) and head.name in _CHECK_ONLY:
                 self._const_ok(head.name)
-                return self._check_intro(ctx, head.name, args, tyw)
+                return self._check_intro(ctx, head.name, args, self.whnf(ty))
         elif k is Lam:
+            tyw = self.whnf(ty)
             if not isinstance(tyw, Pi):
                 raise TypeError_(
                     "CONV", f"lambda checked against non-function type "
@@ -623,8 +623,8 @@ class Checker:
             self.check([tyw.dom] + ctx, t.body, tyw.cod)
             return
         got = self.infer(ctx, t)
-        if not self.convert(got, tyw, True):
-            raise self._mismatch(ctx, t, got, tyw)
+        if not self.convert(got, ty, True):
+            raise self._mismatch(ctx, t, got, ty)
 
     def _check_intro(self, ctx: list[Term], name: str, args: list[Term],
                      tyw: Term) -> None:

@@ -336,3 +336,34 @@ def test_conversion_does_not_recurse():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_differ")
     assert callers("_differ", {"syntax": ast.unparse(differ)}) == set()
+
+
+def self_references(source: str, cls: str) -> set[str]:
+    """The methods of class `cls` in `source` that name themselves as
+    `self.<method>`: a direct call, or the method handed on as a value."""
+    tree = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {fn.name for fn in tree.body if isinstance(fn, FUNCTIONS)
+            and any(isinstance(n, ast.Attribute) and n.attr == fn.name
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                    for n in ast.walk(fn))}
+
+
+def test_reduction_does_not_call_itself():
+    """`Checker.whnf` is one loop over a head and its arguments, and
+    `infer_sort` types a reduced type with `infer`: neither names itself,
+    and a chain of heads costs `whnf` no Python frame per link.  `_iota`
+    reducing a major premise with `whnf` is the one way back in."""
+    found = self_references(pathlib.Path(kernel.__file__).read_text(),
+                            "Checker")
+    assert found.isdisjoint({"whnf", "infer_sort"}), found
+
+
+def test_the_check_sees_a_self_call():
+    source = ("class C:\n    def whnf(self, t):\n"
+              "        return self.whnf(t.fn)\n"
+              "    def infer_sort(self, t):\n"
+              "        return self.run(self.infer_sort, t)\n"
+              "    def iota(self, t):\n        return self.whnf(t)\n"
+              "    def other(self, t):\n        return t.other\n")
+    assert self_references(source, "C") == {"whnf", "infer_sort"}

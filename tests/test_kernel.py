@@ -366,6 +366,41 @@ class TestSharing:
         assert checker.convert(Ref("N"), term(numeral(50)))
         assert calls["convert"] == 1 and calls["whnf"] > 0
 
+    @staticmethod
+    def whnf_calls(checker):
+        """A counter that `checker.whnf` bumps on each call."""
+        calls = Counter()
+
+        def counted(*args, method=checker.whnf):
+            calls["whnf"] += 1
+            return method(*args)
+        checker.whnf = counted
+        return calls
+
+    def test_check_reduces_no_type_it_does_not_read(self, ck):
+        checker = Checker(env=ck.env)
+        calls = self.whnf_calls(checker)
+        checker.check([], Const("zero"), Const("Nat"))
+        assert calls == {}
+
+    @pytest.mark.parametrize("src", [
+        "refl (succ zero)", "(fun x => x : Nat -> Nat)",
+        "indNat (fun k => Nat) zero (fun k r => succ r) (succ zero)",
+    ])
+    def test_check_against_the_inferred_type_reduces_nothing_more(
+            self, ck, src):
+        """`check` reduces the expected type only where a rule reads its
+        head, and `convert` only past a syntactic difference: checking a
+        term against the type it infers calls `whnf` as often as inferring
+        that type does."""
+        checker = Checker(env=ck.env)
+        calls = self.whnf_calls(checker)
+        t = term(src, globals_=set(ck.env))
+        ty = checker.infer([], t)
+        inferring = calls.pop("whnf")
+        checker.check([], t, ty)
+        assert calls["whnf"] == inferring
+
     @pytest.mark.parametrize("kind", ["add", "toNat"])
     def test_substitution_work_grows_linearly_in_numeral_depth(
             self, ck, monkeypatch, kind):
@@ -770,6 +805,28 @@ class TestWholeSpines:
         assert sys.getrecursionlimit() == 1000
         t = mk_app(Const("zero"), *[Const("zero")] * 1500)
         assert Checker().whnf(t) is t
+
+    def test_whnf_spends_no_frame_per_definition_in_a_head_chain(self):
+        """`a0 := fun x => x` and `a_i := a_(i-1) zero`: each unfolding puts
+        a spine in head position, which the loop splits onto its argument
+        list instead of reducing it in a frame of its own."""
+        assert sys.getrecursionlimit() == 1000
+        n, zero = 1500, Const("zero")
+        env = {"a0": EnvEntry(Const("Nat"), term("fun x => x"))}
+        for i in range(1, n + 1):
+            env[f"a{i}"] = EnvEntry(Const("Nat"), App(Ref(f"a{i - 1}"), zero))
+        reduct = Checker(env=env).whnf(Ref(f"a{n}"))
+        assert reduct == mk_app(zero, *[zero] * (n - 1))
+
+    def test_whnf_spends_no_frame_per_annotated_head(self):
+        """`((succ : T) zero : T) zero …`: every head is an annotation over
+        a spine."""
+        assert sys.getrecursionlimit() == 1000
+        n, succ, zero = 1500, Const("succ"), Const("zero")
+        t, ty = succ, term("Nat -> Nat")
+        for _ in range(n):
+            t = App(Ann(t, ty), zero)
+        assert Checker().whnf(t) == mk_app(succ, *[zero] * n)
 
     def test_source_redex_spends_no_frame_per_argument(self):
         """The application rule types a λ-headed spine's arguments in one

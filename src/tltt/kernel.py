@@ -21,9 +21,10 @@ everywhere else.  ``whnf`` is one loop over a head and its arguments,
 conversion a worklist with its alpha-equality ``syntax._differ`` (the ``==``
 of terms) on a stack of its own, and a numeral is typed in one loop, so none
 costs a Python frame per level.  Iota is level-exact: an eliminator reduces
-only on constructors of its own level.  A type is reduced only where a rule
-reads its head, and checked first, so what reduction drops is checked once.
-Errors carry the name of the violated rule.
+only on constructors of its own level, to a head and its arguments.  Each
+built-in is one node, shared from ``syntax.CONSTS``.  A type is reduced only
+where a rule reads its head, and checked first, so what reduction drops is
+checked once.  Errors carry the name of the violated rule.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .syntax import (
-    Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref, Sig, Term, Univ, Var,
-    _differ, mk_app, parse_term, print_term, shift, spine, subst,
+    CONSTS, Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref, Sig, Term, Univ,
+    Var, _differ, mk_app, parse_term, print_term, shift, spine, subst,
 )
 
 
@@ -216,7 +217,7 @@ class Checker:
                 red = self._iota(head, args)
                 if red is None:
                     break
-                head, args = red, ()
+                head, args = red
             elif k is Lam and args:
                 head, args = _beta(head, args)
             elif k is Ref:
@@ -231,8 +232,9 @@ class Checker:
             built = None if args else head
         return mk_app(head, *args) if built is None else built
 
-    def _iota(self, head: Term, args: list[Term]) -> Optional[Term]:
-        """Computation rules for eliminator spines; None if stuck."""
+    def _iota(self, head: Term, args: list[Term]) -> Optional[tuple]:
+        """Computation rules for eliminator spines: the reduct's head and
+        arguments, or None if stuck."""
         if not isinstance(head, Const) or head.name not in _SPINE:
             return None
         family, strict = _SPINE[head.name]
@@ -247,25 +249,25 @@ class Checker:
             case "fst" | "snd":
                 if c != "pair" or len(c_args) != 2:
                     return None
-                red = c_args[family == "snd"]
+                red, c_args = c_args[family == "snd"], []
             case "J":
                 if c != _at_level("refl", strict) or len(c_args) != 1:
                     return None
-                red = args[1]
+                red, c_args = args[1], []
             case "indNat":
                 if c == _at_level("zero", strict) and not c_args:
                     red = args[1]
                 elif c == _at_level("succ", strict) and len(c_args) == 1:
                     m = c_args[0]
-                    red = mk_app(args[2], m, mk_app(head, *args[:3], m))
+                    red, c_args = args[2], [m, mk_app(head, *args[:3], m)]
                 else:
                     return None
             case "indSum":
                 sides = (_at_level("inl", strict), _at_level("inr", strict))
                 if c not in sides or len(c_args) != 1:
                     return None
-                red = App(args[1 + sides.index(c)], c_args[0])
-        return mk_app(red, *args[fam.arity:])
+                red = args[1 + sides.index(c)]
+        return red, c_args + args[fam.arity:]
 
     # -- conversion --------------------------------------------------------
 
@@ -307,12 +309,12 @@ class Checker:
                 uh, ua = spine(u)
                 # eta for Sigma
                 if type(th) is Const and th.name == "pair" and len(ta) == 2:
-                    todo += ((ta[1], App(Const("snd"), u), False),
-                             (ta[0], App(Const("fst"), u), False))
+                    todo += ((ta[1], App(CONSTS["snd"], u), False),
+                             (ta[0], App(CONSTS["fst"], u), False))
                     continue
                 if type(uh) is Const and uh.name == "pair" and len(ua) == 2:
-                    todo += ((App(Const("snd"), t), ua[1], False),
-                             (App(Const("fst"), t), ua[0], False))
+                    todo += ((App(CONSTS["snd"], t), ua[1], False),
+                             (App(CONSTS["fst"], t), ua[0], False))
                     continue
             if k is not type(u):
                 return False
@@ -528,7 +530,7 @@ class Checker:
         args, extra = args[:arity], args[arity:]
 
         def at_level(base: str) -> Const:
-            return Const(_at_level(base, strict))
+            return CONSTS[_at_level(base, strict)]
 
         match family:
             case "Sum":
@@ -547,7 +549,7 @@ class Checker:
                 if not isinstance(pty, Sig):
                     raise TypeError_("PROJ", "projection from a non-pair")
                 ty = (pty.dom if family == "fst"
-                      else subst(pty.cod, (App(Const("fst"), args[0]),)))
+                      else subst(pty.cod, (App(CONSTS["fst"], args[0]),)))
             case "refl":
                 a = args[0]
                 sc = self._on_checked(self.infer_sort, ctx, self.infer(ctx, a))
@@ -599,8 +601,8 @@ class Checker:
                 if not (isinstance(xh, Const) and xh.name == sumc and len(xa) == 2):
                     raise TypeError_(rules[strict], f"{name} eliminates a {sumc} value")
                 self._elim_motive(ctx, name, motive, [xty])
-                for arm, side, x, dom in zip((f, g), ("inl", "inr"), "ab", xa):
-                    self.check(ctx, arm, Pi(x, dom, _motive_at(
+                for arm, side, hint, dom in zip((f, g), ("inl", "inr"), "ab", xa):
+                    self.check(ctx, arm, Pi(hint, dom, _motive_at(
                         shift(motive, 1), App(at_level(side), Var(0)))))
                 ty = _motive_at(motive, x)
         return ty, extra

@@ -144,6 +144,9 @@ BUILTIN_CONSTS = {
     "Sum", "SumS", "inl", "inlS", "inr", "inrS", "refl", "reflS", "J", "Js",
     "indNat", "indNatS", "indEmpty", "indEmptyS", "indSum", "indSumS",
 }
+# One node per built-in, which the parser and the kernel share: two of their
+# constants with one name are one object.
+CONSTS = {name: Const(name) for name in BUILTIN_CONSTS}
 
 KEYWORDS = {"def", "axiom", "check", "fail", "Pi", "Sig", "fun", "U", "Us"}
 
@@ -436,7 +439,7 @@ class Parser:
                         off = offs[i]
                         line = bisect_right(starts, off)  # `place`, inline
                         refs.append((name, line, off - starts[line - 1] + 1))
-                        arg = (Const if name in BUILTIN_CONSTS else Ref)(name)
+                        arg = CONSTS.get(name) or Ref(name)
                     i += 1
                 elif texts[i] == "(":
                     stack.append((_PAREN, t))

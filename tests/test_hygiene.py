@@ -161,6 +161,14 @@ def test_diagrams_are_tabulated_in_one_place():
         "categories.tabulate", "fixtures.diagram_from_json"}
 
 
+def test_builtins_are_built_once():
+    """Every built-in is one node, built into `syntax.CONSTS` at import;
+    the parser and the kernel take it from there."""
+    assert callers("Const",
+                   {path.stem: path.read_text() for path in MODULES}) == {
+        "syntax.<top>"}
+
+
 def test_the_check_sees_every_caller():
     sources = {"a": "D(1)\nclass K:\n    def m(self):\n        return x.D()\n"
                     "def f():\n    def g():\n        D()\n    return E()\n",

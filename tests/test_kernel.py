@@ -1,5 +1,6 @@
 """Typechecking: sorts, conversion, eliminators, and restrictions."""
 
+import copy
 import sys
 import typing
 from collections import Counter
@@ -14,8 +15,8 @@ from tltt.kernel import (
 )
 from tltt.corpus import corpus_files, prelude_checker
 from tltt.syntax import (
-    Ann, App, Const, Decl, Lam, Module, Pi, Ref, Univ, mk_app, parse,
-    parse_term, resolve, spine, subst,
+    CONSTS, Ann, App, Const, Decl, Lam, Module, Pi, Ref, Univ, Var, _differ,
+    mk_app, parse, parse_term, resolve, spine, subst,
 )
 
 
@@ -305,6 +306,17 @@ class TestEliminatorAsymmetry:
             check(ck, f"fun x y p => J ({motive}) ({base}) p",
                   f"Pi (x y : Nat) (p : x =s y), {result}")
         assert e.value.rule == "ELIM-="
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_sum_elimination_types_its_major(self, strict):
+        """`indSum P f g x : P x` with a motive that reads its argument."""
+        lv, eq = ("S", "=s") if strict else ("", "=")
+        t = term(f"indSum{lv} (fun s => s {eq} s) "
+                 f"(fun a => refl{lv} (inl{lv} a : Sum{lv} Nat Nat)) "
+                 f"(fun b => refl{lv} (inr{lv} b : Sum{lv} Nat Nat)) x",
+                 ("x",))
+        ty = Checker().infer([term(f"Sum{lv} Nat Nat")], t)
+        assert ty == term(f"x {eq} x", ("x",))
 
 
 class TestSubjectReduction:
@@ -717,7 +729,7 @@ class NestedWhnf(Checker):
                     t = App(fw, t.arg)
                 red = self._iota(*spine(t))
                 if red is not None:
-                    t = red
+                    t = mk_app(red[0], *red[1])
                     continue
                 return t
             if k is Ref:
@@ -838,6 +850,189 @@ class TestWholeSpines:
                f"{' zero' * n} : Nat\n")
         rep = check_module(Checker(), resolve(parse(src, "m.tltt")))
         assert rep.ok, rep.error
+
+
+def const_leaves(t):
+    return [u for u in subterms(t) if type(u) is Const]
+
+
+class Recording(Checker):
+    """A checker that keeps every type it checks against or infers."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.types = []
+
+    def check(self, ctx, t, ty):
+        self.types.append(ty)
+        return super().check(ctx, t, ty)
+
+    def infer(self, ctx, t):
+        ty = super().infer(ctx, t)
+        self.types.append(ty)
+        return ty
+
+
+class TestSharedBuiltins:
+    """Every built-in is one node, `syntax.CONSTS[name]`: the parser and
+    the kernel take it from there.  Sharing is only an optimisation: terms
+    whose leaves are fresh nodes check and convert alike."""
+
+    def test_closed_types_use_the_shared_nodes(self):
+        leaves = const_leaves(kernel._CONST_TYPES["succ"])
+        assert [c.name for c in leaves] == ["Nat", "Nat"]
+        assert all(c is CONSTS[c.name] for c in leaves)
+
+    @pytest.mark.parametrize("src, built", [
+        ("check fun n => indNat (fun k => k = k) (refl zero) "
+         "(fun k r => refl (succ k)) n : Pi (n : Nat), n = n",
+         {"Nat", "zero", "succ"}),
+        ("check fun n => indNatS (fun k => k =s k) (reflS zeroS) "
+         "(fun k r => reflS (succS k)) n : Pi (n : NatS), n =s n",
+         {"NatS", "zeroS", "succS"}),
+        ("check fun a b p => J (fun b q => q = q) (refl (refl a)) p "
+         ": Pi (a b : Nat) (p : a = b), p = p", {"refl"}),
+        ("check fun a b p => Js (fun b q => q =s q) (reflS (reflS a)) p "
+         ": Pi (a b : Nat) (p : a =s b), p =s p", {"reflS"}),
+        ("check fun x => indEmpty (fun e => e = e) x "
+         ": Pi (x : Empty), x = x", {"Empty"}),
+        ("check fun x => indEmptyS (fun e => e =s e) x "
+         ": Pi (x : EmptyS), x =s x", {"EmptyS"}),
+        ("check fun x => indSum (fun s => s = s) "
+         "(fun a => refl (inl a : Sum Nat Nat)) "
+         "(fun b => refl (inr b : Sum Nat Nat)) x "
+         ": Pi (x : Sum Nat Nat), x = x", {"inl", "inr"}),
+        ("check fun x => indSumS (fun s => s =s s) "
+         "(fun a => reflS (inlS a : SumS Nat Nat)) "
+         "(fun b => reflS (inrS b : SumS Nat Nat)) x "
+         ": Pi (x : SumS Nat Nat), x =s x", {"inlS", "inrS"}),
+        ("check fun p => refl (snd p) : Pi (p : Sig (n : Nat), n = n), "
+         "snd p = snd p", {"fst"}),
+    ], ids=["indNat", "indNatS", "J", "Js", "indEmpty", "indEmptyS",
+            "indSum", "indSumS", "snd"])
+    def test_rules_build_the_shared_nodes(self, src, built):
+        """On a declaration whose leaves are fresh nodes, every constant in
+        the types the rules check against or infer is the declaration's own
+        or the shared one, and the ones the rule builds are shared."""
+        decl = copy.deepcopy(parse(src).decls[0])
+        own = {id(c) for c in const_leaves(Ann(decl.body, decl.ty))}
+        assert not any(c is CONSTS[c.name] for c in const_leaves(decl.ty))
+        checker = Recording()
+        assert checker.check_decl(decl)["status"] == "pass"
+        shared = set()
+        for ty in checker.types:
+            for c in const_leaves(ty):
+                if id(c) not in own:
+                    assert c is CONSTS[c.name], c.name
+                    shared.add(c.name)
+        assert built <= shared
+
+    @pytest.mark.parametrize("pair_first", [True, False])
+    def test_sigma_eta_builds_the_shared_projections(self, monkeypatch,
+                                                     pair_first):
+        seen = []
+
+        def recording(t, u, *rest):
+            seen.extend((t, u))
+            return _differ(t, u, *rest)
+        monkeypatch.setattr(kernel, "_differ", recording)
+        pair = copy.deepcopy(term("pair (fst p) zero", ("p",)))
+        p = Var(0)
+        assert not Checker().convert(*((pair, p) if pair_first else (p, pair)))
+        built = [t.fn for t in seen if type(t) is App and t.arg is p]
+        assert {c.name for c in built} == {"fst", "snd"}
+        assert all(c is CONSTS[c.name] for c in built)
+
+    @pytest.mark.parametrize("kernel_", KERNELS)
+    def test_fresh_leaves_check_alike(self, kernel_):
+        """A deep copy of each corpus module and of EDGE, rebuilt through
+        the constructors so that no leaf is shared, gives the records of
+        the original under each kernel; so do their environments."""
+        options = KERNELS[kernel_]
+        sources = [(str(p), p.read_text(), p.parent.name == "prelude")
+                   for p in corpus_files()] + [("edge.tltt", EDGE, False)]
+        preludes = Checker(options=options), Checker(options=options)
+        for path, src, prelude in sources:
+            mod = resolve(parse(src, path), set(preludes[0].env))
+            fresh = copy.deepcopy(mod)
+            assert not any(c is CONSTS[c.name] for d in fresh.decls
+                           for c in const_leaves(d.ty))
+            reports = [check_module(ck if prelude else Checker(
+                env=ck.env, options=options), m)
+                for ck, m in zip(preludes, (mod, fresh))]
+            assert reports[1].records == reports[0].records, path
+            assert reports[1].error == reports[0].error
+
+    @pytest.mark.parametrize("t, u", [
+        ("succ (succ zero)", "toNat (succS (succS zeroS))"),
+        ("succ zero", "succ (succ zero)"),
+        ("indNat (fun k => Nat) zero (fun k r => succ r) (succ (succ zero))",
+         "succ (succ zero)"),
+        ("J (fun b q => Nat) zero (refl zero)", "zero"),
+        ("Js (fun b q => Nat) zero (reflS zero)", "zero"),
+        ("Sum Nat NatS", "Sum NatS Nat"),
+        ("fun n => succ n", "succ"),
+        ("pair (fst x) (snd x)", "x"),
+        ("pair (snd x) (fst x)", "x"),
+        ("Nat -> U 0", "Nat -> Us 1"),
+    ])
+    def test_mixed_leaves_convert_alike(self, ck, t, u):
+        env = set(ck.env)
+        t, u = term(t, ("x",), env), term(u, ("x",), env)
+        for leq in (False, True):
+            want = Checker(env=ck.env).convert(t, u, leq)
+            for pair in ((copy.deepcopy(t), u), (t, copy.deepcopy(u)),
+                         copy.deepcopy((t, u))):
+                assert Checker(env=ck.env).convert(*pair, leq) == want
+
+
+# `_iota` on each family and level, over-applied by one argument `e`: the
+# reduct's head and argument list, in the scope of IOTA_SCOPE
+IOTA_SCOPE = ("P", "z", "s", "f", "g", "a", "b", "m", "x", "e")
+IOTA = [
+    ("fst (pair a b) e", "a", ["e"]),
+    ("snd (pair a b) e", "b", ["e"]),
+    ("J P z (refl a) e", "z", ["e"]),
+    ("Js P z (reflS a) e", "z", ["e"]),
+    ("indNat P z s zero e", "z", ["e"]),
+    ("indNatS P z s zeroS e", "z", ["e"]),
+    ("indNat P z s (succ m) e", "s", ["m", "indNat P z s m", "e"]),
+    ("indNatS P z s (succS m) e", "s", ["m", "indNatS P z s m", "e"]),
+    ("indSum P f g (inl x) e", "f", ["x", "e"]),
+    ("indSum P f g (inr x) e", "g", ["x", "e"]),
+    ("indSumS P f g (inlS x) e", "f", ["x", "e"]),
+    ("indSumS P f g (inrS x) e", "g", ["x", "e"]),
+]
+IOTA_STUCK = [
+    "fst x e", "J P z x e", "indNat P z s m e", "indSum P f g x e",
+    "J P z (reflS a) e", "Js P z (refl a) e",
+    "indNat P z s zeroS e", "indNat P z s (succS m) e",
+    "indNatS P z s (succ m) e", "indSum P f g (inlS x) e",
+    "indSumS P f g (inr x) e", "succ m e", "indEmpty P x e",
+]
+
+
+class TestIota:
+    """`_iota` hands `whnf` the reduct as a head and an argument list; it
+    builds only the recursive call of `indNat` on a successor."""
+
+    @pytest.mark.parametrize("src, head, args", IOTA,
+                             ids=[s for s, _, _ in IOTA])
+    def test_reduct_is_a_head_and_arguments(self, src, head, args):
+        t = term(src, IOTA_SCOPE)
+        got_head, got_args = Checker()._iota(*spine(t))
+        assert type(got_args) is list
+        assert got_head == term(head, IOTA_SCOPE)
+        assert got_args == [term(a, IOTA_SCOPE) for a in args]
+
+    @pytest.mark.parametrize("src", IOTA_STUCK)
+    def test_stuck_or_cross_level_major_is_none(self, src):
+        assert Checker()._iota(*spine(term(src, IOTA_SCOPE))) is None
+
+    def test_js_is_stuck_without_js_beta(self):
+        t = term("Js P z (reflS a) e", IOTA_SCOPE)
+        off = Checker(options=KernelOptions(js_beta=False))
+        assert off._iota(*spine(t)) is None
 
 
 class TestOptions:

@@ -36,6 +36,15 @@ class TestParser:
         assert t.cod.dom == Var(0) and t.cod.cod.dom == Var(1)
         Checker().check([], rt("fun X a b => Nat"), t)
 
+    def test_builtins_are_the_shared_nodes(self):
+        """Every built-in the parser reads is the one node `CONSTS` holds
+        for its name."""
+        t = rt("succ (succS zeroS) = refl")
+        leaves = [u for u, _ in syntax._nodes(t) if type(u) is Const]
+        assert sorted(c.name for c in leaves) == [
+            "refl", "succ", "succS", "zeroS"]
+        assert all(c is syntax.CONSTS[c.name] for c in leaves)
+
     def test_arrow_right_associative(self):
         assert rt("Nat -> Nat -> Nat") == rt("Nat -> (Nat -> Nat)")
 

@@ -42,16 +42,13 @@ class ClassifierElement:
     choices: tuple   # tuple of tuples of (key, value-set) pairs
 
 
-def _push_family(fam: dict, components: dict, c: FinInvCat) -> dict:
-    return {f: components[c.dst[f]][v] for f, v in fam.items()}
-
-
 def _stage_keys(c: FinInvCat, x: ClassifierElement, base: SetDiagram,
                 r: int) -> list[tuple]:
     """The keys (i, b, canonical matching family) that extend x at rank r:
     every rank-r object i, every b in B_i, and every matching family of the
-    interpretation of x at i whose boundary agrees with that of b."""
-    diagram, p = interpret(c, x, base)
+    interpretation of x at i whose boundary agrees with that of b.  An
+    element of the interpretation lies over its first component."""
+    diagram, _ = interpret(c, x, base)
     keys = []
     for i in base.cat.objects:
         if c.rank[i] != r:
@@ -60,7 +57,7 @@ def _stage_keys(c: FinInvCat, x: ClassifierElement, base: SetDiagram,
         for b in base.values[i]:
             b_family = boundary(base, i, b)
             for m in families:
-                if _push_family(m, p.components, c) == b_family:
+                if {f: e[0] for f, e in m.items()} == b_family:
                     keys.append((i, b, family_key(m)))
     return keys
 
@@ -135,22 +132,17 @@ def interpret(c: FinInvCat, x: ClassifierElement, base: SetDiagram
     at f, and the projection returns b.
     """
     sub = base.cat
-    values: dict = {}
-    components: dict = {}
-    stage_of = {}
+    levels: dict = {i: [] for i in sorted(
+        sub.objects, key=lambda o: (c.rank[o], str(o)))}
+    components: dict = {i: {} for i in levels}
     for stage in x.choices:
         for (i, b, mkey), fibre in stage:
-            stage_of.setdefault(i, {})[(b, mkey)] = fibre
-    for i in sorted(sub.objects, key=lambda o: (c.rank[o], str(o))):
-        elems = []
-        comp = {}
-        for (b, mkey), fibre in stage_of.get(i, {}).items():
+            level, comp = levels[i], components[i]
             for y in fibre:
                 e = (b, mkey, y)
-                elems.append(e)
+                level.append(e)
                 comp[e] = b
-        values[i] = tuple(elems)
-        components[i] = comp
+    values = {i: tuple(level) for i, level in levels.items()}
     diagram = tabulate(sub, values, lambda a, e: (
         e if sub.identity[sub.src[a]] == a else dict(e[1])[a]))
     return diagram, DiagramMap(diagram, base, components)
@@ -172,7 +164,8 @@ def extract(c: FinInvCat, n: int, diagram: SetDiagram, p: DiagramMap,
             for v in diagram.values[i]:
                 b = p.components[i][v]
                 fam = boundary(diagram, i, v)
-                moved = family_key(_push_family(fam, eta, c))
+                moved = family_key({f: eta[c.dst[f]][u]
+                                    for f, u in fam.items()})
                 grouped.setdefault((b, moved), []).append(v)
             for (b, mkey), fibre in grouped.items():
                 for v in fibre:
@@ -196,8 +189,8 @@ class RoundTrip:
 def round_trip(c: FinInvCat, x: ClassifierElement, base: SetDiagram
                ) -> RoundTrip:
     """Interpret x, re-extract fibres, interpret again, and compare: the
-    correspondence must be a levelwise bijection commuting with the action
-    and the projection."""
+    correspondence must be a levelwise bijection commuting with the
+    projection, and natural, which ``DiagramMap.validate`` checks."""
     diagram, p = interpret(c, x, base)
     diagram.validate()
     p.validate()
@@ -214,9 +207,8 @@ def round_trip(c: FinInvCat, x: ClassifierElement, base: SetDiagram
         for v in diagram.values[o]:
             if p2.components[o][eta[o][v]] != p.components[o][v]:
                 return RoundTrip(False, sizes, f"projection mismatch at {o!r}")
-    for a in base.cat.arrows():
-        s, d = base.cat.src[a], base.cat.dst[a]
-        for v in diagram.values[s]:
-            if eta[d][diagram.action[a][v]] != diagram2.action[a][eta[s][v]]:
-                return RoundTrip(False, sizes, f"naturality fails at {a!r}")
+    try:
+        DiagramMap(diagram, diagram2, eta).validate()
+    except CategoryError as err:
+        return RoundTrip(False, sizes, str(err))
     return RoundTrip(True, sizes, "levelwise bijection")

@@ -120,8 +120,8 @@ def cmd_yoneda(args) -> Verdict:
     diagram = sset_to_diagram(x)
     for n in range(top + 1):
         nats, mapping = simplex.yoneda_bijection(n, x)
-        bij = sorted(map(str, mapping.values())) == sorted(
-            map(str, x.levels[n]))
+        bij = (len(mapping) == len(x.levels[n])
+               and set(mapping.values()) == set(x.levels[n]))
         ok = ok and bij and len(nats) == len(x.levels[n])
         bnats = simplex.nat_transforms(simplex.boundary_subfunctor(n), x)
         families, _ = matching_object(diagram, n)

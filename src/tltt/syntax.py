@@ -53,13 +53,31 @@ class _Node:
         # copy, deepcopy and pickle rebuild the node through `__init__`
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
+    def __repr__(self):
+        """`Kind(field=value, ...)`, a dataclass's format, written from a
+        stack of its own: no depth of term reaches the recursion limit."""
+        out, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if not isinstance(t, _Node):
+                out.append(t)
+                continue
+            pieces = [f"{type(t).__qualname__}("]
+            for k, f in enumerate(fields(t)):
+                v = getattr(t, f.name)
+                pieces += [f"{', ' if k else ''}{f.name}=",
+                           v if isinstance(v, _Node) else repr(v)]
+            pieces.append(")")
+            todo += reversed(pieces)
+        return "".join(out)
+
 
 def _term(cls):
     """Make `cls` a slotted dataclass node.  Its `__init__` stores each field
     with the slot descriptor's `__set__`, past `_Node.__setattr__`: one
     store per field, where a frozen dataclass calls `object.__setattr__`.
-    `==` is `_Node`'s."""
-    cls = dataclass(slots=True, eq=False, init=False)(cls)
+    `==` and `repr` are `_Node`'s."""
+    cls = dataclass(slots=True, eq=False, init=False, repr=False)(cls)
     names = [f.name for f in fields(cls)]
     ns = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
     exec(f"def __init__(self, {', '.join(names)}):\n"

@@ -12,11 +12,11 @@ import tltt
 
 from tltt import classifier
 from tltt.categories import (
-    CategoryError, SetDiagram, constant_diagram, random_diagram,
-    random_inverse_category, semisimplex_category,
+    CategoryError, DiagramMap, SetDiagram, constant_diagram, random_diagram,
+    random_inverse_category, semisimplex_category, tabulate,
 )
 from tltt.classifier import (
-    ClassifierElement, classifier_elements, interpret,
+    ClassifierElement, classifier_elements, extract, interpret,
     iter_classifier_elements, round_trip,
 )
 
@@ -27,6 +27,60 @@ def _setup(n, universe=UNIVERSE, base_values=("*",)):
     ambient = semisimplex_category(max(n, 1))
     base = constant_diagram(ambient.truncate_below(n), base_values)
     return ambient, base, classifier_elements(ambient, n, base, universe)
+
+
+def _nonconstant_base():
+    """One edge e from vertex a to vertex b: two values at 0, one at 1."""
+    ambient = semisimplex_category(2)
+    sub = ambient.truncate_below(2)
+    values = {0: ("a", "b"), 1: ("e",)}
+    faces = {("m", 1, (0,)): {"e": "a"}, ("m", 1, (1,)): {"e": "b"}}
+    action = {a: faces.get(a) or {v: v for v in values[sub.src[a]]}
+              for a in sub.arrows()}
+    return ambient, SetDiagram(sub, values, action)
+
+
+def _random_bases(seed=11, draws=5, max_card=1):
+    """Seeded (category, base, classifier elements) triples on random
+    inverse categories of rank at most 1, the stage one above the top rank;
+    a stage of more than 200 elements is left out.  Every base the default
+    seed draws is empty; seed 12 at `max_card=2` draws mostly nonempty
+    ones."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(draws):
+        cat = random_inverse_category(rng, max_objects=3, max_rank=1)
+        n = max(cat.rank.values()) + 1
+        base = random_diagram(rng, cat.truncate_below(n), max_card=max_card)
+        els = classifier_elements(cat, n, base, UNIVERSE)
+        if len(els) <= 200:
+            cases.append((cat, base, els))
+    return cases
+
+
+def regrouping_interpret(c, x, base):
+    """`interpret` as first written: every stage regrouped by object into a
+    dict of fibres, then flattened in (rank, str) object order."""
+    sub = base.cat
+    values: dict = {}
+    components: dict = {}
+    stage_of = {}
+    for stage in x.choices:
+        for (i, b, mkey), fibre in stage:
+            stage_of.setdefault(i, {})[(b, mkey)] = fibre
+    for i in sorted(sub.objects, key=lambda o: (c.rank[o], str(o))):
+        elems = []
+        comp = {}
+        for (b, mkey), fibre in stage_of.get(i, {}).items():
+            for y in fibre:
+                e = (b, mkey, y)
+                elems.append(e)
+                comp[e] = b
+        values[i] = tuple(elems)
+        components[i] = comp
+    diagram = tabulate(sub, values, lambda a, e: (
+        e if sub.identity[sub.src[a]] == a else dict(e[1])[a]))
+    return diagram, DiagramMap(diagram, base, components)
 
 
 class TestEnumeration:
@@ -155,14 +209,7 @@ class TestRoundTrip:
             assert round_trip(ambient, x, base).ok
 
     def test_round_trip_nonconstant_base(self):
-        # one edge e from vertex a to vertex b: two values at 0, one at 1
-        ambient = semisimplex_category(2)
-        sub = ambient.truncate_below(2)
-        values = {0: ("a", "b"), 1: ("e",)}
-        faces = {("m", 1, (0,)): {"e": "a"}, ("m", 1, (1,)): {"e": "b"}}
-        action = {a: faces.get(a) or {v: v for v in values[sub.src[a]]}
-                  for a in sub.arrows()}
-        base = SetDiagram(sub, values, action)
+        ambient, base = _nonconstant_base()
         base.validate()
         assert all(base.values.values()) and len(set(base.values.values())) > 1
         els = classifier_elements(ambient, 2, base, UNIVERSE)
@@ -171,16 +218,48 @@ class TestRoundTrip:
             assert round_trip(ambient, x, base).ok
 
     def test_round_trip_random_inverse_base(self):
-        rng = random.Random(11)
-        for _ in range(5):
-            cat = random_inverse_category(rng, max_objects=3, max_rank=1)
-            n = max(cat.rank.values()) + 1
-            base = random_diagram(rng, cat.truncate_below(n), max_card=1)
-            els = classifier_elements(cat, n, base, UNIVERSE)
-            if len(els) > 200:
-                continue
+        for cat, base, els in _random_bases() + _random_bases(12, 20, 2):
             for x in els:
                 assert round_trip(cat, x, base).ok
+
+
+class TestInterpretOracle:
+    """`interpret` builds each level in one pass over the stages; it gives
+    the diagram and projection that regrouping the stages by object gave,
+    value order included, beyond the constant bases the diagram golden
+    pins."""
+
+    @staticmethod
+    def cases():
+        ambient, base = _nonconstant_base()
+        yield ambient, base, classifier_elements(ambient, 2, base, UNIVERSE)
+        yield ambient, base, classifier_elements(ambient, 2, base,
+                                                 [(), ("*",), ("a", "b")])
+        yield from _random_bases()
+        yield from _random_bases(12, 20, 2)
+
+    @staticmethod
+    def assert_same(c, x, base):
+        d, p = interpret(c, x, base)
+        want_d, want_p = regrouping_interpret(c, x, base)
+        assert list(d.values.items()) == list(want_d.values.items())
+        assert d.action == want_d.action
+        assert p.components == want_p.components
+
+    def test_elements_interpret_as_regrouped(self):
+        seen = 0
+        for c, base, els in self.cases():
+            for x in els:
+                self.assert_same(c, x, base)
+                seen += 1
+        assert seen > 100
+
+    def test_extracted_elements_interpret_as_regrouped(self):
+        for c, base, els in self.cases():
+            for x in els:
+                d, p = interpret(c, x, base)
+                again, _ = extract(c, x.n, d, p, base)
+                self.assert_same(c, again, base)
 
 
 class TestRoundTripCanFail:
@@ -246,3 +325,30 @@ class TestRoundTripCanFail:
         self.break_extract(monkeypatch, swap)
         rt = round_trip(ambient, x, base)
         assert not rt.ok and rt.detail.startswith("naturality fails at ")
+
+    def test_naturality_failure_names_arrow_and_element(self, monkeypatch):
+        # the same swap, with the verdict's detail read in full: the first
+        # arrow, in `arrows()` order, and the first element it fails on
+        ambient, base, els = _setup(2, universe=[(), ("a", "b")])
+        x = next(x for x in els
+                 if interpret(ambient, x, base)[0].values[1])
+        diagram = interpret(ambient, x, base)[0]
+        u, v = diagram.values[0]
+        seen = {}
+
+        def swap(element, eta):
+            eta[0][u], eta[0][v] = eta[0][v], eta[0][u]
+            seen["element"], seen["eta"] = element, eta
+            return element, eta
+
+        self.break_extract(monkeypatch, swap)
+        rt = round_trip(ambient, x, base)
+        again = interpret(ambient, seen["element"], base)[0]
+        eta, cat = seen["eta"], base.cat
+        a, e = next((a, e) for a in cat.arrows()
+                    for e in diagram.values[cat.src[a]]
+                    if eta[cat.dst[a]][diagram.action[a][e]]
+                    != again.action[a][eta[cat.src[a]][e]])
+        assert cat.src[a] == 1 and e in diagram.values[1]
+        assert (rt.ok, rt.detail) == (False,
+                                      f"naturality fails at {a!r} on {e!r}")

@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tltt import classifier, cli
+from tltt import classifier, cli, simplex
 from tltt.cli import main
 from tltt.corpus import CORPUS_ROOT
 from tltt.fixtures import FIXTURE_ROOT
@@ -229,6 +229,28 @@ class TestLabs:
         code, out, _ = run(capsys, "lab", "yoneda", "--json")
         doc = json.loads(out)
         assert code == 0 and doc["status"] == "pass"
+
+    def test_yoneda_bijection_tells_apart_points_that_print_alike(
+            self, capsys, monkeypatch, tmp_path):
+        # `1` and `"1"` print alike, so a map sending both transformations
+        # to `1` looked bijective when the check compared sorted strings
+        fixture = tmp_path / "alike.json"
+        fixture.write_text('{"sset": {"levels": [[1, "1"]], "faces": {}}}')
+        real = simplex.yoneda_bijection
+
+        def to_one(n, x):
+            nats, mapping = real(n, x)
+            return nats, {i: 1 for i in mapping}
+
+        code, out, _ = run(capsys, "lab", "yoneda", "--fixture", str(fixture),
+                           "--json")
+        assert code == 0 and json.loads(out)["checks"][0]["yoneda_bijective"]
+        monkeypatch.setattr(simplex, "yoneda_bijection", to_one)
+        code, out, _ = run(capsys, "lab", "yoneda", "--fixture", str(fixture),
+                           "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "fail"
+        assert doc["checks"][0]["yoneda_bijective"] is False
 
     def test_limits_deterministic_given_seed(self, capsys):
         code1, out1, _ = run(capsys, "lab", "limits", "--seeds", "5",

@@ -12,7 +12,7 @@ import typing
 import pytest
 
 import tltt
-from tltt import kernel, syntax
+from tltt import classifier, kernel, syntax
 
 MODULES = sorted(pathlib.Path(tltt.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).parents[1]
@@ -252,6 +252,42 @@ def test_the_check_sees_a_rebuild():
               "    return k(t.name, shift(t.body, by)) if by else subst(t)\n"
               "def subst(t):\n    return App(t, t)\n")
     assert calls_in(source, "shift") == {"type", "Var", "k", "shift", "subst"}
+
+
+def validates_naturality(source: str, name: str) -> bool:
+    """Whether module-level function `name` in `source` calls
+    `DiagramMap(...).validate()` and reads no `.action` itself."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, FUNCTIONS) and node.name == name)
+    validates = any(callee.startswith("DiagramMap(")
+                    and callee.endswith(").validate")
+                    for callee in calls_in(source, name))
+    return validates and not any(
+        isinstance(n, ast.Attribute) and n.attr == "action"
+        for n in ast.walk(fn))
+
+
+def test_round_trip_checks_naturality_with_validate():
+    """`classifier.round_trip` builds a `DiagramMap` of its re-encoding and
+    validates it: naturality is checked in one place, and a loop of its own
+    over the arrows, which would read the action tables, cannot come back
+    unnoticed."""
+    assert validates_naturality(
+        pathlib.Path(classifier.__file__).read_text(), "round_trip")
+
+
+def test_the_check_sees_an_own_naturality_loop():
+    loop = ("    for a in cat.arrows():\n"
+            "        if eta[d.action[a][v]] != d2.action[a][eta[v]]:\n"
+            "            return False\n")
+    own = "def round_trip(d, d2, eta):\n    d.validate()\n" + loop
+    both = ("def round_trip(d, d2, eta):\n"
+            "    DiagramMap(d, d2, eta).validate()\n" + loop)
+    handed = ("def round_trip(d, d2, eta):\n"
+              "    DiagramMap(d, d2, eta).validate()\n")
+    assert not validates_naturality(own, "round_trip")
+    assert not validates_naturality(both, "round_trip")
+    assert validates_naturality(handed, "round_trip")
 
 
 def own_equality(cls) -> set[str]:

@@ -355,6 +355,16 @@ def renamed(t):
     return t
 
 
+def recursive_repr(t) -> str:
+    """`repr` as a generated dataclass `__repr__` writes it, one call per
+    level."""
+    if not isinstance(t, syntax._Node):
+        return repr(t)
+    inner = ", ".join(f"{f.name}={recursive_repr(getattr(t, f.name))}"
+                      for f in dataclasses.fields(t))
+    return f"{type(t).__qualname__}({inner})"
+
+
 class TestNodes:
     """Terms are immutable slotted nodes that copy, pickle and compare up to
     binder names, and do not hash."""
@@ -413,6 +423,24 @@ class TestNodes:
         t = chain("x", "zero")
         assert t == chain("y", "zero") and not t != chain("y", "zero")
         assert t != chain("x", "zeroS") and not t == chain("x", "zeroS")
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(open_terms)
+    def test_repr_is_the_dataclass_format(self, t):
+        assert repr(t) == recursive_repr(t)
+
+    def test_a_deep_term_reprs_at_the_default_recursion_limit(self):
+        """`repr` writes from a stack of its own, not from Python's."""
+        assert sys.getrecursionlimit() == 1000
+        t = Const("zero")
+        for _ in range(10_000):
+            t = App(Const("succ"), t)
+        try:
+            text = repr(t)
+        except RecursionError:      # fail without a traceback 1,000 deep
+            text = "RecursionError"
+        assert text == ("App(fn=Const(name='succ'), arg=" * 10_000
+                        + "Const(name='zero')" + ")" * 10_000)
 
     @kinds
     def test_match_args_are_the_fields_in_order(self, t):

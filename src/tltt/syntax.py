@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 
@@ -315,41 +317,63 @@ class Module:
 
 
 # ---------------------------------------------------------------------------
-# Lexer: one scan of one master regex
+# Lexer: one `findall` of one regex, read into columns
 # ---------------------------------------------------------------------------
 
-# Each match skips blanks, newlines and ordinary `--` comments, then reads one
-# token, of the kind named by the group that matched.  `\Z` is the EOF token,
-# so no match fails after what it skipped.  `=s` followed by a word character
-# is `=` and a name; BAD is any other character.  An EXPECT token's text is
-# its whole comment, so it never reads as the word it names.
+# Tokens come as columns from one `findall`.  Each match is a pair: the
+# blanks, newlines and ordinary `--` comments it skips, then one token, so the
+# pairs tile the source.  `\Z` is the EOF token, the only empty text (matched
+# twice after a skip).  A kind follows from the text: a keyword is a name.
+# `=s` before a word character is `=` and a name; BAD is any other character.
+# An EXPECT token's text is its whole comment.  Commonest tokens first.
 _EXPECT = r"![^\S\n]*expect:[^\S\n]*\S"      # an EXPECT token after its `--`
 _TOKEN_RE = re.compile(rf"""
-    (?: [ \t\r\n]+ | --(?!{_EXPECT})[^\n]* )*
-    (?: (?P<EXPECT>--{_EXPECT}[^\n]*)
-      | (?P<PUNCT>:=|=>|->|=s(?!\w)|[=(),:])
-      | (?P<KW>(?:{"|".join(sorted(KEYWORDS))})(?![A-Za-z0-9_']))
-      | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<NAT>[0-9]+)
-      | (?P<EOF>\Z)
-      | (?P<BAD>.) )
+    ( [ \t\r\n]* (?: --(?!{_EXPECT})[^\n]* [ \t\r\n]* )* )
+    ( [A-Za-z_][A-Za-z0-9_']* | [()] | :=|=>|->|=s(?!\w)|[=,:] | [0-9]+
+    | --{_EXPECT}[^\n]* | \Z | . )
 """, re.VERBOSE)
+_PUNCT = {":=", "=>", "->", "=s", "=", "(", ")", ",", ":"}
 
 
-def tokenize(src: str, path: str = "<input>") -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) of each token of `src`, the last one EOF."""
-    toks = []
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        toks.append((kind, m[kind], m.start(kind)))
-        if kind == "EOF" or kind == "BAD":
-            break
-    if kind == "BAD":     # its line and column, where only `\n` ends a line
-        off = toks[-1][2]
+def _kind(text: str) -> str:
+    """A token's kind, from its text; names and numerals are ASCII."""
+    if text in KEYWORDS:
+        return "KW"
+    if text in _PUNCT or not text:
+        return "PUNCT" if text else "EOF"
+    c = text[0]
+    if c.isascii() and c.isalnum() or c == "_":
+        return "NAT" if c.isdigit() else "NAME"
+    return "EXPECT" if text[:2] == "--" else "BAD"
+
+
+@dataclass(slots=True)
+class Tokens:
+    """Each token's kind, text and offset, as columns; the last is EOF."""
+    kinds: list[str]
+    texts: list[str]
+    offs: list[int]
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+
+def tokenize(src: str, path: str = "<input>") -> Tokens:
+    """The tokens of `src`, with no Python step per token: only each
+    distinct text is classified in Python."""
+    pairs = _TOKEN_RE.findall(src)
+    texts = list(map(itemgetter(1), pairs))
+    del texts[texts.index("") + 1:]
+    offs = list(islice(accumulate(map(len, chain.from_iterable(pairs)),
+                                  initial=0), 1, 2 * len(texts), 2))
+    kind_of = {text: _kind(text) for text in set(texts)}
+    kinds = list(map(kind_of.__getitem__, texts))
+    if "BAD" in kind_of.values():   # its line and column; only `\n` ends one
+        off = offs[kinds.index("BAD")]
         raise SyntaxError_(f"unexpected character {src[off]!r}",
                            src.count("\n", 0, off) + 1,
                            off - src.rfind("\n", 0, off), path)
-    return toks
+    return Tokens(kinds, texts, offs)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +400,8 @@ class Parser:
     frames rather than on Python's, so nesting costs no Python frame."""
 
     def __init__(self, src: str, path: str = "<input>", scope=()):
-        self.kinds, self.texts, self.offs = zip(*tokenize(src, path))
+        toks = tokenize(src, path)
+        self.kinds, self.texts, self.offs = toks.kinds, toks.texts, toks.offs
         self.starts = [0, *(m.end() for m in re.finditer("\n", src))]
         self.path = path
         self.scope = list(scope)    # bound names, outermost first

@@ -254,6 +254,51 @@ def test_the_check_sees_a_rebuild():
     assert calls_in(source, "shift") == {"type", "Var", "k", "shift", "subst"}
 
 
+def python_steps(source: str, name: str) -> list[str]:
+    """The Python-level loops of module-level function `name` in `source`:
+    what each `for` and comprehension iterates over, as written, each
+    `while`, each `lambda`, and each `map` of a function defined in
+    `source`."""
+    tree = ast.parse(source)
+    own = {node.name for node in tree.body if isinstance(node, FUNCTIONS)}
+    fn = next(node for node in tree.body
+              if isinstance(node, FUNCTIONS) and node.name == name)
+    steps = []
+    for n in ast.walk(fn):
+        if isinstance(n, (ast.For, ast.comprehension)):
+            steps.append(ast.unparse(n.iter))
+        elif isinstance(n, (ast.While, ast.Lambda)):
+            steps.append(type(n).__name__.lower())
+        elif (isinstance(n, ast.Call) and ast.unparse(n.func) == "map"
+              and ast.unparse(n.args[0]) in own):
+            steps.append(ast.unparse(n))
+    return sorted(steps)
+
+
+def test_the_scan_takes_no_python_step_per_token():
+    """`syntax.tokenize` iterates in Python only over the set of distinct
+    texts, to classify each once: the tokens come from one `findall` and
+    their columns are built in C, with no loop over the matches, which cost
+    the `numerals` front end a Python step per token."""
+    steps = python_steps(pathlib.Path(syntax.__file__).read_text(),
+                         "tokenize")
+    assert steps and all(step.startswith("set(") for step in steps), steps
+
+
+def test_the_check_sees_a_loop_over_matches():
+    source = ("def _kind(t):\n    return t\n"
+              "def tokenize(src):\n"
+              "    kinds = {t: _kind(t) for t in set(texts)}\n"
+              "    for m in R.finditer(src):\n        out.append(m)\n"
+              "    texts = [pair[1] for pair in R.findall(src)]\n"
+              "    while i < n:\n        i += 1\n"
+              "    ends = map(lambda m: m.end(), ms)\n"
+              "    return list(map(_kind, texts)), list(map(len, texts))\n")
+    assert python_steps(source, "tokenize") == [
+        "R.findall(src)", "R.finditer(src)", "lambda", "map(_kind, texts)",
+        "set(texts)", "while"]
+
+
 def validates_naturality(source: str, name: str) -> bool:
     """Whether module-level function `name` in `source` calls
     `DiagramMap(...).validate()` and reads no `.action` itself."""

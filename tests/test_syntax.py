@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import importlib.util
 import pathlib
 import pickle
 import re
@@ -11,6 +12,7 @@ import typing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_parse_golden import STRIDE
 from tltt import syntax
 from tltt.corpus import corpus_files
 from tltt.kernel import Checker, check_module
@@ -581,7 +583,9 @@ def test_printer_roundtrip_keeps_globals_free(t):
 
 _FRAGMENTS = st.sampled_from([
     "--!", "--", "expect:", "=s", "=", "s1", ":=", "->", "(", ")", "12", "_",
-    " ", "\n", "\t", "\r", "\x0b", "é"])
+    " ", "\n", "\t", "\r", "\x0b", "é", "\x0c", "'", "Pi'", "funx", "Us",
+    "U0", "=s'", "=sx", "--!expect: X", "--! expect:", "²"])
+_BAD = "\x0b\x0cé'²"      # the fragments' characters that no token starts
 
 
 @given(st.lists(_FRAGMENTS, max_size=24).map("".join))
@@ -594,14 +598,15 @@ def test_tokens_sit_at_their_positions(src):
         toks = tokenize(src)
     except SyntaxError_ as e:
         c = lines[e.line - 1][e.col - 1]
-        assert c in "\x0bé" and e.msg == f"unexpected character {c!r}"
+        assert c in _BAD and e.msg == f"unexpected character {c!r}"
         return
-    assert toks[-1] == ("EOF", "", len(src))
+    assert (toks.kinds[-1], toks.texts[-1], toks.offs[-1]) == \
+        ("EOF", "", len(src))
     p = syntax.Parser(src)
-    for i, (_, text, off) in enumerate(toks):
+    for i, (text, off) in enumerate(zip(toks.texts, toks.offs)):
         line, col = p.place(i)
-        assert src.startswith(text, off), toks[i]
-        assert lines[line - 1][col - 1:].startswith(text), toks[i]
+        assert src.startswith(text, off), (text, off)
+        assert lines[line - 1][col - 1:].startswith(text), (text, off)
         assert sum(len(s) + 1 for s in lines[:line - 1]) + col - 1 == off
 
 
@@ -640,7 +645,90 @@ def test_token_count_is_pinned():
     for path in corpus_files():
         src = path.read_text()
         toks = tokenize(src, str(path))
-        assert [(kind, text) for kind, text, _ in toks] == \
+        assert list(zip(toks.kinds, toks.texts)) == \
             reference_tokens(src), path.name
         total += len(toks)
     assert total == 2_595
+
+
+# The scanner oracle: the lexer as it was before tokens came as columns, one
+# `finditer` of a regex with a named group per kind, one Python step per
+# token.  `tokenize` must give the same tokens, or fail with the same error.
+_ORACLE_EXPECT = r"![^\S\n]*expect:[^\S\n]*\S"
+_ORACLE_RE = re.compile(rf"""
+    (?: [ \t\r\n]+ | --(?!{_ORACLE_EXPECT})[^\n]* )*
+    (?: (?P<EXPECT>--{_ORACLE_EXPECT}[^\n]*)
+      | (?P<PUNCT>:=|=>|->|=s(?!\w)|[=(),:])
+      | (?P<KW>(?:{"|".join(sorted(syntax.KEYWORDS))})(?![A-Za-z0-9_']))
+      | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<NAT>[0-9]+)
+      | (?P<EOF>\Z)
+      | (?P<BAD>.) )
+""", re.VERBOSE)
+
+
+def oracle_tokenize(src: str, path: str = "<input>"):
+    """The (kind, text, offset) of each token of `src`, the last one EOF."""
+    toks = []
+    for m in _ORACLE_RE.finditer(src):
+        kind = m.lastgroup
+        toks.append((kind, m[kind], m.start(kind)))
+        if kind == "EOF" or kind == "BAD":
+            break
+    if kind == "BAD":     # its line and column, where only `\n` ends a line
+        off = toks[-1][2]
+        raise SyntaxError_(f"unexpected character {src[off]!r}",
+                           src.count("\n", 0, off) + 1,
+                           off - src.rfind("\n", 0, off), path)
+    return toks
+
+
+def assert_scans_as_the_oracle(src: str, path: str = "<test>"):
+    try:
+        want = oracle_tokenize(src, path)
+    except SyntaxError_ as e:
+        with pytest.raises(SyntaxError_) as got:
+            tokenize(src, path)
+        assert (str(got.value), got.value.msg, got.value.line,
+                got.value.col) == (str(e), e.msg, e.line, e.col)
+        return
+    toks = tokenize(src, path)
+    assert list(zip(toks.kinds, toks.texts, toks.offs)) == want
+    assert len(toks) == len(want)
+
+
+class TestScannerOracle:
+    def test_corpus_files(self):
+        for path in corpus_files():
+            assert_scans_as_the_oracle(path.read_text(), str(path))
+
+    def test_numeral_modules(self, monkeypatch):
+        """The `numerals` workload's modules, from its own formulas, at the
+        depths it times and the ladder's deepest."""
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
+        spec.loader.exec_module(workloads)
+        for depth in (1, 20, 180, 800):
+            for kind in ("add", "add+1", "toNat"):
+                src, _ = workloads.numeral_source(kind, depth, 0.3)
+                assert_scans_as_the_oracle(src)
+
+    def test_cut_and_deleted_corpus_files(self):
+        """The parse golden's cases: each corpus file cut after, and
+        without, every `STRIDE`-th span."""
+        for path in corpus_files():
+            src = path.read_text()
+            for start, end in [m.span() for m in
+                               _SPAN_RE.finditer(src)][::STRIDE]:
+                assert_scans_as_the_oracle(src[:end], str(path))
+                assert_scans_as_the_oracle(src[:start] + src[end:], str(path))
+
+    @given(st.lists(_FRAGMENTS, max_size=24).map("".join))
+    @settings(max_examples=400)
+    @example("")
+    @example("U0 Us -- x\n\x0c")
+    def test_fragments(self, src):
+        assert_scans_as_the_oracle(src)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .simplex import FiniteSemiSimplicialSet, MonoMap
 from .solver import solve
 
 
@@ -190,6 +190,12 @@ class SetDiagram:
     values: dict          # object -> tuple of elements
     action: dict          # arrow id -> dict element -> element
 
+    @property
+    def levels(self) -> list:
+        """The value sets in object order; the benchmark reads a nerve's
+        levels this way (``perfbench/workloads.py``)."""
+        return [self.values[o] for o in self.cat.objects]
+
     def validate(self) -> None:
         for o in self.cat.objects:
             if o not in self.values:
@@ -227,13 +233,40 @@ class SetDiagram:
                         lambda a, v: self.action[a][v])
 
 
-def tabulate(c: FinCat, values: dict, act) -> SetDiagram:
+class _OnRead(Mapping):
+    """A read-only table, listed in order by ``keys()``, whose entry at a
+    key ``compute(key)`` gives the first time it is read (raising KeyError
+    at a non-key): a table too large to build whole, of which readers need
+    a few entries."""
+
+    def __init__(self, keys, compute):
+        self._keys, self._compute, self._read = keys, compute, {}
+
+    def __getitem__(self, key):
+        if key not in self._read:
+            self._read[key] = self._compute(key)
+        return self._read[key]
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __len__(self):
+        return sum(1 for _ in self._keys())
+
+
+def tabulate(c: FinCat, values: dict, act, on_read: bool = False
+             ) -> SetDiagram:
     """The diagram over c with the given values whose action along a sends
     v to ``act(a, v)``, tabulated for every arrow in ``c.arrows()`` order
-    and every v of ``values[c.src[a]]`` in order."""
+    and every v of ``values[c.src[a]]`` in order.  With ``on_read`` (for a
+    pure ``act``) each arrow's table is tabulated when it is first read."""
     src = c.src
-    return SetDiagram(c, values, {a: {v: act(a, v) for v in values[src[a]]}
-                                  for a in c.arrows()})
+
+    def table(a):
+        return {v: act(a, v) for v in values[src[a]]}
+    if on_read:
+        return SetDiagram(c, values, _OnRead(c.arrows, table))
+    return SetDiagram(c, values, {a: table(a) for a in c.arrows()})
 
 
 def constant_diagram(c: FinCat, elements: tuple) -> SetDiagram:
@@ -427,7 +460,7 @@ def pullback_diagram(p: DiagramMap, q: DiagramMap
 
 
 # ---------------------------------------------------------------------------
-# The semi-simplex base category and the bridge from simplicial subsets
+# The semi-simplex base category
 # ---------------------------------------------------------------------------
 
 def semisimplex_category(n: int) -> FinInvCat:
@@ -437,25 +470,35 @@ def semisimplex_category(n: int) -> FinInvCat:
     Objects are 0..n (object k standing for [k]); an arrow k -> j is a
     strictly increasing map [j] -> [k], stored as ``("m", k, image)``, so
     ranks strictly decrease.  Composing is indexing: a : k -> j followed by
-    b : j -> l has the image of a read at the image of b.
+    b : j -> l has the image of a read at the image of b.  There are about
+    3^(n+2) composites, so each is computed when it is read, in the order
+    ``_compose_all`` would list them.
     """
     objects = tuple(range(n + 1))
     homs = {(k, j): tuple(("m", k, im) for im in
                           itertools.combinations(range(k + 1), j + 1))
             for k in objects for j in range(k + 1)}
     identity = {k: ("m", k, tuple(range(k + 1))) for k in objects}
-    compose = _compose_all(homs, lambda b, a: (
-        "m", a[1], tuple(a[2][t] for t in b[2])))
+    arrows = {a for hom in homs.values() for a in hom}
+
+    def indexing(ba):
+        b, a = ba
+        if a not in arrows or b not in arrows or b[1] != len(a[2]) - 1:
+            raise KeyError(ba)
+        return ("m", a[1], tuple(a[2][t] for t in b[2]))
+    compose = _OnRead(lambda: ((b, a) for (_, j), hom in homs.items()
+                               for a in hom for i in range(j + 1)
+                               for b in homs[(j, i)]), indexing)
     return FinInvCat(objects, homs, compose, identity,
                      rank={k: k for k in objects})
 
 
-def sset_to_diagram(x: FiniteSemiSimplicialSet,
+def sset_to_diagram(x: SetDiagram,
                     c: Optional[FinInvCat] = None) -> SetDiagram:
-    c = c or semisimplex_category(x.truncation)
-    maps = {a: MonoMap(a[1], a[2]) for a in c.arrows()}
-    return tabulate(c, {k: tuple(x.levels[k]) for k in c.objects},
-                    lambda a, v: x.act(maps[a], v))
+    """x, restricted to c if given: a semi-simplicial set is already a
+    diagram on the semi-simplex category.  Kept for the benchmark, which
+    calls it (``perfbench/workloads.py``)."""
+    return x if c is None else x.restrict(c)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .categories import (
     constant_diagram, diagram_nat_transforms, exponential_diagram,
     family_key, limit_direct, limit_recursive, matching_object, nat_key,
     random_diagram, random_inverse_category, semisimplex_category,
-    sset_to_diagram,
 )
 from .classifier import (count_classifier_elements, iter_classifier_elements,
                          round_trip)
@@ -116,18 +115,17 @@ def cmd_yoneda(args) -> Verdict:
     x = _fixture_sset(args, depth)
     checks = []
     ok = True
-    top = min(x.truncation, depth)
-    diagram = sset_to_diagram(x)
+    top = min(len(x.cat.objects) - 1, depth)
     for n in range(top + 1):
         nats, mapping = simplex.yoneda_bijection(n, x)
-        bij = (len(mapping) == len(x.levels[n])
-               and set(mapping.values()) == set(x.levels[n]))
-        ok = ok and bij and len(nats) == len(x.levels[n])
+        bij = (len(mapping) == len(x.values[n])
+               and set(mapping.values()) == set(x.values[n]))
+        ok = ok and bij and len(nats) == len(x.values[n])
         bnats = simplex.nat_transforms(simplex.boundary_subfunctor(n), x)
-        families, _ = matching_object(diagram, n)
+        families, _ = matching_object(x, n)
         ok = ok and len(bnats) == len(families)
         checks.append({"n": n, "nat_full": len(nats),
-                       "cells": len(x.levels[n]), "yoneda_bijective": bij,
+                       "cells": len(x.values[n]), "yoneda_bijective": bij,
                        "nat_boundary": len(bnats), "matching": len(families)})
     return (ok, {"checks": checks},
             [f"n={c_['n']}: Nat(full)={c_['nat_full']} cells={c_['cells']} "
@@ -155,7 +153,7 @@ def cmd_limits(args) -> Verdict:
 def cmd_segal(args) -> Verdict:
     depth = min(_at_least(1, "--levels", args.levels), _max_dim(args))
     x = _fixture_sset(args, depth)
-    top = min(depth, x.truncation)
+    top = min(depth, len(x.cat.objects) - 1)
     if top < 1:
         raise ValueError(
             f"no level to check: the Segal condition starts at level 1, "

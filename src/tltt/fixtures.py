@@ -9,9 +9,12 @@ as ``("id", object)`` and the unit compositions are filled in.
 
 The document's shape is checked before any table is built: a malformed
 fixture, or one that gives an entry twice, raises ``FixtureError`` naming
-the JSON path that failed, such as ``category.homs[0][1]``.  The category,
-diagram and face-map laws are then checked by the validators of
-``categories`` and ``simplex``.
+the JSON path that failed, such as ``category.homs[0][1]``; so does a face
+map that is missing (at ``sset.faces``) or leaves its level (at
+``sset.faces.m,i[r][1]``).  An ``sset`` loads as a ``SetDiagram`` over
+``categories.semisimplex_category``, the one presheaf type of the labs.
+The category and diagram laws, the simplicial identities among them (as
+functoriality), are then checked by the validators of ``categories``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import pathlib
 import re
 from typing import Optional, Union
 
-from .categories import FinCat, FinInvCat, SetDiagram
-from .simplex import FiniteSemiSimplicialSet
+from .categories import (FinCat, FinInvCat, SetDiagram, semisimplex_category,
+                         tabulate)
 
 FIXTURE_ROOT = pathlib.Path(__file__).parent / "fixture_data"
 
@@ -178,9 +181,14 @@ def diagram_from_json(doc, cat: FinCat, path: str) -> SetDiagram:
     return diagram
 
 
-def sset_from_json(doc, path: str = "sset") -> FiniteSemiSimplicialSet:
+def sset_from_json(doc, path: str = "sset") -> SetDiagram:
+    """The semi-simplicial set as a diagram on the semi-simplex category:
+    along ``("m", m, image)`` a cell takes the faces missing from the image,
+    highest first.  Every face the levels need must be given, total, and
+    land in the level below; ``SetDiagram.validate`` then checks
+    functoriality, which holds exactly when the simplicial identities do."""
     _section(doc, path, "levels", "faces")
-    levels = [list(_ids(lvl, f"{path}.levels[{m}]", "element"))
+    levels = [_ids(lvl, f"{path}.levels[{m}]", "element")
               for m, lvl in enumerate(_rows(doc["levels"], f"{path}.levels"))]
     _check(bool(levels), f"{path}.levels", "expected at least level 0")
     faces = {}
@@ -194,7 +202,24 @@ def sset_from_json(doc, path: str = "sset") -> FiniteSemiSimplicialSet:
         faces[(m, i)] = _pairs(fn, p)
         for x in levels[m]:
             _check(x in faces[(m, i)], p, f"face undefined on {x!r}")
-    out = FiniteSemiSimplicialSet(levels, faces)
+        for r, y in enumerate(faces[(m, i)].values()):
+            _check(y in levels[m - 1], f"{p}[{r}][1]",
+                   f"face ({m},{i}) leaves level {m - 1}")
+    for m in range(1, len(levels)):
+        for i in range(m + 1):
+            _check((m, i) in faces, f"{path}.faces",
+                   f"missing face map ({m},{i})")
+
+    def act(a, x):
+        # dropping vertex j leaves the index of every lower vertex as it was
+        _, m, image = a
+        for j in reversed(range(m + 1)):
+            if j not in image:
+                x = faces[(m, j)][x]
+                m -= 1
+        return x
+    out = tabulate(semisimplex_category(len(levels) - 1),
+                   dict(enumerate(levels)), act)
     out.validate()
     return out
 
@@ -206,7 +231,7 @@ class Fixture:
         _section(doc, "top level")
         self.category: Optional[FinCat] = None
         self.diagrams: dict[str, SetDiagram] = {}
-        self.sset: Optional[FiniteSemiSimplicialSet] = None
+        self.sset: Optional[SetDiagram] = None
         if "category" in doc:
             self.category = fincat_from_json(doc["category"])
             diagrams = _section(doc.get("diagrams", {}), "diagrams")

@@ -1,10 +1,13 @@
 """Nerves of finite categories, weak spines, Segal checks, pointed nerves.
 
-The nerve of a category has, at level k, the composable chains
-(x_0, f_1 : x_0 -> x_1, ..., f_k).  The outer faces drop an end of the
-chain; an inner face composes two adjacent arrows.  The Segal condition
-compares level n against chains of n composable edges via the canonical
-restriction map.
+A semi-simplicial set is a ``SetDiagram`` over the semi-simplex category
+(``categories.semisimplex_category``): level k is its value set at k, and
+the arrow ``("m", k, image)`` restricts a level-k cell to the vertices in
+the image.  The nerve of a category has, at level k, the composable chains
+(x_0, f_1 : x_0 -> x_1, ..., f_k); restricting a chain keeps the vertices
+in the image and composes the arrows between consecutive kept vertices.
+The Segal condition compares level n against chains of n composable edges
+via the canonical restriction map.
 """
 
 from __future__ import annotations
@@ -12,15 +15,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .categories import FinCat
-from .simplex import FiniteSemiSimplicialSet, MonoMap
+from .categories import FinCat, SetDiagram, semisimplex_category, tabulate
 
 
-def nerve(c: FinCat, depth: int) -> FiniteSemiSimplicialSet:
+def nerve(c: FinCat, depth: int) -> SetDiagram:
     """The nerve of c, truncated at the given depth.
 
     A level-k cell is ``(x0, (f1, ..., fk))`` with each f_i an arrow
-    x_{i-1} -> x_i (identities allowed).
+    x_{i-1} -> x_i (identities allowed).  Along ``("m", k, image)`` a cell
+    keeps the vertices in the image and composes the arrows between each
+    pair of consecutive kept vertices, in one step.  Each arrow's table is
+    tabulated when it is first read: a Segal check at level k reads k of
+    the 2^(k+1) - 1 arrows out of level k, and two out of level 1.
     """
     levels: list[list] = [[(x, ()) for x in c.objects]]
     for k in range(1, depth + 1):
@@ -31,43 +37,41 @@ def nerve(c: FinCat, depth: int) -> FiniteSemiSimplicialSet:
                 for f in c.hom(tail, y):
                     level.append((x0, chain + (f,)))
         levels.append(level)
-    faces: dict = {}
-    for m in range(1, depth + 1):
-        for i in range(m + 1):
-            fn = {}
-            for cell in levels[m]:
-                x0, chain = cell
-                if i == 0:
-                    out = (c.dst[chain[0]], chain[1:])
-                elif i == m:
-                    out = (x0, chain[:-1])
-                else:
-                    composed = c.compose[(chain[i], chain[i - 1])]
-                    out = (x0, chain[:i - 1] + (composed,) + chain[i + 1:])
-                fn[cell] = out
-            faces[(m, i)] = fn
-    out = FiniteSemiSimplicialSet(levels, faces)
-    out.validate()
-    return out
+    compose, dst = c.compose, c.dst
+
+    def act(a, cell):
+        x0, chain = cell
+        image = a[2]
+        kept = []
+        for lo, hi in zip(image, image[1:]):
+            f = chain[lo]
+            for g in chain[lo + 1:hi]:
+                f = compose[(g, f)]
+            kept.append(f)
+        return (dst[chain[image[0] - 1]] if image[0] else x0, tuple(kept))
+    return tabulate(semisimplex_category(depth),
+                    {k: tuple(level) for k, level in enumerate(levels)}, act,
+                    on_read=True)
 
 
-def weak_spines(x: FiniteSemiSimplicialSet, n: int) -> list[tuple]:
+def weak_spines(x: SetDiagram, n: int) -> list[tuple]:
     """Chains of n edges (e_1, ..., e_n) with target(e_i) = source(e_{i+1}),
-    where source is the 1-face and target the 0-face."""
+    where source is the 1-face (vertex 0) and target the 0-face (vertex 1)."""
     if n < 1:
         raise ValueError("weak spines need n >= 1")
-    chains = [(e,) for e in x.levels[1]]
+    source, target = x.action[("m", 1, (0,))], x.action[("m", 1, (1,))]
+    chains = [(e,) for e in x.values[1]]
     for _ in range(n - 1):
         chains = [ch + (e,)
-                  for ch in chains for e in x.levels[1]
-                  if x.faces[(1, 0)][ch[-1]] == x.faces[(1, 1)][e]]
+                  for ch in chains for e in x.values[1]
+                  if target[ch[-1]] == source[e]]
     return chains
 
 
-def spine_restriction(x: FiniteSemiSimplicialSet, n: int, cell) -> tuple:
+def spine_restriction(x: SetDiagram, n: int, cell) -> tuple:
     """The chain of edges obtained by restricting a level-n cell along the
     n vertex-pair inclusions [1] -> [n] hitting {i-1, i}."""
-    return tuple(x.act(MonoMap(n, (i - 1, i)), cell) for i in range(1, n + 1))
+    return tuple(x.action[("m", n, (i - 1, i))][cell] for i in range(1, n + 1))
 
 
 @dataclass
@@ -93,20 +97,20 @@ class SegalVerdict:
         }
 
 
-def segal_check(x: FiniteSemiSimplicialSet, n: int) -> SegalVerdict:
+def segal_check(x: SetDiagram, n: int) -> SegalVerdict:
     """Is the restriction map X_n -> (weak spines of length n) a bijection?"""
     spines = set(weak_spines(x, n))
-    image = [spine_restriction(x, n, cell) for cell in x.levels[n]]
+    image = [spine_restriction(x, n, cell) for cell in x.values[n]]
     return SegalVerdict(
         n=n,
-        cells=len(x.levels[n]),
+        cells=len(x.values[n]),
         spines=len(spines),
         injective=len(set(image)) == len(image),
         surjective=set(image) == spines,
     )
 
 
-def segal_report(x: FiniteSemiSimplicialSet, up_to: int) -> list[SegalVerdict]:
+def segal_report(x: SetDiagram, up_to: int) -> list[SegalVerdict]:
     return [segal_check(x, n) for n in range(1, up_to + 1)]
 
 

@@ -10,7 +10,9 @@ subsets of ``{0..n}``, holding the maps whose images are its members;
 integer with a bit for each of the 2^(n+1) subsets.  The central algorithm
 factors the spine-into-horn inclusion as a chain of horn pushout steps, each
 removing a maximal set ``S`` together with ``S\\{h}`` from the current
-sieve: O(n) bit tests and one new integer per step.
+sieve: O(n) bit tests and one new integer per step.  A semi-simplicial set
+is a ``categories.SetDiagram`` over the semi-simplex category, and
+``nat_transforms`` maps a sieve into one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .categories import SetDiagram
 from .solver import solve
 
 MAX_DIM = 12     # a sieve is an int of 2^(n+1) bits; guard the exponent
@@ -318,81 +321,35 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
 
 
 # ---------------------------------------------------------------------------
-# Finite semi-simplicial sets and natural transformations
+# Natural transformations into a semi-simplicial set
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FiniteSemiSimplicialSet:
-    """Truncated semi-simplicial set: finite levels plus face maps.
-
-    ``faces[(m, i)]`` is the i-th face map X_m -> X_{m-1} (precomposition
-    with the elementary coface skipping i).
-    """
-
-    levels: list[list]
-    faces: dict[tuple[int, int], dict]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.levels) - 1
-
-    def validate(self) -> None:
-        for m in range(1, self.truncation + 1):
-            below = set(self.levels[m - 1])
-            for i in range(m + 1):
-                fm = self.faces.get((m, i))
-                if fm is None:
-                    raise ValueError(f"missing face map ({m}, {i})")
-                for x in self.levels[m]:
-                    if x not in fm:
-                        raise ValueError(f"face ({m},{i}) undefined on {x!r}")
-                    if fm[x] not in below:
-                        raise ValueError(f"face ({m},{i}) leaves level {m - 1}")
-        # d_i . d_j = d_{j-1} . d_i  for i < j
-        for m in range(2, self.truncation + 1):
-            for j in range(m + 1):
-                for i in range(j):
-                    for x in self.levels[m]:
-                        lhs = self.faces[(m - 1, i)][self.faces[(m, j)][x]]
-                        rhs = self.faces[(m - 1, j - 1)][self.faces[(m, i)][x]]
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"simplicial identity fails at level {m}: "
-                                f"d_{i} d_{j} != d_{j - 1} d_{i} on {x!r}")
-
-    def act(self, f: MonoMap, x):
-        """Restrict x in X_{f.n} along f : [k] -> [f.n]."""
-        m = f.n
-        missing = sorted(set(range(m + 1)) - set(f.image), reverse=True)
-        for j in missing:
-            x = self.faces[(m, j)][x]
-            m -= 1
-        return x
-
-
-def nat_transforms(f: Sieve, x: FiniteSemiSimplicialSet) -> list[dict]:
-    """All natural transformations from the subfunctor into X.
+def nat_transforms(f: Sieve, x: SetDiagram) -> list[dict]:
+    """All natural transformations from the subfunctor into X, a diagram
+    on ``categories.semisimplex_category``.
 
     A transformation assigns to every cell (k, g) of F an element of
     X_k, commuting with the elementary cofaces: the j-th face of g is g
-    with the j-th entry of its image deleted.  Cells are searched level
-    by level; each face condition is checked when its level-k cell is
-    assigned (see ``solver.solve``).
+    with the j-th entry of its image deleted, and X acts on it along
+    ``("m", k, image without j)``.  Cells are searched level by level; each
+    face condition is checked when its level-k cell is assigned (see
+    ``solver.solve``).
     """
-    if x.truncation < f.n:
+    top = len(x.cat.objects) - 1
+    if top < f.n:
         raise ValueError(
-            f"semi-simplicial set truncated at {x.truncation} cannot receive "
+            f"semi-simplicial set truncated at {top} cannot receive "
             f"a subfunctor of dimension {f.n}")
     cells = f.cells()
+    ids = [tuple(range(k + 1)) for k in range(f.n + 1)]
     constraints = [((k, g),
                     (k - 1, MonoMap(f.n, g.image[:j] + g.image[j + 1:])),
-                    x.faces[(k, j)])
+                    x.action[("m", k, ids[k][:j] + ids[k][j + 1:])])
                    for k, g in cells if k > 0 for j in range(k + 1)]
-    return solve(cells, [x.levels[k] for k, _ in cells], constraints)
+    return solve(cells, [x.values[k] for k, _ in cells], constraints)
 
 
-def yoneda_bijection(n: int, x: FiniteSemiSimplicialSet
-                     ) -> tuple[list[dict], dict]:
+def yoneda_bijection(n: int, x: SetDiagram) -> tuple[list[dict], dict]:
     """Nat(full representable, X) with its bijection onto X_n."""
     nats = nat_transforms(full_subfunctor(n), x)
     mapping = {i: t[(n, identity_map(n))] for i, t in enumerate(nats)}

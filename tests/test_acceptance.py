@@ -16,7 +16,6 @@ from tltt.categories import (
     constant_diagram, diagram_nat_transforms, exponential_diagram,
     family_key, limit_direct, limit_recursive, matching_object, nat_key,
     random_diagram, random_inverse_category, semisimplex_category,
-    sset_to_diagram,
 )
 from tltt.classifier import ClassifierElement, classifier_elements, round_trip
 from tltt.corpus import run_corpus
@@ -100,16 +99,14 @@ def test_criterion_3_horn_factorization():
 def test_criterion_4_yoneda_and_boundary():
     t0 = time.monotonic()
     x = nerve(load_fixture("poset012.json").category, 3)
-    c = semisimplex_category(3)
-    d = sset_to_diagram(x, c)
     ok = True
     for n in range(4):
         nats, mapping = yoneda_bijection(n, x)
-        ok = ok and len(nats) == len(x.levels[n])
+        ok = ok and len(nats) == len(x.values[n])
         ok = ok and sorted(map(str, mapping.values())) == \
-            sorted(map(str, x.levels[n]))
+            sorted(map(str, x.values[n]))
         bnats = nat_transforms(boundary_subfunctor(n), x)
-        fams, proj = matching_object(d, n, ambient=c)
+        fams, proj = matching_object(x, n)
         ok = ok and len(bnats) == len(fams)
         # explicit bijection: a boundary transformation is exactly a
         # matching family indexed by the non-identity monos into [n]
@@ -159,7 +156,7 @@ def test_criterion_6_exponential_identity():
 def test_criterion_7_segal():
     t0 = time.monotonic()
     x = nerve(load_fixture("poset012.json").category, 4)
-    sizes = [len(l) for l in x.levels]
+    sizes = [len(x.values[k]) for k in range(5)]
     ok = sizes[:3] == [3, 6, 10]
     ok = ok and all(v.bijective for v in segal_report(x, 4))
     doctored = load_fixture("non_segal.json").sset

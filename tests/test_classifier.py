@@ -19,6 +19,7 @@ from tltt.classifier import (
     ClassifierElement, classifier_elements, extract, interpret,
     iter_classifier_elements, round_trip,
 )
+from tltt.nerve import segal_check
 
 UNIVERSE = [(), ("*",)]
 
@@ -221,6 +222,25 @@ class TestRoundTrip:
         for cat, base, els in _random_bases() + _random_bases(12, 20, 2):
             for x in els:
                 assert round_trip(cat, x, base).ok
+
+
+class TestSegalOnClassifierElements:
+    """The Segal check reads an interpreted classifier element as it reads a
+    nerve: both are diagrams on the semi-simplex category."""
+
+    @pytest.mark.parametrize("n, size", [(3, 4), (4, 5), (5, 6)])
+    def test_three_elements_over_the_point_are_segal(self, n, size):
+        """At max-card 1 the Segal ones, at every level from 2 to n-1, are
+        the empty element, a point and the terminal one: the semicategories
+        with at most one object and at most one arrow."""
+        ambient, base, els = _setup(n)
+        assert len(els) == size
+        segal = []
+        for x in els:
+            d, _ = interpret(ambient, x, base)
+            if all(segal_check(d, k).bijective for k in range(2, n)):
+                segal.append([len(d.values[k]) for k in range(n)])
+        assert sorted(segal) == [[0] * n, [1] + [0] * (n - 1), [1] * n]
 
 
 class TestInterpretOracle:

@@ -95,6 +95,10 @@ def _appended(name, *keys, row):
     # a unit law of a generated identity, which the identity already gives
     (_appended("cospan", "category", "compose", row=[["id", "c"], "f", "g"]),
      "category.compose[0]"),
+    # a face map the levels need is missing, or one leaves its level
+    (_edited("non_segal", "sset", "faces", "2,1"), "sset.faces"),
+    (_edited("non_segal", "sset", "faces", "2,1", 1, 1, value="c"),
+     "sset.faces.2,1[1][1]"),
 ])
 def test_malformed_fixture_names_its_path(doc, path):
     with pytest.raises(FixtureError) as info:

@@ -7,7 +7,9 @@ import ast
 import dataclasses
 import importlib.util
 import pathlib
+import sys
 import typing
+from types import SimpleNamespace
 
 import pytest
 
@@ -201,6 +203,35 @@ def test_every_traced_name_exists():
         if not found:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["diagrams", "simplices"])
+def test_every_benchmark_item_passes_its_check(workload, monkeypatch):
+    """The benchmark's `diagrams` and `simplices` plans, loaded from its
+    file, at a fixed seed: each item runs once and passes its own check.  A
+    refactor that breaks a name or a result they read otherwise fails only
+    a benchmark run."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
+    spec.loader.exec_module(workloads)
+    tl = SimpleNamespace(**{p.stem: importlib.import_module(f"tltt.{p.stem}")
+                            for p in MODULES if p.stem != "__init__"})
+    plan = workloads.WORKLOADS[workload](tl, 0)
+    assert plan.items
+    assert [item.label for item in plan.items
+            if not item.check(item.call())] == []
+
+
+def test_one_presheaf_type():
+    """A semi-simplicial set is a `SetDiagram` on the semi-simplex category:
+    the package defines no second type for it, and no module of it calls
+    `categories.sset_to_diagram`, which only the benchmark still reads."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert callers("sset_to_diagram", sources) == set()
+    assert not any("FiniteSemiSimplicialSet" in source
+                   for source in sources.values())
 
 
 WALKERS = {"syntax.py": ("subst", "_differ", "_print", "_nodes"),

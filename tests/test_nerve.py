@@ -1,16 +1,17 @@
 """Nerves, Segal checks, and pointed nerves."""
 
 import itertools
+import json
 
 import pytest
 
-from tltt.fixtures import load_fixture
+from tltt.categories import CategoryError, FinCat
+from tltt.fixtures import FIXTURE_ROOT, Fixture, FixtureError, load_fixture
 from tltt.nerve import (
     based_face, based_nerve_level, based_to_pointed, compare_pointed_nerves,
     nerve, pointed_face, pointed_nerve_level, pointed_to_based, segal_check,
     segal_report, spine_restriction, weak_spines,
 )
-from tltt.simplex import FiniteSemiSimplicialSet
 
 
 @pytest.fixture(scope="module")
@@ -47,52 +48,102 @@ class TestNerve:
     def test_simplicial_identities_hold(self, poset_nerve):
         poset_nerve.validate()
 
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in FIXTURE_ROOT.glob("*.json")
+        if "category" in json.loads(p.read_text())))
+    def test_nerve_of_every_fixture_category_is_functorial(self, name):
+        """The nerve does not validate its own output; this test does, for
+        every shipped category, up to level 4."""
+        nerve(load_fixture(name).category, 4).validate()
+
     def test_inner_face_composes(self, poset):
         n = nerve(poset, 2)
         cell = ("p0", (("le01"), ("le12")))
-        assert n.faces[(2, 1)][cell] == ("p0", ("le02",))
-        assert n.faces[(2, 0)][cell] == ("p1", ("le12",))
-        assert n.faces[(2, 2)][cell] == ("p0", ("le01",))
+        assert n.action[("m", 2, (0, 2))][cell] == ("p0", ("le02",))
+        assert n.action[("m", 2, (1, 2))][cell] == ("p1", ("le12",))
+        assert n.action[("m", 2, (0, 1))][cell] == ("p0", ("le01",))
+
+    def test_restriction_keeps_vertices_and_composes_between(self, poset):
+        n = nerve(poset, 3)
+        cell = ("p0", (("id", "p0"), "le01", "le12"))
+        assert n.action[("m", 3, (1, 3))][cell] == ("p0", ("le02",))
+        assert n.action[("m", 3, (0, 2, 3))][cell] == ("p0", ("le01", "le12"))
+        assert n.action[("m", 3, (2,))][cell] == ("p1", ())
+
+    def test_composites_follow_the_chain_order(self):
+        """On the maps of {0, 1} to itself, which do not commute, a face
+        composes the later arrow after the earlier one."""
+        maps = ((0, 1), (1, 0), (0, 0), (1, 1))
+        ends = FinCat(("*",), {("*", "*"): maps},
+                      {(g, f): (g[f[0]], g[f[1]]) for g in maps for f in maps},
+                      {"*": (0, 1)})
+        n = nerve(ends, 3)
+        n.validate()
+        swap, zero, one = maps[1:]
+        assert n.action[("m", 2, (0, 2))][("*", (swap, zero))] == ("*", (zero,))
+        assert n.action[("m", 3, (0, 3))][("*", (zero, swap, swap))] == \
+            ("*", (zero,))
+        assert n.action[("m", 3, (0, 3))][("*", (swap, one, swap))] == \
+            ("*", (zero,))
 
 
-CELL = ("p0", ("le01", "le12"))
+CELL = ["p0", ["le01", "le12"]]
+
+
+def _nerve_document(x) -> dict:
+    """x written as an `sset` fixture document, each face table listed in
+    level order."""
+    faces = {}
+    for m in range(1, len(x.values)):
+        for i in range(m + 1):
+            face = x.action[("m", m, tuple(j for j in range(m + 1) if j != i))]
+            faces[f"{m},{i}"] = [[v, face[v]] for v in x.values[m]]
+    return json.loads(json.dumps({"sset": {"levels": x.levels,
+                                           "faces": faces}}))
+
+
+def _row(faces, key):
+    return next(row for row in faces[key] if row[0] == CELL)
 
 
 def _drop_map(faces):
-    del faces[(2, 1)]
+    del faces["2,1"]
 
 
 def _drop_cell(faces):
-    del faces[(2, 1)][CELL]
+    faces["2,1"].remove(_row(faces, "2,1"))
 
 
 def _leave_level(faces):
-    faces[(2, 1)][CELL] = ("ghost", ())
+    _row(faces, "2,1")[1] = ["ghost", []]
 
 
 def _wrong_face(faces):
-    faces[(2, 0)][CELL] = ("p0", ("le01",))   # a level-1 cell, not d_0
+    _row(faces, "2,0")[1] = ["p0", ["le01"]]   # a level-1 cell, not d_0
 
 
 class TestValidate:
-    """Each rejection of `FiniteSemiSimplicialSet.validate`, on a copy of
-    the poset's nerve with one entry broken."""
+    """Each rejection of a face table, through the fixture loader, on the
+    poset's nerve written as an `sset` document with one entry broken."""
 
-    @pytest.mark.parametrize("edit, message", [
-        (_drop_map, r"missing face map \(2, 1\)"),
-        (_drop_cell, r"face \(2,1\) undefined on "
-                     r"\('p0', \('le01', 'le12'\)\)"),
-        (_leave_level, r"face \(2,1\) leaves level 1"),
-        (_wrong_face, r"simplicial identity fails at level 2: "
-                      r"d_0 d_1 != d_0 d_0 on \('p0', \('le01', 'le12'\)\)"),
+    @pytest.mark.parametrize("edit, error, message", [
+        (_drop_map, FixtureError,
+         r"^fixture sset\.faces: missing face map \(2,1\)$"),
+        (_drop_cell, FixtureError,
+         r"^fixture sset\.faces\.2,1: face undefined on "
+         r"\('p0', \('le01', 'le12'\)\)$"),
+        (_leave_level, FixtureError,
+         r"^fixture sset\.faces\.2,1\[4\]\[1\]: face \(2,1\) leaves "
+         r"level 1$"),
+        (_wrong_face, CategoryError,
+         r"^functoriality fails: .* on \('p0', \('le01', 'le12'\)\)$"),
     ], ids=["missing", "undefined", "leaves", "identity"])
-    def test_broken_entry_is_rejected(self, poset_nerve, edit, message):
-        faces = {key: dict(fn) for key, fn in poset_nerve.faces.items()}
-        edit(faces)
-        broken = FiniteSemiSimplicialSet(
-            [list(level) for level in poset_nerve.levels], faces)
-        with pytest.raises(ValueError, match=message):
-            broken.validate()
+    def test_broken_entry_is_rejected(self, poset, edit, error, message):
+        doc = _nerve_document(nerve(poset, 2))
+        Fixture(doc)             # the unbroken document loads
+        edit(doc["sset"]["faces"])
+        with pytest.raises(error, match=message):
+            Fixture(doc)
 
 
 class TestSegal:
@@ -101,9 +152,10 @@ class TestSegal:
             assert verdict.bijective, verdict.to_json()
 
     def test_weak_spines_chain_condition(self, poset_nerve):
+        target = poset_nerve.action[("m", 1, (1,))]
+        source = poset_nerve.action[("m", 1, (0,))]
         for (e1, e2) in weak_spines(poset_nerve, 2):
-            assert poset_nerve.faces[(1, 0)][e1] == \
-                poset_nerve.faces[(1, 1)][e2]
+            assert target[e1] == source[e2]
 
     def test_spine_restriction_lands_in_weak_spines(self, poset_nerve):
         spines = set(weak_spines(poset_nerve, 3))

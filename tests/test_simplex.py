@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tltt import simplex
+from tltt.categories import CategoryError, semisimplex_category, tabulate
+from tltt.fixtures import FixtureError, sset_from_json
 from tltt.simplex import (
-    DimensionError, Factorization, FiniteSemiSimplicialSet, MonoMap, Sieve,
+    DimensionError, Factorization, MonoMap, Sieve,
     UnsupportedHorn, boundary_subfunctor, factor_spine_to_horn,
     full_subfunctor, generated_sieve, horn_remove, horn_sieve, identity_map,
     nat_transforms, yoneda_bijection, zigzag_sieve,
@@ -420,12 +422,12 @@ def _cosieve_order_by_filtering(a, b, j):
 
 
 def _two_simplex_sset():
-    levels = [list(itertools.combinations(range(3), m + 1)) for m in range(3)]
-    faces = {}
-    for m in (1, 2):
-        for i in range(m + 1):
-            faces[(m, i)] = {im: im[:i] + im[i + 1:] for im in levels[m]}
-    x = FiniteSemiSimplicialSet(levels, faces)
+    """The 2-simplex: at level m its (m+1)-subsets of {0, 1, 2}, restricted
+    along an arrow by reading the subset at the arrow's image."""
+    levels = {m: tuple(itertools.combinations(range(3), m + 1))
+              for m in range(3)}
+    x = tabulate(semisimplex_category(2), levels,
+                 lambda a, im: tuple(im[t] for t in a[2]))
     x.validate()
     return x
 
@@ -435,14 +437,14 @@ class TestNatTransforms:
         x = _two_simplex_sset()
         for n in range(3):
             nats, mapping = yoneda_bijection(n, x)
-            assert len(nats) == len(x.levels[n])
-            assert sorted(mapping.values()) == sorted(x.levels[n])
+            assert len(nats) == len(x.values[n])
+            assert sorted(mapping.values()) == sorted(x.values[n])
 
     def test_spine_one_is_full_one(self):
         x = _two_simplex_sset()
         assert (len(nat_transforms(zigzag_sieve(1), x))
                 == len(nat_transforms(full_subfunctor(1), x))
-                == len(x.levels[1]))
+                == len(x.values[1]))
 
     def test_truncation_guard(self):
         x = _two_simplex_sset()
@@ -450,14 +452,18 @@ class TestNatTransforms:
             nat_transforms(full_subfunctor(3), x)
 
     def test_partial_face_map_is_rejected(self):
-        levels = [["a", "b"], ["e", "f"]]
-        faces = {(1, 0): {"e": "a"}, (1, 1): {"e": "b", "f": "b"}}
-        with pytest.raises(ValueError, match=r"face \(1,0\) undefined"):
-            FiniteSemiSimplicialSet(levels, faces).validate()
+        doc = {"levels": [["a", "b"], ["e", "f"]],
+               "faces": {"1,0": [["e", "a"]], "1,1": [["e", "b"], ["f", "b"]]}}
+        with pytest.raises(FixtureError, match=r"sset\.faces\.1,0: face "
+                                               r"undefined on 'f'"):
+            sset_from_json(doc)
 
     def test_simplicial_identity_violation_detected(self):
-        levels = [["a", "b"], ["e"], ["t"]]
-        faces = {(1, 0): {"e": "a"}, (1, 1): {"e": "b"},
-                 (2, 0): {"t": "e"}, (2, 1): {"t": "e"}, (2, 2): {"t": "e"}}
-        with pytest.raises(ValueError):
-            FiniteSemiSimplicialSet(levels, faces).validate()
+        """d_0 d_2 = a but d_1 d_0 = b on t: the composites along the
+        vertex 1 disagree."""
+        doc = {"levels": [["a", "b"], ["e"], ["t"]],
+               "faces": {"1,0": [["e", "a"]], "1,1": [["e", "b"]],
+                         "2,0": [["t", "e"]], "2,1": [["t", "e"]],
+                         "2,2": [["t", "e"]]}}
+        with pytest.raises(CategoryError, match="functoriality fails"):
+            sset_from_json(doc)

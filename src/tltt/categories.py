@@ -31,8 +31,9 @@ class FinCat:
     """A finite category given by explicit tables.
 
     ``homs[(x, y)]`` lists arrow ids from x to y (identities included);
-    ``compose[(g, f)]`` is g after f.  ``src``, ``dst`` and the
-    ``out_of`` index are derived from ``homs`` once, when it is built.
+    ``compose[(g, f)]`` is g after f.  The arrow list, ``src``, ``dst``
+    and the ``out_of`` index are derived from ``homs`` once, when it is
+    built.
     """
 
     objects: tuple
@@ -42,6 +43,7 @@ class FinCat:
     src: dict = field(init=False)
     dst: dict = field(init=False)
     outgoing: dict = field(init=False, repr=False)
+    _arrows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.src, self.dst, self.outgoing = {}, {}, {}
@@ -54,9 +56,11 @@ class FinCat:
                     self.outgoing.setdefault(x, []).append(a)
         for x, arrows in self.outgoing.items():
             self.outgoing[x] = tuple(sorted(arrows, key=str))
+        self._arrows = tuple(a for hom in self.homs.values() for a in hom)
 
-    def arrows(self) -> list:
-        return [a for hom in self.homs.values() for a in hom]
+    def arrows(self) -> tuple:
+        """Every arrow, hom-set by hom-set in ``homs`` order."""
+        return self._arrows
 
     def out_of(self, x) -> tuple:
         """The non-identity arrows out of x, in ``str`` order."""
@@ -392,12 +396,29 @@ nat_key = family_key
 
 
 def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
-    """[F, G](d) = Nat(F x y_d, G), with action by precomposition."""
+    """[F, G](d) = Nat(F x y_d, G), with action by precomposition.
+
+    Each Nat(F x y_d, G) is solved straight from the tables of F, G and c,
+    with no product or representable built: the cells are (o, (u, h)) for
+    u in F(o) and h : d -> o, and along each arrow a the cell (src a,
+    (u, h)) fixes (dst a, (F(a)(u), a . h)) through G(a).  Cells and
+    constraints come in the order ``diagram_nat_transforms`` gives them on
+    ``product_diagram(f, representable(c, d))``, so the solutions do too.
+    """
     c = f.cat
-    values = {}
+    order = _object_order(c)
+    values, tables = {}, {}
     for d in c.objects:
-        nats = diagram_nat_transforms(product_diagram(f, representable(c, d)), g)
+        cells = [(o, (u, h)) for o in order for u in f.values[o]
+                 for h in c.hom(d, o)]
+        constraints = [((c.src[a], (u, h)),
+                        (c.dst[a], (f.action[a][u], c.compose[(a, h)])),
+                        g.action[a])
+                       for a in c.arrows() for u in f.values[c.src[a]]
+                       for h in c.hom(d, c.src[a])]
+        nats = solve(cells, [g.values[o] for o, _ in cells], constraints)
         values[d] = tuple(nat_key(t) for t in nats)
+        tables.update(zip(values[d], nats))
     # along a, every alpha takes at (o, (u, h)) its entry at (o, (u, h . a))
     moves = {a: [((o, (u, h)), (o, (u, c.compose[(h, a)])))
                  for o in c.objects for u in f.values[o]
@@ -405,7 +426,7 @@ def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
              for a in c.arrows() if values[c.src[a]]}
 
     def act(a, alpha):
-        table = dict(alpha)
+        table = tables[alpha]
         return frozenset([(k, table[s]) for k, s in moves[a]])
     return tabulate(c, values, act)
 

@@ -8,8 +8,9 @@ need not be strings), and/or an ``sset`` (levels plus face maps keyed
 as ``("id", object)`` and the unit compositions are filled in.
 
 The document's shape is checked before any table is built: a malformed
-fixture, or one that gives an entry twice, raises ``FixtureError`` naming
-the JSON path that failed, such as ``category.homs[0][1]``; so does a face
+fixture, one that gives an entry twice, or a function or face row whose
+source element is not declared raises ``FixtureError`` naming the JSON
+path that failed, such as ``category.homs[0][1]``; so does a face
 map that is missing (at ``sset.faces``) or leaves its level (at
 ``sset.faces.m,i[r][1]``).  An ``sset`` loads as a ``SetDiagram`` over
 ``categories.semisimplex_category``, the one presheaf type of the labs.
@@ -93,11 +94,12 @@ def _ids(doc, path: str, what: str, seen: Optional[set] = None) -> tuple:
     return tuple(ids)
 
 
-def _pairs(doc, path: str) -> dict:
+def _pairs(doc, path: str, known) -> dict:
+    """doc as a table on the declared elements known, each given once."""
     pairs = {}
     for i, (x, y) in enumerate(_rows(doc, path, 2)):
-        x = _once(_id(x, f"{path}[{i}][0]"), pairs, f"{path}[{i}][0]",
-                  "image of")
+        p = f"{path}[{i}][0]"
+        x = _once(_declared(x, p, known, "element"), pairs, p, "image of")
         pairs[x] = _id(y, f"{path}[{i}][1]")
     return pairs
 
@@ -171,7 +173,7 @@ def diagram_from_json(doc, cat: FinCat, path: str) -> SetDiagram:
     for i, (a, pairs) in enumerate(_rows(doc["functions"], p, 2)):
         a = _once(_declared(a, f"{p}[{i}][0]", cat.src, "arrow"), action,
                   f"{p}[{i}][0]", "function of")
-        action[a] = _pairs(pairs, f"{p}[{i}][1]")
+        action[a] = _pairs(pairs, f"{p}[{i}][1]", values[cat.src[a]])
     for o, i in cat.identity.items():
         action.setdefault(i, {v: v for v in values[o]})
     for a in cat.arrows():
@@ -199,7 +201,7 @@ def sset_from_json(doc, path: str = "sset") -> SetDiagram:
         m, i = _once((int(mi[1]), int(mi[2])), faces, p, "face")
         _check(1 <= m < len(levels) and i <= m, p,
                f"no face ({m},{i}) on levels 0..{len(levels) - 1}")
-        faces[(m, i)] = _pairs(fn, p)
+        faces[(m, i)] = _pairs(fn, p, levels[m])
         for x in levels[m]:
             _check(x in faces[(m, i)], p, f"face undefined on {x!r}")
         for r, y in enumerate(faces[(m, i)].values()):

@@ -1,9 +1,10 @@
 """One search for natural families: assign a value to each cell so that
 every equality constraint along an arrow holds.
 
-Limits, matching objects, ``Nat(F, G)`` and transformations out of a
-simplicial subset are all instances; see ``categories.limit_direct``,
-``categories.diagram_nat_transforms`` and ``simplex.nat_transforms``.
+Limits, matching objects, ``Nat(F, G)``, the exponential's ``Nat(F x y_d,
+G)`` and transformations out of a simplicial subset are all instances; see
+``categories.limit_direct``, ``categories.diagram_nat_transforms``,
+``categories.exponential_diagram`` and ``simplex.nat_transforms``.
 """
 
 from __future__ import annotations

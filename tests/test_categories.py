@@ -392,6 +392,34 @@ class TestMatchingObject:
         assert fams == [{}]
 
 
+def reference_exponential(f: SetDiagram, g: SetDiagram) -> SetDiagram:
+    """The textbook [F, G]: at d, Nat(F x y_d, G) with F x y_d built as a
+    diagram; along a : d -> d', alpha goes to its precomposite, which takes
+    (o, (u, h)) to alpha's entry at (o, (u, h . a))."""
+    c = f.cat
+    values = {d: tuple(nat_key(t) for t in diagram_nat_transforms(
+                  product_diagram(f, representable(c, d)), g))
+              for d in c.objects}
+    action = {}
+    for a in c.arrows():
+        action[a] = {}
+        for alpha in values[c.src[a]]:
+            table = dict(alpha)
+            action[a][alpha] = nat_key({
+                (o, (u, h)): table[(o, (u, c.compose[(h, a)]))]
+                for o in c.objects for u in f.values[o]
+                for h in c.hom(c.dst[a], o)})
+    return SetDiagram(c, values, action)
+
+
+def same_diagram(x: SetDiagram, y: SetDiagram) -> bool:
+    """Equal values and action tables, each in the same order."""
+    return (list(x.values.items()) == list(y.values.items())
+            and list(x.action) == list(y.action)
+            and all(list(x.action[a].items()) == list(y.action[a].items())
+                    for a in x.action))
+
+
 class TestNatAndExponential:
     def test_representable_is_yoneda(self):
         c = semisimplex_category(2)
@@ -432,6 +460,24 @@ class TestNatAndExponential:
             image.add(nat_key(out))
         assert image == {nat_key(t) for t in nats}
         assert len(image) == len(lim)
+
+    def test_exponential_is_the_reference_exponential(self):
+        """`exponential_diagram` solves each Nat(F x y_d, G) from the tables;
+        the reference builds F x y_d as a diagram and takes `Nat` of it."""
+        cases = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            cat = random_inverse_category(rng, max_objects=3)
+            cases.append((seed, random_diagram(rng, cat, max_card=2),
+                          random_diagram(rng, cat, max_card=2)))
+        spine = load_fixture("spine_nerve.json")
+        below = spine.category.truncate_below(2)
+        cases.append(("spine below 2", spine.diagrams["F"].restrict(below),
+                      spine.diagrams["G"].restrict(below)))
+        differ = [case for case, f, g in cases
+                  if not same_diagram(exponential_diagram(f, g),
+                                      reference_exponential(f, g))]
+        assert differ == []
 
     def test_exponential_order_ignores_hash_seed(self):
         # Each nat is printed with its items sorted, so the dump shows only

@@ -107,6 +107,21 @@ def test_malformed_fixture_names_its_path(doc, path):
     assert str(info.value).startswith(f"fixture {path}: ")
 
 
+@pytest.mark.parametrize("doc, path", [
+    (_appended("cospan", "diagrams", "X", "functions", 0, 1, row=["zz", "*"]),
+     "diagrams.X.functions[0][1][2][0]"),
+    (_appended("non_segal", "sset", "faces", "1,0", row=["zz", "a"]),
+     "sset.faces.1,0[3][0]"),
+])
+def test_a_row_from_an_undeclared_element_is_refused(doc, path):
+    """A function or face row names an element of its source object or
+    level; otherwise the row would load as an extra table entry."""
+    with pytest.raises(FixtureError) as info:
+        Fixture(doc)
+    assert info.value.path == path
+    assert str(info.value) == f"fixture {path}: undeclared element 'zz'"
+
+
 def test_law_failures_are_category_errors():
     doc = _edited("poset012", "category", "compose", value=[])
     with pytest.raises(CategoryError, match="compose missing"):

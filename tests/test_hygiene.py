@@ -171,6 +171,18 @@ def test_builtins_are_built_once():
         "syntax.<top>"}
 
 
+def test_the_exponential_builds_no_intermediate_diagram():
+    """`exponential_diagram` solves each Nat(F x y_d, G) from the tables, so
+    the two sides of criterion 6, `limit_direct` of the exponential and
+    `diagram_nat_transforms`, share only `solver.solve`, which
+    `tests/test_solver.py` checks against brute force."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert [name for name in ("diagram_nat_transforms", "product_diagram",
+                              "representable")
+            if "categories.exponential_diagram" in callers(name, sources)
+            ] == []
+
+
 def test_the_check_sees_every_caller():
     sources = {"a": "D(1)\nclass K:\n    def m(self):\n        return x.D()\n"
                     "def f():\n    def g():\n        D()\n    return E()\n",

@@ -33,7 +33,7 @@ class FinCat:
     ``homs[(x, y)]`` lists arrow ids from x to y (identities included);
     ``compose[(g, f)]`` is g after f.  The arrow list, ``src``, ``dst``
     and the ``out_of`` index are derived from ``homs`` once, when it is
-    built.
+    built, and so is the order in which the solvers search the objects.
     """
 
     objects: tuple
@@ -44,6 +44,7 @@ class FinCat:
     dst: dict = field(init=False)
     outgoing: dict = field(init=False, repr=False)
     _arrows: tuple = field(init=False, repr=False)
+    _order: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.src, self.dst, self.outgoing = {}, {}, {}
@@ -57,6 +58,7 @@ class FinCat:
         for x, arrows in self.outgoing.items():
             self.outgoing[x] = tuple(sorted(arrows, key=str))
         self._arrows = tuple(a for hom in self.homs.values() for a in hom)
+        self._order = tuple(self.objects)
 
     def arrows(self) -> tuple:
         """Every arrow, hom-set by hom-set in ``homs`` order."""
@@ -118,6 +120,12 @@ class FinInvCat(FinCat):
     """Finite inverse category: a rank function reflecting identities."""
 
     rank: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        super().__post_init__()
+        # an object without a rank sorts as rank 0; ``validate`` names it
+        self._order = tuple(sorted(
+            self.objects, key=lambda o: (-self.rank.get(o, 0), str(o))))
 
     def validate(self) -> None:
         super().validate()
@@ -299,10 +307,10 @@ def representable(c: FinCat, d) -> SetDiagram:
 # Limits and matching objects
 # ---------------------------------------------------------------------------
 
-def _object_order(c: FinCat) -> list:
-    if isinstance(c, FinInvCat):
-        return sorted(c.objects, key=lambda o: (-c.rank[o], str(o)))
-    return list(c.objects)
+def _object_order(c: FinCat) -> tuple:
+    """The objects by decreasing rank, then ``str``, for an inverse
+    category, and in declared order otherwise."""
+    return c._order
 
 
 def limit_direct(x: SetDiagram) -> list[dict]:
@@ -321,6 +329,11 @@ def family_key(fam: dict):
     return frozenset(fam.items())
 
 
+# Another name for ``family_key``, read only by the benchmark
+# (``perfbench/workloads.py``) until its next revision (ROADMAP item 1).
+nat_key = family_key
+
+
 def boundary(x: SetDiagram, z, v) -> dict:
     """The matching family of v in X_z: X(f)(v) for each f out of z."""
     return {f: x.action[f][v] for f in x.cat.out_of(z)}
@@ -332,8 +345,10 @@ def matching_object(x: SetDiagram, z, ambient: Optional[FinInvCat] = None
 
     Returns the matching families (dicts keyed by coslice objects, i.e.
     non-identity arrows out of z) and the canonical projection from X_z
-    (as a dict X_z-element -> its ``boundary``); when ``ambient`` is given
-    the coslice is taken there.
+    (as a dict X_z-element -> its ``boundary``).  ``ambient``, a category
+    holding the same arrows out of z, is taken in its place when given;
+    only the benchmark (``perfbench/workloads.py``) passes it, until its
+    next revision (ROADMAP item 1).
     The limit is solved over the arrows out of z directly, ordered as
     ``limit_direct`` orders the objects of ``reduced_coslice(c, z)``: each
     h out of the target of f asks that the value at h . f be X(h) of the
@@ -392,9 +407,6 @@ def diagram_nat_transforms(f: SetDiagram, g: SetDiagram) -> list[dict]:
     return solve(cells, [g.values[o] for o, _ in cells], constraints)
 
 
-nat_key = family_key
-
-
 def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
     """[F, G](d) = Nat(F x y_d, G), with action by precomposition.
 
@@ -417,7 +429,7 @@ def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
                        for a in c.arrows() for u in f.values[c.src[a]]
                        for h in c.hom(d, c.src[a])]
         nats = solve(cells, [g.values[o] for o, _ in cells], constraints)
-        values[d] = tuple(nat_key(t) for t in nats)
+        values[d] = tuple(family_key(t) for t in nats)
         tables.update(zip(values[d], nats))
     # along a, every alpha takes at (o, (u, h)) its entry at (o, (u, h . a))
     moves = {a: [((o, (u, h)), (o, (u, c.compose[(h, a)])))

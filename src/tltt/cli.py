@@ -27,7 +27,7 @@ import sys
 from . import kernel, simplex
 from .categories import (
     constant_diagram, diagram_nat_transforms, exponential_diagram,
-    family_key, limit_direct, limit_recursive, matching_object, nat_key,
+    family_key, limit_direct, limit_recursive, matching_object,
     random_diagram, random_inverse_category, semisimplex_category,
 )
 from .classifier import (count_classifier_elements, iter_classifier_elements,
@@ -213,9 +213,9 @@ def cmd_exponential(args) -> Verdict:
             table = dict(fam[d])
             for u in f.values[d]:
                 out[(d, u)] = table[(d, (u, cat.identity[d]))]
-        image.add(nat_key(out))
+        image.add(family_key(out))
     return (len(lim) == len(nats) == len(image)
-            and image == {nat_key(t) for t in nats},
+            and image == {family_key(t) for t in nats},
             {"limit": len(lim), "nat": len(nats),
              "exponential_sizes": {str(d): len(v)
                                    for d, v in exp.values.items()}},

@@ -14,7 +14,7 @@ import pytest
 
 from tltt.categories import (
     constant_diagram, diagram_nat_transforms, exponential_diagram,
-    family_key, limit_direct, limit_recursive, matching_object, nat_key,
+    family_key, limit_direct, limit_recursive, matching_object,
     random_diagram, random_inverse_category, semisimplex_category,
 )
 from tltt.classifier import ClassifierElement, classifier_elements, round_trip

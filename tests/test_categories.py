@@ -15,7 +15,7 @@ import tltt
 from tltt.categories import (
     CategoryError, DiagramMap, FinCat, FinInvCat, SetDiagram,
     constant_diagram, diagram_nat_transforms, exponential_diagram,
-    family_key, limit_direct, limit_recursive, matching_object, nat_key,
+    family_key, limit_direct, limit_recursive, matching_object,
     product_diagram, pullback_diagram, random_diagram,
     random_inverse_category, reduced_coslice, representable,
     semisimplex_category, sset_to_diagram,
@@ -97,6 +97,15 @@ class TestValidation:
         bad = FinInvCat(cat.objects, cat.homs, cat.compose, cat.identity,
                         rank={"a": 0, "b": 0, "c": 5})
         with pytest.raises(CategoryError):
+            bad.validate()
+
+    def test_missing_rank_detected(self, cospan):
+        """A category built without a rank for every object still reaches
+        `validate`, which names the object."""
+        cat, _ = cospan
+        bad = FinInvCat(cat.objects, cat.homs, cat.compose, cat.identity,
+                        rank={"a": 1, "b": 1})
+        with pytest.raises(CategoryError, match="missing rank for object 'c'"):
             bad.validate()
 
     def test_functoriality_violation_detected(self, cospan):
@@ -386,6 +395,28 @@ class TestMatchingObject:
             for v in x.values[n]:
                 assert family_key(proj[v]) in keys
 
+    def test_matching_object_prunes_at_the_faces(self):
+        """The rank-3 matching object of the poset012 nerve: two faces that
+        share an edge are compared as soon as both are assigned, so the
+        search reads the tables 1,545 times; checking the shared edge only
+        when the search reached it took 25,404 reads."""
+        from tltt.nerve import nerve
+        x = nerve(load_fixture("poset012.json").category, 3)
+        reads = 0
+
+        class Counting(dict):
+            def __getitem__(self, key):
+                nonlocal reads
+                reads += 1
+                return super().__getitem__(key)
+        counted = SetDiagram(x.cat, x.values, {
+            a: Counting(x.action[a]) for a in x.cat.arrows()})
+        fams, _ = matching_object(counted, 3)
+        assert len(fams) == 15
+        # the projection reads one entry per element of X_3 and face
+        projection = len(x.values[3]) * len(x.cat.out_of(3))
+        assert reads - projection <= 25404 // 10
+
     def test_matching_at_rank_zero_is_singleton(self, cospan):
         _, x = cospan
         fams, _ = matching_object(x, "c")
@@ -397,7 +428,7 @@ def reference_exponential(f: SetDiagram, g: SetDiagram) -> SetDiagram:
     diagram; along a : d -> d', alpha goes to its precomposite, which takes
     (o, (u, h)) to alpha's entry at (o, (u, h . a))."""
     c = f.cat
-    values = {d: tuple(nat_key(t) for t in diagram_nat_transforms(
+    values = {d: tuple(family_key(t) for t in diagram_nat_transforms(
                   product_diagram(f, representable(c, d)), g))
               for d in c.objects}
     action = {}
@@ -405,7 +436,7 @@ def reference_exponential(f: SetDiagram, g: SetDiagram) -> SetDiagram:
         action[a] = {}
         for alpha in values[c.src[a]]:
             table = dict(alpha)
-            action[a][alpha] = nat_key({
+            action[a][alpha] = family_key({
                 (o, (u, h)): table[(o, (u, c.compose[(h, a)]))]
                 for o in c.objects for u in f.values[o]
                 for h in c.hom(c.dst[a], o)})
@@ -457,8 +488,8 @@ class TestNatAndExponential:
                 table = dict(fam[d])
                 for u in f.values[d]:
                     out[(d, u)] = table[(d, (u, cat.identity[d]))]
-            image.add(nat_key(out))
-        assert image == {nat_key(t) for t in nats}
+            image.add(family_key(out))
+        assert image == {family_key(t) for t in nats}
         assert len(image) == len(lim)
 
     def test_exponential_is_the_reference_exponential(self):

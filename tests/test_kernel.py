@@ -18,6 +18,7 @@ from tltt.syntax import (
     CONSTS, Ann, App, Const, Decl, Lam, Module, Pi, Ref, Univ, Var, _differ,
     mk_app, parse, parse_term, resolve, spine, subst,
 )
+from test_syntax import OVERFLOW, unwound
 
 
 def term(src, scope=(), globals_=()):
@@ -494,8 +495,9 @@ class TestTowers:
 
     def test_a_deep_tower_checks_past_the_recursion_limit(self):
         assert sys.getrecursionlimit() == 1000
-        Checker().check([], tower(20_000), Const("Nat"))
-        assert Checker().infer([], tower(20_000, "zeroS", "succS")) == Const("NatS")
+        nat, nats = tower(20_000), tower(20_000, "zeroS", "succS")
+        assert unwound(lambda: Checker().check([], nat, Const("Nat"))) is None
+        assert unwound(lambda: Checker().infer([], nats)) == Const("NatS")
 
     def test_an_800_deep_off_by_one_sum_is_refuted(self, ck):
         """`add+1` at the top rung of the benchmark's depth ladder."""
@@ -621,14 +623,16 @@ class TestRecursionWall:
         tower = Const("zero")
         for _ in range(self.DEPTH):
             tower = App(Const("succ"), tower)
-        Checker().check([], tower, Const("Nat"))
+        assert unwound(lambda: Checker().check([], tower, Const("Nat"))) \
+            is None
 
     def test_pi_chain_checks(self):
         assert sys.getrecursionlimit() == 1000
         chain = Const("Nat")
         for _ in range(self.DEPTH):
             chain = Pi("x", Const("Nat"), chain)
-        Checker().check([], chain, Univ(True, 0))
+        assert unwound(lambda: Checker().check([], chain, Univ(True, 0))) \
+            is None
 
 
 # The paths of whole-spine reduction and of the lazily instantiated
@@ -816,7 +820,7 @@ class TestWholeSpines:
     def test_whnf_spends_no_frame_per_application_level(self):
         assert sys.getrecursionlimit() == 1000
         t = mk_app(Const("zero"), *[Const("zero")] * 1500)
-        assert Checker().whnf(t) is t
+        assert unwound(lambda: Checker().whnf(t)) is t
 
     def test_whnf_spends_no_frame_per_definition_in_a_head_chain(self):
         """`a0 := fun x => x` and `a_i := a_(i-1) zero`: each unfolding puts
@@ -827,7 +831,8 @@ class TestWholeSpines:
         env = {"a0": EnvEntry(Const("Nat"), term("fun x => x"))}
         for i in range(1, n + 1):
             env[f"a{i}"] = EnvEntry(Const("Nat"), App(Ref(f"a{i - 1}"), zero))
-        reduct = Checker(env=env).whnf(Ref(f"a{n}"))
+        reduct = unwound(lambda: Checker(env=env).whnf(Ref(f"a{n}")))
+        assert reduct is not OVERFLOW
         assert reduct == mk_app(zero, *[zero] * (n - 1))
 
     def test_whnf_spends_no_frame_per_annotated_head(self):
@@ -838,7 +843,9 @@ class TestWholeSpines:
         t, ty = succ, term("Nat -> Nat")
         for _ in range(n):
             t = App(Ann(t, ty), zero)
-        assert Checker().whnf(t) == mk_app(succ, *[zero] * n)
+        reduct = unwound(lambda: Checker().whnf(t))
+        assert reduct is not OVERFLOW
+        assert reduct == mk_app(succ, *[zero] * n)
 
     def test_source_redex_spends_no_frame_per_argument(self):
         """The application rule types a λ-headed spine's arguments in one

@@ -23,6 +23,21 @@ from tltt.syntax import (
 )
 
 
+OVERFLOW = "RecursionError"
+
+
+def unwound(call):
+    """`call()`, or `OVERFLOW` if it overflows Python's stack.  A wall test
+    asserts on the result outside the handler, so its failure reports at
+    once: one chained to a 1,000-frame RecursionError can hang pytest's
+    report, whose `recursionindex` compares the frames' locals, deep terms
+    among them, with `==`."""
+    try:
+        return call()
+    except RecursionError:
+        return OVERFLOW
+
+
 def rt(src: str):
     """Parse a closed term, resolve it, and return it."""
     return parse_term(src, "<test>")
@@ -151,7 +166,8 @@ class TestDepth:
         default recursion limit it takes terms far deeper than the checker
         can (about 493 levels), each level one node on the spine."""
         assert sys.getrecursionlimit() == 1000
-        t = parse_term(src)
+        t = unwound(lambda: parse_term(src))
+        assert t is not OVERFLOW
         child = {App: "arg", Pi: "cod", Lam: "body"}
         for _ in range(depth):      # each level one node on the spine
             t = getattr(t, child[type(t)])
@@ -422,9 +438,10 @@ class TestNodes:
             for _ in range(depth):
                 t = build(x, t)
             return t
-        t = chain("x", "zero")
-        assert t == chain("y", "zero") and not t != chain("y", "zero")
-        assert t != chain("x", "zeroS") and not t == chain("x", "zeroS")
+        t, same = chain("x", "zero"), chain("y", "zero")
+        other = chain("x", "zeroS")
+        assert unwound(lambda: (t == same, t != same, t == other, t != other)
+                       ) == (True, False, False, True)
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(open_terms)
@@ -437,11 +454,7 @@ class TestNodes:
         t = Const("zero")
         for _ in range(10_000):
             t = App(Const("succ"), t)
-        try:
-            text = repr(t)
-        except RecursionError:      # fail without a traceback 1,000 deep
-            text = "RecursionError"
-        assert text == ("App(fn=Const(name='succ'), arg=" * 10_000
+        assert unwound(lambda: repr(t)) == ("App(fn=Const(name='succ'), arg=" * 10_000
                         + "Const(name='zero')" + ")" * 10_000)
 
     @kinds
@@ -504,7 +517,7 @@ class TestPrinter:
         per level: a numeral far past the recursion limit prints."""
         assert sys.getrecursionlimit() == 1000
         src = "succ (" * 4999 + "succ zero" + ")" * 4999
-        assert print_term(parse_term(src)) == src
+        assert unwound(lambda: print_term(parse_term(src))) == src
         mixed = "fun f x => f (f (f x x) (f x)) (f (f x))"
         assert print_term(rt(mixed)) == mixed
 

@@ -10,8 +10,10 @@ subsets of ``{0..n}``, holding the maps whose images are its members;
 integer with a bit for each of the 2^(n+1) subsets.  The central algorithm
 factors the spine-into-horn inclusion as a chain of horn pushout steps, each
 removing a maximal set ``S`` together with ``S\\{h}`` from the current
-sieve: O(n) bit tests and one new integer per step.  A semi-simplicial set
-is a ``categories.SetDiagram`` over the semi-simplex category, and
+sieve.  Steps are generated and checked as masks: a step is the mask of S
+and its pivot h, checked by one pass over the bits outside S, and makes one
+new integer; no step builds a set.  A semi-simplicial set is a
+``categories.SetDiagram`` over the semi-simplex category, and
 ``nat_transforms`` maps a sieve into one.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple, NoReturn
 
 from .categories import SetDiagram
 from .solver import solve
@@ -75,6 +77,11 @@ def _mask(s: Iterable[int]) -> int:
 def _subset(n: int, m: int) -> tuple[int, ...]:
     """The subset of {0..n} with mask m, in increasing order."""
     return tuple(i for i in range(n + 1) if m >> i & 1)
+
+
+def _elements(m: int) -> tuple[int, ...]:
+    """The elements of the set with mask m, in increasing order."""
+    return _subset(m.bit_length() - 1, m)
 
 
 def _masks(bits: int) -> list[int]:
@@ -168,7 +175,9 @@ def boundary_subfunctor(n: int) -> Sieve:
 def zigzag_sieve(n: int) -> Sieve:
     """The spine: the vertices and the edges {i, i+1}."""
     _check_dim(n)
-    return generated_sieve(n, [{i, i + 1} for i in range(n)] or [{0}])
+    # the empty set, the vertices {i} and the edges {i, i+1}, by their masks
+    return Sieve._closed(n, 1 | sum(1 << (1 << i) for i in range(n + 1))
+                         | sum(1 << (3 << i) for i in range(n)))
 
 
 def horn_sieve(n: int, k: int) -> Sieve:
@@ -180,15 +189,39 @@ def horn_sieve(n: int, k: int) -> Sieve:
 
 def horn_remove(x: Sieve, s: Iterable[int], h: int) -> Sieve:
     """Remove S and S\\{h} from the sieve; a pushout of a horn inclusion."""
-    return Sieve._closed(x.n, _remove_step(x.bits, x.n, frozenset(s), h))
+    s = frozenset(s)
+    if not s <= frozenset(range(x.n + 1)):
+        _refuse_step(x.bits, x.n, s, h)     # a set with no bit: not a member
+    return Sieve._closed(x.n, _remove_step(x.bits, x.n, _mask(s), h))
 
 
-def _remove_step(bits: int, n: int, s: frozenset, h: int) -> int:
-    """``horn_remove`` on the bits of a sieve on [n]; returns the new bits.
+def _remove_step(bits: int, n: int, m: int, h: int) -> int:
+    """``horn_remove`` of the set with mask m on the bits of a sieve on
+    [n]; returns the new bits.
 
     The family is downward closed, so a member above S or S\\{h} shows as
-    one set with a single element y outside S added: O(n) bit tests per
-    check."""
+    one set with a single element y outside S added: one pass over the
+    set bits of the complement tests both.  Any failure re-runs the checks
+    in their documented order, so that the first one names the fault."""
+    full = (1 << n + 1) - 1
+    if m & ~full or not bits >> m & 1 or h < 0 or not m >> h & 1:
+        _refuse_step(bits, n, frozenset(_elements(m)), h)
+    face = m ^ 1 << h
+    up = bits >> m | bits >> face     # bit y: m + y or face + y is a member
+    o = full ^ m
+    while o:
+        y = o & -o                    # {y} outside S, so m + y is m | y
+        if up >> y & 1:
+            _refuse_step(bits, n, frozenset(_elements(m)), h)
+        o ^= y
+    # Neither S nor S\{h} lies below a remaining member, so the rest stays
+    # downward closed.
+    return bits & ~(1 << m | 1 << face)
+
+
+def _refuse_step(bits: int, n: int, s: frozenset, h: int) -> NoReturn:
+    """Raise the first failing check of removing S at h, in order: S is a
+    member, S is maximal, h is in S, S\\{h} lies below no other member."""
     # a set with an element outside {0..n} has no bit (and 1 << -1 would
     # raise its own error)
     m = _mask(s) if s <= frozenset(range(n + 1)) else None
@@ -206,28 +239,33 @@ def _remove_step(bits: int, n: int, s: frozenset, h: int) -> int:
             raise ValueError(
                 f"removing {sorted(s)} at {h} breaks downward closure: "
                 f"{sorted(s - {h})} still below another member")
-    # Neither S nor S\{h} lies below a remaining member, so the rest stays
-    # downward closed.
-    return bits & ~(1 << m | 1 << face)
+    raise AssertionError(f"removing {sorted(s)} at {h} is a valid step")
 
 
 # ---------------------------------------------------------------------------
 # The spine-through-horn factorization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HornStep:
-    """One horn pushout: remove S and S\\{h}."""
+class HornStep(NamedTuple):
+    """One horn pushout: remove S and S\\{h}, with S held as its mask."""
 
-    s: frozenset
+    mask: int
     h: int
 
     @property
+    def s(self) -> frozenset:
+        """S as a frozenset, built on each read."""
+        return frozenset(_elements(self.mask))
+
+    @property
     def inner(self) -> bool:
-        return self.h in self.s and min(self.s) < self.h < max(self.s)
+        """h is in S and neither its least nor its greatest element."""
+        m, h = self
+        return h >= 0 and m >> h & 1 == 1 and m & -m < 1 << h and m >> h > 1
 
     def to_json(self) -> dict:
-        return {"S": sorted(self.s), "h": self.h, "inner": self.inner}
+        return {"S": list(_elements(self.mask)), "h": self.h,
+                "inner": self.inner}
 
 
 @dataclass
@@ -275,16 +313,24 @@ class UnsupportedHorn(ValueError):
 def _interval_steps(a: int, b: int) -> list[HornStep]:
     """Steps reducing the principal sieve on [a,b] to its zigzag part: for
     each pivot j from a+1 to b-1, the sets of [j-1,b] with j internal."""
-    return [HornStep(s, j) for j in range(a + 1, b)
-            for s in _cosieve_order_interval(j - 1, b, j)]
+    return [HornStep(m, j) for j in range(a + 1, b)
+            for m in _cosieve_order_interval(j - 1, b, j)]
 
 
-def _cosieve_order_interval(a: int, b: int, j: int) -> list[frozenset]:
-    """Subsets S of [a,b] with j internal to S, largest first, then lex."""
-    return [frozenset(c)
-            for r in range(b - a + 1, 2, -1)
-            for c in itertools.combinations(range(a, b + 1), r)
-            if c[0] < j < c[-1] and j in c]
+def _cosieve_order_interval(a: int, b: int, j: int) -> list[int]:
+    """The masks of the subsets S of [a,b] with j internal to S, largest
+    first, then lex.
+
+    S\\{j} is a combination of the other elements' bits with one below
+    and one above j's, and its sum is its mask; removing the common j
+    keeps the lex order, which the smallest element of a symmetric
+    difference decides."""
+    jb = 1 << j
+    others = [1 << i for i in range(a, b + 1) if i != j]
+    return [sum(c) | jb
+            for r in range(b - a, 1, -1)
+            for c in itertools.combinations(others, r)
+            if c[0] < jb < c[-1]]
 
 
 def factor_spine_to_horn(n: int, k: int) -> Factorization:
@@ -295,6 +341,7 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
     n-1 (resp. 1), with the first step swapped so that it matches the
     outer horn.  For n = 1 and for the outer horns of n = 2 the spine is
     not contained in the horn at all and UnsupportedHorn is raised.
+    Steps are generated and checked as masks.
     """
     start = horn_sieve(n, k)
     end = zigzag_sieve(n)
@@ -302,19 +349,20 @@ def factor_spine_to_horn(n: int, k: int) -> Factorization:
         witness = min(end.members - start.members,
                       key=lambda s: tuple(sorted(s)))
         raise UnsupportedHorn(n, k, witness)
-    full = frozenset(range(n + 1))
+    full = (1 << n + 1) - 1
     if 0 < k < n:
         j, steps = k, []
     else:
         j = n - 1 if k == 0 else 1
-        steps = [HornStep(full - {j}, k)]
+        steps = [HornStep(full ^ 1 << j, k)]
     # full - {k} never has k internal, so this drops only `full` when inner
-    steps += [HornStep(s, j) for s in _cosieve_order_interval(0, n, j)
-              if s not in (full, full - {k})]
+    drop = (full, full ^ 1 << k)
+    steps += [HornStep(m, j) for m in _cosieve_order_interval(0, n, j)
+              if m not in drop]
     steps += _interval_steps(0, j) + _interval_steps(j, n)
     bits = [start.bits]
-    for st in steps:             # validates each step on one int
-        bits.append(_remove_step(bits[-1], n, st.s, st.h))
+    for m, h in steps:           # validates each step on one int
+        bits.append(_remove_step(bits[-1], n, m, h))
     if bits[-1] != end.bits:
         raise AssertionError("factorization did not land on the zigzag sieve")
     return Factorization(n, k, steps, bits)

@@ -164,6 +164,22 @@ class TestSieves:
         assert str(e.value) == ("removing [0, 1] at 0 breaks downward "
                                 "closure: [1] still below another member")
 
+    @pytest.mark.parametrize("s, h, message", [
+        # not maximal ({0, 1, 2} is above) and closure-breaking ({0, 2} is
+        # above {1}): maximality is checked first
+        ({0, 1}, 0, "[0, 1] is not maximal in the sieve"),
+        ({0, 1, 2}, -1, "-1 is not an element of [0, 1, 2]"),
+        ({0, 1, 2}, 3, "3 is not an element of [0, 1, 2]"),
+        ({0, 3}, 0, "[0, 3] is not a member of the sieve"),
+        ({-1, 0}, 0, "[-1, 0] is not a member of the sieve"),
+    ], ids=["not-maximal-first", "negative-pivot", "pivot-above-n",
+            "element-above-n", "negative-element"])
+    def test_horn_remove_reports_the_first_failing_check(self, s, h, message):
+        x = full_subfunctor(2)
+        assert _outcome(horn_remove, x, frozenset(s), h) \
+            == _outcome(_horn_remove_by_scans, x, frozenset(s), h) \
+            == ("error", message)
+
     @settings(deadline=None)
     @given(st.integers(0, 5), st.data())
     def test_horn_remove_matches_brute_force(self, n, data):
@@ -354,13 +370,20 @@ class TestFactorization:
             "954f5865e045197e4d899aff9e152f4527b0d5bcb5820e2c045ad2a17d419ce9")
 
     def test_the_chain_never_builds_member_sets(self, monkeypatch):
-        """Steps and the chain work on the integer of each sieve alone."""
+        """Steps and the chain work on the integer of each sieve and the
+        mask of each step alone: no member set and no step set is built."""
         def no_members(sv):
             raise AssertionError("a member set was built")
+
+        def no_step_set(st):
+            raise AssertionError("a step's set was built")
         monkeypatch.setattr(Sieve, "members", property(no_members))
+        monkeypatch.setattr(simplex.HornStep, "s", property(no_step_set))
         fac = factor_spine_to_horn(9, 4)
         chain = fac.sieves()
         assert len(chain) == len(fac.steps) + 1
+        assert fac.length == 2 * len(fac.steps)
+        assert all(st.inner for st in fac.steps)
         assert chain[-1] == zigzag_sieve(9)
 
     def test_monotone_chain_of_realizations(self):
@@ -382,7 +405,23 @@ class TestFactorization:
         for n in range(11):
             for j in range(n + 1):
                 assert (simplex._cosieve_order_interval(0, n, j)
-                        == _cosieve_order_by_filtering(0, n, j)), (n, j)
+                        == [_bits_of(s) for s in
+                            _cosieve_order_by_filtering(0, n, j)]), (n, j)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_steps_and_chain_match_the_frozenset_factorization(self, n):
+        """The mask factorization gives the steps and the chain integers of
+        the frozenset one it replaced, for every horn up to n = 9."""
+        for k in range(n + 1):
+            if (n, k) in DEGENERATE:
+                with pytest.raises(UnsupportedHorn):
+                    factor_spine_to_horn(n, k)
+                continue
+            fac = factor_spine_to_horn(n, k)
+            steps, bits = _factor_by_frozensets(n, k)
+            assert [(st.s, st.h, st.inner) for st in fac.steps] == [
+                (s, h, _internal(h, s)) for s, h in steps], (n, k)
+            assert fac.bits == bits, (n, k)
 
     def test_sieves_returns_the_validated_chain(self, monkeypatch):
         """`sieves()` wraps the integers `factor_spine_to_horn` computed
@@ -399,12 +438,21 @@ class TestFactorization:
         assert chain[-1] == end
 
 
+def _bits_of(s):
+    """The mask of a set: bit i is set when i is in it."""
+    return sum(1 << i for i in s)
+
+
+def _internal(h, s):
+    return h in s and min(s) < h < max(s)
+
+
 def _interval_steps_by_recursion(a, b):
     """The reference: split [a,b] at j = a+1, recurse into both halves."""
     if b - a <= 1:
         return []
     j = a + 1
-    steps = [simplex.HornStep(s, j)
+    steps = [simplex.HornStep(_bits_of(s), j)
              for s in _cosieve_order_by_filtering(a, b, j)]
     return (steps + _interval_steps_by_recursion(a, j)
             + _interval_steps_by_recursion(j, b))
@@ -413,12 +461,56 @@ def _interval_steps_by_recursion(a, b):
 def _cosieve_order_by_filtering(a, b, j):
     """The reference: every combination of size >= 3 as a set, kept when
     j is internal to it."""
-    def internal(h, s):
-        return h in s and min(s) < h < max(s)
     return [frozenset(c)
             for r in range(b - a + 1, 2, -1)
             for c in itertools.combinations(range(a, b + 1), r)
-            if internal(j, frozenset(c))]
+            if _internal(j, frozenset(c))]
+
+
+def _factor_by_frozensets(n, k):
+    """The reference factorization on frozensets: the steps as (S, h)
+    pairs, in the order the construction fixes, and the integer of every
+    sieve of the chain, each step checked by ``_remove_by_frozensets``."""
+    full = frozenset(range(n + 1))
+    if 0 < k < n:
+        j, steps = k, []
+    else:
+        j = n - 1 if k == 0 else 1
+        steps = [(full - {j}, k)]
+    steps += [(s, j) for s in _cosieve_order_by_filtering(0, n, j)
+              if s not in (full, full - {k})]
+    for a, b in ((0, j), (j, n)):
+        steps += [(s, i) for i in range(a + 1, b)
+                  for s in _cosieve_order_by_filtering(i - 1, b, i)]
+    bits = [(1 << 2 ** (n + 1)) - 1
+            & ~(1 << _bits_of(full) | 1 << _bits_of(full - {k}))]
+    for s, h in steps:
+        bits.append(_remove_by_frozensets(bits[-1], n, s, h))
+    spine = [set(), *({i} for i in range(n + 1)),
+             *({i, i + 1} for i in range(n))]
+    assert bits[-1] == sum(1 << _bits_of(s) for s in spine)
+    return steps, bits
+
+
+def _remove_by_frozensets(bits, n, s, h):
+    """The reference step: S as a frozenset, with a list of the elements
+    outside it; each check in its own scan."""
+    m = _bits_of(s) if s <= frozenset(range(n + 1)) else None
+    if m is None or not bits >> m & 1:
+        raise ValueError(f"{sorted(s)} is not a member of the sieve")
+    outside = [1 << y for y in range(n + 1) if y not in s]
+    for b in outside:
+        if bits >> (m | b) & 1:
+            raise ValueError(f"{sorted(s)} is not maximal in the sieve")
+    if h not in s:
+        raise ValueError(f"{h} is not an element of {sorted(s)}")
+    face = m & ~(1 << h)
+    for b in outside:
+        if bits >> (face | b) & 1:
+            raise ValueError(
+                f"removing {sorted(s)} at {h} breaks downward closure: "
+                f"{sorted(s - {h})} still below another member")
+    return bits & ~(1 << m | 1 << face)
 
 
 def _two_simplex_sset():

@@ -129,18 +129,29 @@ def pointed_nerve_level(universe: list[tuple], n: int) -> list[tuple]:
 
     A cell is ``(sets, points, maps)`` where sets are indices into the
     universe, maps are image tuples, and maps[i](points[i]) = points[i+1].
+    The maps are generated, not filtered: for each chain of sets and each
+    choice of points, map i ranges over the functions that send points[i]
+    (at its first position in its set) to points[i+1], from a table built
+    once per call.  Each table entry keeps ``_functions`` order, so the
+    cells come in the order of filtering sets x points x maps.
     """
+    preserving = {}
+    for s, dom in enumerate(universe):
+        for t, cod in enumerate(universe):
+            functions = _functions(dom, cod)
+            for p in dom:
+                j = dom.index(p)
+                for q in cod:
+                    preserving[s, t, p, q] = [f for f in functions
+                                              if f[j] == q]
     cells = []
     for sets in itertools.product(range(len(universe)), repeat=n + 1):
-        map_space = itertools.product(*(
-            _functions(universe[sets[i]], universe[sets[i + 1]])
-            for i in range(n)))
-        maps_list = list(map_space)
+        steps = tuple(zip(sets, sets[1:]))
         for points in itertools.product(*(universe[s] for s in sets)):
-            for maps in maps_list:
-                if all(maps[i][universe[sets[i]].index(points[i])]
-                       == points[i + 1] for i in range(n)):
-                    cells.append((sets, points, maps))
+            for maps in itertools.product(*(
+                    preserving[s, t, points[i], points[i + 1]]
+                    for i, (s, t) in enumerate(steps))):
+                cells.append((sets, points, maps))
     return cells
 
 
@@ -150,11 +161,13 @@ def based_nerve_level(universe: list[tuple], n: int) -> list[tuple]:
 
     A cell is ``(sets, point, maps)``.
     """
+    functions = {(s, t): _functions(dom, cod)
+                 for s, dom in enumerate(universe)
+                 for t, cod in enumerate(universe)}
     cells = []
     for sets in itertools.product(range(len(universe)), repeat=n + 1):
         map_space = list(itertools.product(*(
-            _functions(universe[sets[i]], universe[sets[i + 1]])
-            for i in range(n))))
+            functions[step] for step in zip(sets, sets[1:]))))
         for point in universe[sets[0]]:
             for maps in map_space:
                 cells.append((sets, point, maps))
@@ -171,8 +184,9 @@ def based_to_pointed(universe: list[tuple], cell: tuple) -> tuple:
     """Push the base point forward along the chain."""
     sets, point, maps = cell
     points = [point]
-    for i in range(len(maps)):
-        points.append(maps[i][universe[sets[i]].index(points[i])])
+    for s, f in zip(sets, maps):
+        point = f[universe[s].index(point)]
+        points.append(point)
     return (sets, tuple(points), maps)
 
 
@@ -186,8 +200,7 @@ def _chain_face(universe: list[tuple], sets: tuple, maps: tuple,
         return sets[:-1], maps[:-1]
     left, right = maps[i - 1], maps[i]
     mid = universe[sets[i]]
-    composed = tuple(right[mid.index(left[j])]
-                     for j in range(len(universe[sets[i - 1]])))
+    composed = tuple([right[mid.index(x)] for x in left])
     return sets[:i] + sets[i + 1:], maps[:i - 1] + (composed,) + maps[i + 1:]
 
 
@@ -220,29 +233,33 @@ class PointedNerveComparison:
 def compare_pointed_nerves(universe: list[tuple],
                            up_to: int) -> PointedNerveComparison:
     """Check that forgetting the non-initial points is a levelwise bijection
-    commuting with all face maps."""
-    pointed = [pointed_nerve_level(universe, n) for n in range(up_to + 1)]
-    based = [based_nerve_level(universe, n) for n in range(up_to + 1)]
-    bij = True
+    commuting with all face maps, one level at a time."""
+    pointed_counts, based_counts = [], []
+    bij = natural = True
     for n in range(up_to + 1):
-        fwd = [pointed_to_based(c) for c in pointed[n]]
-        if len(set(fwd)) != len(fwd) or set(fwd) != set(based[n]):
+        pointed = pointed_nerve_level(universe, n)
+        based = based_nerve_level(universe, n)
+        pointed_counts.append(len(pointed))
+        based_counts.append(len(based))
+        # each pointed cell is forgotten once; the faces are still taken on
+        # both sides, so naturality compares two independent computations
+        forgotten = [pointed_to_based(c) for c in pointed]
+        image = set(forgotten)
+        if len(image) != len(forgotten) or image != set(based):
             bij = False
-        if any(based_to_pointed(universe, pointed_to_based(c)) != c
-               for c in pointed[n]):
+        if any(based_to_pointed(universe, b) != c
+               for c, b in zip(pointed, forgotten)):
             bij = False
-    natural = True
-    for n in range(1, up_to + 1):
-        for c in pointed[n]:
-            for i in range(n + 1):
+        for c, b in zip(pointed, forgotten):
+            for i in range(n + 1 if n else 0):    # a vertex has no faces
                 lhs = pointed_to_based(pointed_face(universe, c, i))
-                rhs = based_face(universe, pointed_to_based(c), i)
+                rhs = based_face(universe, b, i)
                 if lhs != rhs:
                     natural = False
     return PointedNerveComparison(
         n=up_to,
-        pointed_counts=[len(l) for l in pointed],
-        based_counts=[len(l) for l in based],
+        pointed_counts=pointed_counts,
+        based_counts=based_counts,
         bijective=bij,
         natural=natural,
     )

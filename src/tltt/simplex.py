@@ -126,10 +126,13 @@ class Sieve:
     @classmethod
     def _closed(cls, n: int, bits: int) -> "Sieve":
         """Skip ``__init__``'s full check: the caller has shown that the
-        family is downward closed."""
+        family is downward closed.  The two fields are written into the
+        instance dict, as ``object.__setattr__`` would write them, without
+        a call each."""
         sv = object.__new__(cls)
-        object.__setattr__(sv, "n", n)
-        object.__setattr__(sv, "bits", bits)
+        fields = sv.__dict__
+        fields["n"] = n
+        fields["bits"] = bits
         return sv
 
     @property
@@ -264,8 +267,8 @@ class HornStep(NamedTuple):
         return h >= 0 and m >> h & 1 == 1 and m & -m < 1 << h and m >> h > 1
 
     def to_json(self) -> dict:
-        return {"S": list(_elements(self.mask)), "h": self.h,
-                "inner": self.inner}
+        # S's elements are the set bits of its mask, read off its digits
+        return {"S": _masks(self.mask), "h": self.h, "inner": self.inner}
 
 
 @dataclass

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import tltt
-from tltt import classifier, kernel, syntax
+from tltt import classifier, kernel, nerve, syntax
 
 MODULES = sorted(pathlib.Path(tltt.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).parents[1]
@@ -385,6 +385,47 @@ def test_the_check_sees_an_own_naturality_loop():
     assert not validates_naturality(own, "round_trip")
     assert not validates_naturality(both, "round_trip")
     assert validates_naturality(handed, "round_trip")
+
+
+def global_calls(source: str, name: str) -> set[str]:
+    """The names that module-level function `name` in `source` calls as
+    plain names bound nowhere inside it (no parameter, assignment, loop
+    target or nested definition): the calls that a monkeypatch of the
+    module attribute reaches."""
+    fn = next(node for node in ast.parse(source).body
+              if isinstance(node, FUNCTIONS) and node.name == name)
+    bound = {n.arg for n in ast.walk(fn) if isinstance(n, ast.arg)}
+    bound |= {n.id for n in ast.walk(fn)
+              if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    bound |= {n.name for n in ast.walk(fn)
+              if isinstance(n, FUNCTIONS) and n is not fn}
+    return {n.func.id for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id not in bound}
+
+
+def test_the_pointed_comparison_calls_its_faces_by_module_name():
+    """`compare_pointed_nerves` takes the faces and forgets the points
+    through the module's own names, so the tests that monkeypatch one of
+    them (`TestPointedComparisonCanFail` in tests/test_nerve.py) reach the
+    comparison."""
+    calls = global_calls(pathlib.Path(nerve.__file__).read_text(),
+                         "compare_pointed_nerves")
+    assert {"pointed_face", "based_face", "pointed_to_based"} <= calls, calls
+
+
+def test_the_check_sees_a_local_or_qualified_name():
+    source = ("def compare_pointed_nerves(u, pointed_to_based):\n"
+              "    face = pointed_face\n"
+              "    for based_face in faces:\n"
+              "        based_face(u)\n"
+              "    return face(u), nerve.pointed_face(u), "
+              "pointed_to_based(u), check(u)\n")
+    assert global_calls(source, "compare_pointed_nerves") == {"check"}
+    assert global_calls("def compare_pointed_nerves(u):\n"
+                        "    return pointed_face(based_face(u))\n",
+                        "compare_pointed_nerves") == {"pointed_face",
+                                                      "based_face"}
 
 
 def own_equality(cls) -> set[str]:

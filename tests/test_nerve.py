@@ -177,6 +177,34 @@ UNIVERSES = [
     [("*",), ("a", "b")],
     [(), ("*",), ("a", "b")],
 ]
+# The universes of criterion 8 (tests/test_acceptance.py), then one with a
+# three-element set.
+ORACLE_UNIVERSES = [
+    [()],
+    [("*",)],
+    [(), ("*",)],
+    [("*",), ("a", "b")],
+    [(), ("*",), ("a", "b")],
+    [("a", "b", "c"), ()],
+]
+
+
+def _pointed_nerve_level_by_filtering(universe, n):
+    """The definition of a pointed level, written out: every chain of sets,
+    every choice of points and every chain of maps, kept when each map
+    sends its point to the next one."""
+    cells = []
+    for sets in itertools.product(range(len(universe)), repeat=n + 1):
+        maps_list = list(itertools.product(*(
+            itertools.product(universe[sets[i + 1]],
+                              repeat=len(universe[sets[i]]))
+            for i in range(n))))
+        for points in itertools.product(*(universe[s] for s in sets)):
+            for maps in maps_list:
+                if all(maps[i][universe[sets[i]].index(points[i])]
+                       == points[i + 1] for i in range(n)):
+                    cells.append((sets, points, maps))
+    return cells
 
 
 class TestPointedNerve:
@@ -195,6 +223,52 @@ class TestPointedNerve:
         cmp = compare_pointed_nerves([(), ("*",), ("a", "b")], 3)
         assert cmp.bijective and cmp.natural
         assert cmp.pointed_counts == cmp.based_counts
+
+    @pytest.mark.parametrize("universe", ORACLE_UNIVERSES, ids=str)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_generated_level_matches_the_filtering_oracle(self, universe, n):
+        """The point-preserving maps are generated, not filtered out of all
+        maps; the level is the same list, order included."""
+        assert pointed_nerve_level(universe, n) == \
+            _pointed_nerve_level_by_filtering(universe, n)
+
+    def test_the_pointed_side_never_reads_the_based_side(self, monkeypatch):
+        """The pointed levels, and the pointed faces and forgetting inside
+        `compare_pointed_nerves`, give the same results when the based
+        side's level and inverse raise whenever the pointed side calls
+        them: a comparison of the based side with itself cannot come in."""
+        universe = [(), ("*",), ("a", "b")]
+        levels = [pointed_nerve_level(universe, n) for n in range(4)]
+        expected = compare_pointed_nerves(universe, 3)
+        inside = []
+
+        def pointed_only(fn):
+            def run(*args):
+                inside.append(fn)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+            return run
+
+        def based_only(fn):
+            def run(*args):
+                assert not inside, f"{fn.__name__} called from {inside[-1]}"
+                return fn(*args)
+            return run
+
+        for fn in (based_nerve_level, based_to_pointed):
+            def refuse(*args, fn=fn):
+                raise AssertionError(f"{fn.__name__} called")
+            monkeypatch.setattr(f"tltt.nerve.{fn.__name__}", refuse)
+        assert [pointed_nerve_level(universe, n) for n in range(4)] == levels
+
+        for fn in (based_nerve_level, based_to_pointed, based_face):
+            monkeypatch.setattr(f"tltt.nerve.{fn.__name__}", based_only(fn))
+        for fn in (pointed_nerve_level, pointed_face, pointed_to_based):
+            monkeypatch.setattr(f"tltt.nerve.{fn.__name__}",
+                                pointed_only(fn))
+        assert compare_pointed_nerves(universe, 3) == expected
 
     def test_roundtrip_explicit(self):
         universe = [("*",), ("a", "b")]
@@ -249,3 +323,20 @@ class TestPointedComparisonCanFail:
         monkeypatch.setattr("tltt.nerve.pointed_to_based", forget)
         cmp = compare_pointed_nerves(self.UNIVERSE, 2)
         assert not cmp.bijective
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_a_face_that_keeps_the_wrong_point_is_not_natural(
+            self, monkeypatch, level):
+        """At an inner face of a cell at the given level this face drops
+        the first point instead of the i-th, so the forgotten cell's base
+        point moves: a naturality check that reused the forgotten cells in
+        place of taking pointed faces, or skipped a level, would miss it."""
+        def face(universe, cell, i):
+            sets, points, maps = pointed_face(universe, cell, i)
+            if len(cell[2]) == level and 0 < i < level:
+                points = cell[1][1:]
+            return sets, points, maps
+
+        monkeypatch.setattr("tltt.nerve.pointed_face", face)
+        cmp = compare_pointed_nerves(self.UNIVERSE, 3)
+        assert (cmp.bijective, cmp.natural) == (True, False)

@@ -10,10 +10,12 @@ as ``("id", object)`` and the unit compositions are filled in.
 The document's shape is checked before any table is built: a malformed
 fixture, one that gives an entry twice, or a function or face row whose
 source element is not declared raises ``FixtureError`` naming the JSON
-path that failed, such as ``category.homs[0][1]``; so does a face
-map that is missing (at ``sset.faces``) or leaves its level (at
-``sset.faces.m,i[r][1]``).  An ``sset`` loads as a ``SetDiagram`` over
-``categories.semisimplex_category``, the one presheaf type of the labs.
+path that failed, such as ``category.homs[0][1]``; so does a diagram
+function or face map that is not total (at ``diagrams.X.functions[i][1]``
+or ``sset.faces.m,i``) or leaves its target (at ``...[r][1]``), and a face
+map that is missing (at ``sset.faces``).  An ``sset`` loads as a
+``SetDiagram`` over ``categories.semisimplex_category``, the one presheaf
+type of the labs.
 The category and diagram laws, the simplicial identities among them (as
 functoriality), are then checked by the validators of ``categories``.
 """
@@ -104,6 +106,18 @@ def _pairs(doc, path: str, known) -> dict:
     return pairs
 
 
+def _function(doc, path: str, source, target, what: str, leaves: str) -> dict:
+    """doc as a table defined on every element of source, each image in
+    target; ``what`` names the table when an element has no row, and
+    ``leaves`` is the message for a row whose image is not in target."""
+    table = _pairs(doc, path, source)
+    for x in source:
+        _check(x in table, path, f"{what} undefined on {x!r}")
+    for r, y in enumerate(table.values()):
+        _check(y in target, f"{path}[{r}][1]", leaves)
+    return table
+
+
 def fincat_from_json(doc, path: str = "category") -> Union[FinCat, FinInvCat]:
     _section(doc, path, "objects", "homs", "compose")
     objects = []
@@ -173,7 +187,10 @@ def diagram_from_json(doc, cat: FinCat, path: str) -> SetDiagram:
     for i, (a, pairs) in enumerate(_rows(doc["functions"], p, 2)):
         a = _once(_declared(a, f"{p}[{i}][0]", cat.src, "arrow"), action,
                   f"{p}[{i}][0]", "function of")
-        action[a] = _pairs(pairs, f"{p}[{i}][1]", values[cat.src[a]])
+        action[a] = _function(pairs, f"{p}[{i}][1]", values[cat.src[a]],
+                              values[cat.dst[a]], f"function for {a!r}",
+                              f"function for {a!r} leaves the values of "
+                              f"{cat.dst[a]!r}")
     for o, i in cat.identity.items():
         action.setdefault(i, {v: v for v in values[o]})
     for a in cat.arrows():
@@ -201,12 +218,8 @@ def sset_from_json(doc, path: str = "sset") -> SetDiagram:
         m, i = _once((int(mi[1]), int(mi[2])), faces, p, "face")
         _check(1 <= m < len(levels) and i <= m, p,
                f"no face ({m},{i}) on levels 0..{len(levels) - 1}")
-        faces[(m, i)] = _pairs(fn, p, levels[m])
-        for x in levels[m]:
-            _check(x in faces[(m, i)], p, f"face undefined on {x!r}")
-        for r, y in enumerate(faces[(m, i)].values()):
-            _check(y in levels[m - 1], f"{p}[{r}][1]",
-                   f"face ({m},{i}) leaves level {m - 1}")
+        faces[(m, i)] = _function(fn, p, levels[m], levels[m - 1], "face",
+                                  f"face ({m},{i}) leaves level {m - 1}")
     for m in range(1, len(levels)):
         for i in range(m + 1):
             _check((m, i) in faces, f"{path}.faces",

@@ -11,8 +11,9 @@ integer with a bit for each of the 2^(n+1) subsets.  The central algorithm
 factors the spine-into-horn inclusion as a chain of horn pushout steps, each
 removing a maximal set ``S`` together with ``S\\{h}`` from the current
 sieve.  Steps are generated and checked as masks: a step is the mask of S
-and its pivot h, checked by one pass over the bits outside S, and makes one
-new integer; no step builds a set.  A semi-simplicial set is a
+and its pivot h, checked by one pass over the bits outside S that finds
+the first failing check in their documented order, and makes one new
+integer; no step builds a set.  A semi-simplicial set is a
 ``categories.SetDiagram`` over the semi-simplex category, and
 ``nat_transforms`` maps a sieve into one.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple
 
 from .categories import SetDiagram
 from .solver import solve
@@ -74,19 +75,11 @@ def _mask(s: Iterable[int]) -> int:
     return m
 
 
-def _subset(n: int, m: int) -> tuple[int, ...]:
-    """The subset of {0..n} with mask m, in increasing order."""
-    return tuple(i for i in range(n + 1) if m >> i & 1)
-
-
-def _elements(m: int) -> tuple[int, ...]:
-    """The elements of the set with mask m, in increasing order."""
-    return _subset(m.bit_length() - 1, m)
-
-
-def _masks(bits: int) -> list[int]:
-    """The masks whose bit is set in ``bits``, in increasing order."""
-    return [m for m, b in enumerate(reversed(bin(bits)[2:])) if b == "1"]
+def _elements(m: int) -> list[int]:
+    """The set bits of m in increasing order, read off its binary digits:
+    the elements of the set with mask m, or the member masks of a sieve's
+    bits."""
+    return [i for i, b in enumerate(reversed(bin(m)[2:])) if b == "1"]
 
 
 @dataclass(frozen=True, init=False)
@@ -138,14 +131,13 @@ class Sieve:
     @property
     def members(self) -> frozenset:
         """The family as a frozenset of frozensets, built on each read."""
-        return frozenset(frozenset(_subset(self.n, m))
-                         for m in _masks(self.bits))
+        return frozenset(frozenset(_elements(m)) for m in _elements(self.bits))
 
     def cells(self) -> list[tuple[int, MonoMap]]:
         """The subfunctor level by level: ``(k, g)`` for each map
         g : [k] -> [n] whose image is a member, sorted by ``(k, image)``."""
-        images = sorted((_subset(self.n, m) for m in _masks(self.bits) if m),
-                        key=lambda im: (len(im), im))
+        images = sorted((tuple(_elements(m)) for m in _elements(self.bits)
+                         if m), key=lambda im: (len(im), im))
         return [(len(im) - 1, MonoMap(self.n, im)) for im in images]
 
     def __le__(self, other: "Sieve") -> bool:
@@ -193,8 +185,8 @@ def horn_sieve(n: int, k: int) -> Sieve:
 def horn_remove(x: Sieve, s: Iterable[int], h: int) -> Sieve:
     """Remove S and S\\{h} from the sieve; a pushout of a horn inclusion."""
     s = frozenset(s)
-    if not s <= frozenset(range(x.n + 1)):
-        _refuse_step(x.bits, x.n, s, h)     # a set with no bit: not a member
+    if not s <= frozenset(range(x.n + 1)):    # a set with no bit
+        raise ValueError(f"{sorted(s)} is not a member of the sieve")
     return Sieve._closed(x.n, _remove_step(x.bits, x.n, _mask(s), h))
 
 
@@ -202,47 +194,38 @@ def _remove_step(bits: int, n: int, m: int, h: int) -> int:
     """``horn_remove`` of the set with mask m on the bits of a sieve on
     [n]; returns the new bits.
 
-    The family is downward closed, so a member above S or S\\{h} shows as
-    one set with a single element y outside S added: one pass over the
-    set bits of the complement tests both.  Any failure re-runs the checks
-    in their documented order, so that the first one names the fault."""
-    full = (1 << n + 1) - 1
-    if m & ~full or not bits >> m & 1 or h < 0 or not m >> h & 1:
-        _refuse_step(bits, n, frozenset(_elements(m)), h)
-    face = m ^ 1 << h
-    up = bits >> m | bits >> face     # bit y: m + y or face + y is a member
-    o = full ^ m
+    The checks run in their documented order, and the first that fails
+    names the fault: S is a member, S is maximal, h is in S, S\\{h} lies
+    below no other member.  The family is downward closed, so a member
+    above S or S\\{h} shows as one set with a single element y outside S
+    added, and one pass over the set bits of the complement tests both: it
+    refuses the first y with S + y a member and only notes one with
+    S\\{h} + y a member, which is refused after the pivot.  1 << h is
+    built only once h is known to be in S, since h comes from the caller."""
+    if not bits >> m & 1:             # a mask above [n] has no bit either
+        raise ValueError(f"{_elements(m)} is not a member of the sieve")
+    pivot = h >= 0 and m >> h & 1
+    face = m ^ 1 << h if pivot else m
+    above = bits >> m                 # bit y: S + y is a member
+    near = above | bits >> face       # or S\{h} + y, when h is in S
+    o = (1 << n + 1) - 1 ^ m
+    closure = False
     while o:
         y = o & -o                    # {y} outside S, so m + y is m | y
-        if up >> y & 1:
-            _refuse_step(bits, n, frozenset(_elements(m)), h)
+        if near >> y & 1:
+            if above >> y & 1:
+                raise ValueError(f"{_elements(m)} is not maximal in the sieve")
+            closure = True
         o ^= y
+    if not pivot:
+        raise ValueError(f"{h} is not an element of {_elements(m)}")
+    if closure:
+        raise ValueError(
+            f"removing {_elements(m)} at {h} breaks downward closure: "
+            f"{_elements(face)} still below another member")
     # Neither S nor S\{h} lies below a remaining member, so the rest stays
     # downward closed.
     return bits & ~(1 << m | 1 << face)
-
-
-def _refuse_step(bits: int, n: int, s: frozenset, h: int) -> NoReturn:
-    """Raise the first failing check of removing S at h, in order: S is a
-    member, S is maximal, h is in S, S\\{h} lies below no other member."""
-    # a set with an element outside {0..n} has no bit (and 1 << -1 would
-    # raise its own error)
-    m = _mask(s) if s <= frozenset(range(n + 1)) else None
-    if m is None or not bits >> m & 1:
-        raise ValueError(f"{sorted(s)} is not a member of the sieve")
-    outside = [1 << y for y in range(n + 1) if y not in s]
-    for b in outside:
-        if bits >> (m | b) & 1:
-            raise ValueError(f"{sorted(s)} is not maximal in the sieve")
-    if h not in s:
-        raise ValueError(f"{h} is not an element of {sorted(s)}")
-    face = m & ~(1 << h)
-    for b in outside:
-        if bits >> (face | b) & 1:
-            raise ValueError(
-                f"removing {sorted(s)} at {h} breaks downward closure: "
-                f"{sorted(s - {h})} still below another member")
-    raise AssertionError(f"removing {sorted(s)} at {h} is a valid step")
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +250,7 @@ class HornStep(NamedTuple):
         return h >= 0 and m >> h & 1 == 1 and m & -m < 1 << h and m >> h > 1
 
     def to_json(self) -> dict:
-        # S's elements are the set bits of its mask, read off its digits
-        return {"S": _masks(self.mask), "h": self.h, "inner": self.inner}
+        return {"S": _elements(self.mask), "h": self.h, "inner": self.inner}
 
 
 @dataclass

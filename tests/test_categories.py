@@ -117,6 +117,25 @@ class TestValidation:
         with pytest.raises(CategoryError):
             SetDiagram(cat, x.values, broken).validate()
 
+    def test_partial_action_detected(self, cospan):
+        cat, x = cospan
+        action = dict(x.action)
+        action["f"] = {0: "*"}
+        with pytest.raises(CategoryError, match="function for 'f' not total "
+                                                "into the target on 1"):
+            SetDiagram(cat, x.values, action).validate()
+
+    @pytest.mark.parametrize("components, message", [
+        ({"a": {0: 0, 1: 1}, "b": {0: 0, 1: 1}}, "missing component at 'c'"),
+        ({"a": {0: 0, 1: 1}, "b": {0: 0, 1: 2}, "c": {"*": "*"}},
+         "component at 'b' leaves the target"),
+    ], ids=["missing", "leaves-target"])
+    def test_each_component_of_a_diagram_map_is_checked(self, cospan,
+                                                        components, message):
+        _, x = cospan
+        with pytest.raises(CategoryError, match=message):
+            DiagramMap(x, x, components).validate()
+
     def test_random_diagram_rejects_arrows_it_cannot_act_along(self):
         rng = random.Random(0)
         state = rng.getstate()

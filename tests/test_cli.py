@@ -273,6 +273,19 @@ class TestLabs:
         doc = json.loads(out)
         assert code == 0 and doc["count"] == 2
 
+    def test_exponential(self, capsys):
+        code, out, _ = run(capsys, "lab", "exponential", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "status": "pass", "limit": 10, "nat": 10,
+            "exponential_sizes": {"0": 27, "1": 324, "2": 2601}}
+
+    def test_exponential_needs_diagrams_f_and_g(self, capsys):
+        code, out, err = run(capsys, "lab", "exponential",
+                             "--fixture", "poset012.json")
+        assert code == 2 and out == ""
+        assert err == "fixture diagrams: must define diagrams F and G\n"
+
     @pytest.mark.parametrize("n, max_card", [("2", "3"), ("3", "2")])
     def test_classifier_cap_is_exit_two(self, capsys, n, max_card):
         code, out, err = run(capsys, "lab", "classifier",

@@ -122,6 +122,29 @@ def test_a_row_from_an_undeclared_element_is_refused(doc, path):
     assert str(info.value) == f"fixture {path}: undeclared element 'zz'"
 
 
+@pytest.mark.parametrize("doc, path, message", [
+    (_edited("cospan", "diagrams", "X", "functions", 0, 1, 1),
+     "diagrams.X.functions[0][1]", "function for 'f' undefined on 1"),
+    (_edited("cospan", "diagrams", "X", "functions", 1, 1, 1, 1, value="zz"),
+     "diagrams.X.functions[1][1][1][1]",
+     "function for 'g' leaves the values of 'c'"),
+], ids=["not-total", "leaves-target"])
+def test_a_diagram_function_is_total_into_its_target(doc, path, message):
+    """A function row that misses an element of its source, or sends one
+    outside its target, is refused at its path before the diagram laws
+    are checked, as a face row is."""
+    with pytest.raises(FixtureError) as info:
+        Fixture(doc)
+    assert info.value.path == path
+    assert str(info.value) == f"fixture {path}: {message}"
+
+
+def test_a_negative_rank_is_a_category_error():
+    doc = _edited("cospan", "category", "objects", 0, 1, value=-1)
+    with pytest.raises(CategoryError, match="negative rank at 'a'"):
+        Fixture(doc)
+
+
 def test_law_failures_are_category_errors():
     doc = _edited("poset012", "category", "compose", value=[])
     with pytest.raises(CategoryError, match="compose missing"):

@@ -217,12 +217,13 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["diagrams", "simplices"])
+@pytest.mark.parametrize("workload",
+                         ["corpus", "numerals", "diagrams", "simplices"])
 def test_every_benchmark_item_passes_its_check(workload, monkeypatch):
-    """The benchmark's `diagrams` and `simplices` plans, loaded from its
-    file, at a fixed seed: each item runs once and passes its own check.  A
-    refactor that breaks a name or a result they read otherwise fails only
-    a benchmark run."""
+    """Each of the benchmark's plans, loaded from its file, at a fixed
+    seed: each item runs once and passes its own check.  A refactor that
+    breaks a name or a result they read otherwise fails only a benchmark
+    run."""
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)

@@ -596,6 +596,25 @@ class TestDiagnostics:
         assert (record["status"], record["rule"]) == ("fail", rule)
         assert fragment in record["message"]
 
+    @pytest.mark.parametrize("src, rule, message", [
+        ("pair zero zero : Nat", "CONV",
+         "'pair' checked against an incompatible type"),
+        ("fst (fun x => x) : Nat", "INFER",
+         "cannot infer the type of a bare lambda; annotate it with `(t : T)`"),
+        ("indSum (fun s => Nat) (fun a => zero) (fun b => zero) zero : Nat",
+         "ELIM-+", "indSum eliminates a Sum value"),
+        ("indSumS (fun s => NatS) (fun a => zeroS) (fun b => zeroS) zero "
+         ": NatS", "ELIM-+S", "indSumS eliminates a SumS value"),
+    ], ids=["CONV-pair", "INFER-lambda", "ELIM-+", "ELIM-+S"])
+    def test_a_fail_declaration_records_its_rule(self, src, rule, message):
+        """A `fail` declaration passes when its term is refused, and its
+        record names the rule and the message of the refusal."""
+        rep = check_module(Checker(), resolve(parse(f"fail {src}\n")))
+        record = rep.records[-1]
+        assert rep.ok
+        assert (record["kind"], record["status"], record["rule"],
+                record["message"]) == ("fail", "pass", rule, message)
+
     @pytest.mark.parametrize("kind", ["check", "fail"])
     def test_recursion_overflow_is_a_depth_failure(self, kind):
         """A Π chain still costs the checker frames per level; a `succ`

@@ -157,6 +157,10 @@ class TestSegal:
         for (e1, e2) in weak_spines(poset_nerve, 2):
             assert target[e1] == source[e2]
 
+    def test_weak_spines_need_an_edge(self, poset_nerve):
+        with pytest.raises(ValueError, match="weak spines need n >= 1"):
+            weak_spines(poset_nerve, 0)
+
     def test_spine_restriction_lands_in_weak_spines(self, poset_nerve):
         spines = set(weak_spines(poset_nerve, 3))
         for cell in poset_nerve.levels[3]:

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,19 @@ class TestMonoMaps:
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
             full_subfunctor(13)
+
+    def test_a_negative_dimension_is_refused(self):
+        with pytest.raises(DimensionError,
+                           match="dimension must be non-negative, got -1"):
+            full_subfunctor(-1)
+
+    @pytest.mark.parametrize("image, message", [
+        ((1, 0), r"image not strictly increasing: \(1, 0\)"),
+        ((0, 3), r"image \(0, 3\) out of range for \[2\]"),
+    ], ids=["decreasing", "out-of-range"])
+    def test_an_image_must_be_an_increasing_map_into_n(self, image, message):
+        with pytest.raises(ValueError, match=message):
+            MonoMap(2, image)
 
 
 def _level_sizes(sv):
@@ -172,13 +186,29 @@ class TestSieves:
         ({0, 1, 2}, 3, "3 is not an element of [0, 1, 2]"),
         ({0, 3}, 0, "[0, 3] is not a member of the sieve"),
         ({-1, 0}, 0, "[-1, 0] is not a member of the sieve"),
+        ({0, 1, 2}, 10**9, "1000000000 is not an element of [0, 1, 2]"),
+        ({0, 1, 2}, -10**9, "-1000000000 is not an element of [0, 1, 2]"),
     ], ids=["not-maximal-first", "negative-pivot", "pivot-above-n",
-            "element-above-n", "negative-element"])
+            "element-above-n", "negative-element", "huge-pivot",
+            "huge-negative-pivot"])
     def test_horn_remove_reports_the_first_failing_check(self, s, h, message):
         x = full_subfunctor(2)
         assert _outcome(horn_remove, x, frozenset(s), h) \
             == _outcome(_horn_remove_by_scans, x, frozenset(s), h) \
             == ("error", message)
+
+    def test_a_huge_pivot_is_refused_without_building_its_bit(self):
+        """The pivot comes from the caller: testing it after building
+        ``1 << h`` would allocate a 125 MB integer for h = 10**9."""
+        x = full_subfunctor(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="is not an element"):
+                horn_remove(x, frozenset({0, 1, 2}), 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @settings(deadline=None)
     @given(st.integers(0, 5), st.data())

@@ -117,6 +117,12 @@ class TestParser:
             parse("def x : := zero", "f.tltt")
         assert "f.tltt" in str(e.value)
 
+    def test_trailing_input_after_a_term_is_an_error_at_it(self):
+        with pytest.raises(SyntaxError_) as e:
+            parse_term("Nat )")
+        assert (e.value.msg, e.value.line, e.value.col) == (
+            "trailing input after term", 1, 5)
+
     def test_expect_annotation(self):
         mod = parse("--! expect: ELIM-NAT\nfail bad : Nat\n")
         assert mod.decls[0].expect_rule == "ELIM-NAT"

@@ -22,9 +22,13 @@ conversion a worklist with its alpha-equality ``syntax._differ`` (the ``==``
 of terms) on a stack of its own, and a numeral is typed in one loop, so none
 costs a Python frame per level.  Iota is level-exact: an eliminator reduces
 only on constructors of its own level, to a head and its arguments.  Each
-built-in is one node, shared from ``syntax.CONSTS``.  A type is reduced only
-where a rule reads its head, and checked first, so what reduction drops is
-checked once.  Errors carry the name of the violated rule.
+built-in is one node, shared from ``syntax.CONSTS``, and the variables and
+universes the rules build come from ``syntax.var`` and ``syntax.univ``;
+``sort_lub`` returns whichever operand is the join, and substitution returns
+what it leaves unchanged, so the identity tests of conversion meet shared
+subterms.  A type is reduced only where a rule reads its head, and checked
+first, so what reduction drops is checked once.  Errors carry the name of
+the violated rule.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .syntax import (
     CONSTS, Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref, Sig, Term, Univ,
-    Var, _differ, mk_app, parse_term, print_term, shift, spine, subst,
+    Var, _differ, mk_app, parse_term, print_term, shift, spine, subst, univ,
+    var,
 )
 
 
@@ -60,7 +65,14 @@ def sort_leq(a: Univ, b: Univ) -> bool:
 
 
 def sort_lub(a: Univ, b: Univ) -> Univ:
-    return Univ(a.fib and b.fib, max(a.level, b.level))
+    """The join of `a` and `b`: whichever operand is above the other, else
+    the strict universe of the larger level (two sorts of one kind are
+    always comparable)."""
+    if sort_leq(b, a):
+        return a
+    if sort_leq(a, b):
+        return b
+    return univ(False, max(a.level, b.level))
 
 
 def _sort(u: Univ) -> str:
@@ -300,8 +312,8 @@ class Checker:
             k = type(t)
             if k is Lam or type(u) is Lam:
                 # eta for Pi
-                tb = t.body if k is Lam else App(shift(t, 1), Var(0))
-                ub = u.body if type(u) is Lam else App(shift(u, 1), Var(0))
+                tb = t.body if k is Lam else App(shift(t, 1), var(0))
+                ub = u.body if type(u) is Lam else App(shift(u, 1), var(0))
                 todo.append((tb, ub, False))
                 continue
             if k is App or type(u) is App:
@@ -445,7 +457,7 @@ class Checker:
             self.check(ctx, t.rhs, carrier)
             if t.strict:
                 self._use("FORM-=s")
-                return Univ(False, sc.level)
+                return univ(False, sc.level)
             if not sc.fib:
                 raise TypeError_(
                     "INTRO-=",
@@ -454,7 +466,7 @@ class Checker:
             self._use("INTRO-=")
             return sc
         if k is Univ:
-            return Univ(t.fib, t.level + 1)
+            return univ(t.fib, t.level + 1)
         if k is Ref:
             entry = self.env.get(t.name)
             if entry is None:
@@ -498,7 +510,7 @@ class Checker:
         family, strict = _SPINE[name]
         rule = _FAMILIES[family].rules[strict]
         n = len(doms)
-        applied = mk_app(shift(motive, n), *(Var(n - 1 - i) for i in range(n)))
+        applied = mk_app(shift(motive, n), *(var(n - 1 - i) for i in range(n)))
         uni = self.whnf(self.infer(doms[::-1] + ctx, self.whnf(applied)))
         if not isinstance(uni, Univ):
             raise TypeError_("MOTIVE", "eliminator motive must target a universe")
@@ -543,7 +555,7 @@ class Checker:
                             f"summand has sort {_sort(s)}")
                 if not strict:
                     self._use("FORM-+")
-                ty = Univ(not strict, max(sl.level, sr.level))
+                ty = univ(not strict, max(sl.level, sr.level))
             case "fst" | "snd":
                 pty = self.whnf(self.infer(ctx, args[0]))
                 if not isinstance(pty, Sig):
@@ -572,7 +584,7 @@ class Checker:
                 lhs, rhs = ety.lhs, ety.rhs
                 carrier = self._on_checked(self.infer, ctx, lhs)
                 self._elim_motive(ctx, name, motive,
-                                  [carrier, Eq(strict, shift(lhs, 1), Var(0))])
+                                  [carrier, Eq(strict, shift(lhs, 1), var(0))])
                 self.check(ctx, base,
                            _motive_at(motive, lhs, App(at_level("refl"), lhs)))
                 ty = _motive_at(motive, rhs, prf)
@@ -581,9 +593,9 @@ class Checker:
                 motive, z, s_arg, n = args
                 self._elim_motive(ctx, name, motive, [nat])
                 self.check(ctx, z, _motive_at(motive, at_level("zero")))
-                step_ty = Pi("m", nat, Pi("_", _motive_at(shift(motive, 1), Var(0)),
+                step_ty = Pi("m", nat, Pi("_", _motive_at(shift(motive, 1), var(0)),
                                           _motive_at(shift(motive, 2),
-                                                     App(at_level("succ"), Var(1)))))
+                                                     App(at_level("succ"), var(1)))))
                 self.check(ctx, s_arg, step_ty)
                 self.check(ctx, n, nat)
                 ty = _motive_at(motive, n)
@@ -603,7 +615,7 @@ class Checker:
                 self._elim_motive(ctx, name, motive, [xty])
                 for arm, side, hint, dom in zip((f, g), ("inl", "inr"), "ab", xa):
                     self.check(ctx, arm, Pi(hint, dom, _motive_at(
-                        shift(motive, 1), App(at_level(side), Var(0)))))
+                        shift(motive, 1), App(at_level(side), var(0)))))
                 ty = _motive_at(motive, x)
         return ty, extra
 

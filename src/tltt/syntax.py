@@ -33,9 +33,11 @@ class SyntaxError_(Exception):
 
 class _Node:
     """Base of the core terms: no `__dict__`, and no field is assigned or
-    deleted after `__init__`, so reduction may share subterms.  `==` is
-    alpha-equality, `_differ`'s, which ignores binder names; terms are not
-    hashable."""
+    deleted after `__init__`, so terms share subterms freely: the parser
+    and the kernel take variables, universes and built-ins from shared
+    tables, and substitution returns every node it leaves unchanged.  `==`
+    is alpha-equality, `_differ`'s, which ignores binder names; terms are
+    not hashable."""
 
     __slots__ = ()
     __hash__ = None
@@ -168,6 +170,26 @@ BUILTIN_CONSTS = {
 # constants with one name are one object.
 CONSTS = {name: Const(name) for name in BUILTIN_CONSTS}
 
+# One node per de Bruijn index and per universe `(fib, level)` below
+# `SHARED`, built once like `CONSTS`; `var` and `univ` hand them out, and
+# build a fresh node only above the bound.
+SHARED = 64
+VARS = tuple(Var(idx) for idx in range(SHARED))
+UNIVS = tuple(tuple(Univ(fib, level) for level in range(SHARED))
+              for fib in (False, True))
+
+
+def var(idx: int) -> Var:
+    """The variable of index `idx`, shared below `SHARED`."""
+    return VARS[idx] if idx < SHARED else Var(idx)
+
+
+def univ(fib: bool, level: int) -> Univ:
+    """The universe `U level` (`Us level` if not `fib`), shared below
+    `SHARED`."""
+    return UNIVS[fib][level] if level < SHARED else Univ(fib, level)
+
+
 KEYWORDS = {"def", "axiom", "check", "fail", "Pi", "Sig", "fun", "U", "Us"}
 
 # The digits of a universe level.  The checker prints levels up to two above
@@ -197,28 +219,36 @@ def subst(t: Term, subs: Sequence[Term], idx: int = 0, by: int = 0) -> Term:
     below `idx` stay, Var(idx + j) becomes `subs[-1 - j]` shifted by `idx`
     for j < len(subs) (`subs` in application order, the outermost binder's
     argument first), and Var(idx + j) above becomes
-    Var(idx + j - len(subs) + by).  β on a whole spine is one walk."""
+    Var(idx + j - len(subs) + by).  β on a whole spine is one walk.  A node
+    that nothing under it changes is returned as it is, so only the paths
+    to the variables it moves are built again."""
     k = type(t)
     if k is Var:
         j = t.idx - idx
         if j < 0:
             return t
         n = len(subs)
-        return shift(subs[-1 - j], idx) if j < n else Var(t.idx - n + by)
+        if j < n:
+            return shift(subs[-1 - j], idx)
+        return t if n == by else var(t.idx - n + by)
     if k is App:
-        return App(subst(t.fn, subs, idx, by), subst(t.arg, subs, idx, by))
+        fn, arg = subst(t.fn, subs, idx, by), subst(t.arg, subs, idx, by)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if k is Const or k is Ref or k is Univ:
         return t
     if k is Pi or k is Sig:
-        return k(t.name, subst(t.dom, subs, idx, by),
-                 subst(t.cod, subs, idx + 1, by))
+        dom = subst(t.dom, subs, idx, by)
+        cod = subst(t.cod, subs, idx + 1, by)
+        return t if dom is t.dom and cod is t.cod else k(t.name, dom, cod)
     if k is Eq:
-        return Eq(t.strict, subst(t.lhs, subs, idx, by),
-                  subst(t.rhs, subs, idx, by))
+        lhs, rhs = subst(t.lhs, subs, idx, by), subst(t.rhs, subs, idx, by)
+        return t if lhs is t.lhs and rhs is t.rhs else Eq(t.strict, lhs, rhs)
     if k is Lam:
-        return Lam(t.name, subst(t.body, subs, idx + 1, by))
+        body = subst(t.body, subs, idx + 1, by)
+        return t if body is t.body else Lam(t.name, body)
     if k is Ann:
-        return Ann(subst(t.tm, subs, idx, by), subst(t.ty, subs, idx, by))
+        tm, ty = subst(t.tm, subs, idx, by), subst(t.ty, subs, idx, by)
+        return t if tm is t.tm and ty is t.ty else Ann(tm, ty)
     raise AssertionError(t)
 
 
@@ -379,8 +409,9 @@ def tokenize(src: str, path: str = "<input>") -> Tokens:
 # ---------------------------------------------------------------------------
 # Parser: one loop from tokens to core terms.  A name is looked up in the
 # bound names (innermost first), then among the built-ins; any other name
-# becomes a `Ref`.  Every name not bound by a binder is recorded with its
-# position, for `resolve` to check against the declared globals.
+# becomes a `Ref`, one per name in a parse.  Every name not bound by a binder
+# is recorded with its position, for `resolve` to check against the declared
+# globals.
 # ---------------------------------------------------------------------------
 
 # What `Parser.term` reads next (a term, the binder groups of a Pi or Sig, or
@@ -406,6 +437,7 @@ class Parser:
         self.path = path
         self.scope = list(scope)    # bound names, outermost first
         self.refs: list[tuple[str, int, int]] = []
+        self.leaves = dict(CONSTS)  # one node per built-in and global name
 
     def place(self, i: int) -> tuple[int, int]:
         """The line and column of token `i`."""
@@ -436,6 +468,7 @@ class Parser:
         shifted past the i names before it."""
         kinds, texts, offs = self.kinds, self.texts, self.offs
         starts, scope, refs = self.starts, self.scope, self.refs
+        leaves = self.leaves
         stack: list[tuple] = []
         reading = _TERM
         while True:
@@ -477,12 +510,13 @@ class Parser:
                         j = len(scope) - 1
                         while scope[j] != name:
                             j -= 1
-                        arg = Var(len(scope) - 1 - j)
+                        arg = var(len(scope) - 1 - j)
                     else:
                         off = offs[i]
                         line = bisect_right(starts, off)  # `place`, inline
                         refs.append((name, line, off - starts[line - 1] + 1))
-                        arg = CONSTS.get(name) or Ref(name)
+                        arg = leaves.get(name) or leaves.setdefault(
+                            name, Ref(name))
                     i += 1
                 elif texts[i] == "(":
                     stack.append((_PAREN, t))
@@ -493,7 +527,7 @@ class Parser:
                         self.err("expected a universe level", i + 1)
                     if len(texts[i + 1]) > MAX_LEVEL_DIGITS:
                         self.err("universe level too large", i + 1)
-                    arg = Univ(texts[i] == "U", int(texts[i + 1]))
+                    arg = univ(texts[i] == "U", int(texts[i + 1]))
                     i += 2
                 elif t is None:
                     self.err(f"expected a term, found {texts[i]!r}", i)

@@ -263,6 +263,30 @@ def test_agrees_on_seeded_types(seed):
     assert outcomes == {True, False} and rules == {"FIB-PRE"}
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_agrees_where_one_node_meets_different_partners(seed):
+    """`_differ` records the pairs on the path to a difference under `id` of
+    the left node.  One node at four positions, paired with itself, a
+    renamed copy, a redex that reduces to it and a perturbed copy in a
+    drawn order, on either side, gets the oracle's verdict."""
+    rng = random.Random(f"shared:{seed}")
+    outcomes = set()
+    for _ in range(60):
+        s = _type(rng, 3)
+        partners = [s, renamed(s), App(Lam("z", shift(s, 1)), Const("zero")),
+                    _perturb(rng, s)]
+        rng.shuffle(partners)
+        a, b, c, d = partners
+        t = Sig("p", s, Pi("q", s, Eq(False, s, s)))
+        u = Sig("p", a, Pi("q", b, Eq(False, c, d)))
+        leq = rng.random() < 0.5
+        for left, right in ((t, u), (u, t)):
+            new, old = verdicts({}, None, left, right, leq)
+            assert new == old, (left, right)
+            outcomes.add(new[0])
+    assert outcomes == {True, False}
+
+
 def size(t):
     """The number of nodes of `t`."""
     return 1 + sum(size(getattr(t, f)) for f in type(t).__match_args__

@@ -171,6 +171,16 @@ def test_builtins_are_built_once():
         "syntax.<top>"}
 
 
+def test_variables_and_universes_are_shared():
+    """Below `syntax.SHARED` every variable and universe is one node, built
+    into `syntax.VARS` and `syntax.UNIVS` at import; `syntax.var` and
+    `syntax.univ` hand them out and build the only other ones, above the
+    bound."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert callers("Var", sources) == {"syntax.<top>", "syntax.var"}
+    assert callers("Univ", sources) == {"syntax.<top>", "syntax.univ"}
+
+
 def test_the_exponential_builds_no_intermediate_diagram():
     """`exponential_diagram` solves each Nat(F x y_d, G) from the tables, so
     the two sides of criterion 6, `limit_direct` of the exponential and
@@ -188,6 +198,11 @@ def test_the_check_sees_every_caller():
                     "def f():\n    def g():\n        D()\n    return E()\n",
                "b": "def h(D):\n    return D\n"}
     assert callers("D", sources) == {"a.<top>", "a.K.m", "a.f"}
+    tables = {"t": "T = tuple(D(i) for i in range(9))\n"
+                   "def d(i):\n    return T[i] if i < 9 else D(i)\n"
+                   "def s(t):\n    return t if t.i < 9 else d(t.i)\n",
+              "k": "def eta(t):\n    return A(t, D(0))\n"}
+    assert callers("D", tables) == {"t.<top>", "t.d", "k.eta"}
 
 
 def _tracer():

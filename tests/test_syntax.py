@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import importlib.util
+import itertools
 import pathlib
 import pickle
 import re
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from test_parse_golden import STRIDE
 from tltt import syntax
 from tltt.corpus import corpus_files
-from tltt.kernel import Checker, check_module
+from tltt.kernel import Checker, check_module, sort_lub
 from tltt.syntax import (
     Ann, App, Const, Eq, Lam, Pi, Ref, ResolveError, Sig, SyntaxError_, Term,
     Univ, Var, mk_app, parse, parse_term, print_module, print_term, resolve,
@@ -344,6 +345,115 @@ class TestSubstitutionOracle:
     def test_shift_agrees(self, t, by, cutoff):
         assert repr(shift(t, by, cutoff)) == repr(match_shift(t, by, cutoff))
         assert shift(t, 0) is t and shift(t, 0, cutoff) is t
+
+
+def corpus_terms() -> list:
+    """The type and body of every declaration of the shipped corpus."""
+    return [t for path in corpus_files()
+            for d in parse(path.read_text(), str(path)).decls
+            for t in (d.ty, d.body) if t is not None]
+
+
+def loose(t) -> int:
+    """One more than the largest free index of `t`: the least cutoff at and
+    above which `t` has no variable."""
+    return max((u.idx - d + 1 for u, d in syntax._nodes(t)
+                if type(u) is Var and u.idx >= d), default=0)
+
+
+def unshared(t):
+    """`t` rebuilt with a fresh node at every position (a deep copy would
+    keep a node that occurs twice as one)."""
+    return type(t)(*(unshared(v) if isinstance(v, syntax._Node) else v
+                     for v in (getattr(t, f.name)
+                               for f in dataclasses.fields(t))))
+
+
+class TestSharing:
+    """Substitution returns what it leaves unchanged, and the variables,
+    universes and globals the parser and the kernel build are shared."""
+
+    @staticmethod
+    def assert_returned(t, above):
+        cutoff = loose(t) + above
+        assert shift(t, 1, cutoff) is t and shift(t, -1, cutoff) is t
+        assert subst(t, (Const("zero"),), cutoff) is t
+        assert subst(t, (Var(0), Ref("f")), cutoff, 3) is t
+
+    def test_corpus_terms_come_back_as_themselves(self):
+        terms = corpus_terms()
+        assert len(terms) > 100
+        for t in terms:
+            self.assert_returned(t, 0)
+            self.assert_returned(t, 2)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(open_terms, st.integers(0, 2))
+    def test_open_terms_come_back_as_themselves(self, t, above):
+        self.assert_returned(t, above)
+
+    def test_a_variable_that_keeps_its_index_is_returned(self):
+        v = Var(5)
+        assert subst(v, (Const("zero"), Const("Nat")), 1, 2) is v
+        for v in (v, syntax.var(5), Var(syntax.SHARED + 5)):
+            assert subst(v, (Const("zero"), Const("Nat")), 1, 2) is v
+            assert subst(v, (), 0) is v and shift(v, 1, v.idx + 1) is v
+        assert shift(Var(3), 1) is syntax.var(4)
+        top = shift(syntax.var(syntax.SHARED - 1), 1)
+        assert type(top) is Var and top.idx == syntax.SHARED
+
+    def test_only_the_paths_to_moved_variables_are_built(self):
+        kept = Lam("x", App(Var(0), Const("zero")))
+        t = App(App(kept, Var(4)), Pi("y", Univ(True, 0), kept))
+        s = shift(t, 1, 2)
+        assert s == App(App(kept, Var(5)), t.arg)
+        assert s.fn.fn is kept and s.fn.arg is syntax.var(5)
+        assert s.arg is t.arg
+
+    def test_the_parser_builds_the_shared_leaves(self):
+        mod = parse("axiom f : Pi (A : U 0) (x : A), Us 3 -> A\n"
+                    "def g : U 1 := U 0\n"
+                    "check f g (f (U 0) U 0) : Us 3 -> g\n")
+        nodes = [u for d in mod.decls for t in (d.ty, d.body)
+                 if t is not None for u, _ in syntax._nodes(t)]
+        refs = [u for u in nodes if type(u) is Ref]
+        assert sorted(r.name for r in refs) == ["f", "f", "g", "g"]
+        assert len({id(r) for r in refs}) == 2
+        variables = [u for u in nodes if type(u) is Var]
+        universes = [u for u in nodes if type(u) is Univ]
+        assert len(variables) == 2 and len(universes) == 7
+        assert all(v is syntax.var(v.idx) for v in variables)
+        assert all(u is syntax.univ(u.fib, u.level) for u in universes)
+        assert parse_term(f"U {syntax.SHARED}") == Univ(True, syntax.SHARED)
+
+    def test_sort_lub_returns_the_operand_that_is_the_join(self):
+        sorts = [(fib, level) for fib in (False, True) for level in range(3)]
+        for a, b in itertools.product(sorts, repeat=2):
+            ua, ub = Univ(*a), Univ(*b)     # fresh, not the shared nodes
+            join = Univ(a[0] and b[0], max(a[1], b[1]))
+            got = sort_lub(ua, ub)
+            assert got == join
+            if join == ua:
+                assert got is ua
+            elif join == ub:
+                assert got is ub
+
+    def test_a_binder_at_two_positions_prints_as_two(self):
+        """`print_term` records by `id` which binders' variables occur; one
+        `Pi` and one `Lam` object at two positions each print as if every
+        position had a node of its own."""
+        dep = Pi("x", Univ(True, 0), Var(0))        # its variable occurs
+        arrow = Pi("y", Const("Nat"), Const("Nat"))  # its variable does not
+        konst = Lam("w", Var(1))    # the binder around it, at either place
+        body = Eq(False, App(konst, Var(2)),
+                  App(Lam("v", App(konst, Var(0))), Var(1)))
+        t = Pi("a", dep, Pi("b", arrow, Sig("c", dep, Pi("d", arrow, body))))
+        text = print_term(t)
+        assert text == print_term(unshared(t))
+        assert text == ("(Pi (x : U 0), x) -> (Pi (b : Nat -> Nat), "
+                        "Sig (c : Pi (x : U 0), x), Pi (d : Nat -> Nat), "
+                        "(fun w => d) b = (fun v => (fun w => v) v) c)")
+        assert parse_term(text) == t
 
 
 # One node of each kind, binder names set, and each kind's match arguments

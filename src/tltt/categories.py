@@ -286,23 +286,6 @@ def constant_diagram(c: FinCat, elements: tuple) -> SetDiagram:
                     lambda a, v: v)
 
 
-def _pairwise(f: SetDiagram, g: SetDiagram):
-    """The action on pairs: f's on the first component, g's on the second."""
-    return lambda a, uv: (f.action[a][uv[0]], g.action[a][uv[1]])
-
-
-def product_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
-    values = {o: tuple(itertools.product(f.values[o], g.values[o]))
-              for o in f.cat.objects}
-    return tabulate(f.cat, values, _pairwise(f, g))
-
-
-def representable(c: FinCat, d) -> SetDiagram:
-    """The covariant representable y_d = Hom(d, -)."""
-    return tabulate(c, {o: tuple(c.hom(d, o)) for o in c.objects},
-                    lambda a, g: c.compose[(a, g)])
-
-
 # ---------------------------------------------------------------------------
 # Limits and matching objects
 # ---------------------------------------------------------------------------
@@ -415,7 +398,8 @@ def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
     u in F(o) and h : d -> o, and along each arrow a the cell (src a,
     (u, h)) fixes (dst a, (F(a)(u), a . h)) through G(a).  Cells and
     constraints come in the order ``diagram_nat_transforms`` gives them on
-    ``product_diagram(f, representable(c, d))``, so the solutions do too.
+    ``product_diagram(f, representable(c, d))`` (test oracles, in
+    ``tests/oracles.py``), so the solutions do too.
     """
     c = f.cat
     order = _object_order(c)
@@ -444,7 +428,7 @@ def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Maps of diagrams and pullbacks
+# Maps of diagrams
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -471,25 +455,6 @@ class DiagramMap:
                 rhs = self.target.action[a][self.components[s][v]]
                 if lhs != rhs:
                     raise CategoryError(f"naturality fails at {a!r} on {v!r}")
-
-
-def pullback_diagram(p: DiagramMap, q: DiagramMap
-                     ) -> tuple[SetDiagram, DiagramMap, DiagramMap]:
-    """Levelwise pullback of p : X -> Z and q : Y -> Z."""
-    if p.target is not q.target and p.target.values != q.target.values:
-        raise CategoryError("pullback needs a common target")
-    c = p.source.cat
-    x, y = p.source, q.source
-    values = {o: tuple((u, v)
-                       for u in x.values[o] for v in y.values[o]
-                       if p.components[o][u] == q.components[o][v])
-              for o in c.objects}
-    w = tabulate(c, values, _pairwise(x, y))
-    pr1 = DiagramMap(w, x, {o: {uv: uv[0] for uv in values[o]}
-                            for o in c.objects})
-    pr2 = DiagramMap(w, y, {o: {uv: uv[1] for uv in values[o]}
-                            for o in c.objects})
-    return w, pr1, pr2
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ when ``ok``.  Exit codes: 0 pass, 1 a check failed or the horn is
 unsupported, 2 usage, range, dimension, fixture, or I/O errors.  An error is
 printed on stderr and, under ``--json``, as the one JSON document
 ``{"status": "error", "error": message}``.  Fixture errors name the JSON path
-that failed.  Diagnostics go to stderr.  When stdout is closed early, only
-the error line is printed, on stderr, and the exit code is 2.
+that failed.  Diagnostics go to stderr, and a closed stderr is ignored: it
+never decides the exit code.  When stdout is closed early, only the error
+line is printed, on stderr, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def cmd_check(args) -> Verdict:
     for name in args.files:
         reports.append(check_file(ck, pathlib.Path(name)))
         if reports[-1].error:
-            print(reports[-1].error, file=sys.stderr)
+            _write(sys.stderr, reports[-1].error)
     files = [r.to_json() for r in reports]
     return (all(r.ok for r in reports), {"files": files},
             [f"{f['path']}: {f['status']}" for f in files])
@@ -81,7 +82,7 @@ def cmd_corpus_run(args) -> Verdict:
         raise NotADirectoryError(f"not a directory: {root}")
     report = run_corpus(root=root)
     for err in report.errors:
-        print(err, file=sys.stderr)
+        _write(sys.stderr, err)
     doc = report.to_json()
     return (doc["status"] == "pass", doc,
             [f"{r.path}: {'pass' if r.ok else 'fail'}" for r in report.reports]
@@ -289,25 +290,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write(stream, text: str) -> OSError | None:
+    """Print text on stream, or return the error when the stream is closed;
+    then its file is the null device, where what is still buffered goes at
+    exit, quietly.  Every output of `main` goes through here."""
+    try:
+        # print writes the newline on its own: when the stream is
+        # unbuffered, a write that a closed pipe cuts short returns quietly,
+        # the next fails
+        print(text, file=stream, flush=True)
+    except OSError as e:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return e
+    return None
+
+
 def _print(text: str, code: int) -> int:
     """Print text on stdout and return code, or, when stdout is closed, say
     so on stderr and return 2."""
-    try:
-        # print writes the newline on its own: when stdout is unbuffered, a
-        # write that a closed pipe cuts short returns quietly, the next fails
-        print(text, flush=True)
-    except OSError as e:
-        # what is still buffered goes to the null device at exit, quietly
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(e, file=sys.stderr)
+    error = _write(sys.stdout, text)
+    if error is not None:
+        _write(sys.stderr, str(error))
         return 2
     return code
 
 
 def _fail(as_json: bool, message: str, code: int) -> int:
-    print(message, file=sys.stderr)
+    _write(sys.stderr, message)
     if as_json:
         return _print(json.dumps({"status": "error", "error": message}), code)
     return code
@@ -326,14 +337,14 @@ def main(argv=None) -> int:
             # `--help` printed its text; under --json it goes to stderr
             text = help_text.getvalue()
             if "--json" in argv:
-                sys.stderr.write(text)
+                _write(sys.stderr, text.removesuffix("\n"))
                 text = json.dumps({"status": "pass", "help": text})
             else:
                 text = text.removesuffix("\n")     # print adds it back
             return _print(text, 0)
         # argparse printed its usage, then "tltt: error: MESSAGE"
         head, _, message = usage.getvalue().rstrip().rpartition("\n")
-        print(head, file=sys.stderr)
+        _write(sys.stderr, head)
         return _fail("--json" in argv, message, 2)
     try:
         ok, doc, lines = args.func(args)

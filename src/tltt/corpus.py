@@ -39,6 +39,8 @@ def check_file(checker: Checker, path: pathlib.Path) -> Report:
         mod = resolve(parse(path.read_text(), str(path)), set(checker.env))
     except SyntaxError_ as e:
         return Report(str(path), [], error=str(e))
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     return check_module(checker, mod)
 
 

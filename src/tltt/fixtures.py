@@ -35,7 +35,8 @@ FIXTURE_ROOT = pathlib.Path(__file__).parent / "fixture_data"
 
 class FixtureError(ValueError):
     """A fixture document of the wrong shape; ``path`` names the JSON value
-    that failed, e.g. ``category.homs[0][1]``."""
+    that failed, e.g. ``category.homs[0][1]``, or the file that is not
+    UTF-8 JSON."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"fixture {path}: {message}")
@@ -258,9 +259,14 @@ class Fixture:
 
 
 def load_fixture(path: Union[str, pathlib.Path]) -> Fixture:
+    """The fixture at path, or the shipped one for a bare file name that
+    names no file here; a file that is not UTF-8 JSON is refused at it."""
     p = pathlib.Path(path)
-    if not p.exists():
-        candidate = FIXTURE_ROOT / p.name
-        if candidate.exists():
-            p = candidate
-    return Fixture(json.loads(p.read_text()))
+    shipped = FIXTURE_ROOT / p.name
+    if str(path) == p.name and not p.exists() and shipped.exists():
+        p = shipped
+    try:
+        doc = json.loads(p.read_text())
+    except ValueError as e:     # UnicodeDecodeError or JSONDecodeError
+        raise FixtureError(str(p), str(e)) from None
+    return Fixture(doc)

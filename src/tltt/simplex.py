@@ -144,16 +144,6 @@ class Sieve:
         return self.n == other.n and not self.bits & ~other.bits
 
 
-def generated_sieve(n: int, gens: Iterable[Iterable[int]]) -> Sieve:
-    """The smallest sieve containing every generator."""
-    members = set()
-    for g in gens:
-        g = sorted(g)
-        for r in range(len(g) + 1):
-            members.update(frozenset(c) for c in itertools.combinations(g, r))
-    return Sieve(n, frozenset(members))
-
-
 def full_subfunctor(n: int) -> Sieve:
     """The representable on [n]: every subset of {0..n}."""
     _check_dim(n)

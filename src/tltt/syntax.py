@@ -1,4 +1,4 @@
-"""Surface syntax, core terms, parser and printer for `.tltt` modules.
+"""Surface syntax, core terms, parser for `.tltt` modules, term printer.
 
 The surface language is keyword based (``Pi``, ``Sig``, ``fun``) with ASCII
 equality operators ``=`` (fibrant) and ``=s`` (strict).  Core terms are
@@ -769,18 +769,3 @@ def _print(t: Term, ctx: list[str], avoid: set[str], used: set[int],
     else:
         raise AssertionError(t)
     return f"({s})" if p < prec else s
-
-
-def print_module(mod: Module) -> str:
-    lines = []
-    for d in mod.decls:
-        if d.expect_rule:
-            lines.append(f"--! expect: {d.expect_rule}")
-        ty = print_term(d.ty)
-        if d.kind == "def":
-            lines.append(f"def {d.name} : {ty} := {print_term(d.body)}")
-        elif d.kind == "axiom":
-            lines.append(f"axiom {d.name} : {ty}")
-        else:
-            lines.append(f"{d.kind} {print_term(d.body)} : {ty}")
-    return "\n".join(lines) + "\n"

@@ -1,0 +1,95 @@
+"""Test oracles: textbook constructions that the package itself no longer
+runs, kept to check what it does run.
+
+- `product_diagram` and `representable` build the textbook exponential,
+  Nat(F x y_d, G), for `tests/test_categories.py::reference_exponential`;
+  they and `pullback_diagram` are checked in `tests/test_categories.py`,
+  and their tables are pinned by the diagram golden
+  (`tests/test_diagram_golden.py`);
+- `generated_sieve` builds the smallest sieve that holds given generators,
+  the sieves of `tests/test_simplex.py`;
+- `print_module` prints a parsed module back as source, for the round
+  trips of `tests/test_syntax.py`.
+
+Each builds through the package's own code (`categories.tabulate`,
+`simplex.Sieve`, `syntax.print_term`), so a change there shows here too.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable
+
+from tltt.categories import (CategoryError, DiagramMap, FinCat, SetDiagram,
+                             tabulate)
+from tltt.simplex import Sieve
+from tltt.syntax import Module, print_term
+
+
+# ---------------------------------------------------------------------------
+# Products, representables and pullbacks of diagrams
+# ---------------------------------------------------------------------------
+
+def _pairwise(f: SetDiagram, g: SetDiagram):
+    """The action on pairs: f's on the first component, g's on the second."""
+    return lambda a, uv: (f.action[a][uv[0]], g.action[a][uv[1]])
+
+
+def product_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
+    values = {o: tuple(itertools.product(f.values[o], g.values[o]))
+              for o in f.cat.objects}
+    return tabulate(f.cat, values, _pairwise(f, g))
+
+
+def representable(c: FinCat, d) -> SetDiagram:
+    """The covariant representable y_d = Hom(d, -)."""
+    return tabulate(c, {o: tuple(c.hom(d, o)) for o in c.objects},
+                    lambda a, g: c.compose[(a, g)])
+
+
+def pullback_diagram(p: DiagramMap, q: DiagramMap
+                     ) -> tuple[SetDiagram, DiagramMap, DiagramMap]:
+    """Levelwise pullback of p : X -> Z and q : Y -> Z."""
+    if p.target is not q.target and p.target.values != q.target.values:
+        raise CategoryError("pullback needs a common target")
+    c = p.source.cat
+    x, y = p.source, q.source
+    values = {o: tuple((u, v)
+                       for u in x.values[o] for v in y.values[o]
+                       if p.components[o][u] == q.components[o][v])
+              for o in c.objects}
+    w = tabulate(c, values, _pairwise(x, y))
+    pr1 = DiagramMap(w, x, {o: {uv: uv[0] for uv in values[o]}
+                            for o in c.objects})
+    pr2 = DiagramMap(w, y, {o: {uv: uv[1] for uv in values[o]}
+                            for o in c.objects})
+    return w, pr1, pr2
+
+
+# ---------------------------------------------------------------------------
+# Sieves and modules
+# ---------------------------------------------------------------------------
+
+def generated_sieve(n: int, gens: Iterable[Iterable[int]]) -> Sieve:
+    """The smallest sieve containing every generator."""
+    members = set()
+    for g in gens:
+        g = sorted(g)
+        for r in range(len(g) + 1):
+            members.update(frozenset(c) for c in itertools.combinations(g, r))
+    return Sieve(n, frozenset(members))
+
+
+def print_module(mod: Module) -> str:
+    lines = []
+    for d in mod.decls:
+        if d.expect_rule:
+            lines.append(f"--! expect: {d.expect_rule}")
+        ty = print_term(d.ty)
+        if d.kind == "def":
+            lines.append(f"def {d.name} : {ty} := {print_term(d.body)}")
+        elif d.kind == "axiom":
+            lines.append(f"axiom {d.name} : {ty}")
+        else:
+            lines.append(f"{d.kind} {print_term(d.body)} : {ty}")
+    return "\n".join(lines) + "\n"

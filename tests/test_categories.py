@@ -12,12 +12,12 @@ import pytest
 
 import tltt
 
+from oracles import product_diagram, pullback_diagram, representable
 from tltt.categories import (
     CategoryError, DiagramMap, FinCat, FinInvCat, SetDiagram,
     constant_diagram, diagram_nat_transforms, exponential_diagram,
     family_key, limit_direct, limit_recursive, matching_object,
-    product_diagram, pullback_diagram, random_diagram,
-    random_inverse_category, reduced_coslice, representable,
+    random_diagram, random_inverse_category, reduced_coslice,
     semisimplex_category, sset_to_diagram,
 )
 from tltt.fixtures import load_fixture

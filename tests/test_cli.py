@@ -29,14 +29,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def tltt(*argv):
+def tltt(*argv, stderr=subprocess.PIPE):
     """Run the command line tool in a fresh interpreter."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "tltt.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          stdout=subprocess.PIPE, stderr=stderr, text=True,
+                          env=env)
 
 
 class TestCheck:
@@ -398,25 +399,80 @@ class TestExitCodes:
         (tmp_path / "bad.json").write_text(
             '{"category": {"objects": [["a", null]],'
             ' "homs": [["a", "b", ["f"]]], "compose": []}}')
+        (tmp_path / "cut.json").write_text('{"category": ')
+        (tmp_path / "latin1.json").write_bytes(b'{"caf\xe9": 1}')
         return tmp_path
 
-    @pytest.mark.parametrize("argv, code", [
-        (["check", "no/such/file.tltt"], 2),
-        (["check", "{dir}/latin1.tltt"], 2),
-        (["lab", "horn-factor", "--n", "2", "--k", "0"], 1),
-        (["lab", "yoneda", "--fixture", "{dir}/bad.json"], 2),
+    # (argv, exit code, a text the error names or None); each case has a
+    # fixed id, so that a new case or entry renames none
+    @pytest.mark.parametrize("argv, code, named", [
+        pytest.param(["check", "no/such/file.tltt"], 2, "no/such/file.tltt",
+                     id="argv0-2"),
+        pytest.param(["check", "{dir}/latin1.tltt"], 2, "latin1.tltt",
+                     id="argv1-2"),
+        pytest.param(["lab", "horn-factor", "--n", "2", "--k", "0"], 1, None,
+                     id="argv2-1"),
+        pytest.param(["lab", "yoneda", "--fixture", "{dir}/bad.json"], 2,
+                     "category.homs[0][1]", id="argv3-2"),
+        pytest.param(["lab", "segal", "--fixture", "nowhere/cospan.json"], 2,
+                     "nowhere/cospan.json", id="argv4-2"),
+        pytest.param(["lab", "yoneda", "--fixture", "{dir}/cut.json"], 2,
+                     "cut.json", id="argv5-2"),
+        pytest.param(["lab", "segal", "--fixture", "{dir}/latin1.json"], 2,
+                     "latin1.json", id="argv6-2"),
     ])
-    def test_exit_code_and_error_document(self, inputs, argv, code):
+    def test_exit_code_and_error_document(self, inputs, argv, code, named):
         proc = tltt(*(a.format(dir=inputs) for a in argv), "--json")
         assert proc.returncode == code
         assert proc.stderr and "Traceback" not in proc.stderr
         assert json.loads(proc.stdout) == {"status": "error",
                                            "error": proc.stderr.strip()}
+        assert named is None or named in proc.stderr
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("mode", [[], ["--json"]])
-def test_closed_stdout_is_exit_two_without_traceback(mode, unbuffered):
+def closed_pipe() -> int:
+    """The write end of a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("argv, code, status", [
+    (["check", "/nonexistent.tltt"], 2, "error"),
+    (["check", "{dir}/bad.tltt"], 1, "fail"),
+    (["corpus", "run", "{dir}"], 1, "fail"),
+    (["lab", "nope"], 2, "error"),
+    (["lab", "horn-factor", "--n", "2", "--k", "0"], 1, "error"),
+    (["--help"], 0, "pass"),
+])
+def test_closed_stderr_does_not_decide_the_exit_code(tmp_path, argv, code,
+                                                      status):
+    """Every diagnostic goes to a stderr whose reader is gone: the exit
+    code and the one JSON document on stdout are what they would be."""
+    (tmp_path / "bad.tltt").write_text("def bad : U 0 := NatS\n")
+    (tmp_path / "prelude").mkdir()
+    (tmp_path / "prelude" / "bad.tltt").write_text("def bad : U 0 := NatS\n")
+    stderr = closed_pipe()
+    try:
+        proc = tltt("--json", *(a.format(dir=tmp_path) for a in argv),
+                    stderr=stderr)
+    finally:
+        os.close(stderr)
+    assert proc.returncode == code
+    assert json.loads(proc.stdout)["status"] == status
+
+
+# stderr is a pipe of its own, or the pipe of stdout (as in `2>&1 | head`);
+# each case has a fixed id, so that a new case renames none
+@pytest.mark.parametrize("mode, unbuffered, stderr", [
+    pytest.param(mode, unbuffered, subprocess.PIPE,
+                 id=f"mode{i}-{unbuffered}")
+    for i, mode in enumerate([[], ["--json"]]) for unbuffered in ["1", ""]
+] + [
+    pytest.param(mode, "", subprocess.STDOUT, id=f"shared-mode{i}")
+    for i, mode in enumerate([[], ["--json"]])
+])
+def test_closed_stdout_is_exit_two_without_traceback(mode, unbuffered, stderr):
     """The reader of stdout goes away after 10 bytes of a long output."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
@@ -425,13 +481,14 @@ def test_closed_stdout_is_exit_two_without_traceback(mode, unbuffered):
     proc = subprocess.Popen(
         [sys.executable, "-m", "tltt.cli", *mode,
          "lab", "horn-factor", "--n", "11", "--k", "5"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        stdout=subprocess.PIPE, stderr=stderr, text=True, env=env)
     proc.stdout.read(10)
     proc.stdout.close()
-    err = proc.stderr.read()
+    err = proc.stderr.read() if proc.stderr else None
     assert proc.wait() == 2
-    assert "Broken pipe" in err
-    assert "Traceback" not in err and "Exception ignored" not in err
+    if err is not None:
+        assert "Broken pipe" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def _key_paths(x, path=()):

@@ -24,10 +24,10 @@ import random
 
 import pytest
 
+from oracles import product_diagram, pullback_diagram, representable
 from tltt.categories import (
     DiagramMap, constant_diagram, diagram_nat_transforms, exponential_diagram,
-    product_diagram, pullback_diagram, random_diagram,
-    random_inverse_category, representable, semisimplex_category,
+    random_diagram, random_inverse_category, semisimplex_category,
     sset_to_diagram,
 )
 from tltt.classifier import classifier_elements, interpret

@@ -10,13 +10,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import generated_sieve
 from tltt import simplex
 from tltt.categories import CategoryError, semisimplex_category, tabulate
 from tltt.fixtures import FixtureError, sset_from_json
 from tltt.simplex import (
     DimensionError, Factorization, MonoMap, Sieve,
     UnsupportedHorn, boundary_subfunctor, factor_spine_to_horn,
-    full_subfunctor, generated_sieve, horn_remove, horn_sieve, identity_map,
+    full_subfunctor, horn_remove, horn_sieve, identity_map,
     nat_transforms, yoneda_bijection, zigzag_sieve,
 )
 

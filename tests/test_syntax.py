@@ -13,14 +13,15 @@ import typing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import print_module
 from test_parse_golden import STRIDE
 from tltt import syntax
 from tltt.corpus import corpus_files
 from tltt.kernel import Checker, check_module, sort_lub
 from tltt.syntax import (
     Ann, App, Const, Eq, Lam, Pi, Ref, ResolveError, Sig, SyntaxError_, Term,
-    Univ, Var, mk_app, parse, parse_term, print_module, print_term, resolve,
-    shift, spine, subst, tokenize,
+    Univ, Var, mk_app, parse, parse_term, print_term, resolve, shift, spine,
+    subst, tokenize,
 )
 
 

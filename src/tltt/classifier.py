@@ -177,6 +177,9 @@ def extract(c: FinInvCat, n: int, diagram: SetDiagram, p: DiagramMap,
 
 @dataclass
 class RoundTrip:
+    """Whether an element survives interpretation and re-extraction,
+    with each object's sizes before and after and why it failed."""
+
     ok: bool
     sizes: dict
     detail: str

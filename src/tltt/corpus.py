@@ -60,6 +60,8 @@ def prelude_checker(options: Optional[KernelOptions] = None,
 
 @dataclass
 class CorpusReport:
+    """The report of each corpus file, in run order."""
+
     reports: list[Report] = field(default_factory=list)
 
     @property

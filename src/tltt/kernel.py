@@ -90,6 +90,8 @@ class TypeError_(Exception):
 
 @dataclass
 class EnvEntry:
+    """A global's type and, for a def, its value."""
+
     ty: Term
     value: Optional[Term]     # None for axioms
 
@@ -292,8 +294,8 @@ class Checker:
         first, left to right.  A pair converts if it is alpha-equal before
         or after weak-head normalization; a pair that `_differ` found
         unequal on its way down is not walked again."""
-        unequal = None if t is u else _differ(t, u)
-        if unequal is None:
+        unequal = {}
+        if t is u or not _differ(t, u, unequal):
             return True
         todo = [(t, u, leq)]
         while todo:
@@ -302,12 +304,12 @@ class Checker:
                 continue
             known = unequal.get(id(t))
             if ((known is None or known[1] is not u)
-                    and _differ(t, u, unequal) is None):
+                    and not _differ(t, u, unequal)):
                 continue
             tw, uw = self.whnf(t), self.whnf(u)
             if tw is not t or uw is not u:
                 t, u = tw, uw
-                if t is u or _differ(t, u, unequal) is None:
+                if t is u or not _differ(t, u, unequal):
                     continue
             k = type(t)
             if k is Lam or type(u) is Lam:
@@ -693,6 +695,9 @@ class Checker:
 
 @dataclass
 class Report:
+    """The records of one module's declarations, checked in order, and
+    the error that stopped it, if any."""
+
     path: str
     records: list[dict]
     error: Optional[str] = None

@@ -76,6 +76,9 @@ def spine_restriction(x: SetDiagram, n: int, cell) -> tuple:
 
 @dataclass
 class SegalVerdict:
+    """Whether the restriction of the n-cells to their spines is
+    injective and surjective, with the counts of both."""
+
     n: int
     cells: int
     spines: int
@@ -223,6 +226,10 @@ def based_face(universe: list[tuple], cell: tuple, i: int) -> tuple:
 
 @dataclass
 class PointedNerveComparison:
+    """The cell counts of both nerves up to level n, and whether
+    forgetting the points is a levelwise bijection that commutes with the
+    faces."""
+
     n: int
     pointed_counts: list[int]
     based_counts: list[int]

@@ -11,8 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, islice
-from operator import itemgetter
+from itertools import accumulate, islice
 from typing import Optional, Sequence, Union
 
 
@@ -45,7 +44,7 @@ class _Node:
     def __eq__(self, other):
         if not isinstance(other, _Node):
             return NotImplemented
-        return _differ(self, other) is None
+        return not _differ(self, other)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -92,6 +91,8 @@ def _term(cls):
 
 @_term
 class Var(_Node):
+    """A bound variable, by its de Bruijn index."""
+
     idx: int
 
 
@@ -111,12 +112,16 @@ class Const(_Node):
 
 @_term
 class Univ(_Node):
+    """The universe `U level`, or `Us level` if not `fib`."""
+
     fib: bool
     level: int
 
 
 @_term
 class Pi(_Node):
+    """The dependent function type `Pi (name : dom), cod`."""
+
     name: str
     dom: "Term"
     cod: "Term"
@@ -124,6 +129,8 @@ class Pi(_Node):
 
 @_term
 class Sig(_Node):
+    """The dependent pair type `Sig (name : dom), cod`."""
+
     name: str
     dom: "Term"
     cod: "Term"
@@ -131,18 +138,24 @@ class Sig(_Node):
 
 @_term
 class Lam(_Node):
+    """The function `fun name => body`."""
+
     name: str
     body: "Term"
 
 
 @_term
 class App(_Node):
+    """The application of `fn` to `arg`."""
+
     fn: "Term"
     arg: "Term"
 
 
 @_term
 class Eq(_Node):
+    """The equality type `lhs = rhs`, or `lhs =s rhs` if `strict`."""
+
     strict: bool
     lhs: "Term"
     rhs: "Term"
@@ -258,13 +271,12 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     return subst(t, (), cutoff, by) if by else t
 
 
-def _differ(t: Term, u: Term,
-            unequal: Optional[dict] = None) -> Optional[dict]:
-    """None if `t` and `u` are alpha-equal (equal up to binder names).
-    Else `unequal`, or a new dict, with each pair of subterms from `(t, u)`
-    down to the first pair whose roots differ, depth first and left to
-    right: `(t', u', parent)` under `id(t')`, which the value keeps alive.
-    The pairs still to compare wait on a linked stack, not on Python's."""
+def _differ(t: Term, u: Term, unequal: Optional[dict] = None) -> bool:
+    """Whether `t` and `u` differ beyond binder names.  If they do, and
+    `unequal` is a dict, it gets each pair of subterms from `(t, u)` down
+    to the first pair whose roots differ, depth first and left to right:
+    `(t', u', parent)` under `id(t')`, which the value keeps alive.  The
+    pairs still to compare wait on a linked stack, not on Python's."""
     todo = above = None     # the stack and the path, as nested tuples
     while True:
         if t is not u:
@@ -311,15 +323,13 @@ def _differ(t: Term, u: Term,
                 t, u = t.tm, u.tm
                 continue
         if todo is None:
-            return None
+            return False
         t, u, above, todo = todo
-    if unequal is None:
-        unequal = {}
     e = (t, u, above)
-    while e is not None:
+    while unequal is not None and e is not None:
         unequal[id(e[0])] = e
         e = e[2]
-    return unequal
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +338,8 @@ def _differ(t: Term, u: Term,
 
 @dataclass
 class Decl:
+    """One declaration of a module, at its line and column."""
+
     kind: str                     # "def" | "axiom" | "check" | "fail"
     name: Optional[str]           # None for check/fail
     ty: Term
@@ -342,27 +354,36 @@ class Decl:
 
 @dataclass
 class Module:
+    """The declarations of one source file, in order."""
+
     decls: list[Decl]
     path: str = "<input>"
 
 
 # ---------------------------------------------------------------------------
-# Lexer: one `findall` of one regex, read into columns
+# Lexer: one `split` of one regex, read into columns
 # ---------------------------------------------------------------------------
 
-# Tokens come as columns from one `findall`.  Each match is a pair: the
-# blanks, newlines and ordinary `--` comments it skips, then one token, so the
-# pairs tile the source.  `\Z` is the EOF token, the only empty text (matched
-# twice after a skip).  A kind follows from the text: a keyword is a name.
-# `=s` before a word character is `=` and a name; BAD is any other character.
-# An EXPECT token's text is its whole comment.  Commonest tokens first.
+# Tokens come as columns from one `split` on a regex whose only group is the
+# token, so the pieces alternate between what lies between two tokens and a
+# token.  Ordinary `--` comments are first blanked to spaces of their own
+# length, so offsets do not move and what lies between tokens is only blanks
+# and newlines.  EOF is the only empty text, at the end of the source.  A kind
+# follows from the text: a keyword is a name.  `=s` before a word character is
+# `=` and a name; BAD is any other character.  An EXPECT token's text is its
+# whole comment.  Commonest tokens first.
 _EXPECT = r"![^\S\n]*expect:[^\S\n]*\S"      # an EXPECT token after its `--`
+_COMMENT_RE = re.compile(rf"--({_EXPECT})?[^\n]*")
 _TOKEN_RE = re.compile(rf"""
-    ( [ \t\r\n]* (?: --(?!{_EXPECT})[^\n]* [ \t\r\n]* )* )
     ( [A-Za-z_][A-Za-z0-9_']* | [()] | :=|=>|->|=s(?!\w)|[=,:] | [0-9]+
-    | --{_EXPECT}[^\n]* | \Z | . )
+    | --{_EXPECT}[^\n]* | [^ \t\r\n] )
 """, re.VERBOSE)
 _PUNCT = {":=", "=>", "->", "=s", "=", "(", ")", ",", ":"}
+
+
+def _blank(m: re.Match) -> str:
+    """An ordinary comment as spaces of its length; an EXPECT one as is."""
+    return m[0] if m[1] else " " * len(m[0])
 
 
 def _kind(text: str) -> str:
@@ -389,13 +410,14 @@ class Tokens:
 
 
 def tokenize(src: str, path: str = "<input>") -> Tokens:
-    """The tokens of `src`, with no Python step per token: only each
-    distinct text is classified in Python."""
-    pairs = _TOKEN_RE.findall(src)
-    texts = list(map(itemgetter(1), pairs))
-    del texts[texts.index("") + 1:]
-    offs = list(islice(accumulate(map(len, chain.from_iterable(pairs)),
-                                  initial=0), 1, 2 * len(texts), 2))
+    """The tokens of `src`, with no Python step per token: a token's offset
+    is the length of the pieces before it, and only each comment and each
+    distinct text is visited in Python."""
+    parts = _TOKEN_RE.split(_COMMENT_RE.sub(_blank, src) if "--" in src
+                            else src)
+    texts = parts[1::2]
+    texts.append("")
+    offs = list(islice(accumulate(map(len, parts)), 0, None, 2))
     kind_of = {text: _kind(text) for text in set(texts)}
     kinds = list(map(kind_of.__getitem__, texts))
     if "BAD" in kind_of.values():   # its line and column; only `\n` ends one
@@ -559,6 +581,11 @@ class Parser:
                     i = self.expect(")", i)
                     arg = t if tag == _PAREN else Ann(frame[2], t)
                     t = arg if frame[1] is None else App(frame[1], arg)
+                    # a run of `)` closing parentheses, as a numeral ends
+                    while texts[i] == ")" and stack and stack[-1][0] == _PAREN:
+                        head = stack.pop()[1]
+                        t = t if head is None else App(head, t)
+                        i += 1
                     break
                 if tag == _ARROW:
                     scope.pop()

@@ -9,7 +9,11 @@ runs, kept to check what it does run.
 - `generated_sieve` builds the smallest sieve that holds given generators,
   the sieves of `tests/test_simplex.py`;
 - `print_module` prints a parsed module back as source, for the round
-  trips of `tests/test_syntax.py`.
+  trips of `tests/test_syntax.py`;
+- `findall_tokenize` is the lexer as it was before it split the source:
+  one `findall` of (skipped text, token) pairs, read into columns.
+  `tests/test_syntax.py` checks that `syntax.tokenize` gives its columns,
+  or its error.
 
 Each builds through the package's own code (`categories.tabulate`,
 `simplex.Sieve`, `syntax.print_term`), so a change there shows here too.
@@ -18,12 +22,15 @@ Each builds through the package's own code (`categories.tabulate`,
 from __future__ import annotations
 
 import itertools
+import re
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import Iterable
 
 from tltt.categories import (CategoryError, DiagramMap, FinCat, SetDiagram,
                              tabulate)
 from tltt.simplex import Sieve
-from tltt.syntax import Module, print_term
+from tltt.syntax import Module, SyntaxError_, Tokens, _kind, print_term
 
 
 # ---------------------------------------------------------------------------
@@ -93,3 +100,39 @@ def print_module(mod: Module) -> str:
         else:
             lines.append(f"{d.kind} {print_term(d.body)} : {ty}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The lexer of one `findall`
+# ---------------------------------------------------------------------------
+
+# Tokens come as columns from one `findall`.  Each match is a pair: the
+# blanks, newlines and ordinary `--` comments it skips, then one token, so the
+# pairs tile the source.  `\Z` is the EOF token, the only empty text (matched
+# twice after a skip).  A kind follows from the text: a keyword is a name.
+# `=s` before a word character is `=` and a name; BAD is any other character.
+# An EXPECT token's text is its whole comment.  Commonest tokens first.
+_EXPECT = r"![^\S\n]*expect:[^\S\n]*\S"      # an EXPECT token after its `--`
+_TOKEN_RE = re.compile(rf"""
+    ( [ \t\r\n]* (?: --(?!{_EXPECT})[^\n]* [ \t\r\n]* )* )
+    ( [A-Za-z_][A-Za-z0-9_']* | [()] | :=|=>|->|=s(?!\w)|[=,:] | [0-9]+
+    | --{_EXPECT}[^\n]* | \Z | . )
+""", re.VERBOSE)
+
+
+def findall_tokenize(src: str, path: str = "<input>") -> Tokens:
+    """The tokens of `src`, with no Python step per token: only each
+    distinct text is classified in Python."""
+    pairs = _TOKEN_RE.findall(src)
+    texts = list(map(itemgetter(1), pairs))
+    del texts[texts.index("") + 1:]
+    offs = list(islice(accumulate(map(len, chain.from_iterable(pairs)),
+                                  initial=0), 1, 2 * len(texts), 2))
+    kind_of = {text: _kind(text) for text in set(texts)}
+    kinds = list(map(kind_of.__getitem__, texts))
+    if "BAD" in kind_of.values():   # its line and column; only `\n` ends one
+        off = offs[kinds.index("BAD")]
+        raise SyntaxError_(f"unexpected character {src[off]!r}",
+                           src.count("\n", 0, off) + 1,
+                           off - src.rfind("\n", 0, off), path)
+    return Tokens(kinds, texts, offs)

@@ -51,6 +51,34 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["line 3: j", "line 4: a"]
 
 
+def undocumented_records(source: str) -> list[str]:
+    """Module-level classes of `source` that `dataclass` or `_term` makes
+    and that have no docstring of their own: `dataclasses` writes one for
+    each of them at import, through `inspect.signature`."""
+    return [f"line {node.lineno}: {node.name}"
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            and ast.get_docstring(node) is None
+            and any(ast.unparse(d).partition("(")[0].rpartition(".")[2]
+                    in ("dataclass", "_term") for d in node.decorator_list)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_and_term_class_has_a_docstring(path):
+    assert undocumented_records(path.read_text()) == []
+
+
+def test_the_check_sees_a_class_without_a_docstring():
+    source = ("@dataclass\nclass A:\n    x: int\n"
+              "@dataclasses.dataclass(slots=True)\nclass B:\n"
+              "    \"\"\"Documented.\"\"\"\n    x: int\n"
+              "@_term\nclass C(_Node):\n    x: int\n"
+              "@dataclass(frozen=True)\nclass D:\n    x: int = 0\n"
+              "class E:\n    x: int\n")
+    assert undocumented_records(source) == [
+        "line 2: A", "line 9: C", "line 12: D"]
+
+
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level `_`-prefixed functions and classes that no module of
     `sources` (module name -> source) reads, by name or as an attribute."""
@@ -362,7 +390,8 @@ def python_steps(source: str, name: str) -> list[str]:
     """The Python-level loops of module-level function `name` in `source`:
     what each `for` and comprehension iterates over, as written, each
     `while`, each `lambda`, and each `map` of a function defined in
-    `source`."""
+    `source`, or `sub` or `subn` that calls one on each match, as
+    `R.sub(f, s)` and `re.sub(p, f, s)` do."""
     tree = ast.parse(source)
     own = {node.name for node in tree.body if isinstance(node, FUNCTIONS)}
     fn = next(node for node in tree.body
@@ -373,20 +402,26 @@ def python_steps(source: str, name: str) -> list[str]:
             steps.append(ast.unparse(n.iter))
         elif isinstance(n, (ast.While, ast.Lambda)):
             steps.append(type(n).__name__.lower())
-        elif (isinstance(n, ast.Call) and ast.unparse(n.func) == "map"
-              and ast.unparse(n.args[0]) in own):
-            steps.append(ast.unparse(n))
+        elif isinstance(n, ast.Call):
+            func = ast.unparse(n.func)
+            if (func == "map" or func.endswith((".sub", ".subn"))) and \
+                    ast.unparse(n.args[func in ("re.sub", "re.subn")]) in own:
+                steps.append(ast.unparse(n))
     return sorted(steps)
 
 
 def test_the_scan_takes_no_python_step_per_token():
     """`syntax.tokenize` iterates in Python only over the set of distinct
-    texts, to classify each once: the tokens come from one `findall` and
-    their columns are built in C, with no loop over the matches, which cost
-    the `numerals` front end a Python step per token."""
+    texts, to classify each once, and over the comments, to blank each
+    ordinary one: the tokens come from one `split` and their columns are
+    built in C, with no loop over the matches, which cost the `numerals`
+    front end a Python step per token."""
     steps = python_steps(pathlib.Path(syntax.__file__).read_text(),
                          "tokenize")
-    assert steps and all(step.startswith("set(") for step in steps), steps
+    callbacks = [step for step in steps if not step.startswith("set(")]
+    assert len(steps) > len(callbacks), steps
+    assert len(callbacks) <= 1 and all(".sub(" in step
+                                       for step in callbacks), steps
 
 
 def test_the_check_sees_a_loop_over_matches():
@@ -397,10 +432,15 @@ def test_the_check_sees_a_loop_over_matches():
               "    texts = [pair[1] for pair in R.findall(src)]\n"
               "    while i < n:\n        i += 1\n"
               "    ends = map(lambda m: m.end(), ms)\n"
+              "    src = re.sub('--.*', _kind, C.sub(' ', src))\n"
+              "    src = C.sub(_kind, C.subn(len, src)[0])\n"
+              "    src, n = C.subn(_kind, re.subn('-', '', src))\n"
               "    return list(map(_kind, texts)), list(map(len, texts))\n")
     assert python_steps(source, "tokenize") == [
-        "R.findall(src)", "R.finditer(src)", "lambda", "map(_kind, texts)",
-        "set(texts)", "while"]
+        "C.sub(_kind, C.subn(len, src)[0])",
+        "C.subn(_kind, re.subn('-', '', src))", "R.findall(src)",
+        "R.finditer(src)", "lambda", "map(_kind, texts)",
+        "re.sub('--.*', _kind, C.sub(' ', src))", "set(texts)", "while"]
 
 
 def validates_naturality(source: str, name: str) -> bool:

@@ -13,7 +13,7 @@ import typing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import print_module
+from oracles import findall_tokenize, print_module
 from test_parse_golden import STRIDE
 from tltt import syntax
 from tltt.corpus import corpus_files
@@ -124,6 +124,32 @@ class TestParser:
             parse_term("Nat )")
         assert (e.value.msg, e.value.line, e.value.col) == (
             "trailing input after term", 1, 5)
+
+    @pytest.mark.parametrize("src, want", [
+        ("f (g (h x))", App(Ref("f"), App(Ref("g"), App(Ref("h"), Ref("x"))))),
+        ("f ((x))", App(Ref("f"), Ref("x"))),
+        ("((a = b))", Eq(False, Ref("a"), Ref("b"))),
+        ("(f (x : A))", App(Ref("f"), Ann(Ref("x"), Ref("A")))),
+        ("(A -> (B))", Pi("_", Ref("A"), Ref("B"))),
+        ("(f (g x)) y", App(App(Ref("f"), App(Ref("g"), Ref("x"))), Ref("y"))),
+    ])
+    def test_a_run_of_closing_parentheses(self, src, want):
+        got = parse_term(src, globals_=set("fghxabyAB"))
+        assert got == want and print_term(got) == print_term(want)
+
+    @pytest.mark.parametrize("src, msg, col", [
+        ("f (g (h x))) y", "trailing input after term", 12),
+        ("f x)", "trailing input after term", 4),
+        (")", "expected a term, found ')'", 1),
+    ])
+    def test_a_closing_parenthesis_without_opener_is_an_error_at_it(
+            self, src, msg, col):
+        with pytest.raises(SyntaxError_) as e:
+            parse_term(src, globals_=set("fghxy"))
+        assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, col)
+        with pytest.raises(SyntaxError_) as e:
+            parse(f"check\n{src} : Nat\n")
+        assert (e.value.line, e.value.col) == (2, col)
 
     def test_expect_annotation(self):
         mod = parse("--! expect: ELIM-NAT\nfail bad : Nat\n")
@@ -814,20 +840,40 @@ def oracle_tokenize(src: str, path: str = "<input>"):
 
 
 def assert_scans_as_the_oracle(src: str, path: str = "<test>"):
+    """`tokenize` gives the tokens of the `finditer` oracle above and the
+    columns of `oracles.findall_tokenize`, or fails with the error that
+    both raise."""
     try:
         want = oracle_tokenize(src, path)
     except SyntaxError_ as e:
-        with pytest.raises(SyntaxError_) as got:
-            tokenize(src, path)
-        assert (str(got.value), got.value.msg, got.value.line,
-                got.value.col) == (str(e), e.msg, e.line, e.col)
+        for lexer in (tokenize, findall_tokenize):
+            with pytest.raises(SyntaxError_) as got:
+                lexer(src, path)
+            assert (str(got.value), got.value.msg, got.value.line,
+                    got.value.col) == (str(e), e.msg, e.line, e.col)
         return
-    toks = tokenize(src, path)
+    toks, columns = tokenize(src, path), findall_tokenize(src, path)
     assert list(zip(toks.kinds, toks.texts, toks.offs)) == want
+    assert (toks.kinds, toks.texts, toks.offs) == \
+        (columns.kinds, columns.texts, columns.offs)
     assert len(toks) == len(want)
 
 
 class TestScannerOracle:
+    @pytest.mark.parametrize("src", [
+        "--! expect: CONV -- still the rule\nfail x : A\n",
+        "---!expect: X\ncheck x : A\n",
+        "A ->--x\n->--! expect: Y -- z",
+        "check x : A -- a comment at EOF",
+        "def a : A\r\n:= b -- c\r\n--! expect: R\r\nfail d : A\r\n",
+        "x =sx =s' =s_ =s0 =s(y) =s",
+        "a\n  b \x0b c", "a -- \x0c\n \x0c", "-- é\nx é",
+    ], ids=["expect-with-dashes", "three-dashes", "arrow-then-comment",
+            "comment-at-eof", "crlf", "eqs-before-word", "bad-vt",
+            "bad-ff", "bad-e-acute"])
+    def test_edge_cases(self, src):
+        assert_scans_as_the_oracle(src)
+
     def test_corpus_files(self):
         for path in corpus_files():
             assert_scans_as_the_oracle(path.read_text(), str(path))
@@ -841,7 +887,7 @@ class TestScannerOracle:
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
         spec.loader.exec_module(workloads)
-        for depth in (1, 20, 180, 800):
+        for depth in (1, 20, 180, 200, 400, 800):
             for kind in ("add", "add+1", "toNat"):
                 src, _ = workloads.numeral_source(kind, depth, 0.3)
                 assert_scans_as_the_oracle(src)

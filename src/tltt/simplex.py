@@ -47,16 +47,12 @@ def _check_dim(n: int):
 
 @dataclass(frozen=True)
 class MonoMap:
-    """A strictly increasing map [k] -> [n], stored as its image."""
+    """A strictly increasing map [k] -> [n], stored as its image.  The image
+    is taken as given: every map the package builds is a cell of a sieve
+    or a face of one."""
 
     n: int
     image: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(a < b for a, b in zip(self.image, self.image[1:])):
-            raise ValueError(f"image not strictly increasing: {self.image}")
-        if self.image and not (0 <= self.image[0] and self.image[-1] <= self.n):
-            raise ValueError(f"image {self.image} out of range for [{self.n}]")
 
 
 def identity_map(n: int) -> MonoMap:
@@ -82,7 +78,7 @@ def _elements(m: int) -> list[int]:
     return [i for i, b in enumerate(reversed(bin(m)[2:])) if b == "1"]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Sieve:
     """A subfunctor of the representable on [n], as a downward-closed family
     of subsets of {0..n}.
@@ -91,42 +87,13 @@ class Sieve:
     exactly the maps whose image is a non-empty member; ``cells`` lists them.
     The family is one integer: bit ``m`` is set exactly when the subset with
     mask ``m`` is a member, so equality, order and horn removal are integer
-    arithmetic and a copy is one int.
+    arithmetic and a copy is one int.  The constructor takes the bits as
+    they are: each function below that makes a sieve shows that its bits
+    are downward closed.
     """
 
     n: int
     bits: int
-
-    def __init__(self, n: int, members: Iterable[frozenset]):
-        _check_dim(n)
-        universe = frozenset(range(n + 1))
-        members = tuple(members)    # read once: both loops see every member
-        bits = 0
-        for s in members:
-            if not s <= universe:
-                raise ValueError(f"member {sorted(s)} not a subset of [0,{n}]")
-            bits |= 1 << _mask(s)
-        for s in members:
-            m = _mask(s)
-            for x in s:
-                if not bits >> (m & ~(1 << x)) & 1:
-                    raise ValueError(
-                        f"not downward closed: {sorted(s)} present but "
-                        f"{sorted(s - {x})} missing")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def _closed(cls, n: int, bits: int) -> "Sieve":
-        """Skip ``__init__``'s full check: the caller has shown that the
-        family is downward closed.  The two fields are written into the
-        instance dict, as ``object.__setattr__`` would write them, without
-        a call each."""
-        sv = object.__new__(cls)
-        fields = sv.__dict__
-        fields["n"] = n
-        fields["bits"] = bits
-        return sv
 
     @property
     def members(self) -> frozenset:
@@ -147,22 +114,22 @@ class Sieve:
 def full_subfunctor(n: int) -> Sieve:
     """The representable on [n]: every subset of {0..n}."""
     _check_dim(n)
-    return Sieve._closed(n, (1 << 2 ** (n + 1)) - 1)
+    return Sieve(n, (1 << 2 ** (n + 1)) - 1)
 
 
 def boundary_subfunctor(n: int) -> Sieve:
     """Every map into [n] but the identity, whose image {0..n} has the
     largest mask."""
     _check_dim(n)
-    return Sieve._closed(n, (1 << 2 ** (n + 1) - 1) - 1)
+    return Sieve(n, (1 << 2 ** (n + 1) - 1) - 1)
 
 
 def zigzag_sieve(n: int) -> Sieve:
     """The spine: the vertices and the edges {i, i+1}."""
     _check_dim(n)
     # the empty set, the vertices {i} and the edges {i, i+1}, by their masks
-    return Sieve._closed(n, 1 | sum(1 << (1 << i) for i in range(n + 1))
-                         | sum(1 << (3 << i) for i in range(n)))
+    return Sieve(n, 1 | sum(1 << (1 << i) for i in range(n + 1))
+                 | sum(1 << (3 << i) for i in range(n)))
 
 
 def horn_sieve(n: int, k: int) -> Sieve:
@@ -177,7 +144,7 @@ def horn_remove(x: Sieve, s: Iterable[int], h: int) -> Sieve:
     s = frozenset(s)
     if not s <= frozenset(range(x.n + 1)):    # a set with no bit
         raise ValueError(f"{sorted(s)} is not a member of the sieve")
-    return Sieve._closed(x.n, _remove_step(x.bits, x.n, _mask(s), h))
+    return Sieve(x.n, _remove_step(x.bits, x.n, _mask(s), h))
 
 
 def _remove_step(bits: int, n: int, m: int, h: int) -> int:
@@ -229,11 +196,6 @@ class HornStep(NamedTuple):
     h: int
 
     @property
-    def s(self) -> frozenset:
-        """S as a frozenset, built on each read."""
-        return frozenset(_elements(self.mask))
-
-    @property
     def inner(self) -> bool:
         """h is in S and neither its least nor its greatest element."""
         m, h = self
@@ -266,7 +228,7 @@ class Factorization:
     def sieves(self) -> list[Sieve]:
         """The chain of sieves that ``factor_spine_to_horn`` validated, one
         per step after the horn; no step is run again."""
-        return [Sieve._closed(self.n, b) for b in self.bits]
+        return [Sieve(self.n, b) for b in self.bits]
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "length": self.length,

@@ -265,10 +265,10 @@ def subst(t: Term, subs: Sequence[Term], idx: int = 0, by: int = 0) -> Term:
     raise AssertionError(t)
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Weakening: `subst` with no terms, the variables from `cutoff` up
-    moved by `by`."""
-    return subst(t, (), cutoff, by) if by else t
+def shift(t: Term, by: int) -> Term:
+    """Weakening: `subst` with no terms, every free variable moved by
+    `by`."""
+    return subst(t, (), 0, by) if by else t
 
 
 def _differ(t: Term, u: Term, unequal: Optional[dict] = None) -> bool:

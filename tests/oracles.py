@@ -6,8 +6,11 @@ runs, kept to check what it does run.
   they and `pullback_diagram` are checked in `tests/test_categories.py`,
   and their tables are pinned by the diagram golden
   (`tests/test_diagram_golden.py`);
-- `generated_sieve` builds the smallest sieve that holds given generators,
-  the sieves of `tests/test_simplex.py`;
+- `sieve_of` builds the sieve of a member family once it has checked the
+  family member by member, and `generated_sieve` the smallest sieve that
+  holds given generators, through it: the sieves of
+  `tests/test_simplex.py`, which also checks every sieve the package
+  builds with `sieve_of`;
 - `print_module` prints a parsed module back as source, for the round
   trips of `tests/test_syntax.py`;
 - `findall_tokenize` is the lexer as it was before it split the source:
@@ -77,6 +80,26 @@ def pullback_diagram(p: DiagramMap, q: DiagramMap
 # Sieves and modules
 # ---------------------------------------------------------------------------
 
+def sieve_of(n: int, members: Iterable[frozenset]) -> Sieve:
+    """The sieve on [n] whose family is `members`, read once.  Scans over
+    the members in their own order check that each is a subset of {0..n},
+    then that each one's faces are members; the first fault is a
+    `ValueError`."""
+    members = tuple(members)
+    family = frozenset(members)
+    universe = frozenset(range(n + 1))
+    for s in members:
+        if not s <= universe:
+            raise ValueError(f"member {sorted(s)} not a subset of [0,{n}]")
+    for s in members:
+        for x in s:
+            if s - {x} not in family:
+                raise ValueError(
+                    f"not downward closed: {sorted(s)} present but "
+                    f"{sorted(s - {x})} missing")
+    return Sieve(n, sum(1 << sum(1 << i for i in s) for s in family))
+
+
 def generated_sieve(n: int, gens: Iterable[Iterable[int]]) -> Sieve:
     """The smallest sieve containing every generator."""
     members = set()
@@ -84,7 +107,7 @@ def generated_sieve(n: int, gens: Iterable[Iterable[int]]) -> Sieve:
         g = sorted(g)
         for r in range(len(g) + 1):
             members.update(frozenset(c) for c in itertools.combinations(g, r))
-    return Sieve(n, frozenset(members))
+    return sieve_of(n, members)
 
 
 def print_module(mod: Module) -> str:

@@ -116,32 +116,36 @@ def test_the_check_sees_an_unused_private_definition():
 def unused_public_definitions(sources: dict[str, str],
                               readers: dict[str, str]) -> list[str]:
     """Module-level functions and classes, and methods, whose names do not
-    start with `_` and that no module of `readers` reads: by name, as an
-    attribute, or in a string naming it (as `"Class.method"`), the way the
-    benchmark's tracer looks functions up."""
-    read = set()
+    start with `_` and that no module of `readers` reads.  A function or a
+    class is read by name, as an attribute, or in a string naming it, the
+    way the benchmark's tracer looks functions up.  A method or property
+    is read only as an attribute (`x.name`) or in a string `"Class.name"`:
+    a local variable or a plain string of the same name does not read it."""
+    read, attrs, dotted = set(), set(), set()
     for source in readers.values():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+                attrs.add(node.attr)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and all(part.isidentifier()
                           for part in node.value.split("."))):
                 read.update(node.value.split("."))
+                dotted.add(".".join(node.value.split(".")[-2:]))
     unused = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if isinstance(node, ast.ClassDef):
-                defs = [node] + [m for m in node.body
-                                 if isinstance(m, FUNCTIONS)]
-            elif isinstance(node, FUNCTIONS):
-                defs = [node]
-            else:
+            if not isinstance(node, (ast.ClassDef, *FUNCTIONS)):
                 continue
-            unused += [f"{module} line {d.lineno}: {d.name}" for d in defs
-                       if not d.name.startswith("_") and d.name not in read]
+            unread = [node] if node.name not in read else []
+            if isinstance(node, ast.ClassDef):
+                unread += [m for m in node.body if isinstance(m, FUNCTIONS)
+                           and m.name not in attrs
+                           and f"{node.name}.{m.name}" not in dotted]
+            unused += [f"{module} line {d.lineno}: {d.name}" for d in unread
+                       if not d.name.startswith("_")]
     return unused
 
 
@@ -168,12 +172,15 @@ def test_the_check_sees_an_unused_public_definition():
     sources = {"a.py": "def used(): pass\ndef left(): pass\n"
                        "class Gone:\n    def kept(self): pass\n"
                        "class Kept:\n    def traced(self): pass\n"
-                       "    def gone(self): pass\n    def _own(self): pass\n"}
+                       "    def gone(self): pass\n    def _own(self): pass\n"
+                       "    @property\n    def s(self): pass\n"}
     readers = {**sources,
                "b.py": "from a import used, left\nused()\nx.kept()\n",
-               "c.py": "SPANNED = (('a', 'Kept.traced'),)\n"}
+               "c.py": "SPANNED = (('a', 'Kept.traced'),)\n",
+               "d.py": "for s in range(3):\n    print(s, 'gone', 's')\n"}
     assert unused_public_definitions(sources, readers) == [
-        "a.py line 2: left", "a.py line 3: Gone", "a.py line 7: gone"]
+        "a.py line 2: left", "a.py line 3: Gone", "a.py line 7: gone",
+        "a.py line 10: s"]
 
 
 def callers(name: str, sources: dict[str, str]) -> set[str]:
@@ -220,6 +227,37 @@ def test_variables_and_universes_are_shared():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert callers("Var", sources) == {"syntax.<top>", "syntax.var"}
     assert callers("Univ", sources) == {"syntax.<top>", "syntax.univ"}
+
+
+def bypasses(source: str) -> list[str]:
+    """Where `source` builds or fills an instance past its class's
+    constructor: each call of `object.__new__`, and each reach into a
+    `__dict__`, through which a field is written without `__init__`."""
+    found = [n for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Call)
+             and ast.unparse(n.func) == "object.__new__"
+             or isinstance(n, ast.Attribute) and n.attr == "__dict__"]
+    return [f"line {n.lineno}: {ast.unparse(n)}"
+            for n in sorted(found, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_every_instance_is_built_by_its_constructor():
+    """No module of the package calls `object.__new__` or writes an
+    instance's `__dict__`: a `Sieve` is built only by `Sieve(n, bits)`, and
+    each function that makes one shows that its bits are downward closed
+    (`tests/test_simplex.py` checks them all), so no second way in skips
+    what the constructor does."""
+    found = {path.name: bypasses(path.read_text()) for path in MODULES}
+    assert {module: sites for module, sites in found.items() if sites} == {}
+
+
+def test_the_check_sees_a_bypass():
+    source = ("def closed(cls, n):\n    sv = object.__new__(cls)\n"
+              "    fields = sv.__dict__\n    fields['n'] = n\n"
+              "    sv.__dict__.update(bits=0)\n"
+              "    return sv, cls(n), vars(cls), cls.__new__\n")
+    assert bypasses(source) == ["line 2: object.__new__(cls)",
+                                "line 3: sv.__dict__", "line 5: sv.__dict__"]
 
 
 def imported_modules(source: str) -> set[str]:

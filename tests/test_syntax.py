@@ -253,7 +253,7 @@ class TestSubstitution:
     def test_shift_by_zero_is_the_term_itself(self):
         t = App(Var(3), rt("fun x => succ x"))
         assert shift(t, 0) is t
-        assert shift(t, 0, 2) is t
+        assert subst(t, (), 2, 0) is t
 
     def test_subst_for_the_variable_shares_the_argument(self):
         big = rt("fun f x => f (f (succ x))")
@@ -370,8 +370,10 @@ class TestSubstitutionOracle:
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(open_terms, st.integers(-2, 2), st.integers(0, 3))
     def test_shift_agrees(self, t, by, cutoff):
-        assert repr(shift(t, by, cutoff)) == repr(match_shift(t, by, cutoff))
-        assert shift(t, 0) is t and shift(t, 0, cutoff) is t
+        assert repr(subst(t, (), cutoff, by)) \
+            == repr(match_shift(t, by, cutoff))
+        assert repr(shift(t, by)) == repr(subst(t, (), 0, by))
+        assert shift(t, 0) is t and subst(t, (), cutoff, 0) is t
 
 
 def corpus_terms() -> list:
@@ -403,7 +405,7 @@ class TestSharing:
     @staticmethod
     def assert_returned(t, above):
         cutoff = loose(t) + above
-        assert shift(t, 1, cutoff) is t and shift(t, -1, cutoff) is t
+        assert subst(t, (), cutoff, 1) is t and subst(t, (), cutoff, -1) is t
         assert subst(t, (Const("zero"),), cutoff) is t
         assert subst(t, (Var(0), Ref("f")), cutoff, 3) is t
 
@@ -424,7 +426,7 @@ class TestSharing:
         assert subst(v, (Const("zero"), Const("Nat")), 1, 2) is v
         for v in (v, syntax.var(5), Var(syntax.SHARED + 5)):
             assert subst(v, (Const("zero"), Const("Nat")), 1, 2) is v
-            assert subst(v, (), 0) is v and shift(v, 1, v.idx + 1) is v
+            assert subst(v, (), 0) is v and subst(v, (), v.idx + 1, 1) is v
         assert shift(Var(3), 1) is syntax.var(4)
         top = shift(syntax.var(syntax.SHARED - 1), 1)
         assert type(top) is Var and top.idx == syntax.SHARED
@@ -432,7 +434,7 @@ class TestSharing:
     def test_only_the_paths_to_moved_variables_are_built(self):
         kept = Lam("x", App(Var(0), Const("zero")))
         t = App(App(kept, Var(4)), Pi("y", Univ(True, 0), kept))
-        s = shift(t, 1, 2)
+        s = subst(t, (), 2, 1)
         assert s == App(App(kept, Var(5)), t.arg)
         assert s.fn.fn is kept and s.fn.arg is syntax.var(5)
         assert s.arg is t.arg

@@ -36,7 +36,8 @@ def check_file(checker: Checker, path: pathlib.Path) -> Report:
     """Parse, link and check one file into `checker`'s environment.  A
     syntax or name error becomes the report's `error`."""
     try:
-        mod = resolve(parse(path.read_text(), str(path)), set(checker.env))
+        mod = resolve(parse(path.read_text(encoding="utf-8"), str(path)),
+                      set(checker.env))
     except SyntaxError_ as e:
         return Report(str(path), [], error=str(e))
     except UnicodeDecodeError as e:

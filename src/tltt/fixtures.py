@@ -266,7 +266,7 @@ def load_fixture(path: Union[str, pathlib.Path]) -> Fixture:
     if str(path) == p.name and not p.exists() and shipped.exists():
         p = shipped
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except ValueError as e:     # UnicodeDecodeError or JSONDecodeError
         raise FixtureError(str(p), str(e)) from None
     return Fixture(doc)

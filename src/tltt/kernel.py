@@ -27,7 +27,13 @@ universes the rules build come from ``syntax.var`` and ``syntax.univ``;
 ``sort_lub`` returns whichever operand is the join, and substitution returns
 what it leaves unchanged, so the identity tests of conversion meet shared
 subterms.  A type is reduced only where a rule reads its head, and checked
-first, so what reduction drops is checked once.  Errors carry the name of
+first, so what reduction drops is checked once.  A term the kernel has
+checked, such as that reduct or the carrier of an equation, is typed again
+in infer-only mode, as Lean 4's `infer_only`: its type is computed and
+nothing in it is checked, so a rule that only a skipped check would record
+is not recorded again.  A lambda motive whose body is weak-head normal is
+typed once, and the weak-head normal type of a chain of projections ending
+in a variable is computed once per declaration.  Errors carry the name of
 the violated rule.
 """
 
@@ -194,11 +200,18 @@ class Checker:
         self.options = options or KernelOptions()
         self.decl_rules: set[str] = set()
         self._checked = False     # re-typing terms the kernel has checked
+        self._projected: dict[tuple, tuple] = {}
 
     def _on_checked(self, fn, *args):
-        """`fn(*args)` on terms the kernel has already checked.  A lambda
-        redex among them reduces without typing its argument: the argument
-        was checked before it was substituted there."""
+        """`fn(*args)` on terms the kernel has already checked, in Lean 4's
+        `infer_only` mode: `infer` computes the type and checks nothing.
+        The application rule checks no argument against its domain, `Eq`
+        no right side, an annotation is trusted, an eliminator types no
+        motive, base or branch (its rule is still recorded), a numeral
+        compares no levels, and a lambda redex reduces without typing its
+        argument.  The type is the one a full check computes; a rule that
+        only a skipped check would record, such as `FIB-PRE` from a
+        conversion, is not recorded again."""
         outer, self._checked = self._checked, True
         try:
             return fn(*args)
@@ -364,7 +377,7 @@ class Checker:
     def infer_sort(self, ctx: list[Term], ty: Term) -> Univ:
         """The universe `ty` lives in.  A type the kernel has not checked is
         checked before it is reduced, since the reduction may drop parts of
-        it."""
+        it, and its reduct is typed in infer-only mode."""
         t = self.whnf(ty)
         if t is not ty and not self._checked:
             self.infer(ctx, ty)
@@ -419,6 +432,7 @@ class Checker:
                 return self.infer(ctx, mk_app(red, *rest))
             else:
                 fty = self.infer(ctx, head)
+            checked = self._checked
             # the telescope is instantiated lazily, as Lean 4's `infer_app`:
             # `fty` sits under the binders of the pending `args[j:i]`, which
             # are substituted into each domain, before a `whnf`, and once
@@ -431,7 +445,9 @@ class Checker:
                     fty = self.whnf(fty)
                     if type(fty) is not Pi:
                         raise TypeError_("APP", "applied a non-function")
-                self.check(ctx, a, subst(fty.dom, args[j:i]) if i > j else fty.dom)
+                if not checked:
+                    self.check(ctx, a,
+                               subst(fty.dom, args[j:i]) if i > j else fty.dom)
                 fty = fty.cod
             return subst(fty, args[j:]) if j < len(args) else fty
         if k is Pi or k is Sig:
@@ -456,7 +472,8 @@ class Checker:
         if k is Eq:
             carrier = self.infer(ctx, t.lhs)
             sc = self._on_checked(self.infer_sort, ctx, carrier)
-            self.check(ctx, t.rhs, carrier)
+            if not self._checked:
+                self.check(ctx, t.rhs, carrier)
             if t.strict:
                 self._use("FORM-=s")
                 return univ(False, sc.level)
@@ -475,8 +492,9 @@ class Checker:
                 raise TypeError_("SCOPE", f"unknown global {t.name!r}")
             return entry.ty
         if k is Ann:
-            self.infer_sort(ctx, t.ty)     # ty must be a type
-            self.check(ctx, t.tm, t.ty)
+            if not self._checked:
+                self.infer_sort(ctx, t.ty)     # ty must be a type
+                self.check(ctx, t.tm, t.ty)
             return t.ty
         if k is Lam:
             raise TypeError_("INFER", "cannot infer the type of a bare lambda; "
@@ -487,7 +505,10 @@ class Checker:
         """The type of a tower of applications of constants in `_TOWERS`,
         in one loop.  The obligations come in the application rule's
         order: each constant from the outside in, then the innermost
-        argument, then each level against the domain of the next one out."""
+        argument, then each level against the domain of the next one out.
+        A checked tower has one level throughout, its outermost one."""
+        if self._checked:
+            return _CONST_TYPES[t.fn.name].cod
         tower = []
         while type(t) is App and type(t.fn) is Const and t.fn.name in _TOWERS:
             self._const_ok(t.fn.name)
@@ -507,31 +528,59 @@ class Checker:
                      doms: list[Term]):
         """Type the motive of the eliminator `name` over the telescope `doms`
         against `Pi doms -> U/Us level` once its target universe is known (a
-        lambda motive's type cannot be inferred), and record `name`'s rule.
-        A fibrant eliminator needs a fibrant target."""
+        lambda motive's type cannot be inferred): the target is the type of
+        the motive's body, or of the motive applied to the telescope's
+        variables, after weak-head normalization.  A lambda motive whose
+        leading lambdas cover the telescope and whose body is weak-head
+        normal was typed whole by that and is not checked again.  A fibrant
+        eliminator needs a fibrant target."""
         family, strict = _SPINE[name]
-        rule = _FAMILIES[family].rules[strict]
         n = len(doms)
-        applied = mk_app(shift(motive, n), *(var(n - 1 - i) for i in range(n)))
-        uni = self.whnf(self.infer(doms[::-1] + ctx, self.whnf(applied)))
+        body, m = motive, 0
+        while m < n and type(body) is Lam:
+            body, m = body.body, m + 1
+        if m < n:
+            body = mk_app(shift(motive, n), *(var(n - 1 - i) for i in range(n)))
+        reduct = self.whnf(body)
+        uni = self.whnf(self.infer(doms[::-1] + ctx, reduct))
         if not isinstance(uni, Univ):
             raise TypeError_("MOTIVE", "eliminator motive must target a universe")
-        expected = uni
-        for d in reversed(doms):
-            expected = Pi("_", d, expected)
-        self.check(ctx, motive, expected)
+        if m < n or reduct is not body:
+            expected = uni
+            for d in reversed(doms):
+                expected = Pi("_", d, expected)
+            self.check(ctx, motive, expected)
         if not strict and not uni.fib:
             hint = "for strict motives" if family == "J" else "instead"
             raise TypeError_(
-                rule,
+                _FAMILIES[family].rules[strict],
                 f"{name} requires a fibrant motive; this motive lands in sort "
                 f"{_sort(uni)} (use {_at_level(family, True)} {hint})")
-        self._use(rule)
+
+    def _projected_type(self, ctx: list[Term], t: Term) -> Term:
+        """The weak-head normal type of `t`, the argument of a projection.
+        For a chain of projections ending in a variable it is computed once
+        per declaration, keyed by the variable's context entry (kept alive
+        by the memo), its index and the path."""
+        path, v = (), t
+        while (type(v) is App and type(v.fn) is Const
+               and v.fn.name in ("fst", "snd")):
+            path += (v.fn.name,)
+            v = v.arg
+        if type(v) is not Var:
+            return self.whnf(self.infer(ctx, t))
+        entry = ctx[v.idx]
+        key = (id(entry), v.idx, path)
+        hit = self._projected.get(key)
+        if hit is None:
+            hit = self._projected[key] = (entry, self.whnf(self.infer(ctx, t)))
+        return hit[1]
 
     def _infer_spine(self, ctx: list[Term], name: str,
                      args: list[Term]) -> tuple[Term, list[Term]]:
         """Type `name` applied to its first `arity` arguments; also return the
-        arguments left over."""
+        arguments left over.  On a checked term only the type is computed,
+        and the rule the family cites is recorded."""
         family, strict = _SPINE[name]
         fam = _FAMILIES[family]
         arity, rules = fam.arity, fam.rules
@@ -542,6 +591,7 @@ class Checker:
             raise TypeError_("ARITY", f"{name!r} expects {arity} arguments, "
                                       f"got {len(args)}")
         args, extra = args[:arity], args[arity:]
+        checked = self._checked
 
         def at_level(base: str) -> Const:
             return CONSTS[_at_level(base, strict)]
@@ -559,66 +609,76 @@ class Checker:
                     self._use("FORM-+")
                 ty = univ(not strict, max(sl.level, sr.level))
             case "fst" | "snd":
-                pty = self.whnf(self.infer(ctx, args[0]))
+                pty = self._projected_type(ctx, args[0])
                 if not isinstance(pty, Sig):
                     raise TypeError_("PROJ", "projection from a non-pair")
                 ty = (pty.dom if family == "fst"
                       else subst(pty.cod, (App(CONSTS["fst"], args[0]),)))
             case "refl":
                 a = args[0]
-                sc = self._on_checked(self.infer_sort, ctx, self.infer(ctx, a))
-                if not strict and not sc.fib:
-                    raise TypeError_(
-                        "INTRO-=",
-                        "refl needs a fibrant carrier, got sort "
-                        f"{_sort(sc)}; use reflS for pretypes")
-                self._use(rules[strict])
+                if not checked:
+                    sc = self._on_checked(self.infer_sort, ctx,
+                                          self.infer(ctx, a))
+                    if not strict and not sc.fib:
+                        raise TypeError_(
+                            "INTRO-=",
+                            "refl needs a fibrant carrier, got sort "
+                            f"{_sort(sc)}; use reflS for pretypes")
                 ty = Eq(strict, a, a)
             case "J":
                 motive, base, prf = args
                 ety = self.whnf(self.infer(ctx, prf))
-                if not isinstance(ety, Eq) or ety.strict != strict:
-                    raise TypeError_(
-                        rules[strict],
-                        f"{name} eliminates a "
-                        f"{'strict' if strict else 'fibrant'} equality; "
-                        "the scrutinee has a different type")
-                lhs, rhs = ety.lhs, ety.rhs
-                carrier = self._on_checked(self.infer, ctx, lhs)
-                self._elim_motive(ctx, name, motive,
-                                  [carrier, Eq(strict, shift(lhs, 1), var(0))])
-                self.check(ctx, base,
-                           _motive_at(motive, lhs, App(at_level("refl"), lhs)))
-                ty = _motive_at(motive, rhs, prf)
+                if not checked:
+                    if not isinstance(ety, Eq) or ety.strict != strict:
+                        raise TypeError_(
+                            rules[strict],
+                            f"{name} eliminates a "
+                            f"{'strict' if strict else 'fibrant'} equality; "
+                            "the scrutinee has a different type")
+                    lhs = ety.lhs
+                    carrier = self._on_checked(self.infer, ctx, lhs)
+                    self._elim_motive(ctx, name, motive, [
+                        carrier, Eq(strict, shift(lhs, 1), var(0))])
+                    self.check(ctx, base, _motive_at(
+                        motive, lhs, App(at_level("refl"), lhs)))
+                ty = _motive_at(motive, ety.rhs, prf)
             case "indNat":
-                nat = at_level("Nat")
                 motive, z, s_arg, n = args
-                self._elim_motive(ctx, name, motive, [nat])
-                self.check(ctx, z, _motive_at(motive, at_level("zero")))
-                step_ty = Pi("m", nat, Pi("_", _motive_at(shift(motive, 1), var(0)),
-                                          _motive_at(shift(motive, 2),
-                                                     App(at_level("succ"), var(1)))))
-                self.check(ctx, s_arg, step_ty)
-                self.check(ctx, n, nat)
+                if not checked:
+                    nat = at_level("Nat")
+                    self._elim_motive(ctx, name, motive, [nat])
+                    self.check(ctx, z, _motive_at(motive, at_level("zero")))
+                    step_ty = Pi("m", nat, Pi(
+                        "_", _motive_at(shift(motive, 1), var(0)),
+                        _motive_at(shift(motive, 2), App(at_level("succ"), var(1)))))
+                    self.check(ctx, s_arg, step_ty)
+                    self.check(ctx, n, nat)
                 ty = _motive_at(motive, n)
             case "indEmpty":
-                empty = at_level("Empty")
                 motive, e = args
-                self._elim_motive(ctx, name, motive, [empty])
-                self.check(ctx, e, empty)
+                if not checked:
+                    empty = at_level("Empty")
+                    self._elim_motive(ctx, name, motive, [empty])
+                    self.check(ctx, e, empty)
                 ty = _motive_at(motive, e)
             case "indSum":
                 motive, f, g, x = args
-                xty = self.whnf(self.infer(ctx, x))
-                xh, xa = spine(xty)
-                sumc = _at_level("Sum", strict)
-                if not (isinstance(xh, Const) and xh.name == sumc and len(xa) == 2):
-                    raise TypeError_(rules[strict], f"{name} eliminates a {sumc} value")
-                self._elim_motive(ctx, name, motive, [xty])
-                for arm, side, hint, dom in zip((f, g), ("inl", "inr"), "ab", xa):
-                    self.check(ctx, arm, Pi(hint, dom, _motive_at(
-                        shift(motive, 1), App(at_level(side), var(0)))))
+                if not checked:
+                    xty = self.whnf(self.infer(ctx, x))
+                    xh, xa = spine(xty)
+                    sumc = _at_level("Sum", strict)
+                    if not (isinstance(xh, Const) and xh.name == sumc
+                            and len(xa) == 2):
+                        raise TypeError_(rules[strict],
+                                         f"{name} eliminates a {sumc} value")
+                    self._elim_motive(ctx, name, motive, [xty])
+                    for arm, side, hint, dom in zip((f, g), ("inl", "inr"),
+                                                    "ab", xa):
+                        self.check(ctx, arm, Pi(hint, dom, _motive_at(
+                            shift(motive, 1), App(at_level(side), var(0)))))
                 ty = _motive_at(motive, x)
+        if rules[0]:
+            self._use(rules[strict])
         return ty, extra
 
     # -- checking ----------------------------------------------------------
@@ -669,6 +729,7 @@ class Checker:
         is never an expected rejection."""
         record = {"kind": d.kind, "name": d.name, "line": d.line, "col": d.col}
         self.decl_rules = set()
+        self._projected = {}
         try:
             self.infer_sort([], d.ty)
             if d.kind != "axiom":

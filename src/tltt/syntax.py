@@ -185,7 +185,7 @@ CONSTS = {name: Const(name) for name in BUILTIN_CONSTS}
 
 # One node per de Bruijn index and per universe `(fib, level)` below
 # `SHARED`, built once like `CONSTS`; `var` and `univ` hand them out, and
-# build a fresh node only above the bound.
+# build a fresh node outside `0 <= n < SHARED`.
 SHARED = 64
 VARS = tuple(Var(idx) for idx in range(SHARED))
 UNIVS = tuple(tuple(Univ(fib, level) for level in range(SHARED))
@@ -193,14 +193,14 @@ UNIVS = tuple(tuple(Univ(fib, level) for level in range(SHARED))
 
 
 def var(idx: int) -> Var:
-    """The variable of index `idx`, shared below `SHARED`."""
-    return VARS[idx] if idx < SHARED else Var(idx)
+    """The variable of index `idx`, shared for `0 <= idx < SHARED`."""
+    return VARS[idx] if 0 <= idx < SHARED else Var(idx)
 
 
 def univ(fib: bool, level: int) -> Univ:
-    """The universe `U level` (`Us level` if not `fib`), shared below
-    `SHARED`."""
-    return UNIVS[fib][level] if level < SHARED else Univ(fib, level)
+    """The universe `U level` (`Us level` if not `fib`), shared for
+    `0 <= level < SHARED`."""
+    return UNIVS[fib][level] if 0 <= level < SHARED else Univ(fib, level)
 
 
 KEYWORDS = {"def", "axiom", "check", "fail", "Pi", "Sig", "fun", "U", "Us"}

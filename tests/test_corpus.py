@@ -1,9 +1,13 @@
 """The shipped corpus: green run, coverage, and mutation sensitivity."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import tltt
 from tltt.corpus import (
     CORPUS_ROOT, CorpusReport, corpus_files, prelude_checker, run_corpus,
 )
@@ -116,3 +120,17 @@ class TestPrelude:
         ck, reports = prelude_checker()
         assert reports and all(r.ok for r in reports)
         assert {"transport", "ap", "isSet", "isContr"} <= set(ck.env)
+
+
+def test_sources_and_fixtures_name_their_encoding():
+    """The corpus and every shipped fixture are read as UTF-8 whatever the
+    locale: with the default-encoding warning raised as an error, running
+    the corpus and loading each fixture raises nothing."""
+    script = ("from tltt import corpus, fixtures\n"
+              "assert corpus.run_corpus().ok\n"
+              "for p in sorted(fixtures.FIXTURE_ROOT.glob('*.json')):\n"
+              "    fixtures.load_fixture(p)\n")
+    src = str(pathlib.Path(tltt.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                    "-W", "error::EncodingWarning", "-c", script],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)

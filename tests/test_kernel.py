@@ -1,6 +1,7 @@
 """Typechecking: sorts, conversion, eliminators, and restrictions."""
 
 import copy
+import random
 import sys
 import typing
 from collections import Counter
@@ -15,10 +16,11 @@ from tltt.kernel import (
 )
 from tltt.corpus import corpus_files, prelude_checker
 from tltt.syntax import (
-    CONSTS, Ann, App, Const, Decl, Lam, Module, Pi, Ref, Univ, Var, _differ,
-    mk_app, parse, parse_term, resolve, spine, subst,
+    CONSTS, Ann, App, Const, Decl, Lam, Module, Pi, Ref, Sig, Univ, Var,
+    _differ, mk_app, parse, parse_term, resolve, spine, subst,
 )
-from test_syntax import OVERFLOW, unwound
+from test_conversion_oracle import KERNELS, run_corpus_sample
+from test_syntax import OVERFLOW, perfbench_workloads, unwound
 
 
 def term(src, scope=(), globals_=()):
@@ -142,6 +144,12 @@ class TestCheckedBeforeReduced:
         ("check (fun x => zero) (pair zero zero) : Nat\n", "INFER"),
         # ... also when it is not the first argument one β step takes
         ("check (fun x y => zero) zero (pair zero zero) : Nat\n", "INFER"),
+        # a motive whose body reduces, dropping a pretype passed as `U 0`
+        ("def K : U 0 -> U 0 -> U 0 := fun X Y => Y\n"
+         "check J (fun y q => K NatS Nat) zero (refl zero) : Nat\n", "FIB-PRE"),
+        # an eta-short motive over the wrong telescope
+        ("axiom M : Pi (y : Nat), Nat -> U 0\n"
+         "check J M zero (refl zero) : Nat\n", "CONV"),
     ])
     def test_reduction_drops_nothing_unchecked(self, src, rule):
         rep = check_module(Checker(), resolve(parse(src, "m.tltt")))
@@ -177,6 +185,103 @@ class TestCheckedBeforeReduced:
     def test_checked_terms_are_not_typed_again(self, src):
         rep = check_module(Checker(), resolve(parse(src, "m.tltt")))
         assert rep.ok, rep.error
+
+
+class FullChecker(Checker):
+    """A checker that checks every term in full, also those `Checker`
+    types in its infer-only mode."""
+
+    def _on_checked(self, fn, *args):
+        return fn(*args)
+
+
+class TestInferOnly:
+    """Each type `Checker` computes in its infer-only mode, under
+    `_on_checked`, is the one a fresh full check of the same term computes,
+    and that check passes."""
+
+    @staticmethod
+    def assert_full_checks_agree(monkeypatch, run):
+        """Run `run()`, then check each `infer` and `infer_sort` call it
+        made in infer-only mode, the calls `_on_checked` makes and those
+        they make in turn, again with a `FullChecker` on the environment of
+        the moment; return the number of calls."""
+        calls, envs = [], {}
+        for name in ("infer", "infer_sort"):
+            def recording(self, ctx, t, name=name, real=getattr(Checker, name)):
+                got = real(self, ctx, t)
+                if self._checked:
+                    key = (id(self.env), len(self.env))   # envs only grow
+                    env = envs.setdefault(key, dict(self.env))
+                    calls.append((env, self.options, name, ctx, t, got))
+                return got
+            monkeypatch.setattr(Checker, name, recording)
+        run()
+        monkeypatch.undo()
+        for env, options, name, ctx, t, got in calls:
+            full = getattr(FullChecker(env=env, options=options), name)(ctx, t)
+            assert full == got, (name, t)
+        return len(calls)
+
+    @pytest.mark.parametrize("options", KERNELS.values(), ids=KERNELS.keys())
+    def test_corpus_sample(self, ck, monkeypatch, options):
+        calls = self.assert_full_checks_agree(
+            monkeypatch, lambda: run_corpus_sample(options, ck.env))
+        assert calls > 150
+
+    SAME = "def Same : Pi (A : U 0), A -> U 0 := fun A a => a = a\n"
+    ID = "(fun X => X) Nat"
+    J_ = "J (fun y q => y = y) (refl zero) p"
+    IND = "indNat (fun k => k = k) (refl zero) (fun k r => refl (succ k)) n"
+    SUM = "indSum (fun s => Nat) (fun a => succ a) (fun b => b) x"
+    PAIRS = "Sig (n : Nat), n = n"
+
+    @pytest.mark.parametrize("src", [
+        f"check refl (succ (succ (zero : {ID}))) : "
+        f"Same Nat (succ (succ (zero : {ID})))\n",
+        f"check refl (zero : {ID}) : Same ({ID}) (zero : {ID})\n",
+        f"check fun n p => refl ({J_}) : "
+        f"Pi (n : Nat) (p : zero = n), Same (n = n) ({J_})\n",
+        f"check fun n => refl ({IND}) : Pi (n : Nat), Same (n = n) ({IND})\n",
+        f"check fun x => refl ({SUM}) : Pi (x : Sum Nat Nat), Same Nat ({SUM})\n",
+        f"check fun p => refl (snd p) : "
+        f"Pi (p : {PAIRS}), Same (fst p = fst p) (snd p)\n",
+    ])
+    def test_checked_terms_in_reducts(self, monkeypatch, src):
+        """Types whose δβ-reduct holds a checked numeral, annotation, J,
+        indNat, indSum or projection, typed in infer-only mode."""
+        def run():
+            rep = check_module(Checker(), resolve(parse(self.SAME + src)))
+            assert rep.ok, rep.error
+        assert self.assert_full_checks_agree(monkeypatch, run) > 0
+
+    def test_numerals(self, ck, monkeypatch):
+        workloads = perfbench_workloads(monkeypatch)
+        rng = random.Random("infer-only")
+        sources = [workloads.numeral_source(kind, rng.randint(1, 60),
+                                            rng.random())[0]
+                   for kind in ("add", "add+1", "toNat") for _ in range(8)]
+
+        def run():
+            for src in sources:
+                checker = Checker(env=ck.env)
+                assert check_module(checker, resolve(parse(src),
+                                                     set(ck.env))).ok
+        assert self.assert_full_checks_agree(monkeypatch, run) >= len(sources)
+
+    def test_projection_chains_of_one_entry_at_two_indices(self):
+        """The projection memo tells apart the chains of two variables whose
+        context entry is one open Σ-type, and the chains of one variable."""
+        sig = Sig("a", Var(0), Sig("b", Var(1), Var(2)))
+        ctx = [sig, sig] + [Univ(True, 0)] * 3
+        fst, snd = CONSTS["fst"], CONSTS["snd"]
+        checker = Checker()
+        for idx in (0, 1, 0):
+            for chain in ((fst,), (snd,), (fst, snd), (snd, snd)):
+                t = Var(idx)
+                for proj in reversed(chain):
+                    t = App(proj, t)
+                assert checker.infer(ctx, t) == Checker().infer(ctx, t)
 
 
 class TestRestrictions:

@@ -431,6 +431,15 @@ class TestSharing:
         top = shift(syntax.var(syntax.SHARED - 1), 1)
         assert type(top) is Var and top.idx == syntax.SHARED
 
+    def test_a_negative_index_or_level_is_not_a_shared_node(self):
+        """Below zero `var` and `univ` build what a fresh node would be:
+        the shared tables are not read from their other end."""
+        assert shift(Var(0), -1) == Var(-1)
+        assert subst(Var(0), (), 0, -1) == Var(-1)
+        assert syntax.var(-1) == Var(-1)
+        for fib in (False, True):
+            assert syntax.univ(fib, -1) == Univ(fib, -1)
+
     def test_only_the_paths_to_moved_variables_are_built(self):
         kept = Lam("x", App(Var(0), Const("zero")))
         t = App(App(kept, Var(4)), Pi("y", Univ(True, 0), kept))
@@ -861,6 +870,16 @@ def assert_scans_as_the_oracle(src: str, path: str = "<test>"):
     assert len(toks) == len(want)
 
 
+def perfbench_workloads(monkeypatch):
+    """`perfbench/workloads.py`, imported from its file for one test."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 class TestScannerOracle:
     @pytest.mark.parametrize("src", [
         "--! expect: CONV -- still the rule\nfail x : A\n",
@@ -883,12 +902,7 @@ class TestScannerOracle:
     def test_numeral_modules(self, monkeypatch):
         """The `numerals` workload's modules, from its own formulas, at the
         depths it times and the ladder's deepest."""
-        path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                      path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
-        spec.loader.exec_module(workloads)
+        workloads = perfbench_workloads(monkeypatch)
         for depth in (1, 20, 180, 200, 400, 800):
             for kind in ("add", "add+1", "toNat"):
                 src, _ = workloads.numeral_source(kind, depth, 0.3)

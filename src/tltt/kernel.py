@@ -21,12 +21,15 @@ everywhere else.  ``whnf`` is one loop over a head and its arguments,
 conversion a worklist with its alpha-equality ``syntax._differ`` (the ``==``
 of terms) on a stack of its own, and a numeral is typed in one loop, so none
 costs a Python frame per level.  Iota is level-exact: an eliminator reduces
-only on constructors of its own level, to a head and its arguments.  Each
-built-in is one node, shared from ``syntax.CONSTS``, and the variables and
-universes the rules build come from ``syntax.var`` and ``syntax.univ``;
-``sort_lub`` returns whichever operand is the join, and substitution returns
-what it leaves unchanged, so the identity tests of conversion meet shared
-subterms.  A type is reduced only where a rule reads its head, and checked
+only on constructors of its own level, to a head and its arguments, and
+only an eliminator head is asked for it.  The recursive call of `indNat(S)`
+on a successor is built on the node of the spine it reduces, which every
+level down a numeral shares, and two applications of one function node are
+compared by their last arguments alone.  Each built-in is one node, shared
+from ``syntax.CONSTS``, and the variables and universes the rules build
+come from ``syntax.var`` and ``syntax.univ``; ``sort_lub`` returns
+whichever operand is the join, and substitution returns what it leaves
+unchanged, so the identity tests of conversion meet shared subterms.  A type is reduced only where a rule reads its head, and checked
 first, so what reduction drops is checked once.  A term the kernel has
 checked, such as that reduct or the carrier of an equation, is typed again
 in infer-only mode, as Lean 4's `infer_only`: its type is computed and
@@ -146,6 +149,8 @@ def _at_level(family: str, strict: bool) -> str:
 _SPINE = {_at_level(f, s): (f, s) for f, fam in _FAMILIES.items()
           for s in ((False, True) if fam.strict else (False,))}
 _CHECK_ONLY = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].check_only}
+# the eliminators, whose family has a major premise: the heads ι reduces
+_ELIMS = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].major is not None}
 
 
 def _beta(lam: Lam, args: Sequence[Term]) -> tuple[Term, Sequence[Term]]:
@@ -230,18 +235,30 @@ class Checker:
     def whnf(self, t: Term) -> Term:
         """Weak head normal form, in one loop: an application head puts its
         arguments in front, and δ, an annotation, β and ι replace the head.
-        `built` is `mk_app(head, *args)`, if at hand."""
-        head, args, built = t, (), t
+        `built` is `mk_app(head, *args)`, if at hand.
+
+        Only an eliminator head is asked for ι: ι has no rule for any other
+        constant, so applied to arguments it is already normal.  `prefix`
+        is the node of the head applied to all its arguments but the last,
+        if at hand: the arguments came from splitting that one node, with
+        none pending and no reduction since (δ, an annotation, β and ι each
+        drop it, as each changes the head or the arguments).  `_iota`
+        builds the recursive call of `indNat(S)` on it, so every level down
+        a numeral shares one prefix."""
+        head, args, built, prefix = t, (), t, None
         while True:
             k = type(head)
             if k is App:
+                prefix = None if args else head.fn
                 head, front = spine(head)
                 if args:
                     front += args
                 args = front
                 continue
             if k is Const and args:
-                red = self._iota(head, args)
+                if head.name not in _ELIMS:
+                    break
+                red = self._iota(head, args, prefix)
                 if red is None:
                     break
                 head, args = red
@@ -257,16 +274,22 @@ class Checker:
             else:
                 break
             built = None if args else head
+            prefix = None
         return mk_app(head, *args) if built is None else built
 
-    def _iota(self, head: Term, args: list[Term]) -> Optional[tuple]:
+    def _iota(self, head: Term, args: list[Term],
+              prefix: Optional[Term] = None) -> Optional[tuple]:
         """Computation rules for eliminator spines: the reduct's head and
-        arguments, or None if stuck."""
-        if not isinstance(head, Const) or head.name not in _SPINE:
+        arguments, or None if stuck.  `prefix`, if given, is the node of
+        `head` applied to all of `args` but the last.  When `args` are
+        exactly the family's arity, the recursive call of `indNat(S)` on a
+        successor `m` is `App(prefix, m)`: `head` applied to the same
+        arguments with `m` last, without building them again."""
+        if not isinstance(head, Const) or head.name not in _ELIMS:
             return None
         family, strict = _SPINE[head.name]
         fam = _FAMILIES[family]
-        if fam.major is None or len(args) < fam.arity:
+        if len(args) < fam.arity:
             return None
         if family == "J" and strict and not self.options.js_beta:
             return None
@@ -286,7 +309,10 @@ class Checker:
                     red = args[1]
                 elif c == _at_level("succ", strict) and len(c_args) == 1:
                     m = c_args[0]
-                    red, c_args = args[2], [m, mk_app(head, *args[:3], m)]
+                    rec = (App(prefix, m) if prefix is not None
+                           and len(args) == fam.arity
+                           else mk_app(head, *args[:3], m))
+                    red, c_args = args[2], [m, rec]
                 else:
                     return None
             case "indSum":
@@ -306,7 +332,11 @@ class Checker:
         The pairs that must convert wait on a stack and are taken depth
         first, left to right.  A pair converts if it is alpha-equal before
         or after weak-head normalization; a pair that `_differ` found
-        unequal on its way down is not walked again."""
+        unequal on its way down is not walked again.  Two applications of
+        one function node, such as `succ a` and `succ b`, push only their
+        last arguments: splitting both spines would push the identical
+        node at every other position, and for a `pair` head Σ-η compares
+        the same two components."""
         unequal = {}
         if t is u or not _differ(t, u, unequal):
             return True
@@ -325,6 +355,9 @@ class Checker:
                 if t is u or not _differ(t, u, unequal):
                     continue
             k = type(t)
+            if k is App and type(u) is App and t.fn is u.fn:
+                todo.append((t.arg, u.arg, False))
+                continue
             if k is Lam or type(u) is Lam:
                 # eta for Pi
                 tb = t.body if k is Lam else App(shift(t, 1), var(0))

@@ -2,20 +2,21 @@
 `Checker.convert` replaced, kept here as it was but for its alpha-equality,
 which is its own since `==` became the kernel's.  Both must give the same
 verdict and record the same rules, on every conversion the corpus's checks
-make under three kernels and on seeded numeral towers; and `==` must agree
-with the oracle's alpha-equality."""
+make under three kernels, on seeded numeral towers (with fresh and with
+shared leaves) and on every conversion the benchmark's numeral modules ask;
+and `==` must agree with the oracle's alpha-equality."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_syntax import open_terms, renamed
+from test_syntax import open_terms, perfbench_workloads, renamed
 from tltt import corpus
 from tltt.kernel import Checker, KernelOptions, sort_leq
 from tltt.syntax import (
-    Ann, App, Const, Eq, Lam, Pi, Ref, Sig, Univ, Var, _Node, parse, resolve,
-    shift, spine,
+    CONSTS, Ann, App, Const, Eq, Lam, Pi, Ref, Sig, Univ, Var, _Node, parse,
+    resolve, shift, spine,
 )
 
 
@@ -219,6 +220,103 @@ def test_agrees_on_seeded_numeral_towers(seed):
         assert new == old, (t, u)
         outcomes.add(new[0])
     assert outcomes == {True, False}
+
+
+class Watched(Checker):
+    """A `Checker` that keeps the result of each `whnf` call no other
+    `whnf` call made.  `convert` makes those two at a time, the left term's
+    then the right's, so they come in the pairs it compares after
+    weak-head normalization."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.normal, self.depth = [], 0
+
+    def whnf(self, t):
+        self.depth += 1
+        try:
+            t = super().whnf(t)
+        finally:
+            self.depth -= 1
+        if not self.depth:
+            self.normal.append(t)
+        return t
+
+
+def same_function(env, options, t, u, leq):
+    """Whether `convert(t, u, leq)` meets, after weak-head normalization,
+    two applications of one function node: the pairs it compares by their
+    last arguments alone."""
+    checker = Watched(env=env, options=options)
+    checker.convert(t, u, leq)
+    pairs = zip(checker.normal[::2], checker.normal[1::2])
+    return any(type(a) is App and type(b) is App and a.fn is b.fn
+               for a, b in pairs)
+
+
+def shared(t, add):
+    """The tower `t` with the leaves the parser gives it: each constant
+    the node of `syntax.CONSTS` and each `add` the one node `add`."""
+    k = type(t)
+    if k is Const:
+        return CONSTS[t.name]
+    if k is Ref:
+        return add
+    return App(shared(t.fn, add), shared(t.arg, add))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_agrees_on_seeded_shared_numeral_towers(seed):
+    """The towers of `test_agrees_on_seeded_numeral_towers` with shared
+    leaves, so two levels of one constant are one function node."""
+    rng = random.Random(f"shared towers:{seed}")
+    env, add = _add_env(), Ref("add")
+    outcomes, fast = set(), 0
+    for _ in range(60):
+        t = _numeral(rng, rng.randrange(60), rng.choice([None, False, True]))
+        u = _variant(rng, t)
+        if rng.random() < 0.5:
+            t, u = u, t
+        t, u = shared(t, add), shared(u, add)
+        omit = frozenset(rng.sample(["succ", "succS", "zero", "zeroS"],
+                                    rng.randrange(3)))
+        options, leq = KernelOptions(omit_consts=omit), rng.random() < 0.5
+        new, old = verdicts(env, options, t, u, leq)
+        assert new == old, (t, u)
+        outcomes.add(new[0])
+        fast += same_function(env, options, t, u, leq)
+    assert outcomes == {True, False} and fast
+
+
+@pytest.mark.parametrize("kind", ["add", "add+1", "toNat"])
+def test_agrees_on_numeral_modules(monkeypatch, kind):
+    """Every conversion the benchmark's numeral modules ask, at depths
+    from 1 to 60, with the leaves the parser shares."""
+    workloads = perfbench_workloads(monkeypatch)
+    env = corpus.prelude_checker()[0].env
+    rng = random.Random(f"numeral modules:{kind}")
+    asked = []
+    real = Checker.convert
+
+    def recording(self, t, u, leq=False):
+        asked.append((dict(self.env), self.options, t, u, leq))
+        return real(self, t, u, leq)
+    monkeypatch.setattr(Checker, "convert", recording)
+    for depth in (1, 2, 3, 7, 12, 20, 33, 47, 60):
+        src = workloads.numeral_source(kind, depth, rng.random())[0]
+        checker = Checker(env=env)
+        mod = resolve(parse(src, f"{kind}-{depth}.tltt"), set(env))
+        for d in mod.decls:
+            checker.check_decl(d)
+    monkeypatch.undo()
+    outcomes, fast = set(), 0
+    for env_, options, t, u, leq in asked:
+        new, old = verdicts(env_, options, t, u, leq)
+        assert new == old, (t, u, leq)
+        outcomes.add(new[0])
+        fast += same_function(env_, options, t, u, leq)
+    assert len(asked) > 50 and fast
+    assert outcomes == ({True, False} if kind == "add+1" else {True})
 
 
 def _type(rng, depth):

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from tltt import kernel, syntax
+from tltt import corpus, kernel, syntax
 from tltt.kernel import (
     Checker, EnvEntry, KernelOptions, RESTRICTED_RULES, RULES, TypeError_,
     check_module, sort_leq, sort_lub,
@@ -892,6 +892,37 @@ def subterms(t):
                 stack.append(child)
 
 
+# Eliminator spines whose prefix is not the node `whnf` split: a definition
+# of a bare eliminator and of one applied to all but its major premise, an
+# annotated head, heads that β and ι return, and a spine longer than the
+# eliminator's arity.  The kernel refuses the two definitions (it types an
+# eliminator only with all its arguments), so their values are unfolded
+# unchecked.
+PREFIXES = """\
+def ind : Pi (P : Nat -> U 0) (z : P zero)
+    (s : Pi (k : Nat), P k -> P (succ k)) (n : Nat), P n := indNat
+def rec : Nat -> Nat := indNat (fun k => Nat) zero (fun k r => succ r)
+check rec (succ (succ zero)) : Nat
+check ind (fun k => Nat) zero (fun k r => succ r) (succ (succ zero)) : Nat
+check (indNat : Pi (P : Nat -> U 0) (z : P zero)
+    (s : Pi (k : Nat), P k -> P (succ k)) (n : Nat), P n)
+  (fun k => Nat) zero (fun k r => succ r) (succ (succ zero)) : Nat
+check (fun x => indNat) zero (fun k => Nat) zero (fun k r => succ r)
+  (succ (succ zero)) : Nat
+check fst (pair indNat zero) (fun k => Nat) zero (fun k r => succ r)
+  (succ (succ zero)) : Nat
+check indNat (fun k => Nat -> Nat) (fun x => x) (fun k r x => succ (r x))
+  (succ (succ zero)) zero : Nat
+"""
+
+
+def unchecked_module(src):
+    """The module `src` and an environment of its definitions, unchecked."""
+    mod = resolve(parse(src, "unchecked.tltt"))
+    return {d.name: EnvEntry(d.ty, d.body) for d in mod.decls
+            if d.kind == "def"}, mod
+
+
 def checked_modules():
     """The corpus modules, then EDGE, each with the environment it was
     checked into (its own definitions included)."""
@@ -919,10 +950,10 @@ class TestWholeSpines:
         assert rep.records == EDGE_RECORDS
 
     def test_whnf_agrees_with_one_level_at_a_time(self):
-        """On every application inside the corpus and EDGE; about 140 of
-        them reduce."""
+        """On every application inside the corpus, EDGE and PREFIXES; about
+        140 of them reduce."""
         reduced = 0
-        for env, mod in checked_modules():
+        for env, mod in [*checked_modules(), unchecked_module(PREFIXES)]:
             new, ref = Checker(env=env), NestedWhnf(env=env)
             for d in mod.decls:
                 for t in subterms(Ann(d.body, d.ty) if d.body else d.ty):
@@ -1166,6 +1197,74 @@ class TestIota:
         t = term("Js P z (reflS a) e", IOTA_SCOPE)
         off = Checker(options=KernelOptions(js_beta=False))
         assert off._iota(*spine(t)) is None
+
+
+class TestSharedSpines:
+    """ι is asked only of eliminators, the recursive call of `indNat` is
+    built on the node `whnf` split, and `convert` compares two applications
+    of one function node by their last arguments alone."""
+
+    ELIMS = {"fst", "snd", "J", "Js", "indNat", "indNatS", "indSum",
+             "indSumS"}
+
+    @pytest.mark.parametrize("src", ["indNat P z s (succ m)",
+                                     "indNatS P z s (succS m)"])
+    def test_recursive_call_is_built_on_the_split_node(self, src):
+        t = term(src, IOTA_SCOPE)
+        head, args = spine(Checker().whnf(t))
+        m = t.arg.arg
+        assert head is t.fn.arg and args[0] is m
+        assert args[1].fn is t.fn and args[1].arg is m
+
+    def test_arguments_of_one_function_convert_by_conversion(self):
+        """`f (U 0)` is not a subtype of `f (U 1)`: the shared head's
+        arguments are compared without cumulativity."""
+        f = syntax.var(0)
+        small, large = App(f, syntax.univ(True, 0)), App(f, syntax.univ(True, 1))
+        assert not Checker().convert(small, large, True)
+        assert Checker().convert(small, App(f, syntax.univ(True, 0)))
+
+    @pytest.mark.parametrize("kind, share, steps", [
+        ("add", 0.0, 0), ("add", 0.3, 30), ("add", 0.5, 50), ("add", 1.0, 100),
+        ("add+1", 0.5, 50), ("add+1", 1.0, 99), ("toNat", 0.5, 100),
+    ])
+    def test_node_and_iota_budget(self, ck, monkeypatch, kind, share, steps):
+        """Checking a depth-100 numeral module builds at most two
+        application nodes per ι step, plus a constant (`add` with first
+        argument m takes m steps, `toNat` of d successors d): the
+        recursive call on the shared prefix and the successor β builds.
+        Every head `whnf` asks for ι is an eliminator's."""
+        src = perfbench_workloads(monkeypatch).numeral_source(kind, 100, share)[0]
+        mod = resolve(parse(src), set(ck.env))
+        built, heads = 0, []
+        init, iota = App.__init__, Checker._iota
+
+        def counting(self, fn, arg):
+            nonlocal built
+            built += 1
+            init(self, fn, arg)
+
+        def asked(self, head, *rest):
+            heads.append(head)
+            return iota(self, head, *rest)
+        monkeypatch.setattr(App, "__init__", counting)
+        monkeypatch.setattr(Checker, "_iota", asked)
+        assert check_module(Checker(env=ck.env), mod).ok
+        monkeypatch.undo()
+        assert built <= 2 * steps + 8
+        assert len(heads) >= steps
+        assert all(type(h) is Const and h.name in self.ELIMS for h in heads)
+
+    def test_iota_is_asked_only_of_eliminators_on_the_corpus(self, monkeypatch):
+        heads, iota = [], Checker._iota
+
+        def asked(self, head, *rest):
+            heads.append(head)
+            return iota(self, head, *rest)
+        monkeypatch.setattr(Checker, "_iota", asked)
+        corpus.run_corpus()
+        assert len(heads) > 30
+        assert all(type(h) is Const and h.name in self.ELIMS for h in heads)
 
 
 class TestOptions:

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .syntax import (
-    CONSTS, Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref, Sig, Term, Univ,
-    Var, _differ, mk_app, parse_term, print_term, shift, spine, subst, univ,
-    var,
+    BUILTIN_CONSTS, CONSTS, Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref,
+    Sig, Term, Univ, Var, _differ, mk_app, parse_term, print_term, shift,
+    spine, subst, univ, var,
 )
 
 
@@ -171,11 +171,6 @@ def _motive_at(motive: Term, *args: Term) -> Term:
     return mk_app(motive, *args)
 
 
-def _show(ctx: list[Term], t: Term) -> str:
-    """Print `t` with a name for each variable of `ctx`."""
-    return print_term(t, [f"x{j}" for j in range(len(ctx))])
-
-
 # The type of each built-in that is not a spine constant, in surface syntax.
 _CONST_TYPES = {name: parse_term(ty, "<kernel>") for name, ty in {
     "Unit": "U 0", "star": "Unit",
@@ -223,6 +218,18 @@ class Checker:
         finally:
             self._checked = outer
 
+    def _show(self, ctx: list[Term], t: Term) -> str:
+        """Print `t` with a name for each variable of `ctx`, outermost
+        first: `x0`, `x1`, ..., skipping each name that a global of the
+        checker or a built-in holds, so that no variable prints as one."""
+        names, j = [], 0
+        while len(names) < len(ctx):
+            x = f"x{j}"
+            if x not in self.env and x not in BUILTIN_CONSTS:
+                names.append(x)
+            j += 1
+        return print_term(t, names)
+
     def _use(self, rule: str):
         self.decl_rules.add(rule)
 
@@ -244,7 +251,14 @@ class Checker:
         none pending and no reduction since (δ, an annotation, β and ι each
         drop it, as each changes the head or the arguments).  `_iota`
         builds the recursive call of `indNat(S)` on it, so every level down
-        a numeral shares one prefix."""
+        a numeral shares one prefix.
+
+        A constructor application, an `App` whose function is a constant
+        that is not an eliminator (`succ m`, `inl a`, `refl a`), is returned
+        as it stands: the loop would split it, stop at that head with the
+        one argument and return the node it was given."""
+        if type(t) is App and type(t.fn) is Const and t.fn.name not in _ELIMS:
+            return t
         head, args, built, prefix = t, (), t, None
         while True:
             k = type(head)
@@ -284,7 +298,12 @@ class Checker:
         `head` applied to all of `args` but the last.  When `args` are
         exactly the family's arity, the recursive call of `indNat(S)` on a
         successor `m` is `App(prefix, m)`: `head` applied to the same
-        arguments with `m` last, without building them again."""
+        arguments with `m` last, without building them again.
+
+        A major premise that is a constructor application (`succ m`: an
+        `App` of a constant that is not an eliminator) or a bare constant
+        (`zero`) is read as it stands, as `whnf` would return it, with no
+        `whnf` and no `spine`."""
         if not isinstance(head, Const) or head.name not in _ELIMS:
             return None
         family, strict = _SPINE[head.name]
@@ -293,8 +312,16 @@ class Checker:
             return None
         if family == "J" and strict and not self.options.js_beta:
             return None
-        c, c_args = spine(self.whnf(args[fam.major]))
-        c = c.name if isinstance(c, Const) else None
+        major = args[fam.major]
+        k = type(major)
+        if (k is App and type(major.fn) is Const
+                and major.fn.name not in _ELIMS):
+            c, c_args = major.fn.name, [major.arg]
+        elif k is Const:
+            c, c_args = major.name, []
+        else:
+            c, c_args = spine(self.whnf(major))
+            c = c.name if isinstance(c, Const) else None
         match family:
             case "fst" | "snd":
                 if c != "pair" or len(c_args) != 2:
@@ -440,8 +467,8 @@ class Checker:
             else:
                 rule = "FIB-PRE"
         return TypeError_(
-            rule, f"type mismatch: inferred `{_show(ctx, got)}` does not "
-                  f"subsume expected `{_show(ctx, w)}`")
+            rule, f"type mismatch: inferred `{self._show(ctx, got)}` does "
+                  f"not subsume expected `{self._show(ctx, w)}`")
 
     # -- inference ---------------------------------------------------------
 
@@ -728,7 +755,7 @@ class Checker:
             if not isinstance(tyw, Pi):
                 raise TypeError_(
                     "CONV", f"lambda checked against non-function type "
-                            f"`{_show(ctx, tyw)}`")
+                            f"`{self._show(ctx, tyw)}`")
             self.check([tyw.dom] + ctx, t.body, tyw.cod)
             return
         got = self.infer(ctx, t)

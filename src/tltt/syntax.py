@@ -724,37 +724,60 @@ def _nodes(t: Term):
             todo += ((t.tm, d), (t.ty, d))
 
 
+class _Naming:
+    """What the binders of one printed term are named from: `avoid`, the
+    built-ins and the globals of the term, and `used`, the ids of the
+    binders whose variable occurs.  `walk` finds both in one `_nodes` walk
+    of the whole term; `_print` runs it at the first binder it reaches, so a
+    term with no binder is never walked."""
+
+    __slots__ = ("term", "avoid", "used")
+
+    def __init__(self, term: Term):
+        self.term, self.avoid, self.used = term, None, None
+
+    def walk(self):
+        # `_nodes` walks a binder's scope before anything else at its depth,
+        # so binders[e] is the binder at depth e of the Vars below it
+        avoid, used, binders = set(BUILTIN_CONSTS), set(), []
+        for u, d in _nodes(self.term):
+            k = type(u)
+            if k is Ref:
+                avoid.add(u.name)
+            elif k is Var and u.idx < d:
+                used.add(binders[d - 1 - u.idx])
+            elif k is Pi or k is Sig or k is Lam:
+                binders[d:] = [id(u)]
+        self.avoid, self.used = avoid, used
+
+
 def print_term(t: Term, names: Optional[list[str]] = None) -> str:
     """Render a core term as parseable surface text under the naming
     context `names` (outermost first).  Binders are named away from it, the
-    built-ins and the globals of `t`, the only globals they could capture."""
-    # `_nodes` walks a binder's scope before anything else at its depth, so
-    # binders[e] is the binder at depth e of the Vars below it
-    avoid, used, binders = set(BUILTIN_CONSTS), set(), []
-    for u, d in _nodes(t):
-        k = type(u)
-        if k is Ref:
-            avoid.add(u.name)
-        elif k is Var and u.idx < d:
-            used.add(binders[d - 1 - u.idx])
-        elif k is Pi or k is Sig or k is Lam:
-            binders[d:] = [id(u)]
-    return _print(t, list(names or []), avoid, used, _PREC_TERM)
+    built-ins and the globals of `t`, the only globals they could capture.
+
+    The naming walk (`_Naming.walk`) runs at most once, over the whole term,
+    when the printer first reaches a Π, Σ or λ: only a binder reads its
+    sets, and they are those of the whole term wherever it starts, so the
+    text is the one an eager walk gives.  A term with no binder, such as
+    `add M K = N`, prints in one walk."""
+    return _print(t, list(names or []), _Naming(t), _PREC_TERM)
 
 
-def _print(t: Term, ctx: list[str], avoid: set[str], used: set[int],
-           prec: int) -> str:
-    """`t` under the names `ctx`, parenthesised below precedence `prec`;
-    `used` holds the ids of the binders whose variable occurs."""
+def _print(t: Term, ctx: list[str], naming: _Naming, prec: int) -> str:
+    """`t` under the names `ctx`, parenthesised below precedence `prec`."""
     k = type(t)
     if k is App:
         # a chain `f (g (h a))` of applications in argument position, such
-        # as a numeral, in one loop
+        # as a numeral, in one loop; a global or built-in head is its name
         fns = []
         while type(t) is App:
-            fns.append(_print(t.fn, ctx, avoid, used, _PREC_APP))
+            fn = t.fn
+            kf = type(fn)
+            fns.append(fn.name if kf is Const or kf is Ref
+                       else _print(fn, ctx, naming, _PREC_APP))
             t = t.arg
-        s = (f"{' ('.join(fns)} {_print(t, ctx, avoid, used, _PREC_ATOM)}"
+        s = (f"{' ('.join(fns)} {_print(t, ctx, naming, _PREC_ATOM)}"
              + ")" * (len(fns) - 1))
         p = _PREC_APP
     elif k is Const or k is Ref:
@@ -764,35 +787,39 @@ def _print(t: Term, ctx: list[str], avoid: set[str], used: set[int],
             raise ValueError(
                 f"variable {t.idx} has no name in a context of {len(ctx)}")
         return ctx[-1 - t.idx]
-    elif k is Pi and id(t) not in used:
-        # Var 0 is unused in the codomain and `_fresh` never picks "_"
-        s = (f"{_print(t.dom, ctx, avoid, used, _PREC_EQ)} -> "
-             f"{_print(t.cod, ctx + ['_'], avoid, used, _PREC_ARROW)}")
-        p = _PREC_ARROW
-    elif k is Pi or k is Sig:
-        x = _fresh(t.name, set(ctx) | avoid)
-        s = (f"{k.__name__} ({x} : "
-             f"{_print(t.dom, ctx, avoid, used, _PREC_TERM)}), "
-             f"{_print(t.cod, ctx + [x], avoid, used, _PREC_TERM)}")
-        p = _PREC_TERM
-    elif k is Lam:
-        inner = list(ctx)
-        while type(t) is Lam:
-            inner.append(_fresh(t.name, set(inner) | avoid))
-            t = t.body
-        s = (f"fun {' '.join(inner[len(ctx):])} => "
-             f"{_print(t, inner, avoid, used, _PREC_TERM)}")
-        p = _PREC_TERM
     elif k is Eq:
-        s = (f"{_print(t.lhs, ctx, avoid, used, _PREC_APP)} "
+        s = (f"{_print(t.lhs, ctx, naming, _PREC_APP)} "
              f"{'=s' if t.strict else '='} "
-             f"{_print(t.rhs, ctx, avoid, used, _PREC_APP)}")
+             f"{_print(t.rhs, ctx, naming, _PREC_APP)}")
         p = _PREC_EQ
     elif k is Univ:
         return f"{'U' if t.fib else 'Us'} {t.level}"
     elif k is Ann:
-        return (f"({_print(t.tm, ctx, avoid, used, _PREC_TERM)} : "
-                f"{_print(t.ty, ctx, avoid, used, _PREC_TERM)})")
+        return (f"({_print(t.tm, ctx, naming, _PREC_TERM)} : "
+                f"{_print(t.ty, ctx, naming, _PREC_TERM)})")
+    elif k is Pi or k is Sig or k is Lam:
+        if naming.used is None:
+            naming.walk()
+        avoid = naming.avoid
+        if k is Pi and id(t) not in naming.used:
+            # Var 0 is unused in the codomain and `_fresh` never picks "_"
+            s = (f"{_print(t.dom, ctx, naming, _PREC_EQ)} -> "
+                 f"{_print(t.cod, ctx + ['_'], naming, _PREC_ARROW)}")
+            p = _PREC_ARROW
+        elif k is Lam:
+            inner = list(ctx)
+            while type(t) is Lam:
+                inner.append(_fresh(t.name, set(inner) | avoid))
+                t = t.body
+            s = (f"fun {' '.join(inner[len(ctx):])} => "
+                 f"{_print(t, inner, naming, _PREC_TERM)}")
+            p = _PREC_TERM
+        else:
+            x = _fresh(t.name, set(ctx) | avoid)
+            s = (f"{k.__name__} ({x} : "
+                 f"{_print(t.dom, ctx, naming, _PREC_TERM)}), "
+                 f"{_print(t.cod, ctx + [x], naming, _PREC_TERM)}")
+            p = _PREC_TERM
     else:
         raise AssertionError(t)
     return f"({s})" if p < prec else s

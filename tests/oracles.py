@@ -13,13 +13,17 @@ runs, kept to check what it does run.
   builds with `sieve_of`;
 - `print_module` prints a parsed module back as source, for the round
   trips of `tests/test_syntax.py`;
+- `eager_print_term` is the printer as it was before its naming walk ran
+  lazily: one `_nodes` walk of every term, binders or none.
+  `tests/test_syntax.py` checks that `syntax.print_term` gives its text;
 - `findall_tokenize` is the lexer as it was before it split the source:
   one `findall` of (skipped text, token) pairs, read into columns.
   `tests/test_syntax.py` checks that `syntax.tokenize` gives its columns,
   or its error.
 
 Each builds through the package's own code (`categories.tabulate`,
-`simplex.Sieve`, `syntax.print_term`), so a change there shows here too.
+`simplex.Sieve`, `syntax.print_term`, `syntax._nodes`), so a change there
+shows here too.
 """
 
 from __future__ import annotations
@@ -33,7 +37,11 @@ from typing import Iterable
 from tltt.categories import (CategoryError, DiagramMap, FinCat, SetDiagram,
                              tabulate)
 from tltt.simplex import Sieve
-from tltt.syntax import Module, SyntaxError_, Tokens, _kind, print_term
+from tltt.syntax import (
+    BUILTIN_CONSTS, Ann, App, Const, Eq, Lam, Module, Pi, Ref, Sig,
+    SyntaxError_, Term, Tokens, Univ, Var, _PREC_APP, _PREC_ARROW, _PREC_ATOM,
+    _PREC_EQ, _PREC_TERM, _fresh, _kind, _nodes, print_term,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +131,72 @@ def print_module(mod: Module) -> str:
         else:
             lines.append(f"{d.kind} {print_term(d.body)} : {ty}")
     return "\n".join(lines) + "\n"
+
+
+def eager_print_term(t: Term, names: list[str] = ()) -> str:
+    """`t` as source under the context `names`, its binders named from
+    one walk of the whole term made before printing starts."""
+    avoid, used, binders = set(BUILTIN_CONSTS), set(), []
+    for u, d in _nodes(t):
+        k = type(u)
+        if k is Ref:
+            avoid.add(u.name)
+        elif k is Var and u.idx < d:
+            used.add(binders[d - 1 - u.idx])
+        elif k is Pi or k is Sig or k is Lam:
+            binders[d:] = [id(u)]
+    return _eager_print(t, list(names), avoid, used, _PREC_TERM)
+
+
+def _eager_print(t: Term, ctx: list[str], avoid: set[str], used: set[int],
+                 prec: int) -> str:
+    k = type(t)
+    if k is App:
+        fns = []
+        while type(t) is App:
+            fns.append(_eager_print(t.fn, ctx, avoid, used, _PREC_APP))
+            t = t.arg
+        last = _eager_print(t, ctx, avoid, used, _PREC_ATOM)
+        s = f"{' ('.join(fns)} {last}" + ")" * (len(fns) - 1)
+        p = _PREC_APP
+    elif k is Const or k is Ref:
+        return t.name
+    elif k is Var:
+        if t.idx >= len(ctx):
+            raise ValueError(
+                f"variable {t.idx} has no name in a context of {len(ctx)}")
+        return ctx[-1 - t.idx]
+    elif k is Pi and id(t) not in used:
+        s = (f"{_eager_print(t.dom, ctx, avoid, used, _PREC_EQ)} -> "
+             f"{_eager_print(t.cod, ctx + ['_'], avoid, used, _PREC_ARROW)}")
+        p = _PREC_ARROW
+    elif k is Pi or k is Sig:
+        x = _fresh(t.name, set(ctx) | avoid)
+        s = (f"{k.__name__} ({x} : "
+             f"{_eager_print(t.dom, ctx, avoid, used, _PREC_TERM)}), "
+             f"{_eager_print(t.cod, ctx + [x], avoid, used, _PREC_TERM)}")
+        p = _PREC_TERM
+    elif k is Lam:
+        inner = list(ctx)
+        while type(t) is Lam:
+            inner.append(_fresh(t.name, set(inner) | avoid))
+            t = t.body
+        s = (f"fun {' '.join(inner[len(ctx):])} => "
+             f"{_eager_print(t, inner, avoid, used, _PREC_TERM)}")
+        p = _PREC_TERM
+    elif k is Eq:
+        s = (f"{_eager_print(t.lhs, ctx, avoid, used, _PREC_APP)} "
+             f"{'=s' if t.strict else '='} "
+             f"{_eager_print(t.rhs, ctx, avoid, used, _PREC_APP)}")
+        p = _PREC_EQ
+    elif k is Univ:
+        return f"{'U' if t.fib else 'Us'} {t.level}"
+    elif k is Ann:
+        return (f"({_eager_print(t.tm, ctx, avoid, used, _PREC_TERM)} : "
+                f"{_eager_print(t.ty, ctx, avoid, used, _PREC_TERM)})")
+    else:
+        raise AssertionError(t)
+    return f"({s})" if p < prec else s
 
 
 # ---------------------------------------------------------------------------

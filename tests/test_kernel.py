@@ -19,6 +19,7 @@ from tltt.syntax import (
     CONSTS, Ann, App, Const, Decl, Lam, Module, Pi, Ref, Sig, Univ, Var,
     _differ, mk_app, parse, parse_term, resolve, spine, subst,
 )
+from counters import count_pass, counting
 from test_conversion_oracle import KERNELS, run_corpus_sample
 from test_syntax import OVERFLOW, perfbench_workloads, unwound
 
@@ -720,6 +721,18 @@ class TestDiagnostics:
         assert (record["kind"], record["status"], record["rule"],
                 record["message"]) == ("fail", "pass", rule, message)
 
+    def test_context_names_skip_the_globals(self, ck):
+        """The context prints as `x0`, `x1`, ... with each name that a
+        global holds skipped: the variable `a` is `x1` beside the global
+        `x0`, where both printed `x0`."""
+        src = ("def x0 : Nat := zero\n"
+               "check (fun a => (refl a : a = x0)) : Pi (a : Nat), a = a\n")
+        rep = check_module(Checker(env=ck.env),
+                           resolve(parse(src, "<test>"), set(ck.env)))
+        assert rep.records[-1]["message"] == (
+            "type mismatch: inferred `x1 = x1` does not subsume expected "
+            "`x1 = x0`")
+
     @pytest.mark.parametrize("kind", ["check", "fail"])
     def test_recursion_overflow_is_a_depth_failure(self, kind):
         """A Π chain still costs the checker frames per level; a `succ`
@@ -1199,6 +1212,14 @@ class TestIota:
         assert off._iota(*spine(t)) is None
 
 
+# depth-100 `numeral_source` modules: (kind, share, ι steps), where `add`
+# with first argument m takes m steps and `toNat` of d successors d
+BUDGET_CASES = [
+    ("add", 0.0, 0), ("add", 0.3, 30), ("add", 0.5, 50), ("add", 1.0, 100),
+    ("add+1", 0.5, 50), ("add+1", 1.0, 99), ("toNat", 0.5, 100),
+]
+
+
 class TestSharedSpines:
     """ι is asked only of eliminators, the recursive call of `indNat` is
     built on the node `whnf` split, and `convert` compares two applications
@@ -1224,10 +1245,7 @@ class TestSharedSpines:
         assert not Checker().convert(small, large, True)
         assert Checker().convert(small, App(f, syntax.univ(True, 0)))
 
-    @pytest.mark.parametrize("kind, share, steps", [
-        ("add", 0.0, 0), ("add", 0.3, 30), ("add", 0.5, 50), ("add", 1.0, 100),
-        ("add+1", 0.5, 50), ("add+1", 1.0, 99), ("toNat", 0.5, 100),
-    ])
+    @pytest.mark.parametrize("kind, share, steps", BUDGET_CASES)
     def test_node_and_iota_budget(self, ck, monkeypatch, kind, share, steps):
         """Checking a depth-100 numeral module builds at most two
         application nodes per ι step, plus a constant (`add` with first
@@ -1265,6 +1283,155 @@ class TestSharedSpines:
         corpus.run_corpus()
         assert len(heads) > 30
         assert all(type(h) is Const and h.name in self.ELIMS for h in heads)
+
+
+# Majors for `_iota` and arguments for constructors, as sources in the scope
+# IOTA_SCOPE: constructor applications, eliminator redexes and stuck
+# spines, annotations, β redexes and the globals of READ_ENV, nested
+CONSTRUCTORS = sorted(set(CONSTS) - kernel._ELIMS)
+# each eliminator's spine but its major, with the heads its ι rules read
+ELIMINATIONS = {"fst": ["pair a"], "snd": ["pair a"], "J P z": ["refl"],
+                "Js P z": ["reflS"], "indNat P z s": ["succ"],
+                "indNatS P z s": ["succS"], "indSum P f g": ["inl", "inr"],
+                "indSumS P f g": ["inlS", "inrS"]}
+ELIM_PREFIXES = sorted(ELIMINATIONS)
+INTROS = sorted({c for cs in ELIMINATIONS.values() for c in cs})
+READ_ENV = {"d": EnvEntry(Const("Nat"), term("succ zero")),
+            "k": EnvEntry(Const("Nat"), term("fun y => inl y"))}
+
+
+def random_major(rng: random.Random, depth: int = 0) -> str:
+    if depth >= 3 or rng.random() < 0.25:
+        return rng.choice(["m", "x", "a", "d", "zero", "zeroS", "star",
+                           "succ", "fst", "Nat"])
+    sub = random_major(rng, depth + 1)
+    form = rng.randrange(7)
+    if form == 0:
+        return f"{rng.choice(CONSTRUCTORS)} ({sub})"
+    if form == 6:
+        return f"{rng.choice(INTROS)} ({sub})"
+    if form == 1:
+        return f"pair ({sub}) ({random_major(rng, depth + 1)})"
+    if form == 2:
+        return f"{rng.choice(ELIM_PREFIXES)} ({sub})"
+    if form == 3:
+        return f"({sub} : Nat)"
+    if form == 4:
+        return f"(fun y => {rng.choice(CONSTRUCTORS)} y) ({sub})"
+    return f"k ({sub})"
+
+
+def major_term(src: str):
+    return term(src, IOTA_SCOPE, set(READ_ENV))
+
+
+def reference_iota(checker: Checker, head, args):
+    """`_iota` with every major premise read through `spine(whnf(major))`,
+    and every recursive call built with `mk_app`."""
+    if type(head) is not Const or head.name not in kernel._ELIMS:
+        return None
+    family, strict = kernel._SPINE[head.name]
+    fam = kernel._FAMILIES[family]
+    if len(args) < fam.arity or (family == "J" and strict
+                                 and not checker.options.js_beta):
+        return None
+    c, c_args = spine(checker.whnf(args[fam.major]))
+    c = c.name if type(c) is Const else None
+    rest = list(args[fam.arity:])
+    if family in ("fst", "snd"):
+        if c == "pair" and len(c_args) == 2:
+            return c_args[family == "snd"], rest
+    elif family == "J":
+        if c == kernel._at_level("refl", strict) and len(c_args) == 1:
+            return args[1], rest
+    elif family == "indNat":
+        if c == kernel._at_level("zero", strict) and not c_args:
+            return args[1], rest
+        if c == kernel._at_level("succ", strict) and len(c_args) == 1:
+            m = c_args[0]
+            return args[2], [m, mk_app(head, *args[:3], m)] + rest
+    else:
+        for i, side in enumerate(("inl", "inr")):
+            if c == kernel._at_level(side, strict) and len(c_args) == 1:
+                return args[1 + i], c_args + rest
+    return None
+
+
+class TestConstructorApplications:
+    """`whnf` returns an application of a constant that is not an
+    eliminator as it stands, and `_iota` reads such a major premise, or a
+    bare constant, without `whnf` or `spine`."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_constructor_application_is_its_own_normal_form(self, seed):
+        rng = random.Random(f"constructor applications {seed}")
+        checker, seen = Checker(env=READ_ENV), 0
+        for _ in range(150):
+            t = major_term(f"{rng.choice(CONSTRUCTORS)} "
+                           f"({random_major(rng)})")
+            for u, _ in syntax._nodes(t):
+                if (type(u) is App and type(u.fn) is Const
+                        and u.fn.name not in kernel._ELIMS):
+                    assert checker.whnf(u) is u
+                    seen += 1
+        assert seen >= 150
+
+    @pytest.mark.parametrize("js_beta", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_iota_agrees_with_the_reference(self, seed, js_beta):
+        rng = random.Random(f"iota reference {seed}")
+        checker = Checker(env=READ_ENV, options=KernelOptions(js_beta=js_beta))
+        reduced = 0
+        for _ in range(200):
+            prefix, major = rng.choice(ELIM_PREFIXES), random_major(rng)
+            if rng.random() < 0.5:
+                major = f"{rng.choice(ELIMINATIONS[prefix])} ({major})"
+            t = major_term(f"{prefix} ({major}){' e' * rng.randrange(2)}")
+            head, args = spine(t)
+            got, want = checker._iota(head, args), reference_iota(
+                checker, head, args)
+            assert (got is None) == (want is None), t
+            if want is not None:
+                assert got[0] == want[0] and list(got[1]) == want[1], t
+                reduced += 1
+        assert reduced >= 50
+
+    @pytest.mark.parametrize("src, reduct", [
+        ("fst (pair a b)", "a"),
+        ("snd (pair (succ a) b)", "b"),
+        ("succ (fst (pair a b))", "succ (fst (pair a b))"),
+        ("indNat P z s (fst (pair (succ m) b))", "s m (indNat P z s m)"),
+        ("indNat P z s (snd (pair b zero))", "z"),
+        ("J P z (fst (pair (refl a) b))", "z"),
+    ])
+    def test_an_eliminator_application_is_not_read_as_one(self, src, reduct):
+        """`fst (pair a b)` is an application of a constant too, but of an
+        eliminator: as a term or as a major premise it reduces."""
+        assert Checker().whnf(major_term(src)) == major_term(reduct)
+
+    @pytest.mark.parametrize("kind, share, steps", BUDGET_CASES)
+    def test_spine_budget(self, ck, monkeypatch, kind, share, steps):
+        """Checking a depth-100 numeral module splits at most two spines
+        per ι step, plus a constant: a major premise `succ m` is read as
+        it stands, where `whnf` and `spine` each split it again."""
+        workloads = perfbench_workloads(monkeypatch)
+        mod = resolve(parse(workloads.numeral_source(kind, 100, share)[0]),
+                      set(ck.env))
+        with counting() as counts:
+            assert check_module(Checker(env=ck.env), mod).ok
+        assert counts["_iota"] >= steps
+        assert counts["spine"] <= 2 * steps + 20
+
+    def test_a_numerals_pass(self, monkeypatch):
+        """One pass of the `numerals` workload's items at seed 5 runs no
+        naming walk (its messages print no binder) and splits at most two
+        spines per ι attempt plus 20 per item."""
+        workloads = perfbench_workloads(monkeypatch)
+        counts = count_pass(workloads, "numerals", 5)
+        items = 3 * workloads.NUMERALS_PER_KIND
+        assert counts["_nodes"] == 0
+        assert counts["_iota"] >= items
+        assert counts["spine"] <= 2 * counts["_iota"] + 20 * items
 
 
 class TestOptions:

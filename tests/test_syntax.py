@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import pathlib
 import pickle
+import random
 import re
 import sys
 import typing
@@ -13,8 +14,11 @@ import typing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import findall_tokenize, print_module
+from oracles import eager_print_term, findall_tokenize, print_module
 from test_parse_golden import STRIDE
+from test_print_golden import (
+    CONSTS as GOLDEN_CONSTS, CONTEXT, GLOBALS, HINTS, POOL, SEED, random_term,
+)
 from tltt import syntax
 from tltt.corpus import corpus_files
 from tltt.kernel import Checker, check_module, sort_lub
@@ -746,6 +750,88 @@ terms_under_global_hints = hinted_sources().map(lambda src: subst(
 def test_printer_roundtrip_keeps_globals_free(t):
     """A binder is renamed away from the globals of the term it prints."""
     assert parse_term(print_term(t), "<test>", globals_={"f", "P"}) == t
+
+
+class TestLazyNaming:
+    """`print_term` runs its naming walk only when it reaches a binder, once
+    and over the whole term, and gives the text of the printer that walks
+    every term first (`oracles.eager_print_term`)."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        real, calls = syntax._nodes, []
+
+        def counted(t):
+            calls.append(t)
+            return real(t)
+        monkeypatch.setattr(syntax, "_nodes", counted)
+        return calls
+
+    @pytest.mark.parametrize("src, scope", [
+        ("add (succ (succ zero)) (succ zero) = succ (succ (succ zero))", ()),
+        ("f g (h (k zero)) (f Nat) =s (g : Nat)", ("f", "g", "h", "k")),
+    ])
+    def test_a_term_without_binders_is_not_walked(self, walks, src, scope):
+        t = parse_term(src, "<test>", globals_={"add", *scope})
+        assert print_term(t) == src
+        assert walks == []
+
+    def test_a_term_with_binders_is_walked_once_from_the_root(self, walks):
+        """The binders sit below a binder-free prefix; they are named away
+        from the globals of the whole term, the prefix's `f` included."""
+        t = Eq(False, App(Ref("f"), Lam("f", Var(0))),
+               Pi("x", Const("Nat"), Sig("f", Var(0), Var(1))))
+        assert print_term(t) == ("f (fun f1 => f1) = "
+                                 "(Pi (x : Nat), Sig (f1 : x), x)")
+        assert walks == [t]
+
+    def test_every_print_golden_input_prints_as_the_oracle(self):
+        for path in corpus_files():
+            for d in parse(path.read_text(), str(path)).decls:
+                for t in (d.ty, d.body):
+                    if t is not None:
+                        assert print_term(t) == eager_print_term(t)
+        rng = random.Random(SEED)
+        for _ in range(POOL):
+            names = [rng.choice(CONTEXT) for _ in range(rng.randrange(3))]
+            t = random_term(rng, len(names))
+            assert print_term(t, names) == eager_print_term(t, names)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binders_below_a_binder_free_prefix_print_as_the_oracle(
+            self, seed):
+        rng = random.Random(f"lazy naming {seed}")
+        for _ in range(250):
+            names = [rng.choice(CONTEXT) for _ in range(rng.randrange(3))]
+            t = binder_free_prefix(rng, len(names))
+            assert print_term(t, names) == eager_print_term(t, names)
+
+
+def binder_free_prefix(rng: random.Random, bound: int, depth: int = 0):
+    """Applications, equations and annotations over globals, constants and
+    the `bound` context variables, with print-golden random terms under a
+    binder at some leaves: the printer meets globals before any binder."""
+    if depth >= 3 or rng.random() < 0.3:
+        leaf = rng.randrange(4)
+        if leaf == 0:
+            kind, x = rng.randrange(3), rng.choice(HINTS)
+            if kind == 2:
+                return Lam(x, random_term(rng, bound + 1, 2))
+            return (Pi, Sig)[kind](x, random_term(rng, bound, 2),
+                                   random_term(rng, bound + 1, 2))
+        if leaf == 1 and bound:
+            return Var(rng.randrange(bound))
+        if leaf == 2:
+            return Const(rng.choice(GOLDEN_CONSTS))
+        return Ref(rng.choice(GLOBALS))
+    a = binder_free_prefix(rng, bound, depth + 1)
+    b = binder_free_prefix(rng, bound, depth + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return App(a, b)
+    if kind == 1:
+        return Eq(rng.random() < 0.5, a, b)
+    return Ann(a, b)
 
 
 _FRAGMENTS = st.sampled_from([

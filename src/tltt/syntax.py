@@ -9,7 +9,6 @@ equality of core terms is alpha-equivalence.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, islice
 from typing import Optional, Sequence, Union
@@ -338,7 +337,15 @@ def _differ(t: Term, u: Term, unequal: Optional[dict] = None) -> bool:
 
 @dataclass
 class Decl:
-    """One declaration of a module, at its line and column."""
+    """One declaration of a module, at its line and column.
+
+    The parser records each name not bound by a binder as its token
+    (`ref_tokens`, type before body), and the declaration keeps the
+    `parser` that read it, so the tokens live as long as the module.
+    `refs` places each when it is read, through `Parser.place`: they are
+    the tokens an eager parser placed as it read them, in its order, so
+    the triples are its.  A module that is only resolved and checked
+    places none of them."""
 
     kind: str                     # "def" | "axiom" | "check" | "fail"
     name: Optional[str]           # None for check/fail
@@ -347,9 +354,16 @@ class Decl:
     line: int
     col: int
     expect_rule: Optional[str] = None   # from a preceding `--! expect:` comment
-    # names not bound by a binder, with positions, type before body
-    refs: list[tuple[str, int, int]] = field(
+    ref_tokens: list[int] = field(
         default_factory=list, repr=False, compare=False)
+    parser: Optional[Parser] = field(default=None, repr=False, compare=False)
+
+    @property
+    def refs(self) -> list[tuple[str, int, int]]:
+        """The names not bound by a binder, type before body, each at its
+        line and column."""
+        p = self.parser
+        return [(p.texts[i], *p.place(i)) for i in self.ref_tokens]
 
 
 @dataclass
@@ -371,10 +385,15 @@ class Module:
 # and newlines.  EOF is the only empty text, at the end of the source.  A kind
 # follows from the text: a keyword is a name.  `=s` before a word character is
 # `=` and a name; BAD is any other character.  An EXPECT token's text is its
-# whole comment.  Commonest tokens first.
+# whole comment.  Commonest tokens first.  Every token starts at a character
+# other than ` \t\r\n`, so the lookahead before the group, which `re` tests
+# before any alternative, changes no split: it only spares each blank a failed
+# try of every alternative.  It is not `(?=\S)`, which would pass over `\x0b`
+# and `\x0c` instead of reading each as BAD.
 _EXPECT = r"![^\S\n]*expect:[^\S\n]*\S"      # an EXPECT token after its `--`
 _COMMENT_RE = re.compile(rf"--({_EXPECT})?[^\n]*")
 _TOKEN_RE = re.compile(rf"""
+    (?=[^ \t\r\n])
     ( [A-Za-z_][A-Za-z0-9_']* | [()] | :=|=>|->|=s(?!\w)|[=,:] | [0-9]+
     | --{_EXPECT}[^\n]* | [^ \t\r\n] )
 """, re.VERBOSE)
@@ -398,41 +417,63 @@ def _kind(text: str) -> str:
     return "EXPECT" if text[:2] == "--" else "BAD"
 
 
-@dataclass(slots=True)
 class Tokens:
-    """Each token's kind, text and offset, as columns; the last is EOF."""
-    kinds: list[str]
-    texts: list[str]
-    offs: list[int]
+    """The tokens of `src`: each one's kind and text, as columns, the last
+    EOF, and `parts`, the pieces of the `split` they came from (the text
+    before each token, then the token; the last is the text after the last
+    token).  A `split` on a regex with one group keeps every character in
+    its pieces, so they tile the source and a token's offset is the length
+    of the pieces before it.  `offs`, that column, is built from the pieces
+    the first time it is read, for a lexer error's position or by a test:
+    a source that lexes without an error never builds it."""
+
+    __slots__ = ("src", "kinds", "texts", "parts", "_offs")
+
+    def __init__(self, src: str, kinds: list[str], texts: list[str],
+                 parts: list[str]):
+        self.src, self.kinds, self.texts, self.parts = src, kinds, texts, parts
+        self._offs: Optional[list[int]] = None
 
     def __len__(self) -> int:
         return len(self.texts)
 
+    @property
+    def offs(self) -> list[int]:
+        """Each token's offset, the length of the pieces before it; the
+        last is EOF's, the length of the source."""
+        if self._offs is None:
+            self._offs = list(islice(accumulate(map(len, self.parts)),
+                                     0, None, 2))
+        return self._offs
+
 
 def tokenize(src: str, path: str = "<input>") -> Tokens:
-    """The tokens of `src`, with no Python step per token: a token's offset
-    is the length of the pieces before it, and only each comment and each
-    distinct text is visited in Python."""
+    """The tokens of `src`, with no Python step per token: only each
+    comment and each distinct text is visited in Python.  No offset is
+    worked out: the pieces of the split are kept, and a position is read
+    off them only where one is reported (`Tokens.offs`, `Parser.place`).
+    The split does not try a token at a blank, where none starts (see
+    `_TOKEN_RE`), so its pieces are the ungated regex's."""
     parts = _TOKEN_RE.split(_COMMENT_RE.sub(_blank, src) if "--" in src
                             else src)
     texts = parts[1::2]
     texts.append("")
-    offs = list(islice(accumulate(map(len, parts)), 0, None, 2))
     kind_of = {text: _kind(text) for text in set(texts)}
     kinds = list(map(kind_of.__getitem__, texts))
+    toks = Tokens(src, kinds, texts, parts)
     if "BAD" in kind_of.values():   # its line and column; only `\n` ends one
-        off = offs[kinds.index("BAD")]
+        off = toks.offs[kinds.index("BAD")]
         raise SyntaxError_(f"unexpected character {src[off]!r}",
                            src.count("\n", 0, off) + 1,
                            off - src.rfind("\n", 0, off), path)
-    return Tokens(kinds, texts, offs)
+    return toks
 
 
 # ---------------------------------------------------------------------------
 # Parser: one loop from tokens to core terms.  A name is looked up in the
 # bound names (innermost first), then among the built-ins; any other name
 # becomes a `Ref`, one per name in a parse.  Every name not bound by a binder
-# is recorded with its position, for `resolve` to check against the declared
+# is recorded as its token, for `resolve` to check against the declared
 # globals.
 # ---------------------------------------------------------------------------
 
@@ -453,19 +494,37 @@ class Parser:
     frames rather than on Python's, so nesting costs no Python frame."""
 
     def __init__(self, src: str, path: str = "<input>", scope=()):
-        toks = tokenize(src, path)
-        self.kinds, self.texts, self.offs = toks.kinds, toks.texts, toks.offs
-        self.starts = [0, *(m.end() for m in re.finditer("\n", src))]
+        self.toks = tokenize(src, path)
+        self.kinds, self.texts = self.toks.kinds, self.toks.texts
         self.path = path
         self.scope = list(scope)    # bound names, outermost first
-        self.refs: list[tuple[str, int, int]] = []
+        self.refs: list[int] = []   # the tokens of the names in no scope
         self.leaves = dict(CONSTS)  # one node per built-in and global name
+        # where `place` last read: a piece, its offset, line and line start
+        self.placed = (0, 0, 1, 0)
 
     def place(self, i: int) -> tuple[int, int]:
-        """The line and column of token `i`."""
-        off = self.offs[i]
-        line = bisect_right(self.starts, off)
-        return line, off - self.starts[line - 1] + 1
+        """The line and column of token `i`, by a running sum of the
+        lengths of the pieces and of the newlines in them, forward from
+        the last token placed, or from the source's start if `i` lies
+        behind it.  The pieces tile the source, so the sum is token `i`'s
+        offset; only `\n` ends a line.  Placing each declaration in turn
+        thus reads the module's pieces once, and builds no offset column;
+        an error lies ahead of every declaration placed before it.  A
+        backward read, as `Decl.refs` makes from a `check`'s type to its
+        body, starts again from the source's start."""
+        parts, src = self.toks.parts, self.toks.src
+        j, off, line, start = self.placed
+        k = 2 * i + 1       # token i's piece
+        if k < j:
+            j, off, line, start = 0, 0, 1, 0
+        end = off + sum(map(len, parts[j:k]))
+        last = src.rfind("\n", off, end)
+        if last >= 0:
+            line += src.count("\n", off, last + 1)
+            start = last + 1
+        self.placed = (k, end, line, start)
+        return line, end - start + 1
 
     def err(self, msg: str, i: int):
         raise SyntaxError_(msg, *self.place(i), self.path)
@@ -488,8 +547,8 @@ class Parser:
         `->` nests to the right and application to the left.  A group's type
         is read before its names are bound; its i-th name gets the type
         shifted past the i names before it."""
-        kinds, texts, offs = self.kinds, self.texts, self.offs
-        starts, scope, refs = self.starts, self.scope, self.refs
+        kinds, texts = self.kinds, self.texts
+        scope, refs = self.scope, self.refs
         leaves = self.leaves
         stack: list[tuple] = []
         reading = _TERM
@@ -534,9 +593,7 @@ class Parser:
                             j -= 1
                         arg = var(len(scope) - 1 - j)
                     else:
-                        off = offs[i]
-                        line = bisect_right(starts, off)  # `place`, inline
-                        refs.append((name, line, off - starts[line - 1] + 1))
+                        refs.append(i)
                         arg = leaves.get(name) or leaves.setdefault(
                             name, Ref(name))
                     i += 1
@@ -636,7 +693,7 @@ class Parser:
                 if kind == "def":
                     body, j = self.term(self.expect(":=", j))
             decls.append(Decl(kind, name, ty, body, *self.place(i),
-                              expect_rule, self.refs))
+                              expect_rule, self.refs, self))
             i, expect_rule = j, None
         return Module(decls, self.path)
 
@@ -652,7 +709,7 @@ def parse_term(src: str, path: str = "<input>", scope=(), globals_=()) -> Term:
     t, i = p.term(0)
     if p.kinds[i] != "EOF":
         p.err("trailing input after term", i)
-    _check_refs(p.refs, set(globals_), path)
+    _check_refs(p, p.refs, BUILTIN_CONSTS.union(globals_), path)
     return t
 
 
@@ -665,25 +722,38 @@ class ResolveError(SyntaxError_):
     built-in."""
 
 
-def _check_refs(refs: list[tuple[str, int, int]], known: set[str], path: str):
-    for name, line, col in refs:
-        if name not in known and name not in BUILTIN_CONSTS:
-            raise ResolveError(f"unbound identifier {name!r}", line, col, path)
+def _check_refs(p: Optional[Parser], refs: list[int], known: set[str],
+                path: str):
+    """Fail at the first of the tokens `refs` of `p` whose name `known`
+    lacks.  The names are checked by one set test, in C; only when it fails
+    are they scanned in order, as an eager resolver scans them, and only
+    the one reported is placed."""
+    if refs and not known.issuperset(map(p.texts.__getitem__, refs)):
+        for i in refs:
+            if p.texts[i] not in known:
+                raise ResolveError(f"unbound identifier {p.texts[i]!r}",
+                                   *p.place(i), path)
 
 
 def resolve(mod: Module, globals_: Optional[set[str]] = None) -> Module:
-    """Check that every declaration's names are declared before use."""
-    known = set(globals_ or ())
+    """Check that every declaration's names are declared before use: each
+    name of a declaration's `ref_tokens` must be a built-in, in `globals_`
+    or declared above it.  A miss is the first unbound name of its
+    declaration in `refs` order, type before body, so it is the one an
+    eager scan of `refs` finds, at the same position."""
+    declared = set(globals_ or ())
+    known = declared | BUILTIN_CONSTS      # what a name may name
     for d in mod.decls:
         if d.name is not None:
-            if d.name in known:
+            if d.name in declared:
                 raise ResolveError(f"duplicate name {d.name!r}",
                                    d.line, d.col, mod.path)
             if d.name in BUILTIN_CONSTS or d.name in KEYWORDS:
                 raise ResolveError(f"{d.name!r} shadows a built-in",
                                    d.line, d.col, mod.path)
-        _check_refs(d.refs, known, mod.path)
+        _check_refs(d.parser, d.ref_tokens, known, mod.path)
         if d.name is not None:
+            declared.add(d.name)
             known.add(d.name)
     return mod
 

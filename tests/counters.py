@@ -1,15 +1,27 @@
-"""In-process counters of the kernel and printer work that perfbench's tracer
-does not see: it counts calls of the public walkers (`whnf`, `convert`,
-`subst`, ...), not the spines they split, the ι steps they try, the naming
-walks the printer runs or the term nodes they build.
+"""In-process counters of the kernel, printer and front-end work that
+perfbench's tracer does not see: it counts calls of the public walkers
+(`whnf`, `convert`, `subst`, ...), not the spines they split, the ι steps
+they try, the naming walks the printer runs, the term nodes they build or
+the source positions the front end works out.
 
-`counting()` counts, while its block runs, the calls of
+`counting()` counts, while its block runs,
 
-- `spine`: `syntax.spine` where the kernel looks it up (`kernel.spine`);
-- `whnf`: `kernel.Checker.whnf`;
-- `_iota`: `kernel.Checker._iota`;
-- `_nodes`: `syntax._nodes`, the printer's naming walk;
-- `App.__init__`: application nodes built, by anyone.
+- `spine`: calls of `syntax.spine` where the kernel looks it up
+  (`kernel.spine`);
+- `whnf`: calls of `kernel.Checker.whnf`;
+- `_iota`: calls of `kernel.Checker._iota`;
+- `_nodes`: calls of `syntax._nodes`, the printer's naming walk;
+- `App.__init__`: application nodes built, by anyone;
+- `Parser.place`: calls of `syntax.Parser.place`, each one position;
+- `Tokens.offs`: builds of a token offset column, counted as the calls of
+  `accumulate` that `syntax` makes, the one thing that builds one (in
+  `tokenize` at a checkout that builds the column per source);
+- `tokens`: tokens lexed, EOF included (the tracer's `syntax.tokens`);
+- `refs`: names not bound by a binder that the parser recorded, over the
+  modules it parsed.
+
+A name that the checkout lacks (an older parent) is not counted, and reads
+`null` in the script's JSON.
 
 `count_pass` counts one pass over a perfbench workload's items, each called
 once (set-up, and each item's check of its answer, are not counted).  Run
@@ -36,29 +48,49 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # The `tltt` modules a perfbench workload reads, as `perfbench/run.py` lists
 TLTT_MODULES = ("syntax", "kernel", "corpus", "categories", "simplex",
                 "nerve", "classifier", "fixtures", "cli")
-COUNTED = ("spine", "whnf", "_iota", "_nodes", "App.__init__")
+COUNTED = ("spine", "whnf", "_iota", "_nodes", "App.__init__",
+           "Parser.place", "Tokens.offs", "tokens", "refs")
+
+
+def _refs(mod) -> int:
+    """The names `mod`'s parser recorded: their tokens, or, at a checkout
+    that placed each as it parsed, their positions (reading `refs` here
+    would place them)."""
+    return sum(len(d.ref_tokens) if hasattr(d, "ref_tokens") else len(d.refs)
+               for d in mod.decls)
 
 
 @contextlib.contextmanager
 def counting():
-    """A `Counter` of the calls of each of `COUNTED` while the block runs."""
+    """A `Counter` of each of `COUNTED` that the checkout has, while the
+    block runs."""
     from tltt import kernel, syntax
-    counts = Counter({name: 0 for name in COUNTED})
-    targets = [(kernel, "spine", "spine"), (kernel.Checker, "whnf", "whnf"),
-               (kernel.Checker, "_iota", "_iota"),
-               (syntax, "_nodes", "_nodes"),
-               (syntax.App, "__init__", "App.__init__")]
+    counts = Counter()
+    # (owner, attribute, name, what a call adds: 1, or a function of its result)
+    targets = [(kernel, "spine", "spine", None),
+               (kernel.Checker, "whnf", "whnf", None),
+               (kernel.Checker, "_iota", "_iota", None),
+               (syntax, "_nodes", "_nodes", None),
+               (syntax.App, "__init__", "App.__init__", None),
+               (syntax.Parser, "place", "Parser.place", None),
+               (syntax, "accumulate", "Tokens.offs", None),
+               (syntax, "tokenize", "tokens", len),
+               (syntax.Parser, "module", "refs", _refs)]
+    targets = [t for t in targets if hasattr(t[0], t[1])]
 
-    def counted(name, fn):
+    def counted(name, fn, measure):
         def call(*args):
-            counts[name] += 1
-            return fn(*args)
+            out = fn(*args)
+            counts[name] += 1 if measure is None else measure(out)
+            return out
         return call
 
-    saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in targets]
+    saved = [(owner, attr, getattr(owner, attr))
+             for owner, attr, _, _ in targets]
     try:
-        for owner, attr, name in targets:
-            setattr(owner, attr, counted(name, getattr(owner, attr)))
+        for owner, attr, name, measure in targets:
+            counts[name] = 0
+            setattr(owner, attr, counted(name, getattr(owner, attr), measure))
         yield counts
     finally:
         for owner, attr, fn in saved:
@@ -100,7 +132,8 @@ def main() -> None:
     spec.loader.exec_module(workloads)
     counts = count_pass(workloads, a.workload, a.seed)
     print(json.dumps({"workload": a.workload, "seed": a.seed,
-                      "counts": dict(counts)}))
+                      "counts": {name: counts.get(name)
+                                 for name in COUNTED}}))
 
 
 if __name__ == "__main__":

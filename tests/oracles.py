@@ -19,28 +19,37 @@ runs, kept to check what it does run.
 - `findall_tokenize` is the lexer as it was before it split the source:
   one `findall` of (skipped text, token) pairs, read into columns.
   `tests/test_syntax.py` checks that `syntax.tokenize` gives its columns,
-  or its error.
+  or its error;
+- `eager_refs` parses and resolves a source with every position worked
+  out as the parser did before it read positions off the split's pieces:
+  each token's offset from `findall_tokenize`, its line by bisection in
+  the starts of the lines, every free name placed as it is parsed.
+  `tests/test_syntax.py` checks that `Decl.refs`, the declarations'
+  positions and every error's position are these.
 
 Each builds through the package's own code (`categories.tabulate`,
-`simplex.Sieve`, `syntax.print_term`, `syntax._nodes`), so a change there
-shows here too.
+`simplex.Sieve`, `syntax.print_term`, `syntax._nodes`, `syntax.Parser`), so
+a change there shows here too.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_right
 from itertools import accumulate, chain, islice
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterable
 
 from tltt.categories import (CategoryError, DiagramMap, FinCat, SetDiagram,
                              tabulate)
 from tltt.simplex import Sieve
 from tltt.syntax import (
-    BUILTIN_CONSTS, Ann, App, Const, Eq, Lam, Module, Pi, Ref, Sig,
-    SyntaxError_, Term, Tokens, Univ, Var, _PREC_APP, _PREC_ARROW, _PREC_ATOM,
-    _PREC_EQ, _PREC_TERM, _fresh, _kind, _nodes, print_term,
+    BUILTIN_CONSTS, KEYWORDS, Ann, App, Const, Eq, Lam, Module, Parser, Pi,
+    Ref, ResolveError, Sig, SyntaxError_, Term, Univ, Var, _PREC_APP,
+    _PREC_ARROW, _PREC_ATOM, _PREC_EQ, _PREC_TERM, _fresh, _kind, _nodes,
+    print_term,
 )
 
 
@@ -217,9 +226,10 @@ _TOKEN_RE = re.compile(rf"""
 """, re.VERBOSE)
 
 
-def findall_tokenize(src: str, path: str = "<input>") -> Tokens:
-    """The tokens of `src`, with no Python step per token: only each
-    distinct text is classified in Python."""
+def findall_tokenize(src: str, path: str = "<input>") -> SimpleNamespace:
+    """The tokens of `src` as the columns `kinds`, `texts` and `offs`, with
+    no Python step per token: only each distinct text is classified in
+    Python."""
     pairs = _TOKEN_RE.findall(src)
     texts = list(map(itemgetter(1), pairs))
     del texts[texts.index("") + 1:]
@@ -232,4 +242,64 @@ def findall_tokenize(src: str, path: str = "<input>") -> Tokens:
         raise SyntaxError_(f"unexpected character {src[off]!r}",
                            src.count("\n", 0, off) + 1,
                            off - src.rfind("\n", 0, off), path)
-    return Tokens(kinds, texts, offs)
+    return SimpleNamespace(kinds=kinds, texts=texts, offs=offs)
+
+
+# ---------------------------------------------------------------------------
+# Positions worked out eagerly
+# ---------------------------------------------------------------------------
+
+class _EagerParser(Parser):
+    """The parser placing a token by its offset and the start of its line,
+    found by bisection in the starts of all the lines."""
+
+    def __init__(self, src: str, path: str):
+        self.offs = findall_tokenize(src, path).offs    # or its lexer error
+        self.starts = [0, *(m.end() for m in re.finditer("\n", src))]
+        super().__init__(src, path)
+
+    def place(self, i: int) -> tuple[int, int]:
+        off = self.offs[i]
+        line = bisect_right(self.starts, off)
+        return line, off - self.starts[line - 1] + 1
+
+    def err(self, msg: str, i: int):
+        raise SyntaxError_(msg, *self.place(i), self.path)
+
+
+def _error(e: SyntaxError_) -> list:
+    return [type(e).__name__, str(e), e.msg, e.line, e.col]
+
+
+def eager_refs(src: str, path: str = "<input>", globals_=()):
+    """What parsing `src` and resolving it against `globals_` gives, with
+    every position worked out eagerly: the error of the parse, as
+    `[class, str, msg, line, col]`, or the pair of each declaration's
+    `(line, col, refs)`, `refs` as `(name, line, col)` type before body,
+    and the error of `resolve` (None if it passes).  The resolver is the
+    one that scanned every declaration's placed names in order."""
+    try:
+        p = _EagerParser(src, path)
+        mod = p.module()
+    except SyntaxError_ as e:
+        return _error(e)
+    decls = [(d.line, d.col, [(p.texts[i], *p.place(i)) for i in d.ref_tokens])
+             for d in mod.decls]
+    known = set(globals_)
+    for d, (line, col, refs) in zip(mod.decls, decls):
+        if d.name is not None:
+            if d.name in known:
+                msg = f"duplicate name {d.name!r}"
+            elif d.name in BUILTIN_CONSTS or d.name in KEYWORDS:
+                msg = f"{d.name!r} shadows a built-in"
+            else:
+                msg = None
+            if msg:
+                return decls, _error(ResolveError(msg, line, col, path))
+        for name, line, col in refs:
+            if name not in known and name not in BUILTIN_CONSTS:
+                return decls, _error(ResolveError(
+                    f"unbound identifier {name!r}", line, col, path))
+        if d.name is not None:
+            known.add(d.name)
+    return decls, None

@@ -481,6 +481,42 @@ def test_the_check_sees_a_loop_over_matches():
         "re.sub('--.*', _kind, C.sub(' ', src))", "set(texts)", "while"]
 
 
+def names_read(source: str, name: str) -> set[str]:
+    """The names that function `name` of `source`, or method `name` as
+    "Class.method", reads, by name or as an attribute."""
+    owner, _, name = name.rpartition(".")
+    body = ast.parse(source).body
+    if owner:
+        body = next(node for node in body if isinstance(node, ast.ClassDef)
+                    and node.name == owner).body
+    fn = next(node for node in body
+              if isinstance(node, FUNCTIONS) and node.name == name)
+    return ({n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)})
+
+
+def test_the_hot_path_works_out_no_position():
+    """`syntax.tokenize` builds no offset column (it reads `Tokens.offs`
+    only for an error) and `Parser.term` places no name: a position is
+    worked out only where one is read (`Tokens.offs`, `Parser.place`).
+    The column and a line and column for every free name were most of
+    the `numerals` front end's work, for 200 positions reported."""
+    source = pathlib.Path(syntax.__file__).read_text()
+    assert not names_read(source, "tokenize") & {"accumulate", "bisect_right"}
+    assert not names_read(source, "Parser.term") & {
+        "accumulate", "bisect_right", "offs", "place"}
+
+
+def test_the_check_sees_a_position_read():
+    source = ("def tokenize(src):\n    return accumulate(src)\n"
+              "class Parser:\n    def term(self, i):\n"
+              "        return bisect.bisect_right(self.starts, i)\n"
+              "    def place(self, i):\n        return i\n")
+    assert {"accumulate", "src"} <= names_read(source, "tokenize")
+    assert "bisect_right" in names_read(source, "Parser.term")
+    assert "bisect_right" not in names_read(source, "Parser.place")
+
+
 def validates_naturality(source: str, name: str) -> bool:
     """Whether module-level function `name` in `source` calls
     `DiagramMap(...).validate()` and reads no `.action` itself."""

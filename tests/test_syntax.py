@@ -14,13 +14,16 @@ import typing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import eager_print_term, findall_tokenize, print_module
+from counters import count_pass, counting
+from oracles import (
+    eager_print_term, eager_refs, findall_tokenize, print_module,
+)
 from test_parse_golden import STRIDE
 from test_print_golden import (
     CONSTS as GOLDEN_CONSTS, CONTEXT, GLOBALS, HINTS, POOL, SEED, random_term,
 )
 from tltt import syntax
-from tltt.corpus import corpus_files
+from tltt.corpus import corpus_files, run_corpus
 from tltt.kernel import Checker, check_module, sort_lub
 from tltt.syntax import (
     Ann, App, Const, Eq, Lam, Pi, Ref, ResolveError, Sig, SyntaxError_, Term,
@@ -1010,3 +1013,261 @@ class TestScannerOracle:
     @example("U0 Us -- x\n\x0c")
     def test_fragments(self, src):
         assert_scans_as_the_oracle(src)
+
+
+# ---------------------------------------------------------------------------
+# Positions worked out where they are read
+# ---------------------------------------------------------------------------
+
+def read_outcome(src: str, path: str = "<test>", globals_=()):
+    """What parsing `src` and resolving it against `globals_` gives, in the
+    format of `oracles.eager_refs`.  `resolve` runs before any `refs` is
+    read, as in a real check, and each declaration's `refs` is then read
+    backward and forward, so every read of `Parser.place` is tried from
+    behind its token and from ahead of it."""
+    try:
+        mod = parse(src, path)
+    except SyntaxError_ as e:
+        return [type(e).__name__, str(e), e.msg, e.line, e.col]
+    try:
+        resolve(mod, set(globals_))
+        err = None
+    except ResolveError as e:
+        err = [type(e).__name__, str(e), e.msg, e.line, e.col]
+    backward = [d.refs for d in reversed(mod.decls)][::-1]
+    decls = [(d.line, d.col, d.refs) for d in mod.decls]
+    assert backward == [refs for _, _, refs in decls]
+    return decls, err
+
+
+# Blanks between tokens, and what the generated sources inject: stray
+# tokens at random places, characters that start no token among them
+_GAPS = [" "] * 6 + ["  ", "\t", " \t ", "\n", "\n\n", "\n  ", "\t\n\t",
+                     "\r\n", " -- a comment\n", "\n-- a line\n\n", "\n\n\n  "]
+_STRAYS = ["(", ")", ":", "=>", ",", "->", "=", "def", "fail", "U", "9",
+           "é", "\x0b", "\x0c", "--! expect: CONV"]
+_FREE = ["u", "v'", "w_2", "Nats"]      # names no source declares
+_GIVEN = ("A", "B", "f")                # the globals a source may be given
+
+
+def surface_tokens(rng: random.Random, bound: list[str], names: list[str],
+                   depth: int = 0) -> list[str]:
+    """The tokens of a random surface term over the bound names `bound`
+    and the free names `names`."""
+    kind = rng.randrange(6) if depth < 3 else 5
+    sub = lambda inner=bound: surface_tokens(rng, inner, names, depth + 1)
+    if kind == 0:
+        xs = rng.sample(["x", "y", "z", "a"], rng.randint(1, 2))
+        return [rng.choice(["Pi", "Sig"]), "(", *xs, ":", *sub(), ")", ",",
+                *sub(bound + xs)]
+    if kind == 1:
+        xs = rng.sample(["x", "y", "k", "r"], rng.randint(1, 3))
+        return ["fun", *xs, "=>", *sub(bound + xs)]
+    app = [tok for _ in range(rng.randint(1, 3))
+           for tok in atom_tokens(rng, bound, names, depth + 1)]
+    if kind == 2:
+        return [*app, "->", *sub(bound + ["_"])]
+    if kind == 3:
+        return [*app, rng.choice(["=", "=s"]),
+                *atom_tokens(rng, bound, names, depth + 1)]
+    return app
+
+
+def atom_tokens(rng: random.Random, bound: list[str], names: list[str],
+                depth: int) -> list[str]:
+    """The tokens of a random atom: a universe, a parenthesised term or
+    annotation, or a name; only a name from depth 3 down."""
+    r = rng.random() if depth < 3 else 1
+    if r < 0.1:
+        return [rng.choice(["U", "Us"]), str(rng.randrange(3))]
+    if r < 0.2:
+        return ["(", *surface_tokens(rng, bound, names, depth), ")"]
+    if r < 0.3:
+        return ["(", *surface_tokens(rng, bound, names, depth), ":",
+                *surface_tokens(rng, bound, names, depth), ")"]
+    if bound and r < 0.65:
+        return [rng.choice(bound)]
+    return [rng.choice(names)]
+
+
+def leave_unbound(rng: random.Random, toks: list[str], names: set[str],
+                  free: str) -> list[str]:
+    """`toks` with one name of `names` read as a reference replaced by
+    `free`, or applied to `free` if it reads none: `free` is then read at
+    its place as a reference too."""
+    at = [j for j, t in enumerate(toks) if t in names]
+    if not at:
+        return ["(", *toks, ")", free]
+    toks = list(toks)
+    toks[rng.choice(at)] = free
+    return toks
+
+
+def seeded_source(rng: random.Random, given=()) -> str:
+    """A random module of one to six declarations over several lines,
+    with comments, tabs and blank lines between its tokens, `check` and
+    `fail` declarations, names left unbound at random places and, in some,
+    a declared name taken again, a built-in shadowed or a stray token.  Its
+    other names are built-ins, declared above their use or in `given`."""
+    toks, names, declared = [], [*given, "Nat", "zero", "succ", "refl"], []
+    term = lambda: surface_tokens(rng, [], names)
+    for k in range(rng.randint(1, 6)):
+        kind = rng.choice(["def", "axiom", "check", "fail"])
+        if kind == "fail" and rng.random() < 0.5:
+            toks += ["--! expect: CONV", "\n"]
+        if kind in ("check", "fail"):
+            decl = [kind, *term(), ":", *term()]
+        else:
+            r = rng.random()
+            name = (rng.choice(declared) if declared and r < 0.1
+                    else "succ" if r < 0.14 else f"d{k}")
+            decl = [kind, name, ":", *term()]
+            if kind == "def":
+                decl += [":=", *term()]
+        while rng.random() < 0.15:
+            decl[1:] = leave_unbound(rng, decl[1:], set(names),
+                                     rng.choice(_FREE))
+        toks += decl
+        if kind in ("def", "axiom"):
+            names.append(name)
+            declared.append(name)
+    if rng.random() < 0.25:
+        toks.insert(rng.randrange(len(toks) + 1), rng.choice(_STRAYS))
+    if rng.random() < 0.1:
+        del toks[rng.randrange(len(toks))]
+    out = []
+    for t in toks:
+        out += [t, "\n" if t.startswith("--") else rng.choice(_GAPS)]
+    return rng.choice(["", "\n", "-- head\n", "\t"]) + "".join(out)
+
+
+def prelude_names() -> set[str]:
+    """The names the corpus prelude declares."""
+    return {d.name for path in corpus_files() if path.parent.name == "prelude"
+            for d in parse(path.read_text()).decls if d.name}
+
+
+class TestPositionsOnRead:
+    """Every position the front end reports is the one eager placement
+    gives (`oracles.eager_refs`), though it is worked out only where it
+    is read: the declarations' starts, a parser error, each `Decl.refs`
+    when it is read and the one unbound name `resolve` reports by
+    `Parser.place`'s running sum, and a lexer error's position from the
+    offset column built for it."""
+
+    def assert_eager(self, src, path="<test>", globals_=()):
+        assert read_outcome(src, path, globals_) == \
+            eager_refs(src, path, globals_), src
+
+    def test_corpus_files(self):
+        given = prelude_names()
+        for path in corpus_files():
+            src = path.read_text()
+            self.assert_eager(src, str(path))
+            self.assert_eager(src, str(path), given)
+
+    def test_parse_golden_inputs(self):
+        """The parse golden's cases, each resolved with no globals: every
+        name of the prelude is then unbound."""
+        for path in corpus_files():
+            src = path.read_text()
+            for start, end in [m.span() for m in
+                               _SPAN_RE.finditer(src)][::STRIDE]:
+                self.assert_eager(src[:end], str(path))
+                self.assert_eager(src[:start] + src[end:], str(path))
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_seeded_sources(self, block):
+        outcomes = set()
+        for seed in range(100 * block, 100 * block + 100):
+            rng = random.Random(f"positions:{seed}")
+            given = _GIVEN if rng.random() < 0.5 else ()
+            src = seeded_source(rng, given)
+            self.assert_eager(src, f"s{seed}.tltt", given)
+            got = read_outcome(src, f"s{seed}.tltt", given)
+            outcomes.add(got[0] if isinstance(got, list)
+                         else got[1][0] if got[1] else "ok")
+        # the block reaches every outcome: a lexer or parser error, a
+        # resolver error and a module that resolves
+        assert outcomes == {"SyntaxError_", "ResolveError", "ok"}
+
+    def test_seeded_sources_hit_every_error(self):
+        """The generated errors include unbound names, duplicates, shadowed
+        built-ins, stray characters and misplaced tokens."""
+        msgs = set()
+        for seed in range(600):
+            rng = random.Random(f"positions:{seed}")
+            given = _GIVEN if rng.random() < 0.5 else ()
+            got = read_outcome(seeded_source(rng, given), "<test>", given)
+            err = got if isinstance(got, list) else got[1]
+            if err:
+                msgs.add(err[2].split()[0])
+        assert {"unbound", "duplicate", "unexpected", "expected"} <= msgs
+        assert any(m.startswith("'") for m in msgs)     # shadows a built-in
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_resolve_reports_the_first_unbound_name(self, seed):
+        """With unbound names in the type and in the body of a `check`,
+        and perhaps in the declarations before it, `resolve` reports the
+        first in `refs` order, at its eager position: the type's if no
+        declaration before the check has one."""
+        rng = random.Random(f"unbound:{seed}")
+        names = ["Nat", "zero", "succ"]
+        lines, first = [], None
+        for k in range(rng.randint(0, 4)):
+            ty = surface_tokens(rng, [], names)
+            if rng.random() < 0.3:
+                ty = leave_unbound(rng, ty, set(names), f"early{k}")
+                first = first or f"early{k}"
+            lines.append(f"def d{k} :\n  {' '.join(ty)}\n  := zero")
+            names.append(f"d{k}")
+        body, ty = (surface_tokens(rng, [], names) for _ in range(2))
+        body = leave_unbound(rng, body, set(names), "inbody")
+        ty = leave_unbound(rng, ty, set(names), "intype")
+        lines.append(f"check {' '.join(body)}\n\t: {' '.join(ty)}")
+        src = "\n-- next\n".join(lines) + "\n"
+        decls, err = read_outcome(src)
+        assert (decls, err) == eager_refs(src, "<test>")
+        assert err[2] == f"unbound identifier {first or 'intype'!r}"
+        line, col = err[3:]
+        assert src.split("\n")[line - 1][col - 1:].startswith(first or "intype")
+
+    def test_a_numerals_pass_places_only_its_declarations(self, monkeypatch):
+        """One `numerals` pass at seed 5 builds no offset column and places
+        each of its 200 declarations once (the 40 `toNat` modules hold one
+        each, the 80 `add` modules two): none of its 111,562 tokens has its
+        offset worked out, nor any of its 36,934 free names its place."""
+        workloads = perfbench_workloads(monkeypatch)
+        counts = count_pass(workloads, "numerals", 5)
+        assert counts["Tokens.offs"] == 0
+        assert counts["Parser.place"] == 5 * workloads.NUMERALS_PER_KIND == 200
+        assert (counts["tokens"], counts["refs"]) == (111_562, 36_934)
+
+    def test_the_corpus_places_only_its_declarations(self):
+        decls = sum(len(parse(p.read_text()).decls) for p in corpus_files())
+        with counting() as counts:
+            assert run_corpus().ok
+        assert counts["Tokens.offs"] == 0
+        assert counts["Parser.place"] == decls == 74
+
+    @pytest.mark.parametrize("src, builds, places", [
+        ("check é : Nat", 1, 0), ("def a : Nat := zero\n\x0b", 1, 0),
+        ("def a : Nat :=\n  (zero", 0, 1),
+        ("def a : Nat := zero\ndef b : Nat -> := zero", 0, 2)])
+    def test_an_error_is_placed_once(self, src, builds, places):
+        """A lexer error reads its offset off the column, built once; a
+        parser error is placed as a declaration is, after those before
+        it."""
+        with counting() as counts:
+            with pytest.raises(SyntaxError_):
+                parse(src)
+        assert (counts["Tokens.offs"], counts["Parser.place"]) == \
+            (builds, places)
+
+    def test_refs_are_placed_when_read(self):
+        mod = parse("def a : Nat := fun n => succ (g n)\ncheck a : h a\n")
+        with counting() as counts:
+            refs = [d.refs for d in mod.decls]
+        assert refs == [[("Nat", 1, 9), ("succ", 1, 25), ("g", 1, 31)],
+                        [("h", 2, 11), ("a", 2, 13), ("a", 2, 7)]]
+        assert counts["Parser.place"] == 6 and counts["Tokens.offs"] == 0

@@ -365,8 +365,6 @@ class Checker:
         node at every other position, and for a `pair` head Σ-η compares
         the same two components."""
         unequal = {}
-        if t is u or not _differ(t, u, unequal):
-            return True
         todo = [(t, u, leq)]
         while todo:
             t, u, leq = todo.pop()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, islice
 from typing import Optional, Sequence, Union
 
 
@@ -341,11 +340,9 @@ class Decl:
 
     The parser records each name not bound by a binder as its token
     (`ref_tokens`, type before body), and the declaration keeps the
-    `parser` that read it, so the tokens live as long as the module.
-    `refs` places each when it is read, through `Parser.place`: they are
-    the tokens an eager parser placed as it read them, in its order, so
-    the triples are its.  A module that is only resolved and checked
-    places none of them."""
+    `tokens` it was read from, so they live as long as the module and
+    `resolve` can place the one name it reports with `Tokens.place`.  A
+    module that resolves places none of them."""
 
     kind: str                     # "def" | "axiom" | "check" | "fail"
     name: Optional[str]           # None for check/fail
@@ -356,14 +353,7 @@ class Decl:
     expect_rule: Optional[str] = None   # from a preceding `--! expect:` comment
     ref_tokens: list[int] = field(
         default_factory=list, repr=False, compare=False)
-    parser: Optional[Parser] = field(default=None, repr=False, compare=False)
-
-    @property
-    def refs(self) -> list[tuple[str, int, int]]:
-        """The names not bound by a binder, type before body, each at its
-        line and column."""
-        p = self.parser
-        return [(p.texts[i], *p.place(i)) for i in self.ref_tokens]
+    tokens: Optional[Tokens] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -423,49 +413,59 @@ class Tokens:
     before each token, then the token; the last is the text after the last
     token).  A `split` on a regex with one group keeps every character in
     its pieces, so they tile the source and a token's offset is the length
-    of the pieces before it.  `offs`, that column, is built from the pieces
-    the first time it is read, for a lexer error's position or by a test:
-    a source that lexes without an error never builds it."""
+    of the pieces before it.  `place` is the one place a token's line and
+    column are worked out, only where one is reported."""
 
-    __slots__ = ("src", "kinds", "texts", "parts", "_offs")
+    __slots__ = ("src", "kinds", "texts", "parts", "placed")
 
     def __init__(self, src: str, kinds: list[str], texts: list[str],
                  parts: list[str]):
         self.src, self.kinds, self.texts, self.parts = src, kinds, texts, parts
-        self._offs: Optional[list[int]] = None
+        # where `place` last read: a piece, its offset, line and line start
+        self.placed = (0, 0, 1, 0)
 
     def __len__(self) -> int:
         return len(self.texts)
 
-    @property
-    def offs(self) -> list[int]:
-        """Each token's offset, the length of the pieces before it; the
-        last is EOF's, the length of the source."""
-        if self._offs is None:
-            self._offs = list(islice(accumulate(map(len, self.parts)),
-                                     0, None, 2))
-        return self._offs
+    def place(self, i: int) -> tuple[int, int]:
+        """The line and column of token `i`, by a running sum of the
+        lengths of the pieces and of the newlines in them, forward from
+        the last token placed, or from the source's start if `i` lies
+        behind it.  The pieces tile the source, so the sum is token `i`'s
+        offset; only `\n` ends a line.  Placing each declaration in turn
+        thus reads the module's pieces once, and builds no offset column;
+        an error lies ahead of every declaration placed before it."""
+        parts, src = self.parts, self.src
+        j, off, line, start = self.placed
+        k = 2 * i + 1       # token i's piece
+        if k < j:
+            j, off, line, start = 0, 0, 1, 0
+        end = off + sum(map(len, parts[j:k]))
+        last = src.rfind("\n", off, end)
+        if last >= 0:
+            line += src.count("\n", off, last + 1)
+            start = last + 1
+        self.placed = (k, end, line, start)
+        return line, end - start + 1
 
 
 def tokenize(src: str, path: str = "<input>") -> Tokens:
     """The tokens of `src`, with no Python step per token: only each
-    comment and each distinct text is visited in Python.  No offset is
-    worked out: the pieces of the split are kept, and a position is read
-    off them only where one is reported (`Tokens.offs`, `Parser.place`).
+    comment and each distinct text is visited in Python.  No position is
+    worked out: the pieces of the split are kept, and `Tokens.place` reads
+    one off them only where one is reported, a lexer error's included.
     The split does not try a token at a blank, where none starts (see
     `_TOKEN_RE`), so its pieces are the ungated regex's."""
-    parts = _TOKEN_RE.split(_COMMENT_RE.sub(_blank, src) if "--" in src
-                            else src)
+    parts = _TOKEN_RE.split(_COMMENT_RE.sub(_blank, src))
     texts = parts[1::2]
     texts.append("")
     kind_of = {text: _kind(text) for text in set(texts)}
     kinds = list(map(kind_of.__getitem__, texts))
     toks = Tokens(src, kinds, texts, parts)
-    if "BAD" in kind_of.values():   # its line and column; only `\n` ends one
-        off = toks.offs[kinds.index("BAD")]
-        raise SyntaxError_(f"unexpected character {src[off]!r}",
-                           src.count("\n", 0, off) + 1,
-                           off - src.rfind("\n", 0, off), path)
+    if "BAD" in kind_of.values():
+        i = kinds.index("BAD")
+        raise SyntaxError_(f"unexpected character {texts[i]!r}",
+                           *toks.place(i), path)
     return toks
 
 
@@ -500,34 +500,9 @@ class Parser:
         self.scope = list(scope)    # bound names, outermost first
         self.refs: list[int] = []   # the tokens of the names in no scope
         self.leaves = dict(CONSTS)  # one node per built-in and global name
-        # where `place` last read: a piece, its offset, line and line start
-        self.placed = (0, 0, 1, 0)
-
-    def place(self, i: int) -> tuple[int, int]:
-        """The line and column of token `i`, by a running sum of the
-        lengths of the pieces and of the newlines in them, forward from
-        the last token placed, or from the source's start if `i` lies
-        behind it.  The pieces tile the source, so the sum is token `i`'s
-        offset; only `\n` ends a line.  Placing each declaration in turn
-        thus reads the module's pieces once, and builds no offset column;
-        an error lies ahead of every declaration placed before it.  A
-        backward read, as `Decl.refs` makes from a `check`'s type to its
-        body, starts again from the source's start."""
-        parts, src = self.toks.parts, self.toks.src
-        j, off, line, start = self.placed
-        k = 2 * i + 1       # token i's piece
-        if k < j:
-            j, off, line, start = 0, 0, 1, 0
-        end = off + sum(map(len, parts[j:k]))
-        last = src.rfind("\n", off, end)
-        if last >= 0:
-            line += src.count("\n", off, last + 1)
-            start = last + 1
-        self.placed = (k, end, line, start)
-        return line, end - start + 1
 
     def err(self, msg: str, i: int):
-        raise SyntaxError_(msg, *self.place(i), self.path)
+        raise SyntaxError_(msg, *self.toks.place(i), self.path)
 
     def expect(self, text: str, i: int) -> int:
         """The token after token `i`, which must be `text`."""
@@ -692,8 +667,8 @@ class Parser:
                 ty, j = self.term(self.expect(":", i + 2))
                 if kind == "def":
                     body, j = self.term(self.expect(":=", j))
-            decls.append(Decl(kind, name, ty, body, *self.place(i),
-                              expect_rule, self.refs, self))
+            decls.append(Decl(kind, name, ty, body, *self.toks.place(i),
+                              expect_rule, self.refs, self.toks))
             i, expect_rule = j, None
         return Module(decls, self.path)
 
@@ -709,7 +684,7 @@ def parse_term(src: str, path: str = "<input>", scope=(), globals_=()) -> Term:
     t, i = p.term(0)
     if p.kinds[i] != "EOF":
         p.err("trailing input after term", i)
-    _check_refs(p, p.refs, BUILTIN_CONSTS.union(globals_), path)
+    _check_refs(p.toks, p.refs, BUILTIN_CONSTS.union(globals_), path)
     return t
 
 
@@ -722,25 +697,21 @@ class ResolveError(SyntaxError_):
     built-in."""
 
 
-def _check_refs(p: Optional[Parser], refs: list[int], known: set[str],
-                path: str):
-    """Fail at the first of the tokens `refs` of `p` whose name `known`
-    lacks.  The names are checked by one set test, in C; only when it fails
-    are they scanned in order, as an eager resolver scans them, and only
-    the one reported is placed."""
-    if refs and not known.issuperset(map(p.texts.__getitem__, refs)):
-        for i in refs:
-            if p.texts[i] not in known:
-                raise ResolveError(f"unbound identifier {p.texts[i]!r}",
-                                   *p.place(i), path)
+def _check_refs(toks: Tokens, refs: list[int], known: set[str], path: str):
+    """Fail at the first of the tokens `refs` whose name `known` lacks, in
+    one scan in order, placing only the one reported (`Tokens.place`)."""
+    texts = toks.texts
+    for i in refs:
+        if texts[i] not in known:
+            raise ResolveError(f"unbound identifier {texts[i]!r}",
+                               *toks.place(i), path)
 
 
 def resolve(mod: Module, globals_: Optional[set[str]] = None) -> Module:
     """Check that every declaration's names are declared before use: each
     name of a declaration's `ref_tokens` must be a built-in, in `globals_`
     or declared above it.  A miss is the first unbound name of its
-    declaration in `refs` order, type before body, so it is the one an
-    eager scan of `refs` finds, at the same position."""
+    declaration in `ref_tokens` order, type before body."""
     declared = set(globals_ or ())
     known = declared | BUILTIN_CONSTS      # what a name may name
     for d in mod.decls:
@@ -751,7 +722,7 @@ def resolve(mod: Module, globals_: Optional[set[str]] = None) -> Module:
             if d.name in BUILTIN_CONSTS or d.name in KEYWORDS:
                 raise ResolveError(f"{d.name!r} shadows a built-in",
                                    d.line, d.col, mod.path)
-        _check_refs(d.parser, d.ref_tokens, known, mod.path)
+        _check_refs(d.tokens, d.ref_tokens, known, mod.path)
         if d.name is not None:
             declared.add(d.name)
             known.add(d.name)

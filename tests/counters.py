@@ -12,10 +12,8 @@ the source positions the front end works out.
 - `_iota`: calls of `kernel.Checker._iota`;
 - `_nodes`: calls of `syntax._nodes`, the printer's naming walk;
 - `App.__init__`: application nodes built, by anyone;
-- `Parser.place`: calls of `syntax.Parser.place`, each one position;
-- `Tokens.offs`: builds of a token offset column, counted as the calls of
-  `accumulate` that `syntax` makes, the one thing that builds one (in
-  `tokenize` at a checkout that builds the column per source);
+- `place`: positions worked out, the calls of `syntax.Tokens.place` (of
+  `syntax.Parser.place` at an older checkout, where the parser placed);
 - `tokens`: tokens lexed, EOF included (the tracer's `syntax.tokens`);
 - `refs`: names not bound by a binder that the parser recorded, over the
   modules it parsed.
@@ -49,13 +47,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TLTT_MODULES = ("syntax", "kernel", "corpus", "categories", "simplex",
                 "nerve", "classifier", "fixtures", "cli")
 COUNTED = ("spine", "whnf", "_iota", "_nodes", "App.__init__",
-           "Parser.place", "Tokens.offs", "tokens", "refs")
+           "place", "tokens", "refs")
 
 
 def _refs(mod) -> int:
-    """The names `mod`'s parser recorded: their tokens, or, at a checkout
-    that placed each as it parsed, their positions (reading `refs` here
-    would place them)."""
+    """The names `mod`'s parser recorded, counted by their tokens (placing
+    them would count as positions), or, at an older checkout that placed
+    each as it parsed, by their positions."""
     return sum(len(d.ref_tokens) if hasattr(d, "ref_tokens") else len(d.refs)
                for d in mod.decls)
 
@@ -66,14 +64,15 @@ def counting():
     block runs."""
     from tltt import kernel, syntax
     counts = Counter()
+    tokens = getattr(syntax, "Tokens", None)
+    placer = tokens if hasattr(tokens, "place") else syntax.Parser
     # (owner, attribute, name, what a call adds: 1, or a function of its result)
     targets = [(kernel, "spine", "spine", None),
                (kernel.Checker, "whnf", "whnf", None),
                (kernel.Checker, "_iota", "_iota", None),
                (syntax, "_nodes", "_nodes", None),
                (syntax.App, "__init__", "App.__init__", None),
-               (syntax.Parser, "place", "Parser.place", None),
-               (syntax, "accumulate", "Tokens.offs", None),
+               (placer, "place", "place", None),
                (syntax, "tokenize", "tokens", len),
                (syntax.Parser, "module", "refs", _refs)]
     targets = [t for t in targets if hasattr(t[0], t[1])]

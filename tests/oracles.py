@@ -20,12 +20,17 @@ runs, kept to check what it does run.
   one `findall` of (skipped text, token) pairs, read into columns.
   `tests/test_syntax.py` checks that `syntax.tokenize` gives its columns,
   or its error;
+- `decl_refs` lists a declaration's names not bound by a binder, type
+  before body, each at its line and column, placed by the tokens the
+  declaration was read from: the parse golden's digests, the corpus
+  tests' dependency scan and the positions tests read it;
 - `eager_refs` parses and resolves a source with every position worked
   out as the parser did before it read positions off the split's pieces:
   each token's offset from `findall_tokenize`, its line by bisection in
   the starts of the lines, every free name placed as it is parsed.
-  `tests/test_syntax.py` checks that `Decl.refs`, the declarations'
-  positions and every error's position are these.
+  `tests/test_syntax.py` checks that `decl_refs`, the declarations'
+  positions and every error's position are these.  It never runs
+  `Tokens.place`, so the placer is not compared with itself.
 
 Each builds through the package's own code (`categories.tabulate`,
 `simplex.Sieve`, `syntax.print_term`, `syntax._nodes`, `syntax.Parser`), so
@@ -46,10 +51,10 @@ from tltt.categories import (CategoryError, DiagramMap, FinCat, SetDiagram,
                              tabulate)
 from tltt.simplex import Sieve
 from tltt.syntax import (
-    BUILTIN_CONSTS, KEYWORDS, Ann, App, Const, Eq, Lam, Module, Parser, Pi,
-    Ref, ResolveError, Sig, SyntaxError_, Term, Univ, Var, _PREC_APP,
-    _PREC_ARROW, _PREC_ATOM, _PREC_EQ, _PREC_TERM, _fresh, _kind, _nodes,
-    print_term,
+    BUILTIN_CONSTS, KEYWORDS, Ann, App, Const, Decl, Eq, Lam, Module, Parser,
+    Pi, Ref, ResolveError, Sig, SyntaxError_, Term, Tokens, Univ, Var,
+    _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_EQ, _PREC_TERM, _fresh, _kind,
+    _nodes, print_term,
 )
 
 
@@ -249,22 +254,36 @@ def findall_tokenize(src: str, path: str = "<input>") -> SimpleNamespace:
 # Positions worked out eagerly
 # ---------------------------------------------------------------------------
 
-class _EagerParser(Parser):
-    """The parser placing a token by its offset and the start of its line,
-    found by bisection in the starts of all the lines."""
+def decl_refs(d: Decl) -> list[tuple[str, int, int]]:
+    """The names of `d` not bound by a binder, type before body, each at
+    its line and column, as its tokens place them."""
+    return [(d.tokens.texts[i], *d.tokens.place(i)) for i in d.ref_tokens]
 
-    def __init__(self, src: str, path: str):
-        self.offs = findall_tokenize(src, path).offs    # or its lexer error
-        self.starts = [0, *(m.end() for m in re.finditer("\n", src))]
-        super().__init__(src, path)
+
+class _EagerTokens(Tokens):
+    """Tokens that place a token by its offset, from `findall_tokenize`,
+    and the start of its line, found by bisection in the starts of all the
+    lines."""
+
+    def __init__(self, toks: Tokens, offs: list[int]):
+        super().__init__(toks.src, toks.kinds, toks.texts, toks.parts)
+        self.offs = offs
+        self.starts = [0, *(m.end() for m in re.finditer("\n", toks.src))]
 
     def place(self, i: int) -> tuple[int, int]:
         off = self.offs[i]
         line = bisect_right(self.starts, off)
         return line, off - self.starts[line - 1] + 1
 
-    def err(self, msg: str, i: int):
-        raise SyntaxError_(msg, *self.place(i), self.path)
+
+class _EagerParser(Parser):
+    """The parser on `_EagerTokens`: every position it reports, an error's
+    or a declaration's, is placed by bisection."""
+
+    def __init__(self, src: str, path: str):
+        offs = findall_tokenize(src, path).offs     # or its lexer error
+        super().__init__(src, path)
+        self.toks = _EagerTokens(self.toks, offs)
 
 
 def _error(e: SyntaxError_) -> list:
@@ -279,12 +298,10 @@ def eager_refs(src: str, path: str = "<input>", globals_=()):
     and the error of `resolve` (None if it passes).  The resolver is the
     one that scanned every declaration's placed names in order."""
     try:
-        p = _EagerParser(src, path)
-        mod = p.module()
+        mod = _EagerParser(src, path).module()
     except SyntaxError_ as e:
         return _error(e)
-    decls = [(d.line, d.col, [(p.texts[i], *p.place(i)) for i in d.ref_tokens])
-             for d in mod.decls]
+    decls = [(d.line, d.col, decl_refs(d)) for d in mod.decls]
     known = set(globals_)
     for d, (line, col, refs) in zip(mod.decls, decls):
         if d.name is not None:

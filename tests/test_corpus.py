@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import tltt
+from oracles import decl_refs
 from tltt.corpus import (
     CORPUS_ROOT, CorpusReport, corpus_files, prelude_checker, run_corpus,
 )
@@ -17,7 +18,7 @@ from tltt.syntax import Module, parse, resolve
 
 def module_dependencies(mod: Module) -> dict[str, set[str]]:
     """Name -> referenced global and built-in names, for the dependency scan."""
-    return {d.name: {name for name, _, _ in d.refs}
+    return {d.name: {name for name, _, _ in decl_refs(d)}
             for d in mod.decls if d.name is not None}
 
 

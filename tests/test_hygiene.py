@@ -496,11 +496,11 @@ def names_read(source: str, name: str) -> set[str]:
 
 
 def test_the_hot_path_works_out_no_position():
-    """`syntax.tokenize` builds no offset column (it reads `Tokens.offs`
-    only for an error) and `Parser.term` places no name: a position is
-    worked out only where one is read (`Tokens.offs`, `Parser.place`).
-    The column and a line and column for every free name were most of
-    the `numerals` front end's work, for 200 positions reported."""
+    """`syntax.tokenize` builds no offset column and `Parser.term` places
+    no name: a position is worked out only where one is read, by
+    `Tokens.place`.  The column and a line and column for every free name
+    were most of the `numerals` front end's work, for 200 positions
+    reported."""
     source = pathlib.Path(syntax.__file__).read_text()
     assert not names_read(source, "tokenize") & {"accumulate", "bisect_right"}
     assert not names_read(source, "Parser.term") & {
@@ -515,6 +515,40 @@ def test_the_check_sees_a_position_read():
     assert {"accumulate", "src"} <= names_read(source, "tokenize")
     assert "bisect_right" in names_read(source, "Parser.term")
     assert "bisect_right" not in names_read(source, "Parser.place")
+
+
+def newline_scans(source: str) -> set[str]:
+    """The functions of `source`, a method as "Class.method", that call
+    `.count("\\n", ...)` or `.rfind("\\n", ...)`: the ones that work out
+    a line or a column."""
+    body = ast.parse(source).body
+    fns = [("", node) for node in body] + [
+        (f"{node.name}.", fn) for node in body
+        if isinstance(node, ast.ClassDef) for fn in node.body]
+    return {owner + fn.name for owner, fn in fns if isinstance(fn, FUNCTIONS)
+            for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("count", "rfind")
+            and n.args and isinstance(n.args[0], ast.Constant)
+            and n.args[0].value == "\n"}
+
+
+def test_lines_and_columns_are_worked_out_in_one_place():
+    """Every line and column that `syntax` reports, a declaration's, a
+    name's or an error's, the lexer's included, is worked out by
+    `Tokens.place`: no other function counts or seeks newlines."""
+    source = pathlib.Path(syntax.__file__).read_text()
+    assert newline_scans(source) == {"Tokens.place"}
+
+
+def test_the_check_sees_a_second_placer():
+    source = ("class Tokens:\n    def place(self, i):\n"
+              "        return self.src.rfind('\\n', 0, i)\n"
+              "def tokenize(src):\n    off = 3\n"
+              "    return src.count('\\n', 0, off) + 1, src.count(':')\n"
+              "class Parser:\n    def err(self, i):\n"
+              "        return [src.rfind('\\n') for src in self.srcs]\n")
+    assert newline_scans(source) == {"Tokens.place", "tokenize", "Parser.err"}
 
 
 def validates_naturality(source: str, name: str) -> bool:

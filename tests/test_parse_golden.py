@@ -4,10 +4,10 @@ module or fails with the error pinned in `golden/parse_outcomes.json`.  A
 front-end rewrite that claims to change nothing must leave every outcome
 identical.
 
-A module is pinned by a digest of its `repr` and of every `Decl.refs`; an
-error by its class, message, line and column, in clear.  Tokens here are
-spans of the source found by `_SPAN_RE`, not the lexer's, so the cases do not
-move when the lexer does.
+A module is pinned by a digest of its `repr` and of every declaration's
+placed names (`oracles.decl_refs`); an error by its class, message, line and
+column, in clear.  Tokens here are spans of the source found by `_SPAN_RE`,
+not the lexer's, so the cases do not move when the lexer does.
 
 Regenerate the file (only when a change to the outcomes is intended, and say
 so) with ``PYTHONPATH=src python tests/test_parse_golden.py``.
@@ -20,6 +20,7 @@ import re
 
 import pytest
 
+from oracles import decl_refs
 from tltt.corpus import CORPUS_ROOT, corpus_files
 from tltt.syntax import SyntaxError_, parse
 
@@ -35,7 +36,7 @@ def outcome(src: str, path: str):
         mod = parse(src, path)
     except SyntaxError_ as e:
         return [type(e).__name__, e.msg, e.line, e.col]
-    text = repr(mod) + "".join(repr(d.refs) for d in mod.decls)
+    text = repr(mod) + "".join(repr(decl_refs(d)) for d in mod.decls)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from counters import count_pass, counting
 from oracles import (
-    eager_print_term, eager_refs, findall_tokenize, print_module,
+    decl_refs, eager_print_term, eager_refs, findall_tokenize, print_module,
 )
 from test_parse_golden import STRIDE
 from test_print_golden import (
@@ -844,11 +844,18 @@ _FRAGMENTS = st.sampled_from([
 _BAD = "\x0b\x0cé'²"      # the fragments' characters that no token starts
 
 
+def offsets(toks) -> list[int]:
+    """Each token's offset, the length of the pieces of the split before
+    it; the last is EOF's, the length of the source."""
+    return list(itertools.islice(itertools.accumulate(map(len, toks.parts)),
+                                 0, None, 2))
+
+
 @given(st.lists(_FRAGMENTS, max_size=24).map("".join))
 def test_tokens_sit_at_their_positions(src):
-    """Every token's text is at its offset and at the (line, col) the parser
-    gives it; an error points at the character it names.  Only `\\n` ends a
-    line."""
+    """Every token's text is at its offset and at the (line, col) that
+    `Tokens.place` gives it; an error points at the character it names.
+    Only `\\n` ends a line."""
     lines = src.split("\n")
     try:
         toks = tokenize(src)
@@ -856,11 +863,10 @@ def test_tokens_sit_at_their_positions(src):
         c = lines[e.line - 1][e.col - 1]
         assert c in _BAD and e.msg == f"unexpected character {c!r}"
         return
-    assert (toks.kinds[-1], toks.texts[-1], toks.offs[-1]) == \
-        ("EOF", "", len(src))
-    p = syntax.Parser(src)
-    for i, (text, off) in enumerate(zip(toks.texts, toks.offs)):
-        line, col = p.place(i)
+    offs = offsets(toks)
+    assert (toks.kinds[-1], toks.texts[-1], offs[-1]) == ("EOF", "", len(src))
+    for i, (text, off) in enumerate(zip(toks.texts, offs)):
+        line, col = toks.place(i)
         assert src.startswith(text, off), (text, off)
         assert lines[line - 1][col - 1:].startswith(text), (text, off)
         assert sum(len(s) + 1 for s in lines[:line - 1]) + col - 1 == off
@@ -953,8 +959,9 @@ def assert_scans_as_the_oracle(src: str, path: str = "<test>"):
                     got.value.col) == (str(e), e.msg, e.line, e.col)
         return
     toks, columns = tokenize(src, path), findall_tokenize(src, path)
-    assert list(zip(toks.kinds, toks.texts, toks.offs)) == want
-    assert (toks.kinds, toks.texts, toks.offs) == \
+    offs = offsets(toks)
+    assert list(zip(toks.kinds, toks.texts, offs)) == want
+    assert (toks.kinds, toks.texts, offs) == \
         (columns.kinds, columns.texts, columns.offs)
     assert len(toks) == len(want)
 
@@ -1021,10 +1028,10 @@ class TestScannerOracle:
 
 def read_outcome(src: str, path: str = "<test>", globals_=()):
     """What parsing `src` and resolving it against `globals_` gives, in the
-    format of `oracles.eager_refs`.  `resolve` runs before any `refs` is
-    read, as in a real check, and each declaration's `refs` is then read
-    backward and forward, so every read of `Parser.place` is tried from
-    behind its token and from ahead of it."""
+    format of `oracles.eager_refs`.  `resolve` runs before any name is
+    placed, as in a real check, and each declaration's `decl_refs` is then
+    read backward and forward, so every read of `Tokens.place` is tried
+    from behind its token and from ahead of it."""
     try:
         mod = parse(src, path)
     except SyntaxError_ as e:
@@ -1034,8 +1041,8 @@ def read_outcome(src: str, path: str = "<test>", globals_=()):
         err = None
     except ResolveError as e:
         err = [type(e).__name__, str(e), e.msg, e.line, e.col]
-    backward = [d.refs for d in reversed(mod.decls)][::-1]
-    decls = [(d.line, d.col, d.refs) for d in mod.decls]
+    backward = [decl_refs(d) for d in reversed(mod.decls)][::-1]
+    decls = [(d.line, d.col, decl_refs(d)) for d in mod.decls]
     assert backward == [refs for _, _, refs in decls]
     return decls, err
 
@@ -1150,10 +1157,9 @@ def prelude_names() -> set[str]:
 class TestPositionsOnRead:
     """Every position the front end reports is the one eager placement
     gives (`oracles.eager_refs`), though it is worked out only where it
-    is read: the declarations' starts, a parser error, each `Decl.refs`
-    when it is read and the one unbound name `resolve` reports by
-    `Parser.place`'s running sum, and a lexer error's position from the
-    offset column built for it."""
+    is read: the declarations' starts, a lexer or parser error, each
+    declaration's names when `decl_refs` reads them and the one unbound
+    name `resolve` reports, all by `Tokens.place`'s running sum."""
 
     def assert_eager(self, src, path="<test>", globals_=()):
         assert read_outcome(src, path, globals_) == \
@@ -1233,41 +1239,52 @@ class TestPositionsOnRead:
         assert src.split("\n")[line - 1][col - 1:].startswith(first or "intype")
 
     def test_a_numerals_pass_places_only_its_declarations(self, monkeypatch):
-        """One `numerals` pass at seed 5 builds no offset column and places
-        each of its 200 declarations once (the 40 `toNat` modules hold one
-        each, the 80 `add` modules two): none of its 111,562 tokens has its
-        offset worked out, nor any of its 36,934 free names its place."""
+        """One `numerals` pass at seed 5 places each of its 200
+        declarations once (the 40 `toNat` modules hold one each, the 80
+        `add` modules two): none of its 111,562 tokens has its offset
+        worked out, nor any of its 36,934 free names its place."""
         workloads = perfbench_workloads(monkeypatch)
         counts = count_pass(workloads, "numerals", 5)
-        assert counts["Tokens.offs"] == 0
-        assert counts["Parser.place"] == 5 * workloads.NUMERALS_PER_KIND == 200
+        assert counts["place"] == 5 * workloads.NUMERALS_PER_KIND == 200
         assert (counts["tokens"], counts["refs"]) == (111_562, 36_934)
 
     def test_the_corpus_places_only_its_declarations(self):
         decls = sum(len(parse(p.read_text()).decls) for p in corpus_files())
         with counting() as counts:
             assert run_corpus().ok
-        assert counts["Tokens.offs"] == 0
-        assert counts["Parser.place"] == decls == 74
+        assert counts["place"] == decls == 74
 
-    @pytest.mark.parametrize("src, builds, places", [
+    @pytest.mark.parametrize("src, lexer, parser", [
         ("check é : Nat", 1, 0), ("def a : Nat := zero\n\x0b", 1, 0),
         ("def a : Nat :=\n  (zero", 0, 1),
         ("def a : Nat := zero\ndef b : Nat -> := zero", 0, 2)])
-    def test_an_error_is_placed_once(self, src, builds, places):
-        """A lexer error reads its offset off the column, built once; a
+    def test_an_error_is_placed_once(self, src, lexer, parser):
+        """A lexer error is placed once, before any declaration is; a
         parser error is placed as a declaration is, after those before
         it."""
         with counting() as counts:
-            with pytest.raises(SyntaxError_):
+            with pytest.raises(SyntaxError_) as e:
                 parse(src)
-        assert (counts["Tokens.offs"], counts["Parser.place"]) == \
-            (builds, places)
+        assert e.value.msg.startswith("unexpected character") == bool(lexer)
+        assert counts["place"] == lexer + parser
 
     def test_refs_are_placed_when_read(self):
         mod = parse("def a : Nat := fun n => succ (g n)\ncheck a : h a\n")
         with counting() as counts:
-            refs = [d.refs for d in mod.decls]
+            refs = [decl_refs(d) for d in mod.decls]
         assert refs == [[("Nat", 1, 9), ("succ", 1, 25), ("g", 1, 31)],
                         [("h", 2, 11), ("a", 2, 13), ("a", 2, 7)]]
-        assert counts["Parser.place"] == 6 and counts["Tokens.offs"] == 0
+        assert counts["place"] == 6
+
+    def test_the_oracle_places_nothing_with_the_placer(self):
+        """`eager_refs` places by its own bisection: `Tokens.place` runs
+        on none of its positions, a lexer error's included, so the
+        comparisons above do not compare the placer with itself."""
+        srcs = [p.read_text() for p in corpus_files()] + [
+            "check é : Nat", "def a : Nat :=\n  (zero",
+            "def a : Nat := zero\ncheck a : h a\n"]
+        with counting() as counts:
+            outcomes = [eager_refs(src) for src in srcs]
+        assert counts["place"] == 0
+        assert [o[0] for o in outcomes[-3:-1]] == ["SyntaxError_"] * 2
+        assert outcomes[-1][1][2] == "unbound identifier 'h'"

@@ -11,7 +11,9 @@ each rule is written once per family.  Fibrant equality and sums need
 fibrant carriers (INTRO-=, FORM-+) and fibrant eliminators fibrant motives
 (ELIM-=, ELIM-NAT, ELIM-0, ELIM-+).  Strict equality ``=s`` is governed by
 the axioms ``uip`` and ``funextS``, whose types are stated in the surface
-syntax, and has no reflection rule.
+syntax, and has no reflection rule.  Each eliminator's type is stated in
+the surface syntax too, as one schema for both levels: one rule types every
+eliminator from its schema, and one table gives every ι rule.
 
 Conversion is weak-head normalization plus structural comparison with
 judgmental eta for Pi and Sigma.  The same comparison decides cumulativity,
@@ -29,15 +31,16 @@ compared by their last arguments alone.  Each built-in is one node, shared
 from ``syntax.CONSTS``, and the variables and universes the rules build
 come from ``syntax.var`` and ``syntax.univ``; ``sort_lub`` returns
 whichever operand is the join, and substitution returns what it leaves
-unchanged, so the identity tests of conversion meet shared subterms.  A type is reduced only where a rule reads its head, and checked
-first, so what reduction drops is checked once.  A term the kernel has
-checked, such as that reduct or the carrier of an equation, is typed again
-in infer-only mode, as Lean 4's `infer_only`: its type is computed and
-nothing in it is checked, so a rule that only a skipped check would record
-is not recorded again.  A lambda motive whose body is weak-head normal is
-typed once, and the weak-head normal type of a chain of projections ending
-in a variable is computed once per declaration.  Errors carry the name of
-the violated rule.
+unchanged, so the identity tests of conversion meet shared subterms.
+
+A type is reduced only where a rule reads its head, and checked first, so
+what reduction drops is checked once.  A term the kernel has checked, such
+as that reduct or the carrier of an equation, is typed again in infer-only
+mode, as Lean 4's `infer_only`: its type is computed and nothing in it is
+checked, so a rule that only a skipped check would record is not recorded
+again.  A lambda motive whose body is weak-head normal is typed once, and
+the weak-head normal type of a chain of projections ending in a variable is
+computed once per declaration.  Errors carry the name of the violated rule.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .syntax import (
     BUILTIN_CONSTS, CONSTS, Ann, App, Const, Decl, Eq, Lam, Module, Pi, Ref,
-    Sig, Term, Univ, Var, _differ, mk_app, parse_term, print_term, shift,
-    spine, subst, univ, var,
+    Sig, Term, Univ, Var, _differ, _nodes, mk_app, parse_term, print_term,
+    shift, spine, subst, univ, var,
 )
 
 
@@ -118,7 +121,6 @@ class _Family(NamedTuple):
 
     arity: int
     rules: tuple = (None, None)     # the rule each member cites, fibrant first
-    major: Optional[int] = None     # the argument iota inspects
     strict: bool = True             # has a strict member
     check_only: bool = False        # typed only against a known type
 
@@ -128,13 +130,13 @@ _FAMILIES = {
     "inl": _Family(1, check_only=True),
     "inr": _Family(1, check_only=True),
     "refl": _Family(1, ("INTRO-=", "INTRO-=s")),
-    "J": _Family(3, ("ELIM-=", "ELIM-=s"), major=2),
-    "indNat": _Family(4, ("ELIM-NAT", "ELIM-NATS"), major=3),
+    "J": _Family(3, ("ELIM-=", "ELIM-=s")),
+    "indNat": _Family(4, ("ELIM-NAT", "ELIM-NATS")),
     "indEmpty": _Family(2, ("ELIM-0", "ELIM-0S")),
-    "indSum": _Family(4, ("ELIM-+", "ELIM-+S"), major=3),
+    "indSum": _Family(4, ("ELIM-+", "ELIM-+S")),
     "pair": _Family(2, strict=False, check_only=True),
-    "fst": _Family(1, major=0, strict=False),
-    "snd": _Family(1, major=0, strict=False),
+    "fst": _Family(1, strict=False),
+    "snd": _Family(1, strict=False),
 }
 
 
@@ -149,8 +151,69 @@ def _at_level(family: str, strict: bool) -> str:
 _SPINE = {_at_level(f, s): (f, s) for f, fam in _FAMILIES.items()
           for s in ((False, True) if fam.strict else (False,))}
 _CHECK_ONLY = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].check_only}
-# the eliminators, whose family has a major premise: the heads ι reduces
-_ELIMS = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].major is not None}
+
+
+# Each eliminator's type, for both levels (`{S}`, `{s}` spell the strict
+# names), and what a major premise typed first must be.  The binders come in
+# the order the rule types them: the parameters read off the type of a major
+# premise typed first, and that premise; the motive `P`, whose universe
+# stands for the one it targets; the methods; a major premise typed last.
+_SCHEMAS = {
+    "J": ("Pi (A : U{s} 0) (a b : A) (p : a ={s} b) "
+          "(P : Pi (y : A), a ={s} y -> U{s} 0) (z : P a (refl{S} a)), P b p",
+          "a {level} equality; the scrutinee has a different type"),
+    "indNat": ("Pi (P : Nat{S} -> U{s} 0) (z : P zero{S}) (s : Pi (m : "
+               "Nat{S}), P m -> P (succ{S} m)) (n : Nat{S}), P n", ""),
+    "indEmpty": ("Pi (P : Empty{S} -> U{s} 0) (e : Empty{S}), P e", ""),
+    "indSum": ("Pi (A B : U{s} 0) (x : Sum{S} A B) (P : Sum{S} A B -> U{s} 0) "
+               "(f : Pi (a : A), P (inl{S} a)) (g : Pi (b : B), "
+               "P (inr{S} b)), P x", "a Sum{S} value"),
+}
+
+
+def _schema(src: str, refusal: str) -> tuple:
+    """`src` parsed, whether its codomain names a parameter, and `refusal`."""
+    ty = t = parse_term(src, "<kernel>")
+    names = []
+    while type(t) is Pi:
+        names.append(t.name)
+        t = t.cod
+    tail = len(names) - names.index("P")      # the binders from the motive on
+    return ty, any(type(u) is Var and u.idx - d > tail
+                   for u, d in _nodes(t)), refusal
+
+
+_ELIM_TYPES = {
+    n: _schema(*(x.format(S="S" * s, s="s" * s, level=("fibrant", "strict")[s])
+                 for x in _SCHEMAS[f]))
+    for n, (f, s) in _SPINE.items() if f in _SCHEMAS}
+
+
+class _Iota(NamedTuple):
+    """An eliminator's ι rule on a constructor `c` with `arity` arguments."""
+
+    arity: int
+    reduct: int                 # the eliminator's argument that is the reduct
+    component: bool = False     # ... or, for a projection, `c`'s argument
+    applied: bool = False       # the reduct takes `c`'s arguments,
+    recursive: bool = False     # then the eliminator's value at the last one
+
+
+_IOTA_RULES = {
+    "fst": {"pair": _Iota(2, 0, component=True)},
+    "snd": {"pair": _Iota(2, 1, component=True)},
+    "J": {"refl": _Iota(1, 1)},
+    "indNat": {"zero": _Iota(0, 1),
+               "succ": _Iota(1, 2, applied=True, recursive=True)},
+    "indSum": {"inl": _Iota(1, 1, applied=True),
+               "inr": _Iota(1, 2, applied=True)},
+}
+# the heads ι reduces -> (their arity, {constructor of their level: rule});
+# an eliminator's major premise is the last of its arguments
+_IOTA = {n: (_FAMILIES[f].arity,
+             {_at_level(c, s): r for c, r in _IOTA_RULES[f].items()})
+         for n, (f, s) in _SPINE.items() if f in _IOTA_RULES}
+_ELIMS = set(_IOTA)
 
 
 def _beta(lam: Lam, args: Sequence[Term]) -> tuple[Term, Sequence[Term]]:
@@ -163,12 +226,50 @@ def _beta(lam: Lam, args: Sequence[Term]) -> tuple[Term, Sequence[Term]]:
     return subst(body, args[:n]), args[n:]
 
 
-def _motive_at(motive: Term, *args: Term) -> Term:
-    """`motive` applied to `args`, each redex of a lambda motive reduced: the
-    motive and the arguments were checked before, against the domains."""
-    while args and type(motive) is Lam:
-        motive, args = _beta(motive, args)
-    return mk_app(motive, *args)
+def _read(pattern: Term, t: Term, vals: list) -> bool:
+    """Whether `t` is `pattern`, a term under the binders of `vals`, with
+    each variable of `pattern` read into `vals` as the subterm in its place."""
+    k = type(pattern)
+    if k is Var:
+        vals[-1 - pattern.idx] = t
+        return True
+    if k is App:
+        return (type(t) is App and _read(pattern.fn, t.fn, vals)
+                and _read(pattern.arg, t.arg, vals))
+    if k is Eq:
+        return (type(t) is Eq and pattern.strict == t.strict
+                and _read(pattern.lhs, t.lhs, vals)
+                and _read(pattern.rhs, t.rhs, vals))
+    return pattern == t
+
+
+def _instantiate(t: Term, vals: Sequence[Term], depth: int = 0) -> Term:
+    """`subst(t, vals, depth)` on a part `t` of a schema, hereditarily: a
+    lambda put in at a head, the motive, is applied by β on the spot, so
+    `P zero` at the motive `fun n => n = n` is `zero = zero`."""
+    k = type(t)
+    if k is App:
+        args = []
+        while type(t) is App:
+            args.append(_instantiate(t.arg, vals, depth))
+            t = t.fn
+        head = _instantiate(t, vals, depth)
+        args.reverse()
+        while args and type(head) is Lam:
+            head, args = _beta(head, args)
+        return mk_app(head, *args)
+    if k is Var:
+        if t.idx < depth:
+            return t
+        v = vals[depth - 1 - t.idx]
+        return shift(v, depth) if depth else v
+    if k is Pi:
+        return Pi(t.name, _instantiate(t.dom, vals, depth),
+                  _instantiate(t.cod, vals, depth + 1))
+    if k is Eq:
+        return Eq(t.strict, _instantiate(t.lhs, vals, depth),
+                  _instantiate(t.rhs, vals, depth))
+    return t                    # a constant or a universe
 
 
 # The type of each built-in that is not a spine constant, in surface syntax.
@@ -293,26 +394,23 @@ class Checker:
 
     def _iota(self, head: Term, args: list[Term],
               prefix: Optional[Term] = None) -> Optional[tuple]:
-        """Computation rules for eliminator spines: the reduct's head and
-        arguments, or None if stuck.  `prefix`, if given, is the node of
-        `head` applied to all of `args` but the last.  When `args` are
-        exactly the family's arity, the recursive call of `indNat(S)` on a
-        successor `m` is `App(prefix, m)`: `head` applied to the same
-        arguments with `m` last, without building them again.
+        """Computation rules for eliminator spines, read off `_IOTA`: the
+        reduct's head and arguments, or None if stuck.  `prefix`, if given,
+        is the node of `head` applied to all of `args` but the last.  When
+        `args` are exactly the family's arity, the recursive call on a
+        constructor `c m` (`succ m`) is `App(prefix, m)`: `head` applied to
+        the same arguments with `m` last, without building them again.
 
         A major premise that is a constructor application (`succ m`: an
         `App` of a constant that is not an eliminator) or a bare constant
         (`zero`) is read as it stands, as `whnf` would return it, with no
         `whnf` and no `spine`."""
-        if not isinstance(head, Const) or head.name not in _ELIMS:
+        elim = _IOTA.get(head.name) if type(head) is Const else None
+        if (elim is None or len(args) < elim[0]
+                or head.name == "Js" and not self.options.js_beta):
             return None
-        family, strict = _SPINE[head.name]
-        fam = _FAMILIES[family]
-        if len(args) < fam.arity:
-            return None
-        if family == "J" and strict and not self.options.js_beta:
-            return None
-        major = args[fam.major]
+        arity, rules = elim
+        major = args[arity - 1]
         k = type(major)
         if (k is App and type(major.fn) is Const
                 and major.fn.name not in _ELIMS):
@@ -322,32 +420,19 @@ class Checker:
         else:
             c, c_args = spine(self.whnf(major))
             c = c.name if isinstance(c, Const) else None
-        match family:
-            case "fst" | "snd":
-                if c != "pair" or len(c_args) != 2:
-                    return None
-                red, c_args = c_args[family == "snd"], []
-            case "J":
-                if c != _at_level("refl", strict) or len(c_args) != 1:
-                    return None
-                red, c_args = args[1], []
-            case "indNat":
-                if c == _at_level("zero", strict) and not c_args:
-                    red = args[1]
-                elif c == _at_level("succ", strict) and len(c_args) == 1:
-                    m = c_args[0]
-                    rec = (App(prefix, m) if prefix is not None
-                           and len(args) == fam.arity
-                           else mk_app(head, *args[:3], m))
-                    red, c_args = args[2], [m, rec]
-                else:
-                    return None
-            case "indSum":
-                sides = (_at_level("inl", strict), _at_level("inr", strict))
-                if c not in sides or len(c_args) != 1:
-                    return None
-                red = args[1 + sides.index(c)]
-        return red, c_args + args[fam.arity:]
+        rule = rules.get(c)
+        if rule is None or len(c_args) != rule.arity:
+            return None
+        if rule.component:
+            return c_args[rule.reduct], args[arity:]
+        if not rule.applied:
+            c_args = []
+        elif rule.recursive:
+            m = c_args[-1]
+            c_args.append(App(prefix, m) if prefix is not None
+                          and len(args) == arity
+                          else mk_app(head, *args[:arity - 1], m))
+        return args[rule.reduct], c_args + args[arity:]
 
     # -- conversion --------------------------------------------------------
 
@@ -651,9 +736,6 @@ class Checker:
         args, extra = args[:arity], args[arity:]
         checked = self._checked
 
-        def at_level(base: str) -> Const:
-            return CONSTS[_at_level(base, strict)]
-
         match family:
             case "Sum":
                 sl, sr = (self.infer_sort(ctx, a) for a in args)
@@ -683,58 +765,40 @@ class Checker:
                             "refl needs a fibrant carrier, got sort "
                             f"{_sort(sc)}; use reflS for pretypes")
                 ty = Eq(strict, a, a)
-            case "J":
-                motive, base, prf = args
-                ety = self.whnf(self.infer(ctx, prf))
+            case _:     # an eliminator, typed from its schema
+                t, reads, refusal = _ELIM_TYPES[name]
+                first = []      # the parameters', a first major premise's type
+                while t.name != "P":
+                    first.append(t.dom)
+                    t = t.cod
+                vals = [None] * (len(first) - 1)
+                if first:
+                    if reads or not checked:
+                        mty = self.whnf(self.infer(ctx, args[-1]))
+                        if not _read(first[-1], mty, vals):
+                            raise TypeError_(rules[strict],
+                                             f"{name} eliminates {refusal}")
+                    for j, dom in enumerate(() if checked else first[:-1]):
+                        if type(dom) is Var and vals[j - 1 - dom.idx] is None:
+                            vals[j - 1 - dom.idx] = self._on_checked(
+                                self.infer, ctx, vals[j])   # unread: j's type
+                    vals.append(args[-1])
                 if not checked:
-                    if not isinstance(ety, Eq) or ety.strict != strict:
-                        raise TypeError_(
-                            rules[strict],
-                            f"{name} eliminates a "
-                            f"{'strict' if strict else 'fibrant'} equality; "
-                            "the scrutinee has a different type")
-                    lhs = ety.lhs
-                    carrier = self._on_checked(self.infer, ctx, lhs)
-                    self._elim_motive(ctx, name, motive, [
-                        carrier, Eq(strict, shift(lhs, 1), var(0))])
-                    self.check(ctx, base, _motive_at(
-                        motive, lhs, App(at_level("refl"), lhs)))
-                ty = _motive_at(motive, ety.rhs, prf)
-            case "indNat":
-                motive, z, s_arg, n = args
-                if not checked:
-                    nat = at_level("Nat")
-                    self._elim_motive(ctx, name, motive, [nat])
-                    self.check(ctx, z, _motive_at(motive, at_level("zero")))
-                    step_ty = Pi("m", nat, Pi(
-                        "_", _motive_at(shift(motive, 1), var(0)),
-                        _motive_at(shift(motive, 2), App(at_level("succ"), var(1)))))
-                    self.check(ctx, s_arg, step_ty)
-                    self.check(ctx, n, nat)
-                ty = _motive_at(motive, n)
-            case "indEmpty":
-                motive, e = args
-                if not checked:
-                    empty = at_level("Empty")
-                    self._elim_motive(ctx, name, motive, [empty])
-                    self.check(ctx, e, empty)
-                ty = _motive_at(motive, e)
-            case "indSum":
-                motive, f, g, x = args
-                if not checked:
-                    xty = self.whnf(self.infer(ctx, x))
-                    xh, xa = spine(xty)
-                    sumc = _at_level("Sum", strict)
-                    if not (isinstance(xh, Const) and xh.name == sumc
-                            and len(xa) == 2):
-                        raise TypeError_(rules[strict],
-                                         f"{name} eliminates a {sumc} value")
-                    self._elim_motive(ctx, name, motive, [xty])
-                    for arm, side, hint, dom in zip((f, g), ("inl", "inr"),
-                                                    "ab", xa):
-                        self.check(ctx, arm, Pi(hint, dom, _motive_at(
-                            shift(motive, 1), App(at_level(side), var(0)))))
-                ty = _motive_at(motive, x)
+                    doms, m = [], t.dom
+                    while type(m) is Pi:
+                        doms.append(_instantiate(m.dom, vals, len(doms)))
+                        m = m.cod
+                    self._elim_motive(ctx, name, args[0], doms)
+                vals.append(args[0])
+                t = t.cod
+                for a in args[1:]:  # the methods, a major premise typed last
+                    if type(t) is not Pi:
+                        break
+                    if not checked:
+                        self.check(ctx, a, _instantiate(t.dom, vals))
+                    vals.append(a)
+                    t = t.cod
+                ty = _instantiate(t, vals)
         if rules[0]:
             self._use(rules[strict])
         return ty, extra

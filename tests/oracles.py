@@ -31,10 +31,14 @@ runs, kept to check what it does run.
   `tests/test_syntax.py` checks that `decl_refs`, the declarations'
   positions and every error's position are these.  It never runs
   `Tokens.place`, so the placer is not compared with itself.
+- `CaseChecker` is the kernel with `J`, `indNat`, `indEmpty` and `indSum`
+  typed by the hand-written case of each family that the kernel ran
+  before it typed every eliminator from its schema.  `tests/test_kernel.py`
+  checks that both give the same records and infer the same types.
 
 Each builds through the package's own code (`categories.tabulate`,
-`simplex.Sieve`, `syntax.print_term`, `syntax._nodes`, `syntax.Parser`), so
-a change there shows here too.
+`simplex.Sieve`, `syntax.print_term`, `syntax._nodes`, `syntax.Parser`,
+`kernel.Checker`), so a change there shows here too.
 """
 
 from __future__ import annotations
@@ -49,12 +53,14 @@ from typing import Iterable
 
 from tltt.categories import (CategoryError, DiagramMap, FinCat, SetDiagram,
                              tabulate)
+from tltt.kernel import (_FAMILIES, _SPINE, Checker, TypeError_, _at_level,
+                         _beta)
 from tltt.simplex import Sieve
 from tltt.syntax import (
-    BUILTIN_CONSTS, KEYWORDS, Ann, App, Const, Decl, Eq, Lam, Module, Parser,
-    Pi, Ref, ResolveError, Sig, SyntaxError_, Term, Tokens, Univ, Var,
+    BUILTIN_CONSTS, CONSTS, KEYWORDS, Ann, App, Const, Decl, Eq, Lam, Module,
+    Parser, Pi, Ref, ResolveError, Sig, SyntaxError_, Term, Tokens, Univ, Var,
     _PREC_APP, _PREC_ARROW, _PREC_ATOM, _PREC_EQ, _PREC_TERM, _fresh, _kind,
-    _nodes, print_term,
+    _nodes, mk_app, print_term, shift, spine, var,
 )
 
 
@@ -320,3 +326,93 @@ def eager_refs(src: str, path: str = "<input>", globals_=()):
         if d.name is not None:
             known.add(d.name)
     return decls, None
+
+
+# ---------------------------------------------------------------------------
+# Eliminators typed one family at a time
+# ---------------------------------------------------------------------------
+
+def _motive_at(motive: Term, *args: Term) -> Term:
+    """`motive` applied to `args`, each redex of a lambda motive reduced: the
+    motive and the arguments were checked before, against the domains."""
+    while args and type(motive) is Lam:
+        motive, args = _beta(motive, args)
+    return mk_app(motive, *args)
+
+
+class CaseChecker(Checker):
+    """`Checker` with a case of `_infer_spine` for each eliminator family,
+    as the kernel wrote them before one rule typed every eliminator from
+    its schema; every other constant goes to the kernel's own rule."""
+
+    def _infer_spine(self, ctx: list[Term], name: str,
+                     args: list[Term]) -> tuple[Term, list[Term]]:
+        family, strict = _SPINE[name]
+        if family not in ("J", "indNat", "indEmpty", "indSum"):
+            return super()._infer_spine(ctx, name, args)
+        fam = _FAMILIES[family]
+        arity, rules = fam.arity, fam.rules
+        if len(args) < arity:
+            raise TypeError_("ARITY", f"{name!r} expects {arity} arguments, "
+                                      f"got {len(args)}")
+        args, extra = args[:arity], args[arity:]
+        checked = self._checked
+
+        def at_level(base: str) -> Const:
+            return CONSTS[_at_level(base, strict)]
+
+        match family:
+            case "J":
+                motive, base, prf = args
+                ety = self.whnf(self.infer(ctx, prf))
+                if not checked:
+                    if not isinstance(ety, Eq) or ety.strict != strict:
+                        raise TypeError_(
+                            rules[strict],
+                            f"{name} eliminates a "
+                            f"{'strict' if strict else 'fibrant'} equality; "
+                            "the scrutinee has a different type")
+                    lhs = ety.lhs
+                    carrier = self._on_checked(self.infer, ctx, lhs)
+                    self._elim_motive(ctx, name, motive, [
+                        carrier, Eq(strict, shift(lhs, 1), var(0))])
+                    self.check(ctx, base, _motive_at(
+                        motive, lhs, App(at_level("refl"), lhs)))
+                ty = _motive_at(motive, ety.rhs, prf)
+            case "indNat":
+                motive, z, s_arg, n = args
+                if not checked:
+                    nat = at_level("Nat")
+                    self._elim_motive(ctx, name, motive, [nat])
+                    self.check(ctx, z, _motive_at(motive, at_level("zero")))
+                    step_ty = Pi("m", nat, Pi(
+                        "_", _motive_at(shift(motive, 1), var(0)),
+                        _motive_at(shift(motive, 2), App(at_level("succ"), var(1)))))
+                    self.check(ctx, s_arg, step_ty)
+                    self.check(ctx, n, nat)
+                ty = _motive_at(motive, n)
+            case "indEmpty":
+                motive, e = args
+                if not checked:
+                    empty = at_level("Empty")
+                    self._elim_motive(ctx, name, motive, [empty])
+                    self.check(ctx, e, empty)
+                ty = _motive_at(motive, e)
+            case "indSum":
+                motive, f, g, x = args
+                if not checked:
+                    xty = self.whnf(self.infer(ctx, x))
+                    xh, xa = spine(xty)
+                    sumc = _at_level("Sum", strict)
+                    if not (isinstance(xh, Const) and xh.name == sumc
+                            and len(xa) == 2):
+                        raise TypeError_(rules[strict],
+                                         f"{name} eliminates a {sumc} value")
+                    self._elim_motive(ctx, name, motive, [xty])
+                    for arm, side, hint, dom in zip((f, g), ("inl", "inr"),
+                                                    "ab", xa):
+                        self.check(ctx, arm, Pi(hint, dom, _motive_at(
+                            shift(motive, 1), App(at_level(side), var(0)))))
+                ty = _motive_at(motive, x)
+        self._use(rules[strict])
+        return ty, extra

@@ -749,3 +749,36 @@ def test_the_check_sees_a_self_call():
               "    def iota(self, t):\n        return self.whnf(t)\n"
               "    def other(self, t):\n        return t.other\n")
     assert self_references(source, "C") == {"whnf", "infer_sort"}
+
+
+ELIMINATOR_FAMILIES = {"J", "indNat", "indEmpty", "indSum"}
+
+
+def named_families(source: str, cls: str, methods: tuple) -> set[str]:
+    """The strings of `ELIMINATOR_FAMILIES` that the methods `methods` of
+    class `cls` in `source` hold as constants."""
+    tree = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {n.value for fn in tree.body
+            if isinstance(fn, FUNCTIONS) and fn.name in methods
+            for n in ast.walk(fn) if isinstance(n, ast.Constant)
+            and n.value in ELIMINATOR_FAMILIES}
+
+
+def test_eliminators_are_typed_and_reduced_from_their_tables():
+    """`_infer_spine` types every eliminator from its schema and `_iota`
+    reduces it from `_IOTA`: neither names a family, so a case written for
+    one cannot come back unnoticed."""
+    assert named_families(pathlib.Path(kernel.__file__).read_text(),
+                          "Checker", ("_infer_spine", "_iota")) == set()
+
+
+def test_the_check_sees_a_family_case():
+    source = ("class C:\n    def _iota(self, family):\n"
+              "        match family:\n            case 'indNat':\n"
+              "                return 1\n"
+              "    def _infer_spine(self, name):\n"
+              "        return name == 'J' or name == 'Js'\n"
+              "    def other(self):\n        return 'indSum'\n")
+    assert named_families(source, "C", ("_infer_spine", "_iota")) == {
+        "indNat", "J"}

@@ -20,6 +20,7 @@ from tltt.syntax import (
     _differ, mk_app, parse, parse_term, resolve, spine, subst,
 )
 from counters import count_pass, counting
+from oracles import CaseChecker
 from test_conversion_oracle import KERNELS, run_corpus_sample
 from test_syntax import OVERFLOW, perfbench_workloads, unwound
 
@@ -888,7 +889,8 @@ class NestedWhnf(Checker):
 
 
 def motive_one_at_a_time(motive, *args):
-    """The reference `_motive_at`: one β step per argument."""
+    """The reference for a motive put in at the head of a schema's
+    application: one β step per argument."""
     while args and isinstance(motive, Lam):
         motive, args = subst(motive.body, (args[0],)), args[1:]
     return mk_app(motive, *args)
@@ -953,8 +955,9 @@ def checked_modules():
 
 class TestWholeSpines:
     """`whnf` reduces an application as one spine, the application rule
-    instantiates a Pi telescope once, and `_motive_at` substitutes all the
-    arguments its leading lambdas take at once."""
+    instantiates a Pi telescope once, and a motive put in at the head of a
+    schema's application has all the arguments its leading lambdas take
+    substituted at once."""
 
     @pytest.mark.parametrize("kernel_", KERNELS)
     def test_edge_records(self, kernel_):
@@ -983,8 +986,13 @@ class TestWholeSpines:
         ("fun a f => f a", ["zero", "fun y => y"]),
     ])
     def test_motive_at_agrees_with_one_argument_at_a_time(self, motive, args):
+        """`_instantiate` on the schema part `P x1 ... xn`, with the motive
+        and the arguments put in for its variables."""
         motive, args = term(motive), [term(a) for a in args]
-        assert (repr(kernel._motive_at(motive, *args))
+        n = len(args)
+        schema = mk_app(syntax.var(n), *(syntax.var(n - 1 - i)
+                                         for i in range(n)))
+        assert (repr(kernel._instantiate(schema, [motive, *args]))
                 == repr(motive_one_at_a_time(motive, *args)))
 
     def test_whnf_spends_no_frame_per_application_level(self):
@@ -1325,36 +1333,40 @@ def major_term(src: str):
     return term(src, IOTA_SCOPE, set(READ_ENV))
 
 
+# The eliminators the reference reduces: each one's arity, the position of
+# its major premise, and the arity of each constructor of its level
+REFERENCE_IOTA = {
+    "fst": (1, 0, {"pair": 2}), "snd": (1, 0, {"pair": 2}),
+    "J": (3, 2, {"refl": 1}), "Js": (3, 2, {"reflS": 1}),
+    "indNat": (4, 3, {"zero": 0, "succ": 1}),
+    "indNatS": (4, 3, {"zeroS": 0, "succS": 1}),
+    "indSum": (4, 3, {"inl": 1, "inr": 1}),
+    "indSumS": (4, 3, {"inlS": 1, "inrS": 1}),
+}
+
+
 def reference_iota(checker: Checker, head, args):
     """`_iota` with every major premise read through `spine(whnf(major))`,
-    and every recursive call built with `mk_app`."""
-    if type(head) is not Const or head.name not in kernel._ELIMS:
+    every recursive call built with `mk_app`, and each rule written out."""
+    if type(head) is not Const or head.name not in REFERENCE_IOTA:
         return None
-    family, strict = kernel._SPINE[head.name]
-    fam = kernel._FAMILIES[family]
-    if len(args) < fam.arity or (family == "J" and strict
-                                 and not checker.options.js_beta):
+    arity, major, constructors = REFERENCE_IOTA[head.name]
+    if len(args) < arity or (head.name == "Js"
+                             and not checker.options.js_beta):
         return None
-    c, c_args = spine(checker.whnf(args[fam.major]))
+    c, c_args = spine(checker.whnf(args[major]))
     c = c.name if type(c) is Const else None
-    rest = list(args[fam.arity:])
-    if family in ("fst", "snd"):
-        if c == "pair" and len(c_args) == 2:
-            return c_args[family == "snd"], rest
-    elif family == "J":
-        if c == kernel._at_level("refl", strict) and len(c_args) == 1:
-            return args[1], rest
-    elif family == "indNat":
-        if c == kernel._at_level("zero", strict) and not c_args:
-            return args[1], rest
-        if c == kernel._at_level("succ", strict) and len(c_args) == 1:
-            m = c_args[0]
-            return args[2], [m, mk_app(head, *args[:3], m)] + rest
-    else:
-        for i, side in enumerate(("inl", "inr")):
-            if c == kernel._at_level(side, strict) and len(c_args) == 1:
-                return args[1 + i], c_args + rest
-    return None
+    if constructors.get(c) != len(c_args):
+        return None
+    rest = list(args[arity:])
+    if head.name in ("fst", "snd"):
+        return c_args[head.name == "snd"], rest
+    if c in ("refl", "reflS", "zero", "zeroS"):
+        return args[1], rest
+    if c in ("succ", "succS"):
+        m = c_args[0]
+        return args[2], [m, mk_app(head, *args[:3], m)] + rest
+    return args[1 + c.startswith("inr")], c_args + rest
 
 
 class TestConstructorApplications:
@@ -1446,3 +1458,155 @@ class TestOptions:
         ck.check([], term("reflS zero"), ty)
         with pytest.raises(TypeError_):
             ck2.check([], term("reflS zero"), ty)
+
+
+class CaseRecording(Recording, CaseChecker):
+    """`Recording` over the case-per-family oracle."""
+
+
+def typed_alike(run):
+    """`run(cls)`, run once with `Recording` and once with `CaseRecording`:
+    both return the same records, and the checkers they made met the same
+    types, printed with their binder names."""
+    got, want = run(Recording), run(CaseRecording)
+    assert got == want
+    return got
+
+
+def prelude_of(cls):
+    """A checker of class `cls` with the prelude checked into it."""
+    ck = cls()
+    for path in corpus_files():
+        if path.parent.name == "prelude":
+            assert corpus.check_file(ck, path).ok
+    return ck
+
+
+INDUCTION = corpus.CORPUS_ROOT / "tests" / "pass" / "induction.tltt"
+
+
+class TestSchemas:
+    """Every eliminator is typed from its schema and reduced from `_IOTA`,
+    as the hand-written case of each family typed it."""
+
+    @pytest.mark.parametrize("name", sorted(kernel._ELIM_TYPES))
+    def test_each_schema_is_a_type(self, name):
+        ty = kernel._ELIM_TYPES[name][0]
+        assert type(Checker().infer_sort([], ty)) is Univ
+
+    @pytest.mark.parametrize("name", sorted(kernel._ELIM_TYPES))
+    def test_each_schema_binds_what_its_family_takes(self, name):
+        """The motive, the methods and the major premise: the family's
+        arity, with the major premise last."""
+        t, names = kernel._ELIM_TYPES[name][0], []
+        while type(t) is Pi:
+            names.append(t.name)
+            t = t.cod
+        taken = len(names) - names.index("P") + (names[0] != "P")
+        assert taken == kernel._FAMILIES[kernel._SPINE[name][0]].arity
+
+    def test_each_iota_row_names_a_constructor_of_its_level(self):
+        for name, (_, rules) in kernel._IOTA.items():
+            for c in rules:
+                assert c in CONSTS and c not in kernel._ELIMS, (name, c)
+                assert c.endswith("S") == kernel._SPINE[name][1], (name, c)
+
+    @pytest.mark.parametrize("ty, src, rule", [
+        ("F Nat Nat", "indSum (fun s => Nat) (fun a => a) (fun b => b) y",
+         "ELIM-+"),
+        ("SumS Nat Nat", "indSum (fun s => Nat) (fun a => a) (fun b => b) y",
+         "ELIM-+"),
+        ("Sum Nat Nat", "indSumS (fun s => Nat) (fun a => a) (fun b => b) y",
+         "ELIM-+S"),
+        ("F Nat Nat", "J (fun b q => Nat) zero y", "ELIM-="),
+    ])
+    def test_a_major_premise_of_another_family_is_refused(self, ty, src, rule):
+        """The type of a major premise typed first must have the head and
+        the level of the schema's: a type of the same shape is refused."""
+        rep = check_module(Checker(), resolve(parse(
+            f"axiom F : U 0 -> U 0 -> U 0\naxiom y : {ty}\n"
+            f"--! expect: {rule}\nfail {src} : Nat\n")))
+        assert rep.ok and "eliminates" in rep.records[-1]["message"]
+
+    @pytest.mark.parametrize("src", [
+        "indNat (fun n => Nat) zero (fun m r => r) zeroS",
+        "indNatS (fun n => Nat) zero (fun m r => r) zero",
+        "indEmpty (fun e => Nat) zero",
+    ])
+    def test_a_major_premise_typed_last_is_checked(self, src):
+        rep = check_module(Checker(), resolve(parse(
+            f"--! expect: CONV\nfail {src} : Nat\n")))
+        assert rep.ok and "does not subsume" in rep.records[-1]["message"]
+
+    @staticmethod
+    def induction_checks(ck):
+        """`corpus/tests/pass/induction.tltt` checks on the prelude `ck`."""
+        return corpus.check_file(Checker(env=ck.env), INDUCTION).ok
+
+    def test_induction_checks(self, ck):
+        assert self.induction_checks(ck)
+
+    def test_a_step_without_its_hypothesis_fails_induction(self, ck,
+                                                           monkeypatch):
+        src, refusal = kernel._SCHEMAS["indNat"]
+        mutant = src.replace("P m -> ", "")
+        assert mutant != src
+        monkeypatch.setitem(kernel._ELIM_TYPES, "indNat", kernel._schema(
+            mutant.format(S="", s=""), refusal))
+        assert not self.induction_checks(ck)
+
+    def test_a_successor_without_its_recursive_call_fails_induction(
+            self, ck, monkeypatch):
+        arity, rules = kernel._IOTA["indNat"]
+        monkeypatch.setitem(kernel._IOTA, "indNat", (arity, {
+            **rules, "succ": rules["succ"]._replace(recursive=False)}))
+        assert not self.induction_checks(ck)
+
+    @pytest.mark.parametrize("kernel_", KERNELS)
+    def test_the_corpus_is_typed_as_case_by_case(self, kernel_):
+        options = KERNELS[kernel_]
+
+        def run(cls):
+            prelude, out = cls(options=options), []
+            for path in corpus_files():
+                ck = (prelude if path.parent.name == "prelude"
+                      else cls(env=prelude.env, options=options))
+                rep = corpus.check_file(ck, path)
+                out.append((rep.records, rep.error, list(map(repr, ck.types))))
+            return out
+        records = typed_alike(run)
+        assert sum(len(r) for r, _, _ in records) > 60    # 74 by default
+
+    def test_numerals_are_typed_as_case_by_case(self, monkeypatch):
+        workloads = perfbench_workloads(monkeypatch)
+        sources = [workloads.numeral_source(kind, depth, share)[0]
+                   for kind in ("add", "add+1", "toNat")
+                   for depth, share in ((1, 0.0), (7, 0.5), (30, 0.9))]
+
+        def run(cls):
+            prelude, out = prelude_of(cls), []
+            for src in sources:
+                ck = cls(env=prelude.env)
+                rep = check_module(ck, resolve(parse(src), set(ck.env)))
+                out.append((rep.records, list(map(repr, ck.types))))
+            return out
+        assert all(r[-1]["status"] == "pass" for r, _ in typed_alike(run))
+
+    def test_the_diagnostics_are_typed_as_case_by_case(self):
+        """The sources of `TestDiagnostics`' parametrized tests."""
+        structural, failing = (
+            fn.pytestmark[0].args[1] for fn in (
+                TestDiagnostics.test_structural_rule_is_cited,
+                TestDiagnostics.test_a_fail_declaration_records_its_rule))
+        cases = ([(src, omit) for src, omit, _, _ in structural]
+                 + [(f"fail {src}", ()) for src, _, _ in failing])
+
+        def run(cls):
+            prelude, out = prelude_of(cls), []
+            for src, omit in cases:
+                ck = cls(env=prelude.env,
+                         options=KernelOptions(omit_consts=frozenset(omit)))
+                out.append(([ck.check_decl(d) for d in parse(src).decls],
+                            list(map(repr, ck.types))))
+            return out
+        assert len(typed_alike(run)) == 15

@@ -6,12 +6,12 @@ turns either into output and an exit code.  For a verdict it prints, under
 (``"pass"`` or ``"fail"``) as its first key, and otherwise the human
 ``lines`` followed by one ``COMMAND: pass|fail`` line; it exits 0 exactly
 when ``ok``.  Exit codes: 0 pass, 1 a check failed or the horn is
-unsupported, 2 usage, range, dimension, fixture, or I/O errors.  An error is
-printed on stderr and, under ``--json``, as the one JSON document
-``{"status": "error", "error": message}``.  Fixture errors name the JSON path
-that failed.  Diagnostics go to stderr, and a closed stderr is ignored: it
-never decides the exit code.  When stdout is closed early, only the error
-line is printed, on stderr, and the exit code is 2.
+unsupported, 2 usage, range, dimension, fixture, I/O and memory errors and
+interrupts.  An error is printed on stderr and, under ``--json``, as the one
+JSON document ``{"status": "error", "error": message}``.  Fixture errors
+name the JSON path that failed.  Diagnostics go to stderr, and a closed
+stderr is ignored: it never decides the exit code.  When stdout is closed
+early, only the error line is printed, on stderr, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -357,6 +357,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         return _fail(args.json, str(e),
                      1 if isinstance(e, simplex.UnsupportedHorn) else 2)
+    except (KeyboardInterrupt, MemoryError) as e:
+        return _fail(args.json, "out of memory" if isinstance(e, MemoryError)
+                     else "interrupted", 2)
     return _print(text, 0 if ok else 1)
 
 

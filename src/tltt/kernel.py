@@ -6,14 +6,14 @@ former, and sorts are compared and joined as universes (``sort_leq``,
 ``sort_lub``).  Every fibrant type is also a pretype (``U i <= Us j`` for
 ``i <= j``, rule FIB-PRE), never the other way around.  Most built-ins come
 in a family of a fibrant and a strict member, whose name adds ``S`` (``J``'s
-is ``Js``); one table gives each spine constant its family and level, and
-each rule is written once per family.  Fibrant equality and sums need
-fibrant carriers (INTRO-=, FORM-+) and fibrant eliminators fibrant motives
-(ELIM-=, ELIM-NAT, ELIM-0, ELIM-+).  Strict equality ``=s`` is governed by
-the axioms ``uip`` and ``funextS``, whose types are stated in the surface
-syntax, and has no reflection rule.  Each eliminator's type is stated in
-the surface syntax too, as one schema for both levels: one rule types every
-eliminator from its schema, and one table gives every ι rule.
+is ``Js``).  One row states a family: its arity, its rules and, for an
+eliminator, its type as one schema in the surface syntax for both levels.
+Fibrant equality and sums need fibrant carriers (INTRO-=, FORM-+) and
+fibrant eliminators fibrant motives (ELIM-=, ELIM-NAT, ELIM-0, ELIM-+).
+Strict equality ``=s`` is governed by the axioms ``uip`` and ``funextS``,
+whose types are stated in the surface syntax too, and has no reflection
+rule.  One rule types every eliminator from its schema, and ι is read off
+the schema's methods; only the projections' rules are written out.
 
 Conversion is weak-head normalization plus structural comparison with
 judgmental eta for Pi and Sigma.  The same comparison decides cumulativity,
@@ -117,12 +117,19 @@ class KernelOptions:
 
 
 class _Family(NamedTuple):
-    """A family of spine-checked constants, named by its fibrant member."""
+    """A family of spine-checked constants, named by its fibrant member.
+    An eliminator's `schema` is its type at both levels (`{S}`, `{s}` spell
+    the strict names), its binders in the order the rule types them: the
+    parameters read off a first-typed major premise, and that premise; `P`,
+    whose universe stands for its target's; methods; a last-typed premise."""
 
     arity: int
     rules: tuple = (None, None)     # the rule each member cites, fibrant first
     strict: bool = True             # has a strict member
     check_only: bool = False        # typed only against a known type
+    schema: str = ""                # an eliminator's type, as above
+    refusal: str = ""               # what a major premise typed first must be
+    hint: str = "instead"           # how "use the strict member" ends
 
 
 _FAMILIES = {
@@ -130,10 +137,20 @@ _FAMILIES = {
     "inl": _Family(1, check_only=True),
     "inr": _Family(1, check_only=True),
     "refl": _Family(1, ("INTRO-=", "INTRO-=s")),
-    "J": _Family(3, ("ELIM-=", "ELIM-=s")),
-    "indNat": _Family(4, ("ELIM-NAT", "ELIM-NATS")),
-    "indEmpty": _Family(2, ("ELIM-0", "ELIM-0S")),
-    "indSum": _Family(4, ("ELIM-+", "ELIM-+S")),
+    "J": _Family(3, ("ELIM-=", "ELIM-=s"), schema=(
+        "Pi (A : U{s} 0) (a b : A) (p : a ={s} b) "
+        "(P : Pi (y : A), a ={s} y -> U{s} 0) (z : P a (refl{S} a)), P b p"),
+        refusal="a {level} equality; the scrutinee has a different type",
+        hint="for strict motives"),
+    "indNat": _Family(4, ("ELIM-NAT", "ELIM-NATS"), schema=(
+        "Pi (P : Nat{S} -> U{s} 0) (z : P zero{S}) "
+        "(s : Pi (m : Nat{S}), P m -> P (succ{S} m)) (n : Nat{S}), P n")),
+    "indEmpty": _Family(2, ("ELIM-0", "ELIM-0S"), schema=(
+        "Pi (P : Empty{S} -> U{s} 0) (e : Empty{S}), P e")),
+    "indSum": _Family(4, ("ELIM-+", "ELIM-+S"), schema=(
+        "Pi (A B : U{s} 0) (x : Sum{S} A B) (P : Sum{S} A B -> U{s} 0) "
+        "(f : Pi (a : A), P (inl{S} a)) (g : Pi (b : B), P (inr{S} b)), P x"),
+        refusal="a Sum{S} value"),
     "pair": _Family(2, strict=False, check_only=True),
     "fst": _Family(1, strict=False),
     "snd": _Family(1, strict=False),
@@ -142,51 +159,13 @@ _FAMILIES = {
 
 def _at_level(family: str, strict: bool) -> str:
     """The name of a family's member: the strict one adds `S`, `J`'s `s`."""
-    if not strict:
-        return family
-    return "Js" if family == "J" else family + "S"
+    return family + ("s" if family == "J" else "S") * strict
 
 
 # spine constant -> (family, strict)
 _SPINE = {_at_level(f, s): (f, s) for f, fam in _FAMILIES.items()
           for s in ((False, True) if fam.strict else (False,))}
 _CHECK_ONLY = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].check_only}
-
-
-# Each eliminator's type, for both levels (`{S}`, `{s}` spell the strict
-# names), and what a major premise typed first must be.  The binders come in
-# the order the rule types them: the parameters read off the type of a major
-# premise typed first, and that premise; the motive `P`, whose universe
-# stands for the one it targets; the methods; a major premise typed last.
-_SCHEMAS = {
-    "J": ("Pi (A : U{s} 0) (a b : A) (p : a ={s} b) "
-          "(P : Pi (y : A), a ={s} y -> U{s} 0) (z : P a (refl{S} a)), P b p",
-          "a {level} equality; the scrutinee has a different type"),
-    "indNat": ("Pi (P : Nat{S} -> U{s} 0) (z : P zero{S}) (s : Pi (m : "
-               "Nat{S}), P m -> P (succ{S} m)) (n : Nat{S}), P n", ""),
-    "indEmpty": ("Pi (P : Empty{S} -> U{s} 0) (e : Empty{S}), P e", ""),
-    "indSum": ("Pi (A B : U{s} 0) (x : Sum{S} A B) (P : Sum{S} A B -> U{s} 0) "
-               "(f : Pi (a : A), P (inl{S} a)) (g : Pi (b : B), "
-               "P (inr{S} b)), P x", "a Sum{S} value"),
-}
-
-
-def _schema(src: str, refusal: str) -> tuple:
-    """`src` parsed, whether its codomain names a parameter, and `refusal`."""
-    ty = t = parse_term(src, "<kernel>")
-    names = []
-    while type(t) is Pi:
-        names.append(t.name)
-        t = t.cod
-    tail = len(names) - names.index("P")      # the binders from the motive on
-    return ty, any(type(u) is Var and u.idx - d > tail
-                   for u, d in _nodes(t)), refusal
-
-
-_ELIM_TYPES = {
-    n: _schema(*(x.format(S="S" * s, s="s" * s, level=("fibrant", "strict")[s])
-                 for x in _SCHEMAS[f]))
-    for n, (f, s) in _SPINE.items() if f in _SCHEMAS}
 
 
 class _Iota(NamedTuple):
@@ -199,20 +178,39 @@ class _Iota(NamedTuple):
     recursive: bool = False     # then the eliminator's value at the last one
 
 
-_IOTA_RULES = {
-    "fst": {"pair": _Iota(2, 0, component=True)},
-    "snd": {"pair": _Iota(2, 1, component=True)},
-    "J": {"refl": _Iota(1, 1)},
-    "indNat": {"zero": _Iota(0, 1),
-               "succ": _Iota(1, 2, applied=True, recursive=True)},
-    "indSum": {"inl": _Iota(1, 1, applied=True),
-               "inr": _Iota(1, 2, applied=True)},
-}
+def _schema(fam: _Family, strict: bool) -> tuple:
+    """`fam`'s schema at a level, parsed; whether its codomain names a
+    parameter; its refusal; its arity with the ι rules read off its methods:
+    the i-th binder after `P` whose type ends in `P … (c xs)` is the rule
+    on `c`, whose reduct is argument i, applied to `xs` if the method binds
+    any variable, then to the recursive call if one of them is typed `P x`."""
+    s = dict(S="S" * strict, s="s" * strict,
+             level=("fibrant", "strict")[strict])
+    ty = t = parse_term(fam.schema.format(**s), "<kernel>")
+    rules, i = {}, 0                # i: the binders from the motive on
+    while type(t) is Pi:
+        m, own = t.dom, []
+        while type(m) is Pi:
+            own.append(m.dom)
+            m = m.cod
+        if i and spine(m)[0] == var(i - 1 + len(own)):     # P … (c xs)
+            c, cs = spine(m.arg)
+            rules[c.name] = _Iota(len(cs), i, applied=bool(own), recursive=any(
+                type(d) is App and d.fn == var(i - 1 + j)
+                for j, d in enumerate(own)))
+        i += i > 0 or t.name == "P"
+        t = t.cod
+    reads = any(type(u) is Var and u.idx - d > i for u, d in _nodes(t))
+    return ty, reads, fam.refusal.format(**s), (fam.arity, rules)
+
+
+_ELIM_TYPES = {n: _schema(_FAMILIES[f], s) for n, (f, s) in _SPINE.items()
+               if _FAMILIES[f].schema}
 # the heads ι reduces -> (their arity, {constructor of their level: rule});
 # an eliminator's major premise is the last of its arguments
-_IOTA = {n: (_FAMILIES[f].arity,
-             {_at_level(c, s): r for c, r in _IOTA_RULES[f].items()})
-         for n, (f, s) in _SPINE.items() if f in _IOTA_RULES}
+_IOTA = {"fst": (1, {"pair": _Iota(2, 0, component=True)}),
+         "snd": (1, {"pair": _Iota(2, 1, component=True)}),
+         **{n: e[-1] for n, e in _ELIM_TYPES.items() if e[-1][1]}}
 _ELIMS = set(_IOTA)
 
 
@@ -678,7 +676,7 @@ class Checker:
         normal was typed whole by that and is not checked again.  A fibrant
         eliminator needs a fibrant target."""
         family, strict = _SPINE[name]
-        n = len(doms)
+        fam, n = _FAMILIES[family], len(doms)
         body, m = motive, 0
         while m < n and type(body) is Lam:
             body, m = body.body, m + 1
@@ -694,11 +692,10 @@ class Checker:
                 expected = Pi("_", d, expected)
             self.check(ctx, motive, expected)
         if not strict and not uni.fib:
-            hint = "for strict motives" if family == "J" else "instead"
             raise TypeError_(
-                _FAMILIES[family].rules[strict],
+                fam.rules[strict],
                 f"{name} requires a fibrant motive; this motive lands in sort "
-                f"{_sort(uni)} (use {_at_level(family, True)} {hint})")
+                f"{_sort(uni)} (use {_at_level(family, True)} {fam.hint})")
 
     def _projected_type(self, ctx: list[Term], t: Term) -> Term:
         """The weak-head normal type of `t`, the argument of a projection.
@@ -766,7 +763,7 @@ class Checker:
                             f"{_sort(sc)}; use reflS for pretypes")
                 ty = Eq(strict, a, a)
             case _:     # an eliminator, typed from its schema
-                t, reads, refusal = _ELIM_TYPES[name]
+                t, reads, refusal, _ = _ELIM_TYPES[name]
                 first = []      # the parameters', a first major premise's type
                 while t.name != "P":
                     first.append(t.dom)

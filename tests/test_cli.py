@@ -343,6 +343,29 @@ class TestLabs:
         assert json.loads(doc) == {"status": "pass", "help": out}
 
 
+class TestInterrupts:
+    @pytest.mark.parametrize("error, message", [
+        (KeyboardInterrupt, "interrupted"), (MemoryError, "out of memory")])
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_an_interrupt_is_an_error(self, capsys, monkeypatch, error,
+                                      message, flags):
+        """Exit 2 with one stderr line and no traceback, and under
+        `--json` one error document."""
+        def raising(args):
+            raise error()
+
+        monkeypatch.setattr(cli, "cmd_check", raising)
+        try:
+            code, out, err = run(capsys, "check", *PRELUDE, *flags)
+        except error:       # uncaught, a KeyboardInterrupt stops the run
+            pytest.fail(f"main raised {error.__name__}")
+        assert code == 2 and err == message + "\n"
+        if flags:
+            assert json.loads(out) == {"status": "error", "error": message}
+        else:
+            assert out == ""
+
+
 class TestRanges:
     """Counts that would make a lab pass vacuously, or repeat a label, are
     usage errors."""

@@ -765,12 +765,16 @@ def named_families(source: str, cls: str, methods: tuple) -> set[str]:
             and n.value in ELIMINATOR_FAMILIES}
 
 
+ELIMINATOR_METHODS = ("_infer_spine", "_elim_motive", "_iota")
+
+
 def test_eliminators_are_typed_and_reduced_from_their_tables():
-    """`_infer_spine` types every eliminator from its schema and `_iota`
-    reduces it from `_IOTA`: neither names a family, so a case written for
-    one cannot come back unnoticed."""
+    """`_infer_spine` types every eliminator from its schema, `_elim_motive`
+    takes its messages from the family's row and `_iota` reduces it from
+    `_IOTA`: none names a family, so a case written for one cannot come
+    back unnoticed."""
     assert named_families(pathlib.Path(kernel.__file__).read_text(),
-                          "Checker", ("_infer_spine", "_iota")) == set()
+                          "Checker", ELIMINATOR_METHODS) == set()
 
 
 def test_the_check_sees_a_family_case():
@@ -778,7 +782,9 @@ def test_the_check_sees_a_family_case():
               "        match family:\n            case 'indNat':\n"
               "                return 1\n"
               "    def _infer_spine(self, name):\n"
-              "        return name == 'J' or name == 'Js'\n"
-              "    def other(self):\n        return 'indSum'\n")
-    assert named_families(source, "C", ("_infer_spine", "_iota")) == {
-        "indNat", "J"}
+              "        return name == 'indSum' or name == 'indSumS'\n"
+              "    def _elim_motive(self, family):\n"
+              "        return 'for' if family == 'J' else 'instead'\n"
+              "    def other(self):\n        return 'indEmpty'\n")
+    assert named_families(source, "C", ELIMINATOR_METHODS) == {
+        "indNat", "indSum", "J"}

@@ -1483,11 +1483,24 @@ def prelude_of(cls):
 
 
 INDUCTION = corpus.CORPUS_ROOT / "tests" / "pass" / "induction.tltt"
+SUMS = corpus.CORPUS_ROOT / "tests" / "pass" / "sums.tltt"
+
+# Every ι rule stated by hand, at the fibrant level: eliminator -> (its
+# arity, {constructor: rule}).  Those read off the schemas must be these.
+WRITTEN_IOTA = {
+    "fst": (1, {"pair": kernel._Iota(2, 0, component=True)}),
+    "snd": (1, {"pair": kernel._Iota(2, 1, component=True)}),
+    "J": (3, {"refl": kernel._Iota(1, 1)}),
+    "indNat": (4, {"zero": kernel._Iota(0, 1), "succ": kernel._Iota(
+        1, 2, applied=True, recursive=True)}),
+    "indSum": (4, {"inl": kernel._Iota(1, 1, applied=True),
+                   "inr": kernel._Iota(1, 2, applied=True)}),
+}
 
 
 class TestSchemas:
-    """Every eliminator is typed from its schema and reduced from `_IOTA`,
-    as the hand-written case of each family typed it."""
+    """Every eliminator is typed from its schema and reduced by the ι rules
+    read off it, as the hand-written case of each family typed it."""
 
     @pytest.mark.parametrize("name", sorted(kernel._ELIM_TYPES))
     def test_each_schema_is_a_type(self, name):
@@ -1504,6 +1517,24 @@ class TestSchemas:
             t = t.cod
         taken = len(names) - names.index("P") + (names[0] != "P")
         assert taken == kernel._FAMILIES[kernel._SPINE[name][0]].arity
+
+    def test_the_iota_rules_read_off_the_schemas_are_the_written_ones(self):
+        """At both levels: a strict member adds `S` (`J`'s `s`) to its name
+        and to each of its constructors; the projections are fibrant only."""
+        written = dict(WRITTEN_IOTA)
+        for name, (arity, rules) in WRITTEN_IOTA.items():
+            if name not in ("fst", "snd"):
+                written["Js" if name == "J" else name + "S"] = (
+                    arity, {c + "S": r for c, r in rules.items()})
+        assert kernel._IOTA == written
+
+    def test_each_row_cites_known_rules(self):
+        """Every rule a family cites is one `RULES` lists (so the coverage
+        report counts it), and a fibrant eliminator's rule restricts."""
+        for family, fam in kernel._FAMILIES.items():
+            assert {r for r in fam.rules if r} <= set(RULES), family
+            if fam.schema:
+                assert fam.rules[0] in RESTRICTED_RULES, family
 
     def test_each_iota_row_names_a_constructor_of_its_level(self):
         for name, (_, rules) in kernel._IOTA.items():
@@ -1539,21 +1570,44 @@ class TestSchemas:
         assert rep.ok and "does not subsume" in rep.records[-1]["message"]
 
     @staticmethod
-    def induction_checks(ck):
-        """`corpus/tests/pass/induction.tltt` checks on the prelude `ck`."""
-        return corpus.check_file(Checker(env=ck.env), INDUCTION).ok
+    def induction_checks(ck, path=INDUCTION):
+        """`corpus/tests/pass/induction.tltt`, or `path`, checks on the
+        prelude `ck`."""
+        return corpus.check_file(Checker(env=ck.env), path).ok
+
+    @staticmethod
+    def mutate(monkeypatch, family, old, new):
+        """Put in the fibrant member of `family` read off its schema with
+        `old` replaced by `new`, its typing and its ι rules together, and
+        return those rules."""
+        fam = kernel._FAMILIES[family]
+        mutant = fam._replace(schema=fam.schema.replace(old, new))
+        assert mutant != fam
+        read = kernel._schema(mutant, False)
+        monkeypatch.setitem(kernel._ELIM_TYPES, family, read)
+        monkeypatch.setitem(kernel._IOTA, family, read[-1])
+        return read[-1][1]
 
     def test_induction_checks(self, ck):
         assert self.induction_checks(ck)
 
     def test_a_step_without_its_hypothesis_fails_induction(self, ck,
                                                            monkeypatch):
-        src, refusal = kernel._SCHEMAS["indNat"]
-        mutant = src.replace("P m -> ", "")
-        assert mutant != src
-        monkeypatch.setitem(kernel._ELIM_TYPES, "indNat", kernel._schema(
-            mutant.format(S="", s=""), refusal))
+        rules = self.mutate(monkeypatch, "indNat", "P m -> ", "")
+        assert not rules["succ"].recursive
         assert not self.induction_checks(ck)
+
+    def test_methods_naming_each_others_constructor_fail_sums(
+            self, ck, monkeypatch):
+        """The mutant's schema is no type, and `sums.tltt` fails with it."""
+        assert self.induction_checks(ck, SUMS)
+        rules = self.mutate(monkeypatch, "indSum", "(inl{S} a)) (g : Pi "
+                            "(b : B), P (inr{S} b))", "(inr{S} a)) (g : Pi "
+                            "(b : B), P (inl{S} b))")
+        assert (rules["inl"].reduct, rules["inr"].reduct) == (2, 1)
+        with pytest.raises(TypeError_):
+            Checker().infer_sort([], kernel._ELIM_TYPES["indSum"][0])
+        assert not self.induction_checks(ck, SUMS)
 
     def test_a_successor_without_its_recursive_call_fails_induction(
             self, ck, monkeypatch):

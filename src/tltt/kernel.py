@@ -12,8 +12,10 @@ Fibrant equality and sums need fibrant carriers (INTRO-=, FORM-+) and
 fibrant eliminators fibrant motives (ELIM-=, ELIM-NAT, ELIM-0, ELIM-+).
 Strict equality ``=s`` is governed by the axioms ``uip`` and ``funextS``,
 whose types are stated in the surface syntax too, and has no reflection
-rule.  One rule types every eliminator from its schema, and ι is read off
-the schema's methods; only the projections' rules are written out.
+rule.  One rule types every eliminator from its schema, split at import,
+and ι is read off the schema's methods; only the projections' rules are
+written out.  Options choose a checker's tables once, when it is built: an
+omitted constant is in none, and without `js_beta` `Js` has no ι rule.
 
 Conversion is weak-head normalization plus structural comparison with
 judgmental eta for Pi and Sigma.  The same comparison decides cumulativity,
@@ -110,7 +112,8 @@ class EnvEntry:
 
 @dataclass
 class KernelOptions:
-    """Knobs used by mutation tests; defaults give the real theory."""
+    """Knobs used by mutation tests; defaults give the real theory.  A
+    checker applies them once, when it is built, by the tables it keeps."""
 
     js_beta: bool = True                       # judgmental beta for Js
     omit_consts: frozenset = frozenset()       # pretend these builtins absent
@@ -165,7 +168,7 @@ def _at_level(family: str, strict: bool) -> str:
 # spine constant -> (family, strict)
 _SPINE = {_at_level(f, s): (f, s) for f, fam in _FAMILIES.items()
           for s in ((False, True) if fam.strict else (False,))}
-_CHECK_ONLY = {n for n, (f, _) in _SPINE.items() if _FAMILIES[f].check_only}
+_CHECK_ONLY = {n: f for n, f in _SPINE.items() if _FAMILIES[f[0]].check_only}
 
 
 class _Iota(NamedTuple):
@@ -180,14 +183,16 @@ class _Iota(NamedTuple):
 
 def _schema(fam: _Family, strict: bool) -> tuple:
     """`fam`'s schema at a level, parsed; whether its codomain names a
-    parameter; its refusal; its arity with the ι rules read off its methods:
-    the i-th binder after `P` whose type ends in `P … (c xs)` is the rule
-    on `c`, whose reduct is argument i, applied to `xs` if the method binds
-    any variable, then to the recursive call if one of them is typed `P x`."""
+    parameter; its refusal; its parts: the binder types before `P`, those
+    of `P`'s own telescope, those after `P`, and the codomain; its arity
+    with the ι rules read off its methods: the i-th binder after `P` whose
+    type ends in `P … (c xs)` is the rule on `c`, whose reduct is argument
+    i, applied to `xs` if the method binds any variable, then to the
+    recursive call if one of them is typed `P x`."""
     s = dict(S="S" * strict, s="s" * strict,
              level=("fibrant", "strict")[strict])
     ty = t = parse_term(fam.schema.format(**s), "<kernel>")
-    rules, i = {}, 0                # i: the binders from the motive on
+    doms, rules, i = [], {}, 0      # i: the binders from the motive on
     while type(t) is Pi:
         m, own = t.dom, []
         while type(m) is Pi:
@@ -198,10 +203,14 @@ def _schema(fam: _Family, strict: bool) -> tuple:
             rules[c.name] = _Iota(len(cs), i, applied=bool(own), recursive=any(
                 type(d) is App and d.fn == var(i - 1 + j)
                 for j, d in enumerate(own)))
+        if t.name == "P":
+            motive, p = own, len(doms)
+        doms.append(t.dom)
         i += i > 0 or t.name == "P"
         t = t.cod
     reads = any(type(u) is Var and u.idx - d > i for u, d in _nodes(t))
-    return ty, reads, fam.refusal.format(**s), (fam.arity, rules)
+    return (ty, reads, fam.refusal.format(**s), doms[:p], motive,
+            doms[p + 1:], t, (fam.arity, rules))
 
 
 _ELIM_TYPES = {n: _schema(_FAMILIES[f], s) for n, (f, s) in _SPINE.items()
@@ -211,7 +220,6 @@ _ELIM_TYPES = {n: _schema(_FAMILIES[f], s) for n, (f, s) in _SPINE.items()
 _IOTA = {"fst": (1, {"pair": _Iota(2, 0, component=True)}),
          "snd": (1, {"pair": _Iota(2, 1, component=True)}),
          **{n: e[-1] for n, e in _ELIM_TYPES.items() if e[-1][1]}}
-_ELIMS = set(_IOTA)
 
 
 def _beta(lam: Lam, args: Sequence[Term]) -> tuple[Term, Sequence[Term]]:
@@ -283,11 +291,11 @@ _CONST_TYPES = {name: parse_term(ty, "<kernel>") for name, ty in {
 }.items()}
 
 
-# The unary constants `c : X -> X` over a built-in type `X` (`succ`, `succS`):
-# `infer` walks a tower of their applications, a numeral, in one loop.
-_TOWERS = {name for name, ty in _CONST_TYPES.items()
-           if type(ty) is Pi and type(ty.dom) is Const
-           and ty.dom == ty.cod}
+# The unary constants `c : X -> X` over a built-in type `X` (`succ`, `succS`),
+# with their types: `infer` walks a tower of their applications in one loop.
+_TOWERS = {name: ty for name, ty in _CONST_TYPES.items()
+           if type(ty) is Pi and type(ty.dom) is Const and ty.dom == ty.cod}
+_AXIOMS = {"uip": "UIP", "funextS": "FUNEXT"}     # the rule each records
 
 
 class Checker:
@@ -296,7 +304,16 @@ class Checker:
     def __init__(self, env: Optional[dict[str, EnvEntry]] = None,
                  options: Optional[KernelOptions] = None):
         self.env: dict[str, EnvEntry] = dict(env or {})
-        self.options = options or KernelOptions()
+        self.options = options = options or KernelOptions()
+        # the tables the rules read: the omitted constants are in none, and
+        # without `js_beta` `Js` has no ι rule
+        omit = options.omit_consts
+        tables = _CONST_TYPES, _SPINE, _TOWERS, _CHECK_ONLY
+        self._closed, self._spine, self._towers, self._check_only = (
+            [{k: v for k, v in t.items() if k not in omit} for t in tables]
+            if omit else tables)
+        self._iota_rules = _IOTA if options.js_beta else {
+            k: v for k, v in _IOTA.items() if k != "Js"}
         self.decl_rules: set[str] = set()
         self._checked = False     # re-typing terms the kernel has checked
         self._projected: dict[tuple, tuple] = {}
@@ -332,10 +349,6 @@ class Checker:
     def _use(self, rule: str):
         self.decl_rules.add(rule)
 
-    def _const_ok(self, name: str):
-        if name in self.options.omit_consts:
-            raise TypeError_("CONST", f"constant {name!r} is not available")
-
     # -- weak head normalization ------------------------------------------
 
     def whnf(self, t: Term) -> Term:
@@ -356,7 +369,8 @@ class Checker:
         that is not an eliminator (`succ m`, `inl a`, `refl a`), is returned
         as it stands: the loop would split it, stop at that head with the
         one argument and return the node it was given."""
-        if type(t) is App and type(t.fn) is Const and t.fn.name not in _ELIMS:
+        elims = self._iota_rules    # the heads ι reduces
+        if type(t) is App and type(t.fn) is Const and t.fn.name not in elims:
             return t
         head, args, built, prefix = t, (), t, None
         while True:
@@ -369,7 +383,7 @@ class Checker:
                 args = front
                 continue
             if k is Const and args:
-                if head.name not in _ELIMS:
+                if head.name not in elims:
                     break
                 red = self._iota(head, args, prefix)
                 if red is None:
@@ -392,7 +406,7 @@ class Checker:
 
     def _iota(self, head: Term, args: list[Term],
               prefix: Optional[Term] = None) -> Optional[tuple]:
-        """Computation rules for eliminator spines, read off `_IOTA`: the
+        """Computation rules for eliminator spines, read off its ι table: the
         reduct's head and arguments, or None if stuck.  `prefix`, if given,
         is the node of `head` applied to all of `args` but the last.  When
         `args` are exactly the family's arity, the recursive call on a
@@ -403,15 +417,14 @@ class Checker:
         `App` of a constant that is not an eliminator) or a bare constant
         (`zero`) is read as it stands, as `whnf` would return it, with no
         `whnf` and no `spine`."""
-        elim = _IOTA.get(head.name) if type(head) is Const else None
-        if (elim is None or len(args) < elim[0]
-                or head.name == "Js" and not self.options.js_beta):
+        elim = self._iota_rules.get(head.name) if type(head) is Const else None
+        if elim is None or len(args) < elim[0]:
             return None
         arity, rules = elim
         major = args[arity - 1]
         k = type(major)
         if (k is App and type(major.fn) is Const
-                and major.fn.name not in _ELIMS):
+                and major.fn.name not in self._iota_rules):
             c, c_args = major.fn.name, [major.arg]
         elif k is Const:
             c, c_args = major.name, []
@@ -558,11 +571,10 @@ class Checker:
         if k is Var:
             return shift(ctx[t.idx], t.idx + 1)
         if k is App:
-            if type(t.fn) is Const and t.fn.name in _TOWERS:
+            if type(t.fn) is Const and t.fn.name in self._towers:
                 return self._infer_tower(ctx, t)
             head, args = spine(t)
-            if isinstance(head, Const) and head.name in _SPINE:
-                self._const_ok(head.name)
+            if isinstance(head, Const) and head.name in self._spine:
                 fty, args = self._infer_spine(ctx, head.name, args)
             elif isinstance(head, Lam):
                 # a redex: type the arguments β takes, then its reduct once
@@ -599,17 +611,14 @@ class Checker:
             return s
         if k is Const:
             name = t.name
-            self._const_ok(name)
-            if name in _CONST_TYPES:
-                if name == "uip":
-                    self._use("UIP")
-                if name == "funextS":
-                    self._use("FUNEXT")
-                return _CONST_TYPES[name]
-            raise TypeError_(
-                "ARITY",
-                f"constant {name!r} must be applied to "
-                f"{_FAMILIES[_SPINE[name][0]].arity} arguments")
+            if name in self._closed:
+                if name in _AXIOMS:
+                    self._use(_AXIOMS[name])
+                return self._closed[name]
+            if name not in self._spine:     # taken out by the options
+                raise TypeError_("CONST", f"constant {name!r} is not available")
+            raise TypeError_("ARITY", f"constant {name!r} must be applied to "
+                             f"{_FAMILIES[_SPINE[name][0]].arity} arguments")
         if k is Eq:
             carrier = self.infer(ctx, t.lhs)
             sc = self._on_checked(self.infer_sort, ctx, carrier)
@@ -648,17 +657,17 @@ class Checker:
         order: each constant from the outside in, then the innermost
         argument, then each level against the domain of the next one out.
         A checked tower has one level throughout, its outermost one."""
+        towers = self._towers
         if self._checked:
-            return _CONST_TYPES[t.fn.name].cod
+            return towers[t.fn.name].cod
         tower = []
-        while type(t) is App and type(t.fn) is Const and t.fn.name in _TOWERS:
-            self._const_ok(t.fn.name)
+        while type(t) is App and type(t.fn) is Const and t.fn.name in towers:
             tower.append(t)
             t = t.arg
-        ty = _CONST_TYPES[tower[-1].fn.name]
+        ty = towers[tower[-1].fn.name]
         self.check(ctx, t, ty.dom)
         for i in range(len(tower) - 1, 0, -1):
-            outer = _CONST_TYPES[tower[i - 1].fn.name]
+            outer = towers[tower[i - 1].fn.name]
             if outer is not ty:     # a constant's codomain is its domain
                 if not self.convert(ty.cod, outer.dom, True):
                     raise self._mismatch(ctx, tower[i], ty.cod, outer.dom)
@@ -762,12 +771,9 @@ class Checker:
                             "refl needs a fibrant carrier, got sort "
                             f"{_sort(sc)}; use reflS for pretypes")
                 ty = Eq(strict, a, a)
-            case _:     # an eliminator, typed from its schema
-                t, reads, refusal, _ = _ELIM_TYPES[name]
-                first = []      # the parameters', a first major premise's type
-                while t.name != "P":
-                    first.append(t.dom)
-                    t = t.cod
+            case _:     # an eliminator, typed from its schema's parts
+                _, reads, refusal, first, motive, methods, cod, _ = (
+                    _ELIM_TYPES[name])
                 vals = [None] * (len(first) - 1)
                 if first:
                     if reads or not checked:
@@ -781,21 +787,14 @@ class Checker:
                                 self.infer, ctx, vals[j])   # unread: j's type
                     vals.append(args[-1])
                 if not checked:
-                    doms, m = [], t.dom
-                    while type(m) is Pi:
-                        doms.append(_instantiate(m.dom, vals, len(doms)))
-                        m = m.cod
-                    self._elim_motive(ctx, name, args[0], doms)
+                    self._elim_motive(ctx, name, args[0], [
+                        _instantiate(d, vals, j) for j, d in enumerate(motive)])
                 vals.append(args[0])
-                t = t.cod
-                for a in args[1:]:  # the methods, a major premise typed last
-                    if type(t) is not Pi:
-                        break
+                for a, dom in zip(args[1:], methods):   # a last major, too
                     if not checked:
-                        self.check(ctx, a, _instantiate(t.dom, vals))
+                        self.check(ctx, a, _instantiate(dom, vals))
                     vals.append(a)
-                    t = t.cod
-                ty = _instantiate(t, vals)
+                ty = _instantiate(cod, vals)
         if rules[0]:
             self._use(rules[strict])
         return ty, extra
@@ -806,8 +805,7 @@ class Checker:
         k = type(t)
         if k is App or k is Const:
             head, args = spine(t)
-            if isinstance(head, Const) and head.name in _CHECK_ONLY:
-                self._const_ok(head.name)
+            if isinstance(head, Const) and head.name in self._check_only:
                 return self._check_intro(ctx, head.name, args, self.whnf(ty))
         elif k is Lam:
             tyw = self.whnf(ty)
@@ -824,7 +822,7 @@ class Checker:
     def _check_intro(self, ctx: list[Term], name: str, args: list[Term],
                      tyw: Term) -> None:
         """Check-mode rules for pair, inl and inr."""
-        family, strict = _SPINE[name]
+        family, strict = self._check_only[name]
         if family == "pair" and len(args) == 2 and isinstance(tyw, Sig):
             self.check(ctx, args[0], tyw.dom)
             self.check(ctx, args[1], subst(tyw.cod, (args[0],)))

@@ -754,15 +754,20 @@ def test_the_check_sees_a_self_call():
 ELIMINATOR_FAMILIES = {"J", "indNat", "indEmpty", "indSum"}
 
 
-def named_families(source: str, cls: str, methods: tuple) -> set[str]:
-    """The strings of `ELIMINATOR_FAMILIES` that the methods `methods` of
-    class `cls` in `source` hold as constants."""
+def class_methods(source: str, cls: str) -> list:
+    """The methods of class `cls` in `source`, as syntax trees."""
     tree = next(node for node in ast.parse(source).body
                 if isinstance(node, ast.ClassDef) and node.name == cls)
-    return {n.value for fn in tree.body
-            if isinstance(fn, FUNCTIONS) and fn.name in methods
+    return [fn for fn in tree.body if isinstance(fn, FUNCTIONS)]
+
+
+def held_names(source: str, cls: str, methods: tuple,
+               names=ELIMINATOR_FAMILIES) -> set[str]:
+    """The strings of `names` that the methods `methods` of class `cls` in
+    `source` hold as constants."""
+    return {n.value for fn in class_methods(source, cls) if fn.name in methods
             for n in ast.walk(fn) if isinstance(n, ast.Constant)
-            and n.value in ELIMINATOR_FAMILIES}
+            and n.value in names}
 
 
 ELIMINATOR_METHODS = ("_infer_spine", "_elim_motive", "_iota")
@@ -773,8 +778,8 @@ def test_eliminators_are_typed_and_reduced_from_their_tables():
     takes its messages from the family's row and `_iota` reduces it from
     `_IOTA`: none names a family, so a case written for one cannot come
     back unnoticed."""
-    assert named_families(pathlib.Path(kernel.__file__).read_text(),
-                          "Checker", ELIMINATOR_METHODS) == set()
+    assert held_names(pathlib.Path(kernel.__file__).read_text(),
+                      "Checker", ELIMINATOR_METHODS) == set()
 
 
 def test_the_check_sees_a_family_case():
@@ -786,5 +791,69 @@ def test_the_check_sees_a_family_case():
               "    def _elim_motive(self, family):\n"
               "        return 'for' if family == 'J' else 'instead'\n"
               "    def other(self):\n        return 'indEmpty'\n")
-    assert named_families(source, "C", ELIMINATOR_METHODS) == {
+    assert held_names(source, "C", ELIMINATOR_METHODS) == {
         "indNat", "indSum", "J"}
+
+
+# every member of an eliminator family, strict members included
+ELIMINATOR_MEMBERS = ELIMINATOR_FAMILIES | {"Js", "indNatS", "indEmptyS",
+                                            "indSumS"}
+# the rules that find a built-in in the tables a checker builds
+TABLE_READERS = ("whnf", "_iota", "infer", "_infer_tower", "check",
+                 "_elim_motive")
+
+
+def test_the_rules_name_no_builtin():
+    """The typing and reduction rules find each built-in in the checker's
+    tables: none holds a built-in's name as a string (`Js` for `js_beta`,
+    `uip` for its rule), nor `_infer_spine` an eliminator's.  Only
+    `__init__`, which drops `Js`'s ι rule, may name a member."""
+    assert ELIMINATOR_MEMBERS <= syntax.BUILTIN_CONSTS
+    source = pathlib.Path(kernel.__file__).read_text()
+    assert held_names(source, "Checker", TABLE_READERS,
+                      syntax.BUILTIN_CONSTS) == set()
+    assert held_names(source, "Checker", ("_infer_spine",),
+                      ELIMINATOR_MEMBERS) == set()
+
+
+def test_the_check_sees_a_builtin_name():
+    source = ("class C:\n    def __init__(self):\n"
+              "        self.drop = {'Js'}\n"
+              "    def _iota(self, head):\n"
+              "        return head.name == 'Js'\n"
+              "    def infer(self, name):\n"
+              "        return name == 'uip' or name == 'funextS'\n"
+              "    def _infer_spine(self, name):\n"
+              "        return name in ('indNatS', 'fst')\n")
+    assert held_names(source, "C", TABLE_READERS,
+                      syntax.BUILTIN_CONSTS) == {"Js", "uip", "funextS"}
+    assert held_names(source, "C", ("_infer_spine",),
+                      ELIMINATOR_MEMBERS) == {"indNatS"}
+
+
+def options_readers(source: str, cls: str) -> set[str]:
+    """The methods of class `cls` in `source`, but `__init__`, that read an
+    attribute `options`."""
+    return {fn.name for fn in class_methods(source, cls)
+            if fn.name != "__init__" for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and n.attr == "options"}
+
+
+def test_options_are_applied_when_a_checker_is_built():
+    """A checker's options choose its tables in `__init__`, and no rule
+    tests an option."""
+    assert options_readers(pathlib.Path(kernel.__file__).read_text(),
+                           "Checker") == set()
+
+
+def test_the_check_sees_an_options_read():
+    source = ("class C:\n    def __init__(self, options):\n"
+              "        self.options = options\n"
+              "        self.on = options.js_beta\n"
+              "    def _iota(self, head):\n"
+              "        return self.options.js_beta\n"
+              "    def _const_ok(self, name):\n"
+              "        omit = self.options.omit_consts\n"
+              "        return name in omit\n"
+              "    def other(self):\n        return self.on\n")
+    assert options_readers(source, "C") == {"_iota", "_const_ok"}

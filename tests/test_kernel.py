@@ -1296,7 +1296,7 @@ class TestSharedSpines:
 # Majors for `_iota` and arguments for constructors, as sources in the scope
 # IOTA_SCOPE: constructor applications, eliminator redexes and stuck
 # spines, annotations, β redexes and the globals of READ_ENV, nested
-CONSTRUCTORS = sorted(set(CONSTS) - kernel._ELIMS)
+CONSTRUCTORS = sorted(set(CONSTS) - kernel._IOTA.keys())
 # each eliminator's spine but its major, with the heads its ι rules read
 ELIMINATIONS = {"fst": ["pair a"], "snd": ["pair a"], "J P z": ["refl"],
                 "Js P z": ["reflS"], "indNat P z s": ["succ"],
@@ -1383,7 +1383,7 @@ class TestConstructorApplications:
                            f"({random_major(rng)})")
             for u, _ in syntax._nodes(t):
                 if (type(u) is App and type(u.fn) is Const
-                        and u.fn.name not in kernel._ELIMS):
+                        and u.fn.name not in kernel._IOTA):
                     assert checker.whnf(u) is u
                     seen += 1
         assert seen >= 150
@@ -1459,6 +1459,73 @@ class TestOptions:
         with pytest.raises(TypeError_):
             ck2.check([], term("reflS zero"), ty)
 
+    def test_a_checker_reads_the_module_tables_less_what_its_options_drop(
+            self):
+        def tables(ck):
+            return (ck._closed, ck._spine, ck._towers, ck._check_only,
+                    ck._iota_rules)
+        module = (kernel._CONST_TYPES, kernel._SPINE, kernel._TOWERS,
+                  kernel._CHECK_ONLY, kernel._IOTA)
+        assert tables(Checker()) == module
+        off = tables(Checker(options=KernelOptions(js_beta=False)))
+        assert off[:-1] == module[:-1]
+        assert off[-1] == {n: r for n, r in kernel._IOTA.items() if n != "Js"}
+        omit = frozenset({"uip", "succS", "indNat", "inl"})
+        omitted = tables(Checker(options=KernelOptions(omit_consts=omit)))
+        for got, full in zip(omitted[:-1], module):
+            assert got == {n: v for n, v in full.items() if n not in omit}
+        assert omitted[-1] == kernel._IOTA
+
+    @pytest.mark.parametrize("src, omit, rule, message", [
+        # a bare constant, in the body and in the type
+        ("check star : Unit", "star", "CONST",
+         "constant 'star' is not available"),
+        ("check zero : Nat", "Nat", "CONST",
+         "constant 'Nat' is not available"),
+        # a spine head, before any argument is typed
+        ("check indNat (fun n => Nat) (Us 0) (fun m r => r) zero : Nat",
+         "indNat", "CONST", "constant 'indNat' is not available"),
+        ("check fst star : Nat", "fst", "CONST",
+         "constant 'fst' is not available"),
+        # a tower head, and a tower level inside another
+        ("check succ (succ star) : Nat", "succ", "CONST",
+         "constant 'succ' is not available"),
+        ("check succ (succS (succS star)) : Nat", "succS", "CONST",
+         "constant 'succS' is not available"),
+        # a check-only head
+        ("check inl zero : Sum Nat Nat", "inl", "CONST",
+         "constant 'inl' is not available"),
+        ("check pair zero zero : Sig (x : Nat), Nat", "pair", "CONST",
+         "constant 'pair' is not available"),
+        # an earlier obligation fails first, and its rule is reported
+        ("check indNat (fun n => Nat) (Us 0) (fun m r => uip) zero : Nat",
+         "uip", "CONV",
+         "type mismatch: inferred `Us 1` does not subsume expected `Nat`"),
+        # only the kernel builds `fst`: Σ-η, and the type of `snd p`
+        ("check (fun p a => refl p) : Pi (p : Sig (x : Nat), Nat) (a : Nat),"
+         " p = pair a a", "fst", "CONV", "type mismatch: inferred `x0 = x0` "
+         "does not subsume expected `x0 = pair x1 x1`"),
+        ("check (fun p => snd p) : Pi (p : Sig (x : Nat), Nat), Nat", "fst",
+         None, None),
+    ], ids=["bare", "bare-type", "spine", "projection", "tower",
+            "inner-level", "check-only", "check-only-pair", "earlier",
+            "eta", "snd-type"])
+    def test_every_route_of_an_omitted_constant(self, src, omit, rule,
+                                                 message):
+        """An omitted constant reaches `infer`'s `Const` case, the one rule
+        that refuses it, whether it stands bare, heads a spine, a tower or
+        a tower level, or heads a check-only term; one the kernel builds
+        itself is not refused."""
+        options = KernelOptions(omit_consts=frozenset({omit}))
+        mod = resolve(parse(f"{src}\n"))
+        record = check_module(Checker(options=options), mod).records[-1]
+        if rule is None:
+            assert record == check_module(Checker(), mod).records[-1]
+            assert record["status"] == "pass"
+        else:
+            assert (record["status"], record["rule"], record["message"]) == (
+                "fail", rule, message)
+
 
 class CaseRecording(Recording, CaseChecker):
     """`Recording` over the case-per-family oracle."""
@@ -1508,6 +1575,19 @@ class TestSchemas:
         assert type(Checker().infer_sort([], ty)) is Univ
 
     @pytest.mark.parametrize("name", sorted(kernel._ELIM_TYPES))
+    def test_the_parts_of_each_schema_rebuild_it(self, name):
+        """The binders before `P`, `P`'s telescope into its universe, the
+        binders after `P` and the codomain are the parsed schema."""
+        ty, _, _, first, motive, methods, cod, _ = kernel._ELIM_TYPES[name]
+
+        def pis(doms, t):
+            for d in reversed(doms):
+                t = Pi("_", d, t)
+            return t
+        motive_ty = pis(motive, syntax.univ(not kernel._SPINE[name][1], 0))
+        assert pis(first, Pi("P", motive_ty, pis(methods, cod))) == ty
+
+    @pytest.mark.parametrize("name", sorted(kernel._ELIM_TYPES))
     def test_each_schema_binds_what_its_family_takes(self, name):
         """The motive, the methods and the major premise: the family's
         arity, with the major premise last."""
@@ -1539,7 +1619,7 @@ class TestSchemas:
     def test_each_iota_row_names_a_constructor_of_its_level(self):
         for name, (_, rules) in kernel._IOTA.items():
             for c in rules:
-                assert c in CONSTS and c not in kernel._ELIMS, (name, c)
+                assert c in CONSTS and c not in kernel._IOTA, (name, c)
                 assert c.endswith("S") == kernel._SPINE[name][1], (name, c)
 
     @pytest.mark.parametrize("ty, src, rule", [

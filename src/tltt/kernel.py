@@ -110,13 +110,16 @@ class EnvEntry:
     value: Optional[Term]     # None for axioms
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelOptions:
     """Knobs used by mutation tests; defaults give the real theory.  A
-    checker applies them once, when it is built, by the tables it keeps."""
+    checker applies them once, by the tables it builds, so they are frozen."""
 
     js_beta: bool = True                       # judgmental beta for Js
     omit_consts: frozenset = frozenset()       # pretend these builtins absent
+
+
+_DEFAULT_OPTIONS = KernelOptions()      # what a checker built without any has
 
 
 class _Family(NamedTuple):
@@ -304,7 +307,7 @@ class Checker:
     def __init__(self, env: Optional[dict[str, EnvEntry]] = None,
                  options: Optional[KernelOptions] = None):
         self.env: dict[str, EnvEntry] = dict(env or {})
-        self.options = options = options or KernelOptions()
+        self.options = options = options or _DEFAULT_OPTIONS
         # the tables the rules read: the omitted constants are in none, and
         # without `js_beta` `Js` has no ι rule
         omit = options.omit_consts

@@ -112,6 +112,22 @@ def count_pass(workloads, workload: str, seed: int) -> Counter:
     return counts
 
 
+def load_perfbench(name: str, root: pathlib.Path = ROOT):
+    """`perfbench/<name>.py` of the checkout at `root`, loaded from its file
+    as the module `perfbench_<name>`.  It is in `sys.modules` only while it
+    runs, where its dataclasses look it up, so a caller finds `sys.modules`
+    as it was."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", root / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("workload")
@@ -124,12 +140,7 @@ def main() -> None:
     import tltt
     if root / "src" not in pathlib.Path(tltt.__file__).resolve().parents:
         sys.exit(f"imported tltt from outside {root}: {tltt.__file__}")
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads      # dataclasses look it up
-    spec.loader.exec_module(workloads)
-    counts = count_pass(workloads, a.workload, a.seed)
+    counts = count_pass(load_perfbench("workloads", root), a.workload, a.seed)
     print(json.dumps({"workload": a.workload, "seed": a.seed,
                       "counts": {name: counts.get(name)
                                  for name in COUNTED}}))

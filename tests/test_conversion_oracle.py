@@ -11,7 +11,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_syntax import open_terms, perfbench_workloads, renamed
+from counters import load_perfbench
+from test_syntax import open_terms, renamed
 from tltt import corpus
 from tltt.kernel import Checker, KernelOptions, sort_leq
 from tltt.syntax import (
@@ -292,7 +293,7 @@ def test_agrees_on_seeded_shared_numeral_towers(seed):
 def test_agrees_on_numeral_modules(monkeypatch, kind):
     """Every conversion the benchmark's numeral modules ask, at depths
     from 1 to 60, with the leaves the parser shares."""
-    workloads = perfbench_workloads(monkeypatch)
+    workloads = load_perfbench("workloads")
     env = corpus.prelude_checker()[0].env
     rng = random.Random(f"numeral modules:{kind}")
     asked = []

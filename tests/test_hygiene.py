@@ -2,25 +2,83 @@
 no private function or class is left that no module reads, and no public
 function, class or method is left that neither the package nor its
 benchmark reads: what only tests read is a test oracle, in
-`tests/oracles.py`."""
+`tests/oracles.py`.  Each check finds a function, class or method of a
+source by name in its `definitions`."""
 
 import ast
 import dataclasses
-import importlib.util
+import importlib
 import pathlib
-import sys
 import typing
 from types import SimpleNamespace
 
 import pytest
 
 import tltt
-from tltt import classifier, kernel, nerve, syntax
+from counters import load_perfbench
+from tltt import kernel, syntax
 
 MODULES = sorted(pathlib.Path(tltt.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).parents[1]
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+SOURCES = {path: path.read_text() for path in READERS}
+PACKAGE = {path.stem: SOURCES[path] for path in MODULES}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(source: str) -> dict[str, ast.AST]:
+    """The syntax trees of `source` by name: each module-level function and
+    class, each method of such a class as `"Class.method"`, and the other
+    statements of the module as one tree `"<top>"`, of a class as
+    `"Class.<top>"`."""
+    found = {}
+
+    def index(prefix, body, kinds):
+        top = []
+        for node in body:
+            if isinstance(node, kinds):
+                found[prefix + node.name] = node
+                if isinstance(node, ast.ClassDef):
+                    index(f"{node.name}.", node.body, FUNCTIONS)
+            else:
+                top.append(node)
+        found[prefix + "<top>"] = ast.Module(top, [])
+    index("", ast.parse(source).body, (ast.ClassDef, *FUNCTIONS))
+    return found
+
+
+def test_the_index_names_each_definition():
+    source = ("import os\n@cache\ndef f(x):\n    return x\n"
+              "async def g():\n    await f(1)\n"
+              "class K:\n    \"\"\"A class.\"\"\"\n    n = 1\n"
+              "    def m(self):\n        def inner():\n            return 0\n"
+              "        return inner\n"
+              "    @property\n    def p(self):\n        return 2\n"
+              "X = K()\n")
+    found = definitions(source)
+    assert {name: type(t).__name__ for name, t in found.items()} == {
+        "f": "FunctionDef", "g": "AsyncFunctionDef", "K": "ClassDef",
+        "K.m": "FunctionDef", "K.p": "FunctionDef", "K.<top>": "Module",
+        "<top>": "Module"}
+    assert ast.unparse(found["K.<top>"]) == "\"\"\"A class.\"\"\"\nn = 1"
+    assert ast.unparse(found["<top>"]) == "import os\nX = K()"
+    assert found["f"].decorator_list[0].id == "cache"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_index_lists_every_function_and_method(path):
+    """The functions and methods the index lists are the function
+    definitions whose parent is the module or one of its classes."""
+    tree = ast.parse(SOURCES[path])
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    level = [tree] + [node for node in tree.body
+                      if isinstance(node, ast.ClassDef)]
+    assert sorted((fn.lineno, fn.name)
+                  for fn in definitions(SOURCES[path]).values()
+                  if isinstance(fn, FUNCTIONS)) == sorted(
+        (n.lineno, n.name) for n in ast.walk(tree)
+        if isinstance(n, FUNCTIONS) and parents[n] in level)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,7 +99,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(SOURCES[path]) == []
 
 
 def test_the_check_sees_an_unused_import():
@@ -56,7 +114,7 @@ def undocumented_records(source: str) -> list[str]:
     and that have no docstring of their own: `dataclasses` writes one for
     each of them at import, through `inspect.signature`."""
     return [f"line {node.lineno}: {node.name}"
-            for node in ast.parse(source).body
+            for node in definitions(source).values()
             if isinstance(node, ast.ClassDef)
             and ast.get_docstring(node) is None
             and any(ast.unparse(d).partition("(")[0].rpartition(".")[2]
@@ -65,7 +123,7 @@ def undocumented_records(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_dataclass_and_term_class_has_a_docstring(path):
-    assert undocumented_records(path.read_text()) == []
+    assert undocumented_records(SOURCES[path]) == []
 
 
 def test_the_check_sees_a_class_without_a_docstring():
@@ -84,14 +142,11 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     `sources` (module name -> source) reads, by name or as an attribute."""
     defined, read = [], set()
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.endswith("__")):
-                defined.append((module, node.lineno, node.name))
-        for node in ast.walk(tree):
+        defined += [(module, node.lineno, name)
+                    for name, node in definitions(source).items()
+                    if name.startswith("_") and "." not in name
+                    and not name.endswith("__")]
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -101,8 +156,7 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
 
 
 def test_no_unused_private_definitions():
-    assert unused_private_definitions(
-        {path.name: path.read_text() for path in MODULES}) == []
+    assert unused_private_definitions(PACKAGE) == []
 
 
 def test_the_check_sees_an_unused_private_definition():
@@ -114,7 +168,7 @@ def test_the_check_sees_an_unused_private_definition():
 
 
 def unused_public_definitions(sources: dict[str, str],
-                              readers: dict[str, str]) -> list[str]:
+                              readers: dict) -> list[str]:
     """Module-level functions and classes, and methods, whose names do not
     start with `_` and that no module of `readers` reads.  A function or a
     class is read by name, as an attribute, or in a string naming it, the
@@ -134,19 +188,13 @@ def unused_public_definitions(sources: dict[str, str],
                           for part in node.value.split("."))):
                 read.update(node.value.split("."))
                 dotted.add(".".join(node.value.split(".")[-2:]))
-    unused = []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if not isinstance(node, (ast.ClassDef, *FUNCTIONS)):
-                continue
-            unread = [node] if node.name not in read else []
-            if isinstance(node, ast.ClassDef):
-                unread += [m for m in node.body if isinstance(m, FUNCTIONS)
-                           and m.name not in attrs
-                           and f"{node.name}.{m.name}" not in dotted]
-            unused += [f"{module} line {d.lineno}: {d.name}" for d in unread
-                       if not d.name.startswith("_")]
-    return unused
+    return [f"{module} line {node.lineno}: {own}"
+            for module, source in sources.items()
+            for name, node in definitions(source).items()
+            for owner, _, own in [name.rpartition(".")]
+            if not own.startswith(("_", "<"))
+            and (own not in attrs and name not in dotted if owner
+                 else own not in read)]
 
 
 # Public names of the package kept for a library caller, though neither the
@@ -161,9 +209,7 @@ def test_no_unused_public_definitions():
     read belongs in `tests/oracles.py`, and one kept for a library caller
     is listed in `LIBRARY_NAMES` with its reason."""
     assert all(LIBRARY_NAMES.values())
-    unused = unused_public_definitions(
-        {path.name: path.read_text() for path in MODULES},
-        {str(path): path.read_text() for path in READERS})
+    unused = unused_public_definitions(PACKAGE, SOURCES)
     assert [entry for entry in unused
             if entry.rpartition(": ")[2] not in LIBRARY_NAMES] == []
 
@@ -187,36 +233,27 @@ def callers(name: str, sources: dict[str, str]) -> set[str]:
     """Where `sources` (module name -> source) call `name`, by name or as an
     attribute: `module.function`, `module.Class.method`, or `module.<top>`
     for a call outside any function."""
-    found = set()
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
-            for fn in members:
-                where = fn.name if isinstance(fn, FUNCTIONS) else "<top>"
-                if any(isinstance(n, ast.Call)
-                       and name in (getattr(n.func, "id", None),
-                                    getattr(n.func, "attr", None))
-                       for n in ast.walk(fn)):
-                    found.add(f"{module}.{prefix}{where}")
-    return found
+    return {f"{module}.{where}" for module, source in sources.items()
+            for where, tree in definitions(source).items()
+            if not isinstance(tree, ast.ClassDef)
+            and any(isinstance(n, ast.Call)
+                    and name in (getattr(n.func, "id", None),
+                                 getattr(n.func, "attr", None))
+                    for n in ast.walk(tree))}
 
 
 def test_diagrams_are_tabulated_in_one_place():
     """Every diagram the package builds gets its action tables from
     `categories.tabulate`, so their order is decided once; only the fixture
     loader, whose tables are input, builds a `SetDiagram` itself."""
-    assert callers("SetDiagram",
-                   {path.stem: path.read_text() for path in MODULES}) == {
+    assert callers("SetDiagram", PACKAGE) == {
         "categories.tabulate", "fixtures.diagram_from_json"}
 
 
 def test_builtins_are_built_once():
     """Every built-in is one node, built into `syntax.CONSTS` at import;
     the parser and the kernel take it from there."""
-    assert callers("Const",
-                   {path.stem: path.read_text() for path in MODULES}) == {
-        "syntax.<top>"}
+    assert callers("Const", PACKAGE) == {"syntax.<top>"}
 
 
 def test_variables_and_universes_are_shared():
@@ -224,9 +261,8 @@ def test_variables_and_universes_are_shared():
     into `syntax.VARS` and `syntax.UNIVS` at import; `syntax.var` and
     `syntax.univ` hand them out and build the only other ones, above the
     bound."""
-    sources = {path.stem: path.read_text() for path in MODULES}
-    assert callers("Var", sources) == {"syntax.<top>", "syntax.var"}
-    assert callers("Univ", sources) == {"syntax.<top>", "syntax.univ"}
+    assert callers("Var", PACKAGE) == {"syntax.<top>", "syntax.var"}
+    assert callers("Univ", PACKAGE) == {"syntax.<top>", "syntax.univ"}
 
 
 def bypasses(source: str) -> list[str]:
@@ -247,7 +283,7 @@ def test_every_instance_is_built_by_its_constructor():
     each function that makes one shows that its bits are downward closed
     (`tests/test_simplex.py` checks them all), so no second way in skips
     what the constructor does."""
-    found = {path.name: bypasses(path.read_text()) for path in MODULES}
+    found = {module: bypasses(source) for module, source in PACKAGE.items()}
     assert {module: sites for module, sites in found.items() if sites} == {}
 
 
@@ -279,12 +315,11 @@ def test_the_exponential_builds_no_intermediate_diagram():
     `tests/test_solver.py` checks against brute force.  The product and the
     representable that the textbook exponential builds are test oracles,
     and no module of the package imports from the tests."""
-    sources = {path.stem: path.read_text() for path in MODULES}
     assert "categories.exponential_diagram" not in callers(
-        "diagram_nat_transforms", sources)
+        "diagram_nat_transforms", PACKAGE)
     tests = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
     found = {module: imported_modules(source) & tests
-             for module, source in sources.items()}
+             for module, source in PACKAGE.items()}
     assert {module: names for module, names in found.items() if names} == {}
 
 
@@ -307,20 +342,11 @@ def test_the_check_sees_every_caller():
     assert callers("D", tables) == {"t.<top>", "t.d", "k.eta"}
 
 
-def _tracer():
-    """The benchmark's tracer module, loaded from its file."""
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_name_exists():
     """Each name the tracer wraps resolves on its `tltt` module, a
     `"Class.method"` in the class's own `__dict__`, as the tracer looks it
     up; a refactor that deletes one otherwise fails only a traced run."""
-    tracer = _tracer()
+    tracer = load_perfbench("tracer")
     missing = []
     for module, attr, _ in tracer.SPANNED + tracer.COUNTED:
         owner = importlib.import_module(f"tltt.{module}")
@@ -336,16 +362,12 @@ def test_every_traced_name_exists():
 
 @pytest.mark.parametrize("workload",
                          ["corpus", "numerals", "diagrams", "simplices"])
-def test_every_benchmark_item_passes_its_check(workload, monkeypatch):
+def test_every_benchmark_item_passes_its_check(workload):
     """Each of the benchmark's plans, loaded from its file, at a fixed
     seed: each item runs once and passes its own check.  A refactor that
     breaks a name or a result they read otherwise fails only a benchmark
     run."""
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench("workloads")
     tl = SimpleNamespace(**{p.stem: importlib.import_module(f"tltt.{p.stem}")
                             for p in MODULES if p.stem != "__init__"})
     plan = workloads.WORKLOADS[workload](tl, 0)
@@ -358,23 +380,21 @@ def test_one_presheaf_type():
     """A semi-simplicial set is a `SetDiagram` on the semi-simplex category:
     the package defines no second type for it, and no module of it calls
     `categories.sset_to_diagram`, which only the benchmark still reads."""
-    sources = {path.stem: path.read_text() for path in MODULES}
-    assert callers("sset_to_diagram", sources) == set()
+    assert callers("sset_to_diagram", PACKAGE) == set()
     assert not any("FiniteSemiSimplicialSet" in source
-                   for source in sources.values())
+                   for source in PACKAGE.values())
 
 
 def test_nat_key_has_no_caller_in_the_package():
     """`categories.nat_key` is another name for `family_key`, kept only
     because the benchmark reads it; the package calls `family_key`."""
-    sources = {path.stem: path.read_text() for path in MODULES}
-    assert callers("nat_key", sources) == set()
-    assert callers("family_key", sources) >= {
+    assert callers("nat_key", PACKAGE) == set()
+    assert callers("family_key", PACKAGE) >= {
         "categories.exponential_diagram", "cli.cmd_exponential"}
 
 
-WALKERS = {"syntax.py": ("subst", "_differ", "_print", "_nodes"),
-           "kernel.py": ("Checker.whnf", "Checker.infer", "Checker.check",
+WALKERS = {"syntax": ("subst", "_differ", "_print", "_nodes"),
+           "kernel": ("Checker.whnf", "Checker.infer", "Checker.check",
                          "Checker.convert")}
 
 
@@ -384,27 +404,17 @@ def test_term_walkers_dispatch_without_match():
     in turn, each failed `case Cls(...)` a class test, so the commonest
     node, tested late, paid for every case ahead of it; the identity tests
     took the `corpus` workload from 57.6 to 94.7 items/s (`BENCH_17.json`)."""
-    found = {}
-    for path in MODULES:
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
-            for fn in members:
-                if isinstance(fn, FUNCTIONS):
-                    found[path.name, prefix + fn.name] = fn
     for module, names in WALKERS.items():
+        found = definitions(PACKAGE[module])
         for name in names:
-            fn = found[module, name]
-            assert not any(isinstance(n, ast.Match) for n in ast.walk(fn)), name
+            assert not any(isinstance(n, ast.Match)
+                           for n in ast.walk(found[name])), name
 
 
 def calls_in(source: str, name: str) -> set[str]:
     """The callees of module-level function `name` in `source`, each as
     written (`k`, `self.m`, `type(t)`)."""
-    fn = next(node for node in ast.parse(source).body
-              if isinstance(node, FUNCTIONS) and node.name == name)
-    return {ast.unparse(n.func) for n in ast.walk(fn)
+    return {ast.unparse(n.func) for n in ast.walk(definitions(source)[name])
             if isinstance(n, ast.Call)}
 
 
@@ -412,8 +422,7 @@ def test_shift_is_subst_with_no_terms():
     """`shift` calls `subst` and nothing else, so it builds no term node of
     its own: substitution is one walker, and a second one that rebuilds
     terms cannot come back unnoticed."""
-    assert calls_in(pathlib.Path(syntax.__file__).read_text(),
-                    "shift") == {"subst"}
+    assert calls_in(PACKAGE["syntax"], "shift") == {"subst"}
 
 
 def test_the_check_sees_a_rebuild():
@@ -430,12 +439,11 @@ def python_steps(source: str, name: str) -> list[str]:
     `while`, each `lambda`, and each `map` of a function defined in
     `source`, or `sub` or `subn` that calls one on each match, as
     `R.sub(f, s)` and `re.sub(p, f, s)` do."""
-    tree = ast.parse(source)
-    own = {node.name for node in tree.body if isinstance(node, FUNCTIONS)}
-    fn = next(node for node in tree.body
-              if isinstance(node, FUNCTIONS) and node.name == name)
+    found = definitions(source)
+    own = {defined for defined, fn in found.items()
+           if "." not in defined and isinstance(fn, FUNCTIONS)}
     steps = []
-    for n in ast.walk(fn):
+    for n in ast.walk(found[name]):
         if isinstance(n, (ast.For, ast.comprehension)):
             steps.append(ast.unparse(n.iter))
         elif isinstance(n, (ast.While, ast.Lambda)):
@@ -454,8 +462,7 @@ def test_the_scan_takes_no_python_step_per_token():
     ordinary one: the tokens come from one `split` and their columns are
     built in C, with no loop over the matches, which cost the `numerals`
     front end a Python step per token."""
-    steps = python_steps(pathlib.Path(syntax.__file__).read_text(),
-                         "tokenize")
+    steps = python_steps(PACKAGE["syntax"], "tokenize")
     callbacks = [step for step in steps if not step.startswith("set(")]
     assert len(steps) > len(callbacks), steps
     assert len(callbacks) <= 1 and all(".sub(" in step
@@ -484,13 +491,7 @@ def test_the_check_sees_a_loop_over_matches():
 def names_read(source: str, name: str) -> set[str]:
     """The names that function `name` of `source`, or method `name` as
     "Class.method", reads, by name or as an attribute."""
-    owner, _, name = name.rpartition(".")
-    body = ast.parse(source).body
-    if owner:
-        body = next(node for node in body if isinstance(node, ast.ClassDef)
-                    and node.name == owner).body
-    fn = next(node for node in body
-              if isinstance(node, FUNCTIONS) and node.name == name)
+    fn = definitions(source)[name]
     return ({n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
             | {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)})
 
@@ -501,7 +502,7 @@ def test_the_hot_path_works_out_no_position():
     `Tokens.place`.  The column and a line and column for every free name
     were most of the `numerals` front end's work, for 200 positions
     reported."""
-    source = pathlib.Path(syntax.__file__).read_text()
+    source = PACKAGE["syntax"]
     assert not names_read(source, "tokenize") & {"accumulate", "bisect_right"}
     assert not names_read(source, "Parser.term") & {
         "accumulate", "bisect_right", "offs", "place"}
@@ -521,11 +522,8 @@ def newline_scans(source: str) -> set[str]:
     """The functions of `source`, a method as "Class.method", that call
     `.count("\\n", ...)` or `.rfind("\\n", ...)`: the ones that work out
     a line or a column."""
-    body = ast.parse(source).body
-    fns = [("", node) for node in body] + [
-        (f"{node.name}.", fn) for node in body
-        if isinstance(node, ast.ClassDef) for fn in node.body]
-    return {owner + fn.name for owner, fn in fns if isinstance(fn, FUNCTIONS)
+    return {name for name, fn in definitions(source).items()
+            if isinstance(fn, FUNCTIONS)
             for n in ast.walk(fn) if isinstance(n, ast.Call)
             and isinstance(n.func, ast.Attribute)
             and n.func.attr in ("count", "rfind")
@@ -537,8 +535,7 @@ def test_lines_and_columns_are_worked_out_in_one_place():
     """Every line and column that `syntax` reports, a declaration's, a
     name's or an error's, the lexer's included, is worked out by
     `Tokens.place`: no other function counts or seeks newlines."""
-    source = pathlib.Path(syntax.__file__).read_text()
-    assert newline_scans(source) == {"Tokens.place"}
+    assert newline_scans(PACKAGE["syntax"]) == {"Tokens.place"}
 
 
 def test_the_check_sees_a_second_placer():
@@ -554,14 +551,12 @@ def test_the_check_sees_a_second_placer():
 def validates_naturality(source: str, name: str) -> bool:
     """Whether module-level function `name` in `source` calls
     `DiagramMap(...).validate()` and reads no `.action` itself."""
-    fn = next(node for node in ast.parse(source).body
-              if isinstance(node, FUNCTIONS) and node.name == name)
     validates = any(callee.startswith("DiagramMap(")
                     and callee.endswith(").validate")
                     for callee in calls_in(source, name))
     return validates and not any(
         isinstance(n, ast.Attribute) and n.attr == "action"
-        for n in ast.walk(fn))
+        for n in ast.walk(definitions(source)[name]))
 
 
 def test_round_trip_checks_naturality_with_validate():
@@ -569,8 +564,7 @@ def test_round_trip_checks_naturality_with_validate():
     validates it: naturality is checked in one place, and a loop of its own
     over the arrows, which would read the action tables, cannot come back
     unnoticed."""
-    assert validates_naturality(
-        pathlib.Path(classifier.__file__).read_text(), "round_trip")
+    assert validates_naturality(PACKAGE["classifier"], "round_trip")
 
 
 def test_the_check_sees_an_own_naturality_loop():
@@ -592,8 +586,7 @@ def global_calls(source: str, name: str) -> set[str]:
     plain names bound nowhere inside it (no parameter, assignment, loop
     target or nested definition): the calls that a monkeypatch of the
     module attribute reaches."""
-    fn = next(node for node in ast.parse(source).body
-              if isinstance(node, FUNCTIONS) and node.name == name)
+    fn = definitions(source)[name]
     bound = {n.arg for n in ast.walk(fn) if isinstance(n, ast.arg)}
     bound |= {n.id for n in ast.walk(fn)
               if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
@@ -609,8 +602,7 @@ def test_the_pointed_comparison_calls_its_faces_by_module_name():
     through the module's own names, so the tests that monkeypatch one of
     them (`TestPointedComparisonCanFail` in tests/test_nerve.py) reach the
     comparison."""
-    calls = global_calls(pathlib.Path(nerve.__file__).read_text(),
-                         "compare_pointed_nerves")
+    calls = global_calls(PACKAGE["nerve"], "compare_pointed_nerves")
     assert {"pointed_face", "based_face", "pointed_to_based"} <= calls, calls
 
 
@@ -668,14 +660,13 @@ def test_every_term_kind_is_a_slotted_node():
 def recursive_methods(source: str, cls: str) -> set[str]:
     """The methods of class `cls` in `source` that reach themselves through
     calls `self.<method>(...)`."""
-    tree = next(node for node in ast.parse(source).body
-                if isinstance(node, ast.ClassDef) and node.name == cls)
     calls = {fn.name: {n.func.attr for n in ast.walk(fn)
                        if isinstance(n, ast.Call)
                        and isinstance(n.func, ast.Attribute)
                        and isinstance(n.func.value, ast.Name)
                        and n.func.value.id == "self"}
-             for fn in tree.body if isinstance(fn, FUNCTIONS)}
+             for name, fn in definitions(source).items()
+             if name.startswith(f"{cls}.") and isinstance(fn, FUNCTIONS)}
 
     def reaches_itself(start):
         seen, todo = set(), list(calls[start])
@@ -694,8 +685,7 @@ def test_the_parser_does_not_recurse():
     """`Parser.term` nests on a stack of its own, so no method of `Parser`
     reaches itself through `self` calls, and a term nested past the
     recursion limit still parses."""
-    assert recursive_methods(pathlib.Path(syntax.__file__).read_text(),
-                             "Parser") == set()
+    assert recursive_methods(PACKAGE["syntax"], "Parser") == set()
 
 
 def test_the_check_sees_recursion():
@@ -711,21 +701,16 @@ def test_conversion_does_not_recurse():
     alpha-equality and the `==` of terms, on a stack of its own: neither
     reaches itself, so comparing deep terms costs no Python frame per
     level."""
-    source = pathlib.Path(kernel.__file__).read_text()
-    assert "convert" not in recursive_methods(source, "Checker")
-    differ = next(node for node in ast.parse(
-                      pathlib.Path(syntax.__file__).read_text()).body
-                  if isinstance(node, ast.FunctionDef)
-                  and node.name == "_differ")
+    assert "convert" not in recursive_methods(PACKAGE["kernel"], "Checker")
+    differ = definitions(PACKAGE["syntax"])["_differ"]
     assert callers("_differ", {"syntax": ast.unparse(differ)}) == set()
 
 
 def self_references(source: str, cls: str) -> set[str]:
     """The methods of class `cls` in `source` that name themselves as
     `self.<method>`: a direct call, or the method handed on as a value."""
-    tree = next(node for node in ast.parse(source).body
-                if isinstance(node, ast.ClassDef) and node.name == cls)
-    return {fn.name for fn in tree.body if isinstance(fn, FUNCTIONS)
+    return {fn.name for name, fn in definitions(source).items()
+            if name.startswith(f"{cls}.") and isinstance(fn, FUNCTIONS)
             and any(isinstance(n, ast.Attribute) and n.attr == fn.name
                     and isinstance(n.value, ast.Name) and n.value.id == "self"
                     for n in ast.walk(fn))}
@@ -736,8 +721,7 @@ def test_reduction_does_not_call_itself():
     `infer_sort` types a reduced type with `infer`: neither names itself,
     and a chain of heads costs `whnf` no Python frame per link.  `_iota`
     reducing a major premise with `whnf` is the one way back in."""
-    found = self_references(pathlib.Path(kernel.__file__).read_text(),
-                            "Checker")
+    found = self_references(PACKAGE["kernel"], "Checker")
     assert found.isdisjoint({"whnf", "infer_sort"}), found
 
 
@@ -751,69 +735,35 @@ def test_the_check_sees_a_self_call():
     assert self_references(source, "C") == {"whnf", "infer_sort"}
 
 
-ELIMINATOR_FAMILIES = {"J", "indNat", "indEmpty", "indSum"}
-
-
-def class_methods(source: str, cls: str) -> list:
-    """The methods of class `cls` in `source`, as syntax trees."""
-    tree = next(node for node in ast.parse(source).body
-                if isinstance(node, ast.ClassDef) and node.name == cls)
-    return [fn for fn in tree.body if isinstance(fn, FUNCTIONS)]
-
-
-def held_names(source: str, cls: str, methods: tuple,
-               names=ELIMINATOR_FAMILIES) -> set[str]:
+def held_names(source: str, cls: str, methods: tuple, names) -> set[str]:
     """The strings of `names` that the methods `methods` of class `cls` in
     `source` hold as constants."""
-    return {n.value for fn in class_methods(source, cls) if fn.name in methods
-            for n in ast.walk(fn) if isinstance(n, ast.Constant)
-            and n.value in names}
+    wanted = {f"{cls}.{method}" for method in methods}
+    return {n.value for name, fn in definitions(source).items()
+            if name in wanted for n in ast.walk(fn)
+            if isinstance(n, ast.Constant) and n.value in names}
 
 
-ELIMINATOR_METHODS = ("_infer_spine", "_elim_motive", "_iota")
-
-
-def test_eliminators_are_typed_and_reduced_from_their_tables():
-    """`_infer_spine` types every eliminator from its schema, `_elim_motive`
-    takes its messages from the family's row and `_iota` reduces it from
-    `_IOTA`: none names a family, so a case written for one cannot come
-    back unnoticed."""
-    assert held_names(pathlib.Path(kernel.__file__).read_text(),
-                      "Checker", ELIMINATOR_METHODS) == set()
-
-
-def test_the_check_sees_a_family_case():
-    source = ("class C:\n    def _iota(self, family):\n"
-              "        match family:\n            case 'indNat':\n"
-              "                return 1\n"
-              "    def _infer_spine(self, name):\n"
-              "        return name == 'indSum' or name == 'indSumS'\n"
-              "    def _elim_motive(self, family):\n"
-              "        return 'for' if family == 'J' else 'instead'\n"
-              "    def other(self):\n        return 'indEmpty'\n")
-    assert held_names(source, "C", ELIMINATOR_METHODS) == {
-        "indNat", "indSum", "J"}
-
-
-# every member of an eliminator family, strict members included
-ELIMINATOR_MEMBERS = ELIMINATOR_FAMILIES | {"Js", "indNatS", "indEmptyS",
-                                            "indSumS"}
 # the rules that find a built-in in the tables a checker builds
 TABLE_READERS = ("whnf", "_iota", "infer", "_infer_tower", "check",
                  "_elim_motive")
 
 
 def test_the_rules_name_no_builtin():
-    """The typing and reduction rules find each built-in in the checker's
-    tables: none holds a built-in's name as a string (`Js` for `js_beta`,
-    `uip` for its rule), nor `_infer_spine` an eliminator's.  Only
-    `__init__`, which drops `Js`'s ι rule, may name a member."""
-    assert ELIMINATOR_MEMBERS <= syntax.BUILTIN_CONSTS
-    source = pathlib.Path(kernel.__file__).read_text()
+    """`Checker.whnf`, `_iota`, `infer`, `_infer_tower`, `check` and
+    `_elim_motive` find each built-in in the checker's tables: none holds a
+    built-in's name as a string (`Js` for `js_beta`, `uip` for its rule, a
+    family's for its case), nor `_infer_spine`, which types every
+    eliminator from its schema, an eliminator's (`kernel._ELIM_TYPES`).
+    Not checked, by design: `_infer_spine`'s `Sum`, `fst`, `snd` and `refl`
+    cases, `_check_intro`, `_projected_type` and `convert`'s Σ-η name their
+    built-ins, and `__init__`, which drops `Js`'s ι rule, names it."""
+    assert set(kernel._ELIM_TYPES) <= syntax.BUILTIN_CONSTS
+    source = PACKAGE["kernel"]
     assert held_names(source, "Checker", TABLE_READERS,
                       syntax.BUILTIN_CONSTS) == set()
     assert held_names(source, "Checker", ("_infer_spine",),
-                      ELIMINATOR_MEMBERS) == set()
+                      kernel._ELIM_TYPES) == set()
 
 
 def test_the_check_sees_a_builtin_name():
@@ -823,27 +773,32 @@ def test_the_check_sees_a_builtin_name():
               "        return head.name == 'Js'\n"
               "    def infer(self, name):\n"
               "        return name == 'uip' or name == 'funextS'\n"
+              "    def _elim_motive(self, family):\n"
+              "        match family:\n            case 'J':\n"
+              "                return 'for'\n"
               "    def _infer_spine(self, name):\n"
-              "        return name in ('indNatS', 'fst')\n")
+              "        return name in ('indNatS', 'fst')\n"
+              "    def other(self):\n        return 'indEmpty'\n")
     assert held_names(source, "C", TABLE_READERS,
-                      syntax.BUILTIN_CONSTS) == {"Js", "uip", "funextS"}
+                      syntax.BUILTIN_CONSTS) == {"Js", "uip", "funextS", "J"}
     assert held_names(source, "C", ("_infer_spine",),
-                      ELIMINATOR_MEMBERS) == {"indNatS"}
+                      kernel._ELIM_TYPES) == {"indNatS"}
 
 
 def options_readers(source: str, cls: str) -> set[str]:
     """The methods of class `cls` in `source`, but `__init__`, that read an
     attribute `options`."""
-    return {fn.name for fn in class_methods(source, cls)
-            if fn.name != "__init__" for n in ast.walk(fn)
-            if isinstance(n, ast.Attribute) and n.attr == "options"}
+    return {fn.name for name, fn in definitions(source).items()
+            if name.startswith(f"{cls}.") and isinstance(fn, FUNCTIONS)
+            and fn.name != "__init__" and any(
+                isinstance(n, ast.Attribute) and n.attr == "options"
+                for n in ast.walk(fn))}
 
 
 def test_options_are_applied_when_a_checker_is_built():
     """A checker's options choose its tables in `__init__`, and no rule
     tests an option."""
-    assert options_readers(pathlib.Path(kernel.__file__).read_text(),
-                           "Checker") == set()
+    assert options_readers(PACKAGE["kernel"], "Checker") == set()
 
 
 def test_the_check_sees_an_options_read():

@@ -1,6 +1,7 @@
 """Typechecking: sorts, conversion, eliminators, and restrictions."""
 
 import copy
+import dataclasses
 import random
 import sys
 import typing
@@ -19,10 +20,10 @@ from tltt.syntax import (
     CONSTS, Ann, App, Const, Decl, Lam, Module, Pi, Ref, Sig, Univ, Var,
     _differ, mk_app, parse, parse_term, resolve, spine, subst,
 )
-from counters import count_pass, counting
+from counters import count_pass, counting, load_perfbench
 from oracles import CaseChecker
 from test_conversion_oracle import KERNELS, run_corpus_sample
-from test_syntax import OVERFLOW, perfbench_workloads, unwound
+from test_syntax import OVERFLOW, unwound
 
 
 def term(src, scope=(), globals_=()):
@@ -258,7 +259,7 @@ class TestInferOnly:
         assert self.assert_full_checks_agree(monkeypatch, run) > 0
 
     def test_numerals(self, ck, monkeypatch):
-        workloads = perfbench_workloads(monkeypatch)
+        workloads = load_perfbench("workloads")
         rng = random.Random("infer-only")
         sources = [workloads.numeral_source(kind, rng.randint(1, 60),
                                             rng.random())[0]
@@ -1260,7 +1261,7 @@ class TestSharedSpines:
         argument m takes m steps, `toNat` of d successors d): the
         recursive call on the shared prefix and the successor β builds.
         Every head `whnf` asks for ι is an eliminator's."""
-        src = perfbench_workloads(monkeypatch).numeral_source(kind, 100, share)[0]
+        src = load_perfbench("workloads").numeral_source(kind, 100, share)[0]
         mod = resolve(parse(src), set(ck.env))
         built, heads = 0, []
         init, iota = App.__init__, Checker._iota
@@ -1422,11 +1423,11 @@ class TestConstructorApplications:
         assert Checker().whnf(major_term(src)) == major_term(reduct)
 
     @pytest.mark.parametrize("kind, share, steps", BUDGET_CASES)
-    def test_spine_budget(self, ck, monkeypatch, kind, share, steps):
+    def test_spine_budget(self, ck, kind, share, steps):
         """Checking a depth-100 numeral module splits at most two spines
         per ι step, plus a constant: a major premise `succ m` is read as
         it stands, where `whnf` and `spine` each split it again."""
-        workloads = perfbench_workloads(monkeypatch)
+        workloads = load_perfbench("workloads")
         mod = resolve(parse(workloads.numeral_source(kind, 100, share)[0]),
                       set(ck.env))
         with counting() as counts:
@@ -1434,11 +1435,11 @@ class TestConstructorApplications:
         assert counts["_iota"] >= steps
         assert counts["spine"] <= 2 * steps + 20
 
-    def test_a_numerals_pass(self, monkeypatch):
+    def test_a_numerals_pass(self):
         """One pass of the `numerals` workload's items at seed 5 runs no
         naming walk (its messages print no binder) and splits at most two
         spines per ι attempt plus 20 per item."""
-        workloads = perfbench_workloads(monkeypatch)
+        workloads = load_perfbench("workloads")
         counts = count_pass(workloads, "numerals", 5)
         items = 3 * workloads.NUMERALS_PER_KIND
         assert counts["_nodes"] == 0
@@ -1458,6 +1459,13 @@ class TestOptions:
         ck.check([], term("reflS zero"), ty)
         with pytest.raises(TypeError_):
             ck2.check([], term("reflS zero"), ty)
+
+    def test_options_cannot_change_once_a_checker_is_built(self):
+        """A checker applies its options when it is built, so an assignment
+        to one afterwards, which it would ignore, is refused."""
+        ck = Checker()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ck.options.js_beta = False
 
     def test_a_checker_reads_the_module_tables_less_what_its_options_drop(
             self):
@@ -1711,8 +1719,8 @@ class TestSchemas:
         records = typed_alike(run)
         assert sum(len(r) for r, _, _ in records) > 60    # 74 by default
 
-    def test_numerals_are_typed_as_case_by_case(self, monkeypatch):
-        workloads = perfbench_workloads(monkeypatch)
+    def test_numerals_are_typed_as_case_by_case(self):
+        workloads = load_perfbench("workloads")
         sources = [workloads.numeral_source(kind, depth, share)[0]
                    for kind in ("add", "add+1", "toNat")
                    for depth, share in ((1, 0.0), (7, 0.5), (30, 0.9))]

@@ -2,9 +2,7 @@
 
 import copy
 import dataclasses
-import importlib.util
 import itertools
-import pathlib
 import pickle
 import random
 import re
@@ -14,7 +12,7 @@ import typing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from counters import count_pass, counting
+from counters import count_pass, counting, load_perfbench
 from oracles import (
     decl_refs, eager_print_term, eager_refs, findall_tokenize, print_module,
 )
@@ -966,16 +964,6 @@ def assert_scans_as_the_oracle(src: str, path: str = "<test>"):
     assert len(toks) == len(want)
 
 
-def perfbench_workloads(monkeypatch):
-    """`perfbench/workloads.py`, imported from its file for one test."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 class TestScannerOracle:
     @pytest.mark.parametrize("src", [
         "--! expect: CONV -- still the rule\nfail x : A\n",
@@ -995,10 +983,10 @@ class TestScannerOracle:
         for path in corpus_files():
             assert_scans_as_the_oracle(path.read_text(), str(path))
 
-    def test_numeral_modules(self, monkeypatch):
+    def test_numeral_modules(self):
         """The `numerals` workload's modules, from its own formulas, at the
         depths it times and the ladder's deepest."""
-        workloads = perfbench_workloads(monkeypatch)
+        workloads = load_perfbench("workloads")
         for depth in (1, 20, 180, 200, 400, 800):
             for kind in ("add", "add+1", "toNat"):
                 src, _ = workloads.numeral_source(kind, depth, 0.3)
@@ -1238,12 +1226,12 @@ class TestPositionsOnRead:
         line, col = err[3:]
         assert src.split("\n")[line - 1][col - 1:].startswith(first or "intype")
 
-    def test_a_numerals_pass_places_only_its_declarations(self, monkeypatch):
+    def test_a_numerals_pass_places_only_its_declarations(self):
         """One `numerals` pass at seed 5 places each of its 200
         declarations once (the 40 `toNat` modules hold one each, the 80
         `add` modules two): none of its 111,562 tokens has its offset
         worked out, nor any of its 36,934 free names its place."""
-        workloads = perfbench_workloads(monkeypatch)
+        workloads = load_perfbench("workloads")
         counts = count_pass(workloads, "numerals", 5)
         assert counts["place"] == 5 * workloads.NUMERALS_PER_KIND == 200
         assert (counts["tokens"], counts["refs"]) == (111_562, 36_934)

@@ -1,8 +1,8 @@
 """Finite categories, inverse categories, and finite-set-valued diagrams.
 
-Everything is table-driven and validated exhaustively: category laws,
-rank discipline (non-identity arrows strictly decrease rank), functoriality
-of diagrams.  Limits are computed two independent ways: directly as natural
+Everything is table-driven and validated, each law checked once: category
+laws, rank discipline (non-identity arrows strictly decrease rank),
+functoriality of diagrams.  Limits are computed two independent ways: directly as natural
 families, and recursively by adding the objects by increasing rank, each a
 pullback along its matching object, with no subcategory built.
 """
@@ -72,6 +72,11 @@ class FinCat:
         return self.homs.get((x, y), ())
 
     def validate(self) -> None:
+        """Objects, unique arrows and identities, then closure and the unit
+        laws for every arrow, then associativity.  A triple holding an
+        identity is skipped: the unit laws and the closure check before it
+        reduce both of its sides to one composite, so associativity is
+        asked only of three non-identities."""
         seen = set()
         for (x, y), arrows in self.homs.items():
             if x not in self.objects or y not in self.objects:
@@ -89,8 +94,8 @@ class FinCat:
                 raise CategoryError(
                     f"compose defined for non-composable ({g!r}, {f!r})")
         arrows = self.arrows()
-        all_out = {x: (self.identity[x],) + self.out_of(x)
-                   for x in self.objects}
+        identity = self.identity
+        all_out = {x: (identity[x],) + self.out_of(x) for x in self.objects}
         for f in arrows:
             for g in all_out.get(self.dst[f], ()):
                 h = self.compose.get((g, f))
@@ -101,14 +106,16 @@ class FinCat:
                         f"compose ({g!r}, {f!r}) = {h!r} lands outside "
                         f"hom({self.src[f]!r}, {self.dst[g]!r})")
         for f in arrows:
-            if self.compose[(self.identity[self.dst[f]], f)] != f:
+            if self.compose[(identity[self.dst[f]], f)] != f:
                 raise CategoryError(f"left unit law fails at {f!r}")
-            if self.compose[(f, self.identity[self.src[f]])] != f:
+            if self.compose[(f, identity[self.src[f]])] != f:
                 raise CategoryError(f"right unit law fails at {f!r}")
         for f in arrows:
-            for g in all_out.get(self.dst[f], ()):
+            if f == identity[self.src[f]]:
+                continue
+            for g in self.out_of(self.dst[f]):
                 gf = self.compose[(g, f)]
-                for h in all_out.get(self.dst[g], ()):
+                for h in self.out_of(self.dst[g]):
                     if (self.compose[(h, gf)]
                             != self.compose[(self.compose[(h, g)], f)]):
                         raise CategoryError(
@@ -209,6 +216,11 @@ class SetDiagram:
         return [self.values[o] for o in self.cat.objects]
 
     def validate(self) -> None:
+        """Value sets, total actions into the targets, identities acting
+        trivially, then one square per composite.  A composite that is a
+        unit law, ``id . f = f`` or ``g . id = g`` (g composable with that
+        identity), is skipped: the totality and identity checks before it
+        decide its square."""
         for o in self.cat.objects:
             if o not in self.values:
                 raise CategoryError(f"missing value set at {o!r}")
@@ -230,11 +242,15 @@ class SetDiagram:
             for x in self.values[o]:
                 if self.action[i][x] != x:
                     raise CategoryError(f"identity at {o!r} acts nontrivially")
-        src = self.cat.src
+        src, dst, identity = self.cat.src, self.cat.dst, self.cat.identity
         for (g, f), h in self.cat.compose.items():
             if g not in src or f not in src or h not in src:
                 raise CategoryError(
                     f"compose ({g!r}, {f!r}) = {h!r} names an unknown arrow")
+            if ((h == f and g == identity[dst[f]])
+                    or (h == g and f == identity[src[f]]
+                        and src[g] == dst[f])):
+                continue
             for x in self.values[src[f]]:
                 if self.action[g][self.action[f][x]] != self.action[h][x]:
                     raise CategoryError(
@@ -399,11 +415,13 @@ def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
     (u, h)) fixes (dst a, (F(a)(u), a . h)) through G(a).  Cells and
     constraints come in the order ``diagram_nat_transforms`` gives them on
     ``product_diagram(f, representable(c, d))`` (test oracles, in
-    ``tests/oracles.py``), so the solutions do too.
+    ``tests/oracles.py``), so the solutions do too.  Along an arrow that
+    moves no cell each family stays itself; along any other the moved
+    family is found among the target's by its entries in cell order.
     """
     c = f.cat
     order = _object_order(c)
-    values, tables = {}, {}
+    values, tables, cells_of, by_entries = {}, {}, {}, {}
     for d in c.objects:
         cells = [(o, (u, h)) for o in order for u in f.values[o]
                  for h in c.hom(d, o)]
@@ -415,15 +433,30 @@ def exponential_diagram(f: SetDiagram, g: SetDiagram) -> SetDiagram:
         nats = solve(cells, [g.values[o] for o, _ in cells], constraints)
         values[d] = tuple(family_key(t) for t in nats)
         tables.update(zip(values[d], nats))
-    # along a, every alpha takes at (o, (u, h)) its entry at (o, (u, h . a))
-    moves = {a: [((o, (u, h)), (o, (u, c.compose[(h, a)])))
-                 for o in c.objects for u in f.values[o]
-                 for h in c.hom(c.dst[a], o)]
-             for a in c.arrows() if values[c.src[a]]}
+        cells_of[d] = cells
+        # each family by its entries, in cell order as ``solve`` keys it
+        by_entries[d] = {tuple(t.values()): alpha
+                         for alpha, t in zip(values[d], nats)}
+    # along a, every alpha takes at (o, (u, h)) its entry at (o, (u, h . a));
+    # None marks an arrow that moves no cell, along which alpha stays
+    moves = {}
+    for a in c.arrows():
+        if values[c.src[a]]:
+            cells = cells_of[c.dst[a]]
+            moved = [(o, (u, c.compose[(h, a)])) for o, (u, h) in cells]
+            fixed = c.src[a] == c.dst[a] and moved == cells
+            moves[a] = None if fixed else moved
 
     def act(a, alpha):
+        moved = moves[a]
+        if moved is None:
+            return alpha
         table = tables[alpha]
-        return frozenset([(k, table[s]) for k, s in moves[a]])
+        entries = tuple([table[s] for s in moved])
+        found = by_entries[c.dst[a]].get(entries)
+        if found is None:     # a broken law moved alpha off the families
+            return frozenset(zip(cells_of[c.dst[a]], entries))
+        return found
     return tabulate(c, values, act)
 
 
@@ -506,7 +539,8 @@ def sset_to_diagram(x: SetDiagram,
 def random_inverse_category(rng: random.Random, max_objects: int = 5,
                             max_rank: int = 3, max_hom: int = 3) -> FinInvCat:
     """A random finite inverse category: the free category on a random
-    rank-decreasing generator graph, resampled until hom-sets are small."""
+    rank-decreasing generator graph, resampled until hom-sets are small.
+    A draw is rejected from its paths, before its tables are built."""
     for _ in range(1000):
         n = rng.randint(1, max_objects)
         objects = tuple(f"o{i}" for i in range(n))
@@ -517,13 +551,18 @@ def random_inverse_category(rng: random.Random, max_objects: int = 5,
                 if rank[x] > rank[y]:
                     for idx in range(rng.randint(0, 2)):
                         gens.append((f"g{len(gens)}", x, y))
-        cat = _free_category(objects, rank, gens)
-        if cat is not None and all(len(v) <= max_hom for v in cat.homs.values()):
+        # no hom-set is enumerated past 64 paths, whatever max_hom allows
+        cat = _free_category(objects, rank, gens, min(max_hom, 64))
+        if cat is not None:
             return cat
     raise RuntimeError("failed to sample a small inverse category")
 
 
-def _free_category(objects, rank, gens) -> Optional[FinInvCat]:
+def _free_category(objects, rank, gens, max_hom: int
+                   ) -> Optional[FinInvCat]:
+    """The free category on the generators ``(id, src, dst)``, or None as
+    soon as one of its hom-sets, identity included, would hold more than
+    ``max_hom`` arrows (the empty path stands for the identity)."""
     by_src: dict = {}
     for g in gens:
         by_src.setdefault(g[1], []).append(g)
@@ -532,23 +571,16 @@ def _free_category(objects, rank, gens) -> Optional[FinInvCat]:
         stack = [(x, ())]
         while stack:
             y, path = stack.pop()
-            if path:
-                paths.setdefault((x, y), []).append(path)
-                if len(paths[(x, y)]) > 64:
-                    return None
+            hom = paths.setdefault((x, y), [])
+            hom.append(path)
+            if len(hom) > max_hom:
+                return None
             for (gid, s, d) in by_src.get(y, []):
                 stack.append((d, path + (gid,)))
-    homs: dict = {}
-    identity = {}
-    for x in objects:
-        identity[x] = ("id", x)
-    for x in objects:
-        for y in objects:
-            arrows = tuple(("p", p) for p in sorted(paths.get((x, y), [])))
-            if x == y:
-                arrows = (identity[x],) + arrows
-            if arrows:
-                homs[(x, y)] = arrows
+    identity = {x: ("id", x) for x in objects}
+    homs = {(x, y): tuple(("p", p) if p else identity[x]
+                          for p in sorted(paths[(x, y)]))
+            for x in objects for y in objects if (x, y) in paths}
     return FinInvCat(tuple(objects), homs, _compose_all(homs, _concat),
                      identity, rank=dict(rank))
 

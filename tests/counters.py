@@ -21,10 +21,17 @@ the source positions the front end works out.
 A name that the checkout lacks (an older parent) is not counted, and reads
 `null` in the script's JSON.
 
+`reading()` counts, while its block runs, the entries that each validator
+reads of its table by key: `FinCat.validate` of `compose`,
+`SetDiagram.validate` of `action` (one read per `get` or `[]`, the inner
+tables of the action not counted).  `setup_reads` counts them over a
+workload's set-up, and `count_pass` over its items.
+
 `count_pass` counts one pass over a perfbench workload's items, each called
 once (set-up, and each item's check of its answer, are not counted).  Run
-as a script, it prints those counts as JSON, for the checkout at `--root`
-(default: this one), so a before/after pair is two commands:
+as a script, it prints those counts and the set-up's reads as JSON, for
+the checkout at `--root` (default: this one), so a before/after pair is
+two commands:
 
     python3 tests/counters.py numerals --seed 5
     python3 tests/counters.py numerals --seed 5 --root PARENT_CHECKOUT
@@ -40,6 +47,7 @@ import json
 import pathlib
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from types import SimpleNamespace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -96,15 +104,78 @@ def counting():
             setattr(owner, attr, fn)
 
 
+# The table each validator reads, by the validator's name
+READ = {"FinCat.validate": "compose", "SetDiagram.validate": "action"}
+
+
+class _Reads(Mapping):
+    """`table`, adding 1 to `counts[name]` at each entry read by key."""
+
+    def __init__(self, table, counts: Counter, name: str):
+        self._table, self._counts, self._name = table, counts, name
+
+    def __getitem__(self, key):
+        self._counts[self._name] += 1
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self):
+        return len(self._table)
+
+
+@contextlib.contextmanager
+def reading():
+    """A `Counter` of the table entries each validator of `READ` reads
+    while the block runs (a subclass's `validate` counts through its
+    `super()` call)."""
+    from tltt import categories
+    counts = Counter({name: 0 for name in READ})
+
+    def reads(name, validate, attr):
+        def call(self):
+            table = getattr(self, attr)
+            setattr(self, attr, _Reads(table, counts, name))
+            try:
+                return validate(self)
+            finally:
+                setattr(self, attr, table)
+        return call
+
+    owners = {name: getattr(categories, name.split(".")[0]) for name in READ}
+    saved = {name: owner.validate for name, owner in owners.items()}
+    try:
+        for name, owner in owners.items():
+            owner.validate = reads(name, saved[name], READ[name])
+        yield counts
+    finally:
+        for name, owner in owners.items():
+            owner.validate = saved[name]
+
+
+def _modules() -> SimpleNamespace:
+    return SimpleNamespace(**{m: importlib.import_module(f"tltt.{m}")
+                              for m in TLTT_MODULES})
+
+
+def setup_reads(workloads, workload: str, seed: int) -> Counter:
+    """The validators' table reads (`reading`) while `workloads` (perfbench's
+    module) builds the items of `workload` at `seed`."""
+    tl = _modules()
+    with reading() as reads:
+        workloads.WORKLOADS[workload](tl, seed)
+    return reads
+
+
 def count_pass(workloads, workload: str, seed: int) -> Counter:
     """The counts over one pass of the items of `workload` at `seed`, built
-    by `workloads` (perfbench's module); every item must be answered
-    right."""
-    tl = SimpleNamespace(**{m: importlib.import_module(f"tltt.{m}")
-                            for m in TLTT_MODULES})
-    items = workloads.WORKLOADS[workload](tl, seed).items
-    with counting() as counts:
+    by `workloads` (perfbench's module), the validators' reads among them;
+    every item must be answered right."""
+    items = workloads.WORKLOADS[workload](_modules(), seed).items
+    with counting() as counts, reading() as reads:
         outs = [item.call() for item in items]
+    counts.update(reads)
     wrong = [item.label for item, out in zip(items, outs)
              if not item.check(out)]
     if wrong:
@@ -140,10 +211,13 @@ def main() -> None:
     import tltt
     if root / "src" not in pathlib.Path(tltt.__file__).resolve().parents:
         sys.exit(f"imported tltt from outside {root}: {tltt.__file__}")
-    counts = count_pass(load_perfbench("workloads", root), a.workload, a.seed)
+    workloads = load_perfbench("workloads", root)
+    counts = count_pass(workloads, a.workload, a.seed)
     print(json.dumps({"workload": a.workload, "seed": a.seed,
                       "counts": {name: counts.get(name)
-                                 for name in COUNTED}}))
+                                 for name in COUNTED + tuple(READ)},
+                      "setup_reads": setup_reads(workloads, a.workload,
+                                                 a.seed)}))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,13 @@
 """Test oracles: textbook constructions that the package itself no longer
 runs, kept to check what it does run.
 
+- `validate_category_exhaustively` and `validate_diagram_exhaustively`
+  are the validators as they were before they skipped what the unit laws
+  settle: associativity on every composable triple, functoriality on
+  every composite.  `sample_inverse_category` is the random category
+  sampler as it was before it rejected a draw from its paths: it builds
+  each draw whole, then rejects it.  `tests/test_categories.py` checks
+  that the package gives their verdicts, messages and categories;
 - `product_diagram` and `representable` build the textbook exponential,
   Nat(F x y_d, G), for `tests/test_categories.py::reference_exponential`;
   they and `pullback_diagram` are checked in `tests/test_categories.py`,
@@ -37,8 +44,9 @@ runs, kept to check what it does run.
   checks that both give the same records and infer the same types.
 
 Each builds through the package's own code (`categories.tabulate`,
-`simplex.Sieve`, `syntax.print_term`, `syntax._nodes`, `syntax.Parser`,
-`kernel.Checker`), so a change there shows here too.
+`categories._compose_all`, `simplex.Sieve`, `syntax.print_term`,
+`syntax._nodes`, `syntax.Parser`, `kernel.Checker`), so a change there
+shows here too.
 """
 
 from __future__ import annotations
@@ -51,8 +59,8 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import Iterable
 
-from tltt.categories import (CategoryError, DiagramMap, FinCat, SetDiagram,
-                             tabulate)
+from tltt.categories import (CategoryError, DiagramMap, FinCat, FinInvCat,
+                             SetDiagram, _compose_all, tabulate)
 from tltt.kernel import (_FAMILIES, _SPINE, Checker, TypeError_, _at_level,
                          _beta)
 from tltt.simplex import Sieve
@@ -102,6 +110,140 @@ def pullback_diagram(p: DiagramMap, q: DiagramMap
     pr2 = DiagramMap(w, y, {o: {uv: uv[1] for uv in values[o]}
                             for o in c.objects})
     return w, pr1, pr2
+
+
+# ---------------------------------------------------------------------------
+# The validators on every case, and the sampler that builds to reject
+# ---------------------------------------------------------------------------
+
+def validate_category_exhaustively(c: FinCat) -> None:
+    """`FinCat.validate` as it was before it skipped what the unit laws
+    settle: closure, units and associativity on every composable pair and
+    triple, identities included."""
+    seen = set()
+    for (x, y), arrows in c.homs.items():
+        if x not in c.objects or y not in c.objects:
+            raise CategoryError(f"hom set over unknown objects ({x}, {y})")
+        for a in arrows:
+            if a in seen:
+                raise CategoryError(f"duplicate arrow id {a!r}")
+            seen.add(a)
+    for x in c.objects:
+        i = c.identity.get(x)
+        if i is None or i not in c.hom(x, x):
+            raise CategoryError(f"missing identity for object {x!r}")
+    for (g, f) in c.compose:
+        if g in seen and f in seen and c.dst[f] != c.src[g]:
+            raise CategoryError(
+                f"compose defined for non-composable ({g!r}, {f!r})")
+    all_out = {x: (c.identity[x],) + c.out_of(x) for x in c.objects}
+    for f in c.arrows():
+        for g in all_out.get(c.dst[f], ()):
+            h = c.compose.get((g, f))
+            if h is None:
+                raise CategoryError(f"compose missing for ({g!r}, {f!r})")
+            if h not in c.hom(c.src[f], c.dst[g]):
+                raise CategoryError(
+                    f"compose ({g!r}, {f!r}) = {h!r} lands outside "
+                    f"hom({c.src[f]!r}, {c.dst[g]!r})")
+    for f in c.arrows():
+        if c.compose[(c.identity[c.dst[f]], f)] != f:
+            raise CategoryError(f"left unit law fails at {f!r}")
+        if c.compose[(f, c.identity[c.src[f]])] != f:
+            raise CategoryError(f"right unit law fails at {f!r}")
+    for f in c.arrows():
+        for g in all_out.get(c.dst[f], ()):
+            gf = c.compose[(g, f)]
+            for h in all_out.get(c.dst[g], ()):
+                if c.compose[(h, gf)] != c.compose[(c.compose[(h, g)], f)]:
+                    raise CategoryError(
+                        f"associativity fails on ({h!r}, {g!r}, {f!r})")
+
+
+def validate_diagram_exhaustively(x: SetDiagram) -> None:
+    """`SetDiagram.validate` as it was before it skipped the unit laws:
+    functoriality on every entry of the composition table."""
+    c = x.cat
+    for o in c.objects:
+        if o not in x.values:
+            raise CategoryError(f"missing value set at {o!r}")
+    for a in c.arrows():
+        s, d = c.src[a], c.dst[a]
+        if s not in c.objects or d not in c.objects:
+            raise CategoryError(
+                f"arrow {a!r} from {s!r} to {d!r} names an undeclared object")
+        fn = x.action.get(a)
+        if fn is None:
+            raise CategoryError(f"missing function for arrow {a!r}")
+        for v in x.values[s]:
+            if v not in fn or fn[v] not in x.values[d]:
+                raise CategoryError(
+                    f"function for {a!r} not total into the target on {v!r}")
+    for o in c.objects:
+        i = c.identity[o]
+        for v in x.values[o]:
+            if x.action[i][v] != v:
+                raise CategoryError(f"identity at {o!r} acts nontrivially")
+    for (g, f), h in c.compose.items():
+        if g not in c.src or f not in c.src or h not in c.src:
+            raise CategoryError(
+                f"compose ({g!r}, {f!r}) = {h!r} names an unknown arrow")
+        for v in x.values[c.src[f]]:
+            if x.action[g][x.action[f][v]] != x.action[h][v]:
+                raise CategoryError(
+                    f"functoriality fails: {g!r} . {f!r} != {h!r} on {v!r}")
+
+
+def sample_inverse_category(rng, max_objects: int = 5, max_rank: int = 3,
+                            max_hom: int = 3) -> FinInvCat:
+    """`random_inverse_category` as it was before it rejected a draw from
+    its paths: each draw's free category is built whole (or refused at 65
+    paths in a hom-set), then rejected if a hom-set is over ``max_hom``."""
+    for _ in range(1000):
+        n = rng.randint(1, max_objects)
+        objects = tuple(f"o{i}" for i in range(n))
+        rank = {o: rng.randint(0, max_rank) for o in objects}
+        gens = []
+        for x in objects:
+            for y in objects:
+                if rank[x] > rank[y]:
+                    for _ in range(rng.randint(0, 2)):
+                        gens.append((f"g{len(gens)}", x, y))
+        cat = _built_free_category(objects, rank, gens)
+        if cat is not None and all(len(v) <= max_hom
+                                   for v in cat.homs.values()):
+            return cat
+    raise RuntimeError("failed to sample a small inverse category")
+
+
+def _built_free_category(objects, rank, gens):
+    paths: dict = {}      # (x, y) -> the paths of generator ids from x to y
+    for x in objects:
+        stack = [(x, ())]
+        while stack:
+            y, path = stack.pop()
+            if path:
+                paths.setdefault((x, y), []).append(path)
+                if len(paths[(x, y)]) > 64:
+                    return None
+            for gid, s, d in gens:
+                if s == y:
+                    stack.append((d, path + (gid,)))
+    identity = {x: ("id", x) for x in objects}
+    homs = {}
+    for x in objects:
+        for y in objects:
+            arrows = tuple(("p", p) for p in sorted(paths.get((x, y), [])))
+            if x == y:
+                arrows = (identity[x],) + arrows
+            if arrows:
+                homs[(x, y)] = arrows
+
+    def concat(g, f):
+        path = (f[1] if f[0] == "p" else ()) + (g[1] if g[0] == "p" else ())
+        return ("p", path) if path else f
+    return FinInvCat(objects, homs, _compose_all(homs, concat), identity,
+                     rank=dict(rank))
 
 
 # ---------------------------------------------------------------------------

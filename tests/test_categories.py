@@ -12,7 +12,10 @@ import pytest
 
 import tltt
 
-from oracles import product_diagram, pullback_diagram, representable
+from counters import load_perfbench, reading, setup_reads
+from oracles import (product_diagram, pullback_diagram, representable,
+                     sample_inverse_category, validate_category_exhaustively,
+                     validate_diagram_exhaustively)
 from tltt.categories import (
     CategoryError, DiagramMap, FinCat, FinInvCat, SetDiagram,
     constant_diagram, diagram_nat_transforms, exponential_diagram,
@@ -20,7 +23,8 @@ from tltt.categories import (
     random_diagram, random_inverse_category, reduced_coslice,
     semisimplex_category, sset_to_diagram,
 )
-from tltt.fixtures import load_fixture
+from tltt.classifier import classifier_elements, interpret
+from tltt.fixtures import FIXTURE_ROOT, load_fixture
 from tltt.simplex import boundary_subfunctor, nat_transforms
 
 
@@ -165,6 +169,174 @@ class TestValidation:
             cat = random_inverse_category(rng)
             cat.validate()
             random_diagram(rng, cat).validate()
+
+
+def verdict(validate, x):
+    """"ok", or the type and message of what ``validate(x)`` raised."""
+    try:
+        validate(x)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return "ok"
+
+
+def category_mutant(c: FinCat, rng: random.Random) -> FinInvCat:
+    """c with one entry of its composition or identity table changed: the
+    composite of two non-identities to another arrow of its hom-set, where
+    only associativity can fail, any composite to any arrow, or an
+    identity to any arrow."""
+    compose, identity = dict(c.compose), dict(c.identity)
+    arrows = c.arrows()
+    ids = set(identity.values())
+    inner = [(g, f) for g, f in compose if g not in ids and f not in ids]
+    pick = rng.random()
+    if inner and pick < 0.6:
+        g, f = key = rng.choice(inner)
+        compose[key] = rng.choice(c.hom(c.src[f], c.dst[g]))
+    elif pick < 0.8:
+        compose[rng.choice(list(compose))] = rng.choice(arrows)
+    else:
+        identity[rng.choice(c.objects)] = rng.choice(arrows)
+    return FinInvCat(c.objects, c.homs, compose, identity,
+                     rank=getattr(c, "rank", {}))
+
+
+def diagram_mutant(x: SetDiagram, rng: random.Random) -> SetDiagram:
+    """x with one entry of one arrow's action changed, to a value of the
+    arrow's target or, now and then, of any object."""
+    action = {a: dict(x.action[a]) for a in x.cat.arrows()}
+    moved = [a for a in action if action[a]]
+    if moved:
+        a = rng.choice(moved)
+        target = x.values[x.cat.dst[a]]
+        if not target or rng.random() < 0.2:
+            target = [v for vs in x.values.values() for v in vs]
+        action[a][rng.choice(list(action[a]))] = rng.choice(target)
+    return SetDiagram(x.cat, x.values, action)
+
+
+def validation_cases() -> tuple[list, list]:
+    """Categories and diagrams, valid and broken: random ones, the
+    semi-simplex categories up to rank 4, every fixture's, and mutants of
+    each, with diagrams over the broken categories too."""
+    rng = random.Random("each law once")
+    cats, diagrams = [], []
+    for seed in range(60):
+        r = random.Random(seed)
+        cat = random_inverse_category(r, max_objects=5, max_hom=3)
+        cats.append(cat)
+        diagrams.append(random_diagram(r, cat, max_card=3))
+    for n in range(-1, 5):
+        cats.append(semisimplex_category(n))
+        diagrams.append(constant_diagram(cats[-1], ("u", "v")))
+    for path in sorted(FIXTURE_ROOT.glob("*.json")):
+        fx = load_fixture(path)
+        if fx.category is not None:
+            cats.append(fx.category)
+        diagrams.extend(fx.diagrams.values())
+        if fx.sset is not None:
+            cats.append(fx.sset.cat)
+            diagrams.append(fx.sset)
+    # g : b -> a composed after the identity at a: a unit law in form only,
+    # whose square reads g's action off its domain, at 0 and 1
+    ia, ib = ("id", "a"), ("id", "b")
+    loose = FinCat(("a", "b"), {("a", "a"): (ia,), ("b", "b"): (ib,),
+                                ("b", "a"): ("g",)},
+                   {(ia, ia): ia, (ib, ib): ib, ("g", ib): "g",
+                    (ia, "g"): "g", ("g", ia): "g"}, {"a": ia, "b": ib})
+    cats.append(loose)
+    # a non-associative monoid whose identity table also names e, under a
+    # key that is no object: e is not an identity, so triples from e count
+    cats.append(FinCat(("a",), {("a", "a"): ("id", "e", "t")},
+                       {("id", "id"): "id", ("id", "e"): "e",
+                        ("e", "id"): "e", ("id", "t"): "t", ("t", "id"): "t",
+                        ("e", "e"): "t", ("e", "t"): "e", ("t", "e"): "t",
+                        ("t", "t"): "e"}, {"a": "id", "z": "e"}))
+    for g in ({5: 0}, {5: 0, 0: 1, 1: 1}):
+        diagrams.append(SetDiagram(loose, {"a": (0, 1), "b": (5,)},
+                                   {ia: {0: 0, 1: 1}, ib: {5: 5}, "g": g}))
+    for x in [x for x in diagrams if x.cat.arrows()]:
+        for _ in range(6):
+            diagrams.append(diagram_mutant(x, rng))
+            broken = category_mutant(x.cat, rng)
+            cats.append(broken)
+            diagrams.append(SetDiagram(broken, x.values, x.action))
+    for c in [c for c in cats if c.arrows()]:
+        cats.extend(category_mutant(c, rng) for _ in range(4))
+    return cats, diagrams
+
+
+class TestEachLawOnce:
+    """The validators skip only cases that an earlier check settles, and
+    the sampler rejects a draw before building it: each gives what the
+    exhaustive versions in ``tests/oracles.py`` give."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return validation_cases()
+
+    def test_categories_get_the_exhaustive_verdicts(self, cases):
+        cats, _ = cases
+        verdicts = [verdict(validate_category_exhaustively, c) for c in cats]
+        assert [verdict(FinCat.validate, c) for c in cats] == verdicts
+        seen = {v if v == "ok" else v[1].split(" fail")[0] for v in verdicts}
+        assert {"ok", "associativity", "left unit law",
+                "right unit law"} <= seen
+
+    def test_diagrams_get_the_exhaustive_verdicts(self, cases):
+        _, diagrams = cases
+        verdicts = [verdict(validate_diagram_exhaustively, x)
+                    for x in diagrams]
+        assert [verdict(SetDiagram.validate, x) for x in diagrams] == verdicts
+        seen = {v if v == "ok" else v[1].split(":")[0].split(" at ")[0]
+                for v in verdicts}
+        assert {"ok", "functoriality fails", "identity"} <= seen
+
+    @pytest.mark.parametrize("params", [
+        {}, {"max_objects": 5, "max_hom": 3}, {"max_objects": 3},
+        {"max_objects": 3, "max_rank": 1}, {"max_objects": 6, "max_hom": 1},
+        {"max_objects": 5, "max_rank": 4, "max_hom": 70}])
+    def test_the_sampler_returns_the_categories_built_to_reject(self,
+                                                                params):
+        for seed in range(40):
+            new, old = random.Random(seed), random.Random(seed)
+            got = random_inverse_category(new, **params)
+            want = sample_inverse_category(old, **params)
+            assert (got.objects, got.homs, got.compose, got.identity,
+                    got.rank) == (want.objects, want.homs, want.compose,
+                                  want.identity, want.rank)
+            assert new.getstate() == old.getstate()
+
+    def test_a_sampler_that_rejects_every_draw_draws_as_many(self):
+        new, old = random.Random(0), random.Random(0)
+        with pytest.raises(RuntimeError, match="small inverse category"):
+            random_inverse_category(new, max_hom=0)
+        with pytest.raises(RuntimeError, match="small inverse category"):
+            sample_inverse_category(old, max_hom=0)
+        assert new.getstate() == old.getstate()
+
+
+class TestValidationBudget:
+    """Table reads of the validators (``tests/counters.py``), each budget
+    the count at which every law is checked once."""
+
+    def test_the_diagrams_setup(self):
+        reads = setup_reads(load_perfbench("workloads"), "diagrams", 7)
+        assert reads["FinCat.validate"] <= 23_444
+        assert reads["SetDiagram.validate"] <= 15_636
+
+    def test_the_classifier_round_trips(self):
+        """The first diagram of each ``round_trip[2,2]`` item of the
+        `simplices` workload: every square of theirs is a unit law."""
+        ambient = semisimplex_category(2)
+        base = constant_diagram(ambient.truncate_below(2), ("*",))
+        elements = classifier_elements(ambient, 2, base,
+                                       [(), ("a",), ("a", "b")])
+        assert len(elements) == 85
+        with reading() as reads:
+            for x in elements:
+                interpret(ambient, x, base)[0].validate()
+        assert reads["SetDiagram.validate"] <= 832
 
 
 class TestCoslice:
@@ -528,6 +700,33 @@ class TestNatAndExponential:
                   if not same_diagram(exponential_diagram(f, g),
                                       reference_exponential(f, g))]
         assert differ == []
+
+    def test_exponential_over_broken_composites_is_the_reference(self):
+        """With one composite g . f (g no identity) moved to another arrow
+        of its hom-set, a unit law or associativity fails, and a move can
+        leave the families of its target or shift an identity's cells: the
+        action gives the family each move reaches, as the reference does."""
+        from tltt.nerve import nerve
+        x = nerve(load_fixture("poset012.json").category, 3)
+        c = x.cat
+        ids = set(c.identity.values())
+        differ, left = [], 0
+        for (g, f), h in itertools.islice(c.compose.items(), 0, None, 2):
+            for other in c.hom(c.src[f], c.dst[g]) if g not in ids else ():
+                if other == h:
+                    continue
+                broken = FinInvCat(c.objects, c.homs,
+                                   {**c.compose, (g, f): other}, c.identity,
+                                   rank=c.rank)
+                one = constant_diagram(broken, ("*",))
+                xs = SetDiagram(broken, x.values, x.action)
+                exp = exponential_diagram(one, xs)
+                if not same_diagram(exp, reference_exponential(one, xs)):
+                    differ.append((g, f, other))
+                left += sum(beta not in exp.values[c.dst[a]]
+                            for a in c.arrows()
+                            for beta in exp.action[a].values())
+        assert differ == [] and left > 0
 
     def test_exponential_order_ignores_hash_seed(self):
         # Each nat is printed with its items sorted, so the dump shows only
